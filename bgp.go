@@ -136,8 +136,17 @@ func Benchmarks() []string {
 	return names
 }
 
-// RunConfig selects one instrumented benchmark run.
+// RunConfig selects one instrumented benchmark run. Its fields fall in two
+// groups. Identity fields say what is simulated; fingerprint (checkpoint.go)
+// renders exactly these, so they alone determine a run's RunKey, its
+// epoch-memo configuration key and its bgpd job id. Execution fields say how
+// the host computes or observes the run; every setting of them yields
+// byte-identical dumps, and none of them reaches a key, so a result cached
+// or checkpointed at one setting serves every other.
+// TestExecutionKnobsExcludedFromRunKey holds each field to its group.
 type RunConfig struct {
+	// Identity fields.
+
 	// Benchmark is the NAS benchmark name ("mg", "ft", ...). Mutually
 	// exclusive with Spec.
 	Benchmark string
@@ -182,23 +191,25 @@ type RunConfig struct {
 	// rank runs between yields); 0 keeps the default. Results do not
 	// depend on it beyond the documented rank interleaving.
 	SliceCycles uint64
-	// DumpDir, when non-empty, receives the per-node .bgpc counter
-	// files.
-	DumpDir string
 	// TimelineInterval, when nonzero, samples TimelineEvents of every
 	// node each time the simulation clock advances by this many cycles;
 	// the collected series are returned in Result.Timeline.
 	TimelineInterval uint64
 	// TimelineEvents are the event mnemonics to sample.
 	TimelineEvents []string
+
+	// Execution fields.
+
+	// DumpDir, when non-empty, receives the per-node .bgpc counter
+	// files.
+	DumpDir string
 	// Observer, when non-nil, receives the run's observability events:
 	// per-phase wall times, simulated-clock spans while the job runs,
 	// and the aggregate machine statistics on completion. Observation is
 	// passive — counters are read after the job finishes — so an
 	// attached observer never perturbs a counter value or dump byte,
 	// and a nil observer costs nothing (obs_hooks_test pins the nil path
-	// to zero allocations). The observer is excluded from checkpoint
-	// fingerprints, like DumpDir.
+	// to zero allocations).
 	Observer Observer
 	// EpochJobs allows collectives-only benchmarks (EP, FT, IS) to
 	// execute barrier-to-barrier epochs across up to this many host
@@ -209,19 +220,16 @@ type RunConfig struct {
 	// selects the serial scheduler explicitly. Benchmarks with
 	// point-to-point communication, runs with a Timeline attached, and
 	// runs whose Observer consumes spans (a tracing Recorder) use the
-	// serial scheduler regardless. Like the Observer, the knob is
-	// excluded from checkpoint fingerprints.
+	// serial scheduler regardless.
 	EpochJobs int
 	// ProgCache overrides the compile/classification cache consulted for
 	// this run; nil uses the process-wide shared cache. Cached programs
 	// are immutable and content-addressed (kernel IR, compiler flags,
 	// ISA version), so a cache hit returns bit-identical programs to a
-	// fresh compilation; the field never affects results and is excluded
-	// from checkpoint fingerprints.
+	// fresh compilation.
 	ProgCache *progcache.Cache
 	// NoProgCache disables compile memoization for this run (every run
-	// lowers and classifies its kernel from scratch). Also excluded from
-	// checkpoint fingerprints.
+	// lowers and classifies its kernel from scratch).
 	NoProgCache bool
 	// NoFastForward disables epoch fast-forwarding (on by default): when
 	// a rank is the only runnable rank of its scheduling domain, its
@@ -229,7 +237,6 @@ type RunConfig struct {
 	// time slices. The accelerated path is bit-identical in every counter
 	// and dump (the batched engine's exactness contract at a different
 	// limit); the flag exists for equivalence testing and benchmarking.
-	// Excluded from checkpoint fingerprints.
 	NoFastForward bool
 	// NoEpochMemo disables the epoch memo (on by default): collective-to-
 	// collective epochs are content-addressed by a sha256 of the machine
@@ -237,17 +244,39 @@ type RunConfig struct {
 	// reruns of an identical configuration replay recorded epochs instead
 	// of simulating them. Replay is byte-identical by construction (see
 	// internal/mpi's memo layer); the flag exists for equivalence testing,
-	// benchmarking, and bodies that read counters mid-run. Excluded from
-	// checkpoint fingerprints.
+	// benchmarking, and bodies that read counters mid-run. The cache's
+	// byte budget is the process's, set where the cache is constructed
+	// (epochmemo.Default), never per run.
 	NoEpochMemo bool
-	// EpochMemoBytes re-bounds the process-wide epoch memo's LRU byte
-	// budget before the run: > 0 sets the budget, < 0 makes the cache
-	// unbounded, 0 keeps the current bound (epochmemo.DefaultBudget,
-	// 256 MiB, unless something already changed it). Resizing only evicts
-	// — evicted epochs re-simulate — so like the other accelerator knobs
-	// it never affects results and is excluded from checkpoint
-	// fingerprints.
-	EpochMemoBytes int64
+}
+
+// runName is the run's workload name for labels and error messages: the
+// benchmark's, else the spec's.
+func runName(cfg RunConfig) string {
+	if cfg.Benchmark == "" && cfg.Spec != nil {
+		return cfg.Spec.Name
+	}
+	return cfg.Benchmark
+}
+
+// PointLabel identifies one run for diagnostics before (or without) running
+// it: workload × class × mode × build, plus whichever machine overrides are
+// set.
+func PointLabel(cfg RunConfig) string {
+	label := fmt.Sprintf("%s.%v %v %v", runName(cfg), cfg.Class, cfg.Mode, cfg.Opts)
+	switch {
+	case cfg.L3Bytes < 0:
+		label += " l3=off"
+	case cfg.L3Bytes > 0:
+		label += fmt.Sprintf(" l3=%dMB", cfg.L3Bytes>>20)
+	}
+	if cfg.L2PrefetchDepth != 0 {
+		label += fmt.Sprintf(" l2pf=%d", cfg.L2PrefetchDepth)
+	}
+	if cfg.L3PrefetchDepth != 0 {
+		label += fmt.Sprintf(" l3pf=%d", cfg.L3PrefetchDepth)
+	}
+	return label
 }
 
 // Result is a completed instrumented run.
@@ -273,7 +302,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("bgp: non-positive rank count %d", cfg.Ranks)
 	}
-	name := cfg.Benchmark
 	ranks := cfg.Ranks
 	var build func(nas.Config) (*nas.App, error)
 	switch {
@@ -282,7 +310,6 @@ func Run(cfg RunConfig) (*Result, error) {
 			cfg.Benchmark, cfg.Spec.Name)
 	case cfg.Spec != nil:
 		spec := cfg.Spec
-		name = spec.Name
 		build = func(c nas.Config) (*nas.App, error) { return workload.Build(spec, c) }
 	default:
 		b, err := nas.ByName(cfg.Benchmark)
@@ -313,7 +340,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	label := fmt.Sprintf("%s.%s %s %v x%d", name, cfg.Class, cfg.Opts, cfg.Mode, app.Ranks)
+	label := fmt.Sprintf("%s.%s %s %v x%d", runName(cfg), cfg.Class, cfg.Opts, cfg.Mode, app.Ranks)
 	observePhase(cfg.Observer, label, obs.PhaseCompile, start)
 
 	start = time.Now()
@@ -357,12 +384,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	j.SetFastForward(!cfg.NoFastForward)
 	if !cfg.NoEpochMemo {
-		switch {
-		case cfg.EpochMemoBytes > 0:
-			epochmemo.Default().SetBudget(cfg.EpochMemoBytes)
-		case cfg.EpochMemoBytes < 0:
-			epochmemo.Default().SetBudget(0)
-		}
 		j.EnableEpochMemo(epochmemo.Default(), memoConfigKey(cfg))
 	}
 	if ob := cfg.Observer; ob != nil && observerTraces(ob) {
@@ -441,10 +462,10 @@ func observerTraces(o Observer) bool {
 
 // memoConfigKey is the epoch memo's configuration key: everything that
 // shapes a run's execution but lives outside the simulated machine state.
-// The checkpoint fingerprint already captures the workload and machine
-// identity while excluding the host-side execution knobs (observers, cache
-// handles, worker counts, the fast-forward/memo opt-outs themselves) —
-// exactly the split the memo needs — and the ISA version is folded in
+// The run fingerprint renders RunConfig's identity fields and none of its
+// execution fields (observers, cache handles, worker counts, the
+// fast-forward/memo opt-outs themselves) — exactly the split the memo
+// needs — and the ISA version is folded in
 // because compiled program shapes may change across generations while the
 // rest of the configuration spells the same.
 func memoConfigKey(cfg RunConfig) string {

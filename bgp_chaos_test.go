@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,6 +199,10 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	inj.Arm(keys[2], faults.Panic)                                         // panic isolation with epoch goroutines live
 	inj.Arm(keys[4], faults.Transient, faults.Transient, faults.Transient) // outlasts Retries=1: partial output
 	cache := bgp.NewProgCache(16)
+	for i := range cfgs {
+		cfgs[i].ProgCache = cache
+		cfgs[i].EpochJobs = 2
+	}
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 
@@ -208,8 +213,6 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 		ContinueOnError: true,
 		CheckpointDir:   ckptDir,
 		Faults:          inj,
-		ProgCache:       cache,
-		EpochJobs:       2,
 		Observer:        rec,
 	})
 	var se *sweep.SweepError
@@ -240,8 +243,6 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
 		Resume:        true,
-		ProgCache:     cache,
-		EpochJobs:     2,
 		OnRestore:     func(int) { restored.Add(1) },
 		OnResult:      func(int, *bgp.Result) { executed.Add(1) },
 	})
@@ -344,11 +345,13 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 
 // TestResumeOnlyRendersPartialCheckpoints pins the graceful-degradation
 // path bgpreport builds on: with ResumeOnly + ContinueOnError, runs present
-// in the checkpoint are restored, absent ones fail with ErrNotCheckpointed,
-// and nothing executes.
+// in the checkpoint are restored, absent ones fail with ErrNotCheckpointed
+// naming the run — by benchmark, or by spec name for a spec run — and
+// nothing executes.
 func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
 	cases := determinismCases()
-	cfgs := cases[:2]
+	hpl := mustHPLConfig()
+	cfgs := append(cases[:2:2], hpl)
 	ckptDir := t.TempDir()
 
 	// Checkpoint only the first run.
@@ -377,8 +380,14 @@ func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
 	if results[1] != nil {
 		t.Error("uncheckpointed run produced a result under ResumeOnly")
 	}
-	if len(se.Failed) != 1 || se.Failed[0].Index != 1 {
-		t.Errorf("Failed = %+v, want exactly run 1", se.Failed)
+	if len(se.Failed) != 2 || se.Failed[0].Index != 1 || se.Failed[1].Index != 2 {
+		t.Fatalf("Failed = %+v, want exactly runs 1 and 2", se.Failed)
+	}
+	for i, name := range []string{cfgs[1].Benchmark, hpl.Spec.Name} {
+		want := fmt.Sprintf("run %d (%s.%v %v)", i+1, name, cfgs[i+1].Class, cfgs[i+1].Mode)
+		if got := se.Failed[i].Err.Error(); !strings.Contains(got, want) {
+			t.Errorf("run %d's error %q does not name the run as %q", i+1, got, want)
+		}
 	}
 }
 

@@ -82,11 +82,9 @@ func TestProgCacheSharedAcrossSweep(t *testing.T) {
 	cfgs := make([]bgp.RunConfig, 6)
 	for i := range cfgs {
 		cfgs[i] = base
+		cfgs[i].ProgCache = cache
 	}
-	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:   len(cfgs),
-		ProgCache: cache,
-	})
+	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{Workers: len(cfgs)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,11 @@ import (
 // directory.
 const ManifestName = "MANIFEST.json"
 
-// manifestVersion is the current manifest schema version.
-const manifestVersion = 1
+// manifestVersion is the current manifest schema version. It also versions
+// the fingerprint rendering below, which entry keys and Config stamps derive
+// from: version 2 is the explicit identity-field list, so a version-1
+// manifest loads as empty and its runs re-execute.
+const manifestVersion = 2
 
 // manifest is the on-disk index of a checkpoint directory.
 type manifest struct {
@@ -71,34 +74,32 @@ func RunKey(index int, cfg RunConfig) string {
 	return fmt.Sprintf("run%04d-%08x", index, h.Sum32())
 }
 
-// fingerprint is a stable identity of the run configuration, independent of
-// host-side placement (the dump directory) and host-side observation (the
-// observer — an interface value would render as an unstable pointer, and
-// attaching one must not change which checkpoint entries a sweep maps to).
-// The execution knobs EpochJobs/ProgCache/NoProgCache/NoFastForward/
-// NoEpochMemo/EpochMemoBytes are excluded for the same reason: they change
-// how the host computes the run, provably never what it computes, so a
-// checkpoint written at any setting restores at any other.
+// fingerprint is the canonical identity of a run: a fixed-order rendering of
+// RunConfig's identity fields, each spelled out by name. Because nothing is
+// rendered by default, an execution field (the dump directory, the observer,
+// the cache handle, the accelerator opt-outs) cannot reach a key by being
+// forgotten, a pointer or interface field cannot leak an address into one,
+// and adding or removing an execution field leaves every key where it was —
+// so a checkpoint written at any execution setting restores at any other.
+// Enumerations render as their numeric values, so a renamed String method
+// does not move keys either.
 //
-// A workload spec is replaced by its own canonical sha256 fingerprint: the
-// pointer would render as an unstable address, while the content hash makes
-// runs of distinct specs provably distinct and runs of equal specs equal,
-// regardless of which decoded copy the caller holds.
+// A workload spec is rendered as its own canonical sha256 fingerprint: the
+// content hash makes runs of distinct specs provably distinct and runs of
+// equal specs equal, regardless of which decoded copy the caller holds.
+//
+// A new RunConfig field that changes what is simulated must be added here
+// (TestExecutionKnobsExcludedFromRunKey fails until it is classified), with
+// a manifestVersion bump to retire the keys rendered without it.
 func fingerprint(cfg RunConfig) string {
-	cfg.DumpDir = ""
-	cfg.Observer = nil
-	cfg.EpochJobs = 0
-	cfg.ProgCache = nil
-	cfg.NoProgCache = false
-	cfg.NoFastForward = false
-	cfg.NoEpochMemo = false
-	cfg.EpochMemoBytes = 0
 	spec := ""
 	if cfg.Spec != nil {
-		spec = "|spec=" + cfg.Spec.Fingerprint()
-		cfg.Spec = nil
+		spec = cfg.Spec.Fingerprint()
 	}
-	return fmt.Sprintf("%+v", cfg) + spec
+	return fmt.Sprintf("bench=%q spec=%s class=%d ranks=%d mode=%d opt=%d/%t nodes=%d l3=%d l2pf=%d l3pf=%d interp=%t slice=%d timeline=%d/%q",
+		cfg.Benchmark, spec, cfg.Class, cfg.Ranks, cfg.Mode, cfg.Opts.Level, cfg.Opts.Arch440d,
+		cfg.Nodes, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth,
+		cfg.Interpreter, cfg.SliceCycles, cfg.TimelineInterval, cfg.TimelineEvents)
 }
 
 // CheckpointStore manages one checkpoint directory. A store is safe for

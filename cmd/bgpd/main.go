@@ -42,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"bgpsim/internal/cliflags"
 	"bgpsim/internal/server"
 )
 
@@ -56,7 +57,6 @@ func main() {
 func run() int {
 	var (
 		addr       = flag.String("addr", "localhost:8077", "HTTP listen address")
-		checkpoint = flag.String("checkpoint", "bgpd-ckpt", "checkpoint directory: the daemon's durable result store")
 		runWorkers = flag.Int("run-workers", 0, "concurrent simulations across all jobs (0 = one per host core)")
 		jobWorkers = flag.Int("job-workers", 0, "concurrent jobs (0 = default 4)")
 		queueDepth = flag.Int("queue", 0, "bounded job queue depth; submissions past it get 429 (0 = default 64)")
@@ -67,30 +67,35 @@ func run() int {
 		leaseTTL   = flag.Duration("lease-ttl", 0, "running-job lease duration in the journal (0 = default 5s)")
 		maxRecover = flag.Int("max-recoveries", 0, "crash recoveries before a replayed job is failed instead of re-queued (0 = default 3)")
 		auditFrac  = flag.Float64("audit-fraction", 0, "fraction of cache hits shadow-audited by re-simulation (0 = off, 1 = all)")
-		memoBytes  = flag.Int64("epochmemo-bytes", 0, "epoch memo LRU byte budget: >0 sets it, <0 unbounded, 0 keeps the 256 MiB default; results do not depend on it")
 	)
+	// The two flags the daemon shares with the batch commands: the checkpoint
+	// directory is its durable result store, and the epoch memo is sized here,
+	// once per process, never per job.
+	var checkpoint string
+	cliflags.CheckpointDir(flag.CommandLine, &checkpoint, "bgpd-ckpt")
+	memoBudget := cliflags.MemoBudget(flag.CommandLine)
 	flag.Parse()
+	memoBudget()
 
 	s, err := server.New(server.Config{
-		CheckpointDir:  *checkpoint,
-		RunWorkers:     *runWorkers,
-		JobWorkers:     *jobWorkers,
-		QueueDepth:     *queueDepth,
-		TenantJobs:     *tenantJobs,
-		MaxRetries:     *maxRetries,
-		MaxRunTimeout:  *maxTimeout,
-		NoJournal:      !*journal,
-		LeaseTTL:       *leaseTTL,
-		MaxRecoveries:  *maxRecover,
-		AuditFraction:  *auditFrac,
-		EpochMemoBytes: *memoBytes,
+		CheckpointDir: checkpoint,
+		RunWorkers:    *runWorkers,
+		JobWorkers:    *jobWorkers,
+		QueueDepth:    *queueDepth,
+		TenantJobs:    *tenantJobs,
+		MaxRetries:    *maxRetries,
+		MaxRunTimeout: *maxTimeout,
+		NoJournal:     !*journal,
+		LeaseTTL:      *leaseTTL,
+		MaxRecoveries: *maxRecover,
+		AuditFraction: *auditFrac,
 	})
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
 	defer s.Close()
-	log.Printf("checkpoint store %s: %d completed runs indexed", *checkpoint, s.Store().Len())
+	log.Printf("checkpoint store %s: %d completed runs indexed", checkpoint, s.Store().Len())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)

@@ -34,8 +34,8 @@ import (
 	"time"
 
 	bgp "bgpsim"
+	"bgpsim/internal/cliflags"
 	"bgpsim/internal/experiments"
-	"bgpsim/internal/obs"
 )
 
 func main() {
@@ -49,57 +49,34 @@ func main() {
 func run() int {
 	var (
 		class = flag.String("class", "B", "problem class")
-		ranks = flag.Int("ranks", 32, "process count")
-		jobs  = flag.Int("jobs", 0, "concurrent simulations per figure (0 = one per host core)")
 		out   = flag.String("o", "", "write the report to this file instead of stdout")
 		specs = flag.String("spec", "", "YAML workload spec files, comma-separated: append a characterization section per spec")
-
-		retries    = flag.Int("retries", 0, "per-run retry budget for transient failures")
-		runTimeout = flag.Duration("run-timeout", 0, "deadline per run attempt (0 = none); overruns count as transient")
-		keepGoing  = flag.Bool("keep-going", false, "write a partial report past failed points (exit status 3)")
-		checkpoint = flag.String("checkpoint", "", "persist each completed run in this directory")
-		resume     = flag.Bool("resume", false, "restore completed runs from -checkpoint instead of re-running them")
-		fromCkpt   = flag.Bool("from-checkpoint", false, "render from -checkpoint alone without simulating; combine with -keep-going for a partial report")
-
-		noFastFwd   = flag.Bool("no-fastforward", false, "disable epoch fast-forwarding; results do not depend on it")
-		noEpochMemo = flag.Bool("no-epochmemo", false, "disable the content-addressed epoch memo; results do not depend on it")
-		memoBytes   = flag.Int64("epochmemo-bytes", 0, "epoch memo LRU byte budget: >0 sets it, <0 unbounded, 0 keeps the 256 MiB default; results do not depend on it")
-
-		traceOut    = flag.String("trace", "", "write a Chrome-trace JSONL of sim-cycle spans (ranks, kernels, collectives) to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry over HTTP at this address (e.g. localhost:8080)")
 	)
+	missing := &experiments.MissingSet{}
+	s := experiments.Scale{Missing: missing}
+	flag.IntVar(&s.Ranks, "ranks", 32, "process count")
+	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations per figure (0 = one per host core)")
+	flag.BoolVar(&s.ResumeOnly, "from-checkpoint", false, "render from -checkpoint alone without simulating; combine with -keep-going for a partial report")
+	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// the flags every batch command shares are declared in cliflags.
+	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()
 
-	observer, obsClose, err := obs.SetupCLI(*traceOut, *metricsAddr, log.Printf)
+	if s.ResumeOnly && s.CheckpointDir == "" {
+		log.Print("-from-checkpoint requires -checkpoint")
+		return 1
+	}
+	stop, err := shared.Start()
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	defer obsClose()
+	defer stop()
 
-	cls, err := bgp.ParseClass(*class)
+	s.Class, err = bgp.ParseClass(*class)
 	if err != nil {
 		log.Print(err)
 		return 1
-	}
-	if (*resume || *fromCkpt) && *checkpoint == "" {
-		log.Print("-resume and -from-checkpoint require -checkpoint")
-		return 1
-	}
-	missing := &experiments.MissingSet{}
-	s := experiments.Scale{
-		Class: cls, Ranks: *ranks, Jobs: *jobs,
-		Observer:       observer,
-		KeepGoing:      *keepGoing,
-		Retries:        *retries,
-		RunTimeout:     *runTimeout,
-		CheckpointDir:  *checkpoint,
-		Resume:         *resume,
-		ResumeOnly:     *fromCkpt,
-		Missing:        missing,
-		NoFastForward:  *noFastFwd,
-		NoEpochMemo:    *noEpochMemo,
-		EpochMemoBytes: *memoBytes,
 	}
 
 	var w io.Writer = os.Stdout
@@ -114,7 +91,7 @@ func run() int {
 	}
 
 	fmt.Fprintf(w, "Blue Gene/P workload characterization — full evaluation\n")
-	fmt.Fprintf(w, "class %s, %d processes\n\n", cls, *ranks)
+	fmt.Fprintf(w, "class %s, %d processes\n\n", s.Class, s.Ranks)
 
 	failed := false
 	step := func(name string, f func() error) {

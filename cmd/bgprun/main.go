@@ -33,13 +33,12 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	bgp "bgpsim"
+	"bgpsim/internal/cliflags"
+	"bgpsim/internal/experiments"
 	"bgpsim/internal/machine"
-	"bgpsim/internal/obs"
 	"bgpsim/internal/postproc"
 	"bgpsim/internal/sweep"
 )
@@ -54,74 +53,34 @@ func main() {
 // process exits with a status code.
 func run() int {
 	var (
-		bench       = flag.String("bench", "mg", "NAS benchmarks, comma-separated or \"all\": "+strings.Join(bgp.Benchmarks(), ", "))
-		specFiles   = flag.String("spec", "", "YAML workload spec files, comma-separated (e.g. specs/hpl.yaml); replaces -bench unless -bench is given explicitly")
-		class       = flag.String("class", "A", "problem class: S, W, A, B or C")
-		ranks       = flag.Int("ranks", 32, "MPI process count (SP/BT round down to a square)")
-		mode        = flag.String("mode", "VNM", "node operating mode: SMP1, SMP4, DUAL or VNM")
-		opt         = flag.String("opt", "-O5 -qarch=440d", "compiler build, e.g. \"-O3\" or \"-O5 -qarch=440d\"")
-		l3MB        = flag.Int("l3", -1, "L3 size in MB per node (-1 = default 8, 0 = disabled)")
-		nodes       = flag.Int("nodes", 0, "partition size in nodes (0 = as many as the ranks need)")
-		jobs        = flag.Int("jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
-		epochJobs   = flag.Int("epoch-jobs", 0, "host cores per simulation for collectives-only benchmarks (EP, FT, IS); 0 = one per host core, 1 = serial; results do not depend on it")
-		noProgCache = flag.Bool("no-progcache", false, "disable cross-run compile memoization; results do not depend on it")
-		noFastFwd   = flag.Bool("no-fastforward", false, "disable epoch fast-forwarding (sole-runnable ranks completing compute phases in one dispatch); results do not depend on it")
-		noEpochMemo = flag.Bool("no-epochmemo", false, "disable the content-addressed epoch memo (reruns replaying recorded epochs); results do not depend on it")
-		memoBytes   = flag.Int64("epochmemo-bytes", 0, "epoch memo LRU byte budget: >0 sets it, <0 unbounded, 0 keeps the 256 MiB default; results do not depend on it")
-		dumpDir     = flag.String("dump", "", "directory for per-node .bgpc counter dumps")
-		csvOut      = flag.String("csv", "", "write the metrics records to this CSV file")
-		timeline    = flag.String("timeline", "", "write a periodic counter timeline to this CSV file (single benchmark only)")
-		tlEvery     = flag.Uint64("timeline-interval", 1_000_000, "timeline sampling interval in cycles")
-		tlEvents    = flag.String("timeline-events", "BGP_PU0_CYCLES,BGP_NODE_FPU_FMA,BGP_DDR_READ_LINES",
+		bench     = flag.String("bench", "mg", "NAS benchmarks, comma-separated or \"all\": "+strings.Join(bgp.Benchmarks(), ", "))
+		specFiles = flag.String("spec", "", "YAML workload spec files, comma-separated (e.g. specs/hpl.yaml); replaces -bench unless -bench is given explicitly")
+		class     = flag.String("class", "A", "problem class: S, W, A, B or C")
+		ranks     = flag.Int("ranks", 32, "MPI process count (SP/BT round down to a square)")
+		mode      = flag.String("mode", "VNM", "node operating mode: SMP1, SMP4, DUAL or VNM")
+		opt       = flag.String("opt", "-O5 -qarch=440d", "compiler build, e.g. \"-O3\" or \"-O5 -qarch=440d\"")
+		l3MB      = flag.Int("l3", -1, "L3 size in MB per node (-1 = default 8, 0 = disabled)")
+		nodes     = flag.Int("nodes", 0, "partition size in nodes (0 = as many as the ranks need)")
+		dumpDir   = flag.String("dump", "", "directory for per-node .bgpc counter dumps")
+		csvOut    = flag.String("csv", "", "write the metrics records to this CSV file")
+		timeline  = flag.String("timeline", "", "write a periodic counter timeline to this CSV file (single benchmark only)")
+		tlEvery   = flag.Uint64("timeline-interval", 1_000_000, "timeline sampling interval in cycles")
+		tlEvents  = flag.String("timeline-events", "BGP_PU0_CYCLES,BGP_NODE_FPU_FMA,BGP_DDR_READ_LINES",
 			"comma-separated event mnemonics to sample")
-
-		retries    = flag.Int("retries", 0, "per-run retry budget for transient failures")
-		runTimeout = flag.Duration("run-timeout", 0, "deadline per run attempt (0 = none); overruns count as transient")
-		keepGoing  = flag.Bool("keep-going", false, "print completed benchmarks past failed ones (exit status 3)")
-		checkpoint = flag.String("checkpoint", "", "persist each completed run in this directory")
-		resume     = flag.Bool("resume", false, "restore completed runs from -checkpoint instead of re-running them")
-
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		traceOut    = flag.String("trace", "", "write a Chrome-trace JSONL of sim-cycle spans (ranks, kernels, collectives) to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry over HTTP at this address (e.g. localhost:8080)")
 	)
+	var s experiments.Scale
+	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
+	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// the flags every batch command shares are declared in cliflags.
+	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()
 
-	observer, obsClose, err := obs.SetupCLI(*traceOut, *metricsAddr, log.Printf)
+	stop, err := shared.Start()
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	defer obsClose()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
+	defer stop()
 
 	cls, err := bgp.ParseClass(*class)
 	if err != nil {
@@ -136,10 +95,6 @@ func run() int {
 	opMode, err := parseMode(*mode)
 	if err != nil {
 		log.Print(err)
-		return 1
-	}
-	if *resume && *checkpoint == "" {
-		log.Print("-resume requires -checkpoint")
 		return 1
 	}
 
@@ -217,24 +172,12 @@ func run() int {
 		cfgs[i] = cfg
 	}
 
-	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:         *jobs,
-		Observer:        observer,
-		Retries:         *retries,
-		RunTimeout:      *runTimeout,
-		ContinueOnError: *keepGoing,
-		CheckpointDir:   *checkpoint,
-		Resume:          *resume,
-		EpochJobs:       *epochJobs,
-		NoProgCache:     *noProgCache,
-		NoFastForward:   *noFastFwd,
-		NoEpochMemo:     *noEpochMemo,
-		EpochMemoBytes:  *memoBytes,
-	})
+	s.Stamp(cfgs)
+	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig())
 	partial := false
 	if err != nil {
 		var se *sweep.SweepError
-		if *keepGoing && errors.As(err, &se) && se.Cause == nil {
+		if s.KeepGoing && errors.As(err, &se) && se.Cause == nil {
 			// Completed benchmarks still print; the failures go to stderr
 			// and the exit status says partial.
 			partial = true

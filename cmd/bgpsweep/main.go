@@ -39,12 +39,10 @@ import (
 	"flag"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	bgp "bgpsim"
+	"bgpsim/internal/cliflags"
 	"bgpsim/internal/experiments"
-	"bgpsim/internal/obs"
 	"bgpsim/internal/sweep"
 )
 
@@ -58,93 +56,34 @@ func main() {
 // fire before the process exits with a status code.
 func run() int {
 	var (
-		fig         = flag.Int("fig", 6, "figure to regenerate: 6, 7, 8, 9, 10, 11, 12, 13 or 14")
-		ext         = flag.String("ext", "", "extension study instead of a figure: prefetch, l3prefetch or hybrid")
-		specFile    = flag.String("spec", "", "characterize a YAML workload spec (e.g. specs/hpl.yaml) across operating modes instead of a figure")
-		class       = flag.String("class", "B", "problem class: S, W, A, B or C")
-		ranks       = flag.Int("ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
-		jobs        = flag.Int("jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
-		epochJobs   = flag.Int("epoch-jobs", 0, "host cores per simulation for collectives-only benchmarks (EP, FT, IS); 0 = one per host core, 1 = serial; results do not depend on it")
-		noProgCache = flag.Bool("no-progcache", false, "disable cross-run compile memoization; results do not depend on it")
-		noFastFwd   = flag.Bool("no-fastforward", false, "disable epoch fast-forwarding; results do not depend on it")
-		noEpochMemo = flag.Bool("no-epochmemo", false, "disable the content-addressed epoch memo; results do not depend on it")
-		memoBytes   = flag.Int64("epochmemo-bytes", 0, "epoch memo LRU byte budget: >0 sets it, <0 unbounded, 0 keeps the 256 MiB default; results do not depend on it")
-		progress    = flag.Bool("progress", false, "print sweep progress and throughput to stderr when done")
-
-		retries    = flag.Int("retries", 0, "per-run retry budget for transient failures")
-		runTimeout = flag.Duration("run-timeout", 0, "deadline per run attempt (0 = none); overruns count as transient")
-		keepGoing  = flag.Bool("keep-going", false, "render partial output past failed points (exit status 3)")
-		checkpoint = flag.String("checkpoint", "", "persist each completed run in this directory")
-		resume     = flag.Bool("resume", false, "restore completed runs from -checkpoint instead of re-running them")
-
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		traceOut    = flag.String("trace", "", "write a Chrome-trace JSONL of sim-cycle spans (ranks, kernels, collectives) to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry over HTTP at this address (e.g. localhost:8080)")
+		fig      = flag.Int("fig", 6, "figure to regenerate: 6, 7, 8, 9, 10, 11, 12, 13 or 14")
+		ext      = flag.String("ext", "", "extension study instead of a figure: prefetch, l3prefetch or hybrid")
+		specFile = flag.String("spec", "", "characterize a YAML workload spec (e.g. specs/hpl.yaml) across operating modes instead of a figure")
+		class    = flag.String("class", "B", "problem class: S, W, A, B or C")
+		progress = flag.Bool("progress", false, "print sweep progress and throughput to stderr when done")
 	)
+	missing := &experiments.MissingSet{}
+	s := experiments.Scale{Missing: missing}
+	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
+	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
+	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// the flags every batch command shares are declared in cliflags.
+	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()
 
-	observer, obsClose, err := obs.SetupCLI(*traceOut, *metricsAddr, log.Printf)
+	stop, err := shared.Start()
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	defer obsClose()
+	defer stop()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
-
-	cls, err := bgp.ParseClass(*class)
+	s.Class, err = bgp.ParseClass(*class)
 	if err != nil {
 		log.Print(err)
-		return 1
-	}
-	if *resume && *checkpoint == "" {
-		log.Print("-resume requires -checkpoint")
 		return 1
 	}
 	var tracker sweep.Progress
-	missing := &experiments.MissingSet{}
-	s := experiments.Scale{
-		Class: cls, Ranks: *ranks, Jobs: *jobs,
-		Observer:       observer,
-		KeepGoing:      *keepGoing,
-		Retries:        *retries,
-		RunTimeout:     *runTimeout,
-		CheckpointDir:  *checkpoint,
-		Resume:         *resume,
-		Missing:        missing,
-		EpochJobs:      *epochJobs,
-		NoProgCache:    *noProgCache,
-		NoFastForward:  *noFastFwd,
-		NoEpochMemo:    *noEpochMemo,
-		EpochMemoBytes: *memoBytes,
-	}
 	if *progress {
 		s.Progress = &tracker
 		defer func() { log.Print(tracker.Snapshot()) }()

@@ -1,11 +1,11 @@
 // Package epochmemo is the content-addressed store behind the MPI epoch
-// memo (internal/mpi): a byte-bounded LRU mapping 256-bit epoch keys to
-// opaque replay records. It is the progcache idea applied to simulation
-// state instead of compilation output — the key is a sha256 over the
-// machine-state digest, the per-rank operation histories and the
-// rank-invariant run parameters, so a hit proves (by content) that the
-// simulator has executed this exact epoch before and may replay its
-// recorded effects instead of simulating.
+// memo (internal/mpi): the shared store (internal/cas) bounded in payload
+// bytes, mapping 256-bit epoch keys to opaque replay records. It is the
+// progcache idea applied to simulation state instead of compilation output
+// — the key is a sha256 over the machine-state digest, the per-rank
+// operation histories and the rank-invariant run parameters, so a hit
+// proves (by content) that the simulator has executed this exact epoch
+// before and may replay its recorded effects instead of simulating.
 //
 // The cache is shared process-wide by default, so repeated runs of the
 // same configuration — benchmark reruns, figure regeneration, a daemon
@@ -16,19 +16,20 @@
 package epochmemo
 
 import (
-	"container/list"
 	"sync"
+
+	"bgpsim/internal/cas"
 )
 
 // Key is a 256-bit content address of one epoch.
 type Key [32]byte
 
 // Checksummer lets a cached record carry end-to-end integrity: Put snapshots
-// the record's checksum and Get recomputes and compares it before returning
-// the record. A mismatch — bit rot, an accidental mutation of a supposedly
-// immutable entry, a buggy recorder — evicts the entry and reads as a miss,
-// so a damaged epoch can cost time but never a wrong answer. Records that
-// don't implement the interface are cached unchecked, as before.
+// the record's checksum and Get/GetChecked recompute and compare it before
+// returning the record. A mismatch — bit rot, an accidental mutation of a
+// supposedly immutable entry, a buggy recorder — evicts the entry and reads
+// as a miss, so a damaged epoch can cost time but never a wrong answer.
+// Records that don't implement the interface are cached unchecked.
 type Checksummer interface {
 	// Checksum folds the record's observable content into one word; it
 	// must be deterministic and must cover every field replay consumes.
@@ -40,56 +41,21 @@ type Checksummer interface {
 // stay irrelevant next to the simulated machines themselves.
 const DefaultBudget = 256 << 20
 
-// Stats are cumulative cache counters.
-type Stats struct {
-	// Hits counts probes that found an entry.
-	Hits uint64
-	// Misses counts probes that found nothing.
-	Misses uint64
-	// Stores counts entries accepted by Put.
-	Stores uint64
-	// Dropped counts Puts discarded because the key was already present
-	// (a concurrent recorder won the race).
-	Dropped uint64
-	// Evictions counts entries dropped by the byte budget.
-	Evictions uint64
-	// Corrupt counts probes whose entry failed its checksum; each is also
-	// counted as a miss (the caller re-simulates) and evicts the entry.
-	Corrupt uint64
-	// Bytes is the current resident payload size.
-	Bytes int64
-	// Entries is the current entry count.
-	Entries int
-}
-
-type entry struct {
-	key    Key
-	val    any
-	bytes  int64
-	sum    uint64
-	hasSum bool
-	elem   *list.Element
-}
-
 // Cache is a byte-bounded LRU of immutable epoch records, safe for
-// concurrent use.
-type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	entries map[Key]*entry
-	order   *list.List // front = most recently used; values are *entry
-	stats   Stats
-}
+// concurrent use. Put charges each record its payload size; records
+// implementing Checksummer are verified on every hit.
+type Cache = cas.Store[Key, any]
 
 // New creates a cache holding at most budget payload bytes; budget < 1
 // means unbounded.
 func New(budget int64) *Cache {
-	return &Cache{
-		budget:  budget,
-		entries: make(map[Key]*entry),
-		order:   list.New(),
-	}
+	return cas.New[Key, any](budget, func(v any) (uint64, bool) {
+		cs, ok := v.(Checksummer)
+		if !ok {
+			return 0, false
+		}
+		return cs.Checksum(), true
+	})
 }
 
 var (
@@ -97,163 +63,11 @@ var (
 	defaultCache *Cache
 )
 
-// Default returns the process-wide shared cache.
+// Default returns the process-wide shared cache. Its budget belongs to the
+// process, not to a run: a command re-bounds it once at start-up
+// (-epochmemo-bytes → SetBudget) and no run ever resizes it, so one job
+// cannot evict another's working set.
 func Default() *Cache {
 	defaultOnce.Do(func() { defaultCache = New(DefaultBudget) })
 	return defaultCache
-}
-
-// Get returns the record stored under k, or nil. A found entry is marked
-// most recently used; an entry failing its checksum is evicted and reads as
-// a miss (see GetChecked for the corruption signal).
-func (c *Cache) Get(k Key) any {
-	v, _ := c.GetChecked(k)
-	return v
-}
-
-// GetChecked is Get plus the integrity verdict: corrupt reports that an
-// entry existed under k but failed its checksum — it has been evicted, the
-// probe counts as a miss, and the caller must re-simulate. The distinction
-// lets callers export corruption counters while the correctness story stays
-// "a damaged entry is just a miss".
-func (c *Cache) GetChecked(k Key) (val any, corrupt bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	if e.hasSum {
-		if cs, ok := e.val.(Checksummer); !ok || cs.Checksum() != e.sum {
-			c.order.Remove(e.elem)
-			delete(c.entries, e.key)
-			c.bytes -= e.bytes
-			c.stats.Corrupt++
-			c.stats.Misses++
-			return nil, true
-		}
-	}
-	c.stats.Hits++
-	c.order.MoveToFront(e.elem)
-	return e.val, false
-}
-
-// Put stores an immutable record of the given payload size under k and
-// reports whether it was accepted. A key already present keeps its
-// existing record (entries are content-addressed, so both copies are
-// interchangeable; dropping the newcomer is the cheap side of the race).
-// An oversized record — larger than the whole budget — is dropped rather
-// than evicting everything else.
-func (c *Cache) Put(k Key, val any, bytes int64) bool {
-	if bytes < 0 {
-		bytes = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; ok {
-		c.stats.Dropped++
-		return false
-	}
-	if c.budget > 0 && bytes > c.budget {
-		c.stats.Dropped++
-		return false
-	}
-	e := &entry{key: k, val: val, bytes: bytes}
-	if cs, ok := val.(Checksummer); ok {
-		e.sum, e.hasSum = cs.Checksum(), true
-	}
-	e.elem = c.order.PushFront(e)
-	c.entries[k] = e
-	c.bytes += bytes
-	c.stats.Stores++
-	if c.budget > 0 {
-		for c.bytes > c.budget {
-			back := c.order.Back()
-			if back == nil {
-				break
-			}
-			v := back.Value.(*entry)
-			c.order.Remove(back)
-			delete(c.entries, v.key)
-			c.bytes -= v.bytes
-			c.stats.Evictions++
-		}
-	}
-	return true
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// SetBudget re-bounds the cache to at most budget payload bytes (budget < 1
-// = unbounded), evicting least-recently-used entries as needed. Resizing
-// never affects results — evicted epochs simply re-simulate — so the knob
-// is excluded from checkpoint fingerprints like the other accelerator
-// settings.
-func (c *Cache) SetBudget(budget int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = budget
-	if budget < 1 {
-		return
-	}
-	for c.bytes > budget {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		v := back.Value.(*entry)
-		c.order.Remove(back)
-		delete(c.entries, v.key)
-		c.bytes -= v.bytes
-		c.stats.Evictions++
-	}
-}
-
-// Budget returns the current byte budget (< 1 = unbounded).
-func (c *Cache) Budget() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget
-}
-
-// Keys returns the cached keys in no particular order. It exists for
-// integrity audits and tests that need to reach entries without knowing how
-// their keys were derived.
-func (c *Cache) Keys() []Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]Key, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Peek returns the record under k without checksum verification, LRU
-// movement or stats accounting — the raw stored value, nil when absent.
-// Audits and tests use it to inspect (or deliberately damage) entries;
-// production readers go through Get/GetChecked.
-func (c *Cache) Peek(k Key) any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
-		return e.val
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Bytes = c.bytes
-	s.Entries = len(c.entries)
-	return s
 }

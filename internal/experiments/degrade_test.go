@@ -153,14 +153,14 @@ func TestPointLabel(t *testing.T) {
 		Benchmark: "ft", Class: nas.ClassC, Ranks: 128,
 		Mode: machine.SMP1, Opts: BestBuild(), L3Bytes: 2 << 20,
 	}
-	got := PointLabel(cfg)
+	got := bgp.PointLabel(cfg)
 	for _, part := range []string{"ft.C", "SMP/1", "l3=2MB"} {
 		if !strings.Contains(got, part) {
 			t.Errorf("PointLabel = %q, missing %q", got, part)
 		}
 	}
 	cfg.L3Bytes = -1
-	if got := PointLabel(cfg); !strings.Contains(got, "l3=off") {
+	if got := bgp.PointLabel(cfg); !strings.Contains(got, "l3=off") {
 		t.Errorf("PointLabel = %q, want l3=off for a disabled L3", got)
 	}
 }

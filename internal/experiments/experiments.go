@@ -81,7 +81,7 @@ type Scale struct {
 	// every value.
 	EpochJobs int
 	// NoProgCache disables cross-run compile memoization (see
-	// bgp.SweepConfig); figures are identical either way.
+	// bgp.RunConfig.NoProgCache); figures are identical either way.
 	NoProgCache bool
 	// NoFastForward disables epoch fast-forwarding (see
 	// bgp.RunConfig.NoFastForward); figures are identical either way.
@@ -89,9 +89,6 @@ type Scale struct {
 	// NoEpochMemo disables the epoch memo (see
 	// bgp.RunConfig.NoEpochMemo); figures are identical either way.
 	NoEpochMemo bool
-	// EpochMemoBytes re-bounds the epoch memo byte budget (see
-	// bgp.RunConfig.EpochMemoBytes); figures are identical at every value.
-	EpochMemoBytes int64
 }
 
 // MissingSet accumulates the identity of every figure point that could not
@@ -155,40 +152,23 @@ func (ms *MissingSet) Labels() []string {
 	return out
 }
 
-// PointLabel identifies one sweep point for diagnostics: benchmark × class ×
-// mode × build, plus whichever machine overrides the figure sweeps.
-func PointLabel(cfg bgp.RunConfig) string {
-	name := cfg.Benchmark
-	if cfg.Spec != nil {
-		name = cfg.Spec.Name
-	}
-	label := fmt.Sprintf("%s.%v %v %v", name, cfg.Class, cfg.Mode, cfg.Opts)
-	switch {
-	case cfg.L3Bytes < 0:
-		label += " l3=off"
-	case cfg.L3Bytes > 0:
-		label += fmt.Sprintf(" l3=%dMB", cfg.L3Bytes>>20)
-	}
-	if cfg.L2PrefetchDepth != 0 {
-		label += fmt.Sprintf(" l2pf=%d", cfg.L2PrefetchDepth)
-	}
-	if cfg.L3PrefetchDepth != 0 {
-		label += fmt.Sprintf(" l3pf=%d", cfg.L3PrefetchDepth)
-	}
-	return label
-}
-
-// runAll fans the configurations out over the scale's worker pool and
-// returns the results in cfgs order. With KeepGoing, per-run failures are
-// absorbed: the failed positions come back nil, their labels land in
-// s.Missing, and the error is nil so the figure renders partially. A dead
-// context (interrupt) still fails the figure.
-func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
+// Stamp sets the scale's per-run knobs on every configuration: the engine
+// selection and the execution knobs, which live on bgp.RunConfig and nowhere
+// else on the way there.
+func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 	for i := range cfgs {
 		cfgs[i].Interpreter = s.Interpreter
+		cfgs[i].EpochJobs = s.EpochJobs
+		cfgs[i].NoProgCache = s.NoProgCache
+		cfgs[i].NoFastForward = s.NoFastForward
+		cfgs[i].NoEpochMemo = s.NoEpochMemo
 	}
-	s.Missing.addTotal(len(cfgs))
-	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
+}
+
+// SweepConfig is the sweep orchestration the scale selects: worker pool,
+// observation, resilience and checkpointing.
+func (s Scale) SweepConfig() bgp.SweepConfig {
+	return bgp.SweepConfig{
 		Workers:         s.Jobs,
 		Progress:        s.Progress,
 		Observer:        s.Observer,
@@ -198,17 +178,23 @@ func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 		CheckpointDir:   s.CheckpointDir,
 		Resume:          s.Resume,
 		ResumeOnly:      s.ResumeOnly,
-		EpochJobs:       s.EpochJobs,
-		NoProgCache:     s.NoProgCache,
-		NoFastForward:   s.NoFastForward,
-		NoEpochMemo:     s.NoEpochMemo,
-		EpochMemoBytes:  s.EpochMemoBytes,
-	})
+	}
+}
+
+// runAll fans the configurations out over the scale's worker pool and
+// returns the results in cfgs order. With KeepGoing, per-run failures are
+// absorbed: the failed positions come back nil, their labels land in
+// s.Missing, and the error is nil so the figure renders partially. A dead
+// context (interrupt) still fails the figure.
+func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
+	s.Stamp(cfgs)
+	s.Missing.addTotal(len(cfgs))
+	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig())
 	if err != nil {
 		var se *sweep.SweepError
 		if s.KeepGoing && errors.As(err, &se) && se.Cause == nil {
 			for _, f := range se.Failed {
-				s.Missing.add(PointLabel(cfgs[f.Index]))
+				s.Missing.add(bgp.PointLabel(cfgs[f.Index]))
 			}
 			return results, nil
 		}

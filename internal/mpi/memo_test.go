@@ -142,7 +142,7 @@ func TestEpochMemoCorruptEntryDetected(t *testing.T) {
 
 	cache := epochmemo.New(0)
 	runMixed(t, cache) // cold run populates the cache
-	stored := cache.Len()
+	stored := cache.Stats().Entries
 	if stored == 0 {
 		t.Fatal("cold run stored nothing")
 	}

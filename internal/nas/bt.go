@@ -83,7 +83,7 @@ func buildBT(cfg Config) (*App, error) {
 		}}},
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func buildCG(cfg Config) (*App, error) {
 		axpy("axpy-p", 5, 3, 3),
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func buildEP(cfg Config) (*App, error) {
 		}}},
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

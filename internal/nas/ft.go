@@ -88,7 +88,7 @@ func buildFT(cfg Config) (*App, error) {
 		}}},
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func buildIS(cfg Config) (*App, error) {
 		}}},
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

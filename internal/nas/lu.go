@@ -82,7 +82,7 @@ func buildLU(cfg Config) (*App, error) {
 		sweep("buts"),
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

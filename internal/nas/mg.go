@@ -131,7 +131,7 @@ func buildMG(cfg Config) (*App, error) {
 		})
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

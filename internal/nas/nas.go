@@ -235,13 +235,15 @@ func surfaceScaled(classC int64, c Class, min int64) int64 {
 	return v
 }
 
-// compilePhases compiles every phase of a kernel once, returning them by
+// CompilePhases compiles every phase of a kernel once, returning them by
 // phase name. The resulting programs are shared by all ranks (each rank
 // binds its own execution state). With a cache configured, the whole phase
 // map is memoized by content fingerprint and shared across builds — the
 // programs are immutable after compilation, so sharing is safe at any
-// sweep worker count.
-func compilePhases(k *compiler.Kernel, cfg Config) (map[string]*isa.Program, error) {
+// sweep worker count. Every kernel source goes through it (the benchmarks
+// here, compiled workload specs in internal/workload), so OnCompile hit/miss
+// attribution means the same thing for all of them.
+func CompilePhases(k *compiler.Kernel, cfg Config) (map[string]*isa.Program, error) {
 	build := func() (map[string]*isa.Program, error) {
 		out := make(map[string]*isa.Program, len(k.Phases))
 		for _, ph := range k.Phases {
@@ -260,7 +262,7 @@ func compilePhases(k *compiler.Kernel, cfg Config) (map[string]*isa.Program, err
 		}
 		return out, err
 	}
-	out, hit, err := cfg.Cache.GetOrCompileHit(progcache.Key(k, cfg.Opts), build)
+	out, hit, err := progcache.GetOrCompile(cfg.Cache, progcache.Key(k, cfg.Opts), build)
 	if err == nil && cfg.OnCompile != nil {
 		cfg.OnCompile(hit)
 	}

@@ -82,7 +82,7 @@ func buildSP(cfg Config) (*App, error) {
 		}}},
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -20,12 +20,13 @@
 package progcache
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
 
+	"bgpsim/internal/cas"
 	"bgpsim/internal/compiler"
 	"bgpsim/internal/isa"
 )
@@ -48,45 +49,15 @@ func Key(k *compiler.Kernel, opts compiler.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Stats are cumulative cache counters.
-type Stats struct {
-	// Hits counts lookups served from the cache (including lookups that
-	// waited on a concurrent build of the same key).
-	Hits uint64
-	// Misses counts lookups that compiled.
-	Misses uint64
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions uint64
-}
-
-// entry is one cached build. ready is closed when progs/err are valid;
-// waiters block on it outside the cache lock so a slow compilation never
-// serializes unrelated lookups.
-type entry struct {
-	key   string
-	elem  *list.Element
-	ready chan struct{}
-	progs map[string]*isa.Program
-	err   error
-}
-
-// Cache is a bounded LRU of compiled phase maps, safe for concurrent use.
-type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*entry
-	order    *list.List // front = most recently used; values are *entry
-	stats    Stats
-}
+// Cache is a bounded LRU of compiled phase maps, safe for concurrent use:
+// the shared content-addressed store keyed by Key, every build charged one
+// unit of capacity.
+type Cache = cas.Store[string, map[string]*isa.Program]
 
 // New creates a cache holding at most capacity builds; capacity < 1 means
 // unbounded.
 func New(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*entry),
-		order:    list.New(),
-	}
+	return cas.New[string, map[string]*isa.Program](int64(capacity), nil)
 }
 
 var (
@@ -101,87 +72,13 @@ func Default() *Cache {
 	return defaultCache
 }
 
-// GetOrCompile returns the phase map cached under key, building it with
-// build on a miss. Concurrent callers of the same key share one build.
-// Failed builds are not cached: every caller waiting on the failed build
-// gets its error, and the next lookup retries. The returned map and its
-// programs are shared — callers must treat them as immutable.
-func (c *Cache) GetOrCompile(key string, build func() (map[string]*isa.Program, error)) (map[string]*isa.Program, error) {
-	progs, _, err := c.GetOrCompileHit(key, build)
-	return progs, err
-}
-
-// GetOrCompileHit is GetOrCompile reporting whether the lookup was served
-// from the cache (including waiting on a concurrent build of the same key)
-// rather than compiled by this caller. Observability layers use the flag to
-// attribute per-run sim.progcache.hit/miss counters.
-func (c *Cache) GetOrCompileHit(key string, build func() (map[string]*isa.Program, error)) (map[string]*isa.Program, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.order.MoveToFront(e.elem)
-		c.stats.Hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.progs, true, e.err
-	}
-	e := &entry{key: key, ready: make(chan struct{})}
-	e.elem = c.order.PushFront(e)
-	c.entries[key] = e
-	c.stats.Misses++
-	c.evictLocked()
-	c.mu.Unlock()
-
-	progs, err := build()
-
-	c.mu.Lock()
-	e.progs, e.err = progs, err
-	if err != nil {
-		// Drop the failed entry (it may already have been evicted).
-		if cur, ok := c.entries[key]; ok && cur == e {
-			c.order.Remove(e.elem)
-			delete(c.entries, key)
-		}
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return progs, false, err
-}
-
-// evictLocked enforces the capacity bound, preferring the least recently
-// used completed entry; in-flight builds are skipped so an eviction never
-// orphans waiters mid-compilation.
-func (c *Cache) evictLocked() {
-	if c.capacity < 1 {
-		return
-	}
-	for el := c.order.Back(); el != nil && len(c.entries) > c.capacity; {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		done := true
-		select {
-		case <-e.ready:
-		default:
-			done = false
-		}
-		if done {
-			c.order.Remove(el)
-			delete(c.entries, e.key)
-			c.stats.Evictions++
-		}
-		el = prev
-	}
-}
-
-// Len returns the number of cached (including in-flight) builds.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+// GetOrCompile returns the phase map cached in c under key, building it with
+// build on a miss; hit reports that the lookup was served from the cache
+// (including waiting on a concurrent build of the same key) rather than
+// compiled by this caller, which observability layers use to attribute
+// per-run sim.progcache.hit/miss counters. Failed builds are not cached. The
+// returned map and its programs are shared — callers must treat them as
+// immutable.
+func GetOrCompile(c *Cache, key string, build func() (map[string]*isa.Program, error)) (progs map[string]*isa.Program, hit bool, err error) {
+	return c.Do(context.Background(), key, 1, build)
 }

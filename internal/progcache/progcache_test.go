@@ -1,10 +1,7 @@
 package progcache
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bgpsim/internal/compiler"
@@ -30,10 +27,6 @@ func testKernel() *compiler.Kernel {
 			}},
 		}},
 	}
-}
-
-func buildOf(progs map[string]*isa.Program) func() (map[string]*isa.Program, error) {
-	return func() (map[string]*isa.Program, error) { return progs, nil }
 }
 
 func TestKeyDistinguishesInputs(t *testing.T) {
@@ -74,183 +67,6 @@ func TestKeyFingerprintStability(t *testing.T) {
 	}
 }
 
-func TestGetOrCompileHitMissEviction(t *testing.T) {
-	c := New(2)
-	builds := 0
-	get := func(key string) map[string]*isa.Program {
-		t.Helper()
-		progs, err := c.GetOrCompile(key, func() (map[string]*isa.Program, error) {
-			builds++
-			return map[string]*isa.Program{key: nil}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return progs
-	}
-
-	first := get("a")
-	if again := get("a"); &again == nil || builds != 1 {
-		t.Fatalf("second lookup of %q compiled again (%d builds)", "a", builds)
-	} else if fmt.Sprintf("%p", again) != fmt.Sprintf("%p", first) {
-		t.Error("hit returned a different phase map than the build")
-	}
-	get("b")
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-
-	// "a" is most recently used (the hit moved it to front), so inserting a
-	// third key evicts "b".
-	get("a")
-	get("c")
-	if c.Len() != 2 {
-		t.Fatalf("after eviction Len = %d, want 2", c.Len())
-	}
-	before := builds
-	get("a")
-	if builds != before {
-		t.Error("LRU evicted the most recently used entry")
-	}
-	get("b")
-	if builds != before+1 {
-		t.Error("evicted entry was served without recompiling")
-	}
-
-	s := c.Stats()
-	if s.Misses != 4 || s.Evictions < 1 {
-		t.Errorf("stats = %+v, want 4 misses and at least 1 eviction", s)
-	}
-	if s.Hits == 0 {
-		t.Error("stats recorded no hits")
-	}
-}
-
-func TestGetOrCompileUnbounded(t *testing.T) {
-	c := New(0)
-	for i := 0; i < 100; i++ {
-		if _, err := c.GetOrCompile(fmt.Sprint(i), buildOf(nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 100 || c.Stats().Evictions != 0 {
-		t.Errorf("unbounded cache evicted: Len=%d stats=%+v", c.Len(), c.Stats())
-	}
-}
-
-func TestGetOrCompileErrorNotCached(t *testing.T) {
-	c := New(4)
-	boom := errors.New("boom")
-	calls := 0
-	fail := func() (map[string]*isa.Program, error) { calls++; return nil, boom }
-	if _, err := c.GetOrCompile("k", fail); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if c.Len() != 0 {
-		t.Error("failed build stayed in the cache")
-	}
-	if _, err := c.GetOrCompile("k", fail); !errors.Is(err, boom) || calls != 2 {
-		t.Errorf("retry after failure: err=%v calls=%d, want boom and 2", err, calls)
-	}
-	want := map[string]*isa.Program{"ok": nil}
-	progs, err := c.GetOrCompile("k", buildOf(want))
-	if err != nil || progs == nil {
-		t.Fatalf("build after failures: progs=%v err=%v", progs, err)
-	}
-	if calls != 2 {
-		t.Error("successful build went through the failing builder")
-	}
-}
-
-// TestGetOrCompileConcurrentDedup hammers one key from many goroutines:
-// exactly one build must run, everyone must get its result. Run with -race
-// this also proves lookups and the LRU list are properly locked.
-func TestGetOrCompileConcurrentDedup(t *testing.T) {
-	c := New(8)
-	var builds atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	build := func() (map[string]*isa.Program, error) {
-		builds.Add(1)
-		close(started)
-		<-release // hold the build so every other goroutine piles up on ready
-		return map[string]*isa.Program{"p": nil}, nil
-	}
-
-	const n = 32
-	var wg sync.WaitGroup
-	results := make([]map[string]*isa.Program, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			progs, err := c.GetOrCompile("shared", build)
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = progs
-		}(i)
-	}
-	<-started
-	// Unrelated keys must not block behind the in-flight build.
-	doneOther := make(chan struct{})
-	go func() {
-		defer close(doneOther)
-		if _, err := c.GetOrCompile("other", buildOf(nil)); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-doneOther
-	close(release)
-	wg.Wait()
-
-	if b := builds.Load(); b != 1 {
-		t.Errorf("%d builds ran for one key, want 1", b)
-	}
-	for i, progs := range results {
-		if progs == nil {
-			t.Fatalf("goroutine %d got nil progs", i)
-		}
-	}
-	if s := c.Stats(); s.Misses != 2 || s.Hits != n-1 {
-		t.Errorf("stats = %+v, want 2 misses (shared+other) and %d hits", s, n-1)
-	}
-}
-
-// TestEvictionSkipsInFlight pins that the LRU never drops an entry whose
-// build is still running: the waiters parked on its ready channel must get
-// the real result.
-func TestEvictionSkipsInFlight(t *testing.T) {
-	c := New(1)
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		progs, err := c.GetOrCompile("slow", func() (map[string]*isa.Program, error) {
-			<-release
-			return map[string]*isa.Program{"slow": nil}, nil
-		})
-		if err != nil || progs == nil {
-			t.Errorf("slow build: progs=%v err=%v", progs, err)
-		}
-	}()
-	// Overflow the capacity while "slow" is in flight; only completed
-	// entries may be evicted, so these churn among themselves.
-	for i := 0; i < 4; i++ {
-		if _, err := c.GetOrCompile(fmt.Sprint(i), buildOf(nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	<-done
-	if _, err := c.GetOrCompile("slow", func() (map[string]*isa.Program, error) {
-		t.Error("in-flight entry was evicted; lookup recompiled")
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCachedBuildMatchesFreshCompile is the unit-level exactness check: the
 // phase map served by the cache is the same object graph an uncached
 // compilation produces, program for program.
@@ -269,13 +85,19 @@ func TestCachedBuildMatchesFreshCompile(t *testing.T) {
 		}
 		return map[string]*isa.Program{"sweep": p}, nil
 	}
-	cold, err := c.GetOrCompile(Key(k, opts), build)
+	cold, hit, err := GetOrCompile(c, Key(k, opts), build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := c.GetOrCompile(Key(k, opts), build)
+	if hit {
+		t.Error("cold lookup reported a cache hit")
+	}
+	hot, hit, err := GetOrCompile(c, Key(k, opts), build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !hit {
+		t.Error("hot lookup reported a compile")
 	}
 	if hot["sweep"] != cold["sweep"] {
 		t.Error("hot lookup returned a different program than the cold build")

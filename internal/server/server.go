@@ -12,6 +12,7 @@ import (
 	"time"
 
 	bgp "bgpsim"
+	"bgpsim/internal/cas"
 	"bgpsim/internal/faults"
 	"bgpsim/internal/journal"
 	"bgpsim/internal/obs"
@@ -115,10 +116,6 @@ type Config struct {
 	// deterministic fraction of store-served RunKeys is re-simulated on
 	// the slow path and compared byte for byte (default 0 = off).
 	AuditFraction float64
-	// EpochMemoBytes re-bounds the epoch memo byte budget for the
-	// daemon's runs (see bgp.RunConfig.EpochMemoBytes; 0 keeps the
-	// default).
-	EpochMemoBytes int64
 }
 
 // withDefaults resolves the zero-value fields.
@@ -191,14 +188,6 @@ func admissionErrf(format string, args ...any) error {
 	return &admissionError{msg: fmt.Sprintf(format, args...)}
 }
 
-// flight is one in-flight resolution of a RunKey; waiters block on ready
-// and then read res/err, exactly the progcache dedup shape.
-type flight struct {
-	ready chan struct{}
-	res   *bgp.Result
-	err   error
-}
-
 // Server runs simulation jobs behind an HTTP API with a content-addressed
 // result cache. Create one with New, mount Handler, and Close it to stop.
 type Server struct {
@@ -222,7 +211,12 @@ type Server struct {
 	closed    bool
 	jobs      map[string]*job
 	tenants   map[string]int
-	flights   map[string]*flight
+
+	// flights coalesces concurrent resolutions of one RunKey: the shared
+	// store used as a pure build-once table (unbounded, and every entry is
+	// dropped as soon as its build finishes — the durable tier is the
+	// checkpoint store).
+	flights *cas.Store[string, *bgp.Result]
 
 	jobsSubmitted, jobsDeduped, jobsRejected *obs.Counter
 	jobsDone, jobsFailed                     *obs.Counter
@@ -267,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 		auditCh:  make(chan auditTask, auditQueueDepth),
 		jobs:     make(map[string]*job),
 		tenants:  make(map[string]int),
-		flights:  make(map[string]*flight),
+		flights:  cas.New[string, *bgp.Result](0, nil),
 
 		jobsSubmitted:    reg.Counter(MetricJobsSubmitted),
 		jobsDeduped:      reg.Counter(MetricJobsDeduped),
@@ -590,33 +584,25 @@ func (s *Server) runJob(j *job) {
 // persist). hit reports whether a simulation was avoided.
 func (s *Server) resolve(ctx context.Context, cfg bgp.RunConfig, retries int, runTimeout time.Duration) (res *bgp.Result, hit bool, err error) {
 	key := bgp.RunKey(0, cfg)
-
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
+	var storeHit bool
+	res, coalesced, err := s.flights.Do(ctx, key, 0, func() (*bgp.Result, error) {
+		res, hit, err := s.build(ctx, key, cfg, retries, runTimeout)
+		storeHit = hit
+		return res, err
+	})
+	if coalesced {
 		s.cacheHit.Inc()
 		s.cacheHitInflight.Inc()
-		select {
-		case <-f.ready:
-			return f.res, true, f.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		return res, true, err
 	}
-	f := &flight{ready: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	res, hit, err = s.build(ctx, key, cfg, retries, runTimeout)
-	f.res, f.err = res, err
-	close(f.ready)
 	// Drop the completed flight: late arrivals find the result in the
-	// store (persisted before the flight closed) — or, after a failure,
+	// store (persisted before the flight closed). A failed flight is
+	// already gone — the table keeps no failures — so late arrivals
 	// rebuild it themselves.
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
-	return res, hit, err
+	if err == nil {
+		s.flights.Delete(key)
+	}
+	return res, storeHit, err
 }
 
 // build resolves a flight: store restore first, then a bounded, fully
@@ -637,13 +623,12 @@ func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retri
 	}
 	defer func() { <-s.runSem }()
 	results, err := bgp.RunAll(ctx, []bgp.RunConfig{cfg}, bgp.SweepConfig{
-		Workers:        1,
-		Checkpoint:     s.store,
-		Retries:        retries,
-		RunTimeout:     runTimeout,
-		Faults:         s.cfg.Faults,
-		Observer:       s.observer,
-		EpochMemoBytes: s.cfg.EpochMemoBytes,
+		Workers:    1,
+		Checkpoint: s.store,
+		Retries:    retries,
+		RunTimeout: runTimeout,
+		Faults:     s.cfg.Faults,
+		Observer:   s.observer,
 	})
 	if err != nil {
 		return nil, false, err

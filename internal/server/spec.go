@@ -9,7 +9,7 @@
 // dump set on disk is restored instead of simulated, which also makes the
 // daemon restartable — a fresh instance rescans MANIFEST.json and serves
 // previously completed work without re-simulating. The in-flight tier is a
-// flight table in the style of internal/progcache's ready channels:
+// flight table, the build-once primitive of the shared store (internal/cas):
 // concurrent submissions of the same fingerprint coalesce onto one running
 // simulation, and every waiter receives the one result. Dumps are
 // deterministic functions of the configuration (the determinism harnesses

@@ -16,7 +16,6 @@ import (
 	"bgpsim/internal/isa"
 	"bgpsim/internal/mpi"
 	"bgpsim/internal/nas"
-	"bgpsim/internal/progcache"
 	"bgpsim/internal/rng"
 )
 
@@ -125,7 +124,7 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 		return nil, err
 	}
 
-	progs, err := compilePhases(k, cfg)
+	progs, err := nas.CompilePhases(k, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -193,34 +192,6 @@ func lowerRef(ref RefSpec, id compiler.ArrayID) []compiler.Ref {
 			{Array: id, Pat: isa.Strided, Stride: 2 * ref.Stride},
 		}
 	}
-}
-
-// compilePhases mirrors nas.compilePhases: compile every phase once, with
-// the whole phase map memoized in the compile cache when one is configured.
-func compilePhases(k *compiler.Kernel, cfg nas.Config) (map[string]*isa.Program, error) {
-	build := func() (map[string]*isa.Program, error) {
-		out := make(map[string]*isa.Program, len(k.Phases))
-		for _, ph := range k.Phases {
-			p, err := compiler.Compile(k, ph.Name, cfg.Opts)
-			if err != nil {
-				return nil, err
-			}
-			out[ph.Name] = p
-		}
-		return out, nil
-	}
-	if cfg.Cache == nil {
-		out, err := build()
-		if err == nil && cfg.OnCompile != nil {
-			cfg.OnCompile(false)
-		}
-		return out, err
-	}
-	out, hit, err := cfg.Cache.GetOrCompileHit(progcache.Key(k, cfg.Opts), build)
-	if err == nil && cfg.OnCompile != nil {
-		cfg.OnCompile(hit)
-	}
-	return out, err
 }
 
 // ringExchange sends to the next rank and receives from the previous —

@@ -9,7 +9,6 @@ import (
 	"bgpsim/internal/bgpctr"
 	"bgpsim/internal/faults"
 	"bgpsim/internal/obs"
-	"bgpsim/internal/progcache"
 	"bgpsim/internal/sweep"
 )
 
@@ -18,7 +17,10 @@ import (
 // simply reported missing.
 var ErrNotCheckpointed = errors.New("bgp: run not in checkpoint")
 
-// SweepConfig configures a parallel sweep of independent runs.
+// SweepConfig configures a parallel sweep of independent runs: the pool,
+// resilience, checkpointing and sweep-level observation. How each run
+// executes (EpochJobs, ProgCache, the accelerator opt-outs) is set on its
+// RunConfig, the only place those knobs exist.
 //
 // Parallelism is strictly cross-run: each simulation still executes its
 // ranks under the cooperative deterministic scheduler on one goroutine
@@ -89,33 +91,6 @@ type SweepConfig struct {
 	// exercisable in CI, byte-for-byte reproducibly. Injected faults
 	// never touch simulation RNG streams.
 	Faults *faults.Injector
-
-	// ProgCache is the compile/classification cache shared by the
-	// sweep's runs (applied to runs that don't set their own); nil uses
-	// the process-wide cache. Sweep points differing only in machine
-	// parameters then compile each benchmark exactly once, sharing the
-	// immutable programs across workers. NoProgCache disables
-	// memoization for every run of the sweep. Neither affects results
-	// or checkpoint identity.
-	ProgCache *progcache.Cache
-	// NoProgCache disables cross-run compile memoization.
-	NoProgCache bool
-	// EpochJobs is applied to runs that leave RunConfig.EpochJobs zero:
-	// intra-run epoch parallelism for collectives-only benchmarks. Like
-	// the cache, it never affects results or checkpoint identity.
-	EpochJobs int
-	// NoFastForward disables epoch fast-forwarding for every run of the
-	// sweep (see RunConfig.NoFastForward). Never affects results or
-	// checkpoint identity.
-	NoFastForward bool
-	// NoEpochMemo disables the epoch memo for every run of the sweep
-	// (see RunConfig.NoEpochMemo). Never affects results or checkpoint
-	// identity.
-	NoEpochMemo bool
-	// EpochMemoBytes re-bounds the epoch memo byte budget for runs that
-	// leave RunConfig.EpochMemoBytes zero (> 0 sets, < 0 unbounds). Never
-	// affects results or checkpoint identity.
-	EpochMemoBytes int64
 }
 
 // RunAll executes independent runs concurrently on a bounded worker pool
@@ -185,24 +160,6 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		if cfg.Observer == nil {
 			cfg.Observer = sc.Observer
 		}
-		if cfg.ProgCache == nil {
-			cfg.ProgCache = sc.ProgCache
-		}
-		if sc.NoProgCache {
-			cfg.NoProgCache = true
-		}
-		if cfg.EpochJobs == 0 {
-			cfg.EpochJobs = sc.EpochJobs
-		}
-		if sc.NoFastForward {
-			cfg.NoFastForward = true
-		}
-		if sc.NoEpochMemo {
-			cfg.NoEpochMemo = true
-		}
-		if cfg.EpochMemoBytes == 0 {
-			cfg.EpochMemoBytes = sc.EpochMemoBytes
-		}
 		if ckpt != nil && (sc.Resume || sc.ResumeOnly) {
 			if res := ckpt.restore(key, cfg); res != nil {
 				sweepEvent(sc.Observer, obs.EventCheckpointRestore)
@@ -215,7 +172,7 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 				return res, nil
 			}
 			if sc.ResumeOnly {
-				return nil, fmt.Errorf("run %d (%s.%s %v): %w", i, cfg.Benchmark, cfg.Class, cfg.Mode, ErrNotCheckpointed)
+				return nil, runErr(i, cfg, ErrNotCheckpointed)
 			}
 		}
 		// Consult the fault injector once per attempt; pre-run faults
@@ -223,16 +180,16 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		kind := sc.Faults.Next(key)
 		switch kind {
 		case faults.Transient:
-			return nil, fmt.Errorf("run %d (%s.%s %v): %w", i, cfg.Benchmark, cfg.Class, cfg.Mode, sc.Faults.Errorf(key))
+			return nil, runErr(i, cfg, sc.Faults.Errorf(key))
 		case faults.Panic:
 			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, key))
 		case faults.Stall:
 			<-ctx.Done()
-			return nil, fmt.Errorf("run %d (%s.%s %v) stalled: %w", i, cfg.Benchmark, cfg.Class, cfg.Mode, ctx.Err())
+			return nil, runErr(i, cfg, fmt.Errorf("stalled: %w", ctx.Err()))
 		}
 		res, err := Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("run %d (%s.%s %v): %w", i, cfg.Benchmark, cfg.Class, cfg.Mode, err)
+			return nil, runErr(i, cfg, err)
 		}
 		if ckpt != nil {
 			var mutate func(name string, blob []byte) []byte
@@ -242,7 +199,7 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 				}
 			}
 			if err := ckpt.persist(key, cfg, res, mutate); err != nil {
-				return nil, fmt.Errorf("run %d (%s.%s %v): checkpoint: %w", i, cfg.Benchmark, cfg.Class, cfg.Mode, err)
+				return nil, runErr(i, cfg, fmt.Errorf("checkpoint: %w", err))
 			}
 			sweepEvent(sc.Observer, obs.EventCheckpointPersist)
 		}
@@ -254,4 +211,9 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		}
 		return res, nil
 	}, opts)
+}
+
+// runErr wraps a run's failure with its sweep position and configuration.
+func runErr(i int, cfg RunConfig, err error) error {
+	return fmt.Errorf("run %d (%s.%s %v): %w", i, runName(cfg), cfg.Class, cfg.Mode, err)
 }
