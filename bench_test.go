@@ -10,16 +10,9 @@ package bgp_test
 // processes, or BGP_BENCH_SCALE=full for class C with 128 processes (the
 // paper's exact configuration; expect several minutes per figure).
 //
-// BGP_ENGINE=interpreter forces the reference per-trip interpreter instead
-// of the batched execution engine; scripts/bench.sh runs the figure-6
-// benchmark both ways and reports the engine speedup in BENCH_core.json.
-// The series produced are bit-identical either way (see bgp_engine_test.go).
-//
-// BGP_NO_FASTFORWARD and BGP_NO_EPOCHMEMO (any non-empty value) disable
-// epoch fast-forwarding and the epoch memo; scripts/bench.sh runs figure 6
-// with both off and reports the combined speedup as
-// fig06_fastforward_over_batched. These are bit-identical too (the
-// determinism suites assert it).
+// These are for measuring while you work. The numbers of record — cold and
+// warm figure regeneration, the engine, fast-forward, compile-cache and
+// observer ratios — come from `go run ./benchmark` (benchmark/README.md).
 
 import (
 	"fmt"
@@ -45,9 +38,6 @@ func benchScale() experiments.Scale {
 	default:
 		s = experiments.QuickScale()
 	}
-	s.Interpreter = os.Getenv("BGP_ENGINE") == "interpreter"
-	s.NoFastForward = os.Getenv("BGP_NO_FASTFORWARD") != ""
-	s.NoEpochMemo = os.Getenv("BGP_NO_EPOCHMEMO") != ""
 	return s
 }
 
@@ -112,8 +102,7 @@ func BenchmarkFig06InstructionProfile(b *testing.B) {
 // BenchmarkFig06InstructionProfileCold is the figure-6 benchmark with the
 // compile-and-classification cache disabled, so every run lowers and
 // classifies its kernel fresh. Against the default (memoized) benchmark
-// above it measures what cross-run memoization saves; scripts/bench.sh
-// records the ratio as fig06_memoized_over_cold in BENCH_core.json.
+// above it measures what cross-run memoization saves.
 func BenchmarkFig06InstructionProfileCold(b *testing.B) {
 	s := benchScale()
 	s.NoProgCache = true
@@ -130,9 +119,7 @@ func BenchmarkFig06InstructionProfileCold(b *testing.B) {
 
 // BenchmarkFig06InstructionProfileObserved is the figure-6 benchmark with
 // a full metrics recorder attached. Compared against the nil-observer run
-// above it measures the observability overhead; scripts/bench.sh records
-// the ratio as fig06_observer_over_nil in BENCH_core.json (the budget is
-// <2%).
+// above it measures the observability overhead (the budget is <2%).
 func BenchmarkFig06InstructionProfileObserved(b *testing.B) {
 	s := benchScale()
 	s.Observer = obs.NewRecorder(obs.NewRegistry(), nil)
@@ -234,9 +221,7 @@ func BenchmarkFig14MFLOPSPerChip(b *testing.B) {
 // BenchmarkHPLSpec measures the workload-spec pipeline end to end: decode
 // specs/hpl.yaml, compile it through the spec → kernel lowering, and run
 // the four-mode characterization the figure pins. It tracks the cost of
-// spec-driven simulation alongside the NAS figures; scripts/bench.sh
-// reports it in BENCH_core.json (reported, never gated — new benchmarks
-// start ungated).
+// spec-driven simulation alongside the NAS figures.
 func BenchmarkHPLSpec(b *testing.B) {
 	s := benchScale()
 	spec, err := bgp.LoadWorkloadSpec("specs/hpl.yaml")

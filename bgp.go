@@ -27,7 +27,6 @@ package bgp
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"bgpsim/internal/bgpctr"
@@ -211,17 +210,6 @@ type RunConfig struct {
 	// and a nil observer costs nothing (obs_hooks_test pins the nil path
 	// to zero allocations).
 	Observer Observer
-	// EpochJobs allows collectives-only benchmarks (EP, FT, IS) to
-	// execute barrier-to-barrier epochs across up to this many host
-	// cores inside one simulation. Dumps and metrics are byte-identical
-	// to serial execution at every value (see internal/mpi's epoch
-	// scheduler for the argument). Zero means runtime.GOMAXPROCS(0) —
-	// multi-core hosts get epoch parallelism without asking — and 1
-	// selects the serial scheduler explicitly. Benchmarks with
-	// point-to-point communication, runs with a Timeline attached, and
-	// runs whose Observer consumes spans (a tracing Recorder) use the
-	// serial scheduler regardless.
-	EpochJobs int
 	// ProgCache overrides the compile/classification cache consulted for
 	// this run; nil uses the process-wide shared cache. Cached programs
 	// are immutable and content-addressed (kernel IR, compiler flags,
@@ -232,11 +220,11 @@ type RunConfig struct {
 	// lowers and classifies its kernel from scratch).
 	NoProgCache bool
 	// NoFastForward disables epoch fast-forwarding (on by default): when
-	// a rank is the only runnable rank of its scheduling domain, its
-	// compute phases run to completion in one dispatch instead of bounded
-	// time slices. The accelerated path is bit-identical in every counter
-	// and dump (the batched engine's exactness contract at a different
-	// limit); the flag exists for equivalence testing and benchmarking.
+	// a rank is the only runnable rank of the job, its compute phases run
+	// to completion in one dispatch instead of bounded time slices. The
+	// accelerated path is bit-identical in every counter and dump (the
+	// batched engine's exactness contract at a different limit); the flag
+	// exists for equivalence testing and benchmarking.
 	NoFastForward bool
 	// NoEpochMemo disables the epoch memo (on by default): collective-to-
 	// collective epochs are content-addressed by a sha256 of the machine
@@ -375,13 +363,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.SliceCycles > 0 {
 		j.SetSlice(cfg.SliceCycles)
 	}
-	epochJobs := cfg.EpochJobs
-	if epochJobs == 0 {
-		epochJobs = runtime.GOMAXPROCS(0)
-	}
-	if epochJobs > 1 && app.CollectivesOnly {
-		j.SetEpochJobs(epochJobs)
-	}
 	j.SetFastForward(!cfg.NoFastForward)
 	if !cfg.NoEpochMemo {
 		j.EnableEpochMemo(epochmemo.Default(), memoConfigKey(cfg))
@@ -450,9 +431,9 @@ func observePhase(o Observer, label string, phase obs.Phase, start time.Time) {
 // observerTraces reports whether the observer consumes simulated-clock
 // spans. Observers exposing Tracing() (the standard obs.Recorder) are
 // consulted; unknown implementations conservatively receive spans. The
-// distinction matters beyond span delivery: per-span job hooks force the
-// serial scheduler and disable the epoch memo, so a metrics-only recorder
-// must not pay for spans it would only count.
+// distinction matters beyond span delivery: per-span job hooks disable the
+// epoch memo, so a metrics-only recorder must not pay for spans it would
+// only count.
 func observerTraces(o Observer) bool {
 	if t, ok := o.(interface{ Tracing() bool }); ok {
 		return t.Tracing()

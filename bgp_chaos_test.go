@@ -170,20 +170,20 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosMemoizedDeterminism runs the fault-recovery contract with both
-// new execution accelerators armed: a shared compile cache (so retries and
-// resumed runs hit memoized programs) and the epoch-parallel scheduler.
+// TestChaosMemoizedDeterminism runs the fault-recovery contract with the
+// execution accelerators armed: a shared compile cache (so retries and
+// resumed runs hit memoized programs), fast-forwarding and the epoch memo.
 // A sweep with injected faults takes the partial-output path
 // (ContinueOnError with one run outlasting its retry budget — the CLI's
 // exit-status-3 case), then resumes from its checkpoints against the warm
 // cache; every recovered run's persisted dumps must stay byte-identical
-// to fault-free serial runs that never saw cache, faults, epoch jobs,
-// fast-forwarding or the epoch memo. The sweep repeats configurations, so
+// to fault-free serial runs that never saw cache, faults, fast-forwarding
+// or the epoch memo. The sweep repeats configurations, so
 // the later copies replay memoized epochs — an interrupted, retried,
 // fast-forwarded, epoch-replayed sweep still restores the slow path's
 // bytes exactly.
 func TestChaosMemoizedDeterminism(t *testing.T) {
-	cases := epochCases() // collectives-only, so EpochJobs engages
+	cases := collectivesOnlyCases()
 	cfgs := append(cases, cases[0], cases[1])
 	goldenOf := []int{0, 1, 2, 3, 0, 1} // cfg index → golden case index
 
@@ -196,12 +196,11 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	}
 	inj := faults.New(0xCAC4E)
 	inj.Arm(keys[0], faults.Transient)                                     // heals; its retry recompiles from cache
-	inj.Arm(keys[2], faults.Panic)                                         // panic isolation with epoch goroutines live
+	inj.Arm(keys[2], faults.Panic)                                         // panic isolation
 	inj.Arm(keys[4], faults.Transient, faults.Transient, faults.Transient) // outlasts Retries=1: partial output
 	cache := bgp.NewProgCache(16)
 	for i := range cfgs {
 		cfgs[i].ProgCache = cache
-		cfgs[i].EpochJobs = 2
 	}
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)

@@ -27,9 +27,25 @@ import (
 	"bgpsim/internal/obs"
 )
 
+// collectivesOnlyCases are collectives-only configurations whose ranks span
+// several nodes, covering every operating mode including the threaded ones.
+func collectivesOnlyCases() []bgp.RunConfig {
+	return []bgp.RunConfig{
+		{Benchmark: "ep", Class: bgp.ClassS, Ranks: 8, Mode: bgp.VNM,
+			Opts: bgp.Options{Level: bgp.O5, Arch440d: true}},
+		{Benchmark: "ft", Class: bgp.ClassS, Ranks: 4, Mode: bgp.SMP1,
+			Opts: bgp.Options{Level: bgp.O3, Arch440d: true}},
+		{Benchmark: "ft", Class: bgp.ClassS, Ranks: 2, Mode: bgp.SMP4,
+			Opts: bgp.Options{Level: bgp.O4}},
+		{Benchmark: "is", Class: bgp.ClassS, Ranks: 8, Mode: bgp.Dual,
+			Opts: bgp.Options{Level: bgp.O5}},
+	}
+}
+
 // fastForwardCases is the determinism-suite matrix — every operating mode
-// via determinismCases, plus the whole NAS kernel set in VNM and a pair of
-// class-W points so the comparison crosses problem classes.
+// via determinismCases, plus the whole NAS kernel set in VNM, a pair of
+// class-W points so the comparison crosses problem classes, and the
+// multi-node collectives-only points.
 func fastForwardCases() []bgp.RunConfig {
 	cases := determinismCases()
 	for _, name := range []string{"mg", "ft", "ep", "cg", "is", "lu", "sp", "bt"} {
@@ -46,7 +62,7 @@ func fastForwardCases() []bgp.RunConfig {
 		// A YAML workload spec rides the same accelerators as the NAS set.
 		mustHPLConfig(),
 	)
-	return cases
+	return append(cases, collectivesOnlyCases()...)
 }
 
 // ffRun executes cfg with the given acceleration opt-outs and returns the

@@ -3,9 +3,9 @@ package bgp_test
 // Determinism harness for YAML workload specs. A spec-driven run flows
 // through the same engine, caches and recovery layers as a NAS benchmark,
 // so it inherits the same exactness contract: byte-identical binary counter
-// dumps across the serial path, the cross-run pool, the epoch-parallel
-// scheduler, fast-forward + epoch memo (fastForwardCases gains a spec
-// point), and a faulted, checkpointed, resumed sweep.
+// dumps across the serial path, the cross-run pool, fast-forward + epoch
+// memo (fastForwardCases gains a spec point), and a faulted, checkpointed,
+// resumed sweep.
 
 import (
 	"bytes"
@@ -87,30 +87,6 @@ func TestSpecSerialParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpecEpochParallelDeterminism pins the epoch-scheduler half: the HPL
-// proxy is collectives-only (broadcasts and allreduces, no point-to-point),
-// so EpochJobs engages, and dumps at widths 1, 2 and 4 must match width 0.
-func TestSpecEpochParallelDeterminism(t *testing.T) {
-	cfg := mustHPLConfig()
-	cfg.Ranks = 8 // span several nodes so the epoch scheduler can engage
-	root := t.TempDir()
-	serial, want := runWithEpochJobs(t, cfg, root, 0)
-	for _, jobs := range []int{1, 2, 4} {
-		res, got := runWithEpochJobs(t, cfg, root, jobs)
-		if len(got) != len(want) {
-			t.Fatalf("epoch-jobs=%d wrote %d dumps, serial wrote %d", jobs, len(got), len(want))
-		}
-		for name, blob := range want {
-			if !bytes.Equal(blob, got[name]) {
-				t.Errorf("epoch-jobs=%d: dump %s differs from serial run", jobs, name)
-			}
-		}
-		if !reflect.DeepEqual(res.Metrics, serial.Metrics) {
-			t.Errorf("epoch-jobs=%d metrics differ from serial run", jobs)
-		}
-	}
-}
-
 // TestSpecRunKeyProperties pins the fingerprint that feeds checkpoint keys,
 // the epoch memo and bgpd job ids: two loads of one spec file share a
 // RunKey; a seed edit, a different spec, or a NAS benchmark do not; and
@@ -137,7 +113,6 @@ func TestSpecRunKeyProperties(t *testing.T) {
 
 	knobs := mustHPLConfig()
 	knobs.DumpDir = "/somewhere/else"
-	knobs.EpochJobs = 4
 	knobs.NoEpochMemo = true
 	if bgp.RunKey(0, a) != bgp.RunKey(0, knobs) {
 		t.Error("host-side knobs perturb a spec RunKey; resume would re-run everything")

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -79,25 +80,28 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := postproc.WriteMetricsCSV(f, []*postproc.Metrics{m}); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *metricsOut)
+		writeCSV(*metricsOut, func(w io.Writer) error {
+			return postproc.WriteMetricsCSV(w, []*postproc.Metrics{m})
+		})
 	}
 	if *statsOut != "" {
-		f, err := os.Create(*statsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := postproc.WriteStatsCSV(f, a); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *statsOut)
+		writeCSV(*statsOut, func(w io.Writer) error { return postproc.WriteStatsCSV(w, a) })
 	}
+}
+
+// writeCSV creates path, fills it with write and closes it, exiting on any
+// error — Close included, which is where a full disk or a quota can first
+// report that buffered data never landed.
+func writeCSV(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %s\n", path)
 }

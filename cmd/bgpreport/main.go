@@ -57,7 +57,7 @@ func run() int {
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count")
 	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations per figure (0 = one per host core)")
 	flag.BoolVar(&s.ResumeOnly, "from-checkpoint", false, "render from -checkpoint alone without simulating; combine with -keep-going for a partial report")
-	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()

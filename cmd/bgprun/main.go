@@ -70,7 +70,7 @@ func run() int {
 	)
 	var s experiments.Scale
 	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
-	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()

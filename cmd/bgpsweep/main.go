@@ -66,7 +66,7 @@ func run() int {
 	s := experiments.Scale{Missing: missing}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
 	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
-	// -epoch-jobs, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()

@@ -48,10 +48,12 @@ func Instrument(j *mpi.Job, dir string, body func(*mpi.Rank)) ([]*Dump, error) {
 // may call Start/Stop with set numbers other than WholeAppSet.
 func InstrumentRegions(j *mpi.Job, dir string, body func(*mpi.Rank, *Session)) ([]*Dump, error) {
 	// The session/blob maps are host-side bookkeeping shared by all rank
-	// closures; under the epoch scheduler ranks on different nodes run
-	// concurrently, so the maps are mutex-guarded. Session operations
-	// themselves touch only the rank's own node (serialized per node by
-	// either scheduler), and the mutex never perturbs simulated state.
+	// closures, and every rank body runs on its own goroutine. The
+	// scheduler dispatches them one at a time, but the maps are
+	// mutex-guarded so their safety is local to this function rather than
+	// a property of how mpi hands control between goroutines. Session
+	// operations themselves touch only the rank's own node, and the mutex
+	// never perturbs simulated state.
 	var mu sync.Mutex
 	sessions := make(map[int]*Session)
 	remaining := make(map[int]int)

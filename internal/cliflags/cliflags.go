@@ -35,7 +35,6 @@ func Bind(fs *flag.FlagSet, s *experiments.Scale) *Flags {
 
 	// Execution: how the host computes a run. None of these can change a
 	// counter, a dump byte or a checkpoint key.
-	fs.IntVar(&s.EpochJobs, "epoch-jobs", 0, "host cores per simulation for collectives-only benchmarks (EP, FT, IS); 0 = one per host core, 1 = serial; results do not depend on it")
 	fs.BoolVar(&s.NoProgCache, "no-progcache", false, "disable cross-run compile memoization; results do not depend on it")
 	fs.BoolVar(&s.NoFastForward, "no-fastforward", false, "disable epoch fast-forwarding (sole-runnable ranks completing compute phases in one dispatch); results do not depend on it")
 	fs.BoolVar(&s.NoEpochMemo, "no-epochmemo", false, "disable the content-addressed epoch memo (reruns replaying recorded epochs); results do not depend on it")

@@ -76,10 +76,6 @@ type Scale struct {
 	// diagnostics.
 	Missing *MissingSet
 
-	// EpochJobs enables intra-run epoch parallelism for collectives-only
-	// benchmarks (see bgp.RunConfig.EpochJobs). Figures are identical at
-	// every value.
-	EpochJobs int
 	// NoProgCache disables cross-run compile memoization (see
 	// bgp.RunConfig.NoProgCache); figures are identical either way.
 	NoProgCache bool
@@ -158,7 +154,6 @@ func (ms *MissingSet) Labels() []string {
 func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 	for i := range cfgs {
 		cfgs[i].Interpreter = s.Interpreter
-		cfgs[i].EpochJobs = s.EpochJobs
 		cfgs[i].NoProgCache = s.NoProgCache
 		cfgs[i].NoFastForward = s.NoFastForward
 		cfgs[i].NoEpochMemo = s.NoEpochMemo

@@ -60,12 +60,10 @@ import (
 // which message each Recv returns. Skipped Recvs therefore consume the
 // recorded result sequence, and nobody reads mailboxes mid-replay.
 //
-// The memo layers on both schedulers. Under the serial scheduler the cut
-// is the last arriver's completion frame in doCollective; under the epoch
-// scheduler it is the driver's completeEpoch. Entries carry the key of the
-// cut they end at, so consecutive hits chain without flattening or hashing
-// anything ("warm chains") — the steady state of a benchmark rerun is a
-// handful of map probes per epoch.
+// The cut is the last arriver's completion frame in doCollective. Entries
+// carry the key of the cut they end at, so consecutive hits chain without
+// flattening or hashing anything ("warm chains") — the steady state of a
+// benchmark rerun is a handful of map probes per epoch.
 //
 // Exclusions and safety: the UPC counter unit is not part of the state
 // vector — its registers change only at counter-library calls, which the
@@ -99,7 +97,11 @@ type epochMemo struct {
 
 	cutSeen  bool
 	disabled bool
-	poisoned atomic.Bool // external state mutation seen mid-run
+	// poisoned: external state mutation seen mid-run. Set by MarkExternal
+	// on whichever rank goroutine runs the instrumented body, read at the
+	// next cut on the last arriver's; atomic so that pair is ordered by
+	// the flag itself.
+	poisoned atomic.Bool
 
 	hits, misses, stores, corrupt uint64
 }
@@ -250,13 +252,12 @@ func (j *Job) EnableEpochMemo(c *epochmemo.Cache, cfgKey string) {
 }
 
 // SetFastForward enables or disables epoch fast-forwarding (default on):
-// when a rank is the only runnable rank of its scheduling domain, its
-// compute ops run to completion in one dispatch instead of bounded time
-// slices — exact by the batched-execution contract (core.Exec is
-// bit-identical at any limit) and by sole-runnability (the scheduler could
-// only have redispatched the same rank). Jobs with an OnAdvance observer
-// keep slicing regardless, preserving sample cadence, as does any node
-// with a UPC threshold handler.
+// when a rank is the only runnable rank of the job, its compute ops run to
+// completion in one dispatch instead of bounded time slices — exact by the
+// batched-execution contract (core.Exec is bit-identical at any limit) and
+// by sole-runnability (the scheduler could only have redispatched the same
+// rank). Jobs with an OnAdvance observer keep slicing regardless,
+// preserving sample cadence, as does any node with a UPC threshold handler.
 func (j *Job) SetFastForward(on bool) { j.noFF = !on }
 
 // MarkExternal tells the memo that state outside the simulated machine
@@ -265,7 +266,7 @@ func (j *Job) SetFastForward(on bool) { j.noFF = !on }
 // Later it poisons the in-flight recording and disables the memo for the
 // rest of the run. During a replayed epoch it panics: the mutation would
 // have observed mid-epoch live state that replay does not reconstruct.
-// Safe to call from rank bodies under either scheduler.
+// Safe to call from rank bodies.
 func (j *Job) MarkExternal() {
 	m := j.memo
 	if m == nil {
@@ -392,11 +393,10 @@ func (m *epochMemo) computeKey() epochmemo.Key {
 }
 
 // atCut is the memo's hook at every cut, called with the job's collState
-// under cut exclusivity (the serial last arriver's frame, or the epoch
-// driver between epochs). It closes an armed recording, probes the cache,
-// and either replays an entry (returning true — the caller must skip the
-// live completion and leave releases at zero) or arms a recording over the
-// coming epoch (returning false — the caller completes live).
+// from the last arriver's frame. It closes an armed recording, probes the
+// cache, and either replays an entry (returning true — the caller must skip
+// the live completion and leave releases at zero) or arms a recording over
+// the coming epoch (returning false — the caller completes live).
 func (m *epochMemo) atCut(cs *collState) bool {
 	m.cutSeen = true
 	if !m.disabled && (m.poisoned.Load() || m.anyUPCHandler()) {
@@ -617,21 +617,12 @@ func (r *Rank) recordExec(p *isa.Program) {
 
 // fastForwardable reports whether the rank may run a compute op to
 // completion in one dispatch: fast-forward is on, nothing samples dispatch
-// cadence, and the rank is the only runnable rank of its scheduling domain
-// (the whole job under the serial scheduler, its node group under the
-// epoch scheduler), so the scheduler could only redispatch it anyway.
+// cadence, and the rank is the only runnable rank of the job, so the
+// scheduler could only redispatch it anyway.
 func (r *Rank) fastForwardable() bool {
 	j := r.job
 	if !j.ffOn || r.nd.UPC.HasHandler() {
 		return false
-	}
-	if j.epochActive {
-		for _, o := range j.ranks {
-			if o != r && o.nodeID == r.nodeID && o.status == statusReady {
-				return false
-			}
-		}
-		return true
 	}
 	for _, o := range j.ranks {
 		if o != r && o.status == statusReady {

@@ -177,7 +177,7 @@ func TestEpochMemoCorruptEntryDetected(t *testing.T) {
 	}
 }
 
-// collectiveBody is epoch-scheduler compatible: collectives only.
+// collectiveBody communicates through collectives only.
 func collectiveBody(p1, p2 *isa.Program) func(*Rank) {
 	return func(r *Rank) {
 		r.Exec(p1)
@@ -187,54 +187,6 @@ func collectiveBody(p1, p2 *isa.Program) func(*Rank) {
 		r.Alltoall(256)
 		r.Exec(p1)
 		r.Allreduce(64)
-	}
-}
-
-func runCollectives(t *testing.T, cache *epochmemo.Cache, epochJobs int) *Job {
-	t.Helper()
-	m := machine.New(4, machine.VNM, machine.DefaultParams())
-	j, err := NewJob(m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache != nil {
-		j.EnableEpochMemo(cache, "memo-epoch-test-v1")
-	}
-	if epochJobs > 1 {
-		j.SetEpochJobs(epochJobs)
-	}
-	if err := j.Run(collectiveBody(computeProgram(90_000), randomProgram(40_000))); err != nil {
-		t.Fatal(err)
-	}
-	return j
-}
-
-// TestEpochMemoCrossScheduler records epochs under the serial scheduler
-// and replays them under the epoch scheduler (and vice versa): the two
-// schedulers are byte-identical, so their cuts share one key space.
-func TestEpochMemoCrossScheduler(t *testing.T) {
-	want := machineState(runCollectives(t, nil, 1))
-
-	cache := epochmemo.New(0)
-	serialCold := runCollectives(t, cache, 1)
-	diffStates(t, "serial cold vs plain", want, machineState(serialCold))
-	if p := serialCold.Perf(); p.EpochMemoStores == 0 {
-		t.Fatalf("serial cold run stored nothing: %+v", p)
-	}
-
-	epochWarm := runCollectives(t, cache, 4)
-	diffStates(t, "epoch-scheduler warm vs plain", want, machineState(epochWarm))
-	if p := epochWarm.Perf(); p.EpochMemoHits != 2 {
-		t.Fatalf("epoch-scheduler warm perf = %+v, want 2 hits", p)
-	}
-
-	cache2 := epochmemo.New(0)
-	epochCold := runCollectives(t, cache2, 4)
-	diffStates(t, "epoch-scheduler cold vs plain", want, machineState(epochCold))
-	serialWarm := runCollectives(t, cache2, 1)
-	diffStates(t, "serial warm vs plain", want, machineState(serialWarm))
-	if p := serialWarm.Perf(); p.EpochMemoHits != 2 {
-		t.Fatalf("serial warm perf = %+v, want 2 hits", p)
 	}
 }
 

@@ -77,12 +77,6 @@ type Job struct {
 	err     error
 	aborted bool
 
-	// epochJobs bounds intra-run host parallelism (see SetEpochJobs);
-	// epochActive is set for the whole run when the epoch scheduler is
-	// engaged, and is read-only while rank goroutines exist.
-	epochJobs   int
-	epochActive bool
-
 	// Fast-forward and epoch-memo state (see memo.go). noFF is the
 	// SetFastForward opt-out; ffOn is the resolved gate, fixed at Run.
 	// memo is non-nil only when the memo engaged (EnableEpochMemo called
@@ -119,22 +113,12 @@ type Rank struct {
 	inRecv   bool
 	collWait *collState
 
-	// Epoch-parallel parking state: a rank arriving at a collective under
-	// the epoch scheduler records the call and suspends; the driver
-	// completes the operation between epochs (see epoch.go).
-	parked        bool
-	parkedOp      collOp
-	parkedBytes   int
-	parkedRoot    int
-	parkedRelease uint64
-
 	bound     map[*isa.Program]*core.ExecState
 	shards    map[*isa.Program][]*core.ExecState
 	groupBase map[string]uint64
 	groupSize map[string]uint64
 
-	// Fast-forward counters; per-rank so concurrent node executors under
-	// the epoch scheduler never share a cache line, summed by Job.Perf.
+	// Fast-forward counters, summed by Job.Perf.
 	ffDispatches uint64
 	ffCycles     uint64
 }
@@ -206,18 +190,6 @@ func (j *Job) SetSlice(cycles uint64) {
 	j.slice = cycles
 }
 
-// SetEpochJobs allows Run to execute barrier-to-barrier epochs of the job
-// across up to n host cores. It applies only to collectives-only bodies
-// (no Send/Recv — a point-to-point call under the epoch scheduler panics):
-// between global synchronization points the nodes of such a job share no
-// simulated state, so each node's ranks can advance on their own host core
-// under the node-local least-cycle-first rule, which is provably the
-// serial scheduler's restriction to that node. Counter dumps are therefore
-// byte-identical to serial execution at every n (see epoch.go for the full
-// argument). Values below 2 keep the serial scheduler; jobs with OnAdvance
-// or OnSpan hooks, or with all ranks on one node, fall back to it too.
-func (j *Job) SetEpochJobs(n int) { j.epochJobs = n }
-
 // Size returns the number of ranks.
 func (j *Job) Size() int { return len(j.ranks) }
 
@@ -255,9 +227,6 @@ func (j *Job) Run(body func(*Rank)) error {
 		return fmt.Errorf("mpi: job already run")
 	}
 	j.initRunModes()
-	if j.epochJobs > 1 && j.onAdvance == nil && j.onSpan == nil && len(j.nodeIDs) > 1 {
-		return j.runEpochs(body)
-	}
 	for _, r := range j.ranks {
 		r.status = statusReady
 		r.nd.SetActive(r.coreID, true)
@@ -287,10 +256,11 @@ func (j *Job) Run(body func(*Rank)) error {
 	}
 }
 
-// setErr records the job's first error. Rank goroutines on different node
-// executors may fail concurrently under the epoch scheduler, so the slot
-// is mutex-guarded; the serial scheduler shares the accessors for
-// uniformity.
+// setErr records the job's first error. The slot is written on rank
+// goroutines (a panicking body, in Rank.main's recover) and read on the
+// scheduler goroutine and on every rank's yield path; the mutex makes
+// those accesses safe on their own terms rather than by way of the
+// resume/yielded handoff that happens to order them.
 func (j *Job) setErr(err error) {
 	j.errMu.Lock()
 	if j.err == nil {
@@ -342,8 +312,6 @@ func (j *Job) describeBlocked() string {
 			s += fmt.Sprintf("rank %d waiting for message from %d", r.id, r.waitSrc)
 		case r.collWait != nil:
 			s += fmt.Sprintf("rank %d in collective %v", r.id, r.collWait.op)
-		case r.parked:
-			s += fmt.Sprintf("rank %d in collective %v", r.id, r.parkedOp)
 		default:
 			s += fmt.Sprintf("rank %d blocked", r.id)
 		}
@@ -355,8 +323,7 @@ func (j *Job) describeBlocked() string {
 }
 
 // abort releases every non-finished rank goroutine so Run can return. It
-// runs on the scheduler (or epoch driver) goroutine once no rank is being
-// dispatched.
+// runs on the scheduler goroutine once no rank is being dispatched.
 func (j *Job) abort(err error) {
 	j.setErr(err)
 	for _, r := range j.ranks {

@@ -58,9 +58,9 @@ func (r *Rank) exec(p *isa.Program) {
 	}
 	for {
 		if r.fastForwardable() {
-			// Sole runnable rank of its scheduling domain — the usual
-			// straggler tail of an epoch, with every peer blocked at the
-			// next synchronization point. No other rank can touch shared
+			// Sole runnable rank of the job — the usual straggler tail of
+			// an epoch, with every peer blocked at the next
+			// synchronization point. No other rank can touch shared
 			// state or become runnable until this one blocks, so slicing
 			// could only redispatch the same rank; one unbounded Exec lets
 			// the closed-form and coalesced kernels take the remaining
@@ -220,9 +220,6 @@ func (r *Rank) Send(dst, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("mpi: rank %d sends negative byte count", r.id))
 	}
-	if r.job.epochActive {
-		panic(fmt.Sprintf("mpi: rank %d called Send under the epoch scheduler; point-to-point requires serial execution", r.id))
-	}
 	r.cr.AdvanceCycles(SendOverhead)
 	dstRank := r.job.ranks[dst]
 
@@ -288,9 +285,6 @@ func (r *Rank) Recv(src int) int {
 func (r *Rank) recvLive(src int) int {
 	if src != AnySource && (src < 0 || src >= len(r.job.ranks)) {
 		panic(fmt.Sprintf("mpi: rank %d receives from invalid rank %d", r.id, src))
-	}
-	if r.job.epochActive {
-		panic(fmt.Sprintf("mpi: rank %d called Recv under the epoch scheduler; point-to-point requires serial execution", r.id))
 	}
 	r.cr.AdvanceCycles(RecvOverhead)
 	for {
@@ -400,22 +394,6 @@ func (r *Rank) collective(op collOp, bytes, root int) {
 
 func (r *Rank) doCollective(op collOp, bytes, root int) {
 	j := r.job
-	if j.epochActive {
-		// Epoch scheduler: record the call and park. The driver verifies
-		// the SPMD match, completes the operation and advances this
-		// rank's clock to its release time between epochs (epoch.go).
-		r.parked = true
-		r.parkedOp, r.parkedBytes, r.parkedRoot = op, bytes, root
-		r.block()
-		// Apply the release clock here, on this rank's first dispatch of
-		// the next epoch, exactly as a serial waiter does after block()
-		// below: the epoch scheduler seeds the next epoch's dispatch
-		// order with arrival clocks, matching the serial scheduler, and
-		// the clock catches up lazily. (For the replayed last arriver the
-		// driver has already advanced the clock; WaitUntil is a no-op.)
-		r.cr.WaitUntil(r.parkedRelease)
-		return
-	}
 	if j.coll == nil {
 		j.coll = &collState{op: op, bytes: bytes, root: root, releases: make([]uint64, len(j.ranks))}
 	}

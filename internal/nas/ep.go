@@ -86,5 +86,5 @@ func buildEP(cfg Config) (*App, error) {
 		r.Allreduce(80) // bucket counts
 		r.Allreduce(16) // sx, sy sums
 	}
-	return &App{Name: "ep", Ranks: cfg.Ranks, Kernel: k, Body: body, CollectivesOnly: true}, nil
+	return &App{Name: "ep", Ranks: cfg.Ranks, Kernel: k, Body: body}, nil
 }

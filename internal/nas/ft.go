@@ -110,5 +110,5 @@ func buildFT(cfg Config) (*App, error) {
 			r.Allreduce(16) // checksum
 		}
 	}
-	return &App{Name: "ft", Ranks: ranks, Kernel: k, Body: body, CollectivesOnly: true}, nil
+	return &App{Name: "ft", Ranks: ranks, Kernel: k, Body: body}, nil
 }

@@ -100,5 +100,5 @@ func buildIS(cfg Config) (*App, error) {
 		}
 		r.Allreduce(8) // verification
 	}
-	return &App{Name: "is", Ranks: ranks, Kernel: k, Body: body, CollectivesOnly: true}, nil
+	return &App{Name: "is", Ranks: ranks, Kernel: k, Body: body}, nil
 }

@@ -118,12 +118,6 @@ type App struct {
 	Kernel *compiler.Kernel
 	// Body is the per-rank program.
 	Body func(r *mpi.Rank)
-	// CollectivesOnly marks benchmarks whose ranks communicate through
-	// collective operations exclusively (no point-to-point Send/Recv).
-	// Such bodies consist of compute epochs separated by global
-	// synchronization points, which is what makes them eligible for
-	// epoch-parallel execution (mpi.Job.SetEpochJobs).
-	CollectivesOnly bool
 }
 
 // Benchmark is one NAS benchmark.

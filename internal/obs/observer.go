@@ -230,7 +230,7 @@ func (r *Recorder) Tracer() *Tracer { return r.tracer }
 // Tracing reports whether the recorder consumes simulated-clock spans (a
 // tracer is attached). bgp.Run consults it before installing per-span
 // hooks: a metrics-only recorder then leaves the job unhooked, keeping the
-// epoch scheduler, fast-forward and epoch-memo layers eligible.
+// epoch memo eligible.
 func (r *Recorder) Tracing() bool { return r.tracer != nil }
 
 // PhaseDone implements Observer.

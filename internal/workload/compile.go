@@ -129,13 +129,6 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 		return nil, err
 	}
 
-	collectivesOnly := true
-	for _, st := range steps {
-		if st.op == OpRing || st.op == OpHalo3D {
-			collectivesOnly = false
-		}
-	}
-
 	ranks := cfg.Ranks
 	body := func(r *mpi.Rank) {
 		r.Barrier()
@@ -166,11 +159,10 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 		r.Allreduce(8) // verification, as every NAS body ends
 	}
 	return &nas.App{
-		Name:            s.Name,
-		Ranks:           ranks,
-		Kernel:          k,
-		Body:            body,
-		CollectivesOnly: collectivesOnly,
+		Name:   s.Name,
+		Ranks:  ranks,
+		Kernel: k,
+		Body:   body,
 	}, nil
 }
 

@@ -72,26 +72,6 @@ func TestBuildKernelNameCarriesFingerprint(t *testing.T) {
 	}
 }
 
-func TestBuildCollectivesOnly(t *testing.T) {
-	s := mustSpec(t, goodSpec) // allreduce only: epoch-parallel eligible
-	app, err := Build(s, testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !app.CollectivesOnly {
-		t.Fatal("allreduce-only spec should be CollectivesOnly")
-	}
-
-	p2p := mustSpec(t, strings.Replace(goodSpec, "op: allreduce", "op: ring", 1))
-	app, err = Build(p2p, testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app.CollectivesOnly {
-		t.Fatal("ring-exchange spec must not be CollectivesOnly")
-	}
-}
-
 func TestBuildRootOutOfRange(t *testing.T) {
 	src := strings.Replace(goodSpec, "op: allreduce", "op: bcast\n      root: 3", 1)
 	s := mustSpec(t, src)
@@ -130,9 +110,6 @@ func TestBuildHaloRuns(t *testing.T) {
 	app, err := Build(s, testConfig(8))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if app.CollectivesOnly {
-		t.Fatal("halo3d is point-to-point")
 	}
 	if app.Body == nil {
 		t.Fatal("no body")

@@ -65,8 +65,7 @@ const (
 type CommOp string
 
 // The communication operations. Ring and halo3d are point-to-point
-// (Send/Recv) patterns; the rest are collectives, keeping a spec without
-// them eligible for epoch-parallel execution.
+// (Send/Recv) patterns; the rest are collectives.
 const (
 	OpBarrier   CommOp = "barrier"
 	OpAllreduce CommOp = "allreduce"

@@ -19,7 +19,7 @@ var ErrNotCheckpointed = errors.New("bgp: run not in checkpoint")
 
 // SweepConfig configures a parallel sweep of independent runs: the pool,
 // resilience, checkpointing and sweep-level observation. How each run
-// executes (EpochJobs, ProgCache, the accelerator opt-outs) is set on its
+// executes (ProgCache, the accelerator opt-outs) is set on its
 // RunConfig, the only place those knobs exist.
 //
 // Parallelism is strictly cross-run: each simulation still executes its

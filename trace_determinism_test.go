@@ -20,7 +20,7 @@ import (
 // fig6Trace runs the Figure 6 profile sweep at the quick scale with a
 // recorder and tracer attached, and returns the raw trace bytes plus the
 // registry snapshot.
-func fig6Trace(t *testing.T, jobs, epochJobs int) ([]byte, obs.Snapshot) {
+func fig6Trace(t *testing.T, jobs int) ([]byte, obs.Snapshot) {
 	t.Helper()
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
@@ -29,7 +29,6 @@ func fig6Trace(t *testing.T, jobs, epochJobs int) ([]byte, obs.Snapshot) {
 
 	s := experiments.QuickScale()
 	s.Jobs = jobs
-	s.EpochJobs = epochJobs
 	s.Observer = rec
 	if _, err := experiments.Fig6Profile(s); err != nil {
 		t.Fatal(err)
@@ -41,8 +40,8 @@ func fig6Trace(t *testing.T, jobs, epochJobs int) ([]byte, obs.Snapshot) {
 }
 
 func TestTraceDeterminism(t *testing.T) {
-	serialTrace, serialSnap := fig6Trace(t, 1, 0)
-	poolTrace, poolSnap := fig6Trace(t, 4, 0)
+	serialTrace, serialSnap := fig6Trace(t, 1)
+	poolTrace, poolSnap := fig6Trace(t, 4)
 
 	if len(serialTrace) == 0 {
 		t.Fatal("serial run produced an empty trace")
@@ -107,29 +106,6 @@ func TestTraceDeterminism(t *testing.T) {
 	if serialSnap.Counters[obs.MetricRuns] != 8 {
 		t.Errorf("%s = %d, want 8 (one per suite benchmark)",
 			obs.MetricRuns, serialSnap.Counters[obs.MetricRuns])
-	}
-}
-
-// TestTraceDeterminismWithEpochJobs pins the tracer's interaction with the
-// epoch scheduler: an attached observer forces the serial scheduler (span
-// callbacks fire from the rank dispatch loop, which the epoch executors
-// cannot order globally), so a traced sweep at any EpochJobs value must
-// produce the same sorted trace and counters as the plain serial one.
-func TestTraceDeterminismWithEpochJobs(t *testing.T) {
-	serialTrace, serialSnap := fig6Trace(t, 1, 0)
-	epochTrace, epochSnap := fig6Trace(t, 2, 4)
-
-	if !bytes.Equal(obs.SortedBytes(serialTrace), obs.SortedBytes(epochTrace)) {
-		t.Errorf("sorted traces differ between EpochJobs=0 (%d bytes) and EpochJobs=4 (%d bytes)",
-			len(serialTrace), len(epochTrace))
-	}
-	for name, v := range serialSnap.Counters {
-		if hostSideCounter(name) {
-			continue
-		}
-		if pv := epochSnap.Counters[name]; pv != v {
-			t.Errorf("counter %s: serial %d, epoch-jobs %d", name, v, pv)
-		}
 	}
 }
 
