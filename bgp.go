@@ -122,6 +122,9 @@ const (
 // ParseClass parses a problem-class letter.
 func ParseClass(s string) (Class, error) { return nas.ParseClass(s) }
 
+// ParseMode parses an operating-mode spelling like "VNM" or "SMP/1".
+func ParseMode(s string) (OpMode, error) { return machine.ParseMode(s) }
+
 // ParseOptions parses a compiler-flag spelling like "-O5 -qarch=440d".
 func ParseOptions(s string) (Options, error) { return compiler.ParseOptions(s) }
 
@@ -238,13 +241,41 @@ type RunConfig struct {
 	NoEpochMemo bool
 }
 
-// runName is the run's workload name for labels and error messages: the
-// benchmark's, else the spec's.
-func runName(cfg RunConfig) string {
-	if cfg.Benchmark == "" && cfg.Spec != nil {
-		return cfg.Spec.Name
+// ResolveWorkload is the one place a run's workload source is decided: the
+// NAS registry entry named by cfg.Benchmark, or cfg.Spec presented in the
+// same shape (its name, an identity RanksFor, a Build closing over the spec),
+// plus the source's identity token — empty for a registry entry, whose name
+// says everything, and the spec's canonical sha256 for a spec, so runs of
+// distinct specs are provably distinct and runs of equal specs equal
+// whichever decoded copy the caller holds. Run, the labels and error
+// messages, the fingerprint, bgpd's spec decoder and bgprun all resolve
+// through here. The source is non-nil and named even when err is set (an
+// unknown benchmark, or both fields set), so a failed run can still be
+// labelled and keyed.
+func ResolveWorkload(cfg RunConfig) (src *nas.Benchmark, id string, err error) {
+	if cfg.Spec == nil {
+		if src, err = nas.ByName(cfg.Benchmark); err != nil {
+			src = &nas.Benchmark{Name: cfg.Benchmark}
+		}
+		return src, "", err
 	}
-	return cfg.Benchmark
+	spec := cfg.Spec
+	src = &nas.Benchmark{
+		Name:     spec.Name,
+		RanksFor: func(requested int) int { return requested },
+		Build:    func(c nas.Config) (*nas.App, error) { return workload.Build(spec, c) },
+	}
+	if cfg.Benchmark != "" {
+		err = fmt.Errorf("bgp: Benchmark (%q) and Spec (%q) are mutually exclusive", cfg.Benchmark, spec.Name)
+		src.Name = cfg.Benchmark
+	}
+	return src, spec.Fingerprint(), err
+}
+
+// runName is the run's workload name for labels and error messages.
+func runName(cfg RunConfig) string {
+	src, _, _ := ResolveWorkload(cfg)
+	return src.Name
 }
 
 // PointLabel identifies one run for diagnostics before (or without) running
@@ -290,22 +321,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("bgp: non-positive rank count %d", cfg.Ranks)
 	}
-	ranks := cfg.Ranks
-	var build func(nas.Config) (*nas.App, error)
-	switch {
-	case cfg.Spec != nil && cfg.Benchmark != "":
-		return nil, fmt.Errorf("bgp: Benchmark (%q) and Spec (%q) are mutually exclusive",
-			cfg.Benchmark, cfg.Spec.Name)
-	case cfg.Spec != nil:
-		spec := cfg.Spec
-		build = func(c nas.Config) (*nas.App, error) { return workload.Build(spec, c) }
-	default:
-		b, err := nas.ByName(cfg.Benchmark)
-		if err != nil {
-			return nil, err
-		}
-		ranks = b.RanksFor(cfg.Ranks)
-		build = b.Build
+	src, _, err := ResolveWorkload(cfg)
+	if err != nil {
+		return nil, err
 	}
 	cache := cfg.ProgCache
 	if cache == nil && !cfg.NoProgCache {
@@ -315,8 +333,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		cache = nil
 	}
 	var progHits, progMisses uint64
-	app, err := build(nas.Config{
-		Class: cfg.Class, Ranks: ranks, Opts: cfg.Opts, Cache: cache,
+	app, err := src.Build(nas.Config{
+		Class: cfg.Class, Ranks: src.RanksFor(cfg.Ranks), Opts: cfg.Opts, Cache: cache,
 		OnCompile: func(hit bool) {
 			if hit {
 				progHits++
@@ -328,7 +346,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	label := fmt.Sprintf("%s.%s %s %v x%d", runName(cfg), cfg.Class, cfg.Opts, cfg.Mode, app.Ranks)
+	label := fmt.Sprintf("%s.%s %s %v x%d", src.Name, cfg.Class, cfg.Opts, cfg.Mode, app.Ranks)
 	observePhase(cfg.Observer, label, obs.PhaseCompile, start)
 
 	start = time.Now()

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -405,5 +406,120 @@ func TestRunKeyDistinguishesConfigs(t *testing.T) {
 	withDump.DumpDir = "/somewhere/else"
 	if bgp.RunKey(0, cases[0]) != bgp.RunKey(0, withDump) {
 		t.Error("DumpDir perturbs the checkpoint key; resume would re-run everything")
+	}
+	// Two valid wire configurations that met at the 32-bit key's birthday
+	// bound (both hashed to run0000-fa7d2d4e): the key is bgpd's flight key
+	// and job-id input, so a shared key served one run's results for the
+	// other.
+	a := bgp.RunConfig{Benchmark: "ep", Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM, L3Bytes: 158076928}
+	b := a
+	b.L3Bytes = 270209024
+	if bgp.RunKey(0, a) == bgp.RunKey(0, b) {
+		t.Errorf("l3=%d and l3=%d share checkpoint key %s", a.L3Bytes, b.L3Bytes, bgp.RunKey(0, a))
+	}
+}
+
+// TestSequentialSweepsShareCheckpointDir is bgpreport's shape: one sweep per
+// figure, each its own RunAll on the one CheckpointDir, none of them with
+// Resume. Every sweep's runs must stay committed — the directory indexes
+// itself entry by entry, so a later sweep cannot drop an earlier one's — and
+// a following Resume pass of any of them restores every run. A manifest left
+// behind by an older layout is neither read nor rewritten.
+func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
+	cases := determinismCases()
+	first, second := cases[3:], cases[:2]
+	ckptDir := t.TempDir()
+	stale := filepath.Join(ckptDir, "MANIFEST.json")
+	staleBytes := []byte(`{"version":2,"entries":{"run0000-fa7d2d4e":{"config":"x","files":[]}}}`)
+	if err := os.WriteFile(stale, staleBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfgs := range [][]bgp.RunConfig{first, second} {
+		if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{Workers: 2, CheckpointDir: ckptDir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := bgp.OpenCheckpointStore(ckptDir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 3 {
+		t.Errorf("store holds %d committed runs after two sequential sweeps, want 3", n)
+	}
+	for _, cfgs := range [][]bgp.RunConfig{first, second} {
+		var restored atomic.Int64
+		if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
+			Workers: 2, CheckpointDir: ckptDir, Resume: true,
+			OnRestore: func(int) { restored.Add(1) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if r := restored.Load(); r != int64(len(cfgs)) {
+			t.Errorf("resume restored %d of %d runs", r, len(cfgs))
+		}
+	}
+	if got, err := os.ReadFile(stale); err != nil || !bytes.Equal(got, staleBytes) {
+		t.Errorf("stale MANIFEST.json was touched: %q, %v", got, err)
+	}
+}
+
+// TestConcurrentStoresShareDirectory pins (under -race in CI) that the store
+// has no shared index to lose: two independently opened handles persisting
+// disjoint keys at the same time, plus two writers of one key, leave every
+// entry committed and restorable.
+func TestConcurrentStoresShareDirectory(t *testing.T) {
+	cfg := determinismCases()[3]
+	res, err := bgp.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const perWriter = 8
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			store, err := bgp.OpenCheckpointStore(dir, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < perWriter; i++ {
+				for _, key := range []string{fmt.Sprintf("writer%d-%02d", w, i), "shared"} {
+					if err := store.Persist(key, cfg, res); err != nil {
+						t.Errorf("writer %d: persisting %s: %v", w, key, err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	store, err := bgp.OpenCheckpointStore(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := store.Len(), 2*perWriter+1; n != want {
+		t.Errorf("store holds %d committed entries, want %d", n, want)
+	}
+	keys := []string{"shared"}
+	for w := 0; w < 2; w++ {
+		for i := 0; i < perWriter; i++ {
+			keys = append(keys, fmt.Sprintf("writer%d-%02d", w, i))
+		}
+	}
+	for _, key := range keys {
+		got := store.Restore(key, cfg)
+		if got == nil {
+			t.Errorf("entry %s does not restore", key)
+			continue
+		}
+		if !reflect.DeepEqual(got.Metrics, res.Metrics) {
+			t.Errorf("entry %s restores different metrics", key)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*", "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
 	}
 }

@@ -66,7 +66,7 @@ func TestExecutionKnobsExcludedFromRunKey(t *testing.T) {
 		name := typ.Field(i).Name
 		if identityFields[name] == executionFields[name] {
 			t.Errorf("RunConfig.%s must be in exactly one table: identityFields if it changes what is "+
-				"simulated (then also render it in fingerprint and bump manifestVersion), "+
+				"simulated (then also render it in fingerprint and bump entryVersion), "+
 				"executionFields if it only changes how the host runs or observes it", name)
 			continue
 		}

@@ -1,57 +1,55 @@
 package bgp
 
-// Sweep checkpointing: each completed run's CRC'd dump set is persisted
-// under a run directory together with an atomic manifest, so an interrupted
-// or partially-failed sweep can be resumed — runs whose manifest entry
+// Sweep checkpointing: each completed run's CRC'd dump set is persisted in
+// its own directory, dir/<RunKey>/, together with one small entry record, so
+// an interrupted or partially-failed sweep can be resumed — runs whose entry
 // validates are restored from their dumps (the derived analysis and metrics
 // are recomputed, which is exact because they are pure functions of the
 // dumps), and runs with missing, mismatched or corrupt artifacts re-execute.
 //
-// The manifest commits with write-temp + rename after every run, so a crash
-// at any point leaves either the previous manifest or the new one, never a
-// torn file; dump files are written the same way. File stamps (size +
-// CRC32) are computed from the pristine encoded bytes *before* the bytes
-// reach the disk write path, so corruption injected on (or occurring during)
-// the write is caught by resume validation rather than silently trusted.
+// The entry record is written last, after every dump file, and each file
+// lands by write-temp + rename: the record's rename is the commit point, so a
+// crash at any moment leaves a run either committed or absent, never torn.
+// The directory is its own index — nothing is held in memory and nothing is
+// shared between entries, so any number of stores, sweeps and processes may
+// write one directory at once. File stamps (size + CRC32) are computed from
+// the pristine encoded bytes *before* the bytes reach the disk write path, so
+// corruption injected on (or occurring during) the write is caught by resume
+// validation rather than silently trusted.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"bgpsim/internal/bgpctr"
 	"bgpsim/internal/postproc"
 )
 
-// ManifestName is the checkpoint manifest file name inside a checkpoint
-// directory.
-const ManifestName = "MANIFEST.json"
+// entryName is the per-run commit record's file name inside dir/<RunKey>/.
+const entryName = "ENTRY.json"
 
-// manifestVersion is the current manifest schema version. It also versions
-// the fingerprint rendering below, which entry keys and Config stamps derive
-// from: version 2 is the explicit identity-field list, so a version-1
-// manifest loads as empty and its runs re-execute.
-const manifestVersion = 2
+// entryVersion is the current entry-record schema version. It also versions
+// the fingerprint rendering and the RunKey derivation below: version 3 is the
+// per-entry layout keyed by a 128-bit sha256 prefix. Directories written by
+// earlier versions (a whole-directory MANIFEST.json, 32-bit keys) hold no
+// version-3 record, so they are ignored and their runs re-execute; the stale
+// MANIFEST.json is neither read nor written.
+const entryVersion = 3
 
-// manifest is the on-disk index of a checkpoint directory.
-type manifest struct {
-	Version int                      `json:"version"`
-	Entries map[string]manifestEntry `json:"entries"`
-}
-
-// manifestEntry records one completed run: its configuration fingerprint,
-// resolved identity, and the stamps of its dump files.
-type manifestEntry struct {
-	Config string      `json:"config"`
-	Label  string      `json:"label"`
-	Ranks  int         `json:"ranks"`
-	Nodes  int         `json:"nodes"`
-	Files  []fileStamp `json:"files"`
+// entry is the commit record of one completed run: its configuration
+// fingerprint, resolved identity, and the stamps of its dump files.
+type entry struct {
+	Version int         `json:"version"`
+	Config  string      `json:"config"`
+	Label   string      `json:"label"`
+	Ranks   int         `json:"ranks"`
+	Nodes   int         `json:"nodes"`
+	Files   []fileStamp `json:"files"`
 }
 
 // fileStamp validates one dump file byte-for-byte.
@@ -62,16 +60,17 @@ type fileStamp struct {
 }
 
 // RunKey is the checkpoint key of run index with configuration cfg: the
-// sweep position plus a fingerprint hash, so distinct sweeps sharing a
-// checkpoint directory (bgpreport runs every figure against one) never
-// collide, while re-launching the same sweep maps onto the same entries.
-// Content-addressed callers (the bgpd daemon) always use index 0, so the
-// key depends on the configuration alone and identical submissions from
-// different jobs map onto the same entry.
+// sweep position plus 128 bits of the fingerprint's sha256, so distinct
+// sweeps sharing a checkpoint directory (bgpreport runs every figure against
+// one) never collide, while re-launching the same sweep maps onto the same
+// entries. Content-addressed callers (the bgpd daemon) always use index 0,
+// so the key depends on the configuration alone and identical submissions
+// from different jobs map onto the same entry; the key is bgpd's flight key
+// and the input of its job ids, so its width is what keeps two distinct
+// submissions from ever answering for each other.
 func RunKey(index int, cfg RunConfig) string {
-	h := fnv.New32a()
-	h.Write([]byte(fingerprint(cfg)))
-	return fmt.Sprintf("run%04d-%08x", index, h.Sum32())
+	sum := sha256.Sum256([]byte(fingerprint(cfg)))
+	return fmt.Sprintf("run%04d-%x", index, sum[:16])
 }
 
 // fingerprint is the canonical identity of a run: a fixed-order rendering of
@@ -84,93 +83,73 @@ func RunKey(index int, cfg RunConfig) string {
 // Enumerations render as their numeric values, so a renamed String method
 // does not move keys either.
 //
-// A workload spec is rendered as its own canonical sha256 fingerprint: the
-// content hash makes runs of distinct specs provably distinct and runs of
-// equal specs equal, regardless of which decoded copy the caller holds.
+// The workload renders as its resolved source (ResolveWorkload): the
+// registry's canonical benchmark name, or the spec's name plus its content
+// hash.
 //
 // A new RunConfig field that changes what is simulated must be added here
 // (TestExecutionKnobsExcludedFromRunKey fails until it is classified), with
-// a manifestVersion bump to retire the keys rendered without it.
+// an entryVersion bump to retire the keys rendered without it.
 func fingerprint(cfg RunConfig) string {
-	spec := ""
-	if cfg.Spec != nil {
-		spec = cfg.Spec.Fingerprint()
-	}
+	src, id, _ := ResolveWorkload(cfg)
 	return fmt.Sprintf("bench=%q spec=%s class=%d ranks=%d mode=%d opt=%d/%t nodes=%d l3=%d l2pf=%d l3pf=%d interp=%t slice=%d timeline=%d/%q",
-		cfg.Benchmark, spec, cfg.Class, cfg.Ranks, cfg.Mode, cfg.Opts.Level, cfg.Opts.Arch440d,
+		src.Name, id, cfg.Class, cfg.Ranks, cfg.Mode, cfg.Opts.Level, cfg.Opts.Arch440d,
 		cfg.Nodes, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth,
 		cfg.Interpreter, cfg.SliceCycles, cfg.TimelineInterval, cfg.TimelineEvents)
 }
 
-// CheckpointStore manages one checkpoint directory. A store is safe for
-// concurrent use, and — because the manifest lives in the store's memory
-// between commits — one open store must be shared by everything writing to
-// a directory at the same time: two independently opened stores on one
-// directory would each commit their own manifest view and lose the other's
-// entries. RunAll sweeps sharing a directory concurrently therefore pass
-// the same store via SweepConfig.Checkpoint (the bgpd daemon runs this way
-// for its whole lifetime); sequential sweeps may keep using CheckpointDir,
-// which opens a store per call.
+// CheckpointStore is a handle on one checkpoint directory. It holds no state
+// beyond the path: every entry is self-describing on disk, so handles are
+// free to open, safe for concurrent use, and independent of each other —
+// two stores (or two processes) persisting into one directory never lose
+// each other's entries.
 type CheckpointStore struct {
 	dir string
-
-	mu sync.Mutex
-	m  manifest
+	// mutate, when non-nil, transforms each dump file's bytes after the
+	// stamps are computed — the fault injector's write-path corruption hook
+	// (RunAll sets it on a per-attempt copy of the handle); resume
+	// validation is what must catch the damage.
+	mutate func(name string, blob []byte) []byte
 }
 
-// OpenCheckpointStore creates (or, when resume is set, loads) the
-// checkpoint store at dir. A missing or unreadable manifest loads as empty
-// — every run simply re-executes.
+// OpenCheckpointStore creates the checkpoint directory if need be and returns
+// a handle on it. resume is ignored — whether valid entries are restored or
+// re-executed is the caller's choice per run (SweepConfig.Resume), not a
+// property of the handle.
 func OpenCheckpointStore(dir string, resume bool) (*CheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bgp: creating checkpoint dir: %w", err)
 	}
-	c := &CheckpointStore{dir: dir, m: manifest{Version: manifestVersion, Entries: map[string]manifestEntry{}}}
-	if !resume {
-		return c, nil
-	}
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return c, nil
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil || m.Version != manifestVersion || m.Entries == nil {
-		return c, nil
-	}
-	c.m = m
-	return c, nil
+	return &CheckpointStore{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (c *CheckpointStore) Dir() string { return c.dir }
-
-// Len returns the number of manifest entries currently indexed.
+// Len returns the number of committed entries, by scanning the directory.
 func (c *CheckpointStore) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m.Entries)
+	dirs, _ := os.ReadDir(c.dir)
+	n := 0
+	for _, d := range dirs {
+		if _, ok := c.entry(d.Name()); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// entry reads key's commit record; ok is false when the run was never
+// committed or the record is of another version.
+func (c *CheckpointStore) entry(key string) (e entry, ok bool) {
+	data, err := os.ReadFile(filepath.Join(c.dir, key, entryName))
+	if err != nil || json.Unmarshal(data, &e) != nil {
+		return e, false
+	}
+	return e, e.Version == entryVersion
 }
 
 // Restore rebuilds the Result checkpointed under key, or returns nil when
 // the entry is absent, stamped for a different configuration, or any
 // artifact is missing or corrupt — in which case the caller re-executes.
 func (c *CheckpointStore) Restore(key string, cfg RunConfig) *Result {
-	return c.restore(key, cfg)
-}
-
-// Persist writes res's dump files under the store and commits its manifest
-// entry atomically.
-func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error {
-	return c.persist(key, cfg, res, nil)
-}
-
-// restore rebuilds the Result of a checkpointed run, or returns nil when the
-// entry is absent, stamped for a different configuration, or any artifact is
-// missing or corrupt — in which case the caller re-executes the run.
-func (c *CheckpointStore) restore(key string, cfg RunConfig) *Result {
-	c.mu.Lock()
-	e, ok := c.m.Entries[key]
-	c.mu.Unlock()
+	e, ok := c.entry(key)
 	if !ok || e.Config != fingerprint(cfg) || len(e.Files) == 0 {
 		return nil
 	}
@@ -204,20 +183,19 @@ func (c *CheckpointStore) restore(key string, cfg RunConfig) *Result {
 	}
 }
 
-// persist writes the run's dump files under dir/key/ and commits its
-// manifest entry atomically. mutate, when non-nil, transforms each file's
-// bytes after the stamps are computed — the fault injector's write-path
-// corruption hook; resume validation is what must catch the damage.
-func (c *CheckpointStore) persist(key string, cfg RunConfig, res *Result, mutate func(name string, blob []byte) []byte) error {
+// Persist writes res's dump files under dir/key/ and then commits the run by
+// writing its entry record.
+func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error {
 	runDir := filepath.Join(c.dir, key)
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
 		return err
 	}
-	entry := manifestEntry{
-		Config: fingerprint(cfg),
-		Label:  res.Label,
-		Ranks:  res.Config.Ranks,
-		Nodes:  res.Config.Nodes,
+	e := entry{
+		Version: entryVersion,
+		Config:  fingerprint(cfg),
+		Label:   res.Label,
+		Ranks:   res.Config.Ranks,
+		Nodes:   res.Config.Nodes,
 	}
 	for _, d := range res.Dumps {
 		var buf bytes.Buffer
@@ -226,34 +204,47 @@ func (c *CheckpointStore) persist(key string, cfg RunConfig, res *Result, mutate
 		}
 		blob := buf.Bytes()
 		name := fmt.Sprintf("node%04d.bgpc", d.NodeID)
-		entry.Files = append(entry.Files, fileStamp{
+		e.Files = append(e.Files, fileStamp{
 			Name:  name,
 			Size:  int64(len(blob)),
 			CRC32: crc32.ChecksumIEEE(blob),
 		})
-		if mutate != nil {
-			blob = mutate(name, append([]byte(nil), blob...))
+		if c.mutate != nil {
+			blob = c.mutate(name, append([]byte(nil), blob...))
 		}
 		if err := writeFileAtomic(filepath.Join(runDir, name), blob); err != nil {
 			return err
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m.Entries[key] = entry
-	data, err := json.MarshalIndent(&c.m, "", "  ")
+	data, err := json.Marshal(&e)
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(c.dir, ManifestName), data)
+	return writeFileAtomic(filepath.Join(runDir, entryName), data)
 }
 
-// writeFileAtomic writes data via a temporary file and rename, so readers
-// and crashes see either the old contents or the new, never a torn write.
+// writeFileAtomic writes data via a uniquely named temporary file and
+// rename, so readers and crashes see either the old contents or the new,
+// never a torn write, and two writers of one name (content-identical by
+// construction: the key is the content's address) cannot interleave.
 func writeFileAtomic(name string, data []byte) error {
-	tmp := name + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, name)
+	// CreateTemp makes the file private; checkpoints are as readable as the
+	// dumps a run writes itself.
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), name)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

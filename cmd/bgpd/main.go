@@ -21,9 +21,14 @@
 // are content-addressed and safely shared: re-submitting an identical spec
 // — by any tenant — returns the persisted result without re-simulating,
 // and concurrent submissions of the same configuration coalesce onto one
-// in-flight simulation. The checkpoint directory is the durable tier: a
-// restarted daemon rescans MANIFEST.json and keeps serving previously
-// completed work, and the write-ahead job journal (JOURNAL.wal in the same
+// in-flight simulation. The checkpoint directory is the durable tier: each
+// completed run lives in its own <RunKey>/ directory, committed by its
+// ENTRY.json record (entry version 3), so a restarted daemon keeps serving
+// previously completed work with nothing to rescan. Directories written
+// before version 3 are ignored — their runs re-execute, a stale
+// MANIFEST.json is neither read nor written, and jobs journaled under the
+// old ids are dropped at replay (server.journal.recovery_failed). The
+// write-ahead job journal (JOURNAL.wal in the same
 // directory) replays accepted-but-unfinished jobs after a crash — kill -9
 // the daemon mid-sweep, restart it on the same -checkpoint, and the same
 // job ids converge to the same byte-identical results. The /metrics
@@ -95,7 +100,7 @@ func run() int {
 		return 1
 	}
 	defer s.Close()
-	log.Printf("checkpoint store %s: %d completed runs indexed", checkpoint, s.Store().Len())
+	log.Printf("checkpoint store %s: %d completed runs", checkpoint, s.Store().Len())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)

@@ -117,34 +117,25 @@ func run() int {
 		fmt.Fprintln(w)
 		return nil
 	})
-	step("figures 7-8", func() error {
-		for _, t := range []struct{ bench, figure string }{
-			{"ft", "Figure 7"}, {"mg", "Figure 8"},
-		} {
-			pts, err := experiments.CompilerSweep(t.bench, s)
-			if err != nil {
-				return err
-			}
-			experiments.RenderCompilerSIMD(w, t.bench, pts, t.figure)
-			fmt.Fprintln(w)
+	// One eight-kernel compiler sweep serves all four figures, sliced the way
+	// experiments.GoldenFigures slices it.
+	step("figures 7-10", func() error {
+		rows, err := experiments.Fig910ExecTimes(experiments.SuiteNames(), s)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	step("figures 9-10", func() error {
-		for _, t := range []struct {
-			names  []string
-			figure string
-		}{
-			{experiments.SuiteNames()[:4], "Figure 9"},
-			{experiments.SuiteNames()[4:], "Figure 10"},
-		} {
-			rows, err := experiments.Fig910ExecTimes(t.names, s)
-			if err != nil {
-				return err
-			}
-			experiments.RenderExecTimes(w, rows, t.figure)
-			fmt.Fprintln(w)
+		points := make(map[string][]experiments.CompilerPoint, len(rows))
+		for _, r := range rows {
+			points[r.Benchmark] = r.Points
 		}
+		experiments.RenderCompilerSIMD(w, "ft", points["ft"], "Figure 7")
+		fmt.Fprintln(w)
+		experiments.RenderCompilerSIMD(w, "mg", points["mg"], "Figure 8")
+		fmt.Fprintln(w)
+		experiments.RenderExecTimes(w, rows[:4], "Figure 9")
+		fmt.Fprintln(w)
+		experiments.RenderExecTimes(w, rows[4:], "Figure 10")
+		fmt.Fprintln(w)
 		return nil
 	})
 	step("figure 11", func() error {

@@ -38,7 +38,6 @@ import (
 	bgp "bgpsim"
 	"bgpsim/internal/cliflags"
 	"bgpsim/internal/experiments"
-	"bgpsim/internal/machine"
 	"bgpsim/internal/postproc"
 	"bgpsim/internal/sweep"
 )
@@ -92,10 +91,23 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	opMode, err := parseMode(*mode)
+	opMode, err := bgp.ParseMode(*mode)
 	if err != nil {
 		log.Print(err)
 		return 1
+	}
+
+	// What every run shares.
+	base := bgp.RunConfig{Class: cls, Ranks: *ranks, Mode: opMode, Opts: opts, Nodes: *nodes, DumpDir: *dumpDir}
+	switch {
+	case *l3MB == 0:
+		base.L3Bytes = -1
+	case *l3MB > 0:
+		base.L3Bytes = *l3MB << 20
+	}
+	if *timeline != "" {
+		base.TimelineInterval = *tlEvery
+		base.TimelineEvents = strings.Split(*tlEvents, ",")
 	}
 
 	// The run list: NAS benchmarks by name, workload specs by file. A
@@ -107,69 +119,46 @@ func run() int {
 			benchSet = true
 		}
 	})
-	var names []string
-	var specs []*bgp.WorkloadSpec
+	var cfgs []bgp.RunConfig
 	if benchSet {
+		names := strings.Split(*bench, ",")
 		if strings.EqualFold(strings.TrimSpace(*bench), "all") {
 			names = bgp.Benchmarks()
-		} else {
-			for _, b := range strings.Split(*bench, ",") {
-				names = append(names, strings.ToLower(strings.TrimSpace(b)))
-			}
 		}
-		specs = make([]*bgp.WorkloadSpec, len(names))
+		for _, b := range names {
+			cfg := base
+			cfg.Benchmark = strings.ToLower(strings.TrimSpace(b))
+			cfgs = append(cfgs, cfg)
+		}
 	}
 	if *specFiles != "" {
 		for _, path := range strings.Split(*specFiles, ",") {
-			spec, err := bgp.LoadWorkloadSpec(strings.TrimSpace(path))
-			if err != nil {
+			cfg := base
+			if cfg.Spec, err = bgp.LoadWorkloadSpec(strings.TrimSpace(path)); err != nil {
 				log.Print(err)
 				return 1
 			}
-			names = append(names, spec.Name)
-			specs = append(specs, spec)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	if *timeline != "" && len(names) > 1 {
+	if *timeline != "" && len(cfgs) > 1 {
 		log.Print("-timeline supports a single benchmark")
 		return 1
 	}
-
-	cfgs := make([]bgp.RunConfig, len(names))
-	for i, name := range names {
-		cfg := bgp.RunConfig{
-			Class:   cls,
-			Ranks:   *ranks,
-			Mode:    opMode,
-			Opts:    opts,
-			Nodes:   *nodes,
-			DumpDir: *dumpDir,
-		}
-		if specs[i] != nil {
-			cfg.Spec = specs[i]
-		} else {
-			cfg.Benchmark = name
-		}
-		switch {
-		case *l3MB == 0:
-			cfg.L3Bytes = -1
-		case *l3MB > 0:
-			cfg.L3Bytes = *l3MB << 20
-		}
-		if *dumpDir != "" {
-			if len(names) > 1 {
-				cfg.DumpDir = filepath.Join(*dumpDir, name)
+	if *dumpDir != "" {
+		for i := range cfgs {
+			if len(cfgs) > 1 {
+				// Each run dumps into a subdirectory named after its workload.
+				// A name the resolver rejects still names one; that run fails
+				// in RunAll, which reports its position.
+				src, _, _ := bgp.ResolveWorkload(cfgs[i])
+				cfgs[i].DumpDir = filepath.Join(*dumpDir, src.Name)
 			}
-			if err := os.MkdirAll(cfg.DumpDir, 0o755); err != nil {
+			if err := os.MkdirAll(cfgs[i].DumpDir, 0o755); err != nil {
 				log.Print(err)
 				return 1
 			}
 		}
-		if *timeline != "" {
-			cfg.TimelineInterval = *tlEvery
-			cfg.TimelineEvents = strings.Split(*tlEvents, ",")
-		}
-		cfgs[i] = cfg
 	}
 
 	s.Stamp(cfgs)
@@ -264,18 +253,4 @@ func printRun(res *bgp.Result, dumpDir string) {
 	if dumpDir != "" {
 		fmt.Printf("dumps:            %d files in %s\n", len(res.Dumps), dumpDir)
 	}
-}
-
-func parseMode(s string) (machine.OpMode, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "SMP1", "SMP/1", "SMP":
-		return machine.SMP1, nil
-	case "SMP4", "SMP/4":
-		return machine.SMP4, nil
-	case "DUAL":
-		return machine.Dual, nil
-	case "VNM", "VN":
-		return machine.VNM, nil
-	}
-	return 0, fmt.Errorf("unknown operating mode %q", s)
 }

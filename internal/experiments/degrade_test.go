@@ -75,8 +75,8 @@ func TestFigureRendersPartialCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Destroy one run's dump files (keep the manifest entry: validation,
-	// not bookkeeping, must catch it).
+	// Destroy one run's dump files (keep its entry record: validation, not
+	// bookkeeping, must catch it).
 	ents, err := os.ReadDir(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,14 @@ func TestFigureRendersPartialCheckpoint(t *testing.T) {
 	if victim == "" {
 		t.Fatal("checkpoint has no run directories")
 	}
-	if err := os.RemoveAll(filepath.Join(ckpt, victim)); err != nil {
-		t.Fatal(err)
+	dumps, err := filepath.Glob(filepath.Join(ckpt, victim, "*.bgpc"))
+	if err != nil || len(dumps) == 0 {
+		t.Fatalf("run directory %s has no dump files (%v)", victim, err)
+	}
+	for _, name := range dumps {
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	ms := &MissingSet{}

@@ -10,6 +10,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 
 	"bgpsim/internal/collective"
 	"bgpsim/internal/node"
@@ -40,6 +41,23 @@ func (m OpMode) String() string {
 		return opModeNames[m]
 	}
 	return fmt.Sprintf("OpMode(%d)", uint8(m))
+}
+
+// ParseMode parses an operating-mode spelling: the paper's names
+// ("SMP/1", "SMP/4", "DUAL", "VNM") or their slash-less and short forms, in
+// any case.
+func ParseMode(s string) (OpMode, error) {
+	switch strings.ToUpper(strings.TrimSpace(s)) {
+	case "SMP1", "SMP/1", "SMP":
+		return SMP1, nil
+	case "SMP4", "SMP/4":
+		return SMP4, nil
+	case "DUAL":
+		return Dual, nil
+	case "VNM", "VN":
+		return VNM, nil
+	}
+	return 0, fmt.Errorf("unknown operating mode %q", s)
 }
 
 // RanksPerNode returns the number of MPI processes per node in this mode.

@@ -147,3 +147,19 @@ func TestBadNodeCountPanics(t *testing.T) {
 	}()
 	New(0, SMP1, DefaultParams())
 }
+
+func TestParseMode(t *testing.T) {
+	for _, mode := range []OpMode{SMP1, SMP4, Dual, VNM} {
+		if got, err := ParseMode(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseMode(%q) = %v, %v", mode.String(), got, err)
+		}
+	}
+	for spelling, want := range map[string]OpMode{"smp": SMP1, " smp4 ": SMP4, "dual": Dual, "vn": VNM} {
+		if got, err := ParseMode(spelling); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v, want %v", spelling, got, err, want)
+		}
+	}
+	if _, err := ParseMode("quad"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	bgp "bgpsim"
 	"bgpsim/internal/server"
 )
 
@@ -72,5 +73,45 @@ func TestConcurrentSameRunKeyCoalesces(t *testing.T) {
 				t.Errorf("tenant %d node %d: dump differs from bgp.Run's", i, node)
 			}
 		}
+	}
+}
+
+// TestKeyNeighboursDoNotShareJobs submits the two valid wire runs that met at
+// the 32-bit RunKey's birthday bound (both keyed run0000-fa7d2d4e, both job
+// job-6608162ee51d5b1b): the job table answered the second submission with
+// the first one's results. They are distinct runs, so they must get distinct
+// job ids, each must simulate, and each must serve its own configuration's
+// dumps.
+func TestKeyNeighboursDoNotShareJobs(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{})
+	var ids [2]string
+	for i, l3 := range []int{158076928, 270209024} {
+		rs := server.RunSpec{Benchmark: "ep", Class: "S", Ranks: 4, Mode: "vnm", L3Bytes: l3}
+		cfg := compileSpec(t, rs)
+		spec := server.JobSpec{Tenant: "anonymous", Runs: []server.RunSpec{rs}}
+		st := submitJob(t, ts.URL, spec)
+		if want := server.JobID(&spec, []bgp.RunConfig{cfg}); st.ID != want {
+			t.Errorf("l3=%d: submitted as %s, JobID says %s", l3, st.ID, want)
+		}
+		st = waitDone(t, ts.URL, st.ID)
+		if st.State != server.StateDone {
+			t.Fatalf("l3=%d: job ended %s: %s", l3, st.State, st.Error)
+		}
+		ids[i] = st.ID
+		for node, want := range goldenDumps(t, cfg) {
+			if got := fetchDump(t, ts.URL, st.ID, 0, node); !bytes.Equal(got, want) {
+				t.Errorf("l3=%d node %d: dump differs from bgp.Run's", l3, node)
+			}
+		}
+	}
+	if ids[0] == ids[1] {
+		t.Errorf("distinct runs share job id %s", ids[0])
+	}
+	snap := s.Registry().Snapshot().Counters
+	if miss := snap[server.MetricCacheMiss]; miss != 2 {
+		t.Errorf("server.cache.miss = %d, want 2: one run answered for the other", miss)
+	}
+	if n := s.Store().Len(); n != 2 {
+		t.Errorf("store holds %d committed runs, want 2", n)
 	}
 }

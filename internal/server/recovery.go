@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	bgp "bgpsim"
 	"bgpsim/internal/journal"
 )
 
@@ -125,25 +124,7 @@ func (s *Server) recoverJob(id string, rj *replayedJob, now time.Time) bool {
 		s.journalRecoveryFailed.Inc()
 		return false
 	}
-	retries := spec.Retries
-	if retries > s.cfg.MaxRetries {
-		retries = s.cfg.MaxRetries
-	}
-	timeout := spec.RunTimeout()
-	if timeout > s.cfg.MaxRunTimeout {
-		timeout = s.cfg.MaxRunTimeout
-	}
-	j := &job{
-		id:         id,
-		tenant:     spec.Tenant,
-		cfgs:       cfgs,
-		retries:    retries,
-		runTimeout: timeout,
-		created:    time.Unix(rj.submit.CreatedUnix, 0),
-		state:      StateQueued,
-		results:    make([]*bgp.Result, len(cfgs)),
-		done:       make(chan struct{}),
-	}
+	j := s.newJob(id, spec, cfgs, time.Unix(rj.submit.CreatedUnix, 0))
 
 	switch rj.state {
 	case StateFailed:

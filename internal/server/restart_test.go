@@ -66,7 +66,7 @@ func TestRestartServesStoreAndResumesInterruptedSweep(t *testing.T) {
 		t.Fatalf("store indexes %d runs after the interrupt, want 1", n)
 	}
 
-	// Fresh instance, same directory: the manifest rescan serves the
+	// Fresh instance, same directory: the committed entry serves the
 	// completed run; the interrupted remainder re-executes.
 	s2, ts2 := newTestServer(t, server.Config{CheckpointDir: ckptDir, NoJournal: true})
 	if n := s2.Store().Len(); n != 1 {

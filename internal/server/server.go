@@ -69,7 +69,7 @@ const (
 )
 
 // JournalFile is the write-ahead job journal's name under CheckpointDir,
-// next to the checkpoint store's MANIFEST.json.
+// next to the checkpoint store's per-run entry directories.
 const JournalFile = "JOURNAL.wal"
 
 // Config parameterizes a Server. The zero value of every field selects a
@@ -175,6 +175,22 @@ type job struct {
 	done       chan struct{} // closed when the job reaches a terminal state
 }
 
+// newJob builds a queued job for a decoded submission, with the spec's
+// resilience knobs clamped to the server's limits.
+func (s *Server) newJob(id string, spec *JobSpec, cfgs []bgp.RunConfig, created time.Time) *job {
+	return &job{
+		id:         id,
+		tenant:     spec.Tenant,
+		cfgs:       cfgs,
+		retries:    min(spec.Retries, s.cfg.MaxRetries),
+		runTimeout: min(spec.RunTimeout(), s.cfg.MaxRunTimeout),
+		created:    created,
+		state:      StateQueued,
+		results:    make([]*bgp.Result, len(cfgs)),
+		done:       make(chan struct{}),
+	}
+}
+
 // admissionError is an admission refusal — per-tenant concurrency or queue
 // overflow — that handlers render as 429. Any other Submit error (a journal
 // append failure) is an internal fault rendered as 500: a submission that
@@ -231,8 +247,9 @@ type Server struct {
 	auditOK, auditMismatch, auditSkipped    *obs.Counter
 }
 
-// New opens the checkpoint store (rescanning any existing manifest, so a
-// restarted daemon serves previously completed work from disk), replays the
+// New opens the checkpoint store (its committed entries are the directory's
+// own index, so a restarted daemon serves previously completed work from
+// disk with nothing to load), replays the
 // write-ahead job journal — re-queuing every job the previous instance left
 // non-terminal — and starts the job workers.
 func New(cfg Config) (*Server, error) {
@@ -339,14 +356,6 @@ func (s *Server) Close() {
 // submission was NOT made durable and was not admitted (500).
 func (s *Server) Submit(spec *JobSpec, cfgs []bgp.RunConfig) (j *job, created bool, err error) {
 	id := JobID(spec, cfgs)
-	retries := spec.Retries
-	if retries > s.cfg.MaxRetries {
-		retries = s.cfg.MaxRetries
-	}
-	timeout := spec.RunTimeout()
-	if timeout > s.cfg.MaxRunTimeout {
-		timeout = s.cfg.MaxRunTimeout
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,17 +381,7 @@ func (s *Server) Submit(spec *JobSpec, cfgs []bgp.RunConfig) (j *job, created bo
 		s.jobsRejected.Inc()
 		return nil, false, admissionErrf("job queue full (%d queued)", len(s.pending))
 	}
-	j = &job{
-		id:         id,
-		tenant:     spec.Tenant,
-		cfgs:       cfgs,
-		retries:    retries,
-		runTimeout: timeout,
-		created:    time.Now(),
-		state:      StateQueued,
-		results:    make([]*bgp.Result, len(cfgs)),
-		done:       make(chan struct{}),
-	}
+	j = s.newJob(id, spec, cfgs, time.Now())
 	// Write-ahead: the submission reaches the disk before the caller sees
 	// its 202, so an accepted job survives any later crash.
 	if s.jnl != nil {
@@ -606,7 +605,7 @@ func (s *Server) resolve(ctx context.Context, cfg bgp.RunConfig, retries int, ru
 }
 
 // build resolves a flight: store restore first, then a bounded, fully
-// resilient single-run sweep that persists into the shared store. The
+// resilient single-run sweep that persists into the store's directory. The
 // returned bool reports a store hit (no simulation executed).
 func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retries int, runTimeout time.Duration) (*bgp.Result, bool, error) {
 	if res := s.store.Restore(key, cfg); res != nil {
@@ -623,12 +622,12 @@ func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retri
 	}
 	defer func() { <-s.runSem }()
 	results, err := bgp.RunAll(ctx, []bgp.RunConfig{cfg}, bgp.SweepConfig{
-		Workers:    1,
-		Checkpoint: s.store,
-		Retries:    retries,
-		RunTimeout: runTimeout,
-		Faults:     s.cfg.Faults,
-		Observer:   s.observer,
+		Workers:       1,
+		CheckpointDir: s.cfg.CheckpointDir,
+		Retries:       retries,
+		RunTimeout:    runTimeout,
+		Faults:        s.cfg.Faults,
+		Observer:      s.observer,
 	})
 	if err != nil {
 		return nil, false, err

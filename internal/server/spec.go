@@ -7,8 +7,9 @@
 // configuration. The durable tier is the CRC-stamped checkpoint store from
 // the batch sweeps: a submitted run whose fingerprint already has a valid
 // dump set on disk is restored instead of simulated, which also makes the
-// daemon restartable — a fresh instance rescans MANIFEST.json and serves
-// previously completed work without re-simulating. The in-flight tier is a
+// daemon restartable — every run directory carries its own commit record
+// (ENTRY.json, entry version 3), so a fresh instance finds previously
+// completed work by key with nothing to rescan or load. The in-flight tier is a
 // flight table, the build-once primitive of the shared store (internal/cas):
 // concurrent submissions of the same fingerprint coalesce onto one running
 // simulation, and every waiter receives the one result. Dumps are
@@ -23,11 +24,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	bgp "bgpsim"
-	"bgpsim/internal/machine"
 )
 
 // Spec limits. MaxRunsPerJob bounds the fan-out of one sweep submission;
@@ -107,51 +106,31 @@ func specErrf(format string, args ...any) error {
 	return &SpecError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// knownBenchmarks caches the suite's benchmark names for validation.
-var knownBenchmarks = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, name := range bgp.Benchmarks() {
-		m[name] = true
-	}
-	return m
-}()
-
-// parseOpMode maps the wire spelling of an operating mode.
-func parseOpMode(s string) (bgp.OpMode, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "SMP1", "SMP/1", "SMP":
-		return machine.SMP1, nil
-	case "SMP4", "SMP/4":
-		return machine.SMP4, nil
-	case "DUAL":
-		return machine.Dual, nil
-	case "VNM", "VN":
-		return machine.VNM, nil
-	}
-	return 0, fmt.Errorf("unknown operating mode %q", s)
-}
-
 // Compile validates one run spec and lowers it to a RunConfig.
 func (rs RunSpec) Compile() (bgp.RunConfig, error) {
-	var cfg bgp.RunConfig
-	var workload *bgp.WorkloadSpec
-	switch {
-	case rs.Workload != "" && rs.Benchmark != "":
-		return cfg, specErrf("benchmark and workload are mutually exclusive")
-	case rs.Workload != "":
+	cfg := bgp.RunConfig{
+		Benchmark:       rs.Benchmark,
+		Ranks:           rs.Ranks,
+		Nodes:           rs.Nodes,
+		L3Bytes:         rs.L3Bytes,
+		L2PrefetchDepth: rs.L2PrefetchDepth,
+		L3PrefetchDepth: rs.L3PrefetchDepth,
+	}
+	var err error
+	if rs.Workload != "" {
 		if len(rs.Workload) > MaxWorkloadBytes {
 			return cfg, specErrf("workload spec is %d bytes, limit is %d", len(rs.Workload), MaxWorkloadBytes)
 		}
-		w, err := bgp.ParseWorkloadSpec([]byte(rs.Workload))
-		if err != nil {
+		if cfg.Spec, err = bgp.ParseWorkloadSpec([]byte(rs.Workload)); err != nil {
 			return cfg, &SpecError{Reason: fmt.Sprintf("workload: %v", err), Err: err}
 		}
-		workload = w
-	case !knownBenchmarks[rs.Benchmark]:
-		return cfg, specErrf("unknown benchmark %q (have %s)", rs.Benchmark, strings.Join(bgp.Benchmarks(), ", "))
 	}
-	class, err := bgp.ParseClass(rs.Class)
-	if err != nil {
+	// Which of the two the run names, whether it exists and whether both
+	// were given is the resolver's call, the same one Run makes.
+	if _, _, err = bgp.ResolveWorkload(cfg); err != nil {
+		return cfg, specErrf("%v", err)
+	}
+	if cfg.Class, err = bgp.ParseClass(rs.Class); err != nil {
 		return cfg, specErrf("class: %v", err)
 	}
 	if rs.Ranks <= 0 {
@@ -160,12 +139,10 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	if rs.Ranks > MaxRanks {
 		return cfg, specErrf("rank count %d exceeds the %d limit", rs.Ranks, MaxRanks)
 	}
-	mode, err := parseOpMode(rs.Mode)
-	if err != nil {
+	if cfg.Mode, err = bgp.ParseMode(rs.Mode); err != nil {
 		return cfg, specErrf("mode: %v", err)
 	}
-	opts, err := bgp.ParseOptions(rs.Opts)
-	if err != nil {
+	if cfg.Opts, err = bgp.ParseOptions(rs.Opts); err != nil {
 		return cfg, specErrf("opts: %v", err)
 	}
 	if rs.Nodes < 0 {
@@ -174,18 +151,7 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	if rs.Nodes > MaxRanks {
 		return cfg, specErrf("node count %d exceeds the %d limit", rs.Nodes, MaxRanks)
 	}
-	return bgp.RunConfig{
-		Benchmark:       rs.Benchmark,
-		Spec:            workload,
-		Class:           class,
-		Ranks:           rs.Ranks,
-		Mode:            mode,
-		Opts:            opts,
-		Nodes:           rs.Nodes,
-		L3Bytes:         rs.L3Bytes,
-		L2PrefetchDepth: rs.L2PrefetchDepth,
-		L3PrefetchDepth: rs.L3PrefetchDepth,
-	}, nil
+	return cfg, nil
 }
 
 // DecodeJobSpec reads and validates one job submission. The decode is

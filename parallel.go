@@ -63,16 +63,12 @@ type SweepConfig struct {
 	ContinueOnError bool
 
 	// CheckpointDir, when non-empty, persists each completed run's CRC'd
-	// dump set under a per-run directory there, committing an atomic
-	// manifest after every run.
+	// dump set under a per-run directory there, committed by the run's own
+	// entry record. Entries are independent, so any number of sweeps —
+	// sequential or concurrent, in one process or several — may share a
+	// directory.
 	CheckpointDir string
-	// Checkpoint, when non-nil, is an already-open store to persist into,
-	// taking precedence over CheckpointDir. Concurrent RunAll calls
-	// sharing one directory must share one store (each call opening its
-	// own would commit competing manifest views and lose entries); the
-	// bgpd daemon holds one store for its lifetime and passes it here.
-	Checkpoint *CheckpointStore
-	// Resume restores runs whose manifest entry validates (configuration
+	// Resume restores runs whose entry record validates (configuration
 	// fingerprint, file sizes and CRCs all match) instead of re-executing
 	// them; runs with missing or corrupt artifacts re-run. Restored
 	// results carry no Timeline.
@@ -144,11 +140,10 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			}
 		}
 	}
-	ckpt := sc.Checkpoint
-	if ckpt == nil && sc.CheckpointDir != "" {
+	var ckpt *CheckpointStore
+	if sc.CheckpointDir != "" {
 		var err error
-		ckpt, err = OpenCheckpointStore(sc.CheckpointDir, sc.Resume || sc.ResumeOnly)
-		if err != nil {
+		if ckpt, err = OpenCheckpointStore(sc.CheckpointDir, false); err != nil {
 			return nil, err
 		}
 	}
@@ -161,7 +156,7 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			cfg.Observer = sc.Observer
 		}
 		if ckpt != nil && (sc.Resume || sc.ResumeOnly) {
-			if res := ckpt.restore(key, cfg); res != nil {
+			if res := ckpt.Restore(key, cfg); res != nil {
 				sweepEvent(sc.Observer, obs.EventCheckpointRestore)
 				if sc.OnRestore != nil {
 					sc.OnRestore(i)
@@ -192,13 +187,13 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			return nil, runErr(i, cfg, err)
 		}
 		if ckpt != nil {
-			var mutate func(name string, blob []byte) []byte
+			w := *ckpt
 			if kind == faults.CorruptDump {
-				mutate = func(name string, blob []byte) []byte {
+				w.mutate = func(name string, blob []byte) []byte {
 					return sc.Faults.Corrupt(key+"/"+name, blob, bgpctr.FieldBoundaries(blob))
 				}
 			}
-			if err := ckpt.persist(key, cfg, res, mutate); err != nil {
+			if err := w.Persist(key, cfg, res); err != nil {
 				return nil, runErr(i, cfg, fmt.Errorf("checkpoint: %w", err))
 			}
 			sweepEvent(sc.Observer, obs.EventCheckpointPersist)
