@@ -63,6 +63,30 @@ func checkpointDumpBytes(t *testing.T, ckptDir string, index int, cfg bgp.RunCon
 	return readDumpBytes(t, filepath.Join(ckptDir, bgp.RunKey(index, cfg)))
 }
 
+// sweepEvents returns an observer and a reader of the sweep events it has
+// seen: checkpoint_restore counts the runs a Resume pass restored,
+// checkpoint_persist the ones it executed.
+func sweepEvents() (*obs.Recorder, func(obs.SweepEvent) int) {
+	reg := obs.NewRegistry()
+	return obs.NewRecorder(reg, nil), func(ev obs.SweepEvent) int {
+		return int(reg.Snapshot().Counters[obs.MetricSweepPrefix+string(ev)])
+	}
+}
+
+// onPersist is a recorder that also calls hook, on the worker, each time a
+// run is committed to the checkpoint.
+type onPersist struct {
+	*obs.Recorder
+	hook func()
+}
+
+func (o onPersist) SweepEvent(ev obs.SweepEvent) {
+	o.Recorder.SweepEvent(ev)
+	if ev == obs.EventCheckpointPersist {
+		o.hook()
+	}
+}
+
 // TestChaosDeterminism injects a seeded fault schedule — transient errors,
 // a panic, a stall past the per-run deadline, write-path dump corruption,
 // and one run whose transient faults outlast the retry budget — into a
@@ -132,23 +156,22 @@ func TestChaosDeterminism(t *testing.T) {
 
 	// Resume: restores pristine checkpoints, re-runs the corrupted and the
 	// failed run, and converges.
-	var restored, executed atomic.Int64
+	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
 		Resume:        true,
-		OnRestore:     func(int) { restored.Add(1) },
-		OnResult:      func(int, *bgp.Result) { executed.Add(1) },
+		Observer:      rec,
 	})
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
 	// Runs 0, 1, 2 and 5 persisted pristine dumps; run 3's artifact was
 	// corrupted on the write path and run 4 never completed.
-	if r := restored.Load(); r != 4 {
+	if r := seen(obs.EventCheckpointRestore); r != 4 {
 		t.Errorf("resume restored %d runs, want 4", r)
 	}
-	if e := executed.Load() - restored.Load(); e != 2 {
+	if e := seen(obs.EventCheckpointPersist); e != 2 {
 		t.Errorf("resume executed %d runs, want 2 (the corrupted and the failed one)", e)
 	}
 
@@ -238,21 +261,20 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 
 	// Resume re-runs only the failed run — now entirely from cache hits.
 	before := cache.Stats()
-	var restored, executed atomic.Int64
+	resumeRec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
 		Resume:        true,
-		OnRestore:     func(int) { restored.Add(1) },
-		OnResult:      func(int, *bgp.Result) { executed.Add(1) },
+		Observer:      resumeRec,
 	})
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
-	if r := restored.Load(); r != 5 {
+	if r := seen(obs.EventCheckpointRestore); r != 5 {
 		t.Errorf("resume restored %d runs, want 5", r)
 	}
-	if e := executed.Load() - restored.Load(); e != 1 {
+	if e := seen(obs.EventCheckpointPersist); e != 1 {
 		t.Errorf("resume executed %d runs, want 1 (the failed one)", e)
 	}
 	if s := cache.Stats(); s.Misses != before.Misses {
@@ -291,14 +313,15 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
+	firstRec, _ := sweepEvents()
 	_, err := bgp.RunAll(ctx, cfgs, bgp.SweepConfig{
 		Workers:       2,
 		CheckpointDir: ckptDir,
-		OnResult: func(int, *bgp.Result) {
+		Observer: onPersist{firstRec, func() {
 			if done.Add(1) == int64(len(cfgs)/2) {
 				cancel() // interrupt at ~50% completion
 			}
-		},
+		}},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
@@ -308,22 +331,23 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 		t.Fatal("every run completed; cancellation came too late to test resume")
 	}
 
-	var restored atomic.Int64
+	rec, seen := sweepEvents()
 	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       2,
 		CheckpointDir: ckptDir,
 		Resume:        true,
-		OnRestore:     func(int) { restored.Add(1) },
+		Observer:      rec,
 	})
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
 	// Everything checkpointed before the cancel was restored, not re-run;
 	// with 2 workers at most 2 runs were in flight past the cancel point.
-	if r := restored.Load(); r < completed || r > completed+2 {
-		t.Errorf("restored %d runs, want between %d and %d", r, completed, completed+2)
+	restored := int64(seen(obs.EventCheckpointRestore))
+	if restored < completed || restored > completed+2 {
+		t.Errorf("restored %d runs, want between %d and %d", restored, completed, completed+2)
 	}
-	if r := restored.Load(); r == int64(len(cfgs)) {
+	if restored == int64(len(cfgs)) {
 		t.Error("resume restored every run; nothing was left to re-execute")
 	}
 	// The resumed sweep's results and persisted dumps match the clean
@@ -391,6 +415,75 @@ func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
 	}
 }
 
+// TestResumeRestoresIntoDumpDir pins that a restored run leaves its DumpDir
+// as a live run does: the same files, the same bytes (bgprun -dump d
+// -checkpoint ck -resume reports the dumps it wrote).
+func TestResumeRestoresIntoDumpDir(t *testing.T) {
+	cfg := determinismCases()[3]
+	root := t.TempDir()
+	live, restoredDir := filepath.Join(root, "live"), filepath.Join(root, "restored")
+	for _, dir := range []string{live, restoredDir} {
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := bgp.SweepConfig{CheckpointDir: filepath.Join(root, "ckpt")}
+	cfg.DumpDir = live
+	if _, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc); err != nil {
+		t.Fatal(err)
+	}
+	rec, seen := sweepEvents()
+	sc.Resume, sc.Observer = true, rec
+	cfg.DumpDir = restoredDir
+	if _, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc); err != nil {
+		t.Fatal(err)
+	}
+	if seen(obs.EventCheckpointRestore) != 1 {
+		t.Fatal("the second pass did not restore the run; the comparison below would be vacuous")
+	}
+	want := readDumpBytes(t, live)
+	got, _ := filepath.Glob(filepath.Join(restoredDir, "*"))
+	if len(got) != len(want) {
+		t.Fatalf("restored run left %d files in its DumpDir, the live run %d", len(got), len(want))
+	}
+	for name, blob := range readDumpBytes(t, restoredDir) {
+		if !bytes.Equal(blob, want[name]) {
+			t.Errorf("restored run's %s differs from the live run's", name)
+		}
+	}
+}
+
+// TestResumeReexecutesTimelineRuns pins that a run sampling a timeline is
+// never served from the checkpoint, whose entries hold dumps and no samples:
+// the Resume pass executes it again and its Result carries the timeline
+// (bgprun -timeline t.csv -checkpoint ck -resume writes t.csv).
+func TestResumeReexecutesTimelineRuns(t *testing.T) {
+	cfg := determinismCases()[3]
+	cfg.TimelineInterval = 100_000
+	cfg.TimelineEvents = []string{"BGP_PU0_CYCLES"}
+	sc := bgp.SweepConfig{CheckpointDir: t.TempDir()}
+	first, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, seen := sweepEvents()
+	sc.Resume, sc.Observer = true, rec
+	resumed, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed[0].Timeline == nil {
+		t.Fatal("resumed timeline run has no Timeline")
+	}
+	if got, want := len(resumed[0].Timeline.Samples()), len(first[0].Timeline.Samples()); got != want || got == 0 {
+		t.Errorf("resumed run sampled %d points, the first run %d", got, want)
+	}
+	if seen(obs.EventCheckpointRestore) != 0 || seen(obs.EventCheckpointPersist) != 1 {
+		t.Errorf("resume pass restored %d and persisted %d runs, want 0 and 1",
+			seen(obs.EventCheckpointRestore), seen(obs.EventCheckpointPersist))
+	}
+}
+
 // TestRunKeyDistinguishesConfigs pins that checkpoint keys separate
 // different configurations at the same sweep index (bgpreport shares one
 // checkpoint directory across every figure's sweep).
@@ -447,14 +540,13 @@ func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 		t.Errorf("store holds %d committed runs after two sequential sweeps, want 3", n)
 	}
 	for _, cfgs := range [][]bgp.RunConfig{first, second} {
-		var restored atomic.Int64
+		rec, seen := sweepEvents()
 		if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-			Workers: 2, CheckpointDir: ckptDir, Resume: true,
-			OnRestore: func(int) { restored.Add(1) },
+			Workers: 2, CheckpointDir: ckptDir, Resume: true, Observer: rec,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if r := restored.Load(); r != int64(len(cfgs)) {
+		if r := seen(obs.EventCheckpointRestore); r != len(cfgs) {
 			t.Errorf("resume restored %d of %d runs", r, len(cfgs))
 		}
 	}

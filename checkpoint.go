@@ -147,8 +147,13 @@ func (c *CheckpointStore) entry(key string) (e entry, ok bool) {
 
 // Restore rebuilds the Result checkpointed under key, or returns nil when
 // the entry is absent, stamped for a different configuration, or any
-// artifact is missing or corrupt — in which case the caller re-executes.
+// artifact is missing or corrupt — in which case the caller re-executes. A
+// run that samples a timeline is never restored: only dumps are persisted,
+// and its Result must carry the samples.
 func (c *CheckpointStore) Restore(key string, cfg RunConfig) *Result {
+	if cfg.TimelineInterval > 0 {
+		return nil
+	}
 	e, ok := c.entry(key)
 	if !ok || e.Config != fingerprint(cfg) || len(e.Files) == 0 {
 		return nil
@@ -198,12 +203,10 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		Nodes:   res.Config.Nodes,
 	}
 	for _, d := range res.Dumps {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
+		name, blob, err := encodeDump(d)
+		if err != nil {
 			return err
 		}
-		blob := buf.Bytes()
-		name := fmt.Sprintf("node%04d.bgpc", d.NodeID)
 		e.Files = append(e.Files, fileStamp{
 			Name:  name,
 			Size:  int64(len(blob)),
@@ -221,6 +224,34 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		return err
 	}
 	return writeFileAtomic(filepath.Join(runDir, entryName), data)
+}
+
+// encodeDump renders one node's dump as the file a live run writes into its
+// DumpDir (bgpctr.Instrument): the same name, the same bytes.
+func encodeDump(d *Dump) (name string, blob []byte, err error) {
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		return "", nil, err
+	}
+	return fmt.Sprintf("node%04d.bgpc", d.NodeID), buf.Bytes(), nil
+}
+
+// writeDumps gives a restored run's DumpDir the files a live run leaves
+// there.
+func writeDumps(dir string, dumps []*Dump) error {
+	if dir == "" {
+		return nil
+	}
+	for _, d := range dumps {
+		name, blob, err := encodeDump(d)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), blob, 0o644)
+		}
+		if err != nil {
+			return fmt.Errorf("writing restored dump: %w", err)
+		}
+	}
+	return nil
 }
 
 // writeFileAtomic writes data via a uniquely named temporary file and

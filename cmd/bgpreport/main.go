@@ -1,5 +1,7 @@
 // Bgpreport regenerates every figure of the paper's evaluation in one run
-// and writes the full report — the data behind EXPERIMENTS.md.
+// and writes the full report — the data behind EXPERIMENTS.md: every study of
+// the catalog (experiments.Studies) in order, each swept once, then a
+// characterization section per -spec file.
 //
 //	bgpreport                    # class B / 32 ranks (the paper's per-rank regime)
 //	bgpreport -class C -ranks 128  # the paper's full scale
@@ -55,7 +57,7 @@ func run() int {
 	missing := &experiments.MissingSet{}
 	s := experiments.Scale{Missing: missing}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count")
-	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations per figure (0 = one per host core)")
+	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations per figure (0 = one per host core)")
 	flag.BoolVar(&s.ResumeOnly, "from-checkpoint", false, "render from -checkpoint alone without simulating; combine with -keep-going for a partial report")
 	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
@@ -108,81 +110,15 @@ func run() int {
 		log.Printf("%s done in %v", name, time.Since(start).Round(time.Second))
 	}
 
-	step("figure 6", func() error {
-		rows, err := experiments.Fig6Profile(s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig6(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
-	// One eight-kernel compiler sweep serves all four figures, sliced the way
-	// experiments.GoldenFigures slices it.
-	step("figures 7-10", func() error {
-		rows, err := experiments.Fig910ExecTimes(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		points := make(map[string][]experiments.CompilerPoint, len(rows))
-		for _, r := range rows {
-			points[r.Benchmark] = r.Points
-		}
-		experiments.RenderCompilerSIMD(w, "ft", points["ft"], "Figure 7")
-		fmt.Fprintln(w)
-		experiments.RenderCompilerSIMD(w, "mg", points["mg"], "Figure 8")
-		fmt.Fprintln(w)
-		experiments.RenderExecTimes(w, rows[:4], "Figure 9")
-		fmt.Fprintln(w)
-		experiments.RenderExecTimes(w, rows[4:], "Figure 10")
-		fmt.Fprintln(w)
-		return nil
-	})
-	step("figure 11", func() error {
-		rows, err := experiments.Fig11L3Sweep(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig11(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
-	step("figures 12-14", func() error {
-		rows, err := experiments.Fig121314Modes(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderModes(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
-	step("extension: prefetch sweep", func() error {
-		rows, err := experiments.PrefetchSweep(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderPrefetch(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
-	step("extension: L3 prefetch sweep", func() error {
-		rows, err := experiments.L3PrefetchSweep(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderL3Prefetch(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
-	step("extension: hybrid MPI+OpenMP", func() error {
-		rows, err := experiments.HybridModes(experiments.SuiteNames(), s)
-		if err != nil {
-			return err
-		}
-		experiments.RenderHybrid(w, rows)
-		fmt.Fprintln(w)
-		return nil
-	})
+	for _, st := range experiments.Studies() {
+		step(st.Step, func() error {
+			if err := st.Run(s, w, ""); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+			return nil
+		})
+	}
 	if *specs != "" {
 		for _, path := range strings.Split(*specs, ",") {
 			path := strings.TrimSpace(path)

@@ -68,7 +68,7 @@ func run() int {
 			"comma-separated event mnemonics to sample")
 	)
 	var s experiments.Scale
-	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
+	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
 	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
@@ -162,11 +162,11 @@ func run() int {
 	}
 
 	s.Stamp(cfgs)
-	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig())
+	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig)
 	partial := false
 	if err != nil {
 		var se *sweep.SweepError
-		if s.KeepGoing && errors.As(err, &se) && se.Cause == nil {
+		if s.ContinueOnError && errors.As(err, &se) && se.Cause == nil {
 			// Completed benchmarks still print; the failures go to stderr
 			// and the exit status says partial.
 			partial = true
@@ -240,15 +240,12 @@ func printRun(res *bgp.Result, dumpDir string) {
 	fmt.Printf("L1 hit rate:      %.2f%%\n", 100*m.L1HitRate)
 	fmt.Printf("L3 miss rate:     %.2f%%\n", 100*m.L3MissRate)
 	fmt.Printf("FP profile:\n")
-	var totalFP float64
-	for _, ev := range postproc.FPClassEvents {
-		totalFP += m.FPMix[ev]
-	}
+	fractions := experiments.FPFractions(m)
 	for _, ev := range postproc.FPClassEvents {
 		if m.FPMix[ev] == 0 {
 			continue
 		}
-		fmt.Printf("  %-28s %12.0f (%5.1f%%)\n", ev, m.FPMix[ev], 100*m.FPMix[ev]/totalFP)
+		fmt.Printf("  %-28s %12.0f (%5.1f%%)\n", ev, m.FPMix[ev], 100*fractions[ev])
 	}
 	if dumpDir != "" {
 		fmt.Printf("dumps:            %d files in %s\n", len(res.Dumps), dumpDir)

@@ -1,6 +1,7 @@
-// Bgpsweep regenerates one figure of the paper's evaluation: it drives the
-// parameter sweep behind the figure (compiler builds, L3 sizes, or
-// operating modes) and prints the series the paper plots.
+// Bgpsweep regenerates one figure of the paper's evaluation: it looks the
+// selected table up in the study catalog (experiments.Studies), drives the
+// parameter sweep behind it (compiler builds, L3 sizes, or operating modes)
+// and prints the series the paper plots.
 //
 // Examples:
 //
@@ -37,6 +38,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 
@@ -65,7 +67,7 @@ func run() int {
 	missing := &experiments.MissingSet{}
 	s := experiments.Scale{Missing: missing}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
-	flag.IntVar(&s.Jobs, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
+	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
 	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
@@ -105,88 +107,22 @@ func run() int {
 		return partialStatus(missing)
 	}
 
-	switch *ext {
-	case "":
-		// A numbered figure is selected below.
-	case "prefetch":
-		rows, err := experiments.PrefetchSweep(experiments.SuiteNames(), s)
-		if err != nil {
-			log.Print(err)
-			return 1
+	// Everything else is an entry of the study catalog.
+	selector := fmt.Sprintf("-fig %d", *fig)
+	if *ext != "" {
+		selector = "-ext " + *ext
+	}
+	st, ok := experiments.Lookup(selector)
+	if !ok {
+		if *ext != "" {
+			log.Printf("unknown extension %q (have prefetch, l3prefetch, hybrid)", *ext)
+		} else {
+			log.Printf("unknown figure %d (the paper has figures 6-14)", *fig)
 		}
-		experiments.RenderPrefetch(w, rows)
-		return partialStatus(missing)
-	case "l3prefetch":
-		rows, err := experiments.L3PrefetchSweep(experiments.SuiteNames(), s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderL3Prefetch(w, rows)
-		return partialStatus(missing)
-	case "hybrid":
-		rows, err := experiments.HybridModes(experiments.SuiteNames(), s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderHybrid(w, rows)
-		return partialStatus(missing)
-	default:
-		log.Printf("unknown extension %q (have prefetch, l3prefetch, hybrid)", *ext)
 		return 1
 	}
-
-	switch *fig {
-	case 6:
-		rows, err := experiments.Fig6Profile(s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderFig6(w, rows)
-	case 7, 8:
-		bench := "ft"
-		figure := "Figure 7"
-		if *fig == 8 {
-			bench = "mg"
-			figure = "Figure 8"
-		}
-		pts, err := experiments.CompilerSweep(bench, s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderCompilerSIMD(w, bench, pts, figure)
-	case 9, 10:
-		names := experiments.SuiteNames()[:4]
-		figure := "Figure 9"
-		if *fig == 10 {
-			names = experiments.SuiteNames()[4:]
-			figure = "Figure 10"
-		}
-		rows, err := experiments.Fig910ExecTimes(names, s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderExecTimes(w, rows, figure)
-	case 11:
-		rows, err := experiments.Fig11L3Sweep(experiments.SuiteNames(), s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderFig11(w, rows)
-	case 12, 13, 14:
-		rows, err := experiments.Fig121314Modes(experiments.SuiteNames(), s)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		experiments.RenderModes(w, rows)
-	default:
-		log.Printf("unknown figure %d (the paper has figures 6-14)", *fig)
+	if err := st.Run(s, w, selector); err != nil {
+		log.Print(err)
 		return 1
 	}
 	return partialStatus(missing)

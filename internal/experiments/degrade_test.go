@@ -1,6 +1,6 @@
 package experiments
 
-// Graceful degradation: with KeepGoing, a figure whose runs fail (or are
+// Graceful degradation: with ContinueOnError, a figure whose runs fail (or are
 // absent from the checkpoint under ResumeOnly) still renders, with every
 // missing point marked explicitly — in the row data, in the table cells,
 // and in the trailing partial note.
@@ -19,20 +19,18 @@ import (
 )
 
 // TestFigureDegradesWithEmptyCheckpoint renders the compiler study from an
-// empty checkpoint under ResumeOnly + KeepGoing: no simulation executes,
+// empty checkpoint under ResumeOnly + ContinueOnError: no simulation executes,
 // every point is Missing, and the report says exactly what is absent.
 func TestFigureDegradesWithEmptyCheckpoint(t *testing.T) {
 	ms := &MissingSet{}
 	s := Scale{
 		Class: nas.ClassS, Ranks: 4,
-		KeepGoing:     true,
-		CheckpointDir: t.TempDir(),
-		ResumeOnly:    true,
-		Missing:       ms,
+		SweepConfig: bgp.SweepConfig{ContinueOnError: true, CheckpointDir: t.TempDir(), ResumeOnly: true},
+		Missing:     ms,
 	}
 	rows, err := Fig910ExecTimes([]string{"mg"}, s)
 	if err != nil {
-		t.Fatalf("KeepGoing figure failed outright: %v", err)
+		t.Fatalf("ContinueOnError figure failed outright: %v", err)
 	}
 	if len(rows) != 1 || len(rows[0].Points) != len(CompilerConfigs()) {
 		t.Fatalf("degraded figure lost its shape: %+v", rows)
@@ -69,7 +67,7 @@ func TestFigureDegradesWithEmptyCheckpoint(t *testing.T) {
 // points' values are untouched by the degradation machinery.
 func TestFigureRendersPartialCheckpoint(t *testing.T) {
 	ckpt := t.TempDir()
-	full := Scale{Class: nas.ClassS, Ranks: 4, CheckpointDir: ckpt}
+	full := Scale{Class: nas.ClassS, Ranks: 4, SweepConfig: bgp.SweepConfig{CheckpointDir: ckpt}}
 	clean, err := Fig910ExecTimes([]string{"mg"}, full)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +102,8 @@ func TestFigureRendersPartialCheckpoint(t *testing.T) {
 	ms := &MissingSet{}
 	partial := Scale{
 		Class: nas.ClassS, Ranks: 4,
-		KeepGoing:     true,
-		CheckpointDir: ckpt,
-		ResumeOnly:    true,
-		Missing:       ms,
+		SweepConfig: bgp.SweepConfig{ContinueOnError: true, CheckpointDir: ckpt, ResumeOnly: true},
+		Missing:     ms,
 	}
 	rows, err := Fig910ExecTimes([]string{"mg"}, partial)
 	if err != nil {

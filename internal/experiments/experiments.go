@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"bgpsim/internal/compiler"
 	"bgpsim/internal/machine"
@@ -29,53 +28,34 @@ import (
 // runs, and how the host executes it. Full matches the paper (class C, 128
 // processes); Quick shrinks the problem for fast iteration while preserving
 // every shape. Every figure's points are independent simulations, so they
-// fan out over Jobs host workers; results do not depend on Jobs (see the
-// determinism harness in the root package).
+// fan out over Workers host workers; results do not depend on Workers (see
+// the determinism harness in the root package).
 type Scale struct {
 	// Class is the NAS problem class.
 	Class nas.Class
 	// Ranks is the process count (SP/BT round down to a square).
 	Ranks int
-	// Jobs bounds the host worker pool the sweep runs on; values below 1
-	// mean one worker per host core (GOMAXPROCS).
-	Jobs int
-	// Progress, when non-nil, observes the sweep's runs and aggregates
-	// simulated-cycle throughput.
-	Progress *sweep.Progress
-	// Interpreter forces every run onto the reference per-trip
-	// interpreter instead of the batched execution engine. Results are
-	// bit-identical either way; the flag exists for the benchmark
-	// harness's engine-speedup baseline.
-	Interpreter bool
-	// Observer, when non-nil, receives every run's observability events
-	// and the sweep's orchestration events (see bgp.SweepConfig.Observer).
-	// Attaching one never changes a figure's numbers.
-	Observer bgp.Observer
 
-	// KeepGoing degrades gracefully instead of failing the whole figure:
-	// runs that fail (after retries) leave their points marked Missing,
-	// recorded in Missing, and every completed point still renders. None
-	// of this perturbs completed runs — a recovered figure's points are
-	// identical to a clean run's (the chaos harness pins this).
-	KeepGoing bool
-	// Retries is the per-run retry budget for transient failures.
-	Retries int
-	// RunTimeout, when positive, bounds each run attempt.
-	RunTimeout time.Duration
-	// CheckpointDir, when non-empty, persists each completed run there so
-	// an interrupted figure can resume. Every figure's sweep shares the
-	// directory; keys never collide (see bgp.RunKey).
-	CheckpointDir string
-	// Resume restores validated checkpoint entries instead of re-running.
-	Resume bool
-	// ResumeOnly renders from the checkpoint alone: missing runs become
-	// Missing points (with KeepGoing) rather than executing.
-	ResumeOnly bool
+	// SweepConfig is how every sweep of the scale is orchestrated: worker
+	// pool, observation, resilience and checkpointing. Every figure's sweep
+	// shares the one CheckpointDir; keys never collide (see bgp.RunKey).
+	// With ContinueOnError a figure degrades gracefully instead of failing:
+	// runs that fail (after retries) or are absent from the checkpoint
+	// under ResumeOnly leave their points marked Missing and every
+	// completed point still renders. None of this perturbs completed runs —
+	// a recovered figure's points are identical to a clean run's (the chaos
+	// harness pins this).
+	bgp.SweepConfig
 	// Missing, when non-nil, collects the labels of points that failed or
 	// were absent from the checkpoint, for the report's partial-output
 	// diagnostics.
 	Missing *MissingSet
 
+	// Interpreter forces every run onto the reference per-trip
+	// interpreter instead of the batched execution engine. Results are
+	// bit-identical either way; the flag exists for the benchmark
+	// harness's engine-speedup baseline.
+	Interpreter bool
 	// NoProgCache disables cross-run compile memoization (see
 	// bgp.RunConfig.NoProgCache); figures are identical either way.
 	NoProgCache bool
@@ -160,40 +140,76 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 	}
 }
 
-// SweepConfig is the sweep orchestration the scale selects: worker pool,
-// observation, resilience and checkpointing.
-func (s Scale) SweepConfig() bgp.SweepConfig {
-	return bgp.SweepConfig{
-		Workers:         s.Jobs,
-		Progress:        s.Progress,
-		Observer:        s.Observer,
-		Retries:         s.Retries,
-		RunTimeout:      s.RunTimeout,
-		ContinueOnError: s.KeepGoing,
-		CheckpointDir:   s.CheckpointDir,
-		Resume:          s.Resume,
-		ResumeOnly:      s.ResumeOnly,
-	}
-}
-
 // runAll fans the configurations out over the scale's worker pool and
-// returns the results in cfgs order. With KeepGoing, per-run failures are
-// absorbed: the failed positions come back nil, their labels land in
+// returns the results in cfgs order. With ContinueOnError, per-run failures
+// are absorbed: the failed positions come back nil, their labels land in
 // s.Missing, and the error is nil so the figure renders partially. A dead
 // context (interrupt) still fails the figure.
 func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 	s.Stamp(cfgs)
 	s.Missing.addTotal(len(cfgs))
-	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig())
+	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig)
 	if err != nil {
 		var se *sweep.SweepError
-		if s.KeepGoing && errors.As(err, &se) && se.Cause == nil {
+		if s.ContinueOnError && errors.As(err, &se) && se.Cause == nil {
 			for _, f := range se.Failed {
 				s.Missing.add(bgp.PointLabel(cfgs[f.Index]))
 			}
 			return results, nil
 		}
 		return nil, err
+	}
+	return results, nil
+}
+
+// variant is one column of a study: an edit applied to the workload's base
+// point.
+type variant func(*bgp.RunConfig)
+
+// asBuilt is the unedited base point.
+func asBuilt(*bgp.RunConfig) {}
+
+// variantsOf is one variant per value of the varied parameter.
+func variantsOf[T any](vals []T, set func(*bgp.RunConfig, T)) []variant {
+	out := make([]variant, len(vals))
+	for k, v := range vals {
+		out[k] = func(c *bgp.RunConfig) { set(c, v) }
+	}
+	return out
+}
+
+// grid is the one shape every table of the evaluation has: workloads (the
+// named benchmarks, or the one spec) crossed with variants, each applied to
+// the workload's base point — the scale's class and ranks in virtual-node
+// mode under the best build. The points run as one sweep, workload-major,
+// and come back as results[workload][variant], nil where a run went missing
+// under ContinueOnError. what names the study in the error.
+func grid(s Scale, what string, names []string, spec *bgp.WorkloadSpec, variants ...variant) ([][]*bgp.Result, error) {
+	if spec != nil {
+		names = []string{""}
+	}
+	var cfgs []bgp.RunConfig
+	for _, name := range names {
+		for _, edit := range variants {
+			cfg := bgp.RunConfig{
+				Benchmark: name,
+				Spec:      spec,
+				Class:     s.Class,
+				Ranks:     s.Ranks,
+				Mode:      machine.VNM,
+				Opts:      BestBuild(),
+			}
+			edit(&cfg)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	flat, err := runAll(s, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	results := make([][]*bgp.Result, len(names))
+	for i := range results {
+		results[i], flat = flat[:len(variants)], flat[len(variants):]
 	}
 	return results, nil
 }
@@ -232,50 +248,43 @@ type ProfileRow struct {
 	Fractions map[string]float64
 	// Metrics is the run the row was computed from.
 	Metrics *postproc.Metrics
-	// Missing marks a row whose run failed under KeepGoing; Fractions and
+	// Missing marks a row whose run failed under ContinueOnError; Fractions and
 	// Metrics are then empty/nil and the row renders as dashes.
 	Missing bool
 }
 
+// FPFractions is a run's dynamic FP instruction profile: each FP class's
+// share of the FP instructions counted. A run that counted none has an empty
+// profile.
+func FPFractions(m *postproc.Metrics) map[string]float64 {
+	fractions := make(map[string]float64, len(postproc.FPClassEvents))
+	var total float64
+	for _, ev := range postproc.FPClassEvents {
+		total += m.FPMix[ev]
+	}
+	for _, ev := range postproc.FPClassEvents {
+		if total > 0 {
+			fractions[ev] = m.FPMix[ev] / total
+		}
+	}
+	return fractions
+}
+
 // Fig6Profile reproduces Figure 6: the dynamic floating-point instruction
 // profile of the suite under the best build in virtual-node mode.
-func Fig6Profile(s Scale) ([]ProfileRow, error) {
-	names := SuiteNames()
-	cfgs := make([]bgp.RunConfig, len(names))
-	for i, name := range names {
-		cfgs[i] = bgp.RunConfig{
-			Benchmark: name,
-			Class:     s.Class,
-			Ranks:     s.Ranks,
-			Mode:      machine.VNM,
-			Opts:      BestBuild(),
-		}
-	}
-	results, err := runAll(s, cfgs)
+func Fig6Profile(s Scale) ([]ProfileRow, error) { return fig6Profile(SuiteNames(), s) }
+
+func fig6Profile(benchmarks []string, s Scale) ([]ProfileRow, error) {
+	results, err := grid(s, "fig6", benchmarks, nil, asBuilt)
 	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
+		return nil, err
 	}
-	rows := make([]ProfileRow, 0, len(names))
-	for i, res := range results {
-		if res == nil {
-			rows = append(rows, ProfileRow{Benchmark: names[i], Missing: true})
-			continue
+	rows := make([]ProfileRow, len(benchmarks))
+	for i, name := range benchmarks {
+		rows[i] = ProfileRow{Benchmark: name, Missing: true}
+		if res := results[i][0]; res != nil {
+			rows[i] = ProfileRow{Benchmark: name, Fractions: FPFractions(res.Metrics), Metrics: res.Metrics}
 		}
-		row := ProfileRow{
-			Benchmark: names[i],
-			Fractions: make(map[string]float64, len(postproc.FPClassEvents)),
-			Metrics:   res.Metrics,
-		}
-		var total float64
-		for _, ev := range postproc.FPClassEvents {
-			total += res.Metrics.FPMix[ev]
-		}
-		for _, ev := range postproc.FPClassEvents {
-			if total > 0 {
-				row.Fractions[ev] = res.Metrics.FPMix[ev] / total
-			}
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -293,7 +302,7 @@ type CompilerPoint struct {
 	ExecCycles uint64
 	// MFLOPS is the achieved rate.
 	MFLOPS float64
-	// Missing marks a point whose run failed under KeepGoing; every other
+	// Missing marks a point whose run failed under ContinueOnError; every other
 	// field except Opts is then zero.
 	Missing bool
 }
@@ -352,33 +361,20 @@ type ExecTimeRow struct {
 // of the suite, Figure 10 the second).
 func Fig910ExecTimes(benchmarks []string, s Scale) ([]ExecTimeRow, error) {
 	builds := CompilerConfigs()
-	cfgs := make([]bgp.RunConfig, 0, len(benchmarks)*len(builds))
-	for _, name := range benchmarks {
-		for _, opts := range builds {
-			cfgs = append(cfgs, bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks,
-				Mode:      machine.VNM,
-				Opts:      opts,
-			})
-		}
-	}
-	results, err := runAll(s, cfgs)
+	results, err := grid(s, "compiler sweep", benchmarks, nil,
+		variantsOf(builds, func(c *bgp.RunConfig, opts compiler.Options) { c.Opts = opts })...)
 	if err != nil {
-		return nil, fmt.Errorf("compiler sweep: %w", err)
+		return nil, err
 	}
-	rows := make([]ExecTimeRow, 0, len(benchmarks))
+	rows := make([]ExecTimeRow, len(benchmarks))
 	for i, name := range benchmarks {
-		pts := make([]CompilerPoint, len(builds))
+		rows[i] = ExecTimeRow{Benchmark: name, Points: make([]CompilerPoint, len(builds))}
 		for k, opts := range builds {
-			if res := results[i*len(builds)+k]; res != nil {
-				pts[k] = compilerPoint(opts, res.Metrics)
-			} else {
-				pts[k] = CompilerPoint{Opts: opts, Missing: true}
+			rows[i].Points[k] = CompilerPoint{Opts: opts, Missing: true}
+			if res := results[i][k]; res != nil {
+				rows[i].Points[k] = compilerPoint(opts, res.Metrics)
 			}
 		}
-		rows = append(rows, ExecTimeRow{Benchmark: name, Points: pts})
 	}
 	return rows, nil
 }
@@ -398,7 +394,7 @@ type L3Point struct {
 	// MissFraction is the fraction of L3 references that missed
 	// (0 when the L3 is disabled).
 	MissFraction float64
-	// Missing marks a point whose run failed under KeepGoing.
+	// Missing marks a point whose run failed under ContinueOnError.
 	Missing bool
 }
 
@@ -415,45 +411,30 @@ type L3Row struct {
 // footprint is one rank's working set.
 func Fig11L3Sweep(benchmarks []string, s Scale) ([]L3Row, error) {
 	sizes := L3Sizes()
-	cfgs := make([]bgp.RunConfig, 0, len(benchmarks)*len(sizes))
-	for _, name := range benchmarks {
-		for _, l3 := range sizes {
-			cfg := bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks,
-				Mode:      machine.SMP1,
-				Opts:      BestBuild(),
-			}
+	results, err := grid(s, "fig11", benchmarks, nil,
+		variantsOf(sizes, func(c *bgp.RunConfig, l3 int) {
+			c.Mode = machine.SMP1
+			c.L3Bytes = l3
 			if l3 == 0 {
-				cfg.L3Bytes = -1
-			} else {
-				cfg.L3Bytes = l3
+				c.L3Bytes = -1
 			}
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := runAll(s, cfgs)
+		})...)
 	if err != nil {
-		return nil, fmt.Errorf("fig11: %w", err)
+		return nil, err
 	}
-	rows := make([]L3Row, 0, len(benchmarks))
+	rows := make([]L3Row, len(benchmarks))
 	for i, name := range benchmarks {
-		row := L3Row{Benchmark: name, Points: make([]L3Point, len(sizes))}
+		rows[i] = L3Row{Benchmark: name, Points: make([]L3Point, len(sizes))}
 		for k, l3 := range sizes {
-			res := results[i*len(sizes)+k]
-			if res == nil {
-				row.Points[k] = L3Point{L3Bytes: l3, Missing: true}
-				continue
-			}
-			m := res.Metrics
-			row.Points[k] = L3Point{
-				L3Bytes:         l3,
-				DDRTrafficBytes: m.DDRTrafficBytes,
-				MissFraction:    m.L3MissRate,
+			rows[i].Points[k] = L3Point{L3Bytes: l3, Missing: true}
+			if res := results[i][k]; res != nil {
+				rows[i].Points[k] = L3Point{
+					L3Bytes:         l3,
+					DDRTrafficBytes: res.Metrics.DDRTrafficBytes,
+					MissFraction:    res.Metrics.L3MissRate,
+				}
 			}
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -479,7 +460,7 @@ type ModeRow struct {
 	// MFLOPSPerChipGain is delivered MFLOPS per chip of VNM over SMP/1
 	// (Figure 14; ≈2.5× on average).
 	MFLOPSPerChipGain float64
-	// Missing marks a row where either run failed under KeepGoing; the
+	// Missing marks a row where either run failed under ContinueOnError; the
 	// ratios are then zero and the row is excluded from the means.
 	Missing bool
 }
@@ -492,60 +473,41 @@ const SMPFairL3Bytes = 2 << 20
 // process count in virtual-node mode (ranks/4 nodes, full 8 MB L3) and in
 // SMP/1 mode (one rank per node, 2 MB L3).
 func Fig121314Modes(benchmarks []string, s Scale) ([]ModeRow, error) {
-	cfgs := make([]bgp.RunConfig, 0, 2*len(benchmarks))
-	for _, name := range benchmarks {
-		cfgs = append(cfgs,
-			bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks,
-				Mode:      machine.VNM,
-				Opts:      BestBuild(),
-			},
-			bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks,
-				Mode:      machine.SMP1,
-				Opts:      BestBuild(),
-				L3Bytes:   SMPFairL3Bytes,
-			})
-	}
-	results, err := runAll(s, cfgs)
+	results, err := grid(s, "fig12-14", benchmarks, nil, asBuilt, func(c *bgp.RunConfig) {
+		c.Mode = machine.SMP1
+		c.L3Bytes = SMPFairL3Bytes
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fig12-14: %w", err)
+		return nil, err
 	}
-	rows := make([]ModeRow, 0, len(benchmarks))
+	rows := make([]ModeRow, len(benchmarks))
 	for i, name := range benchmarks {
-		vnm, smp := results[2*i], results[2*i+1]
-		if vnm == nil || smp == nil {
-			row := ModeRow{Benchmark: name, Missing: true}
-			if vnm != nil {
-				row.VNM = vnm.Metrics
+		vnm, smp := metricsOf(results[i][0]), metricsOf(results[i][1])
+		row := ModeRow{Benchmark: name, VNM: vnm, SMP: smp, Missing: vnm == nil || smp == nil}
+		if !row.Missing {
+			if smp.DDRTrafficBytes > 0 {
+				perNodeVNM := float64(vnm.DDRTrafficBytes) / float64(vnm.Nodes)
+				perNodeSMP := float64(smp.DDRTrafficBytes) / float64(smp.Nodes)
+				row.TrafficRatio = perNodeVNM / perNodeSMP
 			}
-			if smp != nil {
-				row.SMP = smp.Metrics
+			if smp.ExecCycles > 0 {
+				row.SlowdownPct = 100 * (float64(vnm.ExecCycles)/float64(smp.ExecCycles) - 1)
 			}
-			rows = append(rows, row)
-			continue
+			if smp.MFLOPSPerChip > 0 {
+				row.MFLOPSPerChipGain = vnm.MFLOPSPerChip / smp.MFLOPSPerChip
+			}
 		}
-		row := ModeRow{Benchmark: name, VNM: vnm.Metrics, SMP: smp.Metrics}
-		vnmNodes := float64(vnm.Metrics.Nodes)
-		smpNodes := float64(smp.Metrics.Nodes)
-		if smp.Metrics.DDRTrafficBytes > 0 {
-			perNodeVNM := float64(vnm.Metrics.DDRTrafficBytes) / vnmNodes
-			perNodeSMP := float64(smp.Metrics.DDRTrafficBytes) / smpNodes
-			row.TrafficRatio = perNodeVNM / perNodeSMP
-		}
-		if smp.Metrics.ExecCycles > 0 {
-			row.SlowdownPct = 100 * (float64(vnm.Metrics.ExecCycles)/float64(smp.Metrics.ExecCycles) - 1)
-		}
-		if smp.Metrics.MFLOPSPerChip > 0 {
-			row.MFLOPSPerChipGain = vnm.Metrics.MFLOPSPerChip / smp.Metrics.MFLOPSPerChip
-		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
+}
+
+// metricsOf is a run's metrics, nil for a missing run.
+func metricsOf(res *bgp.Result) *postproc.Metrics {
+	if res == nil {
+		return nil
+	}
+	return res.Metrics
 }
 
 // Mean returns the arithmetic mean of a float series (0 for empty input).

@@ -30,7 +30,7 @@ type PrefetchPoint struct {
 	// L2HitFraction is the share of below-L1 demand accesses served by
 	// the prefetch buffer.
 	L2HitFraction float64
-	// Missing marks a point whose run failed under KeepGoing.
+	// Missing marks a point whose run failed under ContinueOnError.
 	Missing bool
 }
 
@@ -46,90 +46,59 @@ type PrefetchRow struct {
 // demand streams the L2 engines can cover speed up with depth until the
 // prefetches start evicting each other.
 func PrefetchSweep(benchmarks []string, s Scale) ([]PrefetchRow, error) {
-	depths := PrefetchDepths()
-	cfgs := make([]bgp.RunConfig, 0, len(benchmarks)*len(depths))
-	for _, name := range benchmarks {
-		for _, depth := range depths {
-			cfgs = append(cfgs, bgp.RunConfig{
-				Benchmark:       name,
-				Class:           s.Class,
-				Ranks:           s.Ranks,
-				Mode:            machine.VNM,
-				Opts:            BestBuild(),
-				L2PrefetchDepth: depth,
-			})
-		}
-	}
-	results, err := runAll(s, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("prefetch sweep: %w", err)
-	}
-	rows := make([]PrefetchRow, 0, len(benchmarks))
-	for i, name := range benchmarks {
-		row := PrefetchRow{Benchmark: name, Points: make([]PrefetchPoint, len(depths))}
-		for k, depth := range depths {
-			res := results[i*len(depths)+k]
-			if res == nil {
-				row.Points[k] = PrefetchPoint{Depth: depth, Missing: true}
-				continue
-			}
+	return prefetchSweep(s, "prefetch sweep", benchmarks, PrefetchDepths(),
+		func(c *bgp.RunConfig, depth int) { c.L2PrefetchDepth = depth },
+		func(res *bgp.Result) float64 {
 			hits := res.Analysis.EstimatedTotal(0, "BGP_NODE_L2_PF_HIT")
 			misses := res.Analysis.EstimatedTotal(0, "BGP_NODE_L2_MISS")
-			var frac float64
-			if hits+misses > 0 {
-				frac = hits / (hits + misses)
+			if hits+misses == 0 {
+				return 0
 			}
-			row.Points[k] = PrefetchPoint{
-				Depth:           depth,
-				ExecCycles:      res.Metrics.ExecCycles,
-				DDRTrafficBytes: res.Metrics.DDRTrafficBytes,
-				L2HitFraction:   frac,
+			return hits / (hits + misses)
+		})
+}
+
+// prefetchSweep runs the suite over one prefetch engine's depths; l2Hits
+// derives a completed point's L2HitFraction.
+func prefetchSweep(s Scale, what string, benchmarks []string, depths []int,
+	set func(*bgp.RunConfig, int), l2Hits func(*bgp.Result) float64) ([]PrefetchRow, error) {
+	results, err := grid(s, what, benchmarks, nil, variantsOf(depths, set)...)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PrefetchRow, len(benchmarks))
+	for i, name := range benchmarks {
+		rows[i] = PrefetchRow{Benchmark: name, Points: make([]PrefetchPoint, len(depths))}
+		for k, depth := range depths {
+			rows[i].Points[k] = PrefetchPoint{Depth: depth, Missing: true}
+			if res := results[i][k]; res != nil {
+				rows[i].Points[k] = PrefetchPoint{
+					Depth:           depth,
+					ExecCycles:      res.Metrics.ExecCycles,
+					DDRTrafficBytes: res.Metrics.DDRTrafficBytes,
+					L2HitFraction:   l2Hits(res),
+				}
 			}
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // RenderPrefetch prints the prefetch-depth study.
 func RenderPrefetch(w io.Writer, rows []PrefetchRow) {
-	fmt.Fprintln(w, "Extension: L2 prefetch-depth sweep (exec cycles, relative to depth 2)")
-	header := []string{"benchmark"}
-	if len(rows) > 0 {
-		for _, p := range rows[0].Points {
-			if p.Depth < 0 {
-				header = append(header, "off")
-			} else {
-				header = append(header, fmt.Sprintf("depth %d", p.Depth))
-			}
-		}
+	renderRelative(w, "Extension: L2 prefetch-depth sweep (exec cycles, relative to depth 2)", rows,
+		func(r PrefetchRow) (string, []PrefetchPoint) { return r.Benchmark, r.Points },
+		func(_ int, p PrefetchPoint) relCell {
+			return relCell{col: depthColumn(p.Depth, p.Depth < 0), value: float64(p.ExecCycles), missing: p.Missing, base: p.Depth == 2}
+		})
+}
+
+// depthColumn heads one prefetch depth's column.
+func depthColumn(depth int, off bool) string {
+	if off {
+		return "off"
 	}
-	table := make([][]string, 0, len(rows))
-	missing, total := 0, 0
-	for _, r := range rows {
-		var base float64
-		for _, p := range r.Points {
-			if p.Depth == 2 && !p.Missing {
-				base = float64(p.ExecCycles)
-			}
-		}
-		row := []string{r.Benchmark}
-		for _, p := range r.Points {
-			total++
-			switch {
-			case p.Missing:
-				missing++
-				row = append(row, missingCell)
-			case base > 0:
-				row = append(row, fmt.Sprintf("%.3g (%.2f)", float64(p.ExecCycles), float64(p.ExecCycles)/base))
-			default:
-				row = append(row, fmt.Sprintf("%.3g (%s)", float64(p.ExecCycles), missingCell))
-			}
-		}
-		table = append(table, row)
-	}
-	writeTable(w, header, table)
-	partialNote(w, missing, total)
+	return fmt.Sprintf("depth %d", depth)
 }
 
 // L3PrefetchDepths returns the memory-side L3 prefetch depths of the sweep.
@@ -139,81 +108,18 @@ func L3PrefetchDepths() []int { return []int{0, 2, 4, 8} }
 // memory-side L3 engine, which catches the wide-strided sweeps the
 // per-core L2 detectors cannot lock onto.
 func L3PrefetchSweep(benchmarks []string, s Scale) ([]PrefetchRow, error) {
-	depths := L3PrefetchDepths()
-	cfgs := make([]bgp.RunConfig, 0, len(benchmarks)*len(depths))
-	for _, name := range benchmarks {
-		for _, depth := range depths {
-			cfgs = append(cfgs, bgp.RunConfig{
-				Benchmark:       name,
-				Class:           s.Class,
-				Ranks:           s.Ranks,
-				Mode:            machine.VNM,
-				Opts:            BestBuild(),
-				L3PrefetchDepth: depth,
-			})
-		}
-	}
-	results, err := runAll(s, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("l3 prefetch sweep: %w", err)
-	}
-	rows := make([]PrefetchRow, 0, len(benchmarks))
-	for i, name := range benchmarks {
-		row := PrefetchRow{Benchmark: name, Points: make([]PrefetchPoint, len(depths))}
-		for k, depth := range depths {
-			res := results[i*len(depths)+k]
-			if res == nil {
-				row.Points[k] = PrefetchPoint{Depth: depth, Missing: true}
-				continue
-			}
-			row.Points[k] = PrefetchPoint{
-				Depth:           depth,
-				ExecCycles:      res.Metrics.ExecCycles,
-				DDRTrafficBytes: res.Metrics.DDRTrafficBytes,
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return prefetchSweep(s, "l3 prefetch sweep", benchmarks, L3PrefetchDepths(),
+		func(c *bgp.RunConfig, depth int) { c.L3PrefetchDepth = depth },
+		func(*bgp.Result) float64 { return 0 })
 }
 
 // RenderL3Prefetch prints the L3 prefetch-depth study.
 func RenderL3Prefetch(w io.Writer, rows []PrefetchRow) {
-	fmt.Fprintln(w, "Extension: memory-side L3 prefetch-depth sweep (exec cycles, relative to off)")
-	header := []string{"benchmark"}
-	if len(rows) > 0 {
-		for _, p := range rows[0].Points {
-			if p.Depth == 0 {
-				header = append(header, "off")
-			} else {
-				header = append(header, fmt.Sprintf("depth %d", p.Depth))
-			}
-		}
-	}
-	table := make([][]string, 0, len(rows))
-	missing, total := 0, 0
-	for _, r := range rows {
-		var base float64
-		if !r.Points[0].Missing {
-			base = float64(r.Points[0].ExecCycles)
-		}
-		row := []string{r.Benchmark}
-		for _, p := range r.Points {
-			total++
-			switch {
-			case p.Missing:
-				missing++
-				row = append(row, missingCell)
-			case base > 0:
-				row = append(row, fmt.Sprintf("%.3g (%.2f)", float64(p.ExecCycles), float64(p.ExecCycles)/base))
-			default:
-				row = append(row, fmt.Sprintf("%.3g (%s)", float64(p.ExecCycles), missingCell))
-			}
-		}
-		table = append(table, row)
-	}
-	writeTable(w, header, table)
-	partialNote(w, missing, total)
+	renderRelative(w, "Extension: memory-side L3 prefetch-depth sweep (exec cycles, relative to off)", rows,
+		func(r PrefetchRow) (string, []PrefetchPoint) { return r.Benchmark, r.Points },
+		func(k int, p PrefetchPoint) relCell {
+			return relCell{col: depthColumn(p.Depth, p.Depth == 0), value: float64(p.ExecCycles), missing: p.Missing, base: k == 0}
+		})
 }
 
 // HybridRow compares pure-MPI virtual-node mode against hybrid MPI+OpenMP
@@ -227,7 +133,7 @@ type HybridRow struct {
 	TimeRatio float64
 	// TrafficRatio is SMP/4 DDR traffic over VNM.
 	TrafficRatio float64
-	// Missing marks a row where either run failed under KeepGoing.
+	// Missing marks a row where either run failed under ContinueOnError.
 	Missing bool
 }
 
@@ -235,51 +141,27 @@ type HybridRow struct {
 // the same problem on the same nodes, decomposed either into four MPI
 // ranks per node or into one rank of four threads per node.
 func HybridModes(benchmarks []string, s Scale) ([]HybridRow, error) {
-	cfgs := make([]bgp.RunConfig, 0, 2*len(benchmarks))
-	for _, name := range benchmarks {
-		cfgs = append(cfgs,
-			bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks,
-				Mode:      machine.VNM,
-				Opts:      BestBuild(),
-			},
-			// Same node count, a quarter of the ranks, four threads each.
-			bgp.RunConfig{
-				Benchmark: name,
-				Class:     s.Class,
-				Ranks:     s.Ranks / machine.VNM.RanksPerNode(),
-				Mode:      machine.SMP4,
-				Opts:      BestBuild(),
-			})
-	}
-	results, err := runAll(s, cfgs)
+	results, err := grid(s, "hybrid", benchmarks, nil, asBuilt, func(c *bgp.RunConfig) {
+		// Same node count, a quarter of the ranks, four threads each.
+		c.Ranks /= machine.VNM.RanksPerNode()
+		c.Mode = machine.SMP4
+	})
 	if err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
+		return nil, err
 	}
-	rows := make([]HybridRow, 0, len(benchmarks))
+	rows := make([]HybridRow, len(benchmarks))
 	for i, name := range benchmarks {
-		vnm, smp4 := results[2*i], results[2*i+1]
-		if vnm == nil || smp4 == nil {
-			row := HybridRow{Benchmark: name, Missing: true}
-			if vnm != nil {
-				row.VNM = vnm.Metrics
+		vnm, smp4 := metricsOf(results[i][0]), metricsOf(results[i][1])
+		row := HybridRow{Benchmark: name, VNM: vnm, SMP4: smp4, Missing: vnm == nil || smp4 == nil}
+		if !row.Missing {
+			if vnm.ExecCycles > 0 {
+				row.TimeRatio = float64(smp4.ExecCycles) / float64(vnm.ExecCycles)
 			}
-			if smp4 != nil {
-				row.SMP4 = smp4.Metrics
+			if vnm.DDRTrafficBytes > 0 {
+				row.TrafficRatio = float64(smp4.DDRTrafficBytes) / float64(vnm.DDRTrafficBytes)
 			}
-			rows = append(rows, row)
-			continue
 		}
-		row := HybridRow{Benchmark: name, VNM: vnm.Metrics, SMP4: smp4.Metrics}
-		if vnm.Metrics.ExecCycles > 0 {
-			row.TimeRatio = float64(smp4.Metrics.ExecCycles) / float64(vnm.Metrics.ExecCycles)
-		}
-		if vnm.Metrics.DDRTrafficBytes > 0 {
-			row.TrafficRatio = float64(smp4.Metrics.DDRTrafficBytes) / float64(vnm.Metrics.DDRTrafficBytes)
-		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }

@@ -11,61 +11,47 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // GoldenFigureNames lists the tables GoldenFigures renders, sorted — one
-// per committed golden CSV.
+// per committed golden CSV, one per figure selector of the catalog.
 func GoldenFigureNames() []string {
-	return []string{
-		"fig06", "fig07", "fig08", "fig09", "fig10",
-		"fig11", "fig12", "fig13", "fig14",
+	var names []string
+	for _, st := range Studies() {
+		if st.golden != nil {
+			for _, selector := range st.Selectors {
+				names = append(names, goldenName(selector))
+			}
+		}
 	}
+	return names
+}
+
+// goldenName is the golden table a figure selector is pinned by: "-fig 7"
+// is "fig07".
+func goldenName(selector string) string {
+	n, _ := strconv.Atoi(strings.TrimPrefix(selector, "-fig "))
+	return fmt.Sprintf("fig%02d", n)
 }
 
 // GoldenFigures recomputes every figure table at the given scale and
 // returns them keyed by GoldenFigureNames entries, each as CSV-ready rows
-// with a header row first. The underlying sweeps are shared — figures 7-10
-// come from one compiler sweep, 12-14 from one mode sweep — so the whole
-// set costs three suite sweeps plus the profile and L3 runs.
+// with a header row first. Each study of the catalog is swept once and its
+// figures cut from that sweep — figures 7-10 come from one compiler sweep,
+// 12-14 from one mode sweep — so the whole set costs three suite sweeps plus
+// the profile and L3 runs. The extension studies are not paper figures and
+// do not run.
 func GoldenFigures(s Scale) (map[string][][]string, error) {
-	tables := make(map[string][][]string, 9)
-
-	profile, err := Fig6Profile(s)
-	if err != nil {
-		return nil, err
+	tables := make(map[string][][]string)
+	for _, st := range Studies() {
+		if st.golden == nil {
+			continue
+		}
+		if err := st.golden(s, tables); err != nil {
+			return nil, err
+		}
 	}
-	tables["fig06"] = goldenFig6(profile)
-
-	execRows, err := Fig910ExecTimes(SuiteNames(), s)
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]ExecTimeRow, len(execRows))
-	for _, r := range execRows {
-		byName[r.Benchmark] = r
-	}
-	tables["fig07"] = goldenCompiler(byName["ft"].Points)
-	tables["fig08"] = goldenCompiler(byName["mg"].Points)
-	tables["fig09"] = goldenExecTimes(execRows[:4])
-	tables["fig10"] = goldenExecTimes(execRows[4:])
-
-	l3Rows, err := Fig11L3Sweep(SuiteNames(), s)
-	if err != nil {
-		return nil, err
-	}
-	tables["fig11"] = goldenFig11(l3Rows)
-
-	modeRows, err := Fig121314Modes(SuiteNames(), s)
-	if err != nil {
-		return nil, err
-	}
-	tables["fig12"] = goldenModes(modeRows, "traffic_ratio",
-		func(r ModeRow) float64 { return r.TrafficRatio })
-	tables["fig13"] = goldenModes(modeRows, "slowdown_pct",
-		func(r ModeRow) float64 { return r.SlowdownPct })
-	tables["fig14"] = goldenModes(modeRows, "mflops_per_chip_gain",
-		func(r ModeRow) float64 { return r.MFLOPSPerChipGain })
-
 	return tables, nil
 }
 
@@ -78,7 +64,7 @@ func goldenCell(v float64) string {
 const missingCellCSV = "missing"
 
 func goldenFig6(rows []ProfileRow) [][]string {
-	classes := fpClassOrderFromRows(rows)
+	classes := classOrder(rows, func(r ProfileRow) map[string]float64 { return r.Fractions })
 	header := append([]string{"benchmark"}, classes...)
 	out := [][]string{header}
 	for _, r := range rows {
@@ -95,12 +81,12 @@ func goldenFig6(rows []ProfileRow) [][]string {
 	return out
 }
 
-// fpClassOrderFromRows returns the FP-class mnemonics present in the rows,
-// sorted, so the golden schema does not depend on package import order.
-func fpClassOrderFromRows(rows []ProfileRow) []string {
+// classOrder returns the FP-class mnemonics present in the items' profiles,
+// sorted, so a golden schema does not depend on package import order.
+func classOrder[T any](items []T, fractions func(T) map[string]float64) []string {
 	seen := map[string]bool{}
-	for _, r := range rows {
-		for ev := range r.Fractions {
+	for _, it := range items {
+		for ev := range fractions(it) {
 			seen[ev] = true
 		}
 	}
@@ -173,14 +159,18 @@ func goldenFig11(rows []L3Row) [][]string {
 	return out
 }
 
-func goldenModes(rows []ModeRow, metric string, val func(ModeRow) float64) [][]string {
-	out := [][]string{{"benchmark", metric}}
-	for _, r := range rows {
-		if r.Missing {
-			out = append(out, []string{r.Benchmark, missingCellCSV})
-			continue
+// goldenModes renders one metric of the mode comparison — one of figures
+// 12-14.
+func goldenModes(metric string, val func(ModeRow) float64) func([]ModeRow) [][]string {
+	return func(rows []ModeRow) [][]string {
+		out := [][]string{{"benchmark", metric}}
+		for _, r := range rows {
+			if r.Missing {
+				out = append(out, []string{r.Benchmark, missingCellCSV})
+				continue
+			}
+			out = append(out, []string{r.Benchmark, goldenCell(val(r))})
 		}
-		out = append(out, []string{r.Benchmark, goldenCell(val(r))})
+		return out
 	}
-	return out
 }

@@ -34,7 +34,7 @@ var fpClassOrder = []string{
 }
 
 // missingCell renders a point whose run failed or was absent from the
-// checkpoint (KeepGoing / ResumeOnly graceful degradation).
+// checkpoint (ContinueOnError / ResumeOnly graceful degradation).
 const missingCell = "—"
 
 // partialNote flags a partially-rendered figure; complete figures print
@@ -123,35 +123,49 @@ func RenderCompilerSIMD(w io.Writer, benchmark string, pts []CompilerPoint, figu
 	partialNote(w, missing, len(pts))
 }
 
-// RenderExecTimes prints a Figure 9/10-style execution-time table: one row
-// per benchmark, one column per build, normalized to the baseline build.
-func RenderExecTimes(w io.Writer, rows []ExecTimeRow, figure string) {
-	fmt.Fprintf(w, "%s: execution time by build (cycles, and relative to -O -qstrict)\n", figure)
+// relCell is one point of a relative table: its column heading, its value,
+// whether its run went missing, and whether it is the row's base — the
+// point every value of the row is shown relative to.
+type relCell struct {
+	col           string
+	value         float64
+	missing, base bool
+}
+
+// renderRelative prints the one "value (ratio to the base column)" table
+// shape the execution-time, L3-size and prefetch studies share: a row per
+// series, a column per point. split names a row and yields its points; cell
+// reads point k. A row whose base point is missing shows absolute values
+// only.
+func renderRelative[R, P any](w io.Writer, title string, rows []R, split func(R) (string, []P), cell func(k int, p P) relCell) {
+	fmt.Fprintln(w, title)
 	header := []string{"benchmark"}
-	if len(rows) > 0 {
-		for _, p := range rows[0].Points {
-			header = append(header, p.Opts.String())
-		}
-	}
 	table := make([][]string, 0, len(rows))
 	missing, total := 0, 0
-	for _, r := range rows {
-		row := []string{r.Benchmark}
+	for i, r := range rows {
+		name, points := split(r)
+		cells := make([]relCell, len(points))
 		var base float64
-		if !r.Points[0].Missing {
-			base = float64(r.Points[0].ExecCycles)
+		for k, p := range points {
+			cells[k] = cell(k, p)
+			if i == 0 {
+				header = append(header, cells[k].col)
+			}
+			if cells[k].base && !cells[k].missing {
+				base = cells[k].value
+			}
 		}
-		for _, p := range r.Points {
+		row := []string{name}
+		for _, c := range cells {
 			total++
 			switch {
-			case p.Missing:
+			case c.missing:
 				missing++
 				row = append(row, missingCell)
 			case base > 0:
-				row = append(row, fmt.Sprintf("%.3g (%.2f)", float64(p.ExecCycles), float64(p.ExecCycles)/base))
+				row = append(row, fmt.Sprintf("%.3g (%.2f)", c.value, c.value/base))
 			default:
-				// Baseline build missing: absolute cycles only.
-				row = append(row, fmt.Sprintf("%.3g (%s)", float64(p.ExecCycles), missingCell))
+				row = append(row, fmt.Sprintf("%.3g (%s)", c.value, missingCell))
 			}
 		}
 		table = append(table, row)
@@ -160,40 +174,24 @@ func RenderExecTimes(w io.Writer, rows []ExecTimeRow, figure string) {
 	partialNote(w, missing, total)
 }
 
+// RenderExecTimes prints a Figure 9/10-style execution-time table: one row
+// per benchmark, one column per build, normalized to the baseline build.
+func RenderExecTimes(w io.Writer, rows []ExecTimeRow, figure string) {
+	renderRelative(w, figure+": execution time by build (cycles, and relative to -O -qstrict)", rows,
+		func(r ExecTimeRow) (string, []CompilerPoint) { return r.Benchmark, r.Points },
+		func(k int, p CompilerPoint) relCell {
+			return relCell{col: p.Opts.String(), value: float64(p.ExecCycles), missing: p.Missing, base: k == 0}
+		})
+}
+
 // RenderFig11 prints the L3-size sweep table: DDR traffic per benchmark and
 // L3 size, normalized to the 0 MB (no L3) point.
 func RenderFig11(w io.Writer, rows []L3Row) {
-	fmt.Fprintln(w, "Figure 11: L3→DDR traffic vs L3 size (bytes, and relative to no L3)")
-	header := []string{"benchmark"}
-	if len(rows) > 0 {
-		for _, p := range rows[0].Points {
-			header = append(header, fmt.Sprintf("%dMB", p.L3Bytes>>20))
-		}
-	}
-	table := make([][]string, 0, len(rows))
-	missing, total := 0, 0
-	for _, r := range rows {
-		row := []string{r.Benchmark}
-		var base float64
-		if !r.Points[0].Missing {
-			base = float64(r.Points[0].DDRTrafficBytes)
-		}
-		for _, p := range r.Points {
-			total++
-			switch {
-			case p.Missing:
-				missing++
-				row = append(row, missingCell)
-			case base > 0:
-				row = append(row, fmt.Sprintf("%.3g (%.2f)", float64(p.DDRTrafficBytes), float64(p.DDRTrafficBytes)/base))
-			default:
-				row = append(row, fmt.Sprintf("%.3g (%s)", float64(p.DDRTrafficBytes), missingCell))
-			}
-		}
-		table = append(table, row)
-	}
-	writeTable(w, header, table)
-	partialNote(w, missing, total)
+	renderRelative(w, "Figure 11: L3→DDR traffic vs L3 size (bytes, and relative to no L3)", rows,
+		func(r L3Row) (string, []L3Point) { return r.Benchmark, r.Points },
+		func(k int, p L3Point) relCell {
+			return relCell{col: fmt.Sprintf("%dMB", p.L3Bytes>>20), value: float64(p.DDRTrafficBytes), missing: p.Missing, base: k == 0}
+		})
 }
 
 // RenderModes prints the Figures 12-14 comparison table.

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"bgpsim/internal/machine"
 	"bgpsim/internal/postproc"
@@ -33,7 +32,7 @@ type SpecPoint struct {
 	// Fractions is the dynamic FP instruction profile (shares of FP
 	// instructions per class, as in Figure 6).
 	Fractions map[string]float64
-	// Missing marks a point whose run failed under KeepGoing.
+	// Missing marks a point whose run failed under ContinueOnError.
 	Missing bool
 }
 
@@ -41,42 +40,17 @@ type SpecPoint struct {
 // operating mode and derives one SpecPoint per mode, in SpecModes order.
 func SpecCharacterization(spec *bgp.WorkloadSpec, s Scale) ([]SpecPoint, error) {
 	modes := SpecModes()
-	cfgs := make([]bgp.RunConfig, len(modes))
-	for i, mode := range modes {
-		cfgs[i] = bgp.RunConfig{
-			Spec:  spec,
-			Class: s.Class,
-			Ranks: s.Ranks,
-			Mode:  mode,
-			Opts:  BestBuild(),
-		}
-	}
-	results, err := runAll(s, cfgs)
+	results, err := grid(s, "spec "+spec.Name, nil, spec,
+		variantsOf(modes, func(c *bgp.RunConfig, mode machine.OpMode) { c.Mode = mode })...)
 	if err != nil {
-		return nil, fmt.Errorf("spec %s: %w", spec.Name, err)
+		return nil, err
 	}
 	pts := make([]SpecPoint, len(modes))
-	for i, mode := range modes {
-		res := results[i]
-		if res == nil {
-			pts[i] = SpecPoint{Mode: mode, Missing: true}
-			continue
+	for k, mode := range modes {
+		pts[k] = SpecPoint{Mode: mode, Missing: true}
+		if res := results[0][k]; res != nil {
+			pts[k] = SpecPoint{Mode: mode, Metrics: res.Metrics, Fractions: FPFractions(res.Metrics)}
 		}
-		p := SpecPoint{
-			Mode:      mode,
-			Metrics:   res.Metrics,
-			Fractions: make(map[string]float64, len(postproc.FPClassEvents)),
-		}
-		var total float64
-		for _, ev := range postproc.FPClassEvents {
-			total += res.Metrics.FPMix[ev]
-		}
-		for _, ev := range postproc.FPClassEvents {
-			if total > 0 {
-				p.Fractions[ev] = res.Metrics.FPMix[ev] / total
-			}
-		}
-		pts[i] = p
 	}
 	return pts, nil
 }
@@ -99,7 +73,7 @@ func RenderSpec(w io.Writer, spec *bgp.WorkloadSpec, pts []SpecPoint) {
 			m.DDRTrafficBytes, 100*m.L1HitRate, 100*m.L3MissRate)
 	}
 	fmt.Fprintf(w, "\nFP profile (share of FP instructions per mode):\n")
-	classes := specClassOrder(pts)
+	classes := classOrder(pts, specFractions)
 	fmt.Fprintf(w, "%-28s", "class")
 	for _, p := range pts {
 		fmt.Fprintf(w, " %8v", p.Mode)
@@ -122,7 +96,7 @@ func RenderSpec(w io.Writer, spec *bgp.WorkloadSpec, pts []SpecPoint) {
 // per mode, headline metrics first, then the sorted FP-class fractions in
 // full round-trip precision.
 func GoldenSpec(pts []SpecPoint) [][]string {
-	classes := specClassOrder(pts)
+	classes := classOrder(pts, specFractions)
 	header := []string{"mode", "exec_cycles", "mflops", "mflops_per_chip",
 		"simd_share", "ddr_traffic_bytes", "l1_hit_rate", "l3_miss_rate"}
 	header = append(header, classes...)
@@ -153,19 +127,4 @@ func GoldenSpec(pts []SpecPoint) [][]string {
 	return out
 }
 
-// specClassOrder returns the FP-class mnemonics present across the points,
-// sorted, so the golden schema is stable.
-func specClassOrder(pts []SpecPoint) []string {
-	seen := map[string]bool{}
-	for _, p := range pts {
-		for ev := range p.Fractions {
-			seen[ev] = true
-		}
-	}
-	classes := make([]string, 0, len(seen))
-	for ev := range seen {
-		classes = append(classes, ev)
-	}
-	sort.Strings(classes)
-	return classes
-}
+func specFractions(p SpecPoint) map[string]float64 { return p.Fractions }

@@ -106,8 +106,8 @@ func (e *SweepError) ErrAt(index int) error {
 // injector's errors implement it.
 type Transienter interface{ Transient() bool }
 
-// DefaultClassify is the retry classification used when RetryPolicy.Classify
-// is nil: errors that self-classify through Transienter, panics (a run is
+// DefaultClassify is the retry classification: errors worth retrying are
+// those that self-classify through Transienter, panics (a run is
 // deterministic, so a genuine panic simply recurs and exhausts the budget,
 // while an environmental one heals), and per-attempt deadline overruns.
 func DefaultClassify(err error) bool {
@@ -127,14 +127,6 @@ func DefaultClassify(err error) bool {
 type RetryPolicy struct {
 	// Retries is the number of additional attempts after the first.
 	Retries int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// retry. Values ≤ 0 mean 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Values ≤ 0 mean 1s.
-	MaxDelay time.Duration
-	// Classify reports whether an error is worth retrying; nil means
-	// DefaultClassify.
-	Classify func(error) bool
 	// OnRetry, when non-nil, observes retry number attempt (1-based) of
 	// item index being scheduled after err. It may be called concurrently.
 	OnRetry func(index, attempt int, err error)
@@ -143,24 +135,20 @@ type RetryPolicy struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
+// The backoff before the first retry, doubling per retry up to the cap.
+const (
+	baseDelay = 10 * time.Millisecond
+	maxDelay  = time.Second
+)
+
 // delay returns the capped exponential backoff before retry attempt
 // (0-based).
-func (p RetryPolicy) delay(attempt int) time.Duration {
-	base, max := p.BaseDelay, p.MaxDelay
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+func delay(attempt int) time.Duration {
+	d := baseDelay
+	for i := 0; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, maxDelay)
 }
 
 // sleepCtx waits d or until ctx is done, whichever comes first.

@@ -377,14 +377,10 @@ func TestDefaultClassify(t *testing.T) {
 }
 
 func TestRetryPolicyDelayCaps(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 50, 50}
+	want := []time.Duration{10, 20, 40, 80, 160, 320, 640, 1000, 1000}
 	for i, w := range want {
-		if got := p.delay(i); got != w*time.Millisecond {
+		if got := delay(i); got != w*time.Millisecond {
 			t.Errorf("delay(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
-	}
-	if d := (RetryPolicy{}).delay(0); d != 10*time.Millisecond {
-		t.Errorf("zero-value base delay = %v, want 10ms", d)
 	}
 }

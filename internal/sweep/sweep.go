@@ -194,10 +194,6 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 // runWithRetry executes item i until it succeeds, its error is classified
 // permanent, the retry budget is exhausted, or the sweep context dies.
 func runWithRetry[I, O any](ctx context.Context, i int, item I, fn func(context.Context, int, I) (O, error), opts Options) (O, error) {
-	classify := opts.Retry.Classify
-	if classify == nil {
-		classify = DefaultClassify
-	}
 	sleep := opts.Retry.Sleep
 	if sleep == nil {
 		sleep = sleepCtx
@@ -210,13 +206,13 @@ func runWithRetry[I, O any](ctx context.Context, i int, item I, fn func(context.
 		}
 		// A dead sweep context is never retryable: the deadline that
 		// expired was the sweep's, not this attempt's.
-		if ctx.Err() != nil || attempt >= opts.Retry.Retries || !classify(err) {
+		if ctx.Err() != nil || attempt >= opts.Retry.Retries || !DefaultClassify(err) {
 			return zero, err
 		}
 		if opts.Retry.OnRetry != nil {
 			opts.Retry.OnRetry(i, attempt+1, err)
 		}
-		if serr := sleep(ctx, opts.Retry.delay(attempt)); serr != nil {
+		if serr := sleep(ctx, delay(attempt)); serr != nil {
 			return zero, err
 		}
 	}

@@ -39,10 +39,6 @@ type SweepConfig struct {
 	// retried and being skipped, and accumulates aggregate
 	// simulated-cycle throughput.
 	Progress *sweep.Progress
-	// OnResult, when non-nil, is called with each completed result
-	// (including results restored from a checkpoint). It may be called
-	// concurrently from several workers and must not mutate the result.
-	OnResult func(index int, res *Result)
 	// Observer, when non-nil, receives the sweep's orchestration events
 	// (retries, panics, failures, skips, checkpoint persists/restores)
 	// and is attached to every run whose own RunConfig.Observer is nil,
@@ -70,17 +66,15 @@ type SweepConfig struct {
 	CheckpointDir string
 	// Resume restores runs whose entry record validates (configuration
 	// fingerprint, file sizes and CRCs all match) instead of re-executing
-	// them; runs with missing or corrupt artifacts re-run. Restored
-	// results carry no Timeline.
+	// them; runs with missing or corrupt artifacts re-run, and so do runs
+	// that sample a timeline (the samples are not persisted). A restored
+	// run's dumps are written to its DumpDir as a live run's would be.
 	Resume bool
 	// ResumeOnly renders from the checkpoint alone: runs without a valid
 	// entry fail with ErrNotCheckpointed instead of executing. Combine
 	// with ContinueOnError to get partial results from an incomplete
 	// checkpoint.
 	ResumeOnly bool
-	// OnRestore, when non-nil, observes runs restored from the checkpoint
-	// rather than executed. It may be called concurrently.
-	OnRestore func(index int)
 
 	// Faults, when non-nil, is the deterministic fault injector consulted
 	// once per attempt; it exists so every recovery path above is
@@ -97,18 +91,14 @@ type SweepConfig struct {
 // SweepConfig); with CheckpointDir and Resume, completed runs persist and
 // valid checkpoint entries are restored instead of re-executed.
 func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, error) {
-	opts := sweep.Options{
-		Workers:         sc.Workers,
-		ContinueOnError: sc.ContinueOnError,
-		RunTimeout:      sc.RunTimeout,
-		Retry:           sweep.RetryPolicy{Retries: sc.Retries},
-	}
+	var opts sweep.Options
 	if sc.Progress != nil {
-		opts.OnStart = sc.Progress.RunStarted
-		opts.OnFinish = sc.Progress.RunFinished
-		opts.OnSkip = sc.Progress.RunSkipped
-		opts.Retry.OnRetry = sc.Progress.RunRetried
+		opts = sc.Progress.Hooks()
 	}
+	opts.Workers = sc.Workers
+	opts.ContinueOnError = sc.ContinueOnError
+	opts.RunTimeout = sc.RunTimeout
+	opts.Retry.Retries = sc.Retries
 	if ob := sc.Observer; ob != nil {
 		prevFinish, prevSkip, prevRetry := opts.OnFinish, opts.OnSkip, opts.Retry.OnRetry
 		opts.OnFinish = func(i int, wall time.Duration, err error) {
@@ -157,13 +147,10 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		}
 		if ckpt != nil && (sc.Resume || sc.ResumeOnly) {
 			if res := ckpt.Restore(key, cfg); res != nil {
+				if err := writeDumps(cfg.DumpDir, res.Dumps); err != nil {
+					return nil, runErr(i, cfg, err)
+				}
 				sweepEvent(sc.Observer, obs.EventCheckpointRestore)
-				if sc.OnRestore != nil {
-					sc.OnRestore(i)
-				}
-				if sc.OnResult != nil {
-					sc.OnResult(i, res)
-				}
 				return res, nil
 			}
 			if sc.ResumeOnly {
@@ -200,9 +187,6 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		}
 		if sc.Progress != nil {
 			sc.Progress.AddSimCycles(res.Metrics.ExecCycles)
-		}
-		if sc.OnResult != nil {
-			sc.OnResult(i, res)
 		}
 		return res, nil
 	}, opts)

@@ -28,7 +28,7 @@ func fig6Trace(t *testing.T, jobs int) ([]byte, obs.Snapshot) {
 	rec := obs.NewRecorder(reg, tr)
 
 	s := experiments.QuickScale()
-	s.Jobs = jobs
+	s.Workers = jobs
 	s.Observer = rec
 	if _, err := experiments.Fig6Profile(s); err != nil {
 		t.Fatal(err)
