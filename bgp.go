@@ -420,6 +420,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		st.FFCycles = perf.FFCycles
 		st.EpochMemoHits = perf.EpochMemoHits
 		st.EpochMemoMisses = perf.EpochMemoMisses
+		st.EpochMemoFirstSights = perf.EpochMemoFirstSights
 		st.EpochMemoStores = perf.EpochMemoStores
 		st.EpochMemoCorrupt = perf.EpochMemoCorrupt
 		st.ProgCacheHits = progHits

@@ -202,8 +202,9 @@ func TestChaosDeterminism(t *testing.T) {
 // exit-status-3 case), then resumes from its checkpoints against the warm
 // cache; every recovered run's persisted dumps must stay byte-identical
 // to fault-free serial runs that never saw cache, faults, fast-forwarding
-// or the epoch memo. The sweep repeats configurations, so
-// the later copies replay memoized epochs — an interrupted, retried,
+// or the epoch memo. Two fault-free sweeps walk the memo through its
+// admission policy first (first sight, then recording), so every run of
+// the chaos pass replays memoized epochs — an interrupted, retried,
 // fast-forwarded, epoch-replayed sweep still restores the slow path's
 // bytes exactly.
 func TestChaosMemoizedDeterminism(t *testing.T) {
@@ -213,6 +214,18 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 
 	root := t.TempDir()
 	golden, goldenDumps := goldenRuns(t, root, cases)
+
+	for _, leg := range []string{"first-sight", "recording"} {
+		res, err := bgp.RunAll(context.Background(), cases, bgp.SweepConfig{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s sweep: %v", leg, err)
+		}
+		for i := range res {
+			if !reflect.DeepEqual(res[i].Metrics, golden[i].Metrics) {
+				t.Errorf("%s sweep, run %d: metrics diverge from golden", leg, i)
+			}
+		}
+	}
 
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
@@ -226,8 +239,7 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].ProgCache = cache
 	}
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
+	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
 
 	ckptDir := filepath.Join(root, "ckpt")
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
@@ -251,12 +263,17 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	if s := cache.Stats(); s.Hits == 0 {
 		t.Error("shared program cache saw no hits; memoization never engaged")
 	}
-	// The repeated configurations must have replayed memoized epochs — the
-	// byte comparison below would be vacuous against a fast path that never
-	// ran. Exact counts depend on process-wide memo warmth, so only
-	// engagement is asserted.
-	if c := reg.Snapshot().Counters; c[obs.MetricEpochMemoPrefix+"hits"] == 0 {
-		t.Errorf("epoch memo never replayed an epoch (%shits = 0)", obs.MetricEpochMemoPrefix)
+	// Every run that completed must have replayed memoized epochs, by its
+	// own counters — the byte comparison below would be vacuous against a
+	// fast path that never ran.
+	if len(rec.runs) != len(cfgs)-1 {
+		t.Errorf("chaos pass completed %d runs, want %d", len(rec.runs), len(cfgs)-1)
+	}
+	for _, st := range rec.runs {
+		requireReplayed(t, st)
+		if st.EpochMemoHits == 0 {
+			t.Errorf("%s: epoch memo never replayed an epoch", st.Label)
+		}
 	}
 
 	// Resume re-runs only the failed run — now entirely from cache hits.

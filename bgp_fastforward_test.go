@@ -8,12 +8,13 @@ package bgp_test
 // fast-forward and the memo are execution accelerators, never an
 // approximation — the slow path is the reference.
 //
-// Each configuration runs three ways: the slow path (both accelerations
-// off), a first accelerated run (which records epochs into the
-// process-wide memo), and a second accelerated run (which replays them).
-// The second run is the interesting one — its dumps come from restored
-// machine state rather than executed instructions — so the comparison
-// covers both the recording and the replay sides of the memo.
+// Each configuration runs four ways: the slow path (both accelerations
+// off) and three accelerated runs that walk the process-wide memo through
+// its admission policy — a first-sight run (which only marks the epochs it
+// meets), a recording run, and a replaying run. The last is the interesting
+// one — its dumps come from restored machine state rather than executed
+// instructions — so the comparison covers the unrecorded, the recording and
+// the replay sides of the memo.
 
 import (
 	"bytes"
@@ -21,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	bgp "bgpsim"
@@ -83,53 +85,87 @@ func ffRun(t *testing.T, cfg bgp.RunConfig, noFF, noMemo bool, dir string, ob bg
 	return readDumpBytes(t, dir), res
 }
 
+// runLog is a recorder that also keeps every RunStats it observes, so a
+// test can read one run's own counters while the registry behind it
+// accumulates. Safe for a sweep's concurrent workers.
+type runLog struct {
+	*obs.Recorder
+	mu   sync.Mutex
+	runs []obs.RunStats
+}
+
+func (l *runLog) RunDone(st obs.RunStats) {
+	l.mu.Lock()
+	l.runs = append(l.runs, st)
+	l.mu.Unlock()
+	l.Recorder.RunDone(st)
+}
+
+// requireReplayed asserts that the run behind st replayed every epoch it
+// could have: a run with c cuts has c-1 closed epochs (the one after the
+// last cut runs to job end), and on the third sight of its keys each of
+// them is a hit and nothing is recorded.
+func requireReplayed(t *testing.T, st obs.RunStats) {
+	t.Helper()
+	cuts := st.EpochMemoHits + st.EpochMemoMisses
+	if cuts > 1 && st.EpochMemoHits != cuts-1 {
+		t.Errorf("%s: %d hits over %d cuts, want %d (misses %d, first sights %d, stores %d)", st.Label,
+			st.EpochMemoHits, cuts, cuts-1, st.EpochMemoMisses, st.EpochMemoFirstSights, st.EpochMemoStores)
+	}
+	if st.EpochMemoStores != 0 {
+		t.Errorf("%s: a replaying run recorded %d epochs; its legs did not line up with the admission policy",
+			st.Label, st.EpochMemoStores)
+	}
+}
+
 // TestFastForwardMemoExactness is the acceptance gate for the fast-forward
 // and epoch-memo layers: byte-identical dumps and identical metrics across
-// the slow path, a recording run and a replaying run, for every kernel,
-// mode and class in the determinism matrix. A shared recorder then proves
-// the accelerations actually engaged — the equality above would be vacuous
-// if the fast path had silently disabled itself.
+// the slow path, a first-sight run, a recording run and a replaying run,
+// for every kernel, mode and class in the determinism matrix. Each case's
+// replaying run must then prove, from its own counters, that it replayed —
+// the equality above would be vacuous if the fast path had silently
+// disabled itself, or if "run it again" had merely recorded again.
 func TestFastForwardMemoExactness(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
+	rec := &runLog{Recorder: obs.NewRecorder(reg, nil)}
 
 	for _, cfg := range fastForwardCases() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s-%s-%v", cfg.Benchmark, cfg.Class, cfg.Mode), func(t *testing.T) {
 			root := t.TempDir()
 			want, wantRes := ffRun(t, cfg, true, true, filepath.Join(root, "slow"), nil)
-			first, firstRes := ffRun(t, cfg, false, false, filepath.Join(root, "record"), rec)
-			second, secondRes := ffRun(t, cfg, false, false, filepath.Join(root, "replay"), rec)
 
-			for _, run := range []struct {
-				name  string
-				dumps map[string][]byte
-				res   *bgp.Result
-			}{{"recording", first, firstRes}, {"replaying", second, secondRes}} {
-				if len(run.dumps) != len(want) {
-					t.Fatalf("%s run wrote %d dumps, slow path wrote %d", run.name, len(run.dumps), len(want))
+			// Other tests share the process-wide memo, so an earlier leg may
+			// already find marks or entries; only the last leg's state is
+			// certain, and only it is asserted on.
+			for _, leg := range []string{"first-sight", "recording", "replaying"} {
+				dumps, res := ffRun(t, cfg, false, false, filepath.Join(root, leg), rec)
+				if len(dumps) != len(want) {
+					t.Fatalf("%s run wrote %d dumps, slow path wrote %d", leg, len(dumps), len(want))
 				}
 				for name, blob := range want {
-					if !bytes.Equal(blob, run.dumps[name]) {
-						t.Errorf("dump %s differs between the slow path and the %s run", name, run.name)
+					if !bytes.Equal(blob, dumps[name]) {
+						t.Errorf("dump %s differs between the slow path and the %s run", name, leg)
 					}
 				}
-				if !reflect.DeepEqual(run.res.Metrics, wantRes.Metrics) {
+				if !reflect.DeepEqual(res.Metrics, wantRes.Metrics) {
 					t.Errorf("metrics differ:\nslow path %+v\n%s run %+v",
-						wantRes.Metrics, run.name, run.res.Metrics)
+						wantRes.Metrics, leg, res.Metrics)
 				}
 			}
+
+			requireReplayed(t, rec.runs[len(rec.runs)-1])
 		})
 	}
 
-	// The accelerated runs above must have exercised both layers. Exact
-	// counts depend on process-wide memo warmth (other tests share the
-	// default cache), so only engagement is asserted.
-	counters := reg.Snapshot().Counters
-	if hits := counters[obs.MetricEpochMemoPrefix+"hits"]; hits == 0 {
+	if hits := reg.Snapshot().Counters[obs.MetricEpochMemoPrefix+"hits"]; hits == 0 {
 		t.Errorf("epoch memo never replayed an epoch (%shits = 0)", obs.MetricEpochMemoPrefix)
 	}
-	if disp := counters[obs.MetricFFPrefix+"dispatches"]; disp == 0 {
-		t.Errorf("fast-forward never engaged (%sdispatches = 0)", obs.MetricFFPrefix)
+	// Fast-forward only dispatches in epochs that run live, and in a process
+	// whose memo is already warm (go test -count=2) every leg above replays;
+	// so its engagement is shown on a run with the memo off.
+	ffRun(t, fastForwardCases()[0], false, true, filepath.Join(t.TempDir(), "ff-only"), rec)
+	if st := rec.runs[len(rec.runs)-1]; st.FFDispatches == 0 {
+		t.Errorf("fast-forward never engaged on %s (%sdispatches = 0)", st.Label, obs.MetricFFPrefix)
 	}
 }

@@ -7,11 +7,20 @@
 // proves (by content) that the simulator has executed this exact epoch
 // before and may replay its recorded effects instead of simulating.
 //
+// Admission is on second sight. Recording an epoch costs a copy of the
+// machine-state vector and an entry of up to megabytes, and most epochs of
+// a cold sweep or a daemon's job mix are never met again; so the first
+// probe of a key leaves only a mark (MarkSeen, SeenCost bytes) in the same
+// store, under the same budget and LRU, and the caller runs the epoch
+// unrecorded. A probe that finds the mark has observed the redundancy the
+// memo exists for: the caller records, and Record replaces the mark with
+// the entry. A mark evicted under pressure degrades to a first sight.
+//
 // The cache is shared process-wide by default, so repeated runs of the
 // same configuration — benchmark reruns, figure regeneration, a daemon
 // serving identical jobs — replay each other's epochs. Entries are
-// immutable after Put; concurrent recorders of one key race benignly (the
-// first Put wins and later ones are dropped, mirroring progcache's
+// immutable after Record; concurrent recorders of one key race benignly
+// (the first wins and later ones are dropped, mirroring progcache's
 // in-flight dedup at store granularity).
 package epochmemo
 
@@ -37,25 +46,68 @@ type Checksummer interface {
 }
 
 // DefaultBudget bounds the process-wide default cache: enough for the
-// full figure suite's epochs at quick scale with headroom, small enough to
-// stay irrelevant next to the simulated machines themselves.
+// figure suite's recurring epochs at quick scale with headroom. It is not
+// small next to the simulated machines (a quick-scale machine flattens to
+// about 6 MB), which is why admission waits for a key to recur.
 const DefaultBudget = 256 << 20
 
-// Cache is a byte-bounded LRU of immutable epoch records, safe for
-// concurrent use. Put charges each record its payload size; records
-// implementing Checksummer are verified on every hit.
-type Cache = cas.Store[Key, any]
+// SeenCost is what a seen-mark is charged: the store's bookkeeping for one
+// key (map slot, LRU element, entry header), which is all a mark holds.
+const SeenCost = 256
+
+// seenMark is the value a first probe leaves under its key.
+type seenMark struct{}
+
+func isSeenMark(v any) bool {
+	_, mark := v.(seenMark)
+	return mark
+}
+
+// Cache is a byte-bounded LRU of immutable epoch records and seen-marks,
+// safe for concurrent use. Records implementing Checksummer are verified
+// on every hit. The embedded store's Stats count marks like any other
+// entry: Entries and Cost cover both, Hits includes probes that found a
+// mark.
+type Cache struct {
+	*cas.Store[Key, any]
+}
 
 // New creates a cache holding at most budget payload bytes; budget < 1
 // means unbounded.
 func New(budget int64) *Cache {
-	return cas.New[Key, any](budget, func(v any) (uint64, bool) {
+	return &Cache{cas.New[Key, any](budget, func(v any) (uint64, bool) {
 		cs, ok := v.(Checksummer)
 		if !ok {
 			return 0, false
 		}
 		return cs.Checksum(), true
-	})
+	})}
+}
+
+// Probe looks k up under the second-sight policy. rec is the record stored
+// under k, nil unless one is present and intact. seen reports that k has
+// been probed before — it carries a mark, or carried a record that just
+// failed its checksum (corrupt; evicted) — so an epoch that misses with
+// seen set is worth recording, and one that misses without it is not yet.
+func (c *Cache) Probe(k Key) (rec any, seen, corrupt bool) {
+	v, corrupt := c.GetChecked(k)
+	if isSeenMark(v) {
+		return nil, true, false
+	}
+	return v, v != nil || corrupt, corrupt
+}
+
+// MarkSeen remembers that k was probed. It never displaces a record.
+func (c *Cache) MarkSeen(k Key) {
+	c.Put(k, seenMark{}, SeenCost)
+}
+
+// Record stores rec, of the given cost in bytes, under k — in place of k's
+// seen-mark when it still has one — and reports whether it was accepted:
+// a record already present wins, and one larger than the whole budget is
+// dropped.
+func (c *Cache) Record(k Key, rec any, cost int64) bool {
+	return c.Promote(k, rec, cost, isSeenMark)
 }
 
 var (

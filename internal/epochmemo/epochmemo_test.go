@@ -167,3 +167,47 @@ func TestKeysAndPeek(t *testing.T) {
 		t.Fatalf("Keys/Peek touched stats: %+v", s)
 	}
 }
+
+// TestSecondSightAdmission walks one key through the admission policy:
+// unseen, marked, recorded — and, for a damaged record, back to "seen".
+func TestSecondSightAdmission(t *testing.T) {
+	c := New(0)
+	if rec, seen, corrupt := c.Probe(key(1)); rec != nil || seen || corrupt {
+		t.Fatalf("unseen key: rec %v, seen %v, corrupt %v", rec, seen, corrupt)
+	}
+	c.MarkSeen(key(1))
+	if s := c.Stats(); s.Entries != 1 || s.Cost != SeenCost {
+		t.Fatalf("after MarkSeen: %+v, want one entry of %d B", s, SeenCost)
+	}
+	if rec, seen, corrupt := c.Probe(key(1)); rec != nil || !seen || corrupt {
+		t.Fatalf("marked key: rec %v, seen %v, corrupt %v — a mark is never a record", rec, seen, corrupt)
+	}
+
+	rec := &summed{words: []uint64{1, 2, 3}}
+	if !c.Record(key(1), rec, 1000) {
+		t.Fatal("Record over a mark rejected")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Cost != 1000 {
+		t.Fatalf("after Record: %+v, want the record in place of the mark", s)
+	}
+	if got, seen, _ := c.Probe(key(1)); got != rec || !seen {
+		t.Fatalf("recorded key: rec %v, seen %v", got, seen)
+	}
+	c.MarkSeen(key(1))
+	if c.Record(key(1), &summed{}, 8) || c.Peek(key(1)) != rec {
+		t.Fatal("a later MarkSeen or Record displaced the record")
+	}
+	if !c.Record(key(2), "unmarked", 8) {
+		t.Fatal("Record of a never-marked key rejected")
+	}
+
+	// A record that fails its checksum is evicted, but its key has
+	// recurred: the probe still says seen, so the caller re-records.
+	rec.words[0] ^= 1
+	if got, seen, corrupt := c.Probe(key(1)); got != nil || !seen || !corrupt {
+		t.Fatalf("tampered record: rec %v, seen %v, corrupt %v", got, seen, corrupt)
+	}
+	if got, seen, _ := c.Probe(key(1)); got != nil || seen {
+		t.Fatalf("after the eviction: rec %v, seen %v, want an unseen key", got, seen)
+	}
+}

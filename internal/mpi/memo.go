@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"bgpsim/internal/core"
 	"bgpsim/internal/epochmemo"
@@ -35,10 +37,16 @@ import (
 //   - the job's configuration key (machine parameters, program identity,
 //     ISA version), supplied by the embedder via EnableEpochMemo.
 //
-// On a miss the epoch runs live while per-rank recorders capture its
-// observable effects: the sparse machine-state diff between the two cuts,
-// each rank's operation count, Recv results, post-execution RNG positions,
-// and final mailboxes. On a hit the recorded entry is replayed instead of
+// Admission is on second sight. A cut whose key the cache has never seen
+// costs one flatten and one hash: the cache keeps a seen-mark under the
+// key, and the epoch runs live with no recorder armed and no copy of the
+// state vector taken — most epochs of a cold sweep or a daemon's job mix
+// never recur, and a recording nobody replays is pure cost. A cut whose key
+// carries a mark has recurred: the epoch runs live while per-rank recorders
+// capture its observable effects — the sparse machine-state diff between
+// the two cuts, each rank's operation count, Recv results, post-execution
+// RNG positions, and final mailboxes — and the entry replaces the mark at
+// the closing cut. On a hit the recorded entry is replayed instead of
 // simulated: the diff is applied and written back to the machine
 // (pre-installing every core clock at its next-cut arrival time, which
 // turns all release waits into no-ops), mailboxes are installed wholesale,
@@ -81,9 +89,12 @@ type epochMemo struct {
 	cache  *epochmemo.Cache
 	cfgKey string
 
-	vec      []uint64 // scratch whole-machine state vector
-	preVec   []uint64 // recording base: flatten at the opening cut
-	vecValid bool     // vec mirrors the live machine state
+	// vec is the scratch whole-machine state vector; preVec, taken when the
+	// run's first recording opens, is the recording base (the flatten at the
+	// opening cut). Both come from vecPool and go back when Run returns.
+	vec      []uint64
+	preVec   []uint64
+	vecValid bool // vec mirrors the live machine state
 
 	recording bool
 	openKey   epochmemo.Key // key of the cut the recording opened at
@@ -103,7 +114,28 @@ type epochMemo struct {
 	// the flag itself.
 	poisoned atomic.Bool
 
-	hits, misses, stores, corrupt uint64
+	hits, misses, firstSights, stores, corrupt uint64
+}
+
+// vecPool recycles state vectors across jobs: a vector is megabytes, every
+// word of it is overwritten before it is read (flatten, or the copy that
+// opens a recording), and a sweep runs hundreds of jobs over a handful of
+// geometries — so zeroing a fresh pair per job is the memo's largest cost on
+// a warm pass.
+var vecPool sync.Pool
+
+// getVec returns a state vector of length n with unspecified contents.
+func getVec(n int) []uint64 {
+	if v, _ := vecPool.Get().(*[]uint64); v != nil && cap(*v) >= n {
+		return (*v)[:n]
+	}
+	return make([]uint64, n)
+}
+
+func putVec(v []uint64) {
+	if v != nil {
+		vecPool.Put(&v)
+	}
 }
 
 // memoRank is the per-rank side of the memo: the rolling history fold, the
@@ -140,7 +172,6 @@ type epochEntry struct {
 	closeRoot  int
 
 	nextKey epochmemo.Key
-	size    int64
 }
 
 type entryRank struct {
@@ -286,9 +317,12 @@ type PerfStats struct {
 	// FFDispatches counts compute ops that ran to completion in one
 	// dispatch; FFCycles is the simulated cycles they covered.
 	FFDispatches, FFCycles uint64
-	// Epoch memo probe and store counts for this job only. Corrupt counts
-	// probes whose cached entry failed its checksum (evicted, re-simulated).
-	EpochMemoHits, EpochMemoMisses, EpochMemoStores, EpochMemoCorrupt uint64
+	// Epoch memo probe and store counts for this job only. Every miss ran
+	// its epoch live; FirstSights counts the misses whose key had never
+	// been seen (left a mark, recorded nothing), the rest recorded. Stores
+	// counts entries, never marks. Corrupt counts probes whose cached entry
+	// failed its checksum (evicted, re-simulated and re-recorded).
+	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
 }
 
 // Perf returns this job's fast-forward and memo counters.
@@ -299,7 +333,8 @@ func (j *Job) Perf() PerfStats {
 		s.FFCycles += r.ffCycles
 	}
 	if m := j.memo; m != nil {
-		s.EpochMemoHits, s.EpochMemoMisses, s.EpochMemoStores, s.EpochMemoCorrupt = m.hits, m.misses, m.stores, m.corrupt
+		s.EpochMemoHits, s.EpochMemoMisses, s.EpochMemoFirstSights = m.hits, m.misses, m.firstSights
+		s.EpochMemoStores, s.EpochMemoCorrupt = m.stores, m.corrupt
 	}
 	return s
 }
@@ -316,10 +351,18 @@ func (j *Job) initRunModes() {
 	for _, id := range j.nodeIDs {
 		total += j.m.Nodes[id].StateLen()
 	}
-	m.vec = make([]uint64, total)
-	m.preVec = make([]uint64, total)
+	m.vec = getVec(total)
 	m.rs = make([]memoRank, len(j.ranks))
 	j.memo = m
+}
+
+// releaseVectors hands the state vectors back to the pool. Run calls it on
+// its way out, when every rank goroutine has made its final yield and
+// nothing can reach the memo's buffers any more.
+func (m *epochMemo) releaseVectors() {
+	putVec(m.vec)
+	putVec(m.preVec)
+	m.vec, m.preVec, m.vecValid = nil, nil, false
 }
 
 func (m *epochMemo) flatten() {
@@ -395,8 +438,9 @@ func (m *epochMemo) computeKey() epochmemo.Key {
 // atCut is the memo's hook at every cut, called with the job's collState
 // from the last arriver's frame. It closes an armed recording, probes the
 // cache, and either replays an entry (returning true — the caller must skip
-// the live completion and leave releases at zero) or arms a recording over
-// the coming epoch (returning false — the caller completes live).
+// the live completion and leave releases at zero) or lets the coming epoch
+// run live (returning false — the caller completes live), recorded if the
+// key has been seen before and only marked if it has not.
 func (m *epochMemo) atCut(cs *collState) bool {
 	m.cutSeen = true
 	if !m.disabled && (m.poisoned.Load() || m.anyUPCHandler()) {
@@ -432,9 +476,9 @@ func (m *epochMemo) atCut(cs *collState) bool {
 		m.replayed = nil
 	}
 
-	v, corrupt := m.cache.GetChecked(key)
-	if v != nil {
-		ent := v.(*epochEntry)
+	rec, seen, corrupt := m.cache.Probe(key)
+	if rec != nil {
+		ent := rec.(*epochEntry)
 		m.hits++
 		m.apply(ent)
 		m.chainKey, m.haveChain = ent.nextKey, true
@@ -443,11 +487,17 @@ func (m *epochMemo) atCut(cs *collState) bool {
 	}
 	if corrupt {
 		// The cache evicted a checksum-failed entry; re-simulate and
-		// re-record as an ordinary miss — never replay damaged state.
+		// re-record — the key has recurred — never replay damaged state.
 		m.corrupt++
 	}
 	m.misses++
-	m.openRecording(key)
+	if seen {
+		m.openRecording(key)
+	} else {
+		m.firstSights++
+		m.cache.MarkSeen(key)
+		m.vecValid = false // the live epoch mutates the machine
+	}
 	return false
 }
 
@@ -465,6 +515,9 @@ func (m *epochMemo) anyUPCHandler() bool {
 func (m *epochMemo) openRecording(key epochmemo.Key) {
 	m.openKey = key
 	m.recording = true
+	if m.preVec == nil {
+		m.preVec = getVec(len(m.vec))
+	}
 	copy(m.preVec, m.vec)
 	m.vecValid = false // the live epoch mutates the machine
 	for i := range m.rs {
@@ -491,34 +544,80 @@ func (m *epochMemo) closeRecording(cs *collState) epochmemo.Key {
 		closeRoot:  cs.root,
 		nextKey:    key,
 	}
+	// Two passes — count, then fill — so the diff is allocated once at its
+	// exact length: append growth would leave up to twice that in capacity,
+	// resident for as long as the entry is.
+	n := 0
 	for i, w := range m.vec {
 		if w != m.preVec[i] {
-			ent.diffIdx = append(ent.diffIdx, int32(i))
-			ent.diffVal = append(ent.diffVal, w)
+			n++
+		}
+	}
+	ent.diffIdx = make([]int32, n)
+	ent.diffVal = make([]uint64, n)
+	n = 0
+	for i, w := range m.vec {
+		if w != m.preVec[i] {
+			ent.diffIdx[n], ent.diffVal[n] = int32(i), w
+			n++
 		}
 	}
 	ent.ranks = make([]entryRank, len(j.ranks))
-	size := int64(len(ent.diffIdx)) * 12
 	for i, r := range j.ranks {
 		rs := &m.rs[i]
 		er := &ent.ranks[i]
 		er.budget = rs.recOps
-		er.recvSeq = append([]int(nil), rs.recRecv...)
-		er.rngSeq = append([]uint64(nil), rs.recRng...)
-		er.mailbox = make(map[int][]message, len(r.mailbox))
+		er.recvSeq = exactCopy(rs.recRecv)
+		er.rngSeq = exactCopy(rs.recRng)
 		for src, q := range r.mailbox {
-			if len(q) > 0 {
-				er.mailbox[src] = append([]message(nil), q...)
-				size += int64(len(q)) * 24
+			if len(q) == 0 {
+				continue
 			}
+			if er.mailbox == nil {
+				er.mailbox = make(map[int][]message)
+			}
+			er.mailbox[src] = exactCopy(q)
 		}
-		size += int64(len(er.recvSeq))*8 + int64(len(er.rngSeq))*8 + 64
 	}
-	ent.size = size + 256
-	if m.cache.Put(m.openKey, ent, ent.size) {
+	if m.cache.Record(m.openKey, ent, ent.footprint()) {
 		m.stores++
 	}
 	return key
+}
+
+// exactCopy copies s into a slice with no spare capacity (nil when empty):
+// what an immutable cache entry should hold.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// footprint is what the entry holds on the heap, from the capacities of
+// its slices rather than their lengths, plus the store's bookkeeping for
+// the key — the number the cache budget has to bound.
+func (e *epochEntry) footprint() int64 {
+	const (
+		mapHeader = 48 // runtime map header
+		mapSlot   = 48 // one int → slice-header slot, bucket overhead included
+	)
+	size := int64(epochmemo.SeenCost) + int64(unsafe.Sizeof(*e)) +
+		int64(cap(e.diffIdx))*4 + int64(cap(e.diffVal))*8 +
+		int64(cap(e.ranks))*int64(unsafe.Sizeof(entryRank{}))
+	for i := range e.ranks {
+		er := &e.ranks[i]
+		size += int64(cap(er.recvSeq)+cap(er.rngSeq)) * 8
+		if er.mailbox != nil {
+			size += mapHeader
+		}
+		for _, q := range er.mailbox {
+			size += mapSlot + int64(cap(q))*int64(unsafe.Sizeof(message{}))
+		}
+	}
+	return size
 }
 
 // apply replays an entry: the machine jumps to the closing cut's state

@@ -227,6 +227,10 @@ func (j *Job) Run(body func(*Rank)) error {
 		return fmt.Errorf("mpi: job already run")
 	}
 	j.initRunModes()
+	if j.memo != nil {
+		// Every return below follows each rank goroutine's final yield.
+		defer j.memo.releaseVectors()
+	}
 	for _, r := range j.ranks {
 		r.status = statusReady
 		r.nd.SetActive(r.coreID, true)

@@ -1,12 +1,15 @@
 package obs
 
+import "fmt"
+
 // SetupCLI wires the command-line observability shared by the bgp tools:
 // a tracer when tracePath is non-empty, and an HTTP metrics endpoint
 // (serving /metrics and /debug/vars, with the registry also published to
 // expvar) when metricsAddr is non-empty. It returns the observer to attach
 // (nil when neither was requested — the zero-cost path) and a cleanup
 // function, safe to call unconditionally, that stops the server, flushes
-// the trace and reports the span count through logf.
+// the trace and reports the span count and a one-line perf summary (what
+// the execution accelerators did over the command's runs) through logf.
 func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...any)) (Observer, func(), error) {
 	if tracePath == "" && metricsAddr == "" {
 		return nil, func() {}, nil
@@ -22,6 +25,9 @@ func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...an
 	}
 	var srv *Server
 	cleanup := func() {
+		if c := reg.Snapshot().Counters; c[MetricRuns] > 0 {
+			logf("%s", perfSummary(c))
+		}
 		if srv != nil {
 			srv.Close()
 		}
@@ -45,4 +51,16 @@ func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...an
 		logf("metrics: http://%s/metrics", srv.Addr())
 	}
 	return NewRecorder(reg, tr), cleanup, nil
+}
+
+// perfSummary renders the accelerator counters of a registry snapshot. The
+// epoch memo's misses are split so a cold number explains itself: a first
+// sight only marked a never-seen key, every other miss recorded its epoch.
+func perfSummary(c map[string]uint64) string {
+	return fmt.Sprintf("perf: %d runs; fast-forward %d dispatches (%d cycles); "+
+		"epoch memo %d hits, %d misses (%d first sight), %d stores, %d corrupt; progcache %d hits, %d misses",
+		c[MetricRuns], c[MetricFFPrefix+"dispatches"], c[MetricFFPrefix+"cycles"],
+		c[MetricEpochMemoPrefix+"hits"], c[MetricEpochMemoPrefix+"misses"], c[MetricEpochMemoPrefix+"first_sight"],
+		c[MetricEpochMemoPrefix+"stores"], c[MetricEpochMemoPrefix+"corrupt"],
+		c[MetricProgCachePrefix+"hit"], c[MetricProgCachePrefix+"miss"])
 }

@@ -80,9 +80,11 @@ type RunStats struct {
 	FFDispatches, FFCycles uint64
 	// Epoch-memo probe and store counts for the run: cuts that replayed a
 	// cached epoch, cuts that simulated live, and epochs recorded into the
-	// shared cache. Corrupt counts probes whose cached entry failed its
+	// shared cache. FirstSights counts the misses whose key had never been
+	// seen — they left a mark and recorded nothing; the other misses
+	// recorded. Corrupt counts probes whose cached entry failed its
 	// integrity checksum (evicted and re-simulated, never replayed).
-	EpochMemoHits, EpochMemoMisses, EpochMemoStores, EpochMemoCorrupt uint64
+	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
 	// ProgCacheHits/ProgCacheMisses record the run's single compile-cache
 	// lookup (1/0 on a hit, 0/1 on a compile; both zero when the cache is
 	// disabled).
@@ -135,8 +137,12 @@ const (
 	// and sim.ff.cycles (simulated cycles those dispatches covered).
 	MetricFFPrefix = "sim.ff."
 	// MetricEpochMemoPrefix prefixes epoch-memo counters:
-	// sim.epochmemo.hits, sim.epochmemo.misses, sim.epochmemo.stores,
-	// sim.epochmemo.corrupt (checksum-failed entries evicted on probe).
+	// sim.epochmemo.hits, sim.epochmemo.misses, sim.epochmemo.first_sight
+	// (the misses that only marked a never-seen key), sim.epochmemo.stores
+	// (entries recorded, never marks), sim.epochmemo.corrupt
+	// (checksum-failed entries evicted on probe). bgpd adds two gauges of
+	// the process-wide cache's occupancy, seen-marks included:
+	// sim.epochmemo.resident_bytes and sim.epochmemo.entries.
 	MetricEpochMemoPrefix = "sim.epochmemo."
 	// MetricProgCachePrefix prefixes compile-cache counters:
 	// sim.progcache.hit, sim.progcache.miss.
@@ -166,9 +172,9 @@ type Recorder struct {
 	l3pfIssued                       *Counter
 	ddrReadLines, ddrWriteLines      *Counter
 
-	ffDispatches, ffCycles                                            *Counter
-	epochMemoHits, epochMemoMisses, epochMemoStores, epochMemoCorrupt *Counter
-	progCacheHit, progCacheMiss                                       *Counter
+	ffDispatches, ffCycles                                                                  *Counter
+	epochMemoHits, epochMemoMisses, epochMemoFirstSights, epochMemoStores, epochMemoCorrupt *Counter
+	progCacheHit, progCacheMiss                                                             *Counter
 }
 
 // NewRecorder returns a recorder over reg, tracing to tracer when non-nil.
@@ -202,14 +208,15 @@ func NewRecorder(reg *Registry, tracer *Tracer) *Recorder {
 		ddrReadLines:  reg.Counter("ddr.read_lines"),
 		ddrWriteLines: reg.Counter("ddr.write_lines"),
 
-		ffDispatches:     reg.Counter(MetricFFPrefix + "dispatches"),
-		ffCycles:         reg.Counter(MetricFFPrefix + "cycles"),
-		epochMemoHits:    reg.Counter(MetricEpochMemoPrefix + "hits"),
-		epochMemoMisses:  reg.Counter(MetricEpochMemoPrefix + "misses"),
-		epochMemoStores:  reg.Counter(MetricEpochMemoPrefix + "stores"),
-		epochMemoCorrupt: reg.Counter(MetricEpochMemoPrefix + "corrupt"),
-		progCacheHit:     reg.Counter(MetricProgCachePrefix + "hit"),
-		progCacheMiss:    reg.Counter(MetricProgCachePrefix + "miss"),
+		ffDispatches:         reg.Counter(MetricFFPrefix + "dispatches"),
+		ffCycles:             reg.Counter(MetricFFPrefix + "cycles"),
+		epochMemoHits:        reg.Counter(MetricEpochMemoPrefix + "hits"),
+		epochMemoMisses:      reg.Counter(MetricEpochMemoPrefix + "misses"),
+		epochMemoFirstSights: reg.Counter(MetricEpochMemoPrefix + "first_sight"),
+		epochMemoStores:      reg.Counter(MetricEpochMemoPrefix + "stores"),
+		epochMemoCorrupt:     reg.Counter(MetricEpochMemoPrefix + "corrupt"),
+		progCacheHit:         reg.Counter(MetricProgCachePrefix + "hit"),
+		progCacheMiss:        reg.Counter(MetricProgCachePrefix + "miss"),
 	}
 	for _, ph := range Phases() {
 		r.phaseNS[ph] = reg.Counter(MetricPhaseNSPrefix + string(ph))
@@ -268,6 +275,7 @@ func (r *Recorder) RunDone(st RunStats) {
 	r.ffCycles.Add(st.FFCycles)
 	r.epochMemoHits.Add(st.EpochMemoHits)
 	r.epochMemoMisses.Add(st.EpochMemoMisses)
+	r.epochMemoFirstSights.Add(st.EpochMemoFirstSights)
 	r.epochMemoStores.Add(st.EpochMemoStores)
 	r.epochMemoCorrupt.Add(st.EpochMemoCorrupt)
 	r.progCacheHit.Add(st.ProgCacheHits)

@@ -105,6 +105,7 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	if got := snap[server.MetricJournalRecoveryFailed]; got != 0 {
 		t.Errorf("server.journal.recovery_failed = %d, want 0", got)
 	}
+	requireMemoReplayed(t, s2)
 }
 
 // TestCrashRecoveryCircuitBreaker hand-writes the journal a crash-looping
@@ -215,4 +216,5 @@ func TestTornJournalTailRecovered(t *testing.T) {
 			t.Errorf("node %d: dump differs from baseline after tail truncation", node)
 		}
 	}
+	requireMemoReplayed(t, s)
 }

@@ -31,6 +31,8 @@ import (
 	"time"
 
 	bgp "bgpsim"
+	"bgpsim/internal/epochmemo"
+	"bgpsim/internal/obs"
 )
 
 // maxSpecBytes bounds a submission body (a MaxRunsPerJob-run spec is a few
@@ -76,13 +78,23 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.Handle("GET /metrics", s.reg.Handler())
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"ok\":true,\"checkpointed\":%d}\n", s.store.Len())
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	return mux
+}
+
+// handleMetrics serves the registry snapshot, first refreshing the gauges
+// that mirror state no run event carries: the process-wide epoch memo's
+// occupancy (what -epochmemo-bytes bounds), seen-marks included.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	memo := epochmemo.Default().Stats()
+	s.reg.Gauge(obs.MetricEpochMemoPrefix + "resident_bytes").Set(memo.Cost)
+	s.reg.Gauge(obs.MetricEpochMemoPrefix + "entries").Set(int64(memo.Entries))
+	s.reg.Handler().ServeHTTP(w, r)
 }
 
 // handleReady reports readiness: the journal has been replayed (recovered

@@ -93,6 +93,7 @@ func TestRestartServesStoreAndResumesInterruptedSweep(t *testing.T) {
 	if n := s2.Store().Len(); n != len(specs) {
 		t.Errorf("store indexes %d runs after resume, want %d", n, len(specs))
 	}
+	requireMemoReplayed(t, s2)
 
 	// The resumed results are byte-identical to the uninterrupted
 	// baseline — restored and re-executed runs alike.

@@ -41,23 +41,52 @@ func compileSpec(t *testing.T, rs server.RunSpec) bgp.RunConfig {
 	return cfg
 }
 
-// goldenDumps runs cfg directly through bgp.Run and returns each node's
-// encoded dump bytes — the reference the API must serve verbatim.
+// goldenDumps returns each node's encoded dump bytes for cfg — the
+// reference the API must serve verbatim. The reference is the slow path
+// (epoch memo off); two memo-on runs follow and must reproduce it byte for
+// byte. They also walk the process-wide memo through its admission policy —
+// a first sight that only marks cfg's epochs, then the recording run — so a
+// daemon simulating cfg afterwards is the replaying leg of the exactness
+// comparison (requireMemoReplayed checks that it was).
 func goldenDumps(t *testing.T, cfg bgp.RunConfig) [][]byte {
 	t.Helper()
-	res, err := bgp.Run(cfg)
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
-	}
-	blobs := make([][]byte, len(res.Dumps))
-	for i, d := range res.Dumps {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			t.Fatalf("encoding golden dump: %v", err)
+	encode := func(cfg bgp.RunConfig) [][]byte {
+		res, err := bgp.Run(cfg)
+		if err != nil {
+			t.Fatalf("golden run: %v", err)
 		}
-		blobs[i] = buf.Bytes()
+		blobs := make([][]byte, len(res.Dumps))
+		for i, d := range res.Dumps {
+			var buf bytes.Buffer
+			if err := d.Encode(&buf); err != nil {
+				t.Fatalf("encoding golden dump: %v", err)
+			}
+			blobs[i] = buf.Bytes()
+		}
+		return blobs
 	}
-	return blobs
+	slow := cfg
+	slow.NoEpochMemo = true
+	golden := encode(slow)
+	for _, leg := range []string{"first-sight", "recording"} {
+		got := encode(cfg)
+		for node := range golden {
+			if !bytes.Equal(got[node], golden[node]) {
+				t.Fatalf("%s run of %s: node %d dump differs from the memo-less run", leg, cfg.Benchmark, node)
+			}
+		}
+	}
+	return golden
+}
+
+// requireMemoReplayed asserts, from the instance's own registry, that the
+// runs s simulated replayed memoized epochs: the dump comparisons around
+// it are meant to cover restored machine state, not a second recording.
+func requireMemoReplayed(t *testing.T, s *server.Server) {
+	t.Helper()
+	if hits := s.Registry().Snapshot().Counters["sim.epochmemo.hits"]; hits == 0 {
+		t.Error("sim.epochmemo.hits = 0: the daemon's simulations never replayed an epoch")
+	}
 }
 
 // newTestServer boots a Server and an httptest front end, both torn down
@@ -317,6 +346,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer resp.Body.Close()
 	var snap struct {
 		Counters map[string]uint64 `json:"counters"`
+		Gauges   map[string]int64  `json:"gauges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decoding /metrics: %v", err)
@@ -330,12 +360,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	// recorder, so they surface here alongside the server.cache.* family.
 	for _, name := range []string{
 		"sim.ff.dispatches", "sim.ff.cycles",
-		"sim.epochmemo.hits", "sim.epochmemo.misses", "sim.epochmemo.stores", "sim.epochmemo.corrupt",
+		"sim.epochmemo.hits", "sim.epochmemo.misses", "sim.epochmemo.first_sight",
+		"sim.epochmemo.stores", "sim.epochmemo.corrupt",
 		"sim.progcache.hit", "sim.progcache.miss",
 	} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
+	}
+	// The memo's occupancy is refreshed at every scrape; after a run the
+	// process-wide cache holds at least that run's marks.
+	if snap.Gauges["sim.epochmemo.entries"] == 0 || snap.Gauges["sim.epochmemo.resident_bytes"] == 0 {
+		t.Errorf("epoch memo gauges after a completed run: %v", snap.Gauges)
 	}
 	if snap.Counters["sim.progcache.hit"]+snap.Counters["sim.progcache.miss"] == 0 {
 		t.Error("sim.progcache recorded neither a hit nor a miss after a completed run")
