@@ -423,6 +423,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		st.EpochMemoFirstSights = perf.EpochMemoFirstSights
 		st.EpochMemoStores = perf.EpochMemoStores
 		st.EpochMemoCorrupt = perf.EpochMemoCorrupt
+		st.EpochMemoFlattens = perf.EpochMemoFlattens
+		st.EpochMemoMaterializations = perf.EpochMemoMaterializations
 		st.ProgCacheHits = progHits
 		st.ProgCacheMisses = progMisses
 		cfg.Observer.RunDone(st)

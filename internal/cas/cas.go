@@ -24,11 +24,11 @@ type Stats struct {
 	Hits uint64
 	// Misses counts Get probes that found nothing and Do calls that built.
 	Misses uint64
-	// Stores counts entries accepted by Put or Promote.
+	// Stores counts entries accepted by Put.
 	Stores uint64
-	// Dropped counts Puts and Promotes discarded because the key already
-	// held a value (a concurrent writer won the race) or the entry alone
-	// exceeded the whole budget.
+	// Dropped counts Puts discarded because the key already held a value (a
+	// concurrent writer won the race) or the entry alone exceeded the whole
+	// budget.
 	Dropped uint64
 	// Evictions counts entries dropped by the cost budget.
 	Evictions uint64
@@ -115,30 +115,14 @@ func (s *Store[K, V]) GetChecked(k K) (val V, corrupt bool) {
 // costlier than the whole budget — is dropped rather than evicting
 // everything else.
 func (s *Store[K, V]) Put(k K, val V, cost int64) bool {
-	return s.Promote(k, val, cost, nil)
-}
-
-// Promote is Put for a value that supersedes a placeholder — a cheap
-// stand-in stored under k to remember that k was asked for before anyone
-// paid for the real value. An existing completed entry whose value
-// placeholder reports true is replaced; in every other respect Promote is
-// Put: a real value already present wins, and an oversized newcomer is
-// dropped (its placeholder stays). placeholder runs under the store lock
-// and must not call back into the store; nil recognises nothing.
-func (s *Store[K, V]) Promote(k K, val V, cost int64, placeholder func(V) bool) bool {
 	if cost < 0 {
 		cost = 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, present := s.entries[k]
-	superseded := present && old.done && placeholder != nil && placeholder(old.val)
-	if (present && !superseded) || (s.budget > 0 && cost > s.budget) {
+	if _, ok := s.entries[k]; ok || (s.budget > 0 && cost > s.budget) {
 		s.stats.Dropped++
 		return false
-	}
-	if superseded {
-		s.removeLocked(old)
 	}
 	e := &entry[K, V]{key: k, cost: cost, done: true, val: val}
 	if s.sum != nil {

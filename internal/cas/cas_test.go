@@ -149,28 +149,6 @@ func TestStoreContract(t *testing.T) {
 				t.Fatalf("stats %+v", st)
 			}
 		}},
-		// Promote replaces a placeholder and nothing else.
-		{"promote-replaces-placeholder", func(t *testing.T) {
-			s := New[string, any](20, nil)
-			isMark := func(v any) bool { return v == "mark" }
-			s.Put("k", "mark", 2)
-			if !s.Promote("k", "real", 10, isMark) || s.Get("k") != "real" {
-				t.Fatalf("Promote kept the placeholder: %v", s.Get("k"))
-			}
-			if s.Promote("k", "other", 10, isMark) || s.Get("k") != "real" {
-				t.Fatal("Promote replaced a real value")
-			}
-			if !s.Promote("fresh", "value", 4, isMark) {
-				t.Fatal("Promote of an absent key rejected")
-			}
-			s.Put("big", "mark", 2)
-			if s.Promote("big", "huge", 100, isMark) || s.Get("big") != "mark" {
-				t.Fatal("oversized Promote displaced its placeholder")
-			}
-			if st := s.Stats(); st.Stores != 4 || st.Dropped != 2 || st.Cost != 16 || st.Entries != 3 {
-				t.Fatalf("stats %+v", st)
-			}
-		}},
 		// Set budget evicts down to the bound, growing evicts nothing.
 		{"set-budget", func(t *testing.T) {
 			s := New[string, any](0, nil)

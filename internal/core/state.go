@@ -50,6 +50,10 @@ func (c *Core) WriteState(src []uint64) int {
 	return i
 }
 
+// WriteClock restores only the cycle clock from a window read with
+// ReadState: all of the core the rank scheduler reads between cuts.
+func (c *Core) WriteClock(src []uint64) { c.Cycles = src[0] }
+
 // RngState returns the state's address-draw RNG position. At an epoch
 // boundary every bound ExecState is either freshly bound or fully executed
 // (Exec runs to completion within one MPI op), so the RNG word is the only

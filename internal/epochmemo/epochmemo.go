@@ -3,28 +3,31 @@
 // bytes, mapping 256-bit epoch keys to opaque replay records. It is the
 // progcache idea applied to simulation state instead of compilation output
 // — the key is a sha256 over the machine-state digest, the per-rank
-// operation histories and the rank-invariant run parameters, so a hit
-// proves (by content) that the simulator has executed this exact epoch
-// before and may replay its recorded effects instead of simulating.
+// operation histories and the run's configuration key, so a hit proves (by
+// content) that the simulator has executed this exact epoch before and may
+// replay its recorded effects instead of simulating.
 //
-// Admission is on second sight. Recording an epoch costs a copy of the
-// machine-state vector and an entry of up to megabytes, and most epochs of
-// a cold sweep or a daemon's job mix are never met again; so the first
-// probe of a key leaves only a mark (MarkSeen, SeenCost bytes) in the same
-// store, under the same budget and LRU, and the caller runs the epoch
-// unrecorded. A probe that finds the mark has observed the redundancy the
-// memo exists for: the caller records, and Record replaces the mark with
-// the entry. A mark evicted under pressure degrades to a first sight.
+// The configuration key is the full run identity, so an entry is only ever
+// hit by a rerun of the identity that recorded it: a duplicate point across
+// figures, a fault-injected retry, a warm regeneration, a daemon re-running
+// a job its result store no longer holds. Admission is therefore decided
+// once per identity, on second sight. The first run of an identity leaves
+// one mark (Admit, SeenCost bytes) in the same store, under the same budget
+// and LRU as the records, and the caller runs the whole job with the memo
+// idle — most identities of a cold sweep or a daemon's job mix are never
+// met again, and hashing or recording for them is pure cost. A run that
+// finds the mark has observed the redundancy the memo exists for and
+// records every epoch it cannot replay. A mark evicted under pressure
+// degrades to a first run.
 //
-// The cache is shared process-wide by default, so repeated runs of the
-// same configuration — benchmark reruns, figure regeneration, a daemon
-// serving identical jobs — replay each other's epochs. Entries are
-// immutable after Record; concurrent recorders of one key race benignly
-// (the first wins and later ones are dropped, mirroring progcache's
-// in-flight dedup at store granularity).
+// The cache is shared process-wide by default. Entries are immutable after
+// Put; concurrent recorders of one key race benignly (the first wins and
+// later ones are dropped, mirroring progcache's in-flight dedup at store
+// granularity).
 package epochmemo
 
 import (
+	"crypto/sha256"
 	"sync"
 
 	"bgpsim/internal/cas"
@@ -46,24 +49,22 @@ type Checksummer interface {
 }
 
 // DefaultBudget bounds the process-wide default cache: enough for the
-// figure suite's recurring epochs at quick scale with headroom. It is not
-// small next to the simulated machines (a quick-scale machine flattens to
-// about 6 MB), which is why admission waits for a key to recur.
+// epochs of the figure suite's rerun identities at quick scale with
+// headroom. It is not small next to the simulated machines (a quick-scale
+// machine flattens to about 6 MB), which is why nothing is recorded for an
+// identity until it has been run once already.
 const DefaultBudget = 256 << 20
 
-// SeenCost is what a seen-mark is charged: the store's bookkeeping for one
-// key (map slot, LRU element, entry header), which is all a mark holds.
+// SeenCost is what a run-mark is charged: the store's bookkeeping for one
+// key (map slot, LRU element, entry header), which is all a mark holds. It
+// is also the store overhead of a record, so records add it to their
+// payload.
 const SeenCost = 256
 
-// seenMark is the value a first probe leaves under its key.
+// seenMark is the value the first run of an identity leaves under its key.
 type seenMark struct{}
 
-func isSeenMark(v any) bool {
-	_, mark := v.(seenMark)
-	return mark
-}
-
-// Cache is a byte-bounded LRU of immutable epoch records and seen-marks,
+// Cache is a byte-bounded LRU of immutable epoch records and run-marks,
 // safe for concurrent use. Records implementing Checksummer are verified
 // on every hit. The embedded store's Stats count marks like any other
 // entry: Entries and Cost cover both, Hits includes probes that found a
@@ -84,30 +85,19 @@ func New(budget int64) *Cache {
 	})}
 }
 
-// Probe looks k up under the second-sight policy. rec is the record stored
-// under k, nil unless one is present and intact. seen reports that k has
-// been probed before — it carries a mark, or carried a record that just
-// failed its checksum (corrupt; evicted) — so an epoch that misses with
-// seen set is worth recording, and one that misses without it is not yet.
-func (c *Cache) Probe(k Key) (rec any, seen, corrupt bool) {
-	v, corrupt := c.GetChecked(k)
-	if isSeenMark(v) {
-		return nil, true, false
+// Admit reports whether a run of this identity has been admitted before,
+// and leaves the identity's mark when it has not: false tells the caller
+// to run with the memo idle, true to replay what is stored and record what
+// is not. The mark lives under sha256("run\x00"+identity), a domain no
+// epoch key shares. Two workers meeting one unseen identity at the same
+// time may both be told false; both then run live, which is always exact.
+func (c *Cache) Admit(identity string) bool {
+	k := Key(sha256.Sum256([]byte("run\x00" + identity)))
+	if c.Get(k) != nil {
+		return true
 	}
-	return v, v != nil || corrupt, corrupt
-}
-
-// MarkSeen remembers that k was probed. It never displaces a record.
-func (c *Cache) MarkSeen(k Key) {
 	c.Put(k, seenMark{}, SeenCost)
-}
-
-// Record stores rec, of the given cost in bytes, under k — in place of k's
-// seen-mark when it still has one — and reports whether it was accepted:
-// a record already present wins, and one larger than the whole budget is
-// dropped.
-func (c *Cache) Record(k Key, rec any, cost int64) bool {
-	return c.Promote(k, rec, cost, isSeenMark)
+	return false
 }
 
 var (

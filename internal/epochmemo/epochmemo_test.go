@@ -168,46 +168,45 @@ func TestKeysAndPeek(t *testing.T) {
 	}
 }
 
-// TestSecondSightAdmission walks one key through the admission policy:
-// unseen, marked, recorded — and, for a damaged record, back to "seen".
+// TestSecondSightAdmission walks one run identity through the admission
+// policy: unseen, marked, admitted from then on — and unseen again once the
+// mark has been evicted.
 func TestSecondSightAdmission(t *testing.T) {
 	c := New(0)
-	if rec, seen, corrupt := c.Probe(key(1)); rec != nil || seen || corrupt {
-		t.Fatalf("unseen key: rec %v, seen %v, corrupt %v", rec, seen, corrupt)
+	if c.Admit("identity-a") {
+		t.Fatal("a never-seen identity was admitted")
 	}
-	c.MarkSeen(key(1))
 	if s := c.Stats(); s.Entries != 1 || s.Cost != SeenCost {
-		t.Fatalf("after MarkSeen: %+v, want one entry of %d B", s, SeenCost)
+		t.Fatalf("after the first Admit: %+v, want one mark of %d B", s, SeenCost)
 	}
-	if rec, seen, corrupt := c.Probe(key(1)); rec != nil || !seen || corrupt {
-		t.Fatalf("marked key: rec %v, seen %v, corrupt %v — a mark is never a record", rec, seen, corrupt)
+	for run := 2; run <= 3; run++ {
+		if !c.Admit("identity-a") {
+			t.Fatalf("run %d of a marked identity was not admitted", run)
+		}
 	}
-
-	rec := &summed{words: []uint64{1, 2, 3}}
-	if !c.Record(key(1), rec, 1000) {
-		t.Fatal("Record over a mark rejected")
+	if c.Admit("identity-b") {
+		t.Fatal("one identity's mark admitted another")
 	}
-	if s := c.Stats(); s.Entries != 1 || s.Cost != 1000 {
-		t.Fatalf("after Record: %+v, want the record in place of the mark", s)
-	}
-	if got, seen, _ := c.Probe(key(1)); got != rec || !seen {
-		t.Fatalf("recorded key: rec %v, seen %v", got, seen)
-	}
-	c.MarkSeen(key(1))
-	if c.Record(key(1), &summed{}, 8) || c.Peek(key(1)) != rec {
-		t.Fatal("a later MarkSeen or Record displaced the record")
-	}
-	if !c.Record(key(2), "unmarked", 8) {
-		t.Fatal("Record of a never-marked key rejected")
+	if s := c.Stats(); s.Entries != 2 || s.Cost != 2*SeenCost {
+		t.Fatalf("two identities: %+v, want two marks", s)
 	}
 
-	// A record that fails its checksum is evicted, but its key has
-	// recurred: the probe still says seen, so the caller re-records.
-	rec.words[0] ^= 1
-	if got, seen, corrupt := c.Probe(key(1)); got != nil || !seen || !corrupt {
-		t.Fatalf("tampered record: rec %v, seen %v, corrupt %v", got, seen, corrupt)
+	// Marks live in the key space of the records without colliding with
+	// them, and a record never reads as a mark.
+	c.Put(key(1), "record", 8)
+	if c.Get(key(1)) != "record" || !c.Admit("identity-a") {
+		t.Fatal("a record and the marks disturbed each other")
 	}
-	if got, seen, _ := c.Probe(key(1)); got != nil || seen {
-		t.Fatalf("after the eviction: rec %v, seen %v, want an unseen key", got, seen)
+
+	// A budget of one mark: the second identity's mark evicts the first's,
+	// which is then a first run again — never anything worse.
+	c = New(SeenCost)
+	c.Admit("identity-a")
+	c.Admit("identity-b")
+	if c.Admit("identity-a") {
+		t.Fatal("an identity whose mark was evicted was admitted")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 2 {
+		t.Fatalf("under a one-mark budget: %+v, want one surviving mark and two evictions", s)
 	}
 }

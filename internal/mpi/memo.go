@@ -37,25 +37,41 @@ import (
 //   - the job's configuration key (machine parameters, program identity,
 //     ISA version), supplied by the embedder via EnableEpochMemo.
 //
-// Admission is on second sight. A cut whose key the cache has never seen
-// costs one flatten and one hash: the cache keeps a seen-mark under the
-// key, and the epoch runs live with no recorder armed and no copy of the
-// state vector taken — most epochs of a cold sweep or a daemon's job mix
-// never recur, and a recording nobody replays is pure cost. A cut whose key
-// carries a mark has recurred: the epoch runs live while per-rank recorders
-// capture its observable effects — the sparse machine-state diff between
-// the two cuts, each rank's operation count, Recv results, post-execution
-// RNG positions, and final mailboxes — and the entry replaces the mark at
-// the closing cut. On a hit the recorded entry is replayed instead of
-// simulated: the diff is applied and written back to the machine
-// (pre-installing every core clock at its next-cut arrival time, which
-// turns all release waits into no-ops), mailboxes are installed wholesale,
-// and every rank is handed a skip budget — its next budget ops return
-// recorded results without touching simulated state. Exec skips still bind
-// programs through the normal path (so address-space layout evolves
-// identically) and advance each bound state's RNG to its recorded
-// position; at an epoch boundary a bound program is always either fully
-// executed or untouched, so that one word is the whole difference.
+// The configuration key is the embedder's full run identity, so an entry
+// can only be hit by a rerun of the identity that recorded it, and the memo
+// is a per-identity replay chain: admission, cost and benefit are all
+// decided run by run, never cut by cut.
+//
+// Admission is once per run identity, on second sight. At a run's first cut
+// the cache is asked whether the identity has been run before
+// (epochmemo.Cache.Admit, one mark per identity). If not, the whole job runs
+// with the memo idle — no state vector taken, nothing flattened, hashed or
+// probed; its cuts only count as first-sight misses — because most
+// identities of a cold sweep or a daemon's job mix never recur, and a
+// recording nobody replays is pure cost. A run whose identity carries the
+// mark flattens and hashes the machine once, at its first cut, and from
+// there every cut either hits or records: a missing epoch runs live while
+// per-rank recorders capture its observable effects — the sparse
+// machine-state diff between the two cuts, each rank's operation count, Recv
+// results, post-execution RNG positions, and final mailboxes — and is stored
+// at the closing cut. So the first run of an identity costs nothing, the
+// second records, the third replays.
+//
+// A hit costs in proportion to the recorded diff, not to the machine. The
+// entry's diff is applied to the state vector only; of the machine, just the
+// core clocks are written (pre-installing every core at its next-cut arrival
+// time, which turns all release waits into no-ops), because during a skipped
+// epoch the rank scheduler and the next collective's arrival bookkeeping
+// read nothing else. The vector then runs ahead of the machine across any
+// number of chained hits, and the whole-machine write-back ("materialize")
+// happens once: when a cut misses and the coming epoch must run live, when
+// the memo disables itself, or when Run returns. Mailboxes are installed
+// wholesale, and every rank is handed a skip budget — its next budget ops
+// return recorded results without touching simulated state. Exec skips still
+// bind programs through the normal path (so address-space layout evolves
+// identically) and advance each bound state's RNG to its recorded position;
+// at an epoch boundary a bound program is always either fully executed or
+// untouched, so that one word is the whole difference.
 //
 // Replay is exact by construction and guarded by tripwires: a rank issuing
 // an op beyond its budget, exhausting its budget before the closing
@@ -71,7 +87,10 @@ import (
 // The cut is the last arriver's completion frame in doCollective. Entries
 // carry the key of the cut they end at, so consecutive hits chain without
 // flattening or hashing anything ("warm chains") — the steady state of a
-// benchmark rerun is a handful of map probes per epoch.
+// rerun is one map probe, one checksum over the entry and one diff
+// application per epoch, with one flatten at the run's first cut and one
+// materialization at its last (the final epoch, from the last cut to job
+// end, is never closed and always runs live).
 //
 // Exclusions and safety: the UPC counter unit is not part of the state
 // vector — its registers change only at counter-library calls, which the
@@ -82,19 +101,25 @@ import (
 // tripwire panic, since live counters would have been read mid-epoch.
 // Jobs with OnAdvance or OnSpan observers never enable the memo (skipped
 // epochs would emit neither samples nor spans), and a node with a UPC
-// threshold handler disables it at the next cut.
+// threshold handler disables it at the next cut (materializing first).
 
 type epochMemo struct {
 	j      *Job
 	cache  *epochmemo.Cache
 	cfgKey string
 
-	// vec is the scratch whole-machine state vector; preVec, taken when the
-	// run's first recording opens, is the recording base (the flatten at the
-	// opening cut). Both come from vecPool and go back when Run returns.
-	vec      []uint64
-	preVec   []uint64
-	vecValid bool // vec mirrors the live machine state
+	// admitted is Admit's verdict, taken at the first cut: false means this
+	// is the identity's first run and the memo stays idle throughout.
+	admitted bool
+
+	// vec is the whole-machine state vector, taken from vecPool at the run's
+	// first flatten; preVec, taken when the first recording opens, is the
+	// recording base (the vector as of the opening cut). Both go back to the
+	// pool when Run returns. ahead means vec holds replayed epochs the
+	// machine has not been written back to yet.
+	vec    []uint64
+	preVec []uint64
+	ahead  bool
 
 	recording bool
 	openKey   epochmemo.Key // key of the cut the recording opened at
@@ -115,13 +140,13 @@ type epochMemo struct {
 	poisoned atomic.Bool
 
 	hits, misses, firstSights, stores, corrupt uint64
+	flattens, materializations                 uint64
 }
 
 // vecPool recycles state vectors across jobs: a vector is megabytes, every
-// word of it is overwritten before it is read (flatten, or the copy that
-// opens a recording), and a sweep runs hundreds of jobs over a handful of
-// geometries — so zeroing a fresh pair per job is the memo's largest cost on
-// a warm pass.
+// word of it is overwritten by a flatten before it is read, and a sweep runs
+// hundreds of jobs over a handful of geometries — so zeroing a fresh pair
+// per job would be among the memo's largest costs on a warm pass.
 var vecPool sync.Pool
 
 // getVec returns a state vector of length n with unspecified contents.
@@ -170,6 +195,11 @@ type epochEntry struct {
 	closeOp    collOp
 	closeBytes int
 	closeRoot  int
+	// closeLast is the rank that arrived last at the closing cut when the
+	// epoch ran live. Replayed ranks reach the cut in clock order instead,
+	// so when the cut completes live the job asks for this rank to stand in
+	// as the last arriver (see atCut).
+	closeLast int
 
 	nextKey epochmemo.Key
 }
@@ -185,43 +215,55 @@ type entryRank struct {
 // entry an epochmemo.Checksummer: the cache re-derives this at every hit
 // and treats a mismatch — bit rot, an accidental in-place mutation of a
 // supposedly immutable entry — as a miss, so a damaged epoch re-simulates
-// instead of replaying wrong state.
+// instead of replaying wrong state. It runs once per replayed epoch over the
+// whole diff, so it folds through statehash's two independent lanes rather
+// than one serial multiply chain; changing any single word changes it.
 func (e *epochEntry) Checksum() uint64 {
-	h := foldWord(0x9e3779b97f4a7c15, uint64(len(e.diffIdx)))
-	for i, idx := range e.diffIdx {
-		h = foldWord(foldWord(h, uint64(uint32(idx))), e.diffVal[i])
+	h := statehash.New()
+	h.Word(uint64(len(e.diffIdx)))
+	idx := e.diffIdx
+	for ; len(idx) >= 2; idx = idx[2:] {
+		h.Word(uint64(uint32(idx[0]))<<32 | uint64(uint32(idx[1])))
 	}
-	h = foldWord(foldWord(h, uint64(e.closeOp)), uint64(e.closeBytes)<<16|uint64(uint32(e.closeRoot)))
+	if len(idx) == 1 {
+		h.Word(uint64(uint32(idx[0])))
+	}
+	h.Words(e.diffVal)
+	h.Word(uint64(e.closeOp))
+	h.Word(uint64(e.closeBytes)<<16 | uint64(uint32(e.closeRoot)))
+	h.Word(uint64(e.closeLast))
 	for i := 0; i < len(e.nextKey); i += 8 {
-		h = foldWord(h, binary.LittleEndian.Uint64(e.nextKey[i:]))
+		h.Word(binary.LittleEndian.Uint64(e.nextKey[i:]))
 	}
-	h = foldWord(h, uint64(len(e.ranks)))
+	h.Word(uint64(len(e.ranks)))
+	var srcs []int
 	for i := range e.ranks {
 		er := &e.ranks[i]
-		h = foldWord(h, uint64(er.budget))
-		h = foldWord(h, uint64(len(er.recvSeq)))
+		h.Word(uint64(er.budget))
+		h.Word(uint64(len(er.recvSeq)))
 		for _, v := range er.recvSeq {
-			h = foldWord(h, uint64(v))
+			h.Word(uint64(v))
 		}
-		h = foldWord(h, uint64(len(er.rngSeq)))
-		for _, v := range er.rngSeq {
-			h = foldWord(h, v)
-		}
-		srcs := make([]int, 0, len(er.mailbox))
+		h.Word(uint64(len(er.rngSeq)))
+		h.Words(er.rngSeq)
+		srcs = srcs[:0]
 		for src := range er.mailbox {
 			srcs = append(srcs, src)
 		}
 		sort.Ints(srcs)
-		h = foldWord(h, uint64(len(srcs)))
+		h.Word(uint64(len(srcs)))
 		for _, src := range srcs {
 			q := er.mailbox[src]
-			h = foldWord(foldWord(h, uint64(src)), uint64(len(q)))
+			h.Word(uint64(src))
+			h.Word(uint64(len(q)))
 			for _, msg := range q {
-				h = foldWord(foldWord(h, uint64(msg.bytes)), msg.arrival)
+				h.Word(uint64(msg.bytes))
+				h.Word(msg.arrival)
 			}
 		}
 	}
-	return h
+	d := h.Sum()
+	return d.Lo ^ d.Hi
 }
 
 // History fold tags, one per op kind. Results that feed back into body
@@ -272,9 +314,10 @@ func progTag(p *isa.Program) uint64 {
 // configuration key identifying everything that shapes this job's
 // execution but lives outside the simulated machine state: machine
 // parameters, program identity and inputs, ISA version. Jobs sharing a
-// cfgKey and reaching identical cuts replay each other's epochs; the
-// cache's content addressing makes a too-coarse cfgKey cost correctness,
-// so embedders must fold in every configuration knob that can change
+// cfgKey and reaching identical cuts replay each other's epochs — from the
+// second run of a cfgKey on, the first only leaves its mark; the cache's
+// content addressing makes a too-coarse cfgKey cost correctness, so
+// embedders must fold in every configuration knob that can change
 // execution. A nil cache disables the memo. The memo engages at Run time
 // only if the job has no OnAdvance or OnSpan observer.
 func (j *Job) EnableEpochMemo(c *epochmemo.Cache, cfgKey string) {
@@ -317,12 +360,17 @@ type PerfStats struct {
 	// FFDispatches counts compute ops that ran to completion in one
 	// dispatch; FFCycles is the simulated cycles they covered.
 	FFDispatches, FFCycles uint64
-	// Epoch memo probe and store counts for this job only. Every miss ran
-	// its epoch live; FirstSights counts the misses whose key had never
-	// been seen (left a mark, recorded nothing), the rest recorded. Stores
-	// counts entries, never marks. Corrupt counts probes whose cached entry
-	// failed its checksum (evicted, re-simulated and re-recorded).
+	// Epoch memo cut and store counts for this job only. Every miss ran its
+	// epoch live; FirstSights counts the misses of a run whose identity had
+	// never been seen (one mark left, nothing probed or recorded), the rest
+	// recorded. Stores counts entries, never marks. Corrupt counts probes
+	// whose cached entry failed its checksum (evicted, re-simulated and
+	// re-recorded).
 	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
+	// The memo's whole-machine passes: Flattens reads the machine into the
+	// state vector (and hashes it), Materializations writes the vector back.
+	// Everything else the memo does is proportional to an epoch's diff.
+	EpochMemoFlattens, EpochMemoMaterializations uint64
 }
 
 // Perf returns this job's fast-forward and memo counters.
@@ -335,6 +383,7 @@ func (j *Job) Perf() PerfStats {
 	if m := j.memo; m != nil {
 		s.EpochMemoHits, s.EpochMemoMisses, s.EpochMemoFirstSights = m.hits, m.misses, m.firstSights
 		s.EpochMemoStores, s.EpochMemoCorrupt = m.stores, m.corrupt
+		s.EpochMemoFlattens, s.EpochMemoMaterializations = m.flattens, m.materializations
 	}
 	return s
 }
@@ -346,44 +395,62 @@ func (j *Job) initRunModes() {
 	if j.memoCache == nil || j.onAdvance != nil || j.onSpan != nil {
 		return
 	}
-	m := &epochMemo{j: j, cache: j.memoCache, cfgKey: j.memoCfgKey}
-	total := 0
-	for _, id := range j.nodeIDs {
-		total += j.m.Nodes[id].StateLen()
-	}
-	m.vec = getVec(total)
-	m.rs = make([]memoRank, len(j.ranks))
-	j.memo = m
+	j.memo = &epochMemo{j: j, cache: j.memoCache, cfgKey: j.memoCfgKey, rs: make([]memoRank, len(j.ranks))}
 }
 
-// releaseVectors hands the state vectors back to the pool. Run calls it on
-// its way out, when every rank goroutine has made its final yield and
-// nothing can reach the memo's buffers any more.
+// releaseVectors writes back whatever the vector is still ahead by — a body
+// that panicked or deadlocked mid-chain leaves it so — and hands the state
+// vectors back to the pool. Run calls it on its way out, when every rank
+// goroutine has made its final yield and nothing can reach the memo's
+// buffers any more.
 func (m *epochMemo) releaseVectors() {
+	m.materialize()
 	putVec(m.vec)
 	putVec(m.preVec)
-	m.vec, m.preVec, m.vecValid = nil, nil, false
+	m.vec, m.preVec = nil, nil
 }
 
-func (m *epochMemo) flatten() {
-	i := 0
-	for _, id := range m.j.nodeIDs {
-		i += m.j.m.Nodes[id].ReadState(m.vec[i:])
+// flatten reads the whole machine into vec — taking the vector on the run's
+// first call — and returns its digest, hashing each node's window right
+// after it was written, while it is still in the host's caches.
+func (m *epochMemo) flatten() statehash.Digest {
+	j := m.j
+	if m.vec == nil {
+		total := 0
+		for _, id := range j.nodeIDs {
+			total += j.m.Nodes[id].StateLen()
+		}
+		m.vec = getVec(total)
 	}
-	m.vecValid = true
+	h := statehash.New()
+	i := 0
+	for _, id := range j.nodeIDs {
+		n := j.m.Nodes[id].ReadState(m.vec[i:])
+		h.Words(m.vec[i : i+n])
+		i += n
+	}
+	m.flattens++
+	return h.Sum()
 }
 
-func (m *epochMemo) unflatten() {
+// materialize writes vec back to the machine if replayed epochs have left
+// it ahead: the one O(machine) step of a chain of hits.
+func (m *epochMemo) materialize() {
+	if !m.ahead {
+		return
+	}
+	m.ahead = false
 	i := 0
 	for _, id := range m.j.nodeIDs {
 		i += m.j.m.Nodes[id].WriteState(m.vec[i:])
 	}
+	m.materializations++
 }
 
-// computeKey fingerprints the current cut: configuration, machine-state
-// digest of m.vec (which must be current), per-rank histories, and the
-// variable state the flatten cannot see.
-func (m *epochMemo) computeKey() epochmemo.Key {
+// computeKey fingerprints the current cut: configuration, the machine-state
+// digest d of a flatten just taken, per-rank histories, and the variable
+// state the flatten cannot see.
+func (m *epochMemo) computeKey(d statehash.Digest) epochmemo.Key {
 	j := m.j
 	h := sha256.New()
 	var buf [8]byte
@@ -393,7 +460,6 @@ func (m *epochMemo) computeKey() epochmemo.Key {
 	}
 	io.WriteString(h, m.cfgKey)
 	w(uint64(len(j.ranks)))
-	d := statehash.Sum128(m.vec)
 	w(d.Lo)
 	w(d.Hi)
 	for i := range m.rs {
@@ -436,36 +502,55 @@ func (m *epochMemo) computeKey() epochmemo.Key {
 }
 
 // atCut is the memo's hook at every cut, called with the job's collState
-// from the last arriver's frame. It closes an armed recording, probes the
-// cache, and either replays an entry (returning true — the caller must skip
-// the live completion and leave releases at zero) or lets the coming epoch
-// run live (returning false — the caller completes live), recorded if the
-// key has been seen before and only marked if it has not.
-func (m *epochMemo) atCut(cs *collState) bool {
+// from the frame of the last rank to arrive. It closes an armed recording,
+// probes the cache, and either replays an entry (replay true — the caller
+// must skip the live completion and leave releases at zero) or lets the
+// coming epoch run live (replay false — the caller completes live):
+// recorded, unless this is the identity's first run, in which case nothing
+// below the admission check ever executes.
+//
+// last is the rank the caller must treat as the last arriver when it
+// completes live. The last arriver takes its release before it yields, the
+// waiters only when next dispatched, and the scheduler's next picks — hence
+// the order in which the ranks' first accesses of the coming epoch meet the
+// shared L3 — follow from that. Through a replayed epoch ranks arrive in
+// clock order, not in the order the live epoch dispatched them, so the cut
+// closing one names the rank its recording saw arrive last.
+func (m *epochMemo) atCut(cs *collState, arriver int) (replay bool, last int) {
+	last = arriver
+	if m.replayed != nil {
+		last = m.replayed.closeLast
+	}
+	firstCut := !m.cutSeen
 	m.cutSeen = true
 	if !m.disabled && (m.poisoned.Load() || m.anyUPCHandler()) {
 		m.disabled = true
 	}
 	if m.disabled {
+		m.materialize()
 		m.recording = false
 		m.haveChain = false
-		m.vecValid = false
 		m.replayed = nil
-		return false
+		return false, last
+	}
+	if firstCut {
+		m.admitted = m.cache.Admit(m.cfgKey)
+	}
+	if !m.admitted {
+		m.misses++
+		m.firstSights++
+		return false, last
 	}
 
 	var key epochmemo.Key
 	switch {
 	case m.recording:
-		key = m.closeRecording(cs)
+		key = m.closeRecording(cs, arriver)
 	case m.haveChain:
 		key = m.chainKey
 		m.haveChain = false
-	default:
-		if !m.vecValid {
-			m.flatten()
-		}
-		key = m.computeKey()
+	default: // the run's first cut: nothing to inherit a key from
+		key = m.computeKey(m.flatten())
 	}
 
 	if ent := m.replayed; ent != nil {
@@ -476,29 +561,23 @@ func (m *epochMemo) atCut(cs *collState) bool {
 		m.replayed = nil
 	}
 
-	rec, seen, corrupt := m.cache.Probe(key)
-	if rec != nil {
-		ent := rec.(*epochEntry)
+	rec, corrupt := m.cache.GetChecked(key)
+	if ent, ok := rec.(*epochEntry); ok {
 		m.hits++
 		m.apply(ent)
 		m.chainKey, m.haveChain = ent.nextKey, true
 		m.replayed = ent
-		return true
+		return true, last
 	}
 	if corrupt {
 		// The cache evicted a checksum-failed entry; re-simulate and
-		// re-record — the key has recurred — never replay damaged state.
+		// re-record, never replay damaged state.
 		m.corrupt++
 	}
 	m.misses++
-	if seen {
-		m.openRecording(key)
-	} else {
-		m.firstSights++
-		m.cache.MarkSeen(key)
-		m.vecValid = false // the live epoch mutates the machine
-	}
-	return false
+	m.materialize()
+	m.openRecording(key)
+	return false, last
 }
 
 func (m *epochMemo) anyUPCHandler() bool {
@@ -511,15 +590,16 @@ func (m *epochMemo) anyUPCHandler() bool {
 }
 
 // openRecording arms the per-rank recorders over the coming epoch, with
-// the current (pre-completion) machine vector as the diff base.
+// the current (pre-completion) machine vector as the diff base: the buffers
+// trade places, so the closing flatten fills the other one and nothing is
+// copied.
 func (m *epochMemo) openRecording(key epochmemo.Key) {
 	m.openKey = key
 	m.recording = true
 	if m.preVec == nil {
 		m.preVec = getVec(len(m.vec))
 	}
-	copy(m.preVec, m.vec)
-	m.vecValid = false // the live epoch mutates the machine
+	m.vec, m.preVec = m.preVec, m.vec
 	for i := range m.rs {
 		rs := &m.rs[i]
 		rs.recOps = 0
@@ -532,16 +612,16 @@ func (m *epochMemo) openRecording(key epochmemo.Key) {
 // epoch's entry under the opening cut's key, and returns the closing cut's
 // key (which the entry carries as nextKey, so later replays chain without
 // rehashing).
-func (m *epochMemo) closeRecording(cs *collState) epochmemo.Key {
+func (m *epochMemo) closeRecording(cs *collState, arriver int) epochmemo.Key {
 	j := m.j
 	m.recording = false
-	m.flatten()
-	key := m.computeKey()
+	key := m.computeKey(m.flatten())
 
 	ent := &epochEntry{
 		closeOp:    cs.op,
 		closeBytes: cs.bytes,
 		closeRoot:  cs.root,
+		closeLast:  arriver,
 		nextKey:    key,
 	}
 	// Two passes — count, then fill — so the diff is allocated once at its
@@ -579,7 +659,7 @@ func (m *epochMemo) closeRecording(cs *collState) epochmemo.Key {
 			er.mailbox[src] = exactCopy(q)
 		}
 	}
-	if m.cache.Record(m.openKey, ent, ent.footprint()) {
+	if m.cache.Put(m.openKey, ent, ent.footprint()) {
 		m.stores++
 	}
 	return key
@@ -620,14 +700,23 @@ func (e *epochEntry) footprint() int64 {
 	return size
 }
 
-// apply replays an entry: the machine jumps to the closing cut's state
-// (completion charges of the opening collective included), mailboxes are
+// apply replays an entry: the state vector jumps to the closing cut's
+// state (completion charges of the opening collective included) and of the
+// machine only the core clocks follow — the scheduler orders the skipped
+// epoch's dispatches by them, and the closing collective takes its arrival
+// times from them; everything else waits for materialize. Mailboxes are
 // installed wholesale, and every rank is armed to skip its recorded ops.
 func (m *epochMemo) apply(ent *epochEntry) {
 	for i, idx := range ent.diffIdx {
 		m.vec[idx] = ent.diffVal[i]
 	}
-	m.unflatten()
+	m.ahead = true
+	off := 0
+	for _, id := range m.j.nodeIDs {
+		nd := m.j.m.Nodes[id]
+		nd.WriteClocks(m.vec[off:])
+		off += nd.StateLen()
+	}
 	for i, r := range m.j.ranks {
 		er := &ent.ranks[i]
 		clear(r.mailbox)

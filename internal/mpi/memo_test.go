@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,9 +18,9 @@ import (
 // leaves it in, and rank bodies must observe exactly the same op results.
 // These tests drive mixed workloads (compute, random-access kernels,
 // point-to-point with AnySource, every collective) through memo-less runs
-// and the memo's three passes over one cache — a first-sight pass that only
-// marks its cuts, a recording pass, a replaying pass — and compare full
-// machine state vectors word for word.
+// and the memo's three passes over one cache — the identity's first run,
+// which only leaves its mark; a recording run; a replaying run — and compare
+// full machine state vectors word for word.
 
 func randomProgram(trips int64) *isa.Program {
 	return &isa.Program{
@@ -70,6 +72,12 @@ func diffStates(t *testing.T, label string, want, got []uint64) {
 // mixedBody exercises every op kind across five epochs, with a Recv result
 // feeding back into the body's work — the case that forces result replay.
 func mixedBody(p1, p2 *isa.Program, results [][]int) func(*Rank) {
+	return mixedBodyHooked(p1, p2, results, nil)
+}
+
+// mixedBodyHooked is mixedBody with a callback each rank makes between the
+// second and third cut — not an MPI op, so the memo's keys do not see it.
+func mixedBodyHooked(p1, p2 *isa.Program, results [][]int, mid func(*Rank)) func(*Rank) {
 	return func(r *Rank) {
 		n := r.Size()
 		next, prev := (r.ID()+1)%n, (r.ID()+n-1)%n
@@ -82,6 +90,9 @@ func mixedBody(p1, p2 *isa.Program, results [][]int) func(*Rank) {
 		got := r.Recv(AnySource)
 		results[r.ID()] = append(results[r.ID()], got)
 		r.Compute(uint64(got))
+		if mid != nil {
+			mid(r)
+		}
 		r.Bcast(0, 2048)
 		r.Exec(p1) // second execution: the rewind path
 		r.Alltoall(512)
@@ -93,15 +104,22 @@ func mixedBody(p1, p2 *isa.Program, results [][]int) func(*Rank) {
 // mixedJob builds the mixed workload's job on a fresh machine; run
 // executes it, filling results.
 func mixedJob(cache *epochmemo.Cache) (j *Job, results [][]int, run func() error, err error) {
-	m := machine.New(2, machine.VNM, machine.DefaultParams())
-	if j, err = NewJob(m, 8); err != nil {
+	return mixedJobHooked(machine.VNM, cache, nil)
+}
+
+// mixedJobHooked is mixedJob on two nodes filled to capacity in the given
+// operating mode — 8 ranks in VNM, 4 two-thread ranks in DUAL, 2 four-thread
+// ranks in SMP/4 — with mixedBodyHooked's callback.
+func mixedJobHooked(mode machine.OpMode, cache *epochmemo.Cache, mid func(*Rank)) (j *Job, results [][]int, run func() error, err error) {
+	m := machine.New(2, mode, machine.DefaultParams())
+	if j, err = NewJob(m, m.MaxRanks()); err != nil {
 		return nil, nil, nil, err
 	}
 	if cache != nil {
-		j.EnableEpochMemo(cache, "memo-test-v1")
+		j.EnableEpochMemo(cache, "memo-test-v1 "+mode.String())
 	}
-	results = make([][]int, 8)
-	body := mixedBody(computeProgram(120_000), randomProgram(60_000), results)
+	results = make([][]int, j.Size())
+	body := mixedBodyHooked(computeProgram(120_000), randomProgram(60_000), results, mid)
 	return j, results, func() error { return j.Run(body) }, nil
 }
 
@@ -118,20 +136,61 @@ func runMixed(t *testing.T, cache *epochmemo.Cache) (*Job, [][]int) {
 }
 
 // memoPerf is a job's memo counters, for exact per-pass comparisons.
-type memoPerf struct{ hits, misses, firstSights, stores, corrupt uint64 }
+type memoPerf struct {
+	hits, misses, firstSights, stores, corrupt uint64
+	flattens, materializations                 uint64
+}
 
 func memoPerfOf(j *Job) memoPerf {
 	p := j.Perf()
-	return memoPerf{p.EpochMemoHits, p.EpochMemoMisses, p.EpochMemoFirstSights, p.EpochMemoStores, p.EpochMemoCorrupt}
+	return memoPerf{p.EpochMemoHits, p.EpochMemoMisses, p.EpochMemoFirstSights, p.EpochMemoStores, p.EpochMemoCorrupt,
+		p.EpochMemoFlattens, p.EpochMemoMaterializations}
+}
+
+// chainKeys returns the keys of the epoch entries resident in cache in the
+// order a run meets them: the entry of the first cut is the one no other
+// entry names as its nextKey, and each entry names its successor.
+func chainKeys(t *testing.T, cache *epochmemo.Cache) []epochmemo.Key {
+	t.Helper()
+	ents := map[epochmemo.Key]*epochEntry{}
+	named := map[epochmemo.Key]bool{}
+	for _, k := range cache.Keys() {
+		if ent, ok := cache.Peek(k).(*epochEntry); ok {
+			ents[k] = ent
+			named[ent.nextKey] = true
+		}
+	}
+	var chain []epochmemo.Key
+	for k := range ents {
+		if !named[k] {
+			chain = append(chain, k)
+		}
+	}
+	if len(chain) != 1 {
+		t.Fatalf("cache holds %d chain heads among %d entries, want one chain", len(chain), len(ents))
+	}
+	for ent := ents[chain[0]]; ents[ent.nextKey] != nil; ent = ents[ent.nextKey] {
+		chain = append(chain, ent.nextKey)
+	}
+	if len(chain) != len(ents) {
+		t.Fatalf("chain links %d of %d entries", len(chain), len(ents))
+	}
+	return chain
 }
 
 // The mixed workload has five cuts and so four closed epochs; the epoch
 // after the last cut runs to job end and is never closed. Its three passes
-// over one cache:
+// over one cache, with the whole-machine passes each is allowed:
 var (
-	mixedFirstSight = memoPerf{misses: 5, firstSights: 5} // marks only
-	mixedRecording  = memoPerf{misses: 5, stores: 4}      // every mark recurs
-	mixedReplaying  = memoPerf{hits: 4, misses: 1}        // the last cut opens the unclosed epoch
+	// The identity's first run leaves its mark and touches nothing else.
+	mixedFirstSight = memoPerf{misses: 5, firstSights: 5}
+	// The second run flattens at every cut: once to key the first, then to
+	// close each recording.
+	mixedRecording = memoPerf{misses: 5, stores: 4, flattens: 5}
+	// The third flattens once to find the chain, follows it by key, and
+	// writes the machine back once, when the last cut opens the unclosed
+	// epoch.
+	mixedReplaying = memoPerf{hits: 4, misses: 1, flattens: 1, materializations: 1}
 )
 
 func TestEpochMemoReplayByteIdentical(t *testing.T) {
@@ -163,10 +222,11 @@ func TestEpochMemoReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEpochMemoSecondSight pins the admission policy: the first pass over a
-// cache leaves only seen-marks, the second records, the third replays — and
-// a mark that is gone by the time its key recurs costs a first sight, never
-// a wrong replay.
+// TestEpochMemoSecondSight pins the admission policy, which is per run
+// identity: the first run over a cache leaves one mark and does no memo work
+// at all, the second records, the third replays with a single write-back —
+// and a mark that is gone by the time its identity recurs costs a first run,
+// never a wrong replay.
 func TestEpochMemoSecondSight(t *testing.T) {
 	plain, _ := runMixed(t, nil)
 	want := machineState(plain)
@@ -174,56 +234,66 @@ func TestEpochMemoSecondSight(t *testing.T) {
 	t.Run("marks-then-entries-then-replay", func(t *testing.T) {
 		cache := epochmemo.New(0)
 		j, _ := runMixed(t, cache)
-		diffStates(t, "first-sight pass vs plain", want, machineState(j))
+		diffStates(t, "first run vs plain", want, machineState(j))
 		if got := memoPerfOf(j); got != mixedFirstSight {
-			t.Fatalf("first-sight pass perf = %+v, want %+v", got, mixedFirstSight)
+			t.Fatalf("first run perf = %+v, want %+v", got, mixedFirstSight)
 		}
-		if s := cache.Stats(); s.Entries != 5 || s.Cost > 5<<10 {
-			t.Fatalf("first-sight pass left %d entries costing %d B, want 5 marks under 1 KiB each", s.Entries, s.Cost)
+		if s := cache.Stats(); s.Entries != 1 || s.Cost != epochmemo.SeenCost {
+			t.Fatalf("first run left %d entries costing %d B, want the identity's one mark (%d B)",
+				s.Entries, s.Cost, epochmemo.SeenCost)
 		}
-		for _, k := range cache.Keys() {
-			if _, recorded := cache.Peek(k).(*epochEntry); recorded {
-				t.Fatalf("first-sight pass recorded an entry under %x", k[:4])
-			}
+		if n := len(storedEntries(cache)); n != 0 {
+			t.Fatalf("first run recorded %d entries", n)
 		}
 
 		j, _ = runMixed(t, cache)
-		diffStates(t, "recording pass vs plain", want, machineState(j))
+		diffStates(t, "recording run vs plain", want, machineState(j))
 		if got := memoPerfOf(j); got != mixedRecording {
-			t.Fatalf("recording pass perf = %+v, want %+v", got, mixedRecording)
+			t.Fatalf("recording run perf = %+v, want %+v", got, mixedRecording)
 		}
 		if s := cache.Stats(); s.Entries != 5 {
-			t.Fatalf("recording pass left %d entries, want 5 (four entries in place of their marks, one mark)", s.Entries)
+			t.Fatalf("recording run left %d entries, want 5 (the mark and four epochs)", s.Entries)
 		}
 
 		j, _ = runMixed(t, cache)
-		diffStates(t, "replaying pass vs plain", want, machineState(j))
+		diffStates(t, "replaying run vs plain", want, machineState(j))
 		if got := memoPerfOf(j); got != mixedReplaying {
-			t.Fatalf("replaying pass perf = %+v, want %+v", got, mixedReplaying)
+			t.Fatalf("replaying run perf = %+v, want %+v", got, mixedReplaying)
 		}
 	})
 
-	// A budget of one mark: each cut's mark evicts the previous cut's, so
-	// no key still carries one when it recurs. Every pass is a first-sight
-	// pass; nothing is ever recorded, nothing is ever replayed.
+	// The mark is the least recently used thing a recording run leaves
+	// behind, so cache pressure takes it first. The identity's next run is
+	// then a first run again — wholly live, although every epoch it passes
+	// through is still in the cache — and the run after that replays.
 	t.Run("evicted-mark-is-a-first-sight", func(t *testing.T) {
-		cache := epochmemo.New(epochmemo.SeenCost)
-		for pass := 1; pass <= 3; pass++ {
-			j, _ := runMixed(t, cache)
-			diffStates(t, "run under mark eviction vs plain", want, machineState(j))
-			if got := memoPerfOf(j); got != mixedFirstSight {
-				t.Fatalf("pass %d perf = %+v, want %+v", pass, got, mixedFirstSight)
-			}
+		cache := epochmemo.New(0)
+		runMixed(t, cache)
+		runMixed(t, cache)
+		cache.SetBudget(cache.Stats().Cost - 1)
+		if s := cache.Stats(); s.Evictions != 1 || s.Entries != 4 || len(storedEntries(cache)) != 4 {
+			t.Fatalf("cache stats %+v, want the mark evicted and the four epochs kept", s)
 		}
-		if s := cache.Stats(); s.Entries != 1 || s.Evictions == 0 {
-			t.Fatalf("cache stats %+v, want one surviving mark and evictions", s)
+		cache.SetBudget(0)
+
+		j, _ := runMixed(t, cache)
+		diffStates(t, "run after its mark was evicted vs plain", want, machineState(j))
+		if got := memoPerfOf(j); got != mixedFirstSight {
+			t.Fatalf("run after its mark was evicted perf = %+v, want %+v", got, mixedFirstSight)
+		}
+		j, _ = runMixed(t, cache)
+		diffStates(t, "run after the mark came back vs plain", want, machineState(j))
+		if got := memoPerfOf(j); got != mixedReplaying {
+			t.Fatalf("run after the mark came back perf = %+v, want %+v", got, mixedReplaying)
 		}
 	})
 
-	// Two sweep workers meeting the same keys at the same time: both may
-	// mark, both may record, either may replay the other's entry mid-pass.
-	// Whatever the interleaving, every run is exact (and, under -race,
-	// free of data races on the shared entries and the vector pool).
+	// Two sweep workers meeting one unseen identity at the same time: both
+	// may be told it is new, or one may find the other's mark and record
+	// while the other runs idle; later rounds record and replay each
+	// other's entries mid-pass. Whatever the interleaving, every run is
+	// exact (and, under -race, free of data races on the shared entries and
+	// the vector pool).
 	t.Run("concurrent-workers", func(t *testing.T) {
 		cache := epochmemo.New(0)
 		for round := 0; round < 3; round++ {
@@ -249,14 +319,133 @@ func TestEpochMemoSecondSight(t *testing.T) {
 				diffStates(t, "concurrent worker vs plain", want, machineState(j))
 			}
 		}
-		// Sequentially the third pass replays all four epochs; however the
-		// workers interleaved, a fourth run cannot do worse.
+		// Both workers of the second round were admitted, so by now every
+		// epoch is stored: a further run replays them all.
 		j, _ := runMixed(t, cache)
 		diffStates(t, "run after concurrent rounds vs plain", want, machineState(j))
 		if got := memoPerfOf(j); got != mixedReplaying {
 			t.Fatalf("run after concurrent rounds perf = %+v, want %+v", got, mixedReplaying)
 		}
 	})
+}
+
+// TestEpochMemoLazyChain breaks a recorded chain in the middle, so that a
+// replaying run has the state vector ahead of the machine when it must run
+// live again: epochs 1 and 2 replay into the vector, the third cut finds no
+// usable entry (or a freshly armed UPC handler), and everything from there
+// on depends on the write-back having restored the whole machine — in the
+// threaded modes including the worker cores the skipped epochs drove.
+func TestEpochMemoLazyChain(t *testing.T) {
+	// armHandler runs inside the second (replayed) epoch. The handler is
+	// inert (no threshold is set); its presence is what the memo must notice.
+	armHandler := func(r *Rank) {
+		if r.ID() == 0 {
+			r.Node().UPC.SetInterruptHandler(func(int, uint64) {})
+		}
+	}
+	breaks := []struct {
+		name string
+		// sabotage damages the warm cache's chain; mid is the third run's
+		// (and the reference run's) callback between cuts 2 and 3.
+		sabotage func(t *testing.T, cache *epochmemo.Cache)
+		mid      func(*Rank)
+		perf     memoPerf
+	}{
+		// Cut 3 misses: write back, record epoch 3 live, pick the chain up
+		// again at cut 4, write back again at the last cut.
+		{"deleted-entry", func(t *testing.T, cache *epochmemo.Cache) {
+			cache.Delete(chainKeys(t, cache)[2])
+		}, nil, memoPerf{hits: 3, misses: 2, stores: 1, flattens: 2, materializations: 2}},
+		{"tampered-entry", func(t *testing.T, cache *epochmemo.Cache) {
+			cache.Peek(chainKeys(t, cache)[2]).(*epochEntry).diffVal[0] ^= 1
+		}, nil, memoPerf{hits: 3, misses: 2, stores: 1, corrupt: 1, flattens: 2, materializations: 2}},
+		// Cut 3 finds the handler: write back, then live to the end with
+		// the memo off (its cuts no longer count).
+		{"upc-handler-armed", func(*testing.T, *epochmemo.Cache) {}, armHandler,
+			memoPerf{hits: 2, flattens: 1, materializations: 1}},
+	}
+	for _, mode := range []machine.OpMode{machine.VNM, machine.SMP4, machine.Dual} {
+		for _, ff := range []string{"ff-on", "ff-off"} {
+			for _, br := range breaks {
+				t.Run(strings.ReplaceAll(mode.String(), "/", "")+"/"+ff+"/"+br.name, func(t *testing.T) {
+					run := func(cache *epochmemo.Cache, mid func(*Rank)) (*Job, [][]int) {
+						j, results, run, err := mixedJobHooked(mode, cache, mid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.SetFastForward(ff == "ff-on")
+						if err := run(); err != nil {
+							t.Fatal(err)
+						}
+						return j, results
+					}
+					plain, plainResults := run(nil, br.mid)
+					want := machineState(plain)
+
+					cache := epochmemo.New(0)
+					run(cache, nil) // the identity's first run
+					run(cache, nil) // records epochs 1 to 4
+					br.sabotage(t, cache)
+					j, results := run(cache, br.mid)
+					diffStates(t, "run over the broken chain vs plain", want, machineState(j))
+					if got := memoPerfOf(j); got != br.perf {
+						t.Fatalf("run over the broken chain perf = %+v, want %+v", got, br.perf)
+					}
+					for r := range plainResults {
+						for i := range plainResults[r] {
+							if results[r][i] != plainResults[r][i] {
+								t.Fatalf("rank %d op result %d = %d, plain %d", r, i, results[r][i], plainResults[r][i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEpochMemoLiveAfterReplayedArrivals pins who counts as the last
+// arriver at a cut that closes a replayed epoch and completes live. The
+// last arriver takes its release before yielding, the waiters when next
+// dispatched, so it decides the order in which the ranks' next accesses meet
+// the shared L3. Live, the rank dispatched last arrives last; replayed,
+// ranks arrive in clock order — here a different rank, because the random
+// gather runs a rank dispatched early past its peers. The never-closed tail
+// starts with an Exec, which makes the order visible in the L3's recency
+// words.
+func TestEpochMemoLiveAfterReplayedArrivals(t *testing.T) {
+	p1, p2 := computeProgram(40_000), randomProgram(20_000)
+	for _, c := range []struct {
+		mode         machine.OpMode
+		nodes, ranks int
+	}{{machine.VNM, 2, 8}, {machine.VNM, 1, 2}, {machine.Dual, 2, 4}} {
+		run := func(cache *epochmemo.Cache) *Job {
+			m := machine.New(c.nodes, c.mode, machine.DefaultParams())
+			j, err := NewJob(m, c.ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cache != nil {
+				j.EnableEpochMemo(cache, "memo-arrivals-test-v1")
+			}
+			err = j.Run(func(r *Rank) {
+				r.Exec(p1)
+				r.Barrier()
+				r.Exec(p2)
+				r.Allreduce(64)
+				r.Exec(p1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+		want := machineState(run(nil))
+		cache := epochmemo.New(0)
+		for _, pass := range []string{"first", "recording", "replaying"} {
+			diffStates(t, fmt.Sprintf("%v/%d ranks, %s run vs plain", c.mode, c.ranks, pass), want, machineState(run(cache)))
+		}
+	}
 }
 
 // storedEntries returns the epoch entries resident in cache, marks skipped.
@@ -319,17 +508,24 @@ func TestEpochMemoEntryCost(t *testing.T) {
 }
 
 // TestMemoVectorsPooled pins the state vectors' buffer discipline: a job
-// takes them from the pool and returns them when Run returns — also when it
-// returns because a body panicked or the job deadlocked — so a run of a
-// geometry the process has already run allocates no vectors.
+// takes none until something flattens — the first run of an identity never
+// does — takes them from the pool when it does, and returns them when Run
+// returns, also when it returns because a body panicked or the job
+// deadlocked in the middle of a replayed chain. So a run of a geometry the
+// process has already run allocates no vectors.
 func TestMemoVectorsPooled(t *testing.T) {
 	// One P and no background collections: sync.Pool is per-P and emptied
 	// by the collector, and the assertions below count on neither.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	drainPool := func() {
+	// pooled empties the pool and reports how many vectors it held. Under
+	// the race detector sync.Pool drops a quarter of its Puts on purpose, so
+	// reuse is not something a test can count on there.
+	pooled := func() (n int) {
 		for vecPool.Get() != nil {
+			n++
 		}
+		return n
 	}
 	allocated := func(run func() error) uint64 {
 		var before, after runtime.MemStats
@@ -342,8 +538,8 @@ func TestMemoVectorsPooled(t *testing.T) {
 	}
 
 	cache := epochmemo.New(0)
-	drainPool()
-	var bytes [3]uint64 // first sight, recording, replaying
+	pooled()
+	var bytes [3]uint64 // first run, recording, replaying
 	for pass := range bytes {
 		j, _, run, err := mixedJob(cache)
 		if err != nil {
@@ -353,48 +549,78 @@ func TestMemoVectorsPooled(t *testing.T) {
 		if j.memo.vec != nil || j.memo.preVec != nil {
 			t.Fatalf("pass %d: job still holds its state vectors after Run", pass+1)
 		}
+		if pass == 0 {
+			if n := pooled(); n != 0 {
+				t.Fatalf("the identity's first run put %d vectors into an empty pool: it took some", n)
+			}
+		}
 	}
-	// Under the race detector sync.Pool drops a quarter of its Puts on
-	// purpose, so reuse is not something a test can count on there.
-	if !raceEnabled && bytes[2] > bytes[0]/2 {
-		t.Errorf("replaying run allocated %d B, the first run of the geometry %d B; want under half (vector reuse)",
-			bytes[2], bytes[0])
+	// The recording run found the pool empty and made both vectors; the
+	// first run needed none and the replaying run found both pooled.
+	if !raceEnabled && (bytes[0] > bytes[1]/2 || bytes[2] > bytes[1]/2) {
+		t.Errorf("first run allocated %d B, recording run %d B, replaying run %d B; want the first and the last under half the recording run's",
+			bytes[0], bytes[1], bytes[2])
 	}
 
+	// Abort in the middle of a chain. The cache is warmed by two clean
+	// runs and loses its first entry, so the aborting run records epoch 1
+	// (holding both buffers), replays epoch 2 into the vector, and ends
+	// there with the vector ahead of the machine.
 	for _, abort := range []struct {
-		name string
-		body func(r *Rank)
+		name  string
+		leave func(r *Rank) bool // called inside epoch 2; true ends the rank's body
 	}{
-		{"panicking-body", func(r *Rank) {
-			r.Barrier()
+		{"panicking-body", func(r *Rank) bool {
 			if r.ID() == 3 {
 				panic("boom")
 			}
-			r.Barrier()
+			return false
 		}},
-		{"deadlock", func(r *Rank) {
-			r.Barrier()
-			if r.ID() == 0 {
-				r.Recv(1) // nobody sends
-			}
-			r.Barrier()
-		}},
+		// Rank 0 leaves; its peers wait at the third cut for ever.
+		{"deadlock", func(r *Rank) bool { return r.ID() == 0 }},
 	} {
-		m := machine.New(2, machine.VNM, machine.DefaultParams())
-		j, err := NewJob(m, 8)
-		if err != nil {
-			t.Fatal(err)
+		p := computeProgram(20_000)
+		cache := epochmemo.New(0)
+		run := func(leave func(r *Rank) bool) (*Job, error) {
+			m := machine.New(2, machine.VNM, machine.DefaultParams())
+			j, err := NewJob(m, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.EnableEpochMemo(cache, "memo-abort-test-"+abort.name)
+			return j, j.Run(func(r *Rank) {
+				r.Barrier()
+				r.Exec(p)
+				r.Barrier()
+				r.Exec(p)
+				if leave != nil && leave(r) {
+					return
+				}
+				r.Barrier()
+				r.Exec(p)
+				r.Barrier()
+			})
 		}
-		j.EnableEpochMemo(cache, "memo-abort-test-"+abort.name)
-		drainPool()
-		if err := j.Run(abort.body); err == nil {
+		for pass := 1; pass <= 2; pass++ {
+			if _, err := run(nil); err != nil {
+				t.Fatalf("%s: warm-up run %d: %v", abort.name, pass, err)
+			}
+		}
+		cache.Delete(chainKeys(t, cache)[0])
+
+		pooled()
+		j, err := run(abort.leave)
+		if err == nil {
 			t.Fatalf("%s: Run returned no error", abort.name)
 		}
-		if j.memo == nil || j.memo.vec != nil {
-			t.Fatalf("%s: aborted job kept its state vector", abort.name)
+		if got, want := memoPerfOf(j), (memoPerf{hits: 1, misses: 1, stores: 1, flattens: 2, materializations: 1}); got != want {
+			t.Fatalf("%s: perf = %+v, want %+v (one write-back, made on the way out)", abort.name, got, want)
 		}
-		if !raceEnabled && vecPool.Get() == nil {
-			t.Errorf("%s: aborted job did not return its state vector to the pool", abort.name)
+		if j.memo.vec != nil || j.memo.preVec != nil {
+			t.Fatalf("%s: aborted job kept a state vector", abort.name)
+		}
+		if n := pooled(); !raceEnabled && n != 2 {
+			t.Errorf("%s: aborted job returned %d state vectors to the pool, want both", abort.name, n)
 		}
 	}
 }
@@ -402,8 +628,14 @@ func TestMemoVectorsPooled(t *testing.T) {
 // TestEpochMemoCorruptEntryDetected damages a cached epoch in place and
 // pins the integrity contract: the checksum catches the corruption at the
 // next probe, the run re-simulates (byte-identical to a plain run), and
-// the damage is counted — never replayed.
+// the damage is counted — never replayed. The checksum covers every field
+// replay consumes: one flipped word in any of them is a miss.
 func TestEpochMemoCorruptEntryDetected(t *testing.T) {
+	t.Run("every-entry", testCorruptEveryEntry)
+	t.Run("every-field", testCorruptEveryField)
+}
+
+func testCorruptEveryEntry(t *testing.T) {
 	plain, _ := runMixed(t, nil)
 	want := machineState(plain)
 
@@ -428,7 +660,7 @@ func TestEpochMemoCorruptEntryDetected(t *testing.T) {
 	// the epoch re-simulates and re-records at once.
 	tampered, _ := runMixed(t, cache)
 	diffStates(t, "run over tampered cache vs plain", want, machineState(tampered))
-	if got, want := memoPerfOf(tampered), (memoPerf{misses: 5, stores: stored, corrupt: stored}); got != want {
+	if got, want := memoPerfOf(tampered), (memoPerf{misses: 5, stores: stored, corrupt: stored, flattens: 5}); got != want {
 		t.Fatalf("run over tampered cache perf = %+v, want %+v (damage counted, never replayed)", got, want)
 	}
 	if s := cache.Stats(); s.Corrupt != stored {
@@ -440,6 +672,74 @@ func TestEpochMemoCorruptEntryDetected(t *testing.T) {
 	diffStates(t, "recovered cache replaying run vs plain", want, machineState(again))
 	if got := memoPerfOf(again); got != mixedReplaying {
 		t.Fatalf("recovered cache perf = %+v, want %+v", got, mixedReplaying)
+	}
+}
+
+func testCorruptEveryField(t *testing.T) {
+	// Three cuts; the epoch between the first two populates every field
+	// class of its entry, a message left pending across the cut included.
+	p1, p2 := computeProgram(40_000), randomProgram(20_000)
+	run := func(cache *epochmemo.Cache) *Job {
+		t.Helper()
+		m := machine.New(2, machine.VNM, machine.DefaultParams())
+		j, err := NewJob(m, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache != nil {
+			j.EnableEpochMemo(cache, "memo-fields-test-v1")
+		}
+		err = j.Run(func(r *Rank) {
+			n := r.Size()
+			next, prev := (r.ID()+1)%n, (r.ID()+n-1)%n
+			r.Exec(p1)
+			r.Barrier()
+			r.Send(next, 512+r.ID())
+			got := r.Recv(prev)
+			r.Send(next, 64) // still in next's mailbox at the cut
+			r.Exec(p2)
+			r.Compute(uint64(got))
+			r.Allreduce(64)
+			r.Recv(prev)
+			r.Reduce(0, 32)
+			r.Exec(p1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	want := machineState(run(nil))
+	cache := epochmemo.New(0)
+	run(cache)
+	run(cache)
+
+	for _, field := range []struct {
+		name string
+		flip func(ent *epochEntry)
+	}{
+		{"diffIdx", func(ent *epochEntry) { ent.diffIdx[len(ent.diffIdx)-1] ^= 1 }},
+		{"diffVal", func(ent *epochEntry) { ent.diffVal[len(ent.diffVal)/2] ^= 1 << 40 }},
+		{"nextKey", func(ent *epochEntry) { ent.nextKey[17] ^= 1 }},
+		{"closeOp", func(ent *epochEntry) { ent.closeOp ^= 1 }},
+		{"closeBytes", func(ent *epochEntry) { ent.closeBytes++ }},
+		{"closeLast", func(ent *epochEntry) { ent.closeLast ^= 1 }},
+		{"budget", func(ent *epochEntry) { ent.ranks[5].budget++ }},
+		{"recvSeq", func(ent *epochEntry) { ent.ranks[2].recvSeq[0]++ }},
+		{"rngSeq", func(ent *epochEntry) { ent.ranks[7].rngSeq[0] ^= 1 }},
+		{"mailbox-bytes", func(ent *epochEntry) { ent.ranks[1].mailbox[0][0].bytes++ }},
+		{"mailbox-arrival", func(ent *epochEntry) { ent.ranks[1].mailbox[0][0].arrival++ }},
+	} {
+		ent := cache.Peek(chainKeys(t, cache)[0]).(*epochEntry)
+		field.flip(ent)
+		// The first cut's entry fails its checksum and its epoch re-records;
+		// the second cut's entry is intact and replays.
+		j := run(cache)
+		diffStates(t, field.name+" flipped: run vs plain", want, machineState(j))
+		wantPerf := memoPerf{hits: 1, misses: 2, stores: 1, corrupt: 1, flattens: 2, materializations: 1}
+		if got := memoPerfOf(j); got != wantPerf {
+			t.Fatalf("%s flipped: perf = %+v, want %+v", field.name, got, wantPerf)
+		}
 	}
 }
 
@@ -481,8 +781,8 @@ func TestEpochMemoThreadedMode(t *testing.T) {
 		perf memoPerf
 	}{
 		{"first-sight", memoPerf{misses: 3, firstSights: 3}},
-		{"recording", memoPerf{misses: 3, stores: 2}},
-		{"replaying", memoPerf{hits: 2, misses: 1}},
+		{"recording", memoPerf{misses: 3, stores: 2, flattens: 3}},
+		{"replaying", memoPerf{hits: 2, misses: 1, flattens: 1, materializations: 1}},
 	} {
 		j := run(cache)
 		diffStates(t, "smp "+pass.name+" vs plain", want, machineState(j))

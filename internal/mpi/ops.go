@@ -420,14 +420,22 @@ func (r *Rank) doCollective(op collOp, bytes, root int) {
 	// (the diff pre-installed each core's clock at its next-cut arrival,
 	// so the WaitUntils below are no-ops).
 	j.coll = nil
-	if m := j.memo; m == nil || !m.atCut(cs) {
+	last := r
+	if m := j.memo; m == nil {
 		r.completeCollective(cs)
+	} else if replay, id := m.atCut(cs, r.id); !replay {
+		r.completeCollective(cs)
+		last = j.ranks[id]
 	}
 	for _, w := range cs.waiters {
 		w.makeReady()
 	}
-	r.cr.WaitUntil(cs.releases[r.id])
+	// The last arriver takes its release before it yields, everyone else
+	// when next dispatched. last is this rank, except after a replayed epoch
+	// (see atCut), where this rank yields like a waiter instead.
+	last.cr.WaitUntil(cs.releases[last.id])
 	r.yield()
+	r.cr.WaitUntil(cs.releases[r.id])
 }
 
 func (r *Rank) completeCollective(cs *collState) {

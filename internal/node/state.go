@@ -101,3 +101,15 @@ func (n *Node) WriteState(src []uint64) int {
 	n.Collective.Bytes = src[i+3]
 	return i + 4
 }
+
+// WriteClocks restores only the core clocks from a window read with
+// ReadState. The epoch memo replays an epoch into its state vector and
+// defers the full WriteState; the clocks are what the rank scheduler orders
+// dispatches by in the meantime.
+func (n *Node) WriteClocks(src []uint64) {
+	i := 0
+	for _, c := range n.Cores {
+		c.WriteClock(src[i:])
+		i += c.StateLen()
+	}
+}

@@ -54,13 +54,17 @@ func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...an
 }
 
 // perfSummary renders the accelerator counters of a registry snapshot. The
-// epoch memo's misses are split so a cold number explains itself: a first
-// sight only marked a never-seen key, every other miss recorded its epoch.
+// epoch memo's misses are split so a cold number explains itself — a first
+// sight belongs to a run whose identity was new and did no memo work, every
+// other miss recorded its epoch — and its whole-machine passes are counted,
+// since they are the only memo costs not proportional to a diff.
 func perfSummary(c map[string]uint64) string {
 	return fmt.Sprintf("perf: %d runs; fast-forward %d dispatches (%d cycles); "+
-		"epoch memo %d hits, %d misses (%d first sight), %d stores, %d corrupt; progcache %d hits, %d misses",
+		"epoch memo %d hits, %d misses (%d first sight), %d stores, %d corrupt, %d flattens, %d materializations; "+
+		"progcache %d hits, %d misses",
 		c[MetricRuns], c[MetricFFPrefix+"dispatches"], c[MetricFFPrefix+"cycles"],
 		c[MetricEpochMemoPrefix+"hits"], c[MetricEpochMemoPrefix+"misses"], c[MetricEpochMemoPrefix+"first_sight"],
 		c[MetricEpochMemoPrefix+"stores"], c[MetricEpochMemoPrefix+"corrupt"],
+		c[MetricEpochMemoPrefix+"flattens"], c[MetricEpochMemoPrefix+"materializations"],
 		c[MetricProgCachePrefix+"hit"], c[MetricProgCachePrefix+"miss"])
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,7 +213,7 @@ func TestRecorderMetrics(t *testing.T) {
 	rec.PhaseDone("x", PhaseCompile, 3*time.Microsecond)
 	rec.PhaseDone("x", PhaseCompile, 2*time.Microsecond)
 	rec.RunDone(RunStats{ExecCycles: 10, RouteInterp: 4, L1Hits: 7, DDRWriteLines: 2})
-	rec.RunDone(RunStats{ExecCycles: 5, RouteClosedForm: 1})
+	rec.RunDone(RunStats{ExecCycles: 5, RouteClosedForm: 1, EpochMemoHits: 4, EpochMemoFlattens: 1, EpochMemoMaterializations: 1})
 	rec.SweepEvent(EventRetry)
 	rec.SweepEvent(SweepEvent("custom")) // unknown kinds fall back to lookup
 	rec.Span(Span{Run: "r"})
@@ -229,6 +230,10 @@ func TestRecorderMetrics(t *testing.T) {
 		"ddr.write_lines":                 2,
 		MetricSweepPrefix + "retry":       1,
 		MetricSweepPrefix + "custom":      1,
+
+		MetricEpochMemoPrefix + "hits":             4,
+		MetricEpochMemoPrefix + "flattens":         1,
+		MetricEpochMemoPrefix + "materializations": 1,
 	}
 	for name, want := range checks {
 		if got := snap.Counters[name]; got != want {
@@ -237,6 +242,9 @@ func TestRecorderMetrics(t *testing.T) {
 	}
 	if h := snap.Histograms[MetricPhaseHistPrefix+"compile"]; h.Count != 2 || h.Sum != 5000 {
 		t.Errorf("compile histogram = %+v, want count 2 sum 5000", h)
+	}
+	if line := perfSummary(snap.Counters); !strings.Contains(line, "epoch memo 4 hits, 0 misses (0 first sight), 0 stores, 0 corrupt, 1 flattens, 1 materializations") {
+		t.Errorf("CLI perf summary %q does not carry the memo's whole-machine passes", line)
 	}
 }
 

@@ -80,11 +80,16 @@ type RunStats struct {
 	FFDispatches, FFCycles uint64
 	// Epoch-memo probe and store counts for the run: cuts that replayed a
 	// cached epoch, cuts that simulated live, and epochs recorded into the
-	// shared cache. FirstSights counts the misses whose key had never been
-	// seen — they left a mark and recorded nothing; the other misses
-	// recorded. Corrupt counts probes whose cached entry failed its
-	// integrity checksum (evicted and re-simulated, never replayed).
+	// shared cache. FirstSights counts the misses of a run whose identity
+	// had never been seen — the run left one mark and recorded nothing; the
+	// other misses recorded. Corrupt counts probes whose cached entry failed
+	// its integrity checksum (evicted and re-simulated, never replayed).
 	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
+	// The memo's whole-machine passes: state-vector reads (with their hash)
+	// and write-backs. Zero flattens on a never-seen identity and one
+	// materialization per replaying run are what make the memo's cost
+	// proportional to the redundancy it removes.
+	EpochMemoFlattens, EpochMemoMaterializations uint64
 	// ProgCacheHits/ProgCacheMisses record the run's single compile-cache
 	// lookup (1/0 on a hit, 0/1 on a compile; both zero when the cache is
 	// disabled).
@@ -138,10 +143,12 @@ const (
 	MetricFFPrefix = "sim.ff."
 	// MetricEpochMemoPrefix prefixes epoch-memo counters:
 	// sim.epochmemo.hits, sim.epochmemo.misses, sim.epochmemo.first_sight
-	// (the misses that only marked a never-seen key), sim.epochmemo.stores
+	// (the misses of runs whose identity was new), sim.epochmemo.stores
 	// (entries recorded, never marks), sim.epochmemo.corrupt
-	// (checksum-failed entries evicted on probe). bgpd adds two gauges of
-	// the process-wide cache's occupancy, seen-marks included:
+	// (checksum-failed entries evicted on probe), sim.epochmemo.flattens
+	// and sim.epochmemo.materializations (whole-machine read and write
+	// passes). bgpd adds two gauges of the process-wide cache's occupancy,
+	// run-marks included:
 	// sim.epochmemo.resident_bytes and sim.epochmemo.entries.
 	MetricEpochMemoPrefix = "sim.epochmemo."
 	// MetricProgCachePrefix prefixes compile-cache counters:
@@ -174,6 +181,7 @@ type Recorder struct {
 
 	ffDispatches, ffCycles                                                                  *Counter
 	epochMemoHits, epochMemoMisses, epochMemoFirstSights, epochMemoStores, epochMemoCorrupt *Counter
+	epochMemoFlattens, epochMemoMaterializations                                            *Counter
 	progCacheHit, progCacheMiss                                                             *Counter
 }
 
@@ -208,15 +216,17 @@ func NewRecorder(reg *Registry, tracer *Tracer) *Recorder {
 		ddrReadLines:  reg.Counter("ddr.read_lines"),
 		ddrWriteLines: reg.Counter("ddr.write_lines"),
 
-		ffDispatches:         reg.Counter(MetricFFPrefix + "dispatches"),
-		ffCycles:             reg.Counter(MetricFFPrefix + "cycles"),
-		epochMemoHits:        reg.Counter(MetricEpochMemoPrefix + "hits"),
-		epochMemoMisses:      reg.Counter(MetricEpochMemoPrefix + "misses"),
-		epochMemoFirstSights: reg.Counter(MetricEpochMemoPrefix + "first_sight"),
-		epochMemoStores:      reg.Counter(MetricEpochMemoPrefix + "stores"),
-		epochMemoCorrupt:     reg.Counter(MetricEpochMemoPrefix + "corrupt"),
-		progCacheHit:         reg.Counter(MetricProgCachePrefix + "hit"),
-		progCacheMiss:        reg.Counter(MetricProgCachePrefix + "miss"),
+		ffDispatches:              reg.Counter(MetricFFPrefix + "dispatches"),
+		ffCycles:                  reg.Counter(MetricFFPrefix + "cycles"),
+		epochMemoHits:             reg.Counter(MetricEpochMemoPrefix + "hits"),
+		epochMemoMisses:           reg.Counter(MetricEpochMemoPrefix + "misses"),
+		epochMemoFirstSights:      reg.Counter(MetricEpochMemoPrefix + "first_sight"),
+		epochMemoStores:           reg.Counter(MetricEpochMemoPrefix + "stores"),
+		epochMemoCorrupt:          reg.Counter(MetricEpochMemoPrefix + "corrupt"),
+		epochMemoFlattens:         reg.Counter(MetricEpochMemoPrefix + "flattens"),
+		epochMemoMaterializations: reg.Counter(MetricEpochMemoPrefix + "materializations"),
+		progCacheHit:              reg.Counter(MetricProgCachePrefix + "hit"),
+		progCacheMiss:             reg.Counter(MetricProgCachePrefix + "miss"),
 	}
 	for _, ph := range Phases() {
 		r.phaseNS[ph] = reg.Counter(MetricPhaseNSPrefix + string(ph))
@@ -278,6 +288,8 @@ func (r *Recorder) RunDone(st RunStats) {
 	r.epochMemoFirstSights.Add(st.EpochMemoFirstSights)
 	r.epochMemoStores.Add(st.EpochMemoStores)
 	r.epochMemoCorrupt.Add(st.EpochMemoCorrupt)
+	r.epochMemoFlattens.Add(st.EpochMemoFlattens)
+	r.epochMemoMaterializations.Add(st.EpochMemoMaterializations)
 	r.progCacheHit.Add(st.ProgCacheHits)
 	r.progCacheMiss.Add(st.ProgCacheMisses)
 }

@@ -89,7 +89,7 @@ func (s *Server) Handler() http.Handler {
 
 // handleMetrics serves the registry snapshot, first refreshing the gauges
 // that mirror state no run event carries: the process-wide epoch memo's
-// occupancy (what -epochmemo-bytes bounds), seen-marks included.
+// occupancy (what -epochmemo-bytes bounds), run-marks included.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	memo := epochmemo.Default().Stats()
 	s.reg.Gauge(obs.MetricEpochMemoPrefix + "resident_bytes").Set(memo.Cost)

@@ -45,7 +45,7 @@ func compileSpec(t *testing.T, rs server.RunSpec) bgp.RunConfig {
 // reference the API must serve verbatim. The reference is the slow path
 // (epoch memo off); two memo-on runs follow and must reproduce it byte for
 // byte. They also walk the process-wide memo through its admission policy —
-// a first sight that only marks cfg's epochs, then the recording run — so a
+// a first run that only leaves cfg's mark, then the recording run — so a
 // daemon simulating cfg afterwards is the replaying leg of the exactness
 // comparison (requireMemoReplayed checks that it was).
 func goldenDumps(t *testing.T, cfg bgp.RunConfig) [][]byte {
@@ -362,6 +362,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sim.ff.dispatches", "sim.ff.cycles",
 		"sim.epochmemo.hits", "sim.epochmemo.misses", "sim.epochmemo.first_sight",
 		"sim.epochmemo.stores", "sim.epochmemo.corrupt",
+		"sim.epochmemo.flattens", "sim.epochmemo.materializations",
 		"sim.progcache.hit", "sim.progcache.miss",
 	} {
 		if _, ok := snap.Counters[name]; !ok {
@@ -369,7 +370,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The memo's occupancy is refreshed at every scrape; after a run the
-	// process-wide cache holds at least that run's marks.
+	// process-wide cache holds at least that run's mark.
 	if snap.Gauges["sim.epochmemo.entries"] == 0 || snap.Gauges["sim.epochmemo.resident_bytes"] == 0 {
 		t.Errorf("epoch memo gauges after a completed run: %v", snap.Gauges)
 	}
