@@ -229,15 +229,15 @@ type RunConfig struct {
 	// batched engine's exactness contract at a different limit); the flag
 	// exists for equivalence testing and benchmarking.
 	NoFastForward bool
-	// NoEpochMemo disables the epoch memo (on by default): collective-to-
-	// collective epochs are content-addressed by a sha256 of the machine
-	// state, rank histories and configuration in a process-wide cache, so
-	// reruns of an identical configuration replay recorded epochs instead
-	// of simulating them. Replay is byte-identical by construction (see
-	// internal/mpi's memo layer); the flag exists for equivalence testing,
-	// benchmarking, and bodies that read counters mid-run. The cache's
-	// byte budget is the process's, set where the cache is constructed
-	// (epochmemo.Default), never per run.
+	// NoEpochMemo disables the epoch memo (on by default): the second run
+	// of a run identity in a process records its collective-to-collective
+	// epochs as one replay chain, stored under the identity in a
+	// process-wide cache, so later reruns of an identical configuration
+	// replay recorded epochs instead of simulating them. Replay is
+	// byte-identical by construction (see internal/mpi's memo layer); the
+	// flag exists for equivalence testing, benchmarking, and bodies that
+	// read counters mid-run. The cache's byte budget is the process's, set
+	// where the cache is constructed (epochmemo.Default), never per run.
 	NoEpochMemo bool
 }
 
@@ -416,17 +416,11 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Observer != nil {
 		st := collectRunStats(m, label, metrics.ExecCycles)
 		perf := j.Perf()
-		st.FFDispatches = perf.FFDispatches
-		st.FFCycles = perf.FFCycles
-		st.EpochMemoHits = perf.EpochMemoHits
-		st.EpochMemoMisses = perf.EpochMemoMisses
-		st.EpochMemoFirstSights = perf.EpochMemoFirstSights
-		st.EpochMemoStores = perf.EpochMemoStores
-		st.EpochMemoCorrupt = perf.EpochMemoCorrupt
-		st.EpochMemoFlattens = perf.EpochMemoFlattens
-		st.EpochMemoMaterializations = perf.EpochMemoMaterializations
-		st.ProgCacheHits = progHits
-		st.ProgCacheMisses = progMisses
+		st.FFDispatches, st.FFCycles = perf.FFDispatches, perf.FFCycles
+		st.EpochMemoHits, st.EpochMemoMisses, st.EpochMemoFirstSights, st.EpochMemoStores, st.EpochMemoCorrupt =
+			perf.EpochMemoHits, perf.EpochMemoMisses, perf.EpochMemoFirstSights, perf.EpochMemoStores, perf.EpochMemoCorrupt
+		st.EpochMemoFlattens, st.EpochMemoMaterializations = perf.EpochMemoFlattens, perf.EpochMemoMaterializations
+		st.ProgCacheHits, st.ProgCacheMisses = progHits, progMisses
 		cfg.Observer.RunDone(st)
 	}
 	return &Result{

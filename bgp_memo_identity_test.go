@@ -1,14 +1,17 @@
 package bgp_test
 
-// What the epoch memo can and cannot share, pinned at the public API. Every
-// epoch key embeds the run's full identity (memoConfigKey renders the run
-// fingerprint), so an entry is only ever hit by a rerun of the identity that
-// recorded it: two points of a sweep never exchange epochs, however much of
-// their execution coincides. Admission, cost and benefit are therefore per
+// What the epoch memo can and cannot share, pinned at the public API. A
+// replay chain is stored under the run's full identity (memoConfigKey renders
+// the run fingerprint), so it is only ever read by a rerun of the identity
+// that recorded it: two points of a sweep never exchange epochs, however much
+// of their execution coincides. Admission, cost and benefit are therefore per
 // identity — the first run does no memo work at all, the second records, the
-// third replays with one whole-machine read and one write-back.
+// third replays with one whole-machine read and one write-back — and the
+// execution knobs, which the identity leaves out, share chains.
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,4 +131,42 @@ func TestEpochMemoKeysEmbedRunIdentity(t *testing.T) {
 	}
 	t.Logf("cold pass: %d runs over %d identities; warm pass: %d hits, %d materializations",
 		len(cold), len(identities), hits, materializations)
+}
+
+// TestEpochMemoKnobsShareChains pins the other side of the identity split:
+// the chain key is the run identity, which leaves the execution knobs out,
+// so a chain recorded with fast-forward off is replayed by a run with it on,
+// and the reverse — every leg byte-identical to the slow path, and the
+// replaying leg hitting every epoch the recording leg closed.
+func TestEpochMemoKnobsShareChains(t *testing.T) {
+	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
+	for _, cfg := range []bgp.RunConfig{determinismCases()[0], determinismCases()[3]} { // mg S/4 SMP/1, ep S/8 VNM: fast-forward engages in both
+		root := t.TempDir()
+		want, _ := ffRun(t, cfg, true, true, filepath.Join(root, "slow"), nil)
+		for _, recordNoFF := range []bool{true, false} {
+			forgetEpochMemo()
+			name := fmt.Sprintf("%s %v, recorded with NoFastForward=%t", cfg.Benchmark, cfg.Mode, recordNoFF)
+			var legs [3]obs.RunStats // first sight, recording, replaying
+			for i := range legs {
+				noFF := recordNoFF != (i == 2) // the replaying leg flips the knob
+				dumps, _ := ffRun(t, cfg, noFF, false, filepath.Join(root, fmt.Sprintf("%t-%d", recordNoFF, i)), rec)
+				for file, blob := range want {
+					if !bytes.Equal(blob, dumps[file]) {
+						t.Errorf("%s: dump %s of leg %d differs from the slow path", name, file, i+1)
+					}
+				}
+				legs[i] = rec.runs[len(rec.runs)-1]
+			}
+			recording, replaying := legs[1], legs[2]
+			if recording.EpochMemoStores == 0 || (recording.FFDispatches == 0) != recordNoFF {
+				t.Errorf("%s: recording leg stored %d epochs with %d fast-forward dispatches",
+					name, recording.EpochMemoStores, recording.FFDispatches)
+			}
+			requireReplayed(t, replaying)
+			if replaying.EpochMemoHits != recording.EpochMemoStores {
+				t.Errorf("%s: replaying leg hit %d epochs of the %d recorded under the other setting",
+					name, replaying.EpochMemoHits, recording.EpochMemoStores)
+			}
+		}
+	}
 }

@@ -84,28 +84,19 @@ func New[K comparable, V any](budget int64, sum func(V) (uint64, bool)) *Store[K
 
 // Get returns the value stored under k, or V's zero value. A found entry is
 // marked most recently used; an entry failing its checksum is evicted and
-// reads as a miss (see GetChecked for the corruption signal).
-func (s *Store[K, V]) Get(k K) V {
-	v, _ := s.GetChecked(k)
-	return v
-}
-
-// GetChecked is Get plus the integrity verdict: corrupt reports that an
-// entry existed under k but failed its checksum — it has been evicted, the
-// probe counts as a miss, and the caller must rebuild. The distinction lets
-// callers export corruption counters while the correctness story stays "a
-// damaged entry is just a miss". A build still in flight reads as a miss.
-func (s *Store[K, V]) GetChecked(k K) (val V, corrupt bool) {
+// reads as a miss (Stats().Corrupt counts it), so the caller rebuilds: a
+// damaged entry is just a miss. A build still in flight reads as a miss.
+func (s *Store[K, V]) Get(k K) (val V) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, corrupt := s.probeLocked(k)
+	e := s.probeLocked(k)
 	if e == nil || !e.done {
 		s.stats.Misses++
-		return val, corrupt
+		return val
 	}
 	s.stats.Hits++
 	s.order.MoveToFront(e.elem)
-	return e.val, false
+	return e.val
 }
 
 // Put stores an immutable value of the given cost under k and reports
@@ -143,7 +134,7 @@ func (s *Store[K, V]) Put(k K, val V, cost int64) bool {
 // immutable.
 func (s *Store[K, V]) Do(ctx context.Context, k K, cost int64, build func() (V, error)) (val V, hit bool, err error) {
 	s.mu.Lock()
-	if e, _ := s.probeLocked(k); e != nil {
+	if e := s.probeLocked(k); e != nil {
 		s.stats.Hits++
 		s.order.MoveToFront(e.elem)
 		done := e.done
@@ -209,20 +200,6 @@ func (s *Store[K, V]) Keys() []K {
 	return keys
 }
 
-// Peek returns the value under k without checksum verification, LRU movement
-// or stats accounting — the raw stored value, V's zero value when absent.
-// Audits and tests use it to inspect (or deliberately damage) entries;
-// production readers go through Get/GetChecked/Do.
-func (s *Store[K, V]) Peek(k K) V {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var val V
-	if e, ok := s.entries[k]; ok {
-		val = e.val
-	}
-	return val
-}
-
 // Stats returns a snapshot of the counters.
 func (s *Store[K, V]) Stats() Stats {
 	s.mu.Lock()
@@ -234,20 +211,20 @@ func (s *Store[K, V]) Stats() Stats {
 }
 
 // probeLocked returns the entry under k, or nil. A completed entry carrying a
-// checksum is verified first; a mismatch evicts it and reports corrupt.
-func (s *Store[K, V]) probeLocked(k K) (e *entry[K, V], corrupt bool) {
+// checksum is verified first; a mismatch evicts it and counts it corrupt.
+func (s *Store[K, V]) probeLocked(k K) *entry[K, V] {
 	e, ok := s.entries[k]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	if e.done && e.hasSum {
 		if sum, ok := s.sum(e.val); !ok || sum != e.sum {
 			s.removeLocked(e)
 			s.stats.Corrupt++
-			return nil, true
+			return nil
 		}
 	}
-	return e, false
+	return e
 }
 
 // insertLocked links e as the most recently used entry, charges its cost and

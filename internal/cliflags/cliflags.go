@@ -37,7 +37,7 @@ func Bind(fs *flag.FlagSet, s *experiments.Scale) *Flags {
 	// counter, a dump byte or a checkpoint key.
 	fs.BoolVar(&s.NoProgCache, "no-progcache", false, "disable cross-run compile memoization; results do not depend on it")
 	fs.BoolVar(&s.NoFastForward, "no-fastforward", false, "disable epoch fast-forwarding (sole-runnable ranks completing compute phases in one dispatch); results do not depend on it")
-	fs.BoolVar(&s.NoEpochMemo, "no-epochmemo", false, "disable the content-addressed epoch memo (reruns replaying recorded epochs); results do not depend on it")
+	fs.BoolVar(&s.NoEpochMemo, "no-epochmemo", false, "disable the epoch memo (reruns of a run identity replaying its recorded epochs); results do not depend on it")
 	f.memoBudget = MemoBudget(fs)
 
 	// Resilience.

@@ -1,29 +1,28 @@
-// Package epochmemo is the content-addressed store behind the MPI epoch
-// memo (internal/mpi): the shared store (internal/cas) bounded in payload
-// bytes, mapping 256-bit epoch keys to opaque replay records. It is the
-// progcache idea applied to simulation state instead of compilation output
-// — the key is a sha256 over the machine-state digest, the per-rank
-// operation histories and the run's configuration key, so a hit proves (by
-// content) that the simulator has executed this exact epoch before and may
-// replay its recorded effects instead of simulating.
+// Package epochmemo is the store behind the MPI epoch memo (internal/mpi):
+// the shared store (internal/cas) bounded in payload bytes, holding one entry
+// per run identity under a key derived from the identity alone. The memo's
+// configuration key is the full run identity and a simulation is a
+// deterministic function of it, so what is worth keeping about an identity is
+// a replay log of its run, not a content address per epoch: the entry is
+// either the identity's mark or its record — to internal/mpi, the chain of
+// epochs a run of the identity recorded, which later runs replay instead of
+// simulating.
 //
-// The configuration key is the full run identity, so an entry is only ever
-// hit by a rerun of the identity that recorded it: a duplicate point across
-// figures, a fault-injected retry, a warm regeneration, a daemon re-running
-// a job its result store no longer holds. Admission is therefore decided
-// once per identity, on second sight. The first run of an identity leaves
-// one mark (Admit, SeenCost bytes) in the same store, under the same budget
-// and LRU as the records, and the caller runs the whole job with the memo
-// idle — most identities of a cold sweep or a daemon's job mix are never
-// met again, and hashing or recording for them is pure cost. A run that
-// finds the mark has observed the redundancy the memo exists for and
-// records every epoch it cannot replay. A mark evicted under pressure
-// degrades to a first run.
+// An entry is only ever read by a rerun of its identity: a duplicate point
+// across figures, a fault-injected retry, a warm regeneration, a daemon
+// re-running a job its result store no longer holds. Admission is therefore
+// decided once per identity, on second sight. The first run of an identity
+// leaves one mark (Admit, SeenCost bytes) under the same budget and LRU as
+// the records, and the caller runs the whole job with the memo idle — most
+// identities of a cold sweep or a daemon's job mix are never met again, and
+// recording for them is pure cost. A run that finds the mark has observed
+// the redundancy the memo exists for and puts its record in the mark's place
+// (Record); a run that finds a record replays it. An entry evicted under
+// pressure degrades to a first run.
 //
-// The cache is shared process-wide by default. Entries are immutable after
-// Put; concurrent recorders of one key race benignly (the first wins and
-// later ones are dropped, mirroring progcache's in-flight dedup at store
-// granularity).
+// The cache is shared process-wide by default. Records are immutable once
+// stored; concurrent recorders of one identity race benignly (their records
+// are interchangeable, the last one stored stays).
 package epochmemo
 
 import (
@@ -33,15 +32,17 @@ import (
 	"bgpsim/internal/cas"
 )
 
-// Key is a 256-bit content address of one epoch.
+// Key is the 256-bit store key of one run identity.
 type Key [32]byte
 
 // Checksummer lets a cached record carry end-to-end integrity: Put snapshots
-// the record's checksum and Get/GetChecked recompute and compare it before
-// returning the record. A mismatch — bit rot, an accidental mutation of a
-// supposedly immutable entry, a buggy recorder — evicts the entry and reads
-// as a miss, so a damaged epoch can cost time but never a wrong answer.
-// Records that don't implement the interface are cached unchecked.
+// the record's checksum and Get recomputes and compares it before returning
+// the record. A mismatch — bit rot, an accidental mutation of a supposedly
+// immutable entry, a buggy recorder — evicts the entry and reads as a miss
+// (counted in Stats().Corrupt), so a damaged record can cost time but never a
+// wrong answer. Records that don't implement the interface are cached
+// unchecked: the MPI memo's chains verify themselves epoch by epoch as they
+// replay, outside the store's lock.
 type Checksummer interface {
 	// Checksum folds the record's observable content into one word; it
 	// must be deterministic and must cover every field replay consumes.
@@ -49,7 +50,7 @@ type Checksummer interface {
 }
 
 // DefaultBudget bounds the process-wide default cache: enough for the
-// epochs of the figure suite's rerun identities at quick scale with
+// chains of the figure suite's rerun identities at quick scale with
 // headroom. It is not small next to the simulated machines (a quick-scale
 // machine flattens to about 6 MB), which is why nothing is recorded for an
 // identity until it has been run once already.
@@ -64,11 +65,11 @@ const SeenCost = 256
 // seenMark is the value the first run of an identity leaves under its key.
 type seenMark struct{}
 
-// Cache is a byte-bounded LRU of immutable epoch records and run-marks,
-// safe for concurrent use. Records implementing Checksummer are verified
-// on every hit. The embedded store's Stats count marks like any other
-// entry: Entries and Cost cover both, Hits includes probes that found a
-// mark.
+// Cache is a byte-bounded LRU of immutable per-identity records and
+// run-marks, safe for concurrent use. Records implementing Checksummer are
+// verified on every hit. The embedded store's Stats count marks like any
+// other entry: Entries and Cost cover both, Hits includes probes that found
+// a mark.
 type Cache struct {
 	*cas.Store[Key, any]
 }
@@ -85,20 +86,39 @@ func New(budget int64) *Cache {
 	})}
 }
 
-// Admit reports whether a run of this identity has been admitted before,
-// and leaves the identity's mark when it has not: false tells the caller
-// to run with the memo idle, true to replay what is stored and record what
-// is not. The mark lives under sha256("run\x00"+identity), a domain no
-// epoch key shares. Two workers meeting one unseen identity at the same
-// time may both be told false; both then run live, which is always exact.
-func (c *Cache) Admit(identity string) bool {
-	k := Key(sha256.Sum256([]byte("run\x00" + identity)))
-	if c.Get(k) != nil {
-		return true
+// Admit looks a run identity up and leaves its mark when it has never been
+// seen. It returns the identity's key, sha256(identity), and what the cache
+// held under it: nothing (seen false — the caller runs with the memo idle),
+// the mark (seen true, rec nil — the caller records) or the record an
+// earlier run stored (the caller replays it). Two workers meeting one unseen
+// identity at the same time may both be told false; both then run live,
+// which is always exact.
+func (c *Cache) Admit(identity string) (k Key, seen bool, rec any) {
+	k = Key(sha256.Sum256([]byte(identity)))
+	switch v := c.Get(k).(type) {
+	case nil:
+		c.Put(k, seenMark{}, SeenCost)
+		return k, false, nil
+	case seenMark:
+		return k, true, nil
+	default:
+		return k, true, v
 	}
-	c.Put(k, seenMark{}, SeenCost)
-	return false
 }
+
+// Record stores rec as the identity's record, in place of its mark or of a
+// record that no longer fits, and reports whether the store accepted it. The
+// swap is a Delete and a Put: a run admitted in between finds nothing, leaves
+// a fresh mark and runs idle, and the record is dropped in the mark's favour
+// — a lost recording, never a wrong one.
+func (c *Cache) Record(k Key, rec any, cost int64) bool {
+	c.Delete(k)
+	return c.Put(k, rec, cost)
+}
+
+// Drop takes the identity back to its mark: its record proved unusable, and
+// the identity's next run is to record afresh.
+func (c *Cache) Drop(k Key) { c.Record(k, seenMark{}, SeenCost) }
 
 var (
 	defaultOnce  sync.Once

@@ -84,14 +84,13 @@ func TestChecksumDetectsTamperedEntry(t *testing.T) {
 	c := New(0)
 	rec := &summed{words: []uint64{1, 2, 3}}
 	c.Put(key(1), rec, 24)
-	if v, corrupt := c.GetChecked(key(1)); v != rec || corrupt {
-		t.Fatalf("intact entry: val %v, corrupt %v", v, corrupt)
+	if v := c.Get(key(1)); v != rec || c.Stats().Corrupt != 0 {
+		t.Fatalf("intact entry: val %v, stats %+v", v, c.Stats())
 	}
 
 	rec.words[1] ^= 1 // bit rot
-	v, corrupt := c.GetChecked(key(1))
-	if v != nil || !corrupt {
-		t.Fatalf("tampered entry: val %v, corrupt %v — a damaged epoch must read as a miss", v, corrupt)
+	if v := c.Get(key(1)); v != nil {
+		t.Fatalf("tampered entry: val %v — a damaged record must read as a miss", v)
 	}
 	if c.Stats().Entries != 0 {
 		t.Fatal("tampered entry not evicted")
@@ -105,16 +104,16 @@ func TestChecksumDetectsTamperedEntry(t *testing.T) {
 	if !c.Put(key(1), fresh, 24) {
 		t.Fatal("re-Put after corruption eviction rejected")
 	}
-	if v, corrupt := c.GetChecked(key(1)); v != fresh || corrupt {
-		t.Fatalf("re-recorded entry: val %v, corrupt %v", v, corrupt)
+	if v := c.Get(key(1)); v != fresh || c.Stats().Corrupt != 1 {
+		t.Fatalf("re-recorded entry: val %v, stats %+v", v, c.Stats())
 	}
 }
 
 func TestUncheckedValuesStayUnchecked(t *testing.T) {
 	c := New(0)
 	c.Put(key(1), "plain", 8)
-	if v, corrupt := c.GetChecked(key(1)); v != "plain" || corrupt {
-		t.Fatalf("unchecksummed entry: val %v, corrupt %v", v, corrupt)
+	if v := c.Get(key(1)); v != "plain" {
+		t.Fatalf("unchecksummed entry: val %v", v)
 	}
 	if s := c.Stats(); s.Corrupt != 0 {
 		t.Fatalf("stats %+v", s)
@@ -145,57 +144,68 @@ func TestSetBudgetEvictsDownToBound(t *testing.T) {
 	}
 }
 
-func TestKeysAndPeek(t *testing.T) {
+func TestKeys(t *testing.T) {
 	c := New(0)
 	c.Put(key(1), "a", 1)
 	c.Put(key(2), "b", 1)
-	keys := c.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("Keys returned %d keys", len(keys))
+	seen := map[Key]bool{}
+	for _, k := range c.Keys() {
+		seen[k] = true
 	}
-	seen := map[any]bool{}
-	for _, k := range keys {
-		seen[c.Peek(k)] = true
-	}
-	if !seen["a"] || !seen["b"] {
-		t.Fatalf("Peek values %v", seen)
-	}
-	if c.Peek(key(3)) != nil {
-		t.Fatal("Peek invented an entry")
+	if len(seen) != 2 || !seen[key(1)] || !seen[key(2)] {
+		t.Fatalf("Keys returned %v", seen)
 	}
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("Keys/Peek touched stats: %+v", s)
+		t.Fatalf("Keys touched stats: %+v", s)
 	}
 }
 
 // TestSecondSightAdmission walks one run identity through the admission
-// policy: unseen, marked, admitted from then on — and unseen again once the
-// mark has been evicted.
+// policy: unseen, marked, recorded — a record takes its mark's place, and a
+// dropped record gives the mark back — and unseen again once its entry has
+// been evicted.
 func TestSecondSightAdmission(t *testing.T) {
 	c := New(0)
-	if c.Admit("identity-a") {
+	ka, seen, rec := c.Admit("identity-a")
+	if seen || rec != nil {
 		t.Fatal("a never-seen identity was admitted")
 	}
 	if s := c.Stats(); s.Entries != 1 || s.Cost != SeenCost {
 		t.Fatalf("after the first Admit: %+v, want one mark of %d B", s, SeenCost)
 	}
 	for run := 2; run <= 3; run++ {
-		if !c.Admit("identity-a") {
-			t.Fatalf("run %d of a marked identity was not admitted", run)
+		if k, seen, rec := c.Admit("identity-a"); k != ka || !seen || rec != nil {
+			t.Fatalf("run %d of a marked identity: key %x (want %x), seen %t, record %v", run, k[:4], ka[:4], seen, rec)
 		}
 	}
-	if c.Admit("identity-b") {
+	if kb, seen, _ := c.Admit("identity-b"); seen || kb == ka {
 		t.Fatal("one identity's mark admitted another")
 	}
 	if s := c.Stats(); s.Entries != 2 || s.Cost != 2*SeenCost {
 		t.Fatalf("two identities: %+v, want two marks", s)
 	}
 
-	// Marks live in the key space of the records without colliding with
-	// them, and a record never reads as a mark.
-	c.Put(key(1), "record", 8)
-	if c.Get(key(1)) != "record" || !c.Admit("identity-a") {
-		t.Fatal("a record and the marks disturbed each other")
+	// The record replaces the mark under the identity's one key, a second
+	// record the first, and Drop gives the mark back.
+	if !c.Record(ka, "chain", 1000) {
+		t.Fatal("Record over a mark was rejected")
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Cost != 1000+SeenCost {
+		t.Fatalf("one record, one mark: %+v", s)
+	}
+	if _, seen, rec := c.Admit("identity-a"); !seen || rec != "chain" {
+		t.Fatalf("a recorded identity: seen %t, record %v", seen, rec)
+	}
+	c.Record(ka, "chain-2", 500)
+	if _, _, rec := c.Admit("identity-a"); rec != "chain-2" {
+		t.Fatalf("a re-recorded identity holds %v", rec)
+	}
+	c.Drop(ka)
+	if _, seen, rec := c.Admit("identity-a"); !seen || rec != nil {
+		t.Fatalf("after Drop: seen %t, record %v; want the bare mark", seen, rec)
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Cost != 2*SeenCost {
+		t.Fatalf("after Drop: %+v, want two marks", s)
 	}
 
 	// A budget of one mark: the second identity's mark evicts the first's,
@@ -203,7 +213,7 @@ func TestSecondSightAdmission(t *testing.T) {
 	c = New(SeenCost)
 	c.Admit("identity-a")
 	c.Admit("identity-b")
-	if c.Admit("identity-a") {
+	if _, seen, _ := c.Admit("identity-a"); seen {
 		t.Fatal("an identity whose mark was evicted was admitted")
 	}
 	if s := c.Stats(); s.Entries != 1 || s.Evictions != 2 {

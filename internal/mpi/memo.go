@@ -1,10 +1,7 @@
 package mpi
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,61 +16,66 @@ import (
 // This file is the epoch memo: SPMD rank memoization at collective
 // granularity. Every collective the whole job passes through is a "cut";
 // the stretch from one cut to the next — including the completion charges
-// of the opening collective — is an "epoch". At each cut the runtime
-// fingerprints everything the coming epoch can depend on and looks the
-// fingerprint up in a content-addressed cache (internal/epochmemo):
+// of the opening collective — is an "epoch". The embedder's configuration
+// key is the full run identity and a simulation is a deterministic function
+// of it, so what the memo keeps is a replay log per identity: one chain —
+// the identity's recorded epochs in cut order, plus the digest of the
+// machine state at the run's first cut — stored in internal/epochmemo under
+// a key derived from the identity alone, fetched once and walked by index.
 //
-//   - the flattened simulated machine state of every node hosting ranks
-//     (caches, prefetchers, snoop filters, counters, DDR and network
-//     interface totals, and — crucially — every core's cycle clock), via
-//     the ReadState windows and a 128-bit statehash digest;
-//   - each rank's rolling operation history: a fold over every MPI call
-//     the rank has issued, including call results (Recv sizes), so equal
-//     histories mean the SPMD bodies are at identical control-flow points
-//     with identical futures;
-//   - the variable runtime state the flatten cannot see: pending mailbox
-//     contents, the address-draw RNG position and completion flag of every
-//     bound program, and each rank's allocation brk;
-//   - the job's configuration key (machine parameters, program identity,
-//     ISA version), supplied by the embedder via EnableEpochMemo.
+// A run is in one of three modes, decided once, at its first cut
+// (epochmemo.Cache.Admit):
 //
-// The configuration key is the embedder's full run identity, so an entry
-// can only be hit by a rerun of the identity that recorded it, and the memo
-// is a per-identity replay chain: admission, cost and benefit are all
-// decided run by run, never cut by cut.
+//   - idle: the identity has never been seen. Its mark is left and nothing
+//     else happens all run — no state vector taken, nothing flattened, no
+//     per-op work; its cuts only count as first-sight misses — because most
+//     identities of a cold sweep or a daemon's job mix never recur, and a
+//     recording nobody replays is pure cost.
+//   - recording: the mark is there, so the identity has recurred. The
+//     machine is flattened at every cut and each epoch runs live while
+//     per-rank recorders capture its observable effects — the sparse
+//     machine-state diff between its two cuts, each rank's operation count,
+//     Recv results, post-execution RNG positions, and final mailboxes — to
+//     be appended to the chain at its closing cut. The chain is stored once,
+//     when Run returns without error.
+//   - replaying: a chain is there and its start digest equals that of the
+//     one flatten this run makes. Cut i applies entry i; where the chain
+//     ends the run goes live for good, and it never records.
 //
-// Admission is once per run identity, on second sight. At a run's first cut
-// the cache is asked whether the identity has been run before
-// (epochmemo.Cache.Admit, one mark per identity). If not, the whole job runs
-// with the memo idle — no state vector taken, nothing flattened, hashed or
-// probed; its cuts only count as first-sight misses — because most
-// identities of a cold sweep or a daemon's job mix never recur, and a
-// recording nobody replays is pure cost. A run whose identity carries the
-// mark flattens and hashes the machine once, at its first cut, and from
-// there every cut either hits or records: a missing epoch runs live while
-// per-rank recorders capture its observable effects — the sparse
-// machine-state diff between the two cuts, each rank's operation count, Recv
-// results, post-execution RNG positions, and final mailboxes — and is stored
-// at the closing cut. So the first run of an identity costs nothing, the
-// second records, the third replays.
+// So the first run of an identity costs nothing, the second records, the
+// third replays.
 //
-// A hit costs in proportion to the recorded diff, not to the machine. The
+// The start digest proves the run met its first cut with the machine in the
+// state the recording met it in. That catches an identity too coarse for
+// what the embedder varies (a machine parameter left out of the key), a
+// simulator changed under an unchanged key, and a chain damaged at its head.
+// It says nothing of what the flatten cannot see (mailboxes, RNG positions,
+// allocation breaks) nor of anything after the first cut: those follow from
+// the identity by determinism, and a body that strays from its recording
+// anyway meets the tripwires below. A mismatch is a miss — the run records,
+// and its chain replaces the stale one.
+//
+// A replayed epoch costs in proportion to its diff, not to the machine. The
 // entry's diff is applied to the state vector only; of the machine, just the
 // core clocks are written (pre-installing every core at its next-cut arrival
 // time, which turns all release waits into no-ops), because during a skipped
 // epoch the rank scheduler and the next collective's arrival bookkeeping
-// read nothing else. The vector then runs ahead of the machine across any
-// number of chained hits, and the whole-machine write-back ("materialize")
-// happens once: when a cut misses and the coming epoch must run live, when
-// the memo disables itself, or when Run returns. Mailboxes are installed
-// wholesale, and every rank is handed a skip budget — its next budget ops
-// return recorded results without touching simulated state. Exec skips still
-// bind programs through the normal path (so address-space layout evolves
-// identically) and advance each bound state's RNG to its recorded position;
-// at an epoch boundary a bound program is always either fully executed or
-// untouched, so that one word is the whole difference.
+// read nothing else. The vector then runs ahead of the machine for as long
+// as the replay lasts, and the whole-machine write-back ("materialize")
+// happens once: when the run goes live, or when Run returns. Mailboxes are
+// installed wholesale, and every rank is handed a skip budget — its next
+// budget ops return recorded results without touching simulated state. Exec
+// skips still bind programs through the normal path (so address-space layout
+// evolves identically) and advance each bound state's RNG to its recorded
+// position; at an epoch boundary a bound program is always either fully
+// executed or untouched, so that one word is the whole difference.
 //
-// Replay is exact by construction and guarded by tripwires: a rank issuing
+// Every entry carries a checksum over all that replay consumes, taken when
+// it was recorded and re-derived just before its diff touches the vector. A
+// mismatch — bit rot, an accidental mutation of a supposedly immutable
+// entry — ends the replay there: the run goes live and the chain is dropped
+// back to the identity's mark, so the next run records afresh. Replay is
+// otherwise exact by construction and guarded by tripwires: a rank issuing
 // an op beyond its budget, exhausting its budget before the closing
 // collective, or closing with a different collective than the entry
 // recorded panics rather than diverging silently.
@@ -84,55 +86,63 @@ import (
 // which message each Recv returns. Skipped Recvs therefore consume the
 // recorded result sequence, and nobody reads mailboxes mid-replay.
 //
-// The cut is the last arriver's completion frame in doCollective. Entries
-// carry the key of the cut they end at, so consecutive hits chain without
-// flattening or hashing anything ("warm chains") — the steady state of a
-// rerun is one map probe, one checksum over the entry and one diff
-// application per epoch, with one flatten at the run's first cut and one
-// materialization at its last (the final epoch, from the last cut to job
-// end, is never closed and always runs live).
+// The cut is the last arriver's completion frame in doCollective. The final
+// epoch, from the last cut to job end, is never closed: a full replay is one
+// flatten at the run's first cut, one checksum and one diff application per
+// epoch, and one materialization at its last cut.
 //
 // Exclusions and safety: the UPC counter unit is not part of the state
 // vector — its registers change only at counter-library calls, which the
 // standard instrumentation issues strictly before the first cut and after
 // the last. A mid-run mutation (region-bracketing bodies) calls
-// Job.MarkExternal, which poisons the armed recording and disables the
-// memo for the rest of the run; a mutation during a replayed epoch is a
-// tripwire panic, since live counters would have been read mid-epoch.
-// Jobs with OnAdvance or OnSpan observers never enable the memo (skipped
-// epochs would emit neither samples nor spans), and a node with a UPC
-// threshold handler disables it at the next cut (materializing first).
+// Job.MarkExternal, which drops the epoch being recorded and switches the
+// memo off for the rest of the run — the chain keeps the epochs closed
+// before it, so a later run replays that prefix and finishes live; a
+// mutation during a replayed epoch is a tripwire panic, since live counters
+// would have been read mid-epoch. Jobs with OnAdvance or OnSpan observers
+// never enable the memo (skipped epochs would emit neither samples nor
+// spans), and a node with a UPC threshold handler switches it off at the
+// next cut (materializing first).
+
+// memoMode is the memo's whole control state.
+type memoMode uint8
+
+const (
+	memoUndecided memoMode = iota // no cut seen yet
+	memoIdle                      // identity never seen: its mark is left, cuts only count
+	memoRecording                 // mark found: every closing cut appends an entry
+	memoReplaying                 // chain found: cut i applies entry i
+	memoOff                       // live for good: the replay is over, or the memo switched itself off
+)
 
 type epochMemo struct {
 	j      *Job
 	cache  *epochmemo.Cache
 	cfgKey string
+	key    epochmemo.Key // the identity's, from Admit at the first cut
 
-	// admitted is Admit's verdict, taken at the first cut: false means this
-	// is the identity's first run and the memo stays idle throughout.
-	admitted bool
+	mode memoMode
 
-	// vec is the whole-machine state vector, taken from vecPool at the run's
-	// first flatten; preVec, taken when the first recording opens, is the
-	// recording base (the vector as of the opening cut). Both go back to the
-	// pool when Run returns. ahead means vec holds replayed epochs the
-	// machine has not been written back to yet.
+	// Replaying: the identity's chain and the index of the entry the next
+	// cut applies.
+	chain *epochChain
+	next  int
+
+	// Recording: the first cut's digest and the epochs closed so far.
+	start    statehash.Digest
+	recorded []epochEntry
+
+	// vec is the whole-machine state vector, taken from vecPool at the first
+	// cut of a recording or replaying run; preVec, which only a recording
+	// run takes, is the recording base (the vector as of the opening cut).
+	// Both go back to the pool when Run returns. ahead means vec holds
+	// replayed epochs the machine has not been written back to yet.
 	vec    []uint64
 	preVec []uint64
 	ahead  bool
 
-	recording bool
-	openKey   epochmemo.Key // key of the cut the recording opened at
-
-	haveChain bool
-	chainKey  epochmemo.Key // key of the current cut, inherited from a hit
-
-	replayed *epochEntry // entry whose epoch is being replayed, for the closing assertion
-
 	rs []memoRank
 
-	cutSeen  bool
-	disabled bool
 	// poisoned: external state mutation seen mid-run. Set by MarkExternal
 	// on whichever rank goroutine runs the instrumented body, read at the
 	// next cut on the last arriver's; atomic so that pair is ordered by
@@ -163,27 +173,29 @@ func putVec(v []uint64) {
 	}
 }
 
-// memoRank is the per-rank side of the memo: the rolling history fold, the
-// replay cursors, and the recording accumulators.
+// memoRank is the per-rank side of the memo, reachable from Rank.memo while
+// the run records or replays: the replay cursors and the recording
+// accumulators.
 type memoRank struct {
-	hist uint64
-
-	// Replay state: the rank's next skip ops return recorded results.
-	replaying bool
-	skip      int
-	recvSeq   []int
-	recvCur   int
-	rngSeq    []uint64
-	rngCur    int
+	// Replaying: the rank's next skip ops return recorded results.
+	skip    int
+	recvSeq []int
+	recvCur int
+	rngSeq  []uint64
+	rngCur  int
 
 	// Recording accumulators for the epoch in flight.
 	recOps  int
 	recRecv []int
 	recRng  []uint64
+}
 
-	// states lists every ExecState the rank has bound, in bind order; the
-	// key digests each one's RNG position and completion flag.
-	states []*core.ExecState
+// epochChain is one run identity's replay log, immutable once stored: the
+// digest of the machine state at the run's first cut and the epochs
+// recorded from there, in cut order.
+type epochChain struct {
+	start   statehash.Digest
+	entries []epochEntry
 }
 
 type epochEntry struct {
@@ -201,7 +213,8 @@ type epochEntry struct {
 	// as the last arriver (see atCut).
 	closeLast int
 
-	nextKey epochmemo.Key
+	// sum is checksum() as of the closing cut.
+	sum uint64
 }
 
 type entryRank struct {
@@ -211,14 +224,11 @@ type entryRank struct {
 	mailbox map[int][]message
 }
 
-// Checksum folds every field replay consumes into one word, making the
-// entry an epochmemo.Checksummer: the cache re-derives this at every hit
-// and treats a mismatch — bit rot, an accidental in-place mutation of a
-// supposedly immutable entry — as a miss, so a damaged epoch re-simulates
-// instead of replaying wrong state. It runs once per replayed epoch over the
-// whole diff, so it folds through statehash's two independent lanes rather
-// than one serial multiply chain; changing any single word changes it.
-func (e *epochEntry) Checksum() uint64 {
+// checksum folds every field replay consumes into one word. It runs once
+// per replayed epoch over the whole diff, so it folds through statehash's
+// two independent lanes rather than one serial multiply chain; changing any
+// single word changes it.
+func (e *epochEntry) checksum() uint64 {
 	h := statehash.New()
 	h.Word(uint64(len(e.diffIdx)))
 	idx := e.diffIdx
@@ -232,9 +242,6 @@ func (e *epochEntry) Checksum() uint64 {
 	h.Word(uint64(e.closeOp))
 	h.Word(uint64(e.closeBytes)<<16 | uint64(uint32(e.closeRoot)))
 	h.Word(uint64(e.closeLast))
-	for i := 0; i < len(e.nextKey); i += 8 {
-		h.Word(binary.LittleEndian.Uint64(e.nextKey[i:]))
-	}
 	h.Word(uint64(len(e.ranks)))
 	var srcs []int
 	for i := range e.ranks {
@@ -266,57 +273,38 @@ func (e *epochEntry) Checksum() uint64 {
 	return d.Lo ^ d.Hi
 }
 
-// History fold tags, one per op kind. Results that feed back into body
-// control flow (Recv sizes) are folded too, so equal histories imply the
-// SPMD bodies compute identical futures.
-const (
-	histExec uint64 = 1 + iota
-	histCompute
-	histSend
-	histRecv
-	histColl
-)
-
-// foldWord mixes one word into a rolling history (a murmur3-style
-// finalizer step; collisions feed a 256-bit key, not an identity check).
-func foldWord(h, v uint64) uint64 {
-	h ^= v
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-func (rs *memoRank) fold(tag, a, b uint64) {
-	rs.hist = foldWord(foldWord(foldWord(rs.hist, tag), a), b)
-}
-
-// take consumes one skip-budget slot; running dry before the closing
-// collective means the body diverged from the recorded epoch.
-func (rs *memoRank) take(r *Rank, op string) {
+// memoOp is the memo's one hook in Exec, Compute, Send and Recv. It reports
+// whether the op is skipped: true consumes one slot of the replayed epoch's
+// budget and the caller returns the recorded result without touching
+// simulated state; false lets the op run live, counted when the epoch is
+// being recorded. Outside a recording or replaying run — no memo, an idle
+// run, a run gone live — it is one branch.
+func (r *Rank) memoOp(op string) bool {
+	rs := r.memo
+	if rs == nil {
+		return false
+	}
+	if r.job.memo.mode == memoRecording {
+		rs.recOps++
+		return false
+	}
+	// Running dry before the closing collective means the body diverged
+	// from the recorded epoch.
 	if rs.skip == 0 {
 		panic(fmt.Sprintf("mpi: epoch memo divergence: rank %d issued %s beyond the replayed epoch's operations", r.id, op))
 	}
 	rs.skip--
-}
-
-func progTag(p *isa.Program) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a 64
-	for i := 0; i < len(p.Name); i++ {
-		h ^= uint64(p.Name[i])
-		h *= 1099511628211
-	}
-	return h
+	return true
 }
 
 // EnableEpochMemo arms the epoch memo with a backing cache and the
 // configuration key identifying everything that shapes this job's
-// execution but lives outside the simulated machine state: machine
-// parameters, program identity and inputs, ISA version. Jobs sharing a
-// cfgKey and reaching identical cuts replay each other's epochs — from the
-// second run of a cfgKey on, the first only leaves its mark; the cache's
-// content addressing makes a too-coarse cfgKey cost correctness, so
+// execution: machine parameters, program identity and inputs, ISA version.
+// The key names the job's replay chain, so jobs sharing a cfgKey replay
+// each other's epochs — from the third run of a cfgKey on: the first only
+// leaves its mark and the second records. Only the machine state at the
+// first cut is compared against the recording; everything else is taken
+// from the key on trust, so a too-coarse cfgKey costs correctness and
 // embedders must fold in every configuration knob that can change
 // execution. A nil cache disables the memo. The memo engages at Run time
 // only if the job has no OnAdvance or OnSpan observer.
@@ -336,23 +324,23 @@ func (j *Job) SetFastForward(on bool) { j.noFF = !on }
 
 // MarkExternal tells the memo that state outside the simulated machine
 // vector (UPC counter registers, host-side observers) was mutated mid-run.
-// Before the first cut this is a no-op — recordings only open at cuts.
-// Later it poisons the in-flight recording and disables the memo for the
-// rest of the run. During a replayed epoch it panics: the mutation would
-// have observed mid-epoch live state that replay does not reconstruct.
-// Safe to call from rank bodies.
+// Before the first cut this is a no-op — epochs only open at cuts. Later it
+// poisons the epoch in flight and switches the memo off for the rest of the
+// run. During a replayed epoch it panics: the mutation would have observed
+// mid-epoch live state that replay does not reconstruct. Safe to call from
+// rank bodies.
 func (j *Job) MarkExternal() {
 	m := j.memo
 	if m == nil {
 		return
 	}
-	if m.replayed != nil {
+	switch m.mode {
+	case memoUndecided: // no epoch is open yet
+	case memoReplaying:
 		panic("mpi: epoch memo: external state mutation during a replayed epoch (region-bracketed counter sessions require -no-epochmemo)")
+	default:
+		m.poisoned.Store(true)
 	}
-	if !m.cutSeen {
-		return
-	}
-	m.poisoned.Store(true)
 }
 
 // PerfStats reports what the fast-forward and memo layers did during Run.
@@ -360,12 +348,14 @@ type PerfStats struct {
 	// FFDispatches counts compute ops that ran to completion in one
 	// dispatch; FFCycles is the simulated cycles they covered.
 	FFDispatches, FFCycles uint64
-	// Epoch memo cut and store counts for this job only. Every miss ran its
-	// epoch live; FirstSights counts the misses of a run whose identity had
-	// never been seen (one mark left, nothing probed or recorded), the rest
-	// recorded. Stores counts entries, never marks. Corrupt counts probes
-	// whose cached entry failed its checksum (evicted, re-simulated and
-	// re-recorded).
+	// Epoch memo cut and epoch counts for this job only. A hit is a cut that
+	// replayed its epoch; every miss ran its epoch live. FirstSights counts
+	// the misses of a run whose identity had never been seen (one mark left,
+	// nothing recorded); a replaying run counts one miss, at the cut where
+	// its chain ended; the rest recorded. Stores counts the epochs of the
+	// chain the run stored, never marks. Corrupt counts replays ended by an
+	// entry that failed its checksum (chain dropped, epoch re-simulated,
+	// re-recorded by the next run).
 	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
 	// The memo's whole-machine passes: Flattens reads the machine into the
 	// state vector (and hashes it), Materializations writes the vector back.
@@ -395,16 +385,24 @@ func (j *Job) initRunModes() {
 	if j.memoCache == nil || j.onAdvance != nil || j.onSpan != nil {
 		return
 	}
-	j.memo = &epochMemo{j: j, cache: j.memoCache, cfgKey: j.memoCfgKey, rs: make([]memoRank, len(j.ranks))}
+	j.memo = &epochMemo{j: j, cache: j.memoCache, cfgKey: j.memoCfgKey}
 }
 
-// releaseVectors writes back whatever the vector is still ahead by — a body
-// that panicked or deadlocked mid-chain leaves it so — and hands the state
-// vectors back to the pool. Run calls it on its way out, when every rank
-// goroutine has made its final yield and nothing can reach the memo's
-// buffers any more.
-func (m *epochMemo) releaseVectors() {
+// finish is the memo's part of Run's way out, when every rank goroutine has
+// made its final yield and nothing can reach the memo's buffers any more.
+// It writes back whatever the vector is still ahead by — a body that
+// panicked or deadlocked mid-replay leaves it so — stores the chain a
+// recording run built, and hands the state vectors back to the pool. A run
+// that failed stores nothing: replay never extends a chain, so a truncated
+// one would cap every later run of the identity at the point of failure.
+func (m *epochMemo) finish() {
 	m.materialize()
+	if len(m.recorded) > 0 && m.j.runErr() == nil {
+		ch := &epochChain{start: m.start, entries: exactCopy(m.recorded)}
+		if m.cache.Record(m.key, ch, ch.footprint()) {
+			m.stores += uint64(len(ch.entries))
+		}
+	}
 	putVec(m.vec)
 	putVec(m.preVec)
 	m.vec, m.preVec = nil, nil
@@ -434,7 +432,7 @@ func (m *epochMemo) flatten() statehash.Digest {
 }
 
 // materialize writes vec back to the machine if replayed epochs have left
-// it ahead: the one O(machine) step of a chain of hits.
+// it ahead: the one O(machine) step of a replay.
 func (m *epochMemo) materialize() {
 	if !m.ahead {
 		return
@@ -447,67 +445,12 @@ func (m *epochMemo) materialize() {
 	m.materializations++
 }
 
-// computeKey fingerprints the current cut: configuration, the machine-state
-// digest d of a flatten just taken, per-rank histories, and the variable
-// state the flatten cannot see.
-func (m *epochMemo) computeKey(d statehash.Digest) epochmemo.Key {
-	j := m.j
-	h := sha256.New()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	io.WriteString(h, m.cfgKey)
-	w(uint64(len(j.ranks)))
-	w(d.Lo)
-	w(d.Hi)
-	for i := range m.rs {
-		w(m.rs[i].hist)
-	}
-	var srcs []int
-	for i, r := range j.ranks {
-		w(r.brk)
-		srcs = srcs[:0]
-		for src, q := range r.mailbox {
-			if len(q) > 0 {
-				srcs = append(srcs, src)
-			}
-		}
-		sort.Ints(srcs)
-		w(uint64(len(srcs)))
-		for _, src := range srcs {
-			q := r.mailbox[src]
-			w(uint64(src))
-			w(uint64(len(q)))
-			for _, msg := range q {
-				w(uint64(msg.bytes))
-				w(msg.arrival)
-			}
-		}
-		sts := m.rs[i].states
-		w(uint64(len(sts)))
-		for _, st := range sts {
-			w(st.RngState())
-			if st.Done() {
-				w(1)
-			} else {
-				w(0)
-			}
-		}
-	}
-	var k epochmemo.Key
-	h.Sum(k[:0])
-	return k
-}
-
 // atCut is the memo's hook at every cut, called with the job's collState
-// from the frame of the last rank to arrive. It closes an armed recording,
-// probes the cache, and either replays an entry (replay true — the caller
-// must skip the live completion and leave releases at zero) or lets the
-// coming epoch run live (replay false — the caller completes live):
-// recorded, unless this is the identity's first run, in which case nothing
-// below the admission check ever executes.
+// from the frame of the last rank to arrive. It either replays the coming
+// epoch (replay true — the caller must skip the live completion and leave
+// releases at zero) or lets it run live (replay false — the caller
+// completes live), closing and opening recordings on the way when the run
+// records.
 //
 // last is the rank the caller must treat as the last arriver when it
 // completes live. The last arriver takes its release before it yields, the
@@ -518,66 +461,86 @@ func (m *epochMemo) computeKey(d statehash.Digest) epochmemo.Key {
 // closing one names the rank its recording saw arrive last.
 func (m *epochMemo) atCut(cs *collState, arriver int) (replay bool, last int) {
 	last = arriver
-	if m.replayed != nil {
-		last = m.replayed.closeLast
-	}
-	firstCut := !m.cutSeen
-	m.cutSeen = true
-	if !m.disabled && (m.poisoned.Load() || m.anyUPCHandler()) {
-		m.disabled = true
-	}
-	if m.disabled {
-		m.materialize()
-		m.recording = false
-		m.haveChain = false
-		m.replayed = nil
-		return false, last
-	}
-	if firstCut {
-		m.admitted = m.cache.Admit(m.cfgKey)
-	}
-	if !m.admitted {
-		m.misses++
-		m.firstSights++
-		return false, last
-	}
-
-	var key epochmemo.Key
-	switch {
-	case m.recording:
-		key = m.closeRecording(cs, arriver)
-	case m.haveChain:
-		key = m.chainKey
-		m.haveChain = false
-	default: // the run's first cut: nothing to inherit a key from
-		key = m.computeKey(m.flatten())
-	}
-
-	if ent := m.replayed; ent != nil {
+	if m.mode == memoReplaying {
+		ent := &m.chain.entries[m.next-1] // the epoch this cut closes
 		if cs.op != ent.closeOp || cs.bytes != ent.closeBytes || cs.root != ent.closeRoot {
 			panic(fmt.Sprintf("mpi: epoch memo divergence: replayed epoch closed with %v(bytes=%d, root=%d), job reached %v(bytes=%d, root=%d)",
 				ent.closeOp, ent.closeBytes, ent.closeRoot, cs.op, cs.bytes, cs.root))
 		}
-		m.replayed = nil
+		last = ent.closeLast
 	}
-
-	rec, corrupt := m.cache.GetChecked(key)
-	if ent, ok := rec.(*epochEntry); ok {
-		m.hits++
-		m.apply(ent)
-		m.chainKey, m.haveChain = ent.nextKey, true
-		m.replayed = ent
-		return true, last
+	if m.mode == memoOff {
+		return false, last
 	}
-	if corrupt {
-		// The cache evicted a checksum-failed entry; re-simulate and
-		// re-record, never replay damaged state.
-		m.corrupt++
+	if m.poisoned.Load() || m.anyUPCHandler() {
+		m.goLive()
+		return false, last
 	}
-	m.misses++
-	m.materialize()
-	m.openRecording(key)
+	first := m.mode == memoUndecided
+	if first {
+		m.admit()
+	}
+	switch m.mode {
+	case memoIdle:
+		m.misses++
+		m.firstSights++
+	case memoRecording:
+		m.misses++
+		if !first {
+			m.closeEpoch(cs, arriver)
+		}
+		m.openEpoch()
+	case memoReplaying:
+		if m.next < len(m.chain.entries) {
+			if ent := &m.chain.entries[m.next]; ent.checksum() == ent.sum {
+				m.hits++
+				m.next++
+				m.apply(ent)
+				return true, last
+			}
+			// Never replay damaged state: back to the identity's mark, so
+			// its next run records afresh.
+			m.corrupt++
+			m.cache.Drop(m.key)
+		}
+		m.misses++
+		m.goLive()
+	}
 	return false, last
+}
+
+// admit decides the run's mode, at its first cut. Only a run that will
+// record or replay takes the per-rank state and the one flatten both need:
+// the digest a chain must match to be replayed, and the first epoch's diff
+// base otherwise.
+func (m *epochMemo) admit() {
+	key, seen, rec := m.cache.Admit(m.cfgKey)
+	m.key = key
+	if !seen {
+		m.mode = memoIdle
+		return
+	}
+	m.rs = make([]memoRank, len(m.j.ranks))
+	for i, r := range m.j.ranks {
+		r.memo = &m.rs[i]
+	}
+	d := m.flatten()
+	if ch, ok := rec.(*epochChain); ok && ch.start == d {
+		m.mode, m.chain = memoReplaying, ch
+		return
+	}
+	m.mode, m.start = memoRecording, d
+}
+
+// goLive ends the memo's part in the run: the machine catches up with what
+// was replayed, an epoch being recorded is dropped unclosed (the chain keeps
+// those closed before it), and every rank's hook goes quiet.
+func (m *epochMemo) goLive() {
+	m.materialize()
+	m.mode = memoOff
+	for _, r := range m.j.ranks {
+		r.memo = nil
+	}
 }
 
 func (m *epochMemo) anyUPCHandler() bool {
@@ -589,13 +552,11 @@ func (m *epochMemo) anyUPCHandler() bool {
 	return false
 }
 
-// openRecording arms the per-rank recorders over the coming epoch, with
-// the current (pre-completion) machine vector as the diff base: the buffers
+// openEpoch arms the per-rank recorders over the coming epoch, with the
+// current (pre-completion) machine vector as the diff base: the buffers
 // trade places, so the closing flatten fills the other one and nothing is
 // copied.
-func (m *epochMemo) openRecording(key epochmemo.Key) {
-	m.openKey = key
-	m.recording = true
+func (m *epochMemo) openEpoch() {
 	if m.preVec == nil {
 		m.preVec = getVec(len(m.vec))
 	}
@@ -608,21 +569,16 @@ func (m *epochMemo) openRecording(key epochmemo.Key) {
 	}
 }
 
-// closeRecording flattens the machine at the closing cut, stores the
-// epoch's entry under the opening cut's key, and returns the closing cut's
-// key (which the entry carries as nextKey, so later replays chain without
-// rehashing).
-func (m *epochMemo) closeRecording(cs *collState, arriver int) epochmemo.Key {
+// closeEpoch flattens the machine at the closing cut and appends the
+// epoch's entry to the chain under construction.
+func (m *epochMemo) closeEpoch(cs *collState, arriver int) {
 	j := m.j
-	m.recording = false
-	key := m.computeKey(m.flatten())
-
-	ent := &epochEntry{
+	m.flatten()
+	ent := epochEntry{
 		closeOp:    cs.op,
 		closeBytes: cs.bytes,
 		closeRoot:  cs.root,
 		closeLast:  arriver,
-		nextKey:    key,
 	}
 	// Two passes — count, then fill — so the diff is allocated once at its
 	// exact length: append growth would leave up to twice that in capacity,
@@ -659,10 +615,8 @@ func (m *epochMemo) closeRecording(cs *collState, arriver int) epochmemo.Key {
 			er.mailbox[src] = exactCopy(q)
 		}
 	}
-	if m.cache.Put(m.openKey, ent, ent.footprint()) {
-		m.stores++
-	}
-	return key
+	ent.sum = ent.checksum()
+	m.recorded = append(m.recorded, ent)
 }
 
 // exactCopy copies s into a slice with no spare capacity (nil when empty):
@@ -676,25 +630,29 @@ func exactCopy[T any](s []T) []T {
 	return c
 }
 
-// footprint is what the entry holds on the heap, from the capacities of
+// footprint is what the chain holds on the heap, from the capacities of
 // its slices rather than their lengths, plus the store's bookkeeping for
 // the key — the number the cache budget has to bound.
-func (e *epochEntry) footprint() int64 {
+func (c *epochChain) footprint() int64 {
 	const (
 		mapHeader = 48 // runtime map header
 		mapSlot   = 48 // one int → slice-header slot, bucket overhead included
 	)
-	size := int64(epochmemo.SeenCost) + int64(unsafe.Sizeof(*e)) +
-		int64(cap(e.diffIdx))*4 + int64(cap(e.diffVal))*8 +
-		int64(cap(e.ranks))*int64(unsafe.Sizeof(entryRank{}))
-	for i := range e.ranks {
-		er := &e.ranks[i]
-		size += int64(cap(er.recvSeq)+cap(er.rngSeq)) * 8
-		if er.mailbox != nil {
-			size += mapHeader
-		}
-		for _, q := range er.mailbox {
-			size += mapSlot + int64(cap(q))*int64(unsafe.Sizeof(message{}))
+	size := int64(epochmemo.SeenCost) + int64(unsafe.Sizeof(*c)) +
+		int64(cap(c.entries))*int64(unsafe.Sizeof(epochEntry{}))
+	for i := range c.entries {
+		e := &c.entries[i]
+		size += int64(cap(e.diffIdx))*4 + int64(cap(e.diffVal))*8 +
+			int64(cap(e.ranks))*int64(unsafe.Sizeof(entryRank{}))
+		for r := range e.ranks {
+			er := &e.ranks[r]
+			size += int64(cap(er.recvSeq)+cap(er.rngSeq)) * 8
+			if er.mailbox != nil {
+				size += mapHeader
+			}
+			for _, q := range er.mailbox {
+				size += mapSlot + int64(cap(q))*int64(unsafe.Sizeof(message{}))
+			}
 		}
 	}
 	return size
@@ -724,11 +682,20 @@ func (m *epochMemo) apply(ent *epochEntry) {
 			r.mailbox[src] = append([]message(nil), q...)
 		}
 		rs := &m.rs[i]
-		rs.replaying = true
 		rs.skip = er.budget
 		rs.recvSeq, rs.recvCur = er.recvSeq, 0
 		rs.rngSeq, rs.rngCur = er.rngSeq, 0
 	}
+}
+
+// nextRecv returns the next recorded Recv result during a skipped Recv.
+func (rs *memoRank) nextRecv(r *Rank) int {
+	if rs.recvCur >= len(rs.recvSeq) {
+		panic(fmt.Sprintf("mpi: epoch memo divergence: rank %d received more messages than the replayed epoch recorded", r.id))
+	}
+	v := rs.recvSeq[rs.recvCur]
+	rs.recvCur++
+	return v
 }
 
 // nextRng returns the next recorded post-execution RNG position during a
@@ -742,31 +709,25 @@ func (rs *memoRank) nextRng(r *Rank) uint64 {
 	return v
 }
 
-// collArrive folds a collective into the rank's history and closes its
-// replay window: a replayed epoch must arrive at its closing collective
-// with the skip budget and result cursors exactly exhausted.
-func (r *Rank) collArrive(op collOp, bytes, root int) {
-	m := r.job.memo
-	if m == nil {
-		return
-	}
-	rs := &m.rs[r.id]
-	rs.fold(histColl, uint64(op), uint64(bytes)<<16|uint64(uint32(root)))
-	if !rs.replaying {
+// collArrive closes the rank's replay window: a replayed epoch must arrive
+// at its closing collective with the skip budget and result cursors exactly
+// exhausted.
+func (r *Rank) collArrive(op collOp) {
+	rs := r.memo
+	if rs == nil || r.job.memo.mode != memoReplaying {
 		return
 	}
 	if rs.skip != 0 || rs.recvCur != len(rs.recvSeq) || rs.rngCur != len(rs.rngSeq) {
 		panic(fmt.Sprintf("mpi: epoch memo divergence: rank %d reached %v with %d ops, %d recvs, %d execs of the replayed epoch unconsumed",
 			r.id, op, rs.skip, len(rs.recvSeq)-rs.recvCur, len(rs.rngSeq)-rs.rngCur))
 	}
-	rs.replaying = false
 }
 
 // skipExec replays one Exec: the program is bound through the normal path
 // (allocation layout and RNG seeding evolve exactly as live) and each
 // bound state jumps to its recorded completion, with no simulated work.
 func (r *Rank) skipExec(p *isa.Program) {
-	rs := &r.job.memo.rs[r.id]
+	rs := r.memo
 	if threads := r.job.m.Mode().ThreadsPerRank(); threads > 1 {
 		states, ok := r.shards[p]
 		if !ok {
@@ -792,8 +753,7 @@ func (r *Rank) skipExec(p *isa.Program) {
 // recordExec captures the post-execution RNG position of every state the
 // Exec drove, in shard order.
 func (r *Rank) recordExec(p *isa.Program) {
-	rs := &r.job.memo.rs[r.id]
-	rs.recOps++
+	rs := r.memo
 	if states, ok := r.shards[p]; ok {
 		for _, st := range states {
 			rs.recRng = append(rs.recRng, st.RngState())

@@ -147,33 +147,18 @@ func memoPerfOf(j *Job) memoPerf {
 		p.EpochMemoFlattens, p.EpochMemoMaterializations}
 }
 
-// chainKeys returns the keys of the epoch entries resident in cache in the
-// order a run meets them: the entry of the first cut is the one no other
-// entry names as its nextKey, and each entry names its successor.
-func chainKeys(t *testing.T, cache *epochmemo.Cache) []epochmemo.Key {
+// storedChain returns the one replay chain resident in cache (marks are
+// skipped), nil when there is none.
+func storedChain(t *testing.T, cache *epochmemo.Cache) *epochChain {
 	t.Helper()
-	ents := map[epochmemo.Key]*epochEntry{}
-	named := map[epochmemo.Key]bool{}
+	var chain *epochChain
 	for _, k := range cache.Keys() {
-		if ent, ok := cache.Peek(k).(*epochEntry); ok {
-			ents[k] = ent
-			named[ent.nextKey] = true
+		if ch, ok := cache.Get(k).(*epochChain); ok {
+			if chain != nil {
+				t.Fatal("cache holds more than one chain")
+			}
+			chain = ch
 		}
-	}
-	var chain []epochmemo.Key
-	for k := range ents {
-		if !named[k] {
-			chain = append(chain, k)
-		}
-	}
-	if len(chain) != 1 {
-		t.Fatalf("cache holds %d chain heads among %d entries, want one chain", len(chain), len(ents))
-	}
-	for ent := ents[chain[0]]; ents[ent.nextKey] != nil; ent = ents[ent.nextKey] {
-		chain = append(chain, ent.nextKey)
-	}
-	if len(chain) != len(ents) {
-		t.Fatalf("chain links %d of %d entries", len(chain), len(ents))
 	}
 	return chain
 }
@@ -184,12 +169,13 @@ func chainKeys(t *testing.T, cache *epochmemo.Cache) []epochmemo.Key {
 var (
 	// The identity's first run leaves its mark and touches nothing else.
 	mixedFirstSight = memoPerf{misses: 5, firstSights: 5}
-	// The second run flattens at every cut: once to key the first, then to
-	// close each recording.
+	// The second run flattens at every cut: once for the start digest and
+	// the first epoch's base, then to close each epoch; it stores one chain
+	// of four.
 	mixedRecording = memoPerf{misses: 5, stores: 4, flattens: 5}
-	// The third flattens once to find the chain, follows it by key, and
-	// writes the machine back once, when the last cut opens the unclosed
-	// epoch.
+	// The third flattens once to check the chain's start digest, walks the
+	// chain, and writes the machine back once, when the last cut finds the
+	// chain at its end.
 	mixedReplaying = memoPerf{hits: 4, misses: 1, flattens: 1, materializations: 1}
 )
 
@@ -242,8 +228,12 @@ func TestEpochMemoSecondSight(t *testing.T) {
 			t.Fatalf("first run left %d entries costing %d B, want the identity's one mark (%d B)",
 				s.Entries, s.Cost, epochmemo.SeenCost)
 		}
-		if n := len(storedEntries(cache)); n != 0 {
-			t.Fatalf("first run recorded %d entries", n)
+		if storedChain(t, cache) != nil {
+			t.Fatal("first run stored a chain")
+		}
+		// Idle means idle: no per-rank memo state for the op hook to touch.
+		if j.memo.rs != nil || j.ranks[0].memo != nil {
+			t.Fatal("first run armed the per-rank memo state")
 		}
 
 		j, _ = runMixed(t, cache)
@@ -251,8 +241,9 @@ func TestEpochMemoSecondSight(t *testing.T) {
 		if got := memoPerfOf(j); got != mixedRecording {
 			t.Fatalf("recording run perf = %+v, want %+v", got, mixedRecording)
 		}
-		if s := cache.Stats(); s.Entries != 5 {
-			t.Fatalf("recording run left %d entries, want 5 (the mark and four epochs)", s.Entries)
+		ch := storedChain(t, cache)
+		if s := cache.Stats(); s.Entries != 1 || ch == nil || len(ch.entries) != 4 || s.Cost != ch.footprint() {
+			t.Fatalf("recording run left %+v, want one entry: a chain of four epochs in the mark's place", s)
 		}
 
 		j, _ = runMixed(t, cache)
@@ -260,40 +251,59 @@ func TestEpochMemoSecondSight(t *testing.T) {
 		if got := memoPerfOf(j); got != mixedReplaying {
 			t.Fatalf("replaying run perf = %+v, want %+v", got, mixedReplaying)
 		}
+
+		// One chain per recorded identity, one mark per identity seen once.
+		_, _, run, err := mixedJobHooked(machine.Dual, cache, nil)
+		if err == nil {
+			err = run()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := cache.Stats(); s.Entries != 2 || s.Cost != ch.footprint()+epochmemo.SeenCost {
+			t.Fatalf("a recorded and a once-seen identity left %+v, want a chain and a mark", s)
+		}
 	})
 
-	// The mark is the least recently used thing a recording run leaves
-	// behind, so cache pressure takes it first. The identity's next run is
-	// then a first run again — wholly live, although every epoch it passes
-	// through is still in the cache — and the run after that replays.
+	// An identity has one entry — its mark, then its chain — so cache
+	// pressure takes all the memo knows of it at once. Its next run is then
+	// a first run again, wholly live, and the runs after that record and
+	// replay.
 	t.Run("evicted-mark-is-a-first-sight", func(t *testing.T) {
 		cache := epochmemo.New(0)
-		runMixed(t, cache)
-		runMixed(t, cache)
-		cache.SetBudget(cache.Stats().Cost - 1)
-		if s := cache.Stats(); s.Evictions != 1 || s.Entries != 4 || len(storedEntries(cache)) != 4 {
-			t.Fatalf("cache stats %+v, want the mark evicted and the four epochs kept", s)
-		}
-		cache.SetBudget(0)
-
-		j, _ := runMixed(t, cache)
-		diffStates(t, "run after its mark was evicted vs plain", want, machineState(j))
-		if got := memoPerfOf(j); got != mixedFirstSight {
-			t.Fatalf("run after its mark was evicted perf = %+v, want %+v", got, mixedFirstSight)
-		}
-		j, _ = runMixed(t, cache)
-		diffStates(t, "run after the mark came back vs plain", want, machineState(j))
-		if got := memoPerfOf(j); got != mixedReplaying {
-			t.Fatalf("run after the mark came back perf = %+v, want %+v", got, mixedReplaying)
+		for _, pass := range []struct {
+			name  string
+			perf  memoPerf
+			evict bool // empty the cache after the run
+		}{
+			{"first run", mixedFirstSight, true},
+			{"run after its mark was evicted", mixedFirstSight, false},
+			{"recording run", mixedRecording, true},
+			{"run after its chain was evicted", mixedFirstSight, false},
+			{"second recording run", mixedRecording, false},
+			{"replaying run", mixedReplaying, false},
+		} {
+			j, _ := runMixed(t, cache)
+			diffStates(t, pass.name+" vs plain", want, machineState(j))
+			if got := memoPerfOf(j); got != pass.perf {
+				t.Fatalf("%s perf = %+v, want %+v", pass.name, got, pass.perf)
+			}
+			if pass.evict {
+				cache.SetBudget(1)
+				if s := cache.Stats(); s.Entries != 0 {
+					t.Fatalf("after %s: cache stats %+v, want the identity's one entry evicted", pass.name, s)
+				}
+				cache.SetBudget(0)
+			}
 		}
 	})
 
 	// Two sweep workers meeting one unseen identity at the same time: both
 	// may be told it is new, or one may find the other's mark and record
-	// while the other runs idle; later rounds record and replay each
-	// other's entries mid-pass. Whatever the interleaving, every run is
-	// exact (and, under -race, free of data races on the shared entries and
-	// the vector pool).
+	// while the other runs idle; in later rounds both record, then both
+	// replay the one chain. Whatever the interleaving, every run is exact
+	// (and, under -race, free of data races on the shared chain and the
+	// vector pool).
 	t.Run("concurrent-workers", func(t *testing.T) {
 		cache := epochmemo.New(0)
 		for round := 0; round < 3; round++ {
@@ -319,8 +329,8 @@ func TestEpochMemoSecondSight(t *testing.T) {
 				diffStates(t, "concurrent worker vs plain", want, machineState(j))
 			}
 		}
-		// Both workers of the second round were admitted, so by now every
-		// epoch is stored: a further run replays them all.
+		// Both workers of the second round were admitted, so by now the
+		// chain is stored: a further run replays all of it.
 		j, _ := runMixed(t, cache)
 		diffStates(t, "run after concurrent rounds vs plain", want, machineState(j))
 		if got := memoPerfOf(j); got != mixedReplaying {
@@ -329,77 +339,119 @@ func TestEpochMemoSecondSight(t *testing.T) {
 	})
 }
 
-// TestEpochMemoLazyChain breaks a recorded chain in the middle, so that a
-// replaying run has the state vector ahead of the machine when it must run
-// live again: epochs 1 and 2 replay into the vector, the third cut finds no
-// usable entry (or a freshly armed UPC handler), and everything from there
-// on depends on the write-back having restored the whole machine — in the
-// threaded modes including the worker cores the skipped epochs drove.
+// TestEpochMemoLazyChain replays chains that end before the run does — cut
+// short, damaged, or abandoned for a freshly armed UPC handler — so that the
+// run has the state vector ahead of the machine when it must go live: the
+// first epochs replay into the vector, and everything from there on depends
+// on the write-back having restored the whole machine — in the threaded modes
+// including the worker cores the skipped epochs drove. A chain with a
+// tampered start digest is not replayed at all.
 func TestEpochMemoLazyChain(t *testing.T) {
-	// armHandler runs inside the second (replayed) epoch. The handler is
-	// inert (no threshold is set); its presence is what the memo must notice.
+	// armHandler runs inside the second epoch. The handler is inert (no
+	// threshold is set); its presence is what the memo must notice.
 	armHandler := func(r *Rank) {
 		if r.ID() == 0 {
 			r.Node().UPC.SetInterruptHandler(func(int, uint64) {})
 		}
 	}
+	prefix := func(n uint64) memoPerf { // n epochs replayed, then live for good
+		return memoPerf{hits: n, misses: 1, flattens: 1, materializations: 1}
+	}
 	breaks := []struct {
 		name string
-		// sabotage damages the warm cache's chain; mid is the third run's
-		// (and the reference run's) callback between cuts 2 and 3.
-		sabotage func(t *testing.T, cache *epochmemo.Cache)
+		// recMid is the recording run's callback between cuts 2 and 3,
+		// sabotage damages the chain it stored, and mid is the callback of
+		// the run over that chain (and of its reference run).
+		recMid   func(*Rank)
+		sabotage func(ch *epochChain)
 		mid      func(*Rank)
 		perf     memoPerf
+		// next, when set, is the perf of one more, undisturbed run.
+		next memoPerf
 	}{
-		// Cut 3 misses: write back, record epoch 3 live, pick the chain up
-		// again at cut 4, write back again at the last cut.
-		{"deleted-entry", func(t *testing.T, cache *epochmemo.Cache) {
-			cache.Delete(chainKeys(t, cache)[2])
-		}, nil, memoPerf{hits: 3, misses: 2, stores: 1, flattens: 2, materializations: 2}},
-		{"tampered-entry", func(t *testing.T, cache *epochmemo.Cache) {
-			cache.Peek(chainKeys(t, cache)[2]).(*epochEntry).diffVal[0] ^= 1
-		}, nil, memoPerf{hits: 3, misses: 2, stores: 1, corrupt: 1, flattens: 2, materializations: 2}},
+		// The chain lost its last two entries: cut 3 finds it at its end.
+		{name: "deleted-entry", sabotage: func(ch *epochChain) { ch.entries = ch.entries[:2] }, perf: prefix(2)},
+		// The recording run armed a handler in its second epoch, so its
+		// chain holds the first only; the identity's next run does the same
+		// in an epoch that runs live.
+		{name: "short-recording", recMid: armHandler, mid: armHandler, perf: prefix(1)},
+		// Entry 3 of 4 fails its checksum at cut 3: the chain is dropped,
+		// and the next run records all four epochs again.
+		{name: "tampered-entry", sabotage: func(ch *epochChain) { ch.entries[2].diffVal[0] ^= 1 },
+			perf: memoPerf{hits: 2, misses: 1, corrupt: 1, flattens: 1, materializations: 1}, next: mixedRecording},
+		// A start digest that does not match is a miss, never a replay: the
+		// run records, and its chain replaces the stale one.
+		{name: "tampered-start", sabotage: func(ch *epochChain) { ch.start.Lo ^= 1 },
+			perf: mixedRecording, next: mixedReplaying},
 		// Cut 3 finds the handler: write back, then live to the end with
 		// the memo off (its cuts no longer count).
-		{"upc-handler-armed", func(*testing.T, *epochmemo.Cache) {}, armHandler,
-			memoPerf{hits: 2, flattens: 1, materializations: 1}},
+		{name: "upc-handler-armed", mid: armHandler, perf: memoPerf{hits: 2, flattens: 1, materializations: 1}},
 	}
 	for _, mode := range []machine.OpMode{machine.VNM, machine.SMP4, machine.Dual} {
 		for _, ff := range []string{"ff-on", "ff-off"} {
-			for _, br := range breaks {
-				t.Run(strings.ReplaceAll(mode.String(), "/", "")+"/"+ff+"/"+br.name, func(t *testing.T) {
-					run := func(cache *epochmemo.Cache, mid func(*Rank)) (*Job, [][]int) {
-						j, results, run, err := mixedJobHooked(mode, cache, mid)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j.SetFastForward(ff == "ff-on")
-						if err := run(); err != nil {
-							t.Fatal(err)
-						}
-						return j, results
+			t.Run(strings.ReplaceAll(mode.String(), "/", "")+"/"+ff, func(t *testing.T) {
+				run := func(cache *epochmemo.Cache, mid func(*Rank)) (*Job, [][]int) {
+					j, results, run, err := mixedJobHooked(mode, cache, mid)
+					if err != nil {
+						t.Fatal(err)
 					}
-					plain, plainResults := run(nil, br.mid)
-					want := machineState(plain)
+					j.SetFastForward(ff == "ff-on")
+					if err := run(); err != nil {
+						t.Fatal(err)
+					}
+					return j, results
+				}
+				plain, plainResults := run(nil, nil)
+				armed, armedResults := run(nil, armHandler)
+				// One undisturbed recording serves every break that damages
+				// the chain afterwards: each works on its own copy.
+				warm := epochmemo.New(0)
+				run(warm, nil) // the identity's first run
+				run(warm, nil) // records epochs 1 to 4
+				pristine, key := storedChain(t, warm), warm.Keys()[0]
 
-					cache := epochmemo.New(0)
-					run(cache, nil) // the identity's first run
-					run(cache, nil) // records epochs 1 to 4
-					br.sabotage(t, cache)
-					j, results := run(cache, br.mid)
-					diffStates(t, "run over the broken chain vs plain", want, machineState(j))
-					if got := memoPerfOf(j); got != br.perf {
-						t.Fatalf("run over the broken chain perf = %+v, want %+v", got, br.perf)
-					}
-					for r := range plainResults {
-						for i := range plainResults[r] {
-							if results[r][i] != plainResults[r][i] {
-								t.Fatalf("rank %d op result %d = %d, plain %d", r, i, results[r][i], plainResults[r][i])
+				for _, br := range breaks {
+					t.Run(br.name, func(t *testing.T) {
+						want, wantResults := machineState(plain), plainResults
+						if br.mid != nil {
+							want, wantResults = machineState(armed), armedResults
+						}
+						cache := epochmemo.New(0)
+						if br.recMid != nil {
+							run(cache, nil)
+							run(cache, br.recMid) // records as far as recMid lets it
+						} else {
+							ch := &epochChain{start: pristine.start, entries: append([]epochEntry(nil), pristine.entries...)}
+							for i := range ch.entries {
+								ch.entries[i].diffVal = append([]uint64(nil), ch.entries[i].diffVal...)
+							}
+							cache.Record(key, ch, ch.footprint())
+						}
+						if br.sabotage != nil {
+							br.sabotage(storedChain(t, cache))
+						}
+						j, results := run(cache, br.mid)
+						diffStates(t, "run over the broken chain vs plain", want, machineState(j))
+						if got := memoPerfOf(j); got != br.perf {
+							t.Fatalf("run over the broken chain perf = %+v, want %+v", got, br.perf)
+						}
+						for r := range wantResults {
+							for i := range wantResults[r] {
+								if results[r][i] != wantResults[r][i] {
+									t.Fatalf("rank %d op result %d = %d, plain %d", r, i, results[r][i], wantResults[r][i])
+								}
 							}
 						}
-					}
-				})
-			}
+						if br.next != (memoPerf{}) {
+							j, _ := run(cache, br.mid)
+							diffStates(t, "run after the broken chain vs plain", want, machineState(j))
+							if got := memoPerfOf(j); got != br.next {
+								t.Fatalf("run after the broken chain perf = %+v, want %+v", got, br.next)
+							}
+						}
+					})
+				}
+			})
 		}
 	}
 }
@@ -448,17 +500,6 @@ func TestEpochMemoLiveAfterReplayedArrivals(t *testing.T) {
 	}
 }
 
-// storedEntries returns the epoch entries resident in cache, marks skipped.
-func storedEntries(cache *epochmemo.Cache) []*epochEntry {
-	var ents []*epochEntry
-	for _, k := range cache.Keys() {
-		if ent, ok := cache.Peek(k).(*epochEntry); ok {
-			ents = append(ents, ent)
-		}
-	}
-	return ents
-}
-
 // TestEpochMemoEntryCost pins what -epochmemo-bytes bounds: entries hold
 // no spare capacity, and the cost the store is charged is the heap the
 // entries really occupy — measured, not recomputed, by letting the
@@ -478,11 +519,12 @@ func TestEpochMemoEntryCost(t *testing.T) {
 	cache := epochmemo.New(0)
 	runMixed(t, cache) // first sight
 	runMixed(t, cache) // recording
-	ents := storedEntries(cache)
-	if len(ents) != 4 {
-		t.Fatalf("%d entries stored, want 4", len(ents))
+	ents := storedChain(t, cache).entries
+	if len(ents) != 4 || cap(ents) != 4 {
+		t.Fatalf("chain of %d entries in capacity %d, want 4 in 4", len(ents), cap(ents))
 	}
-	for _, ent := range ents {
+	for i := range ents {
+		ent := &ents[i]
 		if cap(ent.diffIdx) != len(ent.diffIdx) || cap(ent.diffVal) != len(ent.diffVal) {
 			t.Errorf("diff of %d words held in capacity %d/%d", len(ent.diffIdx), cap(ent.diffIdx), cap(ent.diffVal))
 		}
@@ -509,10 +551,10 @@ func TestEpochMemoEntryCost(t *testing.T) {
 
 // TestMemoVectorsPooled pins the state vectors' buffer discipline: a job
 // takes none until something flattens — the first run of an identity never
-// does — takes them from the pool when it does, and returns them when Run
-// returns, also when it returns because a body panicked or the job
-// deadlocked in the middle of a replayed chain. So a run of a geometry the
-// process has already run allocates no vectors.
+// does — a replaying run takes one and a recording run two, from the pool,
+// and they go back when Run returns, also when it returns because a body
+// panicked or the job deadlocked in the middle of a replay. So a run of a
+// geometry the process has already run allocates no vectors.
 func TestMemoVectorsPooled(t *testing.T) {
 	// One P and no background collections: sync.Pool is per-P and emptied
 	// by the collector, and the assertions below count on neither.
@@ -556,16 +598,25 @@ func TestMemoVectorsPooled(t *testing.T) {
 		}
 	}
 	// The recording run found the pool empty and made both vectors; the
-	// first run needed none and the replaying run found both pooled.
+	// first run needed none and the replaying run found its one pooled.
 	if !raceEnabled && (bytes[0] > bytes[1]/2 || bytes[2] > bytes[1]/2) {
 		t.Errorf("first run allocated %d B, recording run %d B, replaying run %d B; want the first and the last under half the recording run's",
 			bytes[0], bytes[1], bytes[2])
 	}
+	// A replaying run never records, so it has no use for a diff base: it
+	// takes exactly one vector, also at its last cut.
+	pooled()
+	j, _ := runMixed(t, cache)
+	if got := memoPerfOf(j); got != mixedReplaying {
+		t.Fatalf("fourth run perf = %+v, want %+v", got, mixedReplaying)
+	}
+	if n := pooled(); !raceEnabled && n != 1 {
+		t.Errorf("a replaying run returned %d state vectors to an empty pool, want the one it took", n)
+	}
 
-	// Abort in the middle of a chain. The cache is warmed by two clean
-	// runs and loses its first entry, so the aborting run records epoch 1
-	// (holding both buffers), replays epoch 2 into the vector, and ends
-	// there with the vector ahead of the machine.
+	// Abort in the middle of the second epoch — of a recording run, which
+	// holds both buffers and must not store its truncated chain, and of a
+	// replaying run, which ends with its one vector ahead of the machine.
 	for _, abort := range []struct {
 		name  string
 		leave func(r *Rank) bool // called inside epoch 2; true ends the rank's body
@@ -601,35 +652,48 @@ func TestMemoVectorsPooled(t *testing.T) {
 				r.Barrier()
 			})
 		}
-		for pass := 1; pass <= 2; pass++ {
+		for _, leg := range []struct {
+			name    string
+			perf    memoPerf
+			vectors int
+		}{
+			{"recording", memoPerf{misses: 2, flattens: 2}, 2},
+			{"replaying", memoPerf{hits: 2, flattens: 1, materializations: 1}, 1},
+		} {
 			if _, err := run(nil); err != nil {
-				t.Fatalf("%s: warm-up run %d: %v", abort.name, pass, err)
+				t.Fatalf("%s: warm-up run: %v", abort.name, err)
 			}
-		}
-		cache.Delete(chainKeys(t, cache)[0])
-
-		pooled()
-		j, err := run(abort.leave)
-		if err == nil {
-			t.Fatalf("%s: Run returned no error", abort.name)
-		}
-		if got, want := memoPerfOf(j), (memoPerf{hits: 1, misses: 1, stores: 1, flattens: 2, materializations: 1}); got != want {
-			t.Fatalf("%s: perf = %+v, want %+v (one write-back, made on the way out)", abort.name, got, want)
-		}
-		if j.memo.vec != nil || j.memo.preVec != nil {
-			t.Fatalf("%s: aborted job kept a state vector", abort.name)
-		}
-		if n := pooled(); !raceEnabled && n != 2 {
-			t.Errorf("%s: aborted job returned %d state vectors to the pool, want both", abort.name, n)
+			pooled()
+			j, err := run(abort.leave)
+			if err == nil {
+				t.Fatalf("%s, %s: Run returned no error", abort.name, leg.name)
+			}
+			if got := memoPerfOf(j); got != leg.perf {
+				t.Fatalf("%s, %s: perf = %+v, want %+v (nothing stored; a write-back only on a replay's way out)",
+					abort.name, leg.name, got, leg.perf)
+			}
+			if j.memo.vec != nil || j.memo.preVec != nil {
+				t.Fatalf("%s, %s: aborted job kept a state vector", abort.name, leg.name)
+			}
+			if n := pooled(); !raceEnabled && n != leg.vectors {
+				t.Errorf("%s, %s: aborted job returned %d state vectors to the pool, want %d", abort.name, leg.name, n, leg.vectors)
+			}
+			if leg.name == "recording" {
+				if s := cache.Stats(); s.Entries != 1 || s.Cost != epochmemo.SeenCost {
+					t.Fatalf("%s: aborted recording left %+v, want the identity's mark and no chain", abort.name, s)
+				}
+			}
 		}
 	}
 }
 
-// TestEpochMemoCorruptEntryDetected damages a cached epoch in place and
-// pins the integrity contract: the checksum catches the corruption at the
-// next probe, the run re-simulates (byte-identical to a plain run), and
-// the damage is counted — never replayed. The checksum covers every field
-// replay consumes: one flipped word in any of them is a miss.
+// TestEpochMemoCorruptEntryDetected damages a stored chain in place and
+// pins the integrity contract: each entry's checksum is re-derived before its
+// diff touches the state vector, a mismatch ends the replay there — the run
+// finishes live, byte-identical to a plain run, and the damage is counted,
+// never replayed — and the chain is dropped, so the next run records it
+// afresh. The checksum covers every field replay consumes: one flipped word
+// in any of them is a miss.
 func TestEpochMemoCorruptEntryDetected(t *testing.T) {
 	t.Run("every-entry", testCorruptEveryEntry)
 	t.Run("every-field", testCorruptEveryField)
@@ -640,38 +704,39 @@ func testCorruptEveryEntry(t *testing.T) {
 	want := machineState(plain)
 
 	cache := epochmemo.New(0)
-	runMixed(t, cache) // first sight marks the cuts
-	runMixed(t, cache) // the recording pass populates the cache
-	ents := storedEntries(cache)
-	stored := uint64(len(ents))
-	if stored == 0 {
-		t.Fatal("recording pass stored nothing")
-	}
+	runMixed(t, cache) // first sight leaves the mark
+	runMixed(t, cache) // the recording pass stores the chain
 
-	// Flip one bit in every cached entry's recorded machine diff.
-	for _, ent := range ents {
-		if len(ent.diffVal) == 0 {
+	// Flip one bit in every entry's recorded machine diff.
+	ch := storedChain(t, cache)
+	for i := range ch.entries {
+		if len(ch.entries[i].diffVal) == 0 {
 			t.Fatal("entry has no diff to tamper with")
 		}
-		ent.diffVal[0] ^= 1
+		ch.entries[i].diffVal[0] ^= 1
 	}
 
-	// A key whose entry failed its checksum has recurred by definition:
-	// the epoch re-simulates and re-records at once.
+	// The first entry fails at the first cut: nothing is replayed, so there
+	// is nothing to write back either.
 	tampered, _ := runMixed(t, cache)
-	diffStates(t, "run over tampered cache vs plain", want, machineState(tampered))
-	if got, want := memoPerfOf(tampered), (memoPerf{misses: 5, stores: stored, corrupt: stored, flattens: 5}); got != want {
-		t.Fatalf("run over tampered cache perf = %+v, want %+v (damage counted, never replayed)", got, want)
+	diffStates(t, "run over tampered chain vs plain", want, machineState(tampered))
+	if got, want := memoPerfOf(tampered), (memoPerf{misses: 1, corrupt: 1, flattens: 1}); got != want {
+		t.Fatalf("run over tampered chain perf = %+v, want %+v (damage counted, never replayed)", got, want)
 	}
-	if s := cache.Stats(); s.Corrupt != stored {
-		t.Fatalf("cache stats %+v, want %d corrupt", s, stored)
+	if s := cache.Stats(); s.Entries != 1 || s.Cost != epochmemo.SeenCost {
+		t.Fatalf("cache stats %+v, want the chain dropped back to the identity's mark", s)
 	}
 
-	// The re-simulated epochs were re-stored intact: the next run replays.
-	again, _ := runMixed(t, cache)
-	diffStates(t, "recovered cache replaying run vs plain", want, machineState(again))
-	if got := memoPerfOf(again); got != mixedReplaying {
-		t.Fatalf("recovered cache perf = %+v, want %+v", got, mixedReplaying)
+	// The next run records the whole chain again, and the one after replays.
+	for _, pass := range []struct {
+		name string
+		perf memoPerf
+	}{{"re-recording", mixedRecording}, {"replaying", mixedReplaying}} {
+		j, _ := runMixed(t, cache)
+		diffStates(t, pass.name+" run vs plain", want, machineState(j))
+		if got := memoPerfOf(j); got != pass.perf {
+			t.Fatalf("%s run perf = %+v, want %+v", pass.name, got, pass.perf)
+		}
 	}
 }
 
@@ -720,7 +785,6 @@ func testCorruptEveryField(t *testing.T) {
 	}{
 		{"diffIdx", func(ent *epochEntry) { ent.diffIdx[len(ent.diffIdx)-1] ^= 1 }},
 		{"diffVal", func(ent *epochEntry) { ent.diffVal[len(ent.diffVal)/2] ^= 1 << 40 }},
-		{"nextKey", func(ent *epochEntry) { ent.nextKey[17] ^= 1 }},
 		{"closeOp", func(ent *epochEntry) { ent.closeOp ^= 1 }},
 		{"closeBytes", func(ent *epochEntry) { ent.closeBytes++ }},
 		{"closeLast", func(ent *epochEntry) { ent.closeLast ^= 1 }},
@@ -729,16 +793,23 @@ func testCorruptEveryField(t *testing.T) {
 		{"rngSeq", func(ent *epochEntry) { ent.ranks[7].rngSeq[0] ^= 1 }},
 		{"mailbox-bytes", func(ent *epochEntry) { ent.ranks[1].mailbox[0][0].bytes++ }},
 		{"mailbox-arrival", func(ent *epochEntry) { ent.ranks[1].mailbox[0][0].arrival++ }},
+		{"sum", func(ent *epochEntry) { ent.sum ^= 1 << 63 }},
 	} {
-		ent := cache.Peek(chainKeys(t, cache)[0]).(*epochEntry)
-		field.flip(ent)
-		// The first cut's entry fails its checksum and its epoch re-records;
-		// the second cut's entry is intact and replays.
-		j := run(cache)
-		diffStates(t, field.name+" flipped: run vs plain", want, machineState(j))
-		wantPerf := memoPerf{hits: 1, misses: 2, stores: 1, corrupt: 1, flattens: 2, materializations: 1}
-		if got := memoPerfOf(j); got != wantPerf {
-			t.Fatalf("%s flipped: perf = %+v, want %+v", field.name, got, wantPerf)
+		// The first of the chain's two entries fails its checksum at the
+		// first cut and the run goes live; the next run records both again.
+		field.flip(&storedChain(t, cache).entries[0])
+		for _, pass := range []struct {
+			name string
+			perf memoPerf
+		}{
+			{"run over the flipped word", memoPerf{misses: 1, corrupt: 1, flattens: 1}},
+			{"re-recording run", memoPerf{misses: 3, stores: 2, flattens: 3}},
+		} {
+			j := run(cache)
+			diffStates(t, field.name+" flipped: "+pass.name+" vs plain", want, machineState(j))
+			if got := memoPerfOf(j); got != pass.perf {
+				t.Fatalf("%s flipped: %s perf = %+v, want %+v", field.name, pass.name, got, pass.perf)
+			}
 		}
 	}
 }

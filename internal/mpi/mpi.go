@@ -80,7 +80,7 @@ type Job struct {
 	// Fast-forward and epoch-memo state (see memo.go). noFF is the
 	// SetFastForward opt-out; ffOn is the resolved gate, fixed at Run.
 	// memo is non-nil only when the memo engaged (EnableEpochMemo called
-	// and no observer hooks installed), and is read-only during epochs.
+	// and no observer hooks installed); its mode changes at cuts only.
 	noFF       bool
 	ffOn       bool
 	memoCache  *epochmemo.Cache
@@ -117,6 +117,11 @@ type Rank struct {
 	shards    map[*isa.Program][]*core.ExecState
 	groupBase map[string]uint64
 	groupSize map[string]uint64
+
+	// memo is the rank's side of the epoch memo, non-nil only while the run
+	// records or replays (see memo.go): every other run's per-op hook is one
+	// nil check.
+	memo *memoRank
 
 	// Fast-forward counters, summed by Job.Perf.
 	ffDispatches uint64
@@ -229,7 +234,7 @@ func (j *Job) Run(body func(*Rank)) error {
 	j.initRunModes()
 	if j.memo != nil {
 		// Every return below follows each rank goroutine's final yield.
-		defer j.memo.releaseVectors()
+		defer j.memo.finish()
 	}
 	for _, r := range j.ranks {
 		r.status = statusReady

@@ -24,18 +24,13 @@ const ForkJoinOverhead = 800
 // the master — the hybrid MPI+OpenMP execution the paper lists as future
 // work (§IX).
 func (r *Rank) Exec(p *isa.Program) {
-	if m := r.job.memo; m != nil {
-		rs := &m.rs[r.id]
-		rs.fold(histExec, progTag(p), 0)
-		if rs.replaying {
-			rs.take(r, "Exec")
-			r.skipExec(p)
-			return
-		}
+	if r.memoOp("Exec") {
+		r.skipExec(p)
+		return
 	}
 	start := r.cr.Cycles
 	r.exec(p)
-	if m := r.job.memo; m != nil && m.recording {
+	if r.memo != nil {
 		r.recordExec(p)
 	}
 	if r.job.onSpan != nil {
@@ -96,12 +91,6 @@ func (r *Rank) bindShard(p *isa.Program, shard, nshards int) *core.ExecState {
 	st, err := core.BindShard(p, base, uint64(r.id)*0x9e37+1, shard, nshards)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: rank %d: %v", r.id, err))
-	}
-	if m := r.job.memo; m != nil {
-		// The memo keys on every bound state's RNG position, in bind
-		// order; skipped Execs bind through this same path, so the order
-		// is identical live and replayed.
-		m.rs[r.id].states = append(m.rs[r.id].states, st)
 	}
 	return st
 }
@@ -167,16 +156,8 @@ func (r *Rank) execThreaded(p *isa.Program, threads int) {
 // Compute charges raw cycles of work not expressed as an op stream (system
 // services, imbalance perturbation).
 func (r *Rank) Compute(cycles uint64) {
-	if m := r.job.memo; m != nil {
-		rs := &m.rs[r.id]
-		rs.fold(histCompute, cycles, 0)
-		if rs.replaying {
-			rs.take(r, "Compute")
-			return
-		}
-		if m.recording {
-			rs.recOps++
-		}
+	if r.memoOp("Compute") {
+		return
 	}
 	for cycles > 0 {
 		if r.fastForwardable() {
@@ -200,19 +181,11 @@ func (r *Rank) Compute(cycles uint64) {
 // software and injection cost and continues; delivery time is carried on
 // the message.
 func (r *Rank) Send(dst, bytes int) {
-	if m := r.job.memo; m != nil {
-		rs := &m.rs[r.id]
-		rs.fold(histSend, uint64(dst), uint64(bytes))
-		if rs.replaying {
-			// The send's effects (clock advance, DMA and cache traffic,
-			// the posted message) are all part of the replayed epoch's
-			// machine diff and final mailboxes.
-			rs.take(r, "Send")
-			return
-		}
-		if m.recording {
-			rs.recOps++
-		}
+	if r.memoOp("Send") {
+		// The send's effects (clock advance, DMA and cache traffic, the
+		// posted message) are all part of the replayed epoch's machine diff
+		// and final mailboxes.
+		return
 	}
 	if dst < 0 || dst >= len(r.job.ranks) {
 		panic(fmt.Sprintf("mpi: rank %d sends to invalid rank %d", r.id, dst))
@@ -252,32 +225,16 @@ func (r *Rank) Send(dst, bytes int) {
 }
 
 // Recv blocks until a message from src (or from anyone, with AnySource) is
-// available, advances the clock to its arrival, and returns its size.
-// The returned size is folded into the rank's memo history: it can steer
-// the body's control flow, so equal histories must imply equal futures.
+// available, advances the clock to its arrival, and returns its size. The
+// size can steer the body's control flow, so the memo records it with the
+// epoch and a skipped Recv returns the recorded one.
 func (r *Rank) Recv(src int) int {
-	m := r.job.memo
-	if m != nil {
-		rs := &m.rs[r.id]
-		if rs.replaying {
-			rs.take(r, "Recv")
-			if rs.recvCur >= len(rs.recvSeq) {
-				panic(fmt.Sprintf("mpi: epoch memo divergence: rank %d received more messages than the replayed epoch recorded", r.id))
-			}
-			bytes := rs.recvSeq[rs.recvCur]
-			rs.recvCur++
-			rs.fold(histRecv, uint64(uint32(src+1)), uint64(bytes))
-			return bytes
-		}
+	if r.memoOp("Recv") {
+		return r.memo.nextRecv(r)
 	}
 	bytes := r.recvLive(src)
-	if m != nil {
-		rs := &m.rs[r.id]
-		rs.fold(histRecv, uint64(uint32(src+1)), uint64(bytes))
-		if m.recording {
-			rs.recOps++
-			rs.recRecv = append(rs.recRecv, bytes)
-		}
+	if rs := r.memo; rs != nil {
+		rs.recRecv = append(rs.recRecv, bytes)
 	}
 	return bytes
 }
@@ -384,7 +341,7 @@ func (r *Rank) Allreduce(bytes int) { r.collective(opAllreduce, bytes, 0) }
 func (r *Rank) Alltoall(bytesPerRank int) { r.collective(opAlltoall, bytesPerRank, 0) }
 
 func (r *Rank) collective(op collOp, bytes, root int) {
-	r.collArrive(op, bytes, root)
+	r.collArrive(op)
 	start := r.cr.Cycles
 	r.doCollective(op, bytes, root)
 	if r.job.onSpan != nil {

@@ -55,9 +55,10 @@ func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...an
 
 // perfSummary renders the accelerator counters of a registry snapshot. The
 // epoch memo's misses are split so a cold number explains itself — a first
-// sight belongs to a run whose identity was new and did no memo work, every
-// other miss recorded its epoch — and its whole-machine passes are counted,
-// since they are the only memo costs not proportional to a diff.
+// sight belongs to a run whose identity was new and did no memo work, the
+// other misses recorded their epochs or ended a replay — and its
+// whole-machine passes are counted, since they are the only memo costs not
+// proportional to a diff.
 func perfSummary(c map[string]uint64) string {
 	return fmt.Sprintf("perf: %d runs; fast-forward %d dispatches (%d cycles); "+
 		"epoch memo %d hits, %d misses (%d first sight), %d stores, %d corrupt, %d flattens, %d materializations; "+

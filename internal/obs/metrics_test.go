@@ -243,6 +243,27 @@ func TestRecorderMetrics(t *testing.T) {
 	if h := snap.Histograms[MetricPhaseHistPrefix+"compile"]; h.Count != 2 || h.Sum != 5000 {
 		t.Errorf("compile histogram = %+v, want count 2 sum 5000", h)
 	}
+	// The table is the only spelling of a per-run counter: every numeric
+	// RunStats field feeds exactly one of its rows.
+	var st RunStats
+	v := reflect.ValueOf(&st).Elem()
+	want := map[uint64]bool{}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(i) + 1000)
+			want[uint64(i)+1000] = true
+		}
+	}
+	for _, c := range runCounters {
+		if got := c.get(st); !want[got] {
+			t.Errorf("%s reads %d: no RunStats field, or one another row reads too", c.name, got)
+		} else {
+			delete(want, got)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("%d RunStats fields feed no counter: %v", len(want), want)
+	}
 	if line := perfSummary(snap.Counters); !strings.Contains(line, "epoch memo 4 hits, 0 misses (0 first sight), 0 stores, 0 corrupt, 1 flattens, 1 materializations") {
 		t.Errorf("CLI perf summary %q does not carry the memo's whole-machine passes", line)
 	}

@@ -78,12 +78,14 @@ type RunStats struct {
 	// ran to completion in one dispatch; FFCycles is the simulated cycles
 	// those dispatches covered (see internal/mpi).
 	FFDispatches, FFCycles uint64
-	// Epoch-memo probe and store counts for the run: cuts that replayed a
-	// cached epoch, cuts that simulated live, and epochs recorded into the
-	// shared cache. FirstSights counts the misses of a run whose identity
-	// had never been seen — the run left one mark and recorded nothing; the
-	// other misses recorded. Corrupt counts probes whose cached entry failed
-	// its integrity checksum (evicted and re-simulated, never replayed).
+	// Epoch-memo cut and epoch counts for the run: cuts that replayed a
+	// recorded epoch, cuts that simulated live, and the epochs of the replay
+	// chain the run stored in the shared cache. FirstSights counts the
+	// misses of a run whose identity had never been seen — the run left one
+	// mark and recorded nothing; a replaying run's one miss is the cut where
+	// its chain ended; the other misses recorded. Corrupt counts replays
+	// ended by an entry that failed its integrity checksum (chain dropped,
+	// epoch re-simulated, never replayed).
 	EpochMemoHits, EpochMemoMisses, EpochMemoFirstSights, EpochMemoStores, EpochMemoCorrupt uint64
 	// The memo's whole-machine passes: state-vector reads (with their hash)
 	// and write-backs. Zero flattens on a never-seen identity and one
@@ -144,8 +146,8 @@ const (
 	// MetricEpochMemoPrefix prefixes epoch-memo counters:
 	// sim.epochmemo.hits, sim.epochmemo.misses, sim.epochmemo.first_sight
 	// (the misses of runs whose identity was new), sim.epochmemo.stores
-	// (entries recorded, never marks), sim.epochmemo.corrupt
-	// (checksum-failed entries evicted on probe), sim.epochmemo.flattens
+	// (epochs of the chains stored, never marks), sim.epochmemo.corrupt
+	// (replays ended by a checksum-failed entry), sim.epochmemo.flattens
 	// and sim.epochmemo.materializations (whole-machine read and write
 	// passes). bgpd adds two gauges of the process-wide cache's occupancy,
 	// run-marks included:
@@ -156,6 +158,43 @@ const (
 	MetricProgCachePrefix = "sim.progcache."
 )
 
+// runCounters is the one table of per-run counters: the /metrics name of
+// each and the RunStats field a completed run adds to it. NewRecorder
+// registers them and RunDone feeds them, in this order.
+var runCounters = []struct {
+	name string
+	get  func(RunStats) uint64
+}{
+	{MetricExecCycles, func(s RunStats) uint64 { return s.ExecCycles }},
+	{MetricRoutePrefix + "closed_form", func(s RunStats) uint64 { return s.RouteClosedForm }},
+	{MetricRoutePrefix + "coalesced", func(s RunStats) uint64 { return s.RouteCoalesced }},
+	{MetricRoutePrefix + "tracked", func(s RunStats) uint64 { return s.RouteTracked }},
+	{MetricRoutePrefix + "interp", func(s RunStats) uint64 { return s.RouteInterp }},
+	{"cache.l1.hits", func(s RunStats) uint64 { return s.L1Hits }},
+	{"cache.l1.misses", func(s RunStats) uint64 { return s.L1Misses }},
+	{"cache.l1.writebacks", func(s RunStats) uint64 { return s.L1Writebacks }},
+	{"cache.l2pf.hits", func(s RunStats) uint64 { return s.L2PrefetchHits }},
+	{"cache.l2pf.misses", func(s RunStats) uint64 { return s.L2PrefetchMisses }},
+	{"cache.l2pf.issued", func(s RunStats) uint64 { return s.L2PrefetchIssued }},
+	{"cache.l3.hits", func(s RunStats) uint64 { return s.L3Hits }},
+	{"cache.l3.misses", func(s RunStats) uint64 { return s.L3Misses }},
+	{"cache.l3.writebacks", func(s RunStats) uint64 { return s.L3Writebacks }},
+	{"cache.l3pf.issued", func(s RunStats) uint64 { return s.L3PrefetchIssued }},
+	{"ddr.read_lines", func(s RunStats) uint64 { return s.DDRReadLines }},
+	{"ddr.write_lines", func(s RunStats) uint64 { return s.DDRWriteLines }},
+	{MetricFFPrefix + "dispatches", func(s RunStats) uint64 { return s.FFDispatches }},
+	{MetricFFPrefix + "cycles", func(s RunStats) uint64 { return s.FFCycles }},
+	{MetricEpochMemoPrefix + "hits", func(s RunStats) uint64 { return s.EpochMemoHits }},
+	{MetricEpochMemoPrefix + "misses", func(s RunStats) uint64 { return s.EpochMemoMisses }},
+	{MetricEpochMemoPrefix + "first_sight", func(s RunStats) uint64 { return s.EpochMemoFirstSights }},
+	{MetricEpochMemoPrefix + "stores", func(s RunStats) uint64 { return s.EpochMemoStores }},
+	{MetricEpochMemoPrefix + "corrupt", func(s RunStats) uint64 { return s.EpochMemoCorrupt }},
+	{MetricEpochMemoPrefix + "flattens", func(s RunStats) uint64 { return s.EpochMemoFlattens }},
+	{MetricEpochMemoPrefix + "materializations", func(s RunStats) uint64 { return s.EpochMemoMaterializations }},
+	{MetricProgCachePrefix + "hit", func(s RunStats) uint64 { return s.ProgCacheHits }},
+	{MetricProgCachePrefix + "miss", func(s RunStats) uint64 { return s.ProgCacheMisses }},
+}
+
 // Recorder is the standard Observer: it feeds a Registry and, when one is
 // attached, a Tracer. Every cell is resolved at construction, so the
 // event-handling paths are lock-free atomic updates (plus one mutex-guarded
@@ -164,25 +203,12 @@ type Recorder struct {
 	reg    *Registry
 	tracer *Tracer
 
-	runs       *Counter
-	execCycles *Counter
-	spans      *Counter
-	phaseNS    map[Phase]*Counter
-	phaseHist  map[Phase]*Histogram
-	sweep      map[SweepEvent]*Counter
-
-	routeClosedForm, routeCoalesced, routeTracked, routeInterp *Counter
-
-	l1Hits, l1Misses, l1Writebacks   *Counter
-	l2pfHits, l2pfMisses, l2pfIssued *Counter
-	l3Hits, l3Misses, l3Writebacks   *Counter
-	l3pfIssued                       *Counter
-	ddrReadLines, ddrWriteLines      *Counter
-
-	ffDispatches, ffCycles                                                                  *Counter
-	epochMemoHits, epochMemoMisses, epochMemoFirstSights, epochMemoStores, epochMemoCorrupt *Counter
-	epochMemoFlattens, epochMemoMaterializations                                            *Counter
-	progCacheHit, progCacheMiss                                                             *Counter
+	runs      *Counter
+	spans     *Counter
+	perRun    []*Counter // parallel to runCounters
+	phaseNS   map[Phase]*Counter
+	phaseHist map[Phase]*Histogram
+	sweep     map[SweepEvent]*Counter
 }
 
 // NewRecorder returns a recorder over reg, tracing to tracer when non-nil.
@@ -191,42 +217,15 @@ func NewRecorder(reg *Registry, tracer *Tracer) *Recorder {
 		reg:    reg,
 		tracer: tracer,
 
-		runs:       reg.Counter(MetricRuns),
-		execCycles: reg.Counter(MetricExecCycles),
-		spans:      reg.Counter(MetricSpans),
-		phaseNS:    make(map[Phase]*Counter, 3),
-		phaseHist:  make(map[Phase]*Histogram, 3),
-		sweep:      make(map[SweepEvent]*Counter, 6),
-
-		routeClosedForm: reg.Counter(MetricRoutePrefix + "closed_form"),
-		routeCoalesced:  reg.Counter(MetricRoutePrefix + "coalesced"),
-		routeTracked:    reg.Counter(MetricRoutePrefix + "tracked"),
-		routeInterp:     reg.Counter(MetricRoutePrefix + "interp"),
-
-		l1Hits:        reg.Counter("cache.l1.hits"),
-		l1Misses:      reg.Counter("cache.l1.misses"),
-		l1Writebacks:  reg.Counter("cache.l1.writebacks"),
-		l2pfHits:      reg.Counter("cache.l2pf.hits"),
-		l2pfMisses:    reg.Counter("cache.l2pf.misses"),
-		l2pfIssued:    reg.Counter("cache.l2pf.issued"),
-		l3Hits:        reg.Counter("cache.l3.hits"),
-		l3Misses:      reg.Counter("cache.l3.misses"),
-		l3Writebacks:  reg.Counter("cache.l3.writebacks"),
-		l3pfIssued:    reg.Counter("cache.l3pf.issued"),
-		ddrReadLines:  reg.Counter("ddr.read_lines"),
-		ddrWriteLines: reg.Counter("ddr.write_lines"),
-
-		ffDispatches:              reg.Counter(MetricFFPrefix + "dispatches"),
-		ffCycles:                  reg.Counter(MetricFFPrefix + "cycles"),
-		epochMemoHits:             reg.Counter(MetricEpochMemoPrefix + "hits"),
-		epochMemoMisses:           reg.Counter(MetricEpochMemoPrefix + "misses"),
-		epochMemoFirstSights:      reg.Counter(MetricEpochMemoPrefix + "first_sight"),
-		epochMemoStores:           reg.Counter(MetricEpochMemoPrefix + "stores"),
-		epochMemoCorrupt:          reg.Counter(MetricEpochMemoPrefix + "corrupt"),
-		epochMemoFlattens:         reg.Counter(MetricEpochMemoPrefix + "flattens"),
-		epochMemoMaterializations: reg.Counter(MetricEpochMemoPrefix + "materializations"),
-		progCacheHit:              reg.Counter(MetricProgCachePrefix + "hit"),
-		progCacheMiss:             reg.Counter(MetricProgCachePrefix + "miss"),
+		runs:      reg.Counter(MetricRuns),
+		spans:     reg.Counter(MetricSpans),
+		perRun:    make([]*Counter, len(runCounters)),
+		phaseNS:   make(map[Phase]*Counter, 3),
+		phaseHist: make(map[Phase]*Histogram, 3),
+		sweep:     make(map[SweepEvent]*Counter, 6),
+	}
+	for i, c := range runCounters {
+		r.perRun[i] = reg.Counter(c.name)
 	}
 	for _, ph := range Phases() {
 		r.phaseNS[ph] = reg.Counter(MetricPhaseNSPrefix + string(ph))
@@ -264,34 +263,9 @@ func (r *Recorder) PhaseDone(label string, phase Phase, wall time.Duration) {
 // RunDone implements Observer.
 func (r *Recorder) RunDone(st RunStats) {
 	r.runs.Inc()
-	r.execCycles.Add(st.ExecCycles)
-	r.routeClosedForm.Add(st.RouteClosedForm)
-	r.routeCoalesced.Add(st.RouteCoalesced)
-	r.routeTracked.Add(st.RouteTracked)
-	r.routeInterp.Add(st.RouteInterp)
-	r.l1Hits.Add(st.L1Hits)
-	r.l1Misses.Add(st.L1Misses)
-	r.l1Writebacks.Add(st.L1Writebacks)
-	r.l2pfHits.Add(st.L2PrefetchHits)
-	r.l2pfMisses.Add(st.L2PrefetchMisses)
-	r.l2pfIssued.Add(st.L2PrefetchIssued)
-	r.l3Hits.Add(st.L3Hits)
-	r.l3Misses.Add(st.L3Misses)
-	r.l3Writebacks.Add(st.L3Writebacks)
-	r.l3pfIssued.Add(st.L3PrefetchIssued)
-	r.ddrReadLines.Add(st.DDRReadLines)
-	r.ddrWriteLines.Add(st.DDRWriteLines)
-	r.ffDispatches.Add(st.FFDispatches)
-	r.ffCycles.Add(st.FFCycles)
-	r.epochMemoHits.Add(st.EpochMemoHits)
-	r.epochMemoMisses.Add(st.EpochMemoMisses)
-	r.epochMemoFirstSights.Add(st.EpochMemoFirstSights)
-	r.epochMemoStores.Add(st.EpochMemoStores)
-	r.epochMemoCorrupt.Add(st.EpochMemoCorrupt)
-	r.epochMemoFlattens.Add(st.EpochMemoFlattens)
-	r.epochMemoMaterializations.Add(st.EpochMemoMaterializations)
-	r.progCacheHit.Add(st.ProgCacheHits)
-	r.progCacheMiss.Add(st.ProgCacheMisses)
+	for i, c := range runCounters {
+		r.perRun[i].Add(c.get(st))
+	}
 }
 
 // SweepEvent implements Observer.
