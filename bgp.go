@@ -37,6 +37,7 @@ import (
 	"bgpsim/internal/machine"
 	"bgpsim/internal/mpi"
 	"bgpsim/internal/nas"
+	"bgpsim/internal/node"
 	"bgpsim/internal/obs"
 	"bgpsim/internal/postproc"
 	"bgpsim/internal/progcache"
@@ -175,7 +176,8 @@ type RunConfig struct {
 	Nodes int
 	// L3Bytes overrides the shared L3 capacity per node: 0 keeps the
 	// production 8 MB, a negative value boots with the L3 disabled
-	// (the paper's 0 MB point).
+	// (the paper's 0 MB point). A positive value below MinL3Bytes is an
+	// error.
 	L3Bytes int
 	// L2PrefetchDepth overrides the per-core L2 stream-prefetch depth:
 	// 0 keeps the production depth (2 lines ahead), a negative value
@@ -315,11 +317,18 @@ type Result struct {
 	Timeline *Sampler
 }
 
+// MinL3Bytes is the smallest shared L3 a node boots with: one line in each
+// of its banks.
+const MinL3Bytes = node.NumL3Banks * core.LineBytes
+
 // Run executes one instrumented benchmark run end to end.
 func Run(cfg RunConfig) (*Result, error) {
 	start := time.Now()
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("bgp: non-positive rank count %d", cfg.Ranks)
+	}
+	if cfg.L3Bytes > 0 && cfg.L3Bytes < MinL3Bytes {
+		return nil, fmt.Errorf("bgp: L3Bytes %d is below the %d-byte minimum (a negative value boots without an L3)", cfg.L3Bytes, MinL3Bytes)
 	}
 	src, _, err := ResolveWorkload(cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package bgp
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,24 @@ func TestRunL3Override(t *testing.T) {
 	}
 	if res.Metrics.DDRTrafficBytes == 0 {
 		t.Error("no DDR traffic with L3 disabled")
+	}
+}
+
+// TestRunRejectsSubLineL3: an L3 of less than one 128-byte line per bank has
+// no geometry (it used to panic booting the node); Run names the field and
+// the minimum instead, and the minimum itself boots and runs.
+func TestRunRejectsSubLineL3(t *testing.T) {
+	cfg := RunConfig{Benchmark: "ep", Class: ClassS, Ranks: 4, Mode: VNM}
+	for _, size := range []int{1, 100, 255} {
+		cfg.L3Bytes = size
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "L3Bytes") || !strings.Contains(err.Error(), "256-byte minimum") {
+			t.Errorf("L3Bytes %d: error %v, want one naming L3Bytes and the 256-byte minimum", size, err)
+		}
+	}
+	cfg.L3Bytes = MinL3Bytes
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("L3Bytes %d: %v", MinL3Bytes, err)
 	}
 }
 

@@ -212,6 +212,18 @@ func (c *Cache) promote(b, w int) {
 	c.slab[b+1] = ord&^(1<<(4*(p+1))-1) | low<<4 | uint64(w)
 }
 
+// promoteVictim returns the set's least-recently-used way and makes it the
+// most recent. The victim is by definition the last nibble of the recency
+// list, so promoting it is one shift of the whole list with the victim
+// or-ed in at the MRU end — what promote arrives at after searching for it.
+func (c *Cache) promoteVictim(b int) int {
+	ord := c.slab[b+1]
+	top := 4 * uint(c.ways-1)
+	w := ord >> top & 15
+	c.slab[b+1] = ord&(1<<top-1)<<4 | w
+	return int(w)
+}
+
 // Result reports the outcome of a cache access.
 type Result struct {
 	// Hit reports whether the line was present.
@@ -278,8 +290,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 		s[b+1] = uint64(cur)
 	} else {
-		w = int(s[b+1] >> (4 * uint(c.ways-1)) & 15)
-		c.promote(b, w)
+		w = c.promoteVictim(b)
 	}
 
 	if addr>>(c.lineBits+c.setBits) > 1<<32-2 {
@@ -305,52 +316,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 	}
 	return r
-}
-
-// BulkHit charges n repeated accesses to addr's line in one step, updating
-// the hit counter, the dirty bit, and the replacement state exactly as n
-// successive Access calls to a resident line would: Hits grows by n, a
-// write-back line written to becomes dirty, and under LRU the line ends up
-// most recently used. It reports whether the line was resident; when it is
-// not, no state changes and the caller must fall back to Access. It is the
-// bulk-hit half of line-coalesced accounting: one real Access per line
-// transition, one BulkHit for the trips in between.
-func (c *Cache) BulkHit(addr uint64, n uint64, write bool) bool {
-	tag, set := c.key(addr)
-	b := int(set) * c.setWords
-	w := -1
-	// Probe the hinted way first: BulkHit almost always follows an
-	// Access to the same line, which left the hint on it.
-	if h := int(c.hint[set]); c.tagAt(b, h) == tag {
-		w = h
-	} else {
-		probe := uint64(uint8(tag)) * swarLSB
-	scan:
-		for i := 0; i < c.sigw; i++ {
-			x := c.slab[b+2+i] ^ probe
-			for z := (x - swarLSB) &^ x & swarMSB; z != 0; z &= z - 1 {
-				k := i*8 + bits.TrailingZeros64(z)>>3
-				if k < c.ways && c.tagAt(b, k) == tag {
-					w = k
-					break scan
-				}
-			}
-		}
-	}
-	if w < 0 {
-		return false
-	}
-	if n == 0 {
-		return true
-	}
-	c.Hits += n
-	if c.policy == ReplaceLRU {
-		c.promote(b, w)
-	}
-	if write && c.writeback {
-		c.slab[b] |= 1 << uint(w)
-	}
-	return true
 }
 
 // Contains reports whether addr's line is resident, without touching

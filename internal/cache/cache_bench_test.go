@@ -70,18 +70,6 @@ func BenchmarkCacheAccess(b *testing.B) {
 	})
 }
 
-func BenchmarkCacheBulkHit(b *testing.B) {
-	c := New(Config{
-		Name: "l1", SizeBytes: 32 << 10, LineBytes: 128, Ways: 16,
-		WriteBack: true, Replacement: ReplaceRoundRobin,
-	})
-	c.Access(0, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.BulkHit(0, 64, false)
-	}
-}
-
 func BenchmarkPrefetcherStream(b *testing.B) {
 	p := NewPrefetcher(DefaultPrefetchConfig())
 	want := make([]uint64, 0, p.Depth())

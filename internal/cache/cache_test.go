@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -175,79 +174,6 @@ func TestThrashingWorkingSetAlwaysMisses(t *testing.T) {
 	}
 	if c.Misses != accesses {
 		t.Errorf("misses = %d of %d accesses; cyclic over-capacity scan must always miss under LRU", c.Misses, accesses)
-	}
-}
-
-// TestBulkHitMatchesRepeatedAccess drives two identical caches — one with n
-// Access calls, one with a single BulkHit — through the same traffic and
-// requires every observable (counters, dirty state via eviction writebacks,
-// LRU victim choice) to agree afterwards.
-func TestBulkHitMatchesRepeatedAccess(t *testing.T) {
-	for _, policy := range []Replacement{ReplaceLRU, ReplaceRoundRobin} {
-		cfg := Config{
-			Name: "bulk", SizeBytes: 4 * 2 * 64, LineBytes: 64, Ways: 2,
-			WriteBack: true, Replacement: policy,
-		}
-		ref, bulk := New(cfg), New(cfg)
-		const addr, n = 0x1000, 7
-
-		ref.Access(addr, false)
-		bulk.Access(addr, false)
-		// Touch a same-set neighbour so LRU order matters afterwards.
-		ref.Access(addr+4*64, false)
-		bulk.Access(addr+4*64, false)
-
-		for i := 0; i < n; i++ {
-			ref.Access(addr, true)
-		}
-		if !bulk.BulkHit(addr, n, true) {
-			t.Fatalf("%v: BulkHit reported non-resident line", policy)
-		}
-		if ref.Hits != bulk.Hits || ref.Misses != bulk.Misses {
-			t.Errorf("%v: hits/misses = %d/%d, want %d/%d",
-				policy, bulk.Hits, bulk.Misses, ref.Hits, ref.Misses)
-		}
-		// Force an eviction in the shared set: the victim choice and the
-		// writeback of the dirty line must be identical.
-		r1 := ref.Access(addr+8*64, false)
-		r2 := bulk.Access(addr+8*64, false)
-		if r1 != r2 {
-			t.Errorf("%v: post-bulk eviction diverged: %+v vs %+v", policy, r1, r2)
-		}
-		if ref.Writebacks != bulk.Writebacks {
-			t.Errorf("%v: writebacks = %d, want %d", policy, bulk.Writebacks, ref.Writebacks)
-		}
-	}
-}
-
-func TestBulkHitNonResident(t *testing.T) {
-	c := smallCache(2, true)
-	c.Access(0x1000, false)
-	before := append([]uint64(nil), c.slab...)
-	if c.BulkHit(0x9000, 5, true) {
-		t.Fatal("BulkHit claimed a hit on an absent line")
-	}
-	if c.Hits != 0 || c.Misses != 1 {
-		t.Errorf("non-resident BulkHit mutated counters: hits=%d misses=%d", c.Hits, c.Misses)
-	}
-	if !reflect.DeepEqual(before, c.slab) {
-		t.Error("non-resident BulkHit mutated tag/replacement state")
-	}
-}
-
-func TestBulkHitZeroCount(t *testing.T) {
-	c := smallCache(2, true)
-	c.Access(0x1000, false)
-	hits := c.Hits
-	before := append([]uint64(nil), c.slab...)
-	if !c.BulkHit(0x1000, 0, true) {
-		t.Fatal("BulkHit(n=0) on resident line reported non-resident")
-	}
-	if c.Hits != hits {
-		t.Errorf("BulkHit(n=0) mutated counters: hits=%d", c.Hits)
-	}
-	if !reflect.DeepEqual(before, c.slab) {
-		t.Error("BulkHit(n=0) mutated tag/replacement state")
 	}
 }
 

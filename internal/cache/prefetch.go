@@ -71,10 +71,13 @@ type StreamDetector struct {
 	// nothing is locked.
 	nextKeyLow []uint64
 	nconf      int
-	// nzHits counts engines with a nonzero hit count. While it is zero the
-	// fewest-hits victim search trivially resolves to engine 0 (a first-
-	// minimum scan over all-zero counts picks index 0).
-	nzHits int
+	// zeroHits has bit i set while engine i's hit count is zero. Hit counts
+	// are never negative, so its first set bit is the first fewest-hits
+	// engine: the steal that follows nearly every random L1 miss picks its
+	// victim in one instruction, and the engine scan survives only while
+	// every engine has continued a stream. Derived state: rebuilt by Reset
+	// and WriteState, and read back as a count (engines minus popcount).
+	zeroHits uint64
 }
 
 // stream is one detection engine's state. The layout is padded to 32
@@ -105,8 +108,12 @@ func NewStreamDetector(numStreams int, maxDelta int64, depth int) *StreamDetecto
 		s:          make([]stream, numStreams),
 		nextKeyLow: make([]uint64, (numStreams+7)/8),
 		lastLow:    make([]uint64, (numStreams+7)/8),
+		zeroHits:   engineMask(numStreams),
 	}
 }
+
+// engineMask has one bit set per engine of an n-engine detector.
+func engineMask(n int) uint64 { return ^uint64(0) >> uint(64-n) }
 
 // setLastLow records engine i's low last byte in the packed screen.
 func (d *StreamDetector) setLastLow(i int, b uint8) {
@@ -148,9 +155,8 @@ func (d *StreamDetector) Observe(line uint64, staged func(uint64) bool, dst []ui
 				s := &d.s[i]
 				s.last = line
 				d.setLastLow(i, uint8(line))
-				if s.hits++; s.hits == 1 {
-					d.nzHits++
-				}
+				s.hits++
+				d.zeroHits &^= 1 << uint(i)
 				d.setNextKey(i, uint64(int64(line)+s.delta)+1)
 				return d.ahead(line, s.delta, staged, dst)
 			}
@@ -194,9 +200,11 @@ func (d *StreamDetector) Observe(line uint64, staged func(uint64) bool, dst []ui
 	// No stream matched: start (or steal) an engine — the first invalid
 	// engine if any, else the first fewest-hits one.
 	var victim int
-	if inv := ^d.valid & (1<<uint(d.n) - 1); inv != 0 {
+	if inv := ^d.valid & engineMask(d.n); inv != 0 {
 		victim = bits.TrailingZeros64(inv)
-	} else if d.nzHits > 0 {
+	} else if d.zeroHits != 0 {
+		victim = bits.TrailingZeros64(d.zeroHits)
+	} else {
 		for i := 1; i < d.n; i++ {
 			if d.s[i].hits < d.s[victim].hits {
 				victim = i
@@ -210,10 +218,8 @@ func (d *StreamDetector) Observe(line uint64, staged func(uint64) bool, dst []ui
 	s.last = line
 	d.setLastLow(victim, uint8(line))
 	s.delta = 0
-	if s.hits != 0 {
-		s.hits = 0
-		d.nzHits--
-	}
+	s.hits = 0
+	d.zeroHits |= 1 << uint(victim)
 	d.setNextKey(victim, 0)
 	d.valid |= 1 << victim
 	d.conf &^= 1 << victim
@@ -266,7 +272,7 @@ func (d *StreamDetector) Reset() {
 	}
 	d.valid, d.conf = 0, 0
 	d.nconf = 0
-	d.nzHits = 0
+	d.zeroHits = engineMask(d.n)
 }
 
 // PrefetchConfig describes a prefetcher.

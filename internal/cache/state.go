@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // State capture for the epoch memo (internal/mpi): every structure whose
 // contents influence future hits, misses, replacement decisions or event
 // counters can flatten itself into (and restore itself from) a plain
@@ -9,10 +11,12 @@ package cache
 // Everything mutable is captured raw — including the host-side accelerator
 // summaries (prefetch/snoop masks, SWAR screens): they are deterministic
 // functions of the access history, so capturing and restoring them verbatim
-// reproduces the exact structure a live execution would hold. The one
-// exception is the Cache hit-way hint array: probing a stale hint first can
-// never change which way a hit lands in or whether it hits at all, so it is
-// excluded from state windows and simply left as-is on restore.
+// reproduces the exact structure a live execution would hold. Two exceptions:
+// the Cache hit-way hint array — probing a stale hint first can never change
+// which way a hit lands in or whether it hits at all, so it is excluded from
+// state windows and simply left as-is on restore — and the StreamDetector's
+// zero-hits mask, which WriteState rebuilds from the hit counts it restores
+// (its window word stays the count of engines with hits it always was).
 
 // StateLen returns the cache's state window size in words.
 func (c *Cache) StateLen() int { return len(c.slab) + 3 }
@@ -56,19 +60,23 @@ func (d *StreamDetector) ReadState(dst []uint64) int {
 	dst[i] = d.valid
 	dst[i+1] = d.conf
 	dst[i+2] = uint64(d.nconf)
-	dst[i+3] = uint64(d.nzHits)
+	dst[i+3] = uint64(d.n - bits.OnesCount64(d.zeroHits)) // engines with hits
 	return i + 4
 }
 
 // WriteState restores a window read with ReadState.
 func (d *StreamDetector) WriteState(src []uint64) int {
 	i := 0
+	d.zeroHits = 0
 	for k := range d.s {
 		e := &d.s[k]
 		e.last = src[i]
 		e.delta = int64(src[i+1])
 		e.nextKey = src[i+2]
 		e.hits = int32(uint32(src[i+3]))
+		if e.hits == 0 {
+			d.zeroHits |= 1 << uint(k)
+		}
 		i += 4
 	}
 	i += copy(d.lastLow, src[i:i+len(d.lastLow)])
@@ -76,8 +84,7 @@ func (d *StreamDetector) WriteState(src []uint64) int {
 	d.valid = src[i]
 	d.conf = src[i+1]
 	d.nconf = int(src[i+2])
-	d.nzHits = int(src[i+3])
-	return i + 4
+	return i + 4 // src[i+3], the engines-with-hits count, is zeroHits' popcount
 }
 
 // StateLen returns the prefetcher's state window size in words.

@@ -391,7 +391,7 @@ func (c *Core) step(st *ExecState, l *isa.Loop) {
 		c.Mix[op.Class]++
 		if op.Class.IsMem() {
 			addr := st.nextAddr(oi, op)
-			c.Cycles += c.access(addr, op.Class.IsStore())
+			c.Cycles += c.access(nil, addr, op.Class.IsStore())
 		}
 	}
 	st.trip++
@@ -403,8 +403,8 @@ func (c *Core) step(st *ExecState, l *isa.Loop) {
 // re-hit the line they are already on; runTracked proves those hits without
 // consulting the cache. After an op's real access its line is resident
 // (write-allocate), and it stays resident until some later miss evicts it —
-// which accessTracked watches for by comparing every victim against the
-// tracked lines. While an op is on a known-resident line, its "access"
+// which access watches for by comparing every victim against the tracked
+// lines. While an op is on a known-resident line, its "access"
 // reduces to a cursor add and a deferred-hit count.
 //
 // The deferral is exact because the L1 is round-robin: a hit touches only
@@ -457,11 +457,11 @@ func (c *Core) runTracked(st *ExecState, l *isa.Loop, limit uint64) bool {
 					c.L1.Hits++
 					continue
 				}
-				c.Cycles += c.accessTracked(st, addr, m.store)
+				c.Cycles += c.access(st.memops, addr, m.store)
 				m.res[idx>>6] |= 1 << (idx & 63)
 				continue
 			}
-			c.Cycles += c.accessTracked(st, addr, m.store)
+			c.Cycles += c.access(st.memops, addr, m.store)
 			if m.track {
 				m.valid = true
 				m.line = addr >> lineShift
@@ -498,48 +498,6 @@ func (c *Core) flushMix(l *isa.Loop, trips uint64) {
 	for i := range l.Body {
 		c.Mix[l.Body[i].Class] += trips
 	}
-}
-
-// accessTracked is access plus eviction watching: any L1 victim is compared
-// against the tracked lines so their residency proofs stay sound.
-func (c *Core) accessTracked(st *ExecState, addr uint64, write bool) uint64 {
-	r := c.L1.Access(addr, write)
-	if r.Hit {
-		return 0
-	}
-	if r.VictimValid {
-		v := r.Victim >> lineShift
-		for i := range st.memops {
-			m := &st.memops[i]
-			if m.valid && m.line == v {
-				m.valid = false
-			}
-			if m.res != nil {
-				// v-baseLine underflows past lines for lines below
-				// the region, so one compare covers both bounds.
-				if idx := v - m.baseLine; idx < m.lines {
-					m.res[idx>>6] &^= 1 << (idx & 63)
-				}
-			}
-		}
-	}
-	c.Snoop.Track(addr, lineShift)
-	var stall uint64
-	if r.VictimValid && r.VictimDirty {
-		stall += c.lower.WriteLine(c.id, r.Victim)
-	}
-	line := addr >> lineShift
-	hit, want := c.L2.Access(line, c.want)
-	if hit {
-		stall += c.params.L2HitLatency
-	} else {
-		stall += c.lower.ReadLine(c.id, addr&^(LineBytes-1))
-	}
-	for _, w := range want {
-		c.lower.PrefetchLine(c.id, w<<lineShift)
-		c.L2.FillWanted(w)
-	}
-	return stall
 }
 
 // limitTrips bounds a batch of n uniform trips (issue cycles each, no
@@ -580,7 +538,7 @@ func (c *Core) runClosedForm(st *ExecState, l *isa.Loop, limit uint64) bool {
 // drive) happen on interpreted probe accesses; everything in between rides
 // on residency proofs: after an op's real access its line is resident
 // (write-allocate) and, for a store op, dirty, so until a watched eviction
-// (accessTracked) or the op's own line departure, each further access is a
+// (access) or the op's own line departure, each further access is a
 // pure hit — a deferred count, no cache lookup at all. When every op holds
 // a proof, the whole window until the earliest line departure is charged in
 // bulk: issue cycles by multiplication, hits into the deferred counts, and
@@ -625,7 +583,7 @@ func (c *Core) runCoalesced(st *ExecState, l *isa.Loop, limit uint64) bool {
 			}
 			off := st.cursors[m.oi]
 			addr := st.nextAddr(m.oi, &l.Body[m.oi])
-			c.Cycles += c.accessTracked(st, addr, m.store)
+			c.Cycles += c.access(st.memops, addr, m.store)
 			m.valid = true
 			m.line = addr >> lineShift
 			m.left = m.sameLineTrips(off)
@@ -824,10 +782,31 @@ func (s *ExecState) nextAddr(oi int, op *isa.Op) uint64 {
 }
 
 // access performs one data access, returning the stall cycles beyond issue.
-func (c *Core) access(addr uint64, write bool) uint64 {
+// It is the one L1-miss path of every engine route: the victim line, the
+// snoop filter, the dirty write-back, the L2 probe with its stream
+// detector, the demand fetch and the prefetch fills, in that order. watch
+// holds the memory ops whose residency proofs (runTracked, runCoalesced) a
+// victim must revoke; the interpreter holds no proofs and passes nil.
+func (c *Core) access(watch []memOp, addr uint64, write bool) uint64 {
 	r := c.L1.Access(addr, write)
 	if r.Hit {
 		return 0
+	}
+	if r.VictimValid {
+		v := r.Victim >> lineShift
+		for i := range watch {
+			m := &watch[i]
+			if m.valid && m.line == v {
+				m.valid = false
+			}
+			if m.res != nil {
+				// v-baseLine underflows past lines for lines below
+				// the region, so one compare covers both bounds.
+				if idx := v - m.baseLine; idx < m.lines {
+					m.res[idx>>6] &^= 1 << (idx & 63)
+				}
+			}
+		}
 	}
 	c.Snoop.Track(addr, lineShift)
 	var stall uint64

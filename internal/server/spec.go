@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -151,6 +152,9 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	if rs.Nodes > MaxRanks {
 		return cfg, specErrf("node count %d exceeds the %d limit", rs.Nodes, MaxRanks)
 	}
+	if rs.L3Bytes > 0 && rs.L3Bytes < bgp.MinL3Bytes {
+		return cfg, specErrf("l3_bytes: %d is below the %d-byte minimum (a negative value boots without an L3)", rs.L3Bytes, bgp.MinL3Bytes)
+	}
 	return cfg, nil
 }
 
@@ -191,7 +195,14 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, []bgp.RunConfig, error) {
 	for i, rs := range spec.Runs {
 		cfg, err := rs.Compile()
 		if err != nil {
-			return nil, nil, specErrf("run %d: %v", i, err)
+			// Compile's reasons lead with the field they reject, so the
+			// run's index in front makes the path: runs[1].l3_bytes: …
+			reason := err.Error()
+			var se *SpecError
+			if errors.As(err, &se) {
+				reason = se.Reason
+			}
+			return nil, nil, specErrf("runs[%d].%s", i, reason)
 		}
 		cfgs[i] = cfg
 	}

@@ -74,6 +74,33 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsSubLineL3: an l3_bytes below one line per bank used to
+// pass the decoder and panic inside the simulation — a failed job with a
+// stack trace for a message. It is a 400 naming the field's path; the
+// smallest legal size is accepted and runs to completion.
+func TestSubmitRejectsSubLineL3(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	const job = `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"},` +
+		`{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","l3_bytes":%d}]}`
+	for _, size := range []int{1, 100, 255} {
+		code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, size))
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "runs[1].l3_bytes") {
+			t.Errorf("l3_bytes %d: got %d %s, want 400 naming runs[1].l3_bytes", size, code, body)
+		}
+	}
+	code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, bgp.MinL3Bytes))
+	if code != http.StatusAccepted {
+		t.Fatalf("l3_bytes %d: got %d %s, want 202", bgp.MinL3Bytes, code, body)
+	}
+	var st server.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, ts.URL, st.ID); st.State != server.StateDone {
+		t.Errorf("l3_bytes %d: job ended %s: %+v", bgp.MinL3Bytes, st.State, st)
+	}
+}
+
 // TestUnknownJobAndBadIndices covers the identifier errors: unknown job
 // ids are 404, result fetches before completion are 409, and out-of-range
 // run/node indices are 4xx, never panics.
