@@ -1,10 +1,10 @@
 package core
 
-// Property tests for the batched execution engines: slicing a program at
+// Property tests for the batched execution engine: slicing a program at
 // ANY sequence of cycle limits must be invisible in every architectural
-// counter. The batched engines (closed-form, line-coalesced, and the
-// tracked interpreter with residency proofs) may only accelerate the
-// accounting, never change it, and preemption can land inside any of them.
+// counter. The batched routes (closed-form, line-coalesced, and tracked
+// with residency proofs) may only accelerate the accounting, never change
+// it, and preemption can land inside any of them.
 
 import (
 	"testing"
@@ -13,7 +13,7 @@ import (
 	"bgpsim/internal/rng"
 )
 
-// kernelPrograms returns one program per kernel class, each long enough
+// kernelPrograms returns one program per batched route, each long enough
 // that random limits cut it hundreds of times.
 func kernelPrograms() map[string]*isa.Program {
 	return map[string]*isa.Program{
@@ -82,7 +82,7 @@ func snapshot(c *Core, lower *fakeLower) counterState {
 }
 
 // TestLimitCutsAreInvisible is the engine-exactness property test: for each
-// kernel class, an uninterrupted run and runs cut at randomized cycle
+// batched route, an uninterrupted run and runs cut at randomized cycle
 // limits must agree on every counter. Limits are drawn from mixed
 // magnitudes so cuts land inside coalesced windows, between proof resets,
 // and mid-trip in the interpreter.
@@ -93,9 +93,6 @@ func TestLimitCutsAreInvisible(t *testing.T) {
 			if err := prog.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			kind := prog.Kernel(&prog.Loops[0], LineBytes)
-			t.Logf("kernel class: %v", kind)
-
 			refLower := &fakeLower{}
 			ref := newTestCore(refLower)
 			refSt, err := Bind(prog, 1<<32, 11)
@@ -133,25 +130,87 @@ func TestLimitCutsAreInvisible(t *testing.T) {
 	}
 }
 
-// TestKernelClassesCovered pins that the three test programs actually
-// exercise three distinct engines — if the classifier changes, this fails
-// loudly instead of silently collapsing the property test onto one path.
-func TestKernelClassesCovered(t *testing.T) {
-	progs := kernelPrograms()
-	got := map[isa.KernelKind]string{}
-	for name, p := range progs {
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		k := p.Kernel(&p.Loops[0], LineBytes)
-		if prev, dup := got[k]; dup {
-			t.Errorf("%s and %s both classify as %v", prev, name, k)
-		}
-		got[k] = name
+// routeOf executes p on a fresh core and returns the one route the engine
+// counted its loops under.
+func routeOf(t *testing.T, p *isa.Program) Route {
+	t.Helper()
+	c := newTestCore(&fakeLower{})
+	st, err := Bind(p, 1<<32, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range []isa.KernelKind{isa.KernelClosedForm, isa.KernelCoalesced, isa.KernelInterp} {
-		if _, ok := got[k]; !ok {
-			t.Errorf("no test program classifies as %v", k)
+	if !c.Exec(st, 0) {
+		t.Fatal("program did not complete")
+	}
+	for r, n := range c.EngineRoutes {
+		if n == uint64(len(p.Loops)) {
+			return Route(r)
+		}
+	}
+	t.Fatalf("%s: %d loops counted as %v", p.Name, len(p.Loops), c.EngineRoutes)
+	return 0
+}
+
+// TestBatchedRoutesCovered pins that the three test programs actually
+// exercise the three batched routes — if the routing changes, this fails
+// loudly instead of silently collapsing the property test onto one path.
+func TestBatchedRoutesCovered(t *testing.T) {
+	got := map[Route]string{}
+	for name, p := range kernelPrograms() {
+		r := routeOf(t, p)
+		if prev, dup := got[r]; dup {
+			t.Errorf("%s and %s both take route %v", prev, name, r)
+		}
+		got[r] = name
+	}
+	for _, r := range []Route{RouteClosedForm, RouteCoalesced, RouteTracked} {
+		if _, ok := got[r]; !ok {
+			t.Errorf("no test program takes route %v", r)
+		}
+	}
+}
+
+// TestRouteClassification pins what a loop's ops make of it: no memory ops
+// is closed-form, all line-coalescible is coalesced, one random or
+// cross-line op makes the whole loop tracked.
+func TestRouteClassification(t *testing.T) {
+	regions := []isa.Region{
+		{Name: "big", Size: 1 << 20},
+		{Name: "tiny", Size: 64},
+	}
+	cases := []struct {
+		name string
+		body []isa.Op
+		want Route
+	}{
+		{"empty", nil, RouteClosedForm},
+		{"fp-only", []isa.Op{{Class: isa.FPFMA}, {Class: isa.FPSIMDMult}, {Class: isa.IntALU}}, RouteClosedForm},
+		{"seq-small-stride", []isa.Op{{Class: isa.Load, Pat: isa.Seq, Region: 0, Stride: 8}}, RouteCoalesced},
+		{"neg-stride", []isa.Op{{Class: isa.Store, Pat: isa.Seq, Region: 0, Stride: -16}}, RouteCoalesced},
+		{"strided-sub-line", []isa.Op{{Class: isa.QuadLoad, Pat: isa.Strided, Region: 0, Stride: 64}}, RouteCoalesced},
+		{"strided-cross-line", []isa.Op{{Class: isa.Load, Pat: isa.Strided, Region: 0, Stride: 256}}, RouteTracked},
+		{"cross-line-single-line-region", []isa.Op{{Class: isa.Load, Pat: isa.Strided, Region: 1, Stride: 256}}, RouteCoalesced},
+		{"random", []isa.Op{{Class: isa.Load, Pat: isa.Random, Region: 0}}, RouteTracked},
+		{"random-tiny-region", []isa.Op{{Class: isa.Load, Pat: isa.Random, Region: 1}}, RouteTracked},
+		{"mixed-one-bad", []isa.Op{
+			{Class: isa.FPFMA},
+			{Class: isa.Load, Pat: isa.Seq, Region: 0, Stride: 8},
+			{Class: isa.Load, Pat: isa.Random, Region: 0},
+		}, RouteTracked},
+		{"mixed-all-good", []isa.Op{
+			{Class: isa.FPFMA},
+			{Class: isa.Load, Pat: isa.Seq, Region: 0, Stride: 8},
+			{Class: isa.Store, Pat: isa.Strided, Region: 0, Stride: 120},
+		}, RouteCoalesced},
+	}
+	for _, tc := range cases {
+		p := &isa.Program{
+			Name:    tc.name,
+			Regions: regions,
+			Loops:   []isa.Loop{{Name: tc.name, Body: tc.body, Trips: 10}},
+		}
+		if got := routeOf(t, p); got != tc.want {
+			t.Errorf("%s: route = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
