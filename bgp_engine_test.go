@@ -2,9 +2,9 @@ package bgp_test
 
 // The exactness contract of the batched execution engine, pinned at the
 // public API: for any configuration, running with Interpreter: true (the
-// reference per-trip interpreter) and false (the batched engines) must
+// reference per-trip interpreter) and false (the batched engine) must
 // produce byte-identical binary counter dumps and identical derived
-// metrics — the batched engines are an accounting accelerator, never an
+// metrics — the batched engine is an accounting accelerator, never an
 // approximation. The slice length is part of the machine semantics (snoop
 // probes land between slices), so the comparison holds the slice fixed and
 // sweeps it across several odd values to land preemption inside coalesced
@@ -70,9 +70,9 @@ func TestBatchedInterpreterEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceAcrossSuite sweeps the whole NAS kernel set once in
-// VNM (the heaviest sharing mode) at the default slice: every kernel class
-// the programs exercise — closed-form, coalesced, interpreted scatter —
-// must agree between engines at the end-to-end metrics level.
+// VNM (the heaviest sharing mode) at the default slice: every engine route
+// the programs take — closed-form, coalesced, tracked scatter — must agree
+// between engines at the end-to-end metrics level.
 func TestEngineEquivalenceAcrossSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite engine sweep is not a -short test")

@@ -151,10 +151,6 @@ func Compile(k *Kernel, phase string, opts Options) (*isa.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: internal error lowering %q: %v", p.Name, err)
 	}
-	// Classify every loop now, while the program is still private to this
-	// call: execution engines then share the table instead of re-deriving
-	// it per rank, and cached programs ship with it prebuilt.
-	p.Classify(lineBytes)
 	return p, nil
 }
 

@@ -57,9 +57,10 @@ type Params struct {
 	BranchOverhead uint64
 	// Interpreter forces the reference per-trip interpreter for every
 	// program executed on the core, bypassing the batched execution
-	// engine. Both engines produce bit-identical counters, cycles, and
-	// cache state; the flag exists so equivalence suites and debugging
-	// sessions can diff them.
+	// engine; it is the one selector (bgp.RunConfig.Interpreter sets it).
+	// Both engines produce bit-identical counters, cycles, and cache
+	// state; the flag exists so equivalence suites and debugging sessions
+	// can diff them.
 	Interpreter bool
 }
 
@@ -83,12 +84,13 @@ func DefaultParams() Params {
 	}
 }
 
-// Route identifies one dispatch target of the batched execution engine
-// (the switch in Exec): the reference per-trip interpreter, or one of the
-// batched kernels it accelerates exactly.
+// Route is what a loop's ops make of it, resolved once per loop execution
+// by prepLoop: the reference per-trip interpreter, or the shape the one
+// batched loop (runBatched) takes on it — no memory ops, every memory op
+// line-coalescible, or at least one that is not.
 type Route uint8
 
-// The engine routes, in Exec dispatch order.
+// The engine routes, in ReadState window order.
 const (
 	RouteInterp Route = iota
 	RouteClosedForm
@@ -187,10 +189,9 @@ type ExecState struct {
 	tripEnd int64
 	cursors []int64 // per-op region offsets of the current loop
 
-	issue   uint64 // precomputed issue cycles per trip of current loop
-	kind    isa.KernelKind
+	issue   uint64  // precomputed issue cycles per trip of current loop
+	route   Route   // engine route of the current loop
 	memops  []memOp // memory ops of the current loop, in body order
-	interp  bool    // WithInterpreter: force the per-trip interpreter
 	prepped bool
 	done    bool
 }
@@ -203,21 +204,21 @@ type memOp struct {
 	base   uint64 // region base address
 	store  bool
 	single bool // the whole region fits in one cache line
-	track  bool // line-coalescible: eligible for hit tracking (runTracked)
+	track  bool // line-coalescible (isa.Op.Coalescible): holds line proofs
 
-	// Hit-tracking state of the tracked interpreter (valid within one Exec
-	// slice only; see runTracked).
+	// Line proof of a coalescible op (valid within one Exec slice only; see
+	// runBatched).
 	line  uint64 // the op's current resident L1 line
 	left  int64  // trips left on that line
 	pend  uint64 // deferred hit count, flushed into L1.Hits at slice end
 	valid bool   // line is known resident
 
-	// Region-residency proof for the op's non-coalescible accesses
-	// (random gathers/scatters and cross-line strides; see runTracked):
-	// res holds one bit per region line, set when the op's own access this
-	// slice left the line resident — and, for a store op, its dirty bit
-	// set — with no later miss having evicted it. An access to a proven
-	// line is a pure L1 hit by construction. Only built for regions up to
+	// Region-residency proof of a non-coalescible op (random
+	// gathers/scatters and cross-line strides; see runBatched): res holds
+	// one bit per region line, set when the op's own access this slice
+	// left the line resident — and, for a store op, its dirty bit set —
+	// with no later miss having evicted it. An access to a proven line is
+	// a pure L1 hit by construction. Only built for regions up to
 	// maxResLines lines; larger regions miss too often for the proof to
 	// pay for its upkeep.
 	res      []uint64
@@ -229,17 +230,6 @@ type memOp struct {
 // (2 MB of region per 4 KB of mask); beyond it the mask's slice-entry
 // clear and per-victim upkeep outweigh the dwindling proven-hit rate.
 const maxResLines = 1 << 14
-
-// An Option adjusts how a bound program executes.
-type Option func(*ExecState)
-
-// WithInterpreter forces the reference per-trip interpreter for this
-// binding, bypassing the batched execution engine. The engines are
-// bit-exact against each other; the escape hatch exists for equivalence
-// testing and for debugging suspected engine divergence.
-func WithInterpreter() Option {
-	return func(st *ExecState) { st.interp = true }
-}
 
 // Done reports whether the program has run to completion.
 func (s *ExecState) Done() bool { return s.done }
@@ -264,8 +254,8 @@ func (s *ExecState) Program() *isa.Program { return s.prog }
 // Bind lays the program's regions out in a rank's address space starting at
 // base (aligned up to a line boundary) and returns a fresh execution cursor.
 // The seed determines the random-access streams.
-func Bind(p *isa.Program, base uint64, seed uint64, opts ...Option) (*ExecState, error) {
-	return BindShard(p, base, seed, 0, 1, opts...)
+func Bind(p *isa.Program, base uint64, seed uint64) (*ExecState, error) {
+	return BindShard(p, base, seed, 0, 1)
 }
 
 // BindShard binds the program like Bind but restricts execution to shard
@@ -273,7 +263,7 @@ func Bind(p *isa.Program, base uint64, seed uint64, opts ...Option) (*ExecState,
 // contiguous chunks, with sequential address streams offset accordingly.
 // All shards of one program share the same region layout, so threads of a
 // parallel region operate on the same arrays.
-func BindShard(p *isa.Program, base, seed uint64, shard, nshards int, opts ...Option) (*ExecState, error) {
+func BindShard(p *isa.Program, base, seed uint64, shard, nshards int) (*ExecState, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -295,9 +285,6 @@ func BindShard(p *isa.Program, base, seed uint64, shard, nshards int, opts ...Op
 	if len(p.Loops) == 0 {
 		st.done = true
 	}
-	for _, opt := range opts {
-		opt(st)
-	}
 	return st, nil
 }
 
@@ -314,50 +301,29 @@ func FootprintBytes(p *isa.Program) uint64 {
 // core's cycle counter reaches limit (limit 0 means run to completion).
 // It reports whether the program completed.
 //
-// Execution is batched by default: at loop preparation time each loop is
-// classified into a kernel (see isa.KernelKind), and whole trip ranges are
-// charged at once wherever per-trip behaviour is provably periodic —
-// closed-form stepping for loops without memory ops, line-coalesced cache
-// accounting for sub-line strided streams, and the per-trip interpreter
-// for everything else. The batching is exact: counters, cycles, cache and
-// prefetcher state, and the trip at which a limit preempts execution are
-// bit-identical to interpreted execution (Params.Interpreter or
-// WithInterpreter select the interpreter to verify exactly that).
+// Execution is batched by default (runBatched): memory ops that hold a
+// proof of L1 residency defer their hits instead of consulting the cache,
+// and whole trip ranges are charged at once while every op of the loop
+// holds one. The batching is exact: counters, cycles, cache and prefetcher
+// state, and the trip at which a limit preempts execution are bit-identical
+// to interpreted execution; Params.Interpreter, the one selector, runs the
+// interpreter to verify exactly that.
 func (c *Core) Exec(st *ExecState, limit uint64) bool {
 	if st.done {
 		return true
 	}
-	// The batched engines' deferred-hit accounting assumes the PPC450's
-	// round-robin L1 (hits touch no replacement state); any other policy
-	// takes the always-exact interpreter.
-	interp := st.interp || c.params.Interpreter ||
-		c.params.L1.Replacement != cache.ReplaceRoundRobin
 	p := st.prog
 	for st.loop < len(p.Loops) {
 		l := &p.Loops[st.loop]
 		if !st.prepped {
 			c.prepLoop(st, l)
-			switch {
-			case interp:
-				c.EngineRoutes[RouteInterp]++
-			case st.kind == isa.KernelClosedForm:
-				c.EngineRoutes[RouteClosedForm]++
-			case st.kind == isa.KernelInterp:
-				c.EngineRoutes[RouteTracked]++
-			default:
-				c.EngineRoutes[RouteCoalesced]++
-			}
+			c.EngineRoutes[st.route]++
 		}
 		var finished bool
-		switch {
-		case interp:
+		if st.route == RouteInterp {
 			finished = c.runTrips(st, l, limit)
-		case st.kind == isa.KernelClosedForm:
-			finished = c.runClosedForm(st, l, limit)
-		case st.kind == isa.KernelInterp:
-			finished = c.runTracked(st, l, limit)
-		default:
-			finished = c.runCoalesced(st, l, limit)
+		} else {
+			finished = c.runBatched(st, l, limit)
 		}
 		if !finished {
 			return false
@@ -397,24 +363,38 @@ func (c *Core) step(st *ExecState, l *isa.Loop) {
 	st.trip++
 }
 
-// runTracked is the accelerated interpreter for loops the coalesced kernel
-// cannot take whole — loops with random or cross-line memory ops. Those ops
-// pay a real access every trip, but the loop's line-coalescible ops mostly
-// re-hit the line they are already on; runTracked proves those hits without
-// consulting the cache. After an op's real access its line is resident
-// (write-allocate), and it stays resident until some later miss evicts it —
-// which access watches for by comparing every victim against the tracked
-// lines. While an op is on a known-resident line, its "access"
-// reduces to a cursor add and a deferred-hit count.
+// runBatched is the batched engine: one loop that accelerates runTrips
+// exactly. Per trip, each memory op either rides a proof that its access is
+// a pure L1 hit — a cursor add and a deferred count, no cache lookup — or
+// pays a real access. There are two kinds of proof:
+//
+//   - A line proof, for line-coalescible ops (memOp.track). After the op's
+//     real access its line is resident (write-allocate) and, for a store,
+//     dirty; the op then stays on that line for sameLineTrips further trips.
+//   - A region-residency bit, for random and cross-line ops (memOp.res): the
+//     op's own access this slice left that line resident, whichever trip
+//     comes back to it.
+//
+// Either proof holds until a later miss evicts the line, which access
+// watches for by comparing every victim against the loop's proofs.
+//
+// The window rule: after a trip on which every op holds a line proof, the
+// trips until the earliest line departure are all-hit trips and are charged
+// at once — issue cycles by multiplication, hits into the deferred counts.
+// A loop without memory ops has nothing to depart from, so its window is
+// the whole remaining trip space (closed-form stepping); a loop with a
+// non-coalescible op never opens one, since that op never holds a line
+// proof (RouteTracked; the window scan is skipped outright).
 //
 // The deferral is exact because the L1 is round-robin: a hit touches only
 // the Hits counter (order-free) and the dirty bit, and the dirty bit is
-// already set by the op's own line-entry access (same store flag). Deferred
-// hits are flushed before every return, so any observer between Exec
-// slices (UPC sampling, dumps, snoops) sees interpreter-identical state.
-// Tracking never survives a slice boundary — snoop invalidations happen
-// between slices, so every slice re-proves residency with a real access.
-func (c *Core) runTracked(st *ExecState, l *isa.Loop, limit uint64) bool {
+// already set by the op's own proving access (same store flag); prepLoop
+// routes any other L1 policy to the interpreter. Deferred hit and op counts
+// are flushed before every return, so any observer between Exec slices (UPC
+// sampling, dumps, snoops) sees interpreter-identical state. No proof
+// survives a slice boundary — snoop invalidations happen between slices, so
+// every slice re-proves residency with real accesses.
+func (c *Core) runBatched(st *ExecState, l *isa.Loop, limit uint64) bool {
 	for i := range st.memops {
 		m := &st.memops[i]
 		m.valid = false
@@ -423,12 +403,9 @@ func (c *Core) runTracked(st *ExecState, l *isa.Loop, limit uint64) bool {
 			m.res[j] = 0
 		}
 	}
+	bulk := st.route != RouteTracked
 	trip0 := st.trip
-	for st.trip < st.tripEnd {
-		if limit > 0 && c.Cycles >= limit {
-			c.flushTracked(st, l, uint64(st.trip-trip0))
-			return false
-		}
+	for st.trip < st.tripEnd && (limit == 0 || c.Cycles < limit) {
 		c.Cycles += st.issue
 		for i := range st.memops {
 			m := &st.memops[i]
@@ -445,9 +422,8 @@ func (c *Core) runTracked(st *ExecState, l *isa.Loop, limit uint64) bool {
 				st.cursors[m.oi] = next
 				continue
 			}
-			op := &l.Body[m.oi]
 			off := st.cursors[m.oi]
-			addr := st.nextAddr(m.oi, op)
+			addr := st.nextAddr(m.oi, &l.Body[m.oi])
 			if m.res != nil {
 				idx := addr>>lineShift - m.baseLine
 				if m.res[idx>>6]&(1<<(idx&63)) != 0 {
@@ -469,131 +445,12 @@ func (c *Core) runTracked(st *ExecState, l *isa.Loop, limit uint64) bool {
 			}
 		}
 		st.trip++
-	}
-	c.flushTracked(st, l, uint64(st.trip-trip0))
-	return true
-}
-
-// flushTracked posts the deferred hit counts into the L1 counter and the
-// deferred op counts of the slice's completed trips into Mix.
-func (c *Core) flushTracked(st *ExecState, l *isa.Loop, trips uint64) {
-	for i := range st.memops {
-		if m := &st.memops[i]; m.pend > 0 {
-			c.L1.Hits += m.pend
-			m.pend = 0
+		if !bulk {
+			continue
 		}
-	}
-	c.flushMix(l, trips)
-}
-
-// flushMix charges the per-class op counters for trips completed trips of
-// the loop in one pass. The batched engines defer Mix to their returns: the
-// counters are only observed between Exec slices, every return sits on a
-// trip boundary, and per-completed-trip totals there are exactly what the
-// interpreter's per-op increments sum to.
-func (c *Core) flushMix(l *isa.Loop, trips uint64) {
-	if trips == 0 {
-		return
-	}
-	for i := range l.Body {
-		c.Mix[l.Body[i].Class] += trips
-	}
-}
-
-// limitTrips bounds a batch of n uniform trips (issue cycles each, no
-// stalls) by the scheduler limit: it returns how many of them the
-// interpreter would execute before its trip-boundary limit check fires.
-// The caller guarantees c.Cycles < limit when limit > 0.
-func (c *Core) limitTrips(limit uint64, issue uint64, n int64) int64 {
-	if limit == 0 || issue == 0 {
-		return n
-	}
-	k := (limit - c.Cycles + issue - 1) / issue
-	if k < uint64(n) {
-		return int64(k)
-	}
-	return n
-}
-
-// runClosedForm executes a loop with no memory ops: every trip costs
-// exactly issue cycles, so the whole remaining trip range (clipped at the
-// limit boundary) collapses to one multiply per counter.
-func (c *Core) runClosedForm(st *ExecState, l *isa.Loop, limit uint64) bool {
-	for st.trip < st.tripEnd {
-		if limit > 0 && c.Cycles >= limit {
-			return false
-		}
-		n := c.limitTrips(limit, st.issue, st.tripEnd-st.trip)
-		c.Cycles += st.issue * uint64(n)
-		for i := range l.Body {
-			c.Mix[l.Body[i].Class] += uint64(n)
-		}
-		st.trip += n
-	}
-	return true
-}
-
-// runCoalesced executes a loop whose memory ops all walk line-coalescible
-// streams. Line transitions (and misses, and the prefetcher traffic they
-// drive) happen on interpreted probe accesses; everything in between rides
-// on residency proofs: after an op's real access its line is resident
-// (write-allocate) and, for a store op, dirty, so until a watched eviction
-// (access) or the op's own line departure, each further access is a
-// pure hit — a deferred count, no cache lookup at all. When every op holds
-// a proof, the whole window until the earliest line departure is charged in
-// bulk: issue cycles by multiplication, hits into the deferred counts, and
-// op counts at the returns via flushTracked/flushMix.
-//
-// The deferral leans on the L1 being round-robin exactly as runTracked
-// does: a hit touches only the Hits counter (order-free) and the dirty bit,
-// which the op's own line-entry access already set with the same store
-// flag. Deferred hits are flushed before every return, so observers
-// between Exec slices (UPC sampling, dumps, snoops) see
-// interpreter-identical state; proofs never survive a slice boundary, so
-// snoop invalidations (which happen only between slices) cannot outdate
-// them. Exec routes non-round-robin L1 configurations to the interpreter.
-func (c *Core) runCoalesced(st *ExecState, l *isa.Loop, limit uint64) bool {
-	for i := range st.memops {
-		m := &st.memops[i]
-		m.valid = false
-		m.pend = 0
-	}
-	trip0 := st.trip
-	for st.trip < st.tripEnd {
-		if limit > 0 && c.Cycles >= limit {
-			c.flushTracked(st, l, uint64(st.trip-trip0))
-			return false
-		}
-		// Probe trip: interpreted for ops at a line transition (or with an
-		// invalidated proof), deferred-hit for ops mid-line.
-		c.Cycles += st.issue
-		for i := range st.memops {
-			m := &st.memops[i]
-			if m.valid && m.left > 0 {
-				m.left--
-				m.pend++
-				next := st.cursors[m.oi] + m.stride
-				if next >= m.size {
-					next -= m.size
-				} else if next < 0 {
-					next += m.size
-				}
-				st.cursors[m.oi] = next
-				continue
-			}
-			off := st.cursors[m.oi]
-			addr := st.nextAddr(m.oi, &l.Body[m.oi])
-			c.Cycles += c.access(st.memops, addr, m.store)
-			m.valid = true
-			m.line = addr >> lineShift
-			m.left = m.sameLineTrips(off)
-		}
-		st.trip++
-		// Bulk window: every op provably stays on its resident line for
-		// min(left) further trips — charge them all at once. A probe miss
-		// may have evicted another op's line (clearing its proof via the
-		// victim watch), in which case the window collapses and the next
-		// probe re-proves residency with a real access.
+		// A miss on this trip may have evicted another op's line (the victim
+		// watch cleared its proof): then no window opens and the next trip
+		// re-proves residency with a real access.
 		window := st.tripEnd - st.trip
 		for i := range st.memops {
 			m := &st.memops[i]
@@ -605,32 +462,53 @@ func (c *Core) runCoalesced(st *ExecState, l *isa.Loop, limit uint64) bool {
 				window = m.left
 			}
 		}
-		if window <= 0 {
+		if window <= 0 || limit > 0 && c.Cycles >= limit {
 			continue
 		}
-		if limit > 0 {
-			if c.Cycles >= limit {
-				continue
-			}
-			window = c.limitTrips(limit, st.issue, window)
-			if window <= 0 {
-				continue
-			}
-		}
-		n := uint64(window)
-		c.Cycles += st.issue * n
+		n := c.limitTrips(limit, st.issue, window)
+		c.Cycles += st.issue * uint64(n)
 		for i := range st.memops {
 			m := &st.memops[i]
-			m.pend += n
-			m.left -= int64(n)
+			m.pend += uint64(n)
+			m.left -= n
 			if m.size > 0 {
-				st.cursors[m.oi] = wrapOffset(st.cursors[m.oi]+m.stride*int64(n), m.size)
+				st.cursors[m.oi] = wrapOffset(st.cursors[m.oi]+m.stride*n, m.size)
 			}
 		}
-		st.trip += int64(n)
+		st.trip += n
 	}
-	c.flushTracked(st, l, uint64(st.trip-trip0))
-	return true
+	// Post the deferred hit counts into the L1 counter and the op counts of
+	// the slice's completed trips into Mix: the counters are only observed
+	// between Exec slices, every return sits on a trip boundary, and
+	// per-completed-trip totals there are exactly what the interpreter's
+	// per-op increments sum to.
+	for i := range st.memops {
+		m := &st.memops[i]
+		c.L1.Hits += m.pend
+		m.pend = 0
+	}
+	if trips := uint64(st.trip - trip0); trips > 0 {
+		for i := range l.Body {
+			c.Mix[l.Body[i].Class] += trips
+		}
+	}
+	return st.trip == st.tripEnd
+}
+
+// limitTrips bounds a batch of n uniform trips (issue cycles each, no
+// stalls) by the scheduler limit: it returns how many of them the
+// interpreter would execute before its trip-boundary limit check fires.
+// The caller guarantees c.Cycles < limit when limit > 0, so at least one
+// trip of a non-empty batch always runs.
+func (c *Core) limitTrips(limit uint64, issue uint64, n int64) int64 {
+	if limit == 0 || issue == 0 {
+		return n
+	}
+	k := (limit - c.Cycles + issue - 1) / issue
+	if k < uint64(n) {
+		return int64(k)
+	}
+	return n
 }
 
 // sameLineTrips returns how many trips after the current one the op's
@@ -669,8 +547,8 @@ func wrapOffset(off, size int64) int64 {
 	return off
 }
 
-// prepLoop precomputes the per-trip issue cost of a loop, classifies it
-// for the batched engine, and resets the per-op address cursors.
+// prepLoop precomputes the per-trip issue cost of a loop, resets the per-op
+// address cursors, and resolves the loop's engine route from its ops.
 func (c *Core) prepLoop(st *ExecState, l *isa.Loop) {
 	var fp, mem, other, div, branch int
 	for _, op := range l.Body {
@@ -707,8 +585,8 @@ func (c *Core) prepLoop(st *ExecState, l *isa.Loop) {
 	} else {
 		st.cursors = st.cursors[:len(l.Body)]
 	}
-	st.kind = st.prog.KernelAt(st.loop, LineBytes)
 	st.memops = st.memops[:0]
+	coalescible := true // every memory op of the loop is
 	for i, op := range l.Body {
 		st.cursors[i] = 0
 		if !op.Class.IsMem() {
@@ -736,7 +614,8 @@ func (c *Core) prepLoop(st *ExecState, l *isa.Loop) {
 		if size > 0 {
 			m.stride = op.Stride % size
 		}
-		if st.kind == isa.KernelInterp && !m.track && size > 0 {
+		coalescible = coalescible && m.track
+		if !m.track && size > 0 {
 			if lines := (uint64(size) + LineBytes - 1) >> lineShift; lines <= maxResLines {
 				m.res = make([]uint64, (lines+63)/64)
 				m.baseLine = m.base >> lineShift
@@ -744,6 +623,19 @@ func (c *Core) prepLoop(st *ExecState, l *isa.Loop) {
 			}
 		}
 		st.memops = append(st.memops, m)
+	}
+	switch {
+	case c.params.Interpreter || c.params.L1.Replacement != cache.ReplaceRoundRobin:
+		// The batched engine's deferred-hit accounting assumes the PPC450's
+		// round-robin L1 (hits touch no replacement state); any other
+		// policy takes the always-exact interpreter.
+		st.route = RouteInterp
+	case len(st.memops) == 0:
+		st.route = RouteClosedForm
+	case coalescible:
+		st.route = RouteCoalesced
+	default:
+		st.route = RouteTracked
 	}
 	st.prepped = true
 }
@@ -785,8 +677,8 @@ func (s *ExecState) nextAddr(oi int, op *isa.Op) uint64 {
 // It is the one L1-miss path of every engine route: the victim line, the
 // snoop filter, the dirty write-back, the L2 probe with its stream
 // detector, the demand fetch and the prefetch fills, in that order. watch
-// holds the memory ops whose residency proofs (runTracked, runCoalesced) a
-// victim must revoke; the interpreter holds no proofs and passes nil.
+// holds the memory ops whose residency proofs (runBatched) a victim must
+// revoke; the interpreter holds no proofs and passes nil.
 func (c *Core) access(watch []memOp, addr uint64, write bool) uint64 {
 	r := c.L1.Access(addr, write)
 	if r.Hit {

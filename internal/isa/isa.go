@@ -182,6 +182,33 @@ type Op struct {
 	Offset int64
 }
 
+// Coalescible reports whether a memory op's address stream can be
+// line-coalesced: successive dynamic instances stay within one cache line
+// of lineBytes for a statically computable number of trips. Sequential and
+// strided walks qualify when the stride is smaller than a line (several
+// trips per line) or when the whole region fits in one line (every trip on
+// the same line). Random patterns never qualify — their addresses must be
+// drawn one per trip to keep the RNG stream aligned with interpretation.
+// It is the predicate the core's batched engine routes a loop by.
+func (op *Op) Coalescible(regionSize uint64, lineBytes int64) bool {
+	if !op.Class.IsMem() {
+		return true
+	}
+	switch op.Pat {
+	case Seq, Strided:
+		if regionSize <= uint64(lineBytes) {
+			return true
+		}
+		s := op.Stride
+		if s < 0 {
+			s = -s
+		}
+		return s < lineBytes
+	default:
+		return false
+	}
+}
+
 // Loop is a counted loop: the ops of Body execute once per trip, Trips
 // times. It is the unit in which compiled kernels describe work.
 type Loop struct {
@@ -193,11 +220,11 @@ type Loop struct {
 	Trips int64
 }
 
-// Version identifies the generation of the virtual ISA and its kernel
-// classification rules. It participates in content-addressed program cache
-// keys (internal/progcache): bump it whenever a change to op semantics,
-// classification, or lowering would make a previously cached program stale
-// even though its kernel IR and compiler options are unchanged.
+// Version identifies the generation of the virtual ISA. It participates in
+// content-addressed program cache keys (internal/progcache): bump it
+// whenever a change to op semantics or lowering would make a previously
+// cached program stale even though its kernel IR and compiler options are
+// unchanged.
 const Version = 1
 
 // Program is a compiled, executable phase of a kernel: a set of memory
@@ -214,12 +241,6 @@ type Program struct {
 	Regions []Region
 	// Loops is the executable body in order.
 	Loops []Loop
-
-	// kinds memoizes the per-loop Kernel classification for line size
-	// kindsLine (see Classify). Once populated the program is effectively
-	// immutable and safe to share across jobs and goroutines.
-	kinds     []KernelKind
-	kindsLine int64
 }
 
 // Validate checks internal consistency: every memory op must name a valid

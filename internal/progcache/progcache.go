@@ -1,16 +1,16 @@
-// Package progcache is the content-addressed compile-and-classification
-// cache of the simulator. Parameter sweeps re-run the same NAS benchmark at
+// Package progcache is the content-addressed compile cache of the
+// simulator. Parameter sweeps re-run the same NAS benchmark at
 // many machine configurations, and the compiled programs depend only on the
 // authored kernel IR, the compiler options and the virtual-ISA generation —
 // not on the machine — so adjacent sweep points can share one immutable
-// compilation instead of lowering and classifying the kernel per run.
+// compilation instead of lowering the kernel per run.
 //
 // A cache entry is the full phase map of one (kernel, options) build, keyed
 // by a fingerprint of the kernel source, the build flags and isa.Version.
-// Programs are compiled with their loop classifications prebuilt (the
-// compiler calls Classify) and are never mutated afterwards — all run-time
-// state lives in per-rank core.ExecState — so one entry is safely shared by
-// every worker of a sweep. The cache deduplicates concurrent misses: when
+// Entries are immutable because nothing writes a program after Compile
+// returns — an isa.Program is plain data, and all run-time state lives in
+// per-rank core.ExecState — so one entry is safely shared by every worker
+// of a sweep. The cache deduplicates concurrent misses: when
 // two workers want the same build, one compiles and the other waits.
 //
 // The cache is a pure host-side optimization with an exactness contract:

@@ -4,7 +4,7 @@
 // drawn from seeded distributions, collective and point-to-point
 // communication phases with bursty (gamma/weibull) repeat counts — and
 // compiles them down to the same compiler/isa representation the NAS
-// benchmarks use, so the compile cache, batched engines, fast-forwarding
+// benchmarks use, so the compile cache, batched engine, fast-forwarding
 // and epoch memoization all apply unchanged.
 //
 // The determinism contract: a (spec, seed, class, ranks, opts) tuple
