@@ -70,8 +70,8 @@ type (
 	// RunStats is the aggregate machine accounting reported to an
 	// Observer after each run.
 	RunStats = obs.RunStats
-	// ProgCache is the content-addressed compile/classification cache
-	// shared across runs (see internal/progcache).
+	// ProgCache is the content-addressed compile cache shared across runs
+	// (see internal/progcache).
 	ProgCache = progcache.Cache
 	// WorkloadSpec is a decoded declarative workload specification
 	// (see internal/workload): a seeded YAML schema composing per-rank
@@ -176,20 +176,23 @@ type RunConfig struct {
 	Nodes int
 	// L3Bytes overrides the shared L3 capacity per node: 0 keeps the
 	// production 8 MB, a negative value boots with the L3 disabled
-	// (the paper's 0 MB point). A positive value below MinL3Bytes is an
-	// error.
+	// (the paper's 0 MB point). A positive value below MinL3Bytes, or
+	// one above MaxL3Bytes, is an error.
 	L3Bytes int
 	// L2PrefetchDepth overrides the per-core L2 stream-prefetch depth:
 	// 0 keeps the production depth (2 lines ahead), a negative value
-	// disables prefetching — the §IX prefetch-amount study.
+	// disables prefetching — the §IX prefetch-amount study. A depth
+	// above MaxPrefetchDepth is an error.
 	L2PrefetchDepth int
 	// L3PrefetchDepth enables the memory-side L3 prefetch engine with
-	// the given depth (0 = disabled, the production configuration).
+	// the given depth (0 = disabled, the production configuration). A
+	// depth above MaxPrefetchDepth is an error.
 	L3PrefetchDepth int
 	// Interpreter forces the reference per-trip interpreter instead of
-	// the batched execution engine. The two are bit-identical in every
-	// counter and dump; the flag exists for equivalence testing and for
-	// benchmarking the batched engine against its baseline.
+	// the batched execution engine, by setting core.Params.Interpreter on
+	// every core — the one selector there is. The two are bit-identical in
+	// every counter and dump; the flag exists for equivalence testing and
+	// for benchmarking the batched engine against its baseline.
 	Interpreter bool
 	// SliceCycles overrides the scheduler compute time slice (cycles a
 	// rank runs between yields); 0 keeps the default. Results do not
@@ -215,14 +218,13 @@ type RunConfig struct {
 	// and a nil observer costs nothing (obs_hooks_test pins the nil path
 	// to zero allocations).
 	Observer Observer
-	// ProgCache overrides the compile/classification cache consulted for
-	// this run; nil uses the process-wide shared cache. Cached programs
+	// ProgCache overrides the compile cache consulted for this run; nil uses the process-wide shared cache. Cached programs
 	// are immutable and content-addressed (kernel IR, compiler flags,
 	// ISA version), so a cache hit returns bit-identical programs to a
 	// fresh compilation.
 	ProgCache *progcache.Cache
 	// NoProgCache disables compile memoization for this run (every run
-	// lowers and classifies its kernel from scratch).
+	// lowers its kernel from scratch).
 	NoProgCache bool
 	// NoFastForward disables epoch fast-forwarding (on by default): when
 	// a rank is the only runnable rank of the job, its compute phases run
@@ -317,9 +319,21 @@ type Result struct {
 	Timeline *Sampler
 }
 
-// MinL3Bytes is the smallest shared L3 a node boots with: one line in each
-// of its banks.
-const MinL3Bytes = node.NumL3Banks * core.LineBytes
+// The bounds Run puts on the machine overrides a configuration may carry;
+// bgpd's callers set them over HTTP, so each is a bound on host memory and
+// host time one request can claim.
+const (
+	// MinL3Bytes is the smallest shared L3 a node boots with: one line in
+	// each of its banks.
+	MinL3Bytes = node.NumL3Banks * core.LineBytes
+	// MaxL3Bytes is eight times the production part; the host pays a
+	// sixteenth of the simulated capacity per node.
+	MaxL3Bytes = 64 << 20
+	// MaxPrefetchDepth is four times the 16-line L2 prefetch buffer (the
+	// §IX studies stop at 8). Every locked-stream miss walks the depth, and
+	// a core allocates its proposal buffer by it.
+	MaxPrefetchDepth = 64
+)
 
 // Run executes one instrumented benchmark run end to end.
 func Run(cfg RunConfig) (*Result, error) {
@@ -327,8 +341,15 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("bgp: non-positive rank count %d", cfg.Ranks)
 	}
-	if cfg.L3Bytes > 0 && cfg.L3Bytes < MinL3Bytes {
+	switch {
+	case cfg.L3Bytes > 0 && cfg.L3Bytes < MinL3Bytes:
 		return nil, fmt.Errorf("bgp: L3Bytes %d is below the %d-byte minimum (a negative value boots without an L3)", cfg.L3Bytes, MinL3Bytes)
+	case cfg.L3Bytes > MaxL3Bytes:
+		return nil, fmt.Errorf("bgp: L3Bytes %d is above the %d-byte maximum", cfg.L3Bytes, MaxL3Bytes)
+	case cfg.L2PrefetchDepth > MaxPrefetchDepth:
+		return nil, fmt.Errorf("bgp: L2PrefetchDepth %d is above the maximum of %d", cfg.L2PrefetchDepth, MaxPrefetchDepth)
+	case cfg.L3PrefetchDepth > MaxPrefetchDepth:
+		return nil, fmt.Errorf("bgp: L3PrefetchDepth %d is above the maximum of %d", cfg.L3PrefetchDepth, MaxPrefetchDepth)
 	}
 	src, _, err := ResolveWorkload(cfg)
 	if err != nil {

@@ -518,12 +518,12 @@ func TestRunKeyDistinguishesConfigs(t *testing.T) {
 		t.Error("DumpDir perturbs the checkpoint key; resume would re-run everything")
 	}
 	// Two valid wire configurations that met at the 32-bit key's birthday
-	// bound (both hashed to run0000-fa7d2d4e): the key is bgpd's flight key
+	// bound (both hashed to run0000-eadf053c): the key is bgpd's flight key
 	// and job-id input, so a shared key served one run's results for the
 	// other.
-	a := bgp.RunConfig{Benchmark: "ep", Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM, L3Bytes: 158076928}
+	a := bgp.RunConfig{Benchmark: "ep", Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM, L3Bytes: 1553408}
 	b := a
-	b.L3Bytes = 270209024
+	b.L3Bytes = 20154112
 	if bgp.RunKey(0, a) == bgp.RunKey(0, b) {
 		t.Errorf("l3=%d and l3=%d share checkpoint key %s", a.L3Bytes, b.L3Bytes, bgp.RunKey(0, a))
 	}

@@ -85,20 +85,42 @@ func TestRunL3Override(t *testing.T) {
 }
 
 // TestRunRejectsSubLineL3: an L3 of less than one 128-byte line per bank has
-// no geometry (it used to panic booting the node); Run names the field and
-// the minimum instead, and the minimum itself boots and runs.
+// no geometry (it used to panic booting the node), and an unbounded L3 size
+// or prefetch depth used to reach an allocation sized by it (a depth of
+// 1<<40 is a fatal out-of-memory throw no recover sees). Run names the field
+// and the bound instead, and each bound itself boots and runs.
 func TestRunRejectsSubLineL3(t *testing.T) {
-	cfg := RunConfig{Benchmark: "ep", Class: ClassS, Ranks: 4, Mode: VNM}
-	for _, size := range []int{1, 100, 255} {
-		cfg.L3Bytes = size
+	l3 := func(c *RunConfig, v int) { c.L3Bytes = v }
+	l2pf := func(c *RunConfig, v int) { c.L2PrefetchDepth = v }
+	l3pf := func(c *RunConfig, v int) { c.L3PrefetchDepth = v }
+	for _, tc := range []struct {
+		field string
+		set   func(*RunConfig, int)
+		value int
+		want  string // substring of the error; empty = the run succeeds
+	}{
+		{"L3Bytes", l3, 1, "256-byte minimum"},
+		{"L3Bytes", l3, 100, "256-byte minimum"},
+		{"L3Bytes", l3, 255, "256-byte minimum"},
+		{"L3Bytes", l3, MinL3Bytes, ""},
+		{"L3Bytes", l3, MaxL3Bytes, ""},
+		{"L3Bytes", l3, MaxL3Bytes + 1, "67108864-byte maximum"},
+		{"L2PrefetchDepth", l2pf, MaxPrefetchDepth, ""},
+		{"L2PrefetchDepth", l2pf, MaxPrefetchDepth + 1, "maximum of 64"},
+		{"L2PrefetchDepth", l2pf, 1 << 40, "maximum of 64"},
+		{"L3PrefetchDepth", l3pf, MaxPrefetchDepth, ""},
+		{"L3PrefetchDepth", l3pf, MaxPrefetchDepth + 1, "maximum of 64"},
+		{"L3PrefetchDepth", l3pf, 1 << 40, "maximum of 64"},
+	} {
+		cfg := RunConfig{Benchmark: "ep", Class: ClassS, Ranks: 4, Mode: VNM}
+		tc.set(&cfg, tc.value)
 		_, err := Run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "L3Bytes") || !strings.Contains(err.Error(), "256-byte minimum") {
-			t.Errorf("L3Bytes %d: error %v, want one naming L3Bytes and the 256-byte minimum", size, err)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s %d: %v", tc.field, tc.value, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s %d: error %v, want one naming %s and the %s", tc.field, tc.value, err, tc.field, tc.want)
 		}
-	}
-	cfg.L3Bytes = MinL3Bytes
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("L3Bytes %d: %v", MinL3Bytes, err)
 	}
 }
 

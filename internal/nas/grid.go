@@ -54,11 +54,12 @@ func neighbor3(rank, dim, dir, px, py, pz int) int {
 	return rankAt3(x, y, z, px, py)
 }
 
-// haloExchange3D performs a face exchange with both neighbours in every
-// dimension of the rank grid: the ubiquitous stencil-boundary pattern.
+// HaloExchange3D performs a face exchange with both neighbours in every
+// dimension of the most cubic 3-D rank grid: the ubiquitous
+// stencil-boundary pattern (MG's, and the workload DSL's halo3d op).
 // bytesPerFace is the message size per face. Eager sends precede receives,
 // so the pattern cannot deadlock.
-func haloExchange3D(r *mpi.Rank, ranks, bytesPerFace int) {
+func HaloExchange3D(r *mpi.Rank, ranks, bytesPerFace int) {
 	px, py, pz := dims3(ranks)
 	dimsSize := [3]int{px, py, pz}
 	for dim := 0; dim < 3; dim++ {

@@ -147,7 +147,7 @@ func buildMG(cfg Config) (*App, error) {
 			// Down-sweep: residual + restrict to coarser grids.
 			for l := 0; l < mgLevels-1; l++ {
 				r.Exec(progs[fmt.Sprintf("resid%d", l)])
-				haloExchange3D(r, ranks, halo[l])
+				HaloExchange3D(r, ranks, halo[l])
 				r.Exec(progs[fmt.Sprintf("rprj%d", l)])
 			}
 			// Coarsest solve.
@@ -155,7 +155,7 @@ func buildMG(cfg Config) (*App, error) {
 			// Up-sweep: interpolate + smooth.
 			for l := mgLevels - 2; l >= 0; l-- {
 				r.Exec(progs[fmt.Sprintf("interp%d", l)])
-				haloExchange3D(r, ranks, halo[l])
+				HaloExchange3D(r, ranks, halo[l])
 				r.Exec(progs[fmt.Sprintf("psinv%d", l)])
 			}
 			r.Exec(progs["resid0"])

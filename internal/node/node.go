@@ -177,6 +177,16 @@ func (n *Node) bank(addr uint64) int {
 	return int(addr >> 7 & (NumL3Banks - 1))
 }
 
+// writeBackVictim posts the DDR write of the dirty line an L3 miss
+// displaced; a hit, or a miss with a clean or no victim, writes nothing.
+// It is the one copy of this step on every L3 miss path and must stay
+// within the inliner's budget (check with go build -gcflags=-m).
+func (n *Node) writeBackVictim(r cache.Result) {
+	if r.VictimValid && r.VictimDirty {
+		n.DDR[n.bank(r.Victim)].DMALines(1, false)
+	}
+}
+
 // ReadLine implements core.Lower: a demand line fetch from L3/DRAM.
 func (n *Node) ReadLine(coreID int, addr uint64) uint64 {
 	active := n.ActiveCores()
@@ -190,9 +200,7 @@ func (n *Node) ReadLine(coreID int, addr uint64) uint64 {
 			}
 			return lat
 		}
-		if r.VictimValid && r.VictimDirty {
-			n.DDR[n.bank(r.Victim)].DMALines(1, false)
-		}
+		n.writeBackVictim(r)
 		n.l3Prefetch(addr)
 		return n.params.L3HitLatency + n.DDR[b].ReadLine(active)
 	}
@@ -216,9 +224,7 @@ func (n *Node) l3Prefetch(addr uint64) {
 		if r.Hit {
 			continue
 		}
-		if r.VictimValid && r.VictimDirty {
-			n.DDR[n.bank(r.Victim)].DMALines(1, false)
-		}
+		n.writeBackVictim(r)
 		n.DDR[b].PrefetchLine()
 		n.L3PrefetchIssued++
 	}
@@ -253,9 +259,7 @@ func (n *Node) WriteLine(coreID int, addr uint64) uint64 {
 		if r.Hit {
 			return 0
 		}
-		if r.VictimValid && r.VictimDirty {
-			n.DDR[n.bank(r.Victim)].DMALines(1, false)
-		}
+		n.writeBackVictim(r)
 		// Read-for-ownership fetch of the allocated line; posted.
 		n.DDR[b].DMALines(1, true)
 		return n.params.DDR.WritePenalty
@@ -272,9 +276,7 @@ func (n *Node) PrefetchLine(coreID int, addr uint64) {
 		if r.Hit {
 			return
 		}
-		if r.VictimValid && r.VictimDirty {
-			n.DDR[n.bank(r.Victim)].DMALines(1, false)
-		}
+		n.writeBackVictim(r)
 		n.DDR[b].PrefetchLine()
 		return
 	}
@@ -308,9 +310,7 @@ func (n *Node) DMADeliver(bufAddr, bytes uint64) {
 		}
 		b := n.bank(addr)
 		r := n.L3[b].Access(addr, false)
-		if !r.Hit && r.VictimValid && r.VictimDirty {
-			n.DDR[n.bank(r.Victim)].DMALines(1, false)
-		}
+		n.writeBackVictim(r)
 	}
 }
 
@@ -341,9 +341,7 @@ func (n *Node) L3Copy(srcAddr, dstAddr, bytes uint64) uint64 {
 				cycles += n.params.L3HitLatency / 2
 				continue
 			}
-			if r.VictimValid && r.VictimDirty {
-				n.DDR[n.bank(r.Victim)].DMALines(1, false)
-			}
+			n.writeBackVictim(r)
 			n.DDR[b].DMALines(1, true)
 			cycles += n.params.DDR.ReadLatency / 2
 		}

@@ -77,15 +77,15 @@ func TestConcurrentSameRunKeyCoalesces(t *testing.T) {
 }
 
 // TestKeyNeighboursDoNotShareJobs submits the two valid wire runs that met at
-// the 32-bit RunKey's birthday bound (both keyed run0000-fa7d2d4e, both job
-// job-6608162ee51d5b1b): the job table answered the second submission with
-// the first one's results. They are distinct runs, so they must get distinct
+// the 32-bit RunKey's birthday bound (both keyed run0000-eadf053c, so both
+// one job): the job table answered the second submission with the first
+// one's results. They are distinct runs, so they must get distinct
 // job ids, each must simulate, and each must serve its own configuration's
 // dumps.
 func TestKeyNeighboursDoNotShareJobs(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{})
 	var ids [2]string
-	for i, l3 := range []int{158076928, 270209024} {
+	for i, l3 := range []int{1553408, 20154112} {
 		rs := server.RunSpec{Benchmark: "ep", Class: "S", Ranks: 4, Mode: "vnm", L3Bytes: l3}
 		cfg := compileSpec(t, rs)
 		spec := server.JobSpec{Tenant: "anonymous", Runs: []server.RunSpec{rs}}

@@ -152,8 +152,15 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	if rs.Nodes > MaxRanks {
 		return cfg, specErrf("node count %d exceeds the %d limit", rs.Nodes, MaxRanks)
 	}
-	if rs.L3Bytes > 0 && rs.L3Bytes < bgp.MinL3Bytes {
+	switch {
+	case rs.L3Bytes > 0 && rs.L3Bytes < bgp.MinL3Bytes:
 		return cfg, specErrf("l3_bytes: %d is below the %d-byte minimum (a negative value boots without an L3)", rs.L3Bytes, bgp.MinL3Bytes)
+	case rs.L3Bytes > bgp.MaxL3Bytes:
+		return cfg, specErrf("l3_bytes: %d is above the %d-byte maximum", rs.L3Bytes, bgp.MaxL3Bytes)
+	case rs.L2PrefetchDepth > bgp.MaxPrefetchDepth:
+		return cfg, specErrf("l2_prefetch_depth: %d is above the maximum of %d", rs.L2PrefetchDepth, bgp.MaxPrefetchDepth)
+	case rs.L3PrefetchDepth > bgp.MaxPrefetchDepth:
+		return cfg, specErrf("l3_prefetch_depth: %d is above the maximum of %d", rs.L3PrefetchDepth, bgp.MaxPrefetchDepth)
 	}
 	return cfg, nil
 }

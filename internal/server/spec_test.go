@@ -76,28 +76,50 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 
 // TestSubmitRejectsSubLineL3: an l3_bytes below one line per bank used to
 // pass the decoder and panic inside the simulation — a failed job with a
-// stack trace for a message. It is a 400 naming the field's path; the
-// smallest legal size is accepted and runs to completion.
+// stack trace for a message — and an l3_bytes or prefetch depth without an
+// upper bound reached an allocation of that size: one POST with
+// l2_prefetch_depth 1<<40 ended the daemon with an out-of-memory throw, and
+// the journal re-queued the job on every restart. Each is a 400 naming the
+// field's path; each bound itself is accepted and runs to completion.
 func TestSubmitRejectsSubLineL3(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	const job = `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"},` +
-		`{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","l3_bytes":%d}]}`
-	for _, size := range []int{1, 100, 255} {
-		code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, size))
-		if code != http.StatusBadRequest || !strings.Contains(string(body), "runs[1].l3_bytes") {
-			t.Errorf("l3_bytes %d: got %d %s, want 400 naming runs[1].l3_bytes", size, code, body)
+		`{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","%s":%d}]}`
+	for _, tc := range []struct {
+		field string
+		value int
+		ok    bool
+	}{
+		{"l3_bytes", 1, false},
+		{"l3_bytes", 100, false},
+		{"l3_bytes", 255, false},
+		{"l3_bytes", bgp.MinL3Bytes, true},
+		{"l3_bytes", bgp.MaxL3Bytes, true},
+		{"l3_bytes", bgp.MaxL3Bytes + 1, false},
+		{"l2_prefetch_depth", bgp.MaxPrefetchDepth, true},
+		{"l2_prefetch_depth", bgp.MaxPrefetchDepth + 1, false},
+		{"l2_prefetch_depth", 1 << 40, false},
+		{"l3_prefetch_depth", bgp.MaxPrefetchDepth, true},
+		{"l3_prefetch_depth", bgp.MaxPrefetchDepth + 1, false},
+		{"l3_prefetch_depth", 1 << 40, false},
+	} {
+		code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, tc.field, tc.value))
+		if !tc.ok {
+			if code != http.StatusBadRequest || !strings.Contains(string(body), "runs[1]."+tc.field) {
+				t.Errorf("%s %d: got %d %s, want 400 naming runs[1].%s", tc.field, tc.value, code, body, tc.field)
+			}
+			continue
 		}
-	}
-	code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, bgp.MinL3Bytes))
-	if code != http.StatusAccepted {
-		t.Fatalf("l3_bytes %d: got %d %s, want 202", bgp.MinL3Bytes, code, body)
-	}
-	var st server.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st = waitDone(t, ts.URL, st.ID); st.State != server.StateDone {
-		t.Errorf("l3_bytes %d: job ended %s: %+v", bgp.MinL3Bytes, st.State, st)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s %d: got %d %s, want 202", tc.field, tc.value, code, body)
+		}
+		var st server.JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, ts.URL, st.ID); st.State != server.StateDone {
+			t.Errorf("%s %d: job ended %s: %+v", tc.field, tc.value, st.State, st)
+		}
 	}
 }
 
@@ -231,6 +253,10 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"runs":[{"benchmark":"\\u0000","class":"S","ranks":1,"mode":"vnm"}]}`))
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":-9e18,"mode":"vnm"}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm",` +
+		`"l3_bytes":67108865,"l2_prefetch_depth":1099511627776,"l3_prefetch_depth":65}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm",` +
+		`"l3_bytes":67108864,"l2_prefetch_depth":64,"l3_prefetch_depth":64}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, cfgs, err := server.DecodeJobSpec(bytes.NewReader(data)) // must never panic
@@ -254,6 +280,11 @@ func FuzzDecodeJobSpec(f *testing.F) {
 			}
 			if fmt.Sprint(cfg.Benchmark) == "" {
 				t.Fatalf("run %d: accepted empty benchmark", i)
+			}
+			if cfg.L3Bytes > bgp.MaxL3Bytes || cfg.L3Bytes > 0 && cfg.L3Bytes < bgp.MinL3Bytes ||
+				cfg.L2PrefetchDepth > bgp.MaxPrefetchDepth || cfg.L3PrefetchDepth > bgp.MaxPrefetchDepth {
+				t.Fatalf("run %d: accepted out-of-bounds machine overrides %d/%d/%d",
+					i, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth)
 			}
 		}
 	})

@@ -5,7 +5,7 @@ package workload
 // applied exactly the way the NAS builders do, and the result is an
 // authored compiler.Kernel plus an SPMD body — indistinguishable, to the
 // rest of the system, from a hand-written benchmark. The compile cache,
-// batched engines, fast-forwarding and epoch memoization therefore apply
+// batched engine, fast-forwarding and epoch memoization therefore apply
 // without modification.
 
 import (
@@ -152,7 +152,7 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 				case OpRing:
 					ringExchange(r, st.bytes)
 				case OpHalo3D:
-					halo3D(r, ranks, st.bytes)
+					nas.HaloExchange3D(r, ranks, st.bytes)
 				}
 			}
 		}
@@ -196,61 +196,4 @@ func ringExchange(r *mpi.Rank, bytes int) {
 	}
 	r.Send((r.ID()+1)%n, bytes)
 	r.Recv((r.ID() - 1 + n) % n)
-}
-
-// halo3D is a face exchange over the most cubic 3-D factorization of the
-// rank count, the stencil-boundary pattern (a local copy of the nas grid
-// helper, which is unexported there).
-func halo3D(r *mpi.Rank, ranks, bytesPerFace int) {
-	px, py, pz := dims3(ranks)
-	size := [3]int{px, py, pz}
-	for dim := 0; dim < 3; dim++ {
-		if size[dim] == 1 {
-			continue
-		}
-		up := neighbor3(r.ID(), dim, +1, px, py, pz)
-		down := neighbor3(r.ID(), dim, -1, px, py, pz)
-		r.Send(up, bytesPerFace)
-		r.Send(down, bytesPerFace)
-		r.Recv(down)
-		r.Recv(up)
-	}
-}
-
-// dims3 factors n into the most cubic px ≥ py ≥ pz grid.
-func dims3(n int) (px, py, pz int) {
-	best := [3]int{n, 1, 1}
-	bestSpread := n
-	for a := 1; a*a*a <= n; a++ {
-		if n%a != 0 {
-			continue
-		}
-		rest := n / a
-		for b := a; b*b <= rest; b++ {
-			if rest%b != 0 {
-				continue
-			}
-			c := rest / b
-			if spread := c - a; spread < bestSpread {
-				bestSpread = spread
-				best = [3]int{c, b, a}
-			}
-		}
-	}
-	return best[0], best[1], best[2]
-}
-
-// neighbor3 returns the periodic neighbor of rank in dimension dim
-// (0=x, 1=y, 2=z) and direction dir (+1/-1) on a px×py×pz grid.
-func neighbor3(rank, dim, dir, px, py, pz int) int {
-	x, y, z := rank%px, rank/px%py, rank/(px*py)
-	switch dim {
-	case 0:
-		x = (x + dir + px) % px
-	case 1:
-		y = (y + dir + py) % py
-	default:
-		z = (z + dir + pz) % pz
-	}
-	return x + px*(y+py*z)
 }
