@@ -218,10 +218,10 @@ type RunConfig struct {
 	// and a nil observer costs nothing (obs_hooks_test pins the nil path
 	// to zero allocations).
 	Observer Observer
-	// ProgCache overrides the compile cache consulted for this run; nil uses the process-wide shared cache. Cached programs
-	// are immutable and content-addressed (kernel IR, compiler flags,
-	// ISA version), so a cache hit returns bit-identical programs to a
-	// fresh compilation.
+	// ProgCache overrides the compile cache consulted for this run; nil
+	// uses the process-wide shared cache. Cached programs are immutable
+	// and content-addressed (kernel IR, compiler flags, ISA version), so
+	// a cache hit returns bit-identical programs to a fresh compilation.
 	ProgCache *progcache.Cache
 	// NoProgCache disables compile memoization for this run (every run
 	// lowers its kernel from scratch).

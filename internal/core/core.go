@@ -399,9 +399,7 @@ func (c *Core) runBatched(st *ExecState, l *isa.Loop, limit uint64) bool {
 		m := &st.memops[i]
 		m.valid = false
 		m.pend = 0
-		for j := range m.res {
-			m.res[j] = 0
-		}
+		clear(m.res)
 	}
 	bulk := st.route != RouteTracked
 	trip0 := st.trip
@@ -586,7 +584,7 @@ func (c *Core) prepLoop(st *ExecState, l *isa.Loop) {
 		st.cursors = st.cursors[:len(l.Body)]
 	}
 	st.memops = st.memops[:0]
-	coalescible := true // every memory op of the loop is
+	coalescible := true // holds while every memory op so far is
 	for i, op := range l.Body {
 		st.cursors[i] = 0
 		if !op.Class.IsMem() {
