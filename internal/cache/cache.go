@@ -349,15 +349,3 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	}
 	return false
 }
-
-// Reset invalidates all lines and clears event counters.
-func (c *Cache) Reset() {
-	for i := range c.slab {
-		c.slab[i] = 0
-	}
-	for i := range c.hint {
-		c.hint[i] = 0
-	}
-	c.initOrder()
-	c.Hits, c.Misses, c.Writebacks = 0, 0, 0
-}

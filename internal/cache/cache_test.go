@@ -117,18 +117,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := smallCache(2, true)
-	c.Access(0x40, true)
-	c.Reset()
-	if c.Hits != 0 || c.Misses != 0 || c.Writebacks != 0 {
-		t.Error("counters not cleared")
-	}
-	if c.Contains(0x40) {
-		t.Error("line survived reset")
-	}
-}
-
 // Property: hits+misses equals the access count, and the number of distinct
 // resident lines never exceeds the capacity in lines.
 func TestAccessCountInvariant(t *testing.T) {
@@ -248,17 +236,6 @@ func TestPrefetcherMultipleConcurrentStreams(t *testing.T) {
 	}
 	if p.Hits == 0 {
 		t.Error("no prefetch-buffer hits on streaming pattern")
-	}
-}
-
-func TestPrefetcherReset(t *testing.T) {
-	p := NewPrefetcher(DefaultPrefetchConfig())
-	p.Access(5, nil)
-	p.Access(6, nil)
-	p.Fill(7)
-	p.Reset()
-	if p.Hits != 0 || p.Misses != 0 || p.Issued != 0 || p.Buffered() != 0 {
-		t.Error("reset did not clear state")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"bgpsim/internal/statehash"
 )
 
 // Property tests for the two shortcuts on the L1-miss path: the stream
@@ -91,7 +93,7 @@ func (r *refDetector) observe(line uint64, staged func(uint64) bool) (want []uin
 	return nil, did
 }
 
-// window renders the reference in StreamDetector.ReadState's layout.
+// window renders the reference in StreamDetector.State's window layout.
 func (r *refDetector) window() []uint64 {
 	n := len(r.e)
 	w := make([]uint64, 0, 4*n+2*((n+7)/8)+4)
@@ -119,10 +121,8 @@ func (r *refDetector) window() []uint64 {
 }
 
 func readDetector(d *StreamDetector) []uint64 {
-	w := make([]uint64, d.StateLen())
-	if n := d.ReadState(w); n != len(w) {
-		panic("ReadState length")
-	}
+	w := make([]uint64, statehash.Len(d))
+	statehash.Read(d, w)
 	return w
 }
 
@@ -215,19 +215,17 @@ func TestDetectorVictimMatchesScan(t *testing.T) {
 				switch {
 				case step%1500 == 1499:
 					// Continue on a detector restored from the window: the
-					// mask is not in it, so WriteState must have rebuilt it
-					// or the next steals diverge from the reference.
+					// mask is not in it, so the restoring walk must have
+					// rebuilt it or the next steals diverge from the reference.
 					fresh := NewStreamDetector(n, maxDelta, 2)
-					fresh.WriteState(got)
+					statehash.Write(fresh, got)
 					if fresh.zeroHits != d.zeroHits {
-						t.Fatalf("n=%d maxDelta=%d step %d: WriteState rebuilt zero-hits mask %#x, want %#x", n, maxDelta, step, fresh.zeroHits, d.zeroHits)
+						t.Fatalf("n=%d maxDelta=%d step %d: restore rebuilt zero-hits mask %#x, want %#x", n, maxDelta, step, fresh.zeroHits, d.zeroHits)
 					}
 					d = fresh
 				case step == steps/2:
-					d.Reset()
-					if d.zeroHits != engineMask(n) {
-						t.Fatalf("n=%d: Reset left zero-hits mask %#x, want %#x", n, d.zeroHits, engineMask(n))
-					}
+					// Start over on a freshly built detector.
+					d = NewStreamDetector(n, maxDelta, 2)
 					ref.e = make([]refEngine, n)
 				}
 			}

@@ -75,8 +75,9 @@ type StreamDetector struct {
 	// are never negative, so its first set bit is the first fewest-hits
 	// engine: the steal that follows nearly every random L1 miss picks its
 	// victim in one instruction, and the engine scan survives only while
-	// every engine has continued a stream. Derived state: rebuilt by Reset
-	// and WriteState, and read back as a count (engines minus popcount).
+	// every engine has continued a stream. Derived state: a restoring State
+	// walk rebuilds it, and the window holds it as a count (engines minus
+	// popcount).
 	zeroHits uint64
 }
 
@@ -261,20 +262,6 @@ func (d *StreamDetector) ahead(last uint64, delta int64, staged func(uint64) boo
 	return dst
 }
 
-// Reset clears every engine.
-func (d *StreamDetector) Reset() {
-	for i := range d.s {
-		d.s[i] = stream{}
-	}
-	for i := range d.lastLow {
-		d.lastLow[i] = 0
-		d.nextKeyLow[i] = 0
-	}
-	d.valid, d.conf = 0, 0
-	d.nconf = 0
-	d.zeroHits = engineMask(d.n)
-}
-
 // PrefetchConfig describes a prefetcher.
 type PrefetchConfig struct {
 	// NumStreams is the number of concurrent stream engines
@@ -391,15 +378,4 @@ func (p *Prefetcher) Buffered() int {
 		}
 	}
 	return n
-}
-
-// Reset clears all streams, the buffer, and the counters.
-func (p *Prefetcher) Reset() {
-	p.det.Reset()
-	for i := range p.buffer {
-		p.buffer[i] = 0
-	}
-	p.next = 0
-	p.mask, p.lazy = 0, 0
-	p.Hits, p.Misses, p.Issued = 0, 0, 0
 }

@@ -92,13 +92,3 @@ func (f *SnoopFilter) Snoop(addr uint64, lineBits uint) bool {
 
 // Invalidated records that a forwarded probe actually hit the L1.
 func (f *SnoopFilter) Invalidated() { f.Invalidates++ }
-
-// Reset clears the tag array and counters.
-func (f *SnoopFilter) Reset() {
-	for i := range f.tags {
-		f.tags[i] = 0
-	}
-	f.next = 0
-	f.mask, f.lazy = 0, 0
-	f.Requests, f.Filtered, f.Invalidates = 0, 0, 0
-}

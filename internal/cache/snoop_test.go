@@ -53,16 +53,6 @@ func TestSnoopFilterTrackIdempotent(t *testing.T) {
 	}
 }
 
-func TestSnoopFilterReset(t *testing.T) {
-	f := NewSnoopFilter(2)
-	f.Track(0x100, 7)
-	f.Snoop(0x100, 7)
-	f.Reset()
-	if f.Requests != 0 || f.Snoop(0x100, 7) {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestSnoopFilterBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

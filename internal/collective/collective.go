@@ -33,9 +33,6 @@ type Iface struct {
 	Bcasts, Reduces, Barriers, Bytes uint64
 }
 
-// Reset clears the counters.
-func (i *Iface) Reset() { *i = Iface{} }
-
 // Network is the collective network of a partition.
 type Network struct {
 	cfg    Config

@@ -67,15 +67,6 @@ func TestLargerPartitionSlowerBroadcast(t *testing.T) {
 	}
 }
 
-func TestResetClearsIface(t *testing.T) {
-	n := New(2, DefaultConfig())
-	n.Barrier([]int{0})
-	n.Iface(0).Reset()
-	if n.Iface(0).Barriers != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
 func TestBadNodeCountPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

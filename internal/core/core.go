@@ -716,13 +716,3 @@ func (c *Core) access(watch []memOp, addr uint64, write bool) uint64 {
 	}
 	return stall
 }
-
-// Reset clears the core's counters and private cache state.
-func (c *Core) Reset() {
-	c.Mix = isa.Mix{}
-	c.Cycles = 0
-	c.EngineRoutes = [NumRoutes]uint64{}
-	c.L1.Reset()
-	c.L2.Reset()
-	c.Snoop.Reset()
-}

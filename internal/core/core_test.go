@@ -257,16 +257,6 @@ func TestWaitUntilAndAdvance(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	c := newTestCore(&fakeLower{})
-	st, _ := Bind(seqProgram("p", 100, 1<<12), 1<<32, 1)
-	c.Exec(st, 0)
-	c.Reset()
-	if c.Cycles != 0 || c.Mix.Total() != 0 || c.L1.Hits != 0 {
-		t.Error("Reset left residual state")
-	}
-}
-
 func TestNilLowerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

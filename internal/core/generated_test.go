@@ -12,6 +12,7 @@ import (
 
 	"bgpsim/internal/isa"
 	"bgpsim/internal/rng"
+	"bgpsim/internal/statehash"
 )
 
 // genRegionSizes spans the engine's region cases: empty, below a line,
@@ -75,7 +76,7 @@ func genProgram(r *rng.Source, name string) *isa.Program {
 // coreWindow flattens the core with the engine-route words zeroed: the
 // routes are the one place the two engines are meant to differ.
 func coreWindow(c *Core, buf []uint64) []uint64 {
-	buf = buf[:c.ReadState(buf[:c.StateLen()])]
+	buf = buf[:statehash.Read(c, buf)]
 	clear(buf[1+int(isa.NumClasses):][:NumRoutes])
 	return buf
 }
@@ -98,7 +99,7 @@ func TestBatchedMatchesInterpreterOnGeneratedLoops(t *testing.T) {
 				lowB, lowI := &fakeLower{readLatency: 100}, &fakeLower{readLatency: 100}
 				cb, ci := New(0, DefaultParams(), lowB), New(0, interpParams, lowI)
 				if bufB == nil {
-					bufB, bufI = make([]uint64, cb.StateLen()), make([]uint64, ci.StateLen())
+					bufB, bufI = make([]uint64, statehash.Len(cb)), make([]uint64, statehash.Len(ci))
 				}
 				sb, err := BindShard(prog, 1<<32, uint64(pi), shard, nshards)
 				if err != nil {
@@ -136,7 +137,7 @@ func TestBatchedMatchesInterpreterOnGeneratedLoops(t *testing.T) {
 					wb, wi := coreWindow(cb, bufB), coreWindow(ci, bufI)
 					for k := range wb {
 						if wb[k] != wi[k] {
-							t.Fatalf("%s: ReadState word %d: batched %#x, interpreter %#x", where(cut), k, wb[k], wi[k])
+							t.Fatalf("%s: state word %d: batched %#x, interpreter %#x", where(cut), k, wb[k], wi[k])
 						}
 					}
 					if doneB {

@@ -195,10 +195,3 @@ func (m *Machine) Place(rank int) (nodeID, coreID int) {
 	coreID = m.mode.CoreForSlot(rank % rpn)
 	return
 }
-
-// Reset clears every node, network interface and counter in the partition.
-func (m *Machine) Reset() {
-	for _, n := range m.Nodes {
-		n.Reset()
-	}
-}

@@ -130,15 +130,6 @@ func TestL3BootOption(t *testing.T) {
 	}
 }
 
-func TestResetClearsNodes(t *testing.T) {
-	m := New(2, SMP1, DefaultParams())
-	m.Nodes[0].DMATransfer(1024, true)
-	m.Reset()
-	if m.Nodes[0].DDRTrafficLines() != 0 {
-		t.Error("reset did not clear node counters")
-	}
-}
-
 func TestBadNodeCountPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -109,8 +109,3 @@ func (c *Controller) latency(activeCores int) uint64 {
 func (c *Controller) TrafficBytes() uint64 {
 	return (c.ReadLines + c.WriteLines) * LineBytes
 }
-
-// Reset clears the traffic counters.
-func (c *Controller) Reset() {
-	c.ReadLines, c.WriteLines = 0, 0
-}

@@ -54,16 +54,6 @@ func TestDMALines(t *testing.T) {
 	}
 }
 
-func TestResetClearsCounters(t *testing.T) {
-	c := NewController(0, DefaultConfig())
-	c.ReadLine(1)
-	c.WriteLine(1)
-	c.Reset()
-	if c.ReadLines != 0 || c.WriteLines != 0 || c.TrafficBytes() != 0 {
-		t.Error("Reset did not clear counters")
-	}
-}
-
 func TestZeroLatencyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -92,7 +92,7 @@ func missPathBody(p *isa.Program) func(*Rank) {
 
 // TestMachineStateGolden pins the whole flattened machine — every cache tag,
 // recency word, dirty bit, detector engine, prefetch buffer and counter of
-// every node (node.ReadState) — after workloads that live on the L1-miss
+// every node (its state window) — after workloads that live on the L1-miss
 // path, as one digest per workload and operating mode. Counter-dump equality
 // cannot see a recency word move (PR 19 found sixteen that did, with no dump
 // byte changed); this can. The golden file records the model, not an engine:

@@ -11,6 +11,7 @@ import (
 	"bgpsim/internal/epochmemo"
 	"bgpsim/internal/isa"
 	"bgpsim/internal/machine"
+	"bgpsim/internal/statehash"
 )
 
 // The epoch memo's contract is byte-exactness: a run that replays cached
@@ -43,8 +44,8 @@ func machineState(j *Job) []uint64 {
 	var out []uint64
 	for _, id := range j.NodeIDs() {
 		n := j.Machine().Nodes[id]
-		w := make([]uint64, n.StateLen())
-		n.ReadState(w)
+		w := make([]uint64, statehash.Len(n))
+		statehash.Read(n, w)
 		out = append(out, w...)
 	}
 	return out

@@ -17,6 +17,7 @@ import (
 	"bgpsim/internal/core"
 	"bgpsim/internal/isa"
 	"bgpsim/internal/memory"
+	"bgpsim/internal/statehash"
 	"bgpsim/internal/torus"
 	"bgpsim/internal/upc"
 )
@@ -94,6 +95,9 @@ type Node struct {
 
 	active  [NumCores]bool
 	nactive int
+
+	// coreLen is one core's state-window length: WriteClocks steps by it.
+	coreLen int
 }
 
 // New creates a node. The torus and collective interfaces must be attached
@@ -132,6 +136,7 @@ func New(id int, params Params, tor *torus.Iface, col *collective.Iface) *Node {
 	for c := 0; c < NumCores; c++ {
 		n.Cores[c] = core.New(c, params.Core, n)
 	}
+	n.coreLen = statehash.Len(n.Cores[0])
 	n.UPC = upc.New(n.buildSignals())
 	return n
 }
@@ -361,25 +366,4 @@ func (n *Node) NodeMix() isa.Mix {
 		m.Merge(&c.Mix)
 	}
 	return m
-}
-
-// Reset clears all cores, caches, controllers and network counters.
-func (n *Node) Reset() {
-	for _, c := range n.Cores {
-		c.Reset()
-	}
-	for _, l3 := range n.L3 {
-		if l3 != nil {
-			l3.Reset()
-		}
-	}
-	for _, d := range n.DDR {
-		d.Reset()
-	}
-	n.Torus.Reset()
-	n.Collective.Reset()
-	if n.l3pf != nil {
-		n.l3pf.Reset()
-	}
-	n.L3PrefetchIssued = 0
 }

@@ -209,16 +209,6 @@ func TestUPCZeroL3SignalsReadZero(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	n := newTestNode(8 << 20)
-	runStream(n, 0, 1<<18, 1<<14)
-	n.Reset()
-	mix := n.NodeMix()
-	if n.DDRTrafficLines() != 0 || mix.Total() != 0 {
-		t.Error("reset left residual counters")
-	}
-}
-
 func TestWriteLineAllocatesInL3(t *testing.T) {
 	n := newTestNode(8 << 20)
 	// A dirty L1 victim landing in L3 should hit on re-read.

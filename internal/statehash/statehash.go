@@ -1,15 +1,17 @@
-// Package statehash is a fast, non-cryptographic 128-bit digest over
-// uint64 word streams. The epoch memo (internal/mpi) fingerprints the
-// flattened simulated-machine state — megabytes of cache slab words — at
-// every epoch boundary, so the hasher must move at memory speed; the
-// resulting digest is then folded into a sha256-based content address
-// together with the (tiny) configuration and history material, so the
+// Package statehash is the epoch memo's state capture: the Walk through
+// which every stateful component of the simulated machine lists its mutable
+// fields once — one State method serving Len, Read and Write over a flat
+// []uint64 state window — and a fast, non-cryptographic 128-bit digest over
+// such windows. The epoch memo (internal/mpi) flattens and fingerprints the
+// whole machine — megabytes of cache slab words — at epoch boundaries, so
+// both must move at memory speed; the digest only has to tell one run's
+// state from another's at the same cut of the same run identity, so the
 // collision budget of a 128-bit mix over structured state is ample.
 //
-// The construction is two independent multiply-xor lanes (wyhash-style
-// stepping) over alternating words, finalized with an avalanche mix. It is
-// a pure function of the word sequence: identical state flattens to
-// identical digests on every host, which is all content addressing needs.
+// The digest is two independent multiply-xor lanes (wyhash-style stepping)
+// over alternating words, finalized with an avalanche mix. It is a pure
+// function of the word sequence: identical state flattens to identical
+// digests on every host.
 package statehash
 
 // Digest is a 128-bit state fingerprint.

@@ -66,3 +66,54 @@ func TestResetAndIncremental(t *testing.T) {
 		t.Fatal("Reset did not restore the initial state")
 	}
 }
+
+// part is a component with one field of every walked kind.
+type part struct {
+	u   uint64
+	ws  []uint64
+	i   int
+	i64 int64
+	i32 int32
+	// sum is derived from ws; a restoring walk rebuilds it.
+	sum uint64
+}
+
+func (p *part) State(w *Walk) {
+	w.U64(&p.u)
+	w.Words(p.ws)
+	w.Int(&p.i)
+	w.I64(&p.i64)
+	w.I32(&p.i32)
+	if w.Restoring() {
+		p.sum = p.ws[0] + p.ws[1]
+	}
+}
+
+// TestWalkRoundTrip pins the three passes of one field list: Len counts
+// what Read writes, negative integers survive the round trip, and Write
+// restores every field and nothing beyond the window.
+func TestWalkRoundTrip(t *testing.T) {
+	src := &part{u: 7, ws: []uint64{1, 2}, i: -3, i64: -4, i32: -5}
+	n := Len(src)
+	if n != 6 {
+		t.Fatalf("Len = %d, want 6", n)
+	}
+	win := make([]uint64, n+1)
+	win[n] = 99
+	if got := Read(src, win); got != n || win[n] != 99 {
+		t.Fatalf("Read wrote %d words (sentinel %d), want %d", got, win[n], n)
+	}
+	if win[5] != uint64(uint32(0xfffffffb)) {
+		t.Errorf("int32 -5 walked as %#x, want it zero-extended", win[5])
+	}
+	dst := &part{ws: make([]uint64, 2)}
+	if got := Write(dst, win); got != n {
+		t.Fatalf("Write consumed %d words, want %d", got, n)
+	}
+	want := *src
+	want.sum = 3
+	if dst.u != want.u || dst.ws[0] != 1 || dst.ws[1] != 2 || dst.i != want.i ||
+		dst.i64 != want.i64 || dst.i32 != want.i32 || dst.sum != want.sum {
+		t.Errorf("restored %+v, want %+v", *dst, want)
+	}
+}

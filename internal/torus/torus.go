@@ -38,11 +38,6 @@ type Iface struct {
 	Hops uint64
 }
 
-// Reset clears the interface counters.
-func (i *Iface) Reset() {
-	*i = Iface{}
-}
-
 // Network is a wrapped 3-D mesh of the given dimensions.
 type Network struct {
 	dims   [3]int

@@ -128,12 +128,3 @@ func TestBadDimsPanics(t *testing.T) {
 	}()
 	New(0, 1, 1, DefaultConfig())
 }
-
-func TestIfaceReset(t *testing.T) {
-	n := New(2, 1, 1, DefaultConfig())
-	n.Transfer(0, 1, 100, 1)
-	n.Iface(0).Reset()
-	if n.Iface(0).SendBytes != 0 {
-		t.Error("reset did not clear counters")
-	}
-}
