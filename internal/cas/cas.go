@@ -1,5 +1,5 @@
 // Package cas is the simulator's one content-addressed store: a cost-bounded
-// LRU with build-once-per-key deduplication and optional integrity checking.
+// LRU with build-once-per-key deduplication.
 // The compile cache (internal/progcache), the epoch memo (internal/epochmemo)
 // and the daemon's in-flight result tier (internal/server) are all
 // instantiations of Store; each of them owns only its key derivation and its
@@ -32,9 +32,6 @@ type Stats struct {
 	Dropped uint64
 	// Evictions counts entries dropped by the cost budget.
 	Evictions uint64
-	// Corrupt counts lookups whose entry failed its checksum; each is also
-	// counted as a miss and evicts the entry.
-	Corrupt uint64
 	// Cost is the current resident cost.
 	Cost int64
 	// Entries is the current entry count, in-flight builds included.
@@ -45,15 +42,13 @@ type Stats struct {
 // ready is closed at that moment, and waiters block on it outside the store
 // lock so a slow build never serializes unrelated lookups.
 type entry[K comparable, V any] struct {
-	key    K
-	elem   *list.Element
-	cost   int64
-	done   bool
-	ready  chan struct{} // nil for Put entries, which are born done
-	val    V
-	err    error
-	sum    uint64
-	hasSum bool
+	key   K
+	elem  *list.Element
+	cost  int64
+	done  bool
+	ready chan struct{} // nil for Put entries, which are born done
+	val   V
+	err   error
 }
 
 // Store is a cost-bounded LRU of immutable values, safe for concurrent use.
@@ -63,33 +58,25 @@ type Store[K comparable, V any] struct {
 	cost    int64
 	entries map[K]*entry[K, V]
 	order   *list.List // front = most recently used; values are *entry[K, V]
-	sum     func(V) (uint64, bool)
 	stats   Stats
 }
 
 // New creates a store holding at most budget total cost; budget < 1 means
-// unbounded. sum, when non-nil, gives stored values end-to-end integrity: the
-// checksum it reports for a value (ok = the value carries one) is snapshotted
-// when the value is stored and re-derived on every hit, and a mismatch — bit
-// rot, a mutation of a supposedly immutable entry — evicts the entry and
-// reads as a miss, so a damaged entry can cost time but never a wrong answer.
-func New[K comparable, V any](budget int64, sum func(V) (uint64, bool)) *Store[K, V] {
+// unbounded.
+func New[K comparable, V any](budget int64) *Store[K, V] {
 	return &Store[K, V]{
 		budget:  budget,
 		entries: make(map[K]*entry[K, V]),
 		order:   list.New(),
-		sum:     sum,
 	}
 }
 
 // Get returns the value stored under k, or V's zero value. A found entry is
-// marked most recently used; an entry failing its checksum is evicted and
-// reads as a miss (Stats().Corrupt counts it), so the caller rebuilds: a
-// damaged entry is just a miss. A build still in flight reads as a miss.
+// marked most recently used. A build still in flight reads as a miss.
 func (s *Store[K, V]) Get(k K) (val V) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.probeLocked(k)
+	e := s.entries[k]
 	if e == nil || !e.done {
 		s.stats.Misses++
 		return val
@@ -115,11 +102,7 @@ func (s *Store[K, V]) Put(k K, val V, cost int64) bool {
 		s.stats.Dropped++
 		return false
 	}
-	e := &entry[K, V]{key: k, cost: cost, done: true, val: val}
-	if s.sum != nil {
-		e.sum, e.hasSum = s.sum(val)
-	}
-	s.insertLocked(e)
+	s.insertLocked(&entry[K, V]{key: k, cost: cost, done: true, val: val})
 	s.stats.Stores++
 	return true
 }
@@ -134,7 +117,7 @@ func (s *Store[K, V]) Put(k K, val V, cost int64) bool {
 // immutable.
 func (s *Store[K, V]) Do(ctx context.Context, k K, cost int64, build func() (V, error)) (val V, hit bool, err error) {
 	s.mu.Lock()
-	if e := s.probeLocked(k); e != nil {
+	if e := s.entries[k]; e != nil {
 		s.stats.Hits++
 		s.order.MoveToFront(e.elem)
 		done := e.done
@@ -159,8 +142,6 @@ func (s *Store[K, V]) Do(ctx context.Context, k K, cost int64, build func() (V, 
 	e.val, e.err, e.done = val, err, true
 	if err != nil {
 		s.removeLocked(e)
-	} else if s.sum != nil {
-		e.sum, e.hasSum = s.sum(val)
 	}
 	s.mu.Unlock()
 	close(e.ready)
@@ -208,23 +189,6 @@ func (s *Store[K, V]) Stats() Stats {
 	st.Cost = s.cost
 	st.Entries = len(s.entries)
 	return st
-}
-
-// probeLocked returns the entry under k, or nil. A completed entry carrying a
-// checksum is verified first; a mismatch evicts it and counts it corrupt.
-func (s *Store[K, V]) probeLocked(k K) *entry[K, V] {
-	e, ok := s.entries[k]
-	if !ok {
-		return nil
-	}
-	if e.done && e.hasSum {
-		if sum, ok := s.sum(e.val); !ok || sum != e.sum {
-			s.removeLocked(e)
-			s.stats.Corrupt++
-			return nil
-		}
-	}
-	return e
 }
 
 // insertLocked links e as the most recently used entry, charges its cost and

@@ -10,27 +10,6 @@ import (
 	"testing"
 )
 
-// summed is a mutable checksummed value: damage after storing is detectable.
-type summed struct{ words []uint64 }
-
-func (s *summed) checksum() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range s.words {
-		h ^= w
-		h *= 0xff51afd7ed558ccd
-	}
-	return h
-}
-
-// sumOf is the store's checksum hook: only *summed values carry one.
-func sumOf(v any) (uint64, bool) {
-	s, ok := v.(*summed)
-	if !ok {
-		return 0, false
-	}
-	return s.checksum(), true
-}
-
 var bg = context.Background()
 
 // build returns a Do builder yielding v and counting its invocations.
@@ -48,7 +27,7 @@ func TestStoreContract(t *testing.T) {
 	}{
 		// Get, put and hit/miss/store counters.
 		{"get-put-counters", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			if v := s.Get("a"); v != nil {
 				t.Fatal("hit on an empty store")
 			}
@@ -62,7 +41,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Count bound: unit cost evicts the least recently used build.
 		{"count-bound", func(t *testing.T) {
-			s := New[string, any](2, nil)
+			s := New[string, any](2)
 			builds := 0
 			get := func(k string) {
 				t.Helper()
@@ -96,7 +75,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Byte bound: payload cost evicts the least recently used entry.
 		{"byte-bound", func(t *testing.T) {
-			s := New[string, any](30, nil)
+			s := New[string, any](30)
 			s.Put("1", 1, 10)
 			s.Put("2", 2, 10)
 			s.Put("3", 3, 10)
@@ -114,7 +93,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Budget below one is unbounded.
 		{"unbounded", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			n := 0
 			for i := 0; i < 100; i++ {
 				if _, _, err := s.Do(bg, fmt.Sprint(i), 1, build(nil, &n)); err != nil {
@@ -127,7 +106,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Oversized put is dropped, residents stay.
 		{"oversized-put-dropped", func(t *testing.T) {
-			s := New[string, any](10, nil)
+			s := New[string, any](10)
 			s.Put("small", 1, 5)
 			if s.Put("huge", 2, 100) || s.Get("huge") != nil {
 				t.Fatal("oversized entry stored")
@@ -138,7 +117,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// First put wins.
 		{"first-put-wins", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			s.Put("k", "first", 8)
 			if s.Put("k", "second", 8) {
 				t.Fatal("duplicate Put accepted")
@@ -152,7 +131,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Set budget evicts down to the bound, growing evicts nothing.
 		{"set-budget", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			for _, k := range []string{"1", "2", "3", "4"} {
 				s.Put(k, k, 10)
 			}
@@ -174,7 +153,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Failed build is not stored and the next lookup retries.
 		{"failed-build-retried", func(t *testing.T) {
-			s := New[string, any](4, nil)
+			s := New[string, any](4)
 			boom := errors.New("boom")
 			calls := 0
 			fail := func() (any, error) { calls++; return nil, boom }
@@ -193,7 +172,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Concurrent builds of one key run once, other keys are not blocked.
 		{"concurrent-build-once", func(t *testing.T) {
-			s := New[string, any](8, nil)
+			s := New[string, any](8)
 			var builds atomic.Int64
 			started, release := make(chan struct{}), make(chan struct{})
 			slow := func() (any, error) {
@@ -229,7 +208,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// A waiter gives up with its own context and still counts as a hit.
 		{"waiter-context", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			started, release := make(chan struct{}), make(chan struct{})
 			done := make(chan struct{})
 			go func() {
@@ -250,7 +229,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// In-flight entry is never evicted.
 		{"in-flight-not-evicted", func(t *testing.T) {
-			s := New[string, any](1, nil)
+			s := New[string, any](1)
 			started, release := make(chan struct{}), make(chan struct{})
 			done := make(chan struct{})
 			go func() {
@@ -276,7 +255,7 @@ func TestStoreContract(t *testing.T) {
 		}},
 		// Delete drops an entry so the next lookup rebuilds.
 		{"delete", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			n := 0
 			s.Do(bg, "k", 1, build("v", &n))
 			s.Delete("k")
@@ -288,52 +267,9 @@ func TestStoreContract(t *testing.T) {
 				t.Errorf("lookup after Delete: hit=%t builds=%d", hit, n)
 			}
 		}},
-		// Checksum mismatch evicts, counts and reads as a miss.
-		{"checksum-mismatch", func(t *testing.T) {
-			s := New[string, any](0, sumOf)
-			rec := &summed{words: []uint64{1, 2, 3}}
-			s.Put("k", rec, 24)
-			if v := s.Get("k"); v != rec || s.Stats().Corrupt != 0 {
-				t.Fatalf("intact entry: val %v, stats %+v", v, s.Stats())
-			}
-			rec.words[1] ^= 1 // bit rot
-			if v := s.Get("k"); v != nil {
-				t.Fatalf("tampered entry: val %v — a damaged entry must read as a miss", v)
-			}
-			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.Hits != 1 || st.Cost != 0 || st.Entries != 0 {
-				t.Fatalf("stats %+v", st)
-			}
-			// The key is free again: a replacement is served normally, and a
-			// built entry is verified the same way a Put one is.
-			fresh := &summed{words: []uint64{1, 2, 3}}
-			if !s.Put("k", fresh, 24) {
-				t.Fatal("re-Put after corruption eviction rejected")
-			}
-			if v := s.Get("k"); v != fresh || s.Stats().Corrupt != 1 {
-				t.Fatalf("replacement entry: val %v, stats %+v", v, s.Stats())
-			}
-			n := 0
-			built := &summed{words: []uint64{7}}
-			s.Do(bg, "b", 8, build(built, &n))
-			built.words[0]++
-			if _, hit, _ := s.Do(bg, "b", 8, build(built, &n)); hit || n != 2 {
-				t.Errorf("tampered built entry: hit=%t builds=%d, want a rebuild", hit, n)
-			}
-		}},
-		// Values without a checksum stay unchecked.
-		{"unchecked-values", func(t *testing.T) {
-			s := New[string, any](0, sumOf)
-			s.Put("k", "plain", 8)
-			if v := s.Get("k"); v != "plain" {
-				t.Fatalf("unchecksummed entry: val %v", v)
-			}
-			if st := s.Stats(); st.Corrupt != 0 {
-				t.Fatalf("stats %+v", st)
-			}
-		}},
 		// Keys lists every entry and bypasses stats.
 		{"keys-bypass-stats", func(t *testing.T) {
-			s := New[string, any](0, nil)
+			s := New[string, any](0)
 			s.Put("1", "a", 1)
 			s.Put("2", "b", 1)
 			keys := s.Keys()

@@ -35,20 +35,6 @@ import (
 // Key is the 256-bit store key of one run identity.
 type Key [32]byte
 
-// Checksummer lets a cached record carry end-to-end integrity: Put snapshots
-// the record's checksum and Get recomputes and compares it before returning
-// the record. A mismatch — bit rot, an accidental mutation of a supposedly
-// immutable entry, a buggy recorder — evicts the entry and reads as a miss
-// (counted in Stats().Corrupt), so a damaged record can cost time but never a
-// wrong answer. Records that don't implement the interface are cached
-// unchecked: the MPI memo's chains verify themselves epoch by epoch as they
-// replay, outside the store's lock.
-type Checksummer interface {
-	// Checksum folds the record's observable content into one word; it
-	// must be deterministic and must cover every field replay consumes.
-	Checksum() uint64
-}
-
 // DefaultBudget bounds the process-wide default cache: enough for the
 // chains of the figure suite's rerun identities at quick scale with
 // headroom. It is not small next to the simulated machines (a quick-scale
@@ -66,10 +52,11 @@ const SeenCost = 256
 type seenMark struct{}
 
 // Cache is a byte-bounded LRU of immutable per-identity records and
-// run-marks, safe for concurrent use. Records implementing Checksummer are
-// verified on every hit. The embedded store's Stats count marks like any
-// other entry: Entries and Cost cover both, Hits includes probes that found
-// a mark.
+// run-marks, safe for concurrent use. The store keeps records as they are
+// handed to it: the MPI memo's chains verify themselves epoch by epoch as
+// they replay, outside the store's lock. The embedded store's Stats count
+// marks like any other entry: Entries and Cost cover both, Hits includes
+// probes that found a mark.
 type Cache struct {
 	*cas.Store[Key, any]
 }
@@ -77,13 +64,7 @@ type Cache struct {
 // New creates a cache holding at most budget payload bytes; budget < 1
 // means unbounded.
 func New(budget int64) *Cache {
-	return &Cache{cas.New[Key, any](budget, func(v any) (uint64, bool) {
-		cs, ok := v.(Checksummer)
-		if !ok {
-			return 0, false
-		}
-		return cs.Checksum(), true
-	})}
+	return &Cache{cas.New[Key, any](budget)}
 }
 
 // Admit looks a run identity up and leaves its mark when it has never been

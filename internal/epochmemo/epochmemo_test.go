@@ -68,58 +68,6 @@ func TestOversizedDropped(t *testing.T) {
 	}
 }
 
-// summed is a mutable checksummed record: damage after Put is detectable.
-type summed struct{ words []uint64 }
-
-func (s *summed) Checksum() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range s.words {
-		h ^= w
-		h *= 0xff51afd7ed558ccd
-	}
-	return h
-}
-
-func TestChecksumDetectsTamperedEntry(t *testing.T) {
-	c := New(0)
-	rec := &summed{words: []uint64{1, 2, 3}}
-	c.Put(key(1), rec, 24)
-	if v := c.Get(key(1)); v != rec || c.Stats().Corrupt != 0 {
-		t.Fatalf("intact entry: val %v, stats %+v", v, c.Stats())
-	}
-
-	rec.words[1] ^= 1 // bit rot
-	if v := c.Get(key(1)); v != nil {
-		t.Fatalf("tampered entry: val %v — a damaged record must read as a miss", v)
-	}
-	if c.Stats().Entries != 0 {
-		t.Fatal("tampered entry not evicted")
-	}
-	s := c.Stats()
-	if s.Corrupt != 1 || s.Misses != 1 || s.Hits != 1 || s.Cost != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-	// The key is free again: a re-recorded replacement is served normally.
-	fresh := &summed{words: []uint64{1, 2, 3}}
-	if !c.Put(key(1), fresh, 24) {
-		t.Fatal("re-Put after corruption eviction rejected")
-	}
-	if v := c.Get(key(1)); v != fresh || c.Stats().Corrupt != 1 {
-		t.Fatalf("re-recorded entry: val %v, stats %+v", v, c.Stats())
-	}
-}
-
-func TestUncheckedValuesStayUnchecked(t *testing.T) {
-	c := New(0)
-	c.Put(key(1), "plain", 8)
-	if v := c.Get(key(1)); v != "plain" {
-		t.Fatalf("unchecksummed entry: val %v", v)
-	}
-	if s := c.Stats(); s.Corrupt != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
 func TestSetBudgetEvictsDownToBound(t *testing.T) {
 	c := New(0)
 	for b := byte(1); b <= 4; b++ {

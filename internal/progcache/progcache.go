@@ -57,7 +57,7 @@ type Cache = cas.Store[string, map[string]*isa.Program]
 // New creates a cache holding at most capacity builds; capacity < 1 means
 // unbounded.
 func New(capacity int) *Cache {
-	return cas.New[string, map[string]*isa.Program](int64(capacity), nil)
+	return cas.New[string, map[string]*isa.Program](int64(capacity))
 }
 
 var (

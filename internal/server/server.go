@@ -278,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 		auditCh:  make(chan auditTask, auditQueueDepth),
 		jobs:     make(map[string]*job),
 		tenants:  make(map[string]int),
-		flights:  cas.New[string, *bgp.Result](0, nil),
+		flights:  cas.New[string, *bgp.Result](0),
 
 		jobsSubmitted:    reg.Counter(MetricJobsSubmitted),
 		jobsDeduped:      reg.Counter(MetricJobsDeduped),
