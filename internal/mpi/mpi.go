@@ -113,8 +113,7 @@ type Rank struct {
 	inRecv   bool
 	collWait *collState
 
-	bound     map[*isa.Program]*core.ExecState
-	shards    map[*isa.Program][]*core.ExecState
+	bound     map[*isa.Program][]*core.ExecState // one state per thread, see states
 	groupBase map[string]uint64
 	groupSize map[string]uint64
 
@@ -156,8 +155,7 @@ func NewJob(m *machine.Machine, nranks int) (*Job, error) {
 			commBuf:   base,
 			brk:       base + commBufBytes,
 			mailbox:   make(map[int][]message),
-			bound:     make(map[*isa.Program]*core.ExecState),
-			shards:    make(map[*isa.Program][]*core.ExecState),
+			bound:     make(map[*isa.Program][]*core.ExecState),
 			groupBase: make(map[string]uint64),
 			groupSize: make(map[string]uint64),
 		}

@@ -39,18 +39,17 @@ func (r *Rank) Exec(p *isa.Program) {
 }
 
 func (r *Rank) exec(p *isa.Program) {
-	threads := r.job.m.Mode().ThreadsPerRank()
-	if threads > 1 {
-		r.execThreaded(p, threads)
+	states := r.states(p)
+	if states[0].Done() {
+		for _, st := range states {
+			st.Rewind()
+		}
+	}
+	if len(states) > 1 {
+		r.execThreaded(states)
 		return
 	}
-	st, ok := r.bound[p]
-	if !ok {
-		st = r.bindShard(p, 0, 1)
-		r.bound[p] = st
-	} else if st.Done() {
-		st.Rewind()
-	}
+	st := states[0]
 	for {
 		if r.fastForwardable() {
 			// Sole runnable rank of the job — the usual straggler tail of
@@ -74,6 +73,21 @@ func (r *Rank) exec(p *isa.Program) {
 	}
 }
 
+// states returns the rank's execution states of p, one per thread of the
+// operating mode in shard order, binding them on the rank's first use of p.
+func (r *Rank) states(p *isa.Program) []*core.ExecState {
+	states, ok := r.bound[p]
+	if !ok {
+		threads := r.job.m.Mode().ThreadsPerRank()
+		states = make([]*core.ExecState, threads)
+		for t := range states {
+			states[t] = r.bindShard(p, t, threads)
+		}
+		r.bound[p] = states
+	}
+	return states
+}
+
 // bindShard resolves the program group's base address and binds one shard.
 func (r *Rank) bindShard(p *isa.Program, shard, nshards int) *core.ExecState {
 	base, haveBase := r.groupBase[p.Group]
@@ -95,20 +109,10 @@ func (r *Rank) bindShard(p *isa.Program, shard, nshards int) *core.ExecState {
 	return st
 }
 
-// execThreaded runs one parallel region across the rank's core set.
-func (r *Rank) execThreaded(p *isa.Program, threads int) {
-	states, ok := r.shards[p]
-	if !ok {
-		states = make([]*core.ExecState, threads)
-		for t := 0; t < threads; t++ {
-			states[t] = r.bindShard(p, t, threads)
-		}
-		r.shards[p] = states
-	} else if states[0].Done() {
-		for _, st := range states {
-			st.Rewind()
-		}
-	}
+// execThreaded runs one parallel region across the rank's core set, one
+// state per thread.
+func (r *Rank) execThreaded(states []*core.ExecState) {
+	threads := len(states)
 
 	// Fork: the worker cores start at the master's clock.
 	r.cr.AdvanceCycles(ForkJoinOverhead)
@@ -396,31 +400,25 @@ func (r *Rank) doCollective(op collOp, bytes, root int) {
 }
 
 func (r *Rank) completeCollective(cs *collState) {
+	if cs.op == opAlltoall {
+		r.completeAlltoall(cs)
+		return
+	}
 	j := r.job
+	var lat uint64
 	switch cs.op {
 	case opBarrier:
-		lat := j.m.Collective.Barrier(j.nodeIDs)
-		for i := range cs.releases {
-			cs.releases[i] = cs.maxClock + lat
-		}
+		lat = j.m.Collective.Barrier(j.nodeIDs)
 	case opBcast:
-		lat := j.m.Collective.Broadcast(j.nodeIDs, cs.bytes)
-		for i := range cs.releases {
-			cs.releases[i] = cs.maxClock + lat
-		}
+		lat = j.m.Collective.Broadcast(j.nodeIDs, cs.bytes)
 	case opReduce:
-		lat := j.m.Collective.Reduce(j.nodeIDs, cs.bytes)
-		for i := range cs.releases {
-			cs.releases[i] = cs.maxClock + lat
-		}
+		lat = j.m.Collective.Reduce(j.nodeIDs, cs.bytes)
 	case opAllreduce:
-		lat := j.m.Collective.Reduce(j.nodeIDs, cs.bytes) +
+		lat = j.m.Collective.Reduce(j.nodeIDs, cs.bytes) +
 			j.m.Collective.Broadcast(j.nodeIDs, cs.bytes)
-		for i := range cs.releases {
-			cs.releases[i] = cs.maxClock + lat
-		}
-	case opAlltoall:
-		r.completeAlltoall(cs)
+	}
+	for i := range cs.releases {
+		cs.releases[i] = cs.maxClock + lat
 	}
 }
 
