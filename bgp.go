@@ -333,7 +333,26 @@ const (
 	// §IX studies stop at 8). Every locked-stream miss walks the depth, and
 	// a core allocates its proposal buffer by it.
 	MaxPrefetchDepth = 64
+	// MaxPartitionL3Bytes bounds PartitionL3Bytes: what bgpd's largest
+	// partition, 1024 SMP/1 nodes, books at the production 8 MB. Booting
+	// costs the host about a sixteenth of the simulated L3 (every set is
+	// initialized), and a run that records an epoch memo twice that.
+	MaxPartitionL3Bytes = 8 << 30
 )
+
+// PartitionL3Bytes is the simulated L3 a partition of nodes books under
+// cfg: nodes × the per-node L3, which is the production 8 MB when
+// cfg.L3Bytes is 0 and none when it is negative.
+func PartitionL3Bytes(cfg RunConfig, nodes int) int64 {
+	perNode := cfg.L3Bytes
+	switch {
+	case perNode == 0:
+		perNode = node.DefaultParams().L3Bytes
+	case perNode < 0:
+		perNode = 0
+	}
+	return int64(nodes) * int64(perNode)
+}
 
 // Run executes one instrumented benchmark run end to end.
 func Run(cfg RunConfig) (*Result, error) {
@@ -401,6 +420,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	if nodes == 0 {
 		rpn := cfg.Mode.RanksPerNode()
 		nodes = (app.Ranks + rpn - 1) / rpn
+	}
+	if l3 := PartitionL3Bytes(cfg, nodes); l3 > MaxPartitionL3Bytes {
+		return nil, fmt.Errorf("bgp: the partition's L3, Nodes × L3Bytes = %d bytes over %d nodes, is above the %d-byte maximum", l3, nodes, MaxPartitionL3Bytes)
 	}
 	m := machine.New(nodes, cfg.Mode, params)
 

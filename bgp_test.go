@@ -88,11 +88,16 @@ func TestRunL3Override(t *testing.T) {
 // no geometry (it used to panic booting the node), and an unbounded L3 size
 // or prefetch depth used to reach an allocation sized by it (a depth of
 // 1<<40 is a fatal out-of-memory throw no recover sees). Run names the field
-// and the bound instead, and each bound itself boots and runs.
+// and the bound instead, and each per-node bound itself boots and runs. The
+// partition bound is only probed one node over it, at 64 MB and at the
+// default 8 MB per node: a partition at it books gigabytes of host memory.
 func TestRunRejectsSubLineL3(t *testing.T) {
 	l3 := func(c *RunConfig, v int) { c.L3Bytes = v }
 	l2pf := func(c *RunConfig, v int) { c.L2PrefetchDepth = v }
 	l3pf := func(c *RunConfig, v int) { c.L3PrefetchDepth = v }
+	nodesAt := func(l3Bytes int) func(*RunConfig, int) {
+		return func(c *RunConfig, v int) { c.Nodes, c.L3Bytes = v, l3Bytes }
+	}
 	for _, tc := range []struct {
 		field string
 		set   func(*RunConfig, int)
@@ -111,6 +116,8 @@ func TestRunRejectsSubLineL3(t *testing.T) {
 		{"L3PrefetchDepth", l3pf, MaxPrefetchDepth, ""},
 		{"L3PrefetchDepth", l3pf, MaxPrefetchDepth + 1, "maximum of 64"},
 		{"L3PrefetchDepth", l3pf, 1 << 40, "maximum of 64"},
+		{"Nodes × L3Bytes", nodesAt(MaxL3Bytes), MaxPartitionL3Bytes/MaxL3Bytes + 1, "8589934592-byte maximum"},
+		{"Nodes × L3Bytes", nodesAt(0), MaxPartitionL3Bytes/(8<<20) + 1, "8589934592-byte maximum"},
 	} {
 		cfg := RunConfig{Benchmark: "ep", Class: ClassS, Ranks: 4, Mode: VNM}
 		tc.set(&cfg, tc.value)

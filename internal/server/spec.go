@@ -162,6 +162,16 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	case rs.L3PrefetchDepth > bgp.MaxPrefetchDepth:
 		return cfg, specErrf("l3_prefetch_depth: %d is above the maximum of %d", rs.L3PrefetchDepth, bgp.MaxPrefetchDepth)
 	}
+	// Run counts the nodes from the ranks the workload really uses, never
+	// more than those requested, so this bound is never looser than Run's.
+	nodes := rs.Nodes
+	if nodes == 0 {
+		rpn := cfg.Mode.RanksPerNode()
+		nodes = (rs.Ranks + rpn - 1) / rpn
+	}
+	if l3 := bgp.PartitionL3Bytes(cfg, nodes); l3 > bgp.MaxPartitionL3Bytes {
+		return cfg, specErrf("l3_bytes: the partition's L3, %d bytes over %d nodes, is above the %d-byte maximum", l3, nodes, bgp.MaxPartitionL3Bytes)
+	}
 	return cfg, nil
 }
 

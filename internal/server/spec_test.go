@@ -80,33 +80,57 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 // upper bound reached an allocation of that size: one POST with
 // l2_prefetch_depth 1<<40 ended the daemon with an out-of-memory throw, and
 // the journal re-queued the job on every restart. Each is a 400 naming the
-// field's path; each bound itself is accepted and runs to completion.
+// field's path; each per-node bound itself is accepted and runs to
+// completion. One POST could still book a partition's worth of L3 — 1024
+// nodes at 64 MB — so the partition's product is bounded too, counting its
+// nodes as given or from the ranks: one step over the bound is a 400, and a
+// partition at it decodes (it is not run: it books gigabytes of host memory).
 func TestSubmitRejectsSubLineL3(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	const job = `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"},` +
-		`{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","%s":%d}]}`
+		`{"benchmark":"ep","class":"S",%s,"%s":%d}]}`
+	const small = `"ranks":4,"mode":"vnm"`
+	const (
+		refused = iota
+		runs
+		decodes // accepted by the decoder, not run
+	)
 	for _, tc := range []struct {
+		run   string
 		field string
 		value int
-		ok    bool
+		want  int
 	}{
-		{"l3_bytes", 1, false},
-		{"l3_bytes", 100, false},
-		{"l3_bytes", 255, false},
-		{"l3_bytes", bgp.MinL3Bytes, true},
-		{"l3_bytes", bgp.MaxL3Bytes, true},
-		{"l3_bytes", bgp.MaxL3Bytes + 1, false},
-		{"l2_prefetch_depth", bgp.MaxPrefetchDepth, true},
-		{"l2_prefetch_depth", bgp.MaxPrefetchDepth + 1, false},
-		{"l2_prefetch_depth", 1 << 40, false},
-		{"l3_prefetch_depth", bgp.MaxPrefetchDepth, true},
-		{"l3_prefetch_depth", bgp.MaxPrefetchDepth + 1, false},
-		{"l3_prefetch_depth", 1 << 40, false},
+		{small, "l3_bytes", 1, refused},
+		{small, "l3_bytes", 100, refused},
+		{small, "l3_bytes", 255, refused},
+		{small, "l3_bytes", bgp.MinL3Bytes, runs},
+		{small, "l3_bytes", bgp.MaxL3Bytes, runs},
+		{small, "l3_bytes", bgp.MaxL3Bytes + 1, refused},
+		{small, "l2_prefetch_depth", bgp.MaxPrefetchDepth, runs},
+		{small, "l2_prefetch_depth", bgp.MaxPrefetchDepth + 1, refused},
+		{small, "l2_prefetch_depth", 1 << 40, refused},
+		{small, "l3_prefetch_depth", bgp.MaxPrefetchDepth, runs},
+		{small, "l3_prefetch_depth", bgp.MaxPrefetchDepth + 1, refused},
+		{small, "l3_prefetch_depth", 1 << 40, refused},
+		{small + `,"nodes":128`, "l3_bytes", bgp.MaxL3Bytes, decodes},
+		{small + `,"nodes":129`, "l3_bytes", bgp.MaxL3Bytes, refused},
+		{`"ranks":1024,"mode":"smp1"`, "l3_bytes", 8 << 20, decodes},
+		{`"ranks":1024,"mode":"smp1"`, "l3_bytes", 8<<20 + 1, refused},
+		{`"ranks":1021,"mode":"vnm"`, "l3_bytes", 32 << 20, decodes},
+		{`"ranks":1021,"mode":"vnm"`, "l3_bytes", 32<<20 + 1, refused},
 	} {
-		code, body := submitRaw(t, ts.URL, fmt.Sprintf(job, tc.field, tc.value))
-		if !tc.ok {
+		spec := fmt.Sprintf(job, tc.run, tc.field, tc.value)
+		if tc.want == decodes {
+			if _, _, err := server.DecodeJobSpec(strings.NewReader(spec)); err != nil {
+				t.Errorf("%s %s %d: %v, want the bound to decode", tc.run, tc.field, tc.value, err)
+			}
+			continue
+		}
+		code, body := submitRaw(t, ts.URL, spec)
+		if tc.want == refused {
 			if code != http.StatusBadRequest || !strings.Contains(string(body), "runs[1]."+tc.field) {
-				t.Errorf("%s %d: got %d %s, want 400 naming runs[1].%s", tc.field, tc.value, code, body, tc.field)
+				t.Errorf("%s %s %d: got %d %s, want 400 naming runs[1].%s", tc.run, tc.field, tc.value, code, body, tc.field)
 			}
 			continue
 		}
@@ -257,6 +281,8 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		`"l3_bytes":67108865,"l2_prefetch_depth":1099511627776,"l3_prefetch_depth":65}]}`))
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm",` +
 		`"l3_bytes":67108864,"l2_prefetch_depth":64,"l3_prefetch_depth":64}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","nodes":129,"l3_bytes":67108864}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":1021,"mode":"vnm","l3_bytes":33554432}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, cfgs, err := server.DecodeJobSpec(bytes.NewReader(data)) // must never panic
@@ -285,6 +311,14 @@ func FuzzDecodeJobSpec(f *testing.F) {
 				cfg.L2PrefetchDepth > bgp.MaxPrefetchDepth || cfg.L3PrefetchDepth > bgp.MaxPrefetchDepth {
 				t.Fatalf("run %d: accepted out-of-bounds machine overrides %d/%d/%d",
 					i, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth)
+			}
+			nodes := cfg.Nodes
+			if nodes == 0 {
+				rpn := cfg.Mode.RanksPerNode()
+				nodes = (cfg.Ranks + rpn - 1) / rpn
+			}
+			if l3 := bgp.PartitionL3Bytes(cfg, nodes); l3 > bgp.MaxPartitionL3Bytes {
+				t.Fatalf("run %d: accepted a partition booking %d bytes of L3 over %d nodes", i, l3, nodes)
 			}
 		}
 	})
