@@ -10,14 +10,15 @@ import (
 )
 
 // sampleRecords is a realistic little log: a submission, its running
-// transition with a lease, and a terminal state.
+// transition, a lease record of the kind older daemons wrote (an unknown
+// kind, which must still round-trip), and a terminal state.
 func sampleRecords() []Record {
 	return []Record{
 		{Kind: KindSubmit, Job: "job-aaaa", Tenant: "alice",
 			Spec:        json.RawMessage(`{"tenant":"alice","runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`),
 			CreatedUnix: 1754600000},
-		{Kind: KindState, Job: "job-aaaa", State: "running", Owner: "owner-1"},
-		{Kind: KindLease, Job: "job-aaaa", Owner: "owner-1", ExpiryUnixNano: 1754600005_000000000},
+		{Kind: KindState, Job: "job-aaaa", State: "running"},
+		{Kind: "lease", Job: "job-aaaa"},
 		{Kind: KindState, Job: "job-aaaa", State: "done"},
 		{Kind: KindSubmit, Job: "job-bbbb", Tenant: "bob",
 			Spec:        json.RawMessage(`{"runs":[{"benchmark":"mg","class":"S","ranks":4,"mode":"smp1"}]}`),
