@@ -15,7 +15,7 @@ import (
 // bytes were tampered after persistence and requires server.audit.mismatch
 // to fire; the untampered twin must count as ok.
 func TestAuditOneDetectsMismatch(t *testing.T) {
-	s, err := New(Config{CheckpointDir: t.TempDir(), NoJournal: true, AuditFraction: 1})
+	s, err := New(Config{CheckpointDir: t.TempDir(), AuditFraction: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

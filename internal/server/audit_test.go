@@ -18,7 +18,7 @@ import (
 // store hits), and waits for the background audit to confirm both hits.
 func TestShadowAuditConfirmsStoreHits(t *testing.T) {
 	specs := fastSpecs()[:2]
-	s, ts := newTestServer(t, server.Config{NoJournal: true, AuditFraction: 1})
+	s, ts := newTestServer(t, server.Config{AuditFraction: 1})
 
 	first := submitJob(t, ts.URL, server.JobSpec{Tenant: "alice", Runs: specs})
 	if st := waitDone(t, ts.URL, first.ID); st.State != server.StateDone {

@@ -11,8 +11,8 @@ package server
 //	                              .bgpc file bgp.Run would write)
 //	GET  /metrics                 the obs registry snapshot (JSON)
 //	GET  /healthz                 liveness: the process is up
-//	GET  /readyz                  readiness: journal replayed and the job
-//	                              queue below saturation, else 503
+//	GET  /readyz                  readiness: the job queue below
+//	                              saturation, else 503
 //
 // Error responses are JSON objects {"error": "..."}: 400 for malformed or
 // invalid specs, 404 for unknown ids and indices, 409 for results fetched
@@ -97,18 +97,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Handler().ServeHTTP(w, r)
 }
 
-// handleReady reports readiness: the journal has been replayed (recovered
-// jobs are re-queued and the daemon's view of the world is complete) and
-// the job queue has room. A saturated queue answers 503 so a load balancer
-// steers submissions to instances that can actually admit them.
+// handleReady reports readiness: the job queue has room. (The journal is
+// replayed before New returns, so no handler ever sees a server mid-replay.)
+// A saturated queue answers 503 so a load balancer steers submissions to
+// instances that can actually admit them.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	depth := len(s.pending)
 	s.mu.Unlock()
-	if !s.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, "journal replay in progress")
-		return
-	}
 	if depth >= s.cfg.QueueDepth {
 		writeError(w, http.StatusServiceUnavailable, "job queue saturated (%d queued)", depth)
 		return

@@ -44,7 +44,7 @@ func errorBody(t *testing.T, resp *http.Response) string {
 // body under the wrong (or missing) Content-Type is refused before
 // decoding, while a JSON content type with parameters still passes.
 func TestSubmitRejectsNonJSONContentType(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{NoJournal: true})
+	_, ts := newTestServer(t, server.Config{})
 	body, err := json.Marshal(server.JobSpec{Tenant: "ct", Runs: fastSpecs()[:1]})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSubmitRejectsNonJSONContentType(t *testing.T) {
 // 1 MiB spec limit is cut off at the limit and refused with a JSON error,
 // not decoded and not half-admitted.
 func TestSubmitRejectsOversizedBody(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{NoJournal: true})
+	_, ts := newTestServer(t, server.Config{})
 	big := `{"tenant":"` + strings.Repeat("a", 1<<20+1024) + `"}`
 	code, data := submitRaw(t, ts.URL, big)
 	if code != http.StatusRequestEntityTooLarge {
@@ -124,7 +124,6 @@ func TestReadyzTracksQueueSaturation(t *testing.T) {
 	inj := faults.New(0x9EAD)
 	inj.Arm(bgp.RunKey(0, cfgs[0]), faults.Stall)
 	_, ts := newTestServer(t, server.Config{
-		NoJournal:  true,
 		JobWorkers: 1,
 		RunWorkers: 1,
 		QueueDepth: 1,

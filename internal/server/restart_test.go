@@ -9,6 +9,8 @@ package server_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	bgp "bgpsim"
@@ -40,15 +42,11 @@ func TestRestartServesStoreAndResumesInterruptedSweep(t *testing.T) {
 	// deterministic stand-in for "killed mid-sweep".
 	inj := faults.New(0xBEEF)
 	inj.Arm(bgp.RunKey(0, cfgs[1]), faults.Stall)
-	// NoJournal isolates the store tier: with the journal on, the second
-	// instance would re-queue the interrupted jobs itself (that path is
-	// TestCrashRecoveryReplaysJournal's subject) and skew the miss counts.
 	s1, ts1 := newTestServer(t, server.Config{
 		CheckpointDir: ckptDir,
 		JobWorkers:    1,
 		RunWorkers:    1,
 		Faults:        inj,
-		NoJournal:     true,
 	})
 	var ids [3]string
 	for i, rs := range specs {
@@ -65,10 +63,16 @@ func TestRestartServesStoreAndResumesInterruptedSweep(t *testing.T) {
 	if n := s1.Store().Len(); n != 1 {
 		t.Fatalf("store indexes %d runs after the interrupt, want 1", n)
 	}
+	// Deleting the job journal isolates the store tier: with it, the second
+	// instance would re-queue the interrupted jobs itself (that path is
+	// TestCrashRecoveryReplaysJournal's subject) and skew the miss counts.
+	if err := os.Remove(filepath.Join(ckptDir, server.JournalFile)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Fresh instance, same directory: the committed entry serves the
 	// completed run; the interrupted remainder re-executes.
-	s2, ts2 := newTestServer(t, server.Config{CheckpointDir: ckptDir, NoJournal: true})
+	s2, ts2 := newTestServer(t, server.Config{CheckpointDir: ckptDir})
 	if n := s2.Store().Len(); n != 1 {
 		t.Fatalf("restarted store indexes %d runs, want 1", n)
 	}
