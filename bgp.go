@@ -454,19 +454,14 @@ func Run(cfg RunConfig) (*Result, error) {
 	observePhase(cfg.Observer, label, obs.PhaseRun, start)
 
 	start = time.Now()
-	analysis, err := postproc.Analyze(dumps)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Ranks = app.Ranks
-	cfg.Nodes = nodes
-	metrics, err := postproc.Compute(analysis, bgpctr.WholeAppSet, label)
+	cfg.Ranks, cfg.Nodes = app.Ranks, nodes
+	res, err := newResult(cfg, label, dumps)
 	if err != nil {
 		return nil, err
 	}
 	observePhase(cfg.Observer, label, obs.PhasePostproc, start)
 	if cfg.Observer != nil {
-		st := collectRunStats(m, label, metrics.ExecCycles)
+		st := collectRunStats(m, label, res.Metrics.ExecCycles)
 		perf := j.Perf()
 		st.FFDispatches, st.FFCycles = perf.FFDispatches, perf.FFCycles
 		st.EpochMemoHits, st.EpochMemoMisses, st.EpochMemoFirstSights, st.EpochMemoStores, st.EpochMemoCorrupt =
@@ -475,13 +470,28 @@ func Run(cfg RunConfig) (*Result, error) {
 		st.ProgCacheHits, st.ProgCacheMisses = progHits, progMisses
 		cfg.Observer.RunDone(st)
 	}
+	res.Timeline = sampler
+	return res, nil
+}
+
+// newResult mines a run's dumps into its Result; Run and
+// CheckpointStore.Restore both build theirs here. cfg carries the resolved
+// Ranks and Nodes.
+func newResult(cfg RunConfig, label string, dumps []*Dump) (*Result, error) {
+	analysis, err := postproc.Analyze(dumps)
+	if err != nil {
+		return nil, err
+	}
+	metrics, err := postproc.Compute(analysis, bgpctr.WholeAppSet, label)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
 		Config:   cfg,
 		Label:    label,
 		Dumps:    dumps,
 		Analysis: analysis,
 		Metrics:  metrics,
-		Timeline: sampler,
 	}, nil
 }
 

@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 
 	"bgpsim/internal/bgpctr"
-	"bgpsim/internal/postproc"
 )
 
 // entryName is the per-run commit record's file name inside dir/<RunKey>/.
@@ -170,22 +169,12 @@ func (c *CheckpointStore) Restore(key string, cfg RunConfig) *Result {
 		}
 		dumps = append(dumps, d)
 	}
-	analysis, err := postproc.Analyze(dumps)
-	if err != nil {
-		return nil
-	}
-	metrics, err := postproc.Compute(analysis, bgpctr.WholeAppSet, e.Label)
-	if err != nil {
-		return nil
-	}
 	cfg.Ranks, cfg.Nodes = e.Ranks, e.Nodes
-	return &Result{
-		Config:   cfg,
-		Label:    e.Label,
-		Dumps:    dumps,
-		Analysis: analysis,
-		Metrics:  metrics,
+	res, err := newResult(cfg, e.Label, dumps)
+	if err != nil {
+		return nil
 	}
+	return res
 }
 
 // Persist writes res's dump files under dir/key/ and then commits the run by
