@@ -251,11 +251,11 @@ type RunConfig struct {
 // plus the source's identity token — empty for a registry entry, whose name
 // says everything, and the spec's canonical sha256 for a spec, so runs of
 // distinct specs are provably distinct and runs of equal specs equal
-// whichever decoded copy the caller holds. Run, the labels and error
-// messages, the fingerprint, bgpd's spec decoder and bgprun all resolve
-// through here. The source is non-nil and named even when err is set (an
-// unknown benchmark, or both fields set), so a failed run can still be
-// labelled and keyed.
+// whichever decoded copy the caller holds. Check (and through it Run and
+// bgpd's decoder), the labels and error messages, the fingerprint and
+// bgprun all resolve through here. The source is non-nil and named even
+// when err is set (an unknown benchmark, or both fields set), so a failed
+// run can still be labelled and keyed.
 func ResolveWorkload(cfg RunConfig) (src *nas.Benchmark, id string, err error) {
 	if cfg.Spec == nil {
 		if src, err = nas.ByName(cfg.Benchmark); err != nil {
@@ -354,23 +354,69 @@ func PartitionL3Bytes(cfg RunConfig, nodes int) int64 {
 	return int64(nodes) * int64(perNode)
 }
 
+// ConfigError is a configuration Check refuses. Field is the RunConfig field
+// at fault, so a caller holding another spelling of the configuration (bgpd's
+// wire form) can name its own field instead.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+// Error names the field and the reason.
+func (e *ConfigError) Error() string { return "bgp: " + e.Field + ": " + e.Reason }
+
+// Check is the one list of what Run refuses before compiling or booting; a
+// configuration it passes builds and boots. Its errors are *ConfigErrors.
+func Check(cfg RunConfig) error {
+	_, _, err := admit(cfg)
+	return err
+}
+
+// admit is Check, also returning the resolved workload and the partition
+// size Run boots. Ranks are counted as the workload builds them
+// (RanksFor), so the node count and every bound on it are Run's own.
+func admit(cfg RunConfig) (src *nas.Benchmark, nodes int, err error) {
+	refuse := func(field, format string, args ...any) (*nas.Benchmark, int, error) {
+		return nil, 0, &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if src, _, err = ResolveWorkload(cfg); err != nil {
+		return refuse("Benchmark", "%v", err)
+	}
+	switch {
+	case cfg.Ranks <= 0:
+		return refuse("Ranks", "non-positive rank count %d", cfg.Ranks)
+	case cfg.Nodes < 0:
+		return refuse("Nodes", "negative node count %d", cfg.Nodes)
+	case cfg.L3Bytes > 0 && cfg.L3Bytes < MinL3Bytes:
+		return refuse("L3Bytes", "%d is below the %d-byte minimum (a negative value boots without an L3)", cfg.L3Bytes, MinL3Bytes)
+	case cfg.L3Bytes > MaxL3Bytes:
+		return refuse("L3Bytes", "%d is above the %d-byte maximum", cfg.L3Bytes, MaxL3Bytes)
+	case cfg.L2PrefetchDepth > MaxPrefetchDepth:
+		return refuse("L2PrefetchDepth", "%d is above the maximum of %d", cfg.L2PrefetchDepth, MaxPrefetchDepth)
+	case cfg.L3PrefetchDepth > MaxPrefetchDepth:
+		return refuse("L3PrefetchDepth", "%d is above the maximum of %d", cfg.L3PrefetchDepth, MaxPrefetchDepth)
+	}
+	ranks, rpn := src.RanksFor(cfg.Ranks), cfg.Mode.RanksPerNode()
+	if nodes = cfg.Nodes; nodes == 0 {
+		nodes = (ranks + rpn - 1) / rpn
+	} else if ranks > nodes*rpn {
+		return refuse("Nodes", "%d ranks exceed capacity %d of %d nodes in %v", ranks, nodes*rpn, nodes, cfg.Mode)
+	}
+	if l3 := PartitionL3Bytes(cfg, nodes); l3 > MaxPartitionL3Bytes {
+		return refuse("L3Bytes", "the partition's L3, Nodes × L3Bytes = %d bytes over %d nodes, is above the %d-byte maximum", l3, nodes, MaxPartitionL3Bytes)
+	}
+	if cfg.Spec != nil {
+		if err := cfg.Spec.CheckRanks(ranks); err != nil {
+			return refuse("Spec", "%v", err)
+		}
+	}
+	return src, nodes, nil
+}
+
 // Run executes one instrumented benchmark run end to end.
 func Run(cfg RunConfig) (*Result, error) {
 	start := time.Now()
-	if cfg.Ranks <= 0 {
-		return nil, fmt.Errorf("bgp: non-positive rank count %d", cfg.Ranks)
-	}
-	switch {
-	case cfg.L3Bytes > 0 && cfg.L3Bytes < MinL3Bytes:
-		return nil, fmt.Errorf("bgp: L3Bytes %d is below the %d-byte minimum (a negative value boots without an L3)", cfg.L3Bytes, MinL3Bytes)
-	case cfg.L3Bytes > MaxL3Bytes:
-		return nil, fmt.Errorf("bgp: L3Bytes %d is above the %d-byte maximum", cfg.L3Bytes, MaxL3Bytes)
-	case cfg.L2PrefetchDepth > MaxPrefetchDepth:
-		return nil, fmt.Errorf("bgp: L2PrefetchDepth %d is above the maximum of %d", cfg.L2PrefetchDepth, MaxPrefetchDepth)
-	case cfg.L3PrefetchDepth > MaxPrefetchDepth:
-		return nil, fmt.Errorf("bgp: L3PrefetchDepth %d is above the maximum of %d", cfg.L3PrefetchDepth, MaxPrefetchDepth)
-	}
-	src, _, err := ResolveWorkload(cfg)
+	src, nodes, err := admit(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -400,12 +446,8 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	start = time.Now()
 	params := machine.DefaultParams()
-	switch {
-	case cfg.L3Bytes < 0:
-		params.Node.L3Bytes = 0
-	case cfg.L3Bytes > 0:
-		params.Node.L3Bytes = cfg.L3Bytes
-	}
+	// Each node boots the L3 the partition bound counted for it.
+	params.Node.L3Bytes = int(PartitionL3Bytes(cfg, 1))
 	switch {
 	case cfg.L2PrefetchDepth < 0:
 		params.Node.Core.Prefetch.Depth = 0
@@ -416,14 +458,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		params.Node.L3PrefetchDepth = cfg.L3PrefetchDepth
 	}
 	params.Node.Core.Interpreter = cfg.Interpreter
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		rpn := cfg.Mode.RanksPerNode()
-		nodes = (app.Ranks + rpn - 1) / rpn
-	}
-	if l3 := PartitionL3Bytes(cfg, nodes); l3 > MaxPartitionL3Bytes {
-		return nil, fmt.Errorf("bgp: the partition's L3, Nodes × L3Bytes = %d bytes over %d nodes, is above the %d-byte maximum", l3, nodes, MaxPartitionL3Bytes)
-	}
 	m := machine.New(nodes, cfg.Mode, params)
 
 	j, err := mpi.NewJob(m, app.Ranks)

@@ -91,6 +91,8 @@ func TestRunL3Override(t *testing.T) {
 // and the bound instead, and each per-node bound itself boots and runs. The
 // partition bound is only probed one node over it, at 64 MB and at the
 // default 8 MB per node: a partition at it books gigabytes of host memory.
+// A negative Nodes would reach machine.New's panic, and ranks that do not fit
+// a given Nodes would fail only after compiling; Check refuses both first.
 func TestRunRejectsSubLineL3(t *testing.T) {
 	l3 := func(c *RunConfig, v int) { c.L3Bytes = v }
 	l2pf := func(c *RunConfig, v int) { c.L2PrefetchDepth = v }
@@ -98,6 +100,8 @@ func TestRunRejectsSubLineL3(t *testing.T) {
 	nodesAt := func(l3Bytes int) func(*RunConfig, int) {
 		return func(c *RunConfig, v int) { c.Nodes, c.L3Bytes = v, l3Bytes }
 	}
+	nodes := func(c *RunConfig, v int) { c.Nodes = v }
+	eightRanksOn := func(c *RunConfig, v int) { c.Ranks, c.Nodes = 8, v }
 	for _, tc := range []struct {
 		field string
 		set   func(*RunConfig, int)
@@ -118,6 +122,9 @@ func TestRunRejectsSubLineL3(t *testing.T) {
 		{"L3PrefetchDepth", l3pf, 1 << 40, "maximum of 64"},
 		{"Nodes × L3Bytes", nodesAt(MaxL3Bytes), MaxPartitionL3Bytes/MaxL3Bytes + 1, "8589934592-byte maximum"},
 		{"Nodes × L3Bytes", nodesAt(0), MaxPartitionL3Bytes/(8<<20) + 1, "8589934592-byte maximum"},
+		{"Nodes", nodes, -1, "negative node count -1"},
+		{"Nodes", eightRanksOn, 1, "8 ranks exceed capacity 4 of 1 nodes"},
+		{"Nodes", eightRanksOn, 2, ""},
 	} {
 		cfg := RunConfig{Benchmark: "ep", Class: ClassS, Ranks: 4, Mode: VNM}
 		tc.set(&cfg, tc.value)

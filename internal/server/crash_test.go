@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,6 +159,60 @@ func TestCrashRecoveryCircuitBreaker(t *testing.T) {
 	}
 	if st := waitDone(t, ts.URL, id); st.State != server.StateDone {
 		t.Fatalf("resubmitted job ended %s: %s", st.State, st.Error)
+	}
+}
+
+// TestCrashRecoveryDropsSpecsCheckRefuses hand-writes the log of a daemon
+// whose decoder admitted runs bgp.Check refuses — eight ranks on one VNM
+// node, a bcast rooted outside four ranks — each journaled as queued. The
+// replay decodes them like any submission, so it drops both as
+// unrecoverable instead of queuing runs that can only fail.
+func TestCrashRecoveryDropsSpecsCheckRefuses(t *testing.T) {
+	ckptDir := t.TempDir()
+	root, err := bgp.ParseWorkloadSpec([]byte(rootProbe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := journal.Open(filepath.Join(ckptDir, server.JournalFile))
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	var ids []string
+	for _, tc := range []struct {
+		rs  server.RunSpec
+		cfg bgp.RunConfig
+	}{
+		{server.RunSpec{Benchmark: "ep", Class: "S", Ranks: 8, Mode: "vnm", Nodes: 1},
+			bgp.RunConfig{Benchmark: "ep", Class: bgp.ClassS, Ranks: 8, Mode: bgp.VNM, Nodes: 1}},
+		{server.RunSpec{Spec: rootProbe, Class: "S", Ranks: 4, Mode: "vnm"},
+			bgp.RunConfig{Spec: root, Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM}},
+	} {
+		spec := server.JobSpec{Tenant: "anonymous", Runs: []server.RunSpec{tc.rs}}
+		id := server.JobID(&spec, []bgp.RunConfig{tc.cfg})
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Append(journal.Record{Kind: journal.KindSubmit, Job: id, Tenant: spec.Tenant, Spec: raw, CreatedUnix: time.Now().Unix()}); err != nil {
+			t.Fatalf("seeding journal: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	jnl.Close()
+
+	s, ts := newTestServer(t, server.Config{CheckpointDir: ckptDir})
+	if got := s.Registry().Snapshot().Counters[server.MetricJournalRecoveryFailed]; got != 2 {
+		t.Errorf("server.journal.recovery_failed = %d, want 2", got)
+	}
+	for _, id := range ids {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("dropped job %s answers %d, want 404", id, resp.StatusCode)
+		}
 	}
 }
 

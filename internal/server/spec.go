@@ -25,6 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"time"
 
 	bgp "bgpsim"
@@ -41,17 +43,19 @@ const (
 	MaxWorkloadBytes = 256 << 10
 )
 
-// RunSpec is the wire form of one simulation point.
+// RunSpec is the wire form of one simulation point. Each field that
+// bgp.Check can refuse has the Go name of its RunConfig twin, so a refusal
+// renders as the path of the field the client sent.
 type RunSpec struct {
 	// Benchmark is the NAS benchmark name ("mg", "ft", ...). Mutually
-	// exclusive with Workload.
+	// exclusive with Spec.
 	Benchmark string `json:"benchmark,omitempty"`
-	// Workload is a YAML workload spec by value (the text of a
-	// specs/*.yaml file). It is decoded strictly at submission, and the
-	// decoded spec's canonical fingerprint flows into the run's RunKey
-	// and the job id, so distinct workloads can never share a cache
-	// entry. Mutually exclusive with Benchmark.
-	Workload string `json:"workload,omitempty"`
+	// Spec is a YAML workload spec by value (the text of a specs/*.yaml
+	// file). It is decoded strictly at submission, and the decoded
+	// spec's canonical fingerprint flows into the run's RunKey and the
+	// job id, so distinct workloads can never share a cache entry.
+	// Mutually exclusive with Benchmark.
+	Spec string `json:"workload,omitempty"`
 	// Class is the problem-class letter ("S", "W", "A", "B", "C").
 	Class string `json:"class"`
 	// Ranks is the requested MPI process count.
@@ -107,7 +111,9 @@ func specErrf(format string, args ...any) error {
 	return &SpecError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Compile validates one run spec and lowers it to a RunConfig.
+// Compile lowers one run spec to a RunConfig. It parses the wire and applies
+// the service's own caps; what the simulator refuses is bgp.Check's call.
+// Every error leads with the wire field it rejects: ranks: …, l3_bytes: ….
 func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 	cfg := bgp.RunConfig{
 		Benchmark:       rs.Benchmark,
@@ -118,59 +124,35 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 		L3PrefetchDepth: rs.L3PrefetchDepth,
 	}
 	var err error
-	if rs.Workload != "" {
-		if len(rs.Workload) > MaxWorkloadBytes {
-			return cfg, specErrf("workload spec is %d bytes, limit is %d", len(rs.Workload), MaxWorkloadBytes)
-		}
-		if cfg.Spec, err = bgp.ParseWorkloadSpec([]byte(rs.Workload)); err != nil {
-			return cfg, &SpecError{Reason: fmt.Sprintf("workload: %v", err), Err: err}
-		}
-	}
-	// Which of the two the run names, whether it exists and whether both
-	// were given is the resolver's call, the same one Run makes.
-	if _, _, err = bgp.ResolveWorkload(cfg); err != nil {
-		return cfg, specErrf("%v", err)
-	}
 	if cfg.Class, err = bgp.ParseClass(rs.Class); err != nil {
-		return cfg, specErrf("class: %v", err)
-	}
-	if rs.Ranks <= 0 {
-		return cfg, specErrf("non-positive rank count %d", rs.Ranks)
-	}
-	if rs.Ranks > MaxRanks {
-		return cfg, specErrf("rank count %d exceeds the %d limit", rs.Ranks, MaxRanks)
+		return cfg, fmt.Errorf("class: %v", err)
 	}
 	if cfg.Mode, err = bgp.ParseMode(rs.Mode); err != nil {
-		return cfg, specErrf("mode: %v", err)
+		return cfg, fmt.Errorf("mode: %v", err)
 	}
 	if cfg.Opts, err = bgp.ParseOptions(rs.Opts); err != nil {
-		return cfg, specErrf("opts: %v", err)
+		return cfg, fmt.Errorf("opts: %v", err)
 	}
-	if rs.Nodes < 0 {
-		return cfg, specErrf("negative node count %d", rs.Nodes)
+	if rs.Spec != "" {
+		if len(rs.Spec) > MaxWorkloadBytes {
+			return cfg, fmt.Errorf("workload: spec is %d bytes, limit is %d", len(rs.Spec), MaxWorkloadBytes)
+		}
+		if cfg.Spec, err = bgp.ParseWorkloadSpec([]byte(rs.Spec)); err != nil {
+			return cfg, fmt.Errorf("workload: %w", err)
+		}
+	}
+	if rs.Ranks > MaxRanks {
+		return cfg, fmt.Errorf("ranks: %d exceeds the %d limit", rs.Ranks, MaxRanks)
 	}
 	if rs.Nodes > MaxRanks {
-		return cfg, specErrf("node count %d exceeds the %d limit", rs.Nodes, MaxRanks)
+		return cfg, fmt.Errorf("nodes: %d exceeds the %d limit", rs.Nodes, MaxRanks)
 	}
-	switch {
-	case rs.L3Bytes > 0 && rs.L3Bytes < bgp.MinL3Bytes:
-		return cfg, specErrf("l3_bytes: %d is below the %d-byte minimum (a negative value boots without an L3)", rs.L3Bytes, bgp.MinL3Bytes)
-	case rs.L3Bytes > bgp.MaxL3Bytes:
-		return cfg, specErrf("l3_bytes: %d is above the %d-byte maximum", rs.L3Bytes, bgp.MaxL3Bytes)
-	case rs.L2PrefetchDepth > bgp.MaxPrefetchDepth:
-		return cfg, specErrf("l2_prefetch_depth: %d is above the maximum of %d", rs.L2PrefetchDepth, bgp.MaxPrefetchDepth)
-	case rs.L3PrefetchDepth > bgp.MaxPrefetchDepth:
-		return cfg, specErrf("l3_prefetch_depth: %d is above the maximum of %d", rs.L3PrefetchDepth, bgp.MaxPrefetchDepth)
-	}
-	// Run counts the nodes from the ranks the workload really uses, never
-	// more than those requested, so this bound is never looser than Run's.
-	nodes := rs.Nodes
-	if nodes == 0 {
-		rpn := cfg.Mode.RanksPerNode()
-		nodes = (rs.Ranks + rpn - 1) / rpn
-	}
-	if l3 := bgp.PartitionL3Bytes(cfg, nodes); l3 > bgp.MaxPartitionL3Bytes {
-		return cfg, specErrf("l3_bytes: the partition's L3, %d bytes over %d nodes, is above the %d-byte maximum", l3, nodes, bgp.MaxPartitionL3Bytes)
+	var ce *bgp.ConfigError
+	if errors.As(bgp.Check(cfg), &ce) {
+		// The refused RunConfig field has a RunSpec twin of the same name.
+		f, _ := reflect.TypeOf(rs).FieldByName(ce.Field)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		return cfg, fmt.Errorf("%s: %s", name, ce.Reason)
 	}
 	return cfg, nil
 }
@@ -178,8 +160,8 @@ func (rs RunSpec) Compile() (bgp.RunConfig, error) {
 // DecodeJobSpec reads and validates one job submission. The decode is
 // strict — unknown fields, trailing garbage and malformed JSON are all
 // SpecErrors, never panics (FuzzDecodeJobSpec pins this) — and the
-// returned configurations are fully lowered, so a spec that decodes is a
-// spec the simulator will accept.
+// returned configurations are fully lowered and pass bgp.Check, so a spec
+// that decodes is a spec the simulator will accept.
 func DecodeJobSpec(r io.Reader) (*JobSpec, []bgp.RunConfig, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -212,14 +194,9 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, []bgp.RunConfig, error) {
 	for i, rs := range spec.Runs {
 		cfg, err := rs.Compile()
 		if err != nil {
-			// Compile's reasons lead with the field they reject, so the
+			// Compile's errors lead with the field they reject, so the
 			// run's index in front makes the path: runs[1].l3_bytes: …
-			reason := err.Error()
-			var se *SpecError
-			if errors.As(err, &se) {
-				reason = se.Reason
-			}
-			return nil, nil, specErrf("runs[%d].%s", i, reason)
+			return nil, nil, specErrf("runs[%d].%v", i, err)
 		}
 		cfgs[i] = cfg
 	}

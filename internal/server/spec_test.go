@@ -147,6 +147,120 @@ func TestSubmitRejectsSubLineL3(t *testing.T) {
 	}
 }
 
+// rootProbe is a workload whose bcast roots at rank 7: it decodes on its
+// own, and only a run of more than seven ranks can host it.
+const rootProbe = `version: 1
+name: rootprobe
+arrays:
+  - {name: a, bytes: 4096}
+phases:
+  - name: a
+    compute:
+      trips: 16
+      refs:
+        - {array: a}
+  - name: b
+    comm: {op: bcast, root: 7, bytes: 64}
+`
+
+// TestDecodeAgreesWithCheck holds bgpd's admission to the simulator's:
+// within the service caps, DecodeJobSpec refuses a run exactly when
+// bgp.Check refuses its configuration, and every refusal names the wire
+// field as runs[0].<field>: — over the API too. The rows marked "parent"
+// were decided otherwise when the decoder kept its own copy of the bounds:
+// it counted sp's nodes from the 520 requested ranks instead of the 484 it
+// runs, and it accepted a root or a partition the run then failed on.
+func TestDecodeAgreesWithCheck(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	ep := func(edit func(*server.RunSpec)) server.RunSpec {
+		rs := server.RunSpec{Benchmark: "ep", Class: "S", Ranks: 4, Mode: "vnm"}
+		edit(&rs)
+		return rs
+	}
+	for _, tc := range []struct {
+		name  string
+		rs    server.RunSpec
+		field string // the refused wire field; empty = accepted
+	}{
+		// parent: refused, counting 130 nodes.
+		{"sp 520 ranks at 64 MB", server.RunSpec{Benchmark: "sp", Class: "S", Ranks: 520, Mode: "vnm", L3Bytes: 64 << 20}, ""},
+		// parent: accepted, then failed in Run.
+		{"root 7 at 4 ranks", server.RunSpec{Spec: rootProbe, Class: "S", Ranks: 4, Mode: "vnm"}, "workload"},
+		{"root 7 at 8 ranks", server.RunSpec{Spec: rootProbe, Class: "S", Ranks: 8, Mode: "vnm"}, ""},
+		// parent: accepted, then failed in Run.
+		{"8 ranks on 1 VNM node", ep(func(rs *server.RunSpec) { rs.Ranks, rs.Nodes = 8, 1 }), "nodes"},
+		{"8 ranks on 2 VNM nodes", ep(func(rs *server.RunSpec) { rs.Ranks, rs.Nodes = 8, 2 }), ""},
+		{"ranks 0", ep(func(rs *server.RunSpec) { rs.Ranks = 0 }), "ranks"},
+		{"nodes -1", ep(func(rs *server.RunSpec) { rs.Nodes = -1 }), "nodes"},
+		{"linpack", ep(func(rs *server.RunSpec) { rs.Benchmark = "linpack" }), "benchmark"},
+		{"benchmark and workload", ep(func(rs *server.RunSpec) { rs.Spec = rootProbe; rs.Ranks = 8 }), "benchmark"},
+		{"l3_bytes at the minimum", ep(func(rs *server.RunSpec) { rs.L3Bytes = bgp.MinL3Bytes }), ""},
+		{"l3_bytes under the minimum", ep(func(rs *server.RunSpec) { rs.L3Bytes = bgp.MinL3Bytes - 1 }), "l3_bytes"},
+		{"l3_bytes at the maximum", ep(func(rs *server.RunSpec) { rs.L3Bytes = bgp.MaxL3Bytes }), ""},
+		{"l3_bytes over the maximum", ep(func(rs *server.RunSpec) { rs.L3Bytes = bgp.MaxL3Bytes + 1 }), "l3_bytes"},
+		{"l2_prefetch_depth at the maximum", ep(func(rs *server.RunSpec) { rs.L2PrefetchDepth = bgp.MaxPrefetchDepth }), ""},
+		{"l2_prefetch_depth over the maximum", ep(func(rs *server.RunSpec) { rs.L2PrefetchDepth = bgp.MaxPrefetchDepth + 1 }), "l2_prefetch_depth"},
+		{"l3_prefetch_depth at the maximum", ep(func(rs *server.RunSpec) { rs.L3PrefetchDepth = bgp.MaxPrefetchDepth }), ""},
+		{"l3_prefetch_depth over the maximum", ep(func(rs *server.RunSpec) { rs.L3PrefetchDepth = bgp.MaxPrefetchDepth + 1 }), "l3_prefetch_depth"},
+		{"partition L3 at the maximum", ep(func(rs *server.RunSpec) { rs.Nodes, rs.L3Bytes = 128, bgp.MaxL3Bytes }), ""},
+		{"partition L3 over the maximum", ep(func(rs *server.RunSpec) { rs.Nodes, rs.L3Bytes = 129, bgp.MaxL3Bytes }), "l3_bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lower(t, tc.rs)
+			cerr := bgp.Check(cfg)
+			body, err := json.Marshal(server.JobSpec{Runs: []server.RunSpec{tc.rs}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, cfgs, derr := server.DecodeJobSpec(bytes.NewReader(body))
+			if (derr == nil) != (cerr == nil) {
+				t.Fatalf("decode says %v, Check says %v", derr, cerr)
+			}
+			if tc.field == "" {
+				if derr != nil {
+					t.Fatalf("refused: %v", derr)
+				}
+				if bgp.RunKey(0, cfgs[0]) != bgp.RunKey(0, cfg) {
+					t.Fatalf("decoded %+v, want %+v", cfgs[0], cfg)
+				}
+				return
+			}
+			path := "runs[0]." + tc.field + ": "
+			if derr == nil || !strings.Contains(derr.Error(), path) {
+				t.Fatalf("decode error %v, want one naming %s", derr, path)
+			}
+			code, data := submitRaw(t, ts.URL, string(body))
+			if code != http.StatusBadRequest || !strings.Contains(string(data), path) {
+				t.Fatalf("POST got %d %s, want 400 naming %s", code, data, path)
+			}
+		})
+	}
+}
+
+// lower spells rs as the RunConfig a Go caller would write, independently of
+// RunSpec.Compile.
+func lower(t *testing.T, rs server.RunSpec) bgp.RunConfig {
+	t.Helper()
+	class, err := bgp.ParseClass(rs.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, err := bgp.ParseMode(rs.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bgp.RunConfig{
+		Benchmark: rs.Benchmark, Class: class, Ranks: rs.Ranks, Mode: mode, Nodes: rs.Nodes,
+		L3Bytes: rs.L3Bytes, L2PrefetchDepth: rs.L2PrefetchDepth, L3PrefetchDepth: rs.L3PrefetchDepth,
+	}
+	if rs.Spec != "" {
+		if cfg.Spec, err = bgp.ParseWorkloadSpec([]byte(rs.Spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cfg
+}
+
 // TestUnknownJobAndBadIndices covers the identifier errors: unknown job
 // ids are 404, result fetches before completion are 409, and out-of-range
 // run/node indices are 4xx, never panics.
@@ -265,7 +379,8 @@ func waitState(t *testing.T, base, id, state string) {
 
 // FuzzDecodeJobSpec asserts the spec decoder never panics on arbitrary
 // bytes, and that anything it accepts lowers consistently: one RunConfig
-// per declared run and a stable content-addressed job id.
+// per declared run, each passing bgp.Check, and a stable content-addressed
+// job id.
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`))
 	f.Add([]byte(`{"tenant":"alice","retries":2,"run_timeout_ms":100,"runs":[` +
@@ -283,6 +398,8 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		`"l3_bytes":67108864,"l2_prefetch_depth":64,"l3_prefetch_depth":64}]}`))
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","nodes":129,"l3_bytes":67108864}]}`))
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":1021,"mode":"vnm","l3_bytes":33554432}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"sp","class":"S","ranks":520,"mode":"vnm","l3_bytes":67108864}]}`))
+	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":8,"mode":"vnm","nodes":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, cfgs, err := server.DecodeJobSpec(bytes.NewReader(data)) // must never panic
@@ -312,10 +429,14 @@ func FuzzDecodeJobSpec(f *testing.F) {
 				t.Fatalf("run %d: accepted out-of-bounds machine overrides %d/%d/%d",
 					i, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth)
 			}
+			if err := bgp.Check(cfg); err != nil {
+				t.Fatalf("run %d: accepted a configuration bgp.Check refuses: %v", i, err)
+			}
 			nodes := cfg.Nodes
 			if nodes == 0 {
+				src, _, _ := bgp.ResolveWorkload(cfg)
 				rpn := cfg.Mode.RanksPerNode()
-				nodes = (cfg.Ranks + rpn - 1) / rpn
+				nodes = (src.RanksFor(cfg.Ranks) + rpn - 1) / rpn
 			}
 			if l3 := bgp.PartitionL3Bytes(cfg, nodes); l3 > bgp.MaxPartitionL3Bytes {
 				t.Fatalf("run %d: accepted a partition booking %d bytes of L3 over %d nodes", i, l3, nodes)

@@ -30,7 +30,7 @@ func hplWorkload(t *testing.T) string {
 }
 
 func hplRunSpec(t *testing.T) server.RunSpec {
-	return server.RunSpec{Workload: hplWorkload(t), Class: "S", Ranks: 4, Mode: "vnm", Opts: "-O5 -qarch=440d"}
+	return server.RunSpec{Spec: hplWorkload(t), Class: "S", Ranks: 4, Mode: "vnm", Opts: "-O5 -qarch=440d"}
 }
 
 // TestSubmitWorkloadSpec drives one spec run through the API and asserts
@@ -93,7 +93,7 @@ func TestResubmitWorkloadSpecIsPureCacheHit(t *testing.T) {
 	// A seed edit is a different workload: new job, fresh simulation.
 	edited := spec
 	edited.Runs = []server.RunSpec{hplRunSpec(t)}
-	edited.Runs[0].Workload = strings.Replace(edited.Runs[0].Workload, "seed: 20080905", "seed: 20080906", 1)
+	edited.Runs[0].Spec = strings.Replace(edited.Runs[0].Spec, "seed: 20080905", "seed: 20080906", 1)
 	moved := submitJob(t, ts.URL, edited)
 	if moved.ID == first.ID {
 		t.Fatal("a seed edit deduped onto the original job; the fingerprint missed it")
@@ -121,7 +121,7 @@ func TestSubmitCorruptWorkloadIs400(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := server.RunSpec{Workload: tc.workload, Class: "S", Ranks: 4, Mode: "vnm"}
+			rs := server.RunSpec{Spec: tc.workload, Class: "S", Ranks: 4, Mode: "vnm"}
 			if tc.workload == "" {
 				rs = hplRunSpec(t)
 				rs.Benchmark = "mg"
@@ -148,7 +148,7 @@ func TestSubmitCorruptWorkloadIs400(t *testing.T) {
 
 	// Oversized workload: 413-class rejection is also a spec error here
 	// (the limit guards the decoder, not the HTTP body cap).
-	big := server.RunSpec{Workload: strings.Repeat("#", server.MaxWorkloadBytes+1) + "\n", Class: "S", Ranks: 4, Mode: "vnm"}
+	big := server.RunSpec{Spec: strings.Repeat("#", server.MaxWorkloadBytes+1) + "\n", Class: "S", Ranks: 4, Mode: "vnm"}
 	body, err := json.Marshal(server.JobSpec{Runs: []server.RunSpec{big}})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestSubmitCorruptWorkloadIs400(t *testing.T) {
 func TestWorkloadJobIDIncludesFingerprint(t *testing.T) {
 	a := hplRunSpec(t)
 	b := hplRunSpec(t)
-	b.Workload = strings.Replace(b.Workload, "rounds: 6", "rounds: 5", 1)
+	b.Spec = strings.Replace(b.Spec, "rounds: 6", "rounds: 5", 1)
 	cfgA := compileSpec(t, a)
 	cfgB := compileSpec(t, b)
 	if bgp.RunKey(0, cfgA) == bgp.RunKey(0, cfgB) {

@@ -40,14 +40,8 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Ranks < 1 {
-		return nil, fmt.Errorf("workload: spec %q: ranks %d < 1", s.Name, cfg.Ranks)
-	}
-	for i, p := range s.Phases {
-		if c := p.Comm; c != nil && c.Root >= cfg.Ranks {
-			return nil, fmt.Errorf("workload: spec %q phase[%d] (%s): root %d outside 0..%d",
-				s.Name, i, p.Name, c.Root, cfg.Ranks-1)
-		}
+	if err := s.CheckRanks(cfg.Ranks); err != nil {
+		return nil, err
 	}
 
 	// Per-rank linear scale (trips, array footprint) and the 2/3-power
@@ -164,6 +158,21 @@ func Build(s *Spec, cfg nas.Config) (*nas.App, error) {
 		Kernel: k,
 		Body:   body,
 	}, nil
+}
+
+// CheckRanks reports whether the spec can run on n ranks: at least one, and
+// every comm phase's root among them.
+func (s *Spec) CheckRanks(n int) error {
+	if n < 1 {
+		return fmt.Errorf("workload: spec %q: ranks %d < 1", s.Name, n)
+	}
+	for i, p := range s.Phases {
+		if c := p.Comm; c != nil && c.Root >= n {
+			return fmt.Errorf("workload: spec %q phase[%d] (%s): root %d outside 0..%d",
+				s.Name, i, p.Name, c.Root, n-1)
+		}
+	}
+	return nil
 }
 
 // lowerRef lowers one spec reference to compiler refs. The stencil walk
