@@ -103,6 +103,11 @@ func (d Dist) Sample(r *rng.Source) float64 {
 		// Inverse-CDF: scale * (-ln(1-u))^(1/shape).
 		v = d.Scale * math.Pow(-math.Log1p(-r.Float64()), 1/d.Shape)
 	}
+	return d.clamp(v)
+}
+
+// clamp applies Min and Max.
+func (d Dist) clamp(v float64) float64 {
 	if d.MinSet && v < d.Min {
 		v = d.Min
 	}
@@ -114,14 +119,29 @@ func (d Dist) Sample(r *rng.Source) float64 {
 
 // SampleInt draws and floors into [lo, hi].
 func (d Dist) SampleInt(r *rng.Source, lo, hi int64) int64 {
-	v := int64(math.Floor(d.Sample(r)))
-	if v < lo {
-		v = lo
+	return floorInto(d.Sample(r), lo, hi)
+}
+
+// upperInt is the largest value SampleInt(·, lo, hi) can draw: a constant's
+// value, else Max when set, else hi.
+func (d Dist) upperInt(lo, hi int64) int64 {
+	v := float64(hi)
+	if d.Kind == DistConst {
+		v = d.Value
 	}
-	if v > hi {
-		v = hi
+	return floorInto(d.clamp(v), lo, hi)
+}
+
+// floorInto floors v into [lo, hi].
+func floorInto(v float64, lo, hi int64) int64 {
+	i := int64(math.Floor(v))
+	if i < lo {
+		i = lo
 	}
-	return v
+	if i > hi {
+		i = hi
+	}
+	return i
 }
 
 // poissonSample is Knuth's product method; the mean is validated ≤

@@ -8,7 +8,8 @@ import (
 
 // FuzzDecodeWorkloadSpec pins the decoder's failure mode: malformed input of
 // any shape must come back as an error, never a panic, and anything that
-// does decode must re-validate and fingerprint cleanly. It mirrors the
+// does decode must re-validate, cost no more than MaxSpecTrips, and
+// fingerprint cleanly. It mirrors the
 // server's FuzzDecodeJobSpec for the JSON job spec.
 func FuzzDecodeWorkloadSpec(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/*.yaml")
@@ -39,6 +40,9 @@ func FuzzDecodeWorkloadSpec(f *testing.F) {
 		// A spec that decodes must hold the decoder's own invariants.
 		if err := s.Validate(); err != nil {
 			t.Fatalf("decoded spec fails Validate: %v", err)
+		}
+		if c := s.cost(); c > float64(MaxSpecTrips) {
+			t.Fatalf("decoded spec costs %.0f trips, above the %d bound", c, MaxSpecTrips)
 		}
 		if fp := s.Fingerprint(); len(fp) != 64 {
 			t.Fatalf("fingerprint %q is not a sha256 hex digest", fp)

@@ -25,6 +25,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"bgpsim/internal/nas"
 )
 
 // Limits enforced at decode time. They bound what a hostile spec submitted
@@ -47,6 +49,11 @@ const (
 	maxOps = 1 << 16
 	// maxCommBytes bounds one sampled message size (256 MiB).
 	maxCommBytes = int64(1) << 28
+	// MaxSpecTrips bounds a spec's cost, its worst-case machine-total loop
+	// trips (see cost); the per-field limits above allow about 2^58.
+	// specs/hpl.yaml costs 352 321 536 and benchmark/specs/halo.yaml
+	// 67 108 864.
+	MaxSpecTrips = int64(1) << 30
 )
 
 // Walk names a memory access pattern of a compute reference.
@@ -240,7 +247,27 @@ func DecodeSpecBytes(src []byte) (*Spec, error) {
 	if s.Phases, err = decodePhases(m); err != nil {
 		return nil, err
 	}
-	return s, s.Validate()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if c := s.cost(); c > float64(MaxSpecTrips) {
+		return nil, fmt.Errorf("workload: spec.phases: worst-case cost of %.0f loop trips is above the %d-trip maximum", c, MaxSpecTrips)
+	}
+	return s, nil
+}
+
+// cost is the spec's worst-case machine-total loop trips. Build divides a
+// class's trips over the ranks, so a run executes rounds × Σ repeat × trips
+// × Class.Scale() × 128 of them over its compute phases; cost takes class C,
+// every repeat and trip count at its upper bound, and decay as 1.
+func (s *Spec) cost() float64 {
+	var perRound float64
+	for _, p := range s.Phases {
+		if c := p.Compute; c != nil {
+			perRound += float64(p.Repeat.upperInt(0, MaxRepeat)) * float64(c.Trips.upperInt(0, maxTrips))
+		}
+	}
+	return float64(s.Rounds) * perRound * nas.ClassC.Scale() * 128
 }
 
 // decodeArrays decodes the arrays section.

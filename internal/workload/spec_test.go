@@ -170,6 +170,52 @@ func TestDecodeRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestDecodeCostBound pins the spec cost bound: a spec whose worst-case
+// machine-total trips reach MaxSpecTrips decodes, one trip more is refused
+// naming spec.phases, and each form of a Dist's upper bound counts — a
+// constant, Max, and the sampler's clamp when Max is absent. At class C the
+// bound is 2^23 trips per round over 128 ranks.
+func TestDecodeCostBound(t *testing.T) {
+	const header = "version: 1\nname: x\narrays:\n  - {name: a, bytes: 4096}\n"
+	phase := func(repeat, trips string) string {
+		return "phases:\n  - name: p\n    repeat: " + repeat + "\n    compute:\n      trips: " + trips +
+			"\n      refs:\n        - {array: a}\n  - name: c\n    comm: {op: allreduce, bytes: 8}\n"
+	}
+	for _, tc := range []struct {
+		name, src string
+		ok        bool
+	}{
+		{"const trips at the bound", header + phase("1", "8388608"), true},
+		{"const trips over", header + phase("1", "8388609"), false},
+		{"max trips at the bound", header + phase("1", "{dist: gamma, shape: 2, scale: 1000, max: 8388608}"), true},
+		{"max trips over", header + phase("1", "{dist: gamma, shape: 2, scale: 1000, max: 8388609}"), false},
+		{"unbounded trips clamp", header + phase("1", "{dist: gamma, shape: 2, scale: 1000}"), false},
+		{"max repeat at the bound", header + phase("{dist: weibull, shape: 1, scale: 2, max: 8}", "1048576"), true},
+		{"max repeat over", header + phase("{dist: weibull, shape: 1, scale: 2, max: 8}", "1048577"), false},
+		{"unbounded repeat clamp at the bound", header + phase("{dist: weibull, shape: 1, scale: 2}", "32768"), true},
+		{"unbounded repeat clamp over", header + phase("{dist: weibull, shape: 1, scale: 2}", "32769"), false},
+		{"rounds at the bound", header + "rounds: 4\n" + phase("1", "2097152"), true},
+		{"rounds over", header + "rounds: 5\n" + phase("1", "2097152"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := DecodeSpecBytes([]byte(tc.src))
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("refused at the bound: %v", err)
+			case tc.ok && s.cost() != float64(MaxSpecTrips):
+				t.Fatalf("cost %.0f, want the bound %d", s.cost(), MaxSpecTrips)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "spec.phases")):
+				t.Fatalf("error %v, want one naming spec.phases", err)
+			}
+		})
+	}
+	for _, path := range []string{"../../specs/hpl.yaml", "../../benchmark/specs/halo.yaml"} {
+		if _, err := LoadSpec(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
 // TestFingerprintPinned pins the canonical encoding: if this fails, every
 // committed RunKey, epoch-memo entry and bgpd job id derived from a spec
 // changes meaning, and the goldens must be regenerated deliberately.
