@@ -157,3 +157,25 @@ func TestReadyzTracksQueueSaturation(t *testing.T) {
 		t.Fatalf("submission past the full queue returned %d, want 429: %s", code, data)
 	}
 }
+
+// TestHealthzAnswersWithoutTheStore pins the liveness body: {"ok":true} and
+// nothing counted, so a probe costs the same however large the checkpoint
+// store grows; counting it reads every run's commit record.
+func TestHealthzAnswersWithoutTheStore(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(data) != "{\"ok\":true}\n" {
+		t.Fatalf("/healthz = %d %q, want 200 {\"ok\":true}", resp.StatusCode, data)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/healthz Content-Type %q, want application/json", ct)
+	}
+}
