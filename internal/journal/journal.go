@@ -41,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -247,6 +248,11 @@ func (j *Journal) Compact(live []Record) error {
 	// the renamed-in file.
 	j.f.Close()
 	j.f = tf
+	// Until the directory is synced a power loss can undo the rename, and
+	// every append made after it would go with the new file.
+	if err := syncDir(filepath.Dir(j.path)); err != nil {
+		return fmt.Errorf("journal: compacting %s: %w", j.path, err)
+	}
 	return nil
 }
 

@@ -18,3 +18,16 @@ func lock(f *os.File) error {
 	}
 	return err
 }
+
+// syncDir fsyncs the directory dir, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

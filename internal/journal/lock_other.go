@@ -7,3 +7,6 @@ import "os"
 // lock is a no-op where the standard library offers no flock: there, one
 // writer per journal is the operator's to keep.
 func lock(*os.File) error { return nil }
+
+// syncDir is a no-op where a directory cannot be opened for fsync.
+func syncDir(string) error { return nil }
