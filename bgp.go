@@ -270,7 +270,7 @@ func ResolveWorkload(cfg RunConfig) (src *nas.Benchmark, id string, err error) {
 		Build:    func(c nas.Config) (*nas.App, error) { return workload.Build(spec, c) },
 	}
 	if cfg.Benchmark != "" {
-		err = fmt.Errorf("bgp: Benchmark (%q) and Spec (%q) are mutually exclusive", cfg.Benchmark, spec.Name)
+		err = fmt.Errorf("bgp: %q and the spec %q are mutually exclusive", cfg.Benchmark, spec.Name)
 		src.Name = cfg.Benchmark
 	}
 	return src, spec.Fingerprint(), err

@@ -8,5 +8,6 @@ import "os"
 // writer per journal is the operator's to keep.
 func lock(*os.File) error { return nil }
 
-// syncDir is a no-op where a directory cannot be opened for fsync.
+// syncDir is a no-op here too: Windows, for one, cannot fsync a directory,
+// so a rename there is as durable as the platform makes it.
 func syncDir(string) error { return nil }
