@@ -214,13 +214,15 @@ func TestRecorderMetrics(t *testing.T) {
 	rec.PhaseDone("x", PhaseCompile, 2*time.Microsecond)
 	rec.RunDone(RunStats{ExecCycles: 10, RouteInterp: 4, L1Hits: 7, DDRWriteLines: 2})
 	rec.RunDone(RunStats{ExecCycles: 5, RouteClosedForm: 1, EpochMemoHits: 4, EpochMemoFlattens: 1, EpochMemoMaterializations: 1})
+	rec.RunDone(RunStats{Label: "twin", Served: true})
 	rec.SweepEvent(EventRetry)
 	rec.SweepEvent(SweepEvent("custom")) // unknown kinds fall back to lookup
 	rec.Span(Span{Run: "r"})
 
 	snap := reg.Snapshot()
 	checks := map[string]uint64{
-		MetricRuns:                        2,
+		MetricRuns:                        3,
+		MetricRunsServed:                  1,
 		MetricExecCycles:                  15,
 		MetricSpans:                       1,
 		MetricPhaseNSPrefix + "compile":   5000,
@@ -244,14 +246,19 @@ func TestRecorderMetrics(t *testing.T) {
 		t.Errorf("compile histogram = %+v, want count 2 sum 5000", h)
 	}
 	// The table is the only spelling of a per-run counter: every numeric
-	// RunStats field feeds exactly one of its rows.
+	// RunStats field feeds exactly one of its rows, and the one flag
+	// (Served) feeds a row counting 1 per set flag.
 	var st RunStats
 	v := reflect.ValueOf(&st).Elem()
 	want := map[uint64]bool{}
 	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
 			f.SetUint(uint64(i) + 1000)
 			want[uint64(i)+1000] = true
+		case reflect.Bool:
+			f.SetBool(true)
+			want[1] = true
 		}
 	}
 	for _, c := range runCounters {
@@ -264,8 +271,12 @@ func TestRecorderMetrics(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("%d RunStats fields feed no counter: %v", len(want), want)
 	}
-	if line := perfSummary(snap.Counters); !strings.Contains(line, "epoch memo 4 hits, 0 misses (0 first sight), 0 stores, 0 corrupt, 1 flattens, 1 materializations") {
+	line := perfSummary(snap.Counters)
+	if !strings.Contains(line, "epoch memo 4 hits, 0 misses (0 first sight), 0 stores, 0 corrupt, 1 flattens, 1 materializations") {
 		t.Errorf("CLI perf summary %q does not carry the memo's whole-machine passes", line)
+	}
+	if !strings.HasPrefix(line, "perf: 3 runs (1 served); ") {
+		t.Errorf("CLI perf summary %q does not count the served run beside the runs", line)
 	}
 }
 

@@ -55,6 +55,10 @@ type RunStats struct {
 	Label string
 	// ExecCycles is the instrumented execution time in cycles.
 	ExecCycles uint64
+	// Served marks a point answered with the result of an identical point
+	// simulated earlier in the same pass (see experiments.GoldenFigures):
+	// nothing was simulated, so every counter below and ExecCycles is zero.
+	Served bool
 
 	// RouteClosedForm..RouteInterp count loop executions dispatched to
 	// each batched-engine route across every core.
@@ -121,6 +125,9 @@ type Observer interface {
 const (
 	// MetricRuns counts completed runs.
 	MetricRuns = "sim.runs"
+	// MetricRunsServed counts the completed runs that were served an
+	// identical point's result instead of simulating (RunStats.Served).
+	MetricRunsServed = "sim.runs_served"
 	// MetricExecCycles totals instrumented execution cycles.
 	MetricExecCycles = "sim.exec_cycles"
 	// MetricSpans counts trace spans observed (whether or not a tracer
@@ -165,6 +172,12 @@ var runCounters = []struct {
 	name string
 	get  func(RunStats) uint64
 }{
+	{MetricRunsServed, func(s RunStats) uint64 {
+		if s.Served {
+			return 1
+		}
+		return 0
+	}},
 	{MetricExecCycles, func(s RunStats) uint64 { return s.ExecCycles }},
 	{MetricRoutePrefix + "closed_form", func(s RunStats) uint64 { return s.RouteClosedForm }},
 	{MetricRoutePrefix + "coalesced", func(s RunStats) uint64 { return s.RouteCoalesced }},
