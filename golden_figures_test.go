@@ -16,9 +16,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bgpsim/internal/experiments"
+	"bgpsim/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current pipeline")
@@ -44,6 +47,89 @@ func TestGoldenFigures(t *testing.T) {
 			want := readGoldenCSV(t, path)
 			diffTables(t, name, want, table)
 		})
+	}
+}
+
+// TestGoldenPassSimulatesEachIdentityOnce pins the pass's result table: the
+// 24 points that figures share are served from the run of their first
+// occurrence, so a cold pass simulates each of its 96 identities once and
+// the epoch memo, which records an identity only on its second sight,
+// records nothing. The table lives for one call; the next simulates again.
+func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
+	forgetEpochMemo()
+	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
+	s := experiments.QuickScale()
+	s.Observer = rec
+	pass := func(s experiments.Scale) (map[string][][]string, []obs.RunStats) {
+		t.Helper()
+		from := len(rec.runs)
+		tables, err := experiments.GoldenFigures(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables, rec.runs[from:]
+	}
+	// split checks a pass's RunDones: every served point has a simulated
+	// twin of its label and reports nothing simulated.
+	split := func(which string, runs []obs.RunStats) (simulated int) {
+		t.Helper()
+		labels := map[string]bool{}
+		for _, st := range runs {
+			if !st.Served {
+				simulated++
+				labels[st.Label] = true
+			}
+		}
+		for _, st := range runs {
+			switch {
+			case !st.Served:
+			case !labels[st.Label]:
+				t.Errorf("%s pass: served point %q has no simulated twin", which, st.Label)
+			case st != obs.RunStats{Label: st.Label, Served: true}:
+				t.Errorf("%s pass: served point reports simulated work: %+v", which, st)
+			}
+		}
+		if len(runs) != 120 || simulated != 96 {
+			t.Errorf("%s pass: %d RunDones, %d simulated; want 120 with 96 simulated and 24 served", which, len(runs), simulated)
+		}
+		return simulated
+	}
+
+	// A checkpoint directory names every simulated run by its identity's
+	// hash, which is how the test counts the distinct identities.
+	cold := s
+	cold.CheckpointDir = t.TempDir()
+	first, runs := pass(cold)
+	simulated := split("cold", runs)
+	entries, err := os.ReadDir(cold.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identities := map[string]bool{}
+	for _, e := range entries {
+		if _, hash, ok := strings.Cut(e.Name(), "-"); ok && e.IsDir() {
+			identities[hash] = true
+		}
+	}
+	if len(entries) != simulated || len(identities) != simulated {
+		t.Errorf("cold pass: %d simulated runs persisted %d entries over %d identities; want one run per identity",
+			simulated, len(entries), len(identities))
+	}
+	var stores, flattens uint64
+	for _, st := range runs {
+		stores += st.EpochMemoStores
+		flattens += st.EpochMemoFlattens
+	}
+	if stores != 0 || flattens != 0 {
+		t.Errorf("cold pass: %d epoch-memo stores and %d flattens; want none, since no identity is seen twice", stores, flattens)
+	}
+
+	// Nothing survives the call: the next one simulates every identity
+	// again (and, being their second sight, records them).
+	second, runs := pass(s)
+	split("second", runs)
+	if !reflect.DeepEqual(first, second) {
+		t.Error("the second pass's tables differ from the first's")
 	}
 }
 

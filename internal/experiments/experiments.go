@@ -65,6 +65,9 @@ type Scale struct {
 	// NoEpochMemo disables the epoch memo (see
 	// bgp.RunConfig.NoEpochMemo); figures are identical either way.
 	NoEpochMemo bool
+
+	// pass is set by GoldenFigures for the length of one call (see runAll).
+	pass *passTable
 }
 
 // MissingSet accumulates the identity of every figure point that could not
@@ -145,21 +148,100 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 // are absorbed: the failed positions come back nil, their labels land in
 // s.Missing, and the error is nil so the figure renders partially. A dead
 // context (interrupt) still fails the figure.
+//
+// Inside a GoldenFigures call (s.pass set), a point whose identity the pass
+// already simulated is served that result instead of running again, and
+// only the first occurrence of a new identity runs; a duplicate whose twin
+// failed runs in its place. A served point reports one RunDone with Served
+// set and nothing simulated, and credits nothing to s.Progress.
 func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 	s.Stamp(cfgs)
 	s.Missing.addTotal(len(cfgs))
-	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig)
-	if err != nil {
-		var se *sweep.SweepError
-		if s.ContinueOnError && errors.As(err, &se) && se.Cause == nil {
-			for _, f := range se.Failed {
-				s.Missing.add(bgp.PointLabel(cfgs[f.Index]))
+	results := make([]*bgp.Result, len(cfgs))
+	keys := make([]string, len(cfgs))
+	pending := make([]int, len(cfgs))
+	for i := range cfgs {
+		keys[i], pending[i] = s.pass.key(cfgs[i]), i
+	}
+	for len(pending) > 0 {
+		var run, hits, wait []int
+		sent := map[string]bool{}
+		for _, i := range pending {
+			switch key := keys[i]; {
+			case key == "":
+				run = append(run, i)
+			case s.pass.byKey[key] != nil:
+				hits = append(hits, i)
+			case sent[key]:
+				wait = append(wait, i)
+			default:
+				sent[key] = true
+				run = append(run, i)
 			}
-			return results, nil
 		}
-		return nil, err
+		if len(run) > 0 {
+			sub := make([]bgp.RunConfig, len(run))
+			for k, i := range run {
+				sub[k] = cfgs[i]
+			}
+			out, err := bgp.RunAll(context.Background(), sub, s.SweepConfig)
+			if err != nil {
+				var se *sweep.SweepError
+				if !s.ContinueOnError || !errors.As(err, &se) || se.Cause != nil {
+					return nil, err
+				}
+				for _, f := range se.Failed {
+					s.Missing.add(bgp.PointLabel(sub[f.Index]))
+				}
+			}
+			for k, i := range run {
+				results[i] = out[k]
+				if keys[i] != "" && out[k] != nil {
+					s.pass.byKey[keys[i]] = out[k]
+				}
+			}
+		}
+		for _, i := range hits {
+			results[i] = s.serve(cfgs[i], s.pass.byKey[keys[i]])
+		}
+		pending = wait
 	}
 	return results, nil
+}
+
+// passTable is one GoldenFigures call's results by run identity
+// (bgp.RunKey at index 0), so a point that several figures share is
+// simulated once per call. It dies with the call: a second call simulates
+// every identity again.
+type passTable struct {
+	byKey map[string]*bgp.Result
+}
+
+// key is the identity cfg is served under; "" outside a pass, and for a run
+// that leaves what a result does not carry (timeline samples, dump files),
+// which always runs.
+func (t *passTable) key(cfg bgp.RunConfig) string {
+	if t == nil || cfg.TimelineInterval > 0 || cfg.DumpDir != "" {
+		return ""
+	}
+	return bgp.RunKey(0, cfg)
+}
+
+// serve answers cfg with its twin's result: a shallow copy whose Config
+// echo is cfg's own, with the twin's resolved Ranks and Nodes. The dumps,
+// analysis and metrics are shared; nothing changes them after Run.
+func (s Scale) serve(cfg bgp.RunConfig, twin *bgp.Result) *bgp.Result {
+	res := *twin
+	res.Config = cfg
+	res.Config.Ranks, res.Config.Nodes = twin.Config.Ranks, twin.Config.Nodes
+	ob := cfg.Observer
+	if ob == nil {
+		ob = s.Observer
+	}
+	if ob != nil {
+		ob.RunDone(bgp.RunStats{Label: res.Label, Served: true})
+	}
+	return &res
 }
 
 // variant is one column of a study: an edit applied to the workload's base

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	bgp "bgpsim"
 )
 
 // GoldenFigureNames lists the tables GoldenFigures renders, sorted — one
@@ -42,7 +44,14 @@ func goldenName(selector string) string {
 // 12-14 from one mode sweep — so the whole set costs three suite sweeps plus
 // the profile and L3 runs. The extension studies are not paper figures and
 // do not run.
+//
+// Figures share points: Figure 6's runs are the -O5 -qarch=440d column of
+// Figures 9-10 and the VNM column of 12-14, and Figure 11's 2 MB points are
+// the SMP/1 column of 12-14. Within one call each run identity is simulated
+// once — 96 identities for the 120 points at any scale — and every later
+// point with that identity is served its result (see runAll).
 func GoldenFigures(s Scale) (map[string][][]string, error) {
+	s.pass = &passTable{byKey: map[string]*bgp.Result{}}
 	tables := make(map[string][][]string)
 	for _, st := range Studies() {
 		if st.golden == nil {
