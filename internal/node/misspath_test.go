@@ -9,18 +9,18 @@ import (
 
 // TestL3EffectiveCapacityIsHalfConfigured characterises a known model
 // deviation (DESIGN.md "Known deviations"): Node.bank picks the bank with
-// address bit 7 and hands the full address to that bank's cache, whose set
-// index starts at the same bit — so within a bank bit 7 is constant and only
-// every other set is ever touched. A configured L3 of N bytes holds N/2.
+// address bit 7, where a full-geometry bank's set index would start, and New
+// boots each bank with only the half of its sets that bank's addresses
+// reach. A configured L3 of N bytes holds N/2.
 // After a long sequential walk under LRU exactly the last N/2 bytes are
 // resident: re-reading the last N bytes hits nothing (the walk back in
 // evicts what the hits would have found), re-reading the last N/2 hits
 // everything.
 //
 // This pins today's behaviour, not the intended one. ROADMAP item 4 (the
-// fidelity gate) is the change licensed to move every golden; when it indexes
-// banks with the bank bit removed, this test flips to "the last N bytes all
-// hit" and is renamed.
+// fidelity gate) is the change licensed to move every golden; when it deletes
+// the halving line in New, this test flips to "the last N bytes all hit" and
+// is renamed.
 func TestL3EffectiveCapacityIsHalfConfigured(t *testing.T) {
 	const (
 		l3Bytes   = 8 << 20 // the production size
