@@ -271,3 +271,58 @@ func BenchmarkScaleInfo(b *testing.B) {
 		_ = fmt.Sprintf("%v", s)
 	}
 }
+
+// BenchmarkRunKey measures resolving a run's identity, alone and with the
+// checkpoint-store read each bgpd result fetch makes after it, for a named
+// benchmark and for the HPL spec at the quick scale. A decoded spec carries
+// its fingerprint, so a spec run's key costs what a named run's does.
+func BenchmarkRunKey(b *testing.B) {
+	s := experiments.QuickScale()
+	hpl, err := bgp.LoadWorkloadSpec("specs/hpl.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := bgp.OpenCheckpointStore(b.TempDir(), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		cfg  bgp.RunConfig
+	}{
+		{"cg", bgp.RunConfig{Benchmark: "cg"}},
+		{"hpl", bgp.RunConfig{Spec: hpl}},
+	} {
+		cfg := w.cfg
+		cfg.Class, cfg.Ranks, cfg.Mode, cfg.Opts = s.Class, s.Ranks, machine.VNM, experiments.BestBuild()
+		res, err := bgp.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Persist(bgp.RunKey(0, cfg), cfg, res); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.name+"/RunKey", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bgp.RunKey(0, cfg)
+			}
+		})
+		b.Run(w.name+"/RunKey+DumpFile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if blob, _ := store.DumpFile(bgp.RunKey(0, cfg), cfg, 0); blob == nil {
+					b.Fatal("DumpFile missed")
+				}
+			}
+		})
+		b.Run(w.name+"/RunKey+Restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if store.Restore(bgp.RunKey(0, cfg), cfg) == nil {
+					b.Fatal("Restore missed")
+				}
+			}
+		})
+	}
+}

@@ -10,16 +10,22 @@ package bgp_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	bgp "bgpsim"
 	"bgpsim/internal/faults"
+	"bgpsim/internal/server"
 	"bgpsim/internal/sweep"
 )
 
@@ -90,7 +96,8 @@ func TestSpecSerialParallelDeterminism(t *testing.T) {
 // TestSpecRunKeyProperties pins the fingerprint that feeds checkpoint keys,
 // the epoch memo and bgpd job ids: two loads of one spec file share a
 // RunKey; a seed edit, a different spec, or a NAS benchmark do not; and
-// host-side knobs stay out of the key.
+// host-side knobs stay out of the key. The seed is edited in the YAML text,
+// which is decoded again: a decoded spec is never mutated.
 func TestSpecRunKeyProperties(t *testing.T) {
 	a := mustHPLConfig()
 	b := mustHPLConfig()
@@ -98,8 +105,19 @@ func TestSpecRunKeyProperties(t *testing.T) {
 		t.Error("two loads of one spec file produce different RunKeys; the cache would never hit")
 	}
 
+	src, err := os.ReadFile("specs/hpl.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded := fmt.Sprintf("seed: %d\n", a.Spec.Seed+1)
+	edited := strings.Replace(string(src), fmt.Sprintf("seed: %d\n", a.Spec.Seed), reseeded, 1)
+	if !strings.Contains(edited, reseeded) {
+		t.Fatalf("specs/hpl.yaml has no %q line to edit", fmt.Sprintf("seed: %d", a.Spec.Seed))
+	}
 	seeded := mustHPLConfig()
-	seeded.Spec.Seed++
+	if seeded.Spec, err = bgp.ParseWorkloadSpec([]byte(edited)); err != nil {
+		t.Fatal(err)
+	}
 	if bgp.RunKey(0, a) == bgp.RunKey(0, seeded) {
 		t.Error("a seed edit does not change the RunKey; distinct workloads would share dumps")
 	}
@@ -117,6 +135,100 @@ func TestSpecRunKeyProperties(t *testing.T) {
 	if bgp.RunKey(0, a) != bgp.RunKey(0, knobs) {
 		t.Error("host-side knobs perturb a spec RunKey; resume would re-run everything")
 	}
+}
+
+// TestDecodedSpecIsNeverMutated pushes one decoded spec through every path
+// that keys or runs it — Run, a checkpointed RunAll, the store's Restore and
+// DumpFile, and bgpd's submit and fetch — and requires it to equal a fresh
+// decode of the same bytes afterwards. A decoded spec carries the identity
+// its decoder hashed, so a path that edited it would leave that identity
+// stale; this is the test that would catch it.
+func TestDecodedSpecIsNeverMutated(t *testing.T) {
+	src, err := os.ReadFile("specs/hpl.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := bgp.ParseWorkloadSpec(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mustHPLConfig()
+	cfg.Spec = spec
+	if _, err := bgp.Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	ckptDir := t.TempDir()
+	if _, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, bgp.SweepConfig{Workers: 1, CheckpointDir: ckptDir}); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	store, err := bgp.OpenCheckpointStore(ckptDir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bgp.RunKey(0, cfg)
+	if store.Restore(key, cfg) == nil {
+		t.Fatal("Restore found no entry for the run RunAll persisted")
+	}
+	if blob, _ := store.DumpFile(key, cfg, 0); blob == nil {
+		t.Fatal("DumpFile found no node 0 dump for the run RunAll persisted")
+	}
+
+	s, err := server.New(server.Config{CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	job := &server.JobSpec{Tenant: "immutable", Runs: []server.RunSpec{
+		{Spec: string(src), Class: "S", Ranks: 4, Mode: "vnm", Opts: "-O5 -qarch=440d"},
+	}}
+	cfgs := []bgp.RunConfig{cfg}
+	if _, _, err := s.Submit(job, cfgs); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	base := ts.URL + "/v1/jobs/" + server.JobID(job, cfgs)
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var st server.JobStatus
+		if err := json.Unmarshal(httpGet(t, base), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == server.StateDone {
+			break
+		}
+		if st.State == server.StateFailed || time.Now().After(deadline) {
+			t.Fatalf("bgpd job is %s: %s", st.State, st.Error)
+		}
+	}
+	httpGet(t, base+"/result")
+	httpGet(t, base+"/result?run=0&node=0")
+
+	fresh, err := bgp.ParseWorkloadSpec(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec, fresh) {
+		t.Fatalf("the decoded spec changed on its way through the simulator and bgpd:\n got %+v\nwant %+v", spec, fresh)
+	}
+}
+
+// httpGet fetches url and returns the body of its 200 answer.
+func httpGet(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+	}
+	return body
 }
 
 // TestSpecBenchmarkMutuallyExclusive pins the public-API guard.

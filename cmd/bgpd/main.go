@@ -31,7 +31,10 @@
 // write-ahead job journal (JOURNAL.wal in the same directory) replays
 // accepted-but-unfinished jobs after a crash — kill -9 the daemon mid-sweep,
 // restart it on the same -checkpoint, and the same job ids converge to the
-// same byte-identical results. One daemon owns a directory: it holds a lock
+// same byte-identical results. A finished job comes back from its terminal
+// journal record alone, with the status it had: a restart resolves none of
+// its runs, and a run whose store entry has gone missing is re-resolved
+// when it is fetched. One daemon owns a directory: it holds a lock
 // on the journal while it runs, so a second bgpd on the same -checkpoint
 // exits 1, and a restart after a crash starts at once. The /metrics
 // endpoint exposes the server.* cache, admission, journal and audit

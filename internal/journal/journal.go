@@ -21,9 +21,10 @@
 //
 // The journal records *intent and state*, not results: results live in the
 // CRC-stamped checkpoint store, keyed by content-addressed RunKeys, so a
-// replayed job that already simulated is a pure cache hit. Compact rewrites
-// the log to one submit record (plus terminal state) per live job, bounding
-// growth across restarts.
+// re-queued job that already simulated is a pure cache hit, and a finished
+// job's terminal state record carries its run counts, so a replay registers
+// it without touching the store. Compact rewrites the log to one submit
+// record, plus its latest state, per job the replay kept.
 //
 // A log has one writer. Open takes an exclusive flock on the file and holds
 // it until Close, and a second Open of the same path — from this process or
@@ -89,6 +90,11 @@ type Record struct {
 	// Recoveries counts how many times the job has been re-queued after a
 	// crash; the recovery circuit breaker fails the job past its budget.
 	Recoveries int `json:"recoveries,omitempty"`
+	// Completed and CacheHits carry a terminal state record's run counts,
+	// so a replay registers the finished job from this record alone.
+	// Records written before the counts existed decode with both zero.
+	Completed int `json:"completed,omitempty"`
+	CacheHits int `json:"cache_hits,omitempty"`
 }
 
 // Encode frames one record onto w: length, CRC32, JSON payload.

@@ -2,16 +2,21 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // sampleRecords is a realistic little log: a submission, its running
 // transition, a lease record of the kind older daemons wrote (an unknown
-// kind, which must still round-trip), and a terminal state.
+// kind, which must still round-trip), and a terminal state carrying its run
+// counts; then a second job whose failed record carries none, as records
+// written before the counts existed do.
 func sampleRecords() []Record {
 	return []Record{
 		{Kind: KindSubmit, Job: "job-aaaa", Tenant: "alice",
@@ -19,7 +24,7 @@ func sampleRecords() []Record {
 			CreatedUnix: 1754600000},
 		{Kind: KindState, Job: "job-aaaa", State: "running"},
 		{Kind: "lease", Job: "job-aaaa"},
-		{Kind: KindState, Job: "job-aaaa", State: "done"},
+		{Kind: KindState, Job: "job-aaaa", State: "done", Completed: 1, CacheHits: 1},
 		{Kind: KindSubmit, Job: "job-bbbb", Tenant: "bob",
 			Spec:        json.RawMessage(`{"runs":[{"benchmark":"mg","class":"S","ranks":4,"mode":"smp1"}]}`),
 			CreatedUnix: 1754600001},
@@ -151,6 +156,28 @@ func TestJournalCompact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, append(append([]Record(nil), live...), extra)) {
 		t.Fatalf("compacted replay mismatch: %+v", got)
+	}
+}
+
+// TestJournalCountFields pins the terminal counts' wire names, and that a
+// state record written before they existed decodes with both counts zero.
+func TestJournalCountFields(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, Record{Kind: KindState, Job: "job-aaaa", State: "done", Completed: 3, CacheHits: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if payload := buf.String()[headerBytes:]; !strings.Contains(payload, `"completed":3,"cache_hits":2`) {
+		t.Errorf("terminal record payload %s lacks the count fields", payload)
+	}
+
+	old := []byte(`{"kind":"state","job":"job-aaaa","state":"done","recoveries":1}`)
+	var frame [headerBytes]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(old)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(old))
+	recs, valid := DecodeBytes(append(frame[:], old...))
+	want := Record{Kind: KindState, Job: "job-aaaa", State: "done", Recoveries: 1}
+	if len(recs) != 1 || !reflect.DeepEqual(recs[0], want) || valid != int64(headerBytes+len(old)) {
+		t.Fatalf("countless record decoded as %+v (valid %d), want %+v", recs, valid, want)
 	}
 }
 

@@ -33,8 +33,10 @@ import (
 // job 1 stalls mid-run, job 2 never leaves the queue. The instance dies.
 // A second instance on the same directory must replay the journal,
 // re-queue the unfinished jobs without any resubmission, and serve all
-// three ids done with dumps byte-identical to the uninterrupted baseline —
-// job 0's replay costing only store hits.
+// three ids done with dumps byte-identical to the uninterrupted baseline.
+// Job 0 is registered from its terminal record with the status it had
+// before the crash, and resolves nothing: only jobs 1 and 2 reach the
+// cache, and neither finds its run in the store.
 func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	specs := fastSpecs()
 	cfgs := make([]bgp.RunConfig, len(specs))
@@ -60,8 +62,9 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 		st := submitJob(t, ts1.URL, server.JobSpec{Tenant: "crash", Runs: []server.RunSpec{rs}})
 		ids[i] = st.ID
 	}
-	if st := waitDone(t, ts1.URL, ids[0]); st.State != server.StateDone {
-		t.Fatalf("first job ended %s before the crash: %s", st.State, st.Error)
+	before := waitDone(t, ts1.URL, ids[0])
+	if before.State != server.StateDone {
+		t.Fatalf("first job ended %s before the crash: %s", before.State, before.Error)
 	}
 	// Make sure the doomed job is journaled running before the crash, so
 	// the replay exercises the running-job path.
@@ -86,6 +89,9 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 		if st.State != server.StateDone {
 			t.Fatalf("recovered job %d (%s) ended %s: %s", i, id, st.State, st.Error)
 		}
+		if i == 0 && st != before {
+			t.Errorf("finished job's status changed across the crash:\n got %+v\nwant %+v", st, before)
+		}
 		if i == 1 && st.Recoveries != 1 {
 			t.Errorf("interrupted job reports %d recoveries, want 1", st.Recoveries)
 		}
@@ -104,6 +110,9 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 	if got := snap[server.MetricJournalRecoveryFailed]; got != 0 {
 		t.Errorf("server.journal.recovery_failed = %d, want 0", got)
+	}
+	if got := snap[server.MetricCacheHitStore]; got != 0 {
+		t.Errorf("server.cache.hit_store = %d, want 0 (the finished job was resolved again)", got)
 	}
 	requireMemoReplayed(t, s2)
 }
@@ -230,20 +239,11 @@ func TestReplayDoesNotWaitOutOldLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []byte
-	for _, payload := range []string{
+	writeRawJournal(t, ckptDir,
 		fmt.Sprintf(`{"kind":"submit","job":%q,"tenant":"lease","spec":%s,"created_unix":%d}`, id, raw, time.Now().Unix()),
 		fmt.Sprintf(`{"kind":"state","job":%q,"state":"running","owner":"bgpd-7-7"}`, id),
 		fmt.Sprintf(`{"kind":"lease","job":%q,"owner":"bgpd-7-7","expiry_unix_nano":%d}`, id, time.Now().Add(time.Hour).UnixNano()),
-	} {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE([]byte(payload)))
-		log = append(append(log, hdr[:]...), payload...)
-	}
-	if err := os.WriteFile(filepath.Join(ckptDir, server.JournalFile), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	)
 
 	_, ts := newTestServer(t, server.Config{CheckpointDir: ckptDir})
 	deadline := time.Now().Add(4 * time.Second)
@@ -256,6 +256,23 @@ func TestReplayDoesNotWaitOutOldLeases(t *testing.T) {
 	st := waitDone(t, ts.URL, id)
 	if st.State != server.StateDone || st.Recoveries != 1 {
 		t.Fatalf("replayed job ended %s with %d recoveries, want done with 1: %s", st.State, st.Recoveries, st.Error)
+	}
+}
+
+// writeRawJournal writes a checkpoint directory's journal from literal JSON
+// payloads, each framed as the journal frames a record: the bytes an older
+// daemon left, written without today's Record type.
+func writeRawJournal(t *testing.T, ckptDir string, payloads ...string) {
+	t.Helper()
+	var log []byte
+	for _, payload := range payloads {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE([]byte(payload)))
+		log = append(append(log, hdr[:]...), payload...)
+	}
+	if err := os.WriteFile(filepath.Join(ckptDir, server.JournalFile), log, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -26,7 +26,10 @@ const (
 	// MetricJobsRejected counts submissions refused with 429 (queue
 	// overflow or per-tenant concurrency limit).
 	MetricJobsRejected = "server.jobs.rejected"
-	// MetricJobsDone / MetricJobsFailed count terminal job states.
+	// MetricJobsDone / MetricJobsFailed count jobs that reached a terminal
+	// state in this process. A finished job a boot replay registers from
+	// its journal record is not counted again; a job the replay fails (its
+	// recovery budget spent) counts as failed.
 	MetricJobsDone   = "server.jobs.done"
 	MetricJobsFailed = "server.jobs.failed"
 	// MetricJobsActive gauges jobs admitted but not yet terminal.
@@ -240,8 +243,9 @@ type Server struct {
 // New opens the checkpoint store (its committed entries are the directory's
 // own index, so a restarted daemon serves previously completed work from
 // disk with nothing to load), locks and replays the write-ahead job journal
-// — re-queuing every job the previous instance left non-terminal — and
-// starts the job workers. A directory another server holds is refused.
+// — registering finished jobs from their records and re-queuing every job
+// the previous instance left non-terminal — and starts the job workers. A
+// directory another server holds is refused.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.CheckpointDir == "" {
@@ -436,24 +440,27 @@ func (s *Server) appendJournal(rec journal.Record) error {
 	return nil
 }
 
-// journalState appends one state-transition record; a failed append is
-// counted and tolerated (the job proceeds; durability degrades until the
-// disk recovers).
-func (s *Server) journalState(id, state, errMsg string, recoveries int) {
-	s.appendJournal(journal.Record{
-		Kind: journal.KindState, Job: id, State: state, Error: errMsg,
-		Recoveries: recoveries,
-	})
+// record renders the job's state as a journal state record carrying what
+// its status shows, so a replay can register a terminal job from the record
+// alone. failed is not stored: it is the runs the job did not complete.
+func (j *job) record() journal.Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return journal.Record{
+		Kind: journal.KindState, Job: j.id, State: j.state, Error: j.errMsg,
+		Recoveries: j.recoveries, Completed: j.completed, CacheHits: j.cacheHits,
+	}
 }
 
 // runJob executes every run of a job, resolving each through the result
-// cache, and drives the job to its terminal state.
+// cache, and drives the job to its terminal state. Journal appends that
+// fail are counted and tolerated: the job proceeds, and durability
+// degrades until the disk recovers.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.state = StateRunning
-	recoveries := j.recoveries
 	j.mu.Unlock()
-	s.journalState(j.id, StateRunning, "", recoveries)
+	s.appendJournal(j.record())
 
 	var wg sync.WaitGroup
 	for i := range j.cfgs {
@@ -486,14 +493,14 @@ func (s *Server) runJob(j *job) {
 		j.state = StateDone
 		s.jobsDone.Inc()
 	}
-	state, errMsg := j.state, j.errMsg
+	state := j.state
 	close(j.done)
 	j.mu.Unlock()
 	// A job torn down by server shutdown did not fail — it was interrupted.
 	// Leaving its journal record at running/queued is what lets a restarted
 	// instance re-queue and finish it.
 	if !(state == StateFailed && s.ctx.Err() != nil) {
-		s.journalState(j.id, state, errMsg, recoveries)
+		s.appendJournal(j.record())
 	}
 
 	s.mu.Lock()

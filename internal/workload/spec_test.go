@@ -230,6 +230,10 @@ func TestFingerprintPinned(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity edits one field of a decoded spec at a time
+// and hashes the edited spec the way the decoder does: every semantic field
+// must move the identity. (Fingerprint itself returns the hash taken at
+// decode; a decoded spec is never edited outside a test.)
 func TestFingerprintSensitivity(t *testing.T) {
 	base, err := DecodeSpecBytes([]byte(goodSpec))
 	if err != nil {
@@ -255,8 +259,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if mod.hash() != mod.Fingerprint() {
+				t.Fatal("the decoder's fingerprint is not hash() of the decoded spec")
+			}
 			edit(mod)
-			if mod.Fingerprint() == base.Fingerprint() {
+			if mod.hash() == base.Fingerprint() {
 				t.Fatalf("edit %q did not change the fingerprint", name)
 			}
 		})
