@@ -56,11 +56,11 @@ func goldenRuns(t *testing.T, root string, cfgs []bgp.RunConfig) ([]*bgp.Result,
 	return results, dumps
 }
 
-// checkpointDumpBytes reads the persisted dump files of run index from the
-// checkpoint directory.
-func checkpointDumpBytes(t *testing.T, ckptDir string, index int, cfg bgp.RunConfig) map[string][]byte {
+// checkpointDumpBytes reads the persisted dump files of cfg's identity from
+// the checkpoint directory, the entry every position of that identity shares.
+func checkpointDumpBytes(t *testing.T, ckptDir string, cfg bgp.RunConfig) map[string][]byte {
 	t.Helper()
-	return readDumpBytes(t, filepath.Join(ckptDir, bgp.RunKey(index, cfg)))
+	return readDumpBytes(t, filepath.Join(ckptDir, bgp.RunKey(0, cfg)))
 }
 
 // sweepEvents returns an observer and a reader of the sweep events it has
@@ -87,12 +87,44 @@ func (o onPersist) SweepEvent(ev obs.SweepEvent) {
 	}
 }
 
+// requireFired fails t unless, for each position key in armed, the injector
+// fired that kind there: a fault armed per sweep position still fires at
+// the position it names when positions share a checkpoint entry.
+func requireFired(t *testing.T, inj *faults.Injector, armed map[string]faults.Kind) {
+	t.Helper()
+	fired := make(map[string]map[faults.Kind]bool)
+	for _, ev := range inj.Log() {
+		if fired[ev.Key] == nil {
+			fired[ev.Key] = make(map[faults.Kind]bool)
+		}
+		fired[ev.Key][ev.Kind] = true
+	}
+	for key, kind := range armed {
+		if !fired[key][kind] {
+			t.Errorf("fault %v armed on %s never fired", kind, key)
+		}
+	}
+}
+
+// onRunDone is a recorder that also calls hook, on the worker, when its run
+// has finished simulating and before the sweep persists it.
+type onRunDone struct {
+	*obs.Recorder
+	hook func()
+}
+
+func (o onRunDone) RunDone(st obs.RunStats) {
+	o.hook()
+	o.Recorder.RunDone(st)
+}
+
 // TestChaosDeterminism injects a seeded fault schedule — transient errors,
 // a panic, a stall past the per-run deadline, write-path dump corruption,
 // and one run whose transient faults outlast the retry budget — into a
 // ContinueOnError sweep with checkpointing, then resumes. The recovered
 // sweep's persisted dumps must be byte-identical to the fault-free serial
-// golden runs.
+// golden runs. Faults are armed per sweep position; the checkpoint entry is
+// the identity's, which the repeated positions 4 and 5 share with 0 and 3.
 func TestChaosDeterminism(t *testing.T) {
 	cases := determinismCases() // one benchmark per operating mode
 	cfgs := append(cases, cases[0], cases[3])
@@ -113,7 +145,21 @@ func TestChaosDeterminism(t *testing.T) {
 	inj.Arm(keys[4], faults.Transient, faults.Transient, faults.Transient, faults.Transient) // outlasts retries
 	// keys[5] unarmed: the fault-free control through the same machinery.
 
+	// The corrupting writer (3) and the clean control (5) write one entry.
+	// The corrupting one waits, between simulating and persisting, until
+	// its clean twin has committed, so the entry left behind is always the
+	// corrupt one and resume validation must catch it.
 	ckptDir := filepath.Join(root, "ckpt")
+	twinEntry := filepath.Join(ckptDir, bgp.RunKey(0, cfgs[5]), "ENTRY.json")
+	twinCommitted := make(chan struct{})
+	var once sync.Once
+	cfgs[3].Observer = onRunDone{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+		select {
+		case <-twinCommitted:
+		case <-time.After(time.Minute):
+			t.Error("run 5 never committed the entry run 3 shares")
+		}
+	}}
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:         len(cfgs),
 		Retries:         2,
@@ -121,6 +167,11 @@ func TestChaosDeterminism(t *testing.T) {
 		ContinueOnError: true,
 		CheckpointDir:   ckptDir,
 		Faults:          inj,
+		Observer: onPersist{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+			if _, err := os.Stat(twinEntry); err == nil {
+				once.Do(func() { close(twinCommitted) })
+			}
+		}},
 	})
 	var se *sweep.SweepError
 	if !errors.As(err, &se) {
@@ -143,22 +194,17 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Errorf("run %d metrics diverge from golden after fault recovery", i)
 		}
 	}
-	// Every injected kind actually fired.
-	fired := make(map[faults.Kind]bool)
-	for _, ev := range inj.Log() {
-		fired[ev.Kind] = true
-	}
-	for _, k := range []faults.Kind{faults.Transient, faults.Panic, faults.Stall, faults.CorruptDump} {
-		if !fired[k] {
-			t.Errorf("fault kind %v never fired", k)
-		}
-	}
+	// Every injected kind actually fired, at the position it was armed on.
+	requireFired(t, inj, map[string]faults.Kind{
+		keys[0]: faults.Transient, keys[1]: faults.Panic, keys[2]: faults.Stall,
+		keys[3]: faults.CorruptDump, keys[4]: faults.Transient,
+	})
 
-	// Resume: restores pristine checkpoints, re-runs the corrupted and the
-	// failed run, and converges.
+	// Resume, one position at a time: restores pristine checkpoints,
+	// re-runs the corrupted entry, and converges.
 	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:       len(cfgs),
+		Workers:       1,
 		CheckpointDir: ckptDir,
 		Resume:        true,
 		Observer:      rec,
@@ -166,20 +212,21 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
-	// Runs 0, 1, 2 and 5 persisted pristine dumps; run 3's artifact was
-	// corrupted on the write path and run 4 never completed.
-	if r := seen(obs.EventCheckpointRestore); r != 4 {
-		t.Errorf("resume restored %d runs, want 4", r)
+	// Runs 0, 1 and 2 persisted pristine dumps, and failed run 4 is run 0's
+	// identity. Run 3's entry was corrupted on the write path, so run 3
+	// re-executes and rewrites it, and run 5 restores the rewrite.
+	if r := seen(obs.EventCheckpointRestore); r != 5 {
+		t.Errorf("resume restored %d runs, want 5", r)
 	}
-	if e := seen(obs.EventCheckpointPersist); e != 2 {
-		t.Errorf("resume executed %d runs, want 2 (the corrupted and the failed one)", e)
+	if e := seen(obs.EventCheckpointPersist); e != 1 {
+		t.Errorf("resume executed %d runs, want 1 (the corrupted one)", e)
 	}
 
 	// The exactness contract: after retries and resume, every run's
 	// persisted dump set is byte-identical to the fault-free serial run.
 	for i, cfg := range cfgs {
 		want := goldenDumps[goldenOf[i]]
-		got := checkpointDumpBytes(t, ckptDir, i, cfg)
+		got := checkpointDumpBytes(t, ckptDir, cfg)
 		if len(got) != len(want) {
 			t.Fatalf("run %d: checkpoint has %d dumps, golden has %d", i, len(got), len(want))
 		}
@@ -215,6 +262,13 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	root := t.TempDir()
 	golden, goldenDumps := goldenRuns(t, root, cases)
 
+	// The warm-up sweeps share the chaos pass's compile cache, so the
+	// resumed run below, whose identity the chaos pass never completes,
+	// compiles nothing fresh.
+	cache := bgp.NewProgCache(16)
+	for i := range cases {
+		cases[i].ProgCache = cache
+	}
 	for _, leg := range []string{"first-sight", "recording"} {
 		res, err := bgp.RunAll(context.Background(), cases, bgp.SweepConfig{Workers: 1})
 		if err != nil {
@@ -234,14 +288,14 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	inj := faults.New(0xCAC4E)
 	inj.Arm(keys[0], faults.Transient)                                     // heals; its retry recompiles from cache
 	inj.Arm(keys[2], faults.Panic)                                         // panic isolation
-	inj.Arm(keys[4], faults.Transient, faults.Transient, faults.Transient) // outlasts Retries=1: partial output
-	cache := bgp.NewProgCache(16)
+	inj.Arm(keys[3], faults.Transient, faults.Transient, faults.Transient) // outlasts Retries=1: partial output, no twin
 	for i := range cfgs {
 		cfgs[i].ProgCache = cache
 	}
 	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
 
 	ckptDir := filepath.Join(root, "ckpt")
+	warm := cache.Stats()
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:         len(cfgs),
 		Retries:         1,
@@ -254,13 +308,16 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("chaos pass error = %v, want *sweep.SweepError", err)
 	}
-	if len(se.Failed) != 1 || se.Failed[0].Index != 4 {
-		t.Fatalf("chaos pass failures = %+v, want exactly run 4", se.Failed)
+	if len(se.Failed) != 1 || se.Failed[0].Index != 3 {
+		t.Fatalf("chaos pass failures = %+v, want exactly run 3", se.Failed)
 	}
-	if chaos[4] != nil {
-		t.Error("failed run 4 returned a result")
+	if chaos[3] != nil {
+		t.Error("failed run 3 returned a result")
 	}
-	if s := cache.Stats(); s.Hits == 0 {
+	requireFired(t, inj, map[string]faults.Kind{
+		keys[0]: faults.Transient, keys[2]: faults.Panic, keys[3]: faults.Transient,
+	})
+	if s := cache.Stats(); s.Hits == warm.Hits {
 		t.Error("shared program cache saw no hits; memoization never engaged")
 	}
 	// Every run that completed must have replayed memoized epochs, by its
@@ -277,6 +334,7 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	}
 
 	// Resume re-runs only the failed run — now entirely from cache hits.
+	// Runs 4 and 5 restore the entries runs 0 and 1 wrote.
 	before := cache.Stats()
 	resumeRec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
@@ -301,7 +359,7 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 
 	for i, cfg := range cfgs {
 		want := goldenDumps[goldenOf[i]]
-		got := checkpointDumpBytes(t, ckptDir, i, cfg)
+		got := checkpointDumpBytes(t, ckptDir, cfg)
 		if len(got) != len(want) {
 			t.Fatalf("run %d: checkpoint has %d dumps, golden has %d", i, len(got), len(want))
 		}
@@ -317,9 +375,9 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 }
 
 // TestSweepResumeAfterCancel interrupts a checkpointed sweep mid-flight
-// (context cancel at ~50% completion) and relaunches it with Resume: only
-// the unfinished runs re-execute, and the final results equal the clean
-// serial ones.
+// (context cancel once half the identities are committed) and relaunches it
+// with Resume: only the unfinished identities re-execute, and the final
+// results equal the clean serial ones.
 func TestSweepResumeAfterCancel(t *testing.T) {
 	cases := determinismCases()
 	cfgs := append(cases, cases...) // 8 runs, two per operating mode
@@ -335,8 +393,8 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 		Workers:       2,
 		CheckpointDir: ckptDir,
 		Observer: onPersist{firstRec, func() {
-			if done.Add(1) == int64(len(cfgs)/2) {
-				cancel() // interrupt at ~50% completion
+			if done.Add(1) == int64(len(cases)/2) {
+				cancel() // interrupt at half the identities
 			}
 		}},
 	})
@@ -344,13 +402,24 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
 	}
 	completed := done.Load()
-	if completed >= int64(len(cfgs)) {
-		t.Fatal("every run completed; cancellation came too late to test resume")
+	if completed >= int64(len(cases)) {
+		t.Fatal("every identity completed; cancellation came too late to test resume")
+	}
+	// Claims are sequential and one run at most was in flight past the
+	// cancel, so only the first three positions ran: each commit is its own
+	// identity.
+	store, err := bgp.OpenCheckpointStore(ckptDir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := store.Len()
+	if int64(committed) != completed {
+		t.Errorf("%d commits left %d entries, want one per commit", completed, committed)
 	}
 
 	rec, seen := sweepEvents()
 	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:       2,
+		Workers:       1,
 		CheckpointDir: ckptDir,
 		Resume:        true,
 		Observer:      rec,
@@ -358,14 +427,14 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
-	// Everything checkpointed before the cancel was restored, not re-run;
-	// with 2 workers at most 2 runs were in flight past the cancel point.
-	restored := int64(seen(obs.EventCheckpointRestore))
-	if restored < completed || restored > completed+2 {
-		t.Errorf("restored %d runs, want between %d and %d", restored, completed, completed+2)
+	// Position by position, the first occurrence of each identity not
+	// committed before the cancel re-executes; every other position
+	// restores, the second occurrences from entries this pass wrote.
+	if e := seen(obs.EventCheckpointPersist); e != len(cases)-committed {
+		t.Errorf("resume executed %d runs, want %d", e, len(cases)-committed)
 	}
-	if restored == int64(len(cfgs)) {
-		t.Error("resume restored every run; nothing was left to re-execute")
+	if r := seen(obs.EventCheckpointRestore); r != len(cfgs)-(len(cases)-committed) {
+		t.Errorf("resume restored %d runs, want %d", r, len(cfgs)-(len(cases)-committed))
 	}
 	// The resumed sweep's results and persisted dumps match the clean
 	// serial baseline — the same final figure series.
@@ -375,7 +444,7 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 			t.Errorf("run %d: resumed metrics differ from serial baseline", i)
 		}
 		want := goldenDumps[i%len(cases)]
-		got := checkpointDumpBytes(t, ckptDir, i, cfg)
+		got := checkpointDumpBytes(t, ckptDir, cfg)
 		for name, blob := range want {
 			if !bytes.Equal(blob, got[name]) {
 				t.Errorf("run %d: dump %s differs from serial baseline", i, name)
@@ -501,16 +570,16 @@ func TestResumeReexecutesTimelineRuns(t *testing.T) {
 	}
 }
 
-// TestRunKeyDistinguishesConfigs pins that checkpoint keys separate
-// different configurations at the same sweep index (bgpreport shares one
-// checkpoint directory across every figure's sweep).
+// TestRunKeyDistinguishesConfigs pins that identity keys (index 0) separate
+// different configurations, since every sweep and tool shares one checkpoint
+// directory, and that the fault injector's position keys separate indices.
 func TestRunKeyDistinguishesConfigs(t *testing.T) {
 	cases := determinismCases()
 	if bgp.RunKey(0, cases[0]) == bgp.RunKey(0, cases[1]) {
 		t.Error("different configs share a checkpoint key at index 0")
 	}
 	if bgp.RunKey(0, cases[0]) == bgp.RunKey(1, cases[0]) {
-		t.Error("different indices share a checkpoint key")
+		t.Error("different indices share a fault key")
 	}
 	withDump := cases[0]
 	withDump.DumpDir = "/somewhere/else"
@@ -533,11 +602,15 @@ func TestRunKeyDistinguishesConfigs(t *testing.T) {
 // figure, each its own RunAll on the one CheckpointDir, none of them with
 // Resume. Every sweep's runs must stay committed — the directory indexes
 // itself entry by entry, so a later sweep cannot drop an earlier one's — and
-// a following Resume pass of any of them restores every run. A manifest left
+// a following Resume pass of any of them restores every run. Entries are
+// keyed by identity, not position: the second sweep repeats the first's
+// point at another index and adds no entry, and a Resume pass with every
+// identity at an index no sweep gave it restores them all. A manifest left
 // behind by an older layout is neither read nor rewritten.
 func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 	cases := determinismCases()
-	first, second := cases[3:], cases[:2]
+	first, second := cases[3:], append(cases[:2:2], cases[3])
+	moved := []bgp.RunConfig{cases[1], cases[3], cases[0]}
 	ckptDir := t.TempDir()
 	stale := filepath.Join(ckptDir, "MANIFEST.json")
 	staleBytes := []byte(`{"version":2,"entries":{"run0000-fa7d2d4e":{"config":"x","files":[]}}}`)
@@ -554,9 +627,9 @@ func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := store.Len(); n != 3 {
-		t.Errorf("store holds %d committed runs after two sequential sweeps, want 3", n)
+		t.Errorf("store holds %d committed runs after two sequential sweeps, want one per identity, 3", n)
 	}
-	for _, cfgs := range [][]bgp.RunConfig{first, second} {
+	for _, cfgs := range [][]bgp.RunConfig{first, second, moved} {
 		rec, seen := sweepEvents()
 		if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 			Workers: 2, CheckpointDir: ckptDir, Resume: true, Observer: rec,

@@ -58,15 +58,12 @@ type fileStamp struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// RunKey is the checkpoint key of run index with configuration cfg: the
-// sweep position plus 128 bits of the fingerprint's sha256, so distinct
-// sweeps sharing a checkpoint directory (bgpreport runs every figure against
-// one) never collide, while re-launching the same sweep maps onto the same
-// entries. Content-addressed callers (the bgpd daemon) always use index 0,
-// so the key depends on the configuration alone and identical submissions
-// from different jobs map onto the same entry; the key is bgpd's flight key
-// and the input of its job ids, so its width is what keeps two distinct
-// submissions from ever answering for each other.
+// RunKey is the key of run index with configuration cfg: the index plus 128
+// bits of the fingerprint's sha256. At index 0 it is the run's identity, the
+// key of every tier: checkpoint entries, bgpd's flight table and job ids, and
+// a catalog walk's pass table; its width keeps two distinct configurations
+// from ever answering for each other. Only the fault injector keys by sweep
+// position (index i), so a fault fires on the position it was armed on.
 func RunKey(index int, cfg RunConfig) string {
 	sum := sha256.Sum256([]byte(fingerprint(cfg)))
 	return fmt.Sprintf("run%04d-%x", index, sum[:16])
@@ -122,7 +119,7 @@ func OpenCheckpointStore(dir string, resume bool) (*CheckpointStore, error) {
 	return &CheckpointStore{dir: dir}, nil
 }
 
-// Len returns the number of committed entries, by scanning the directory.
+// Len returns the number of committed entries by reading every entry record.
 func (c *CheckpointStore) Len() int {
 	dirs, _ := os.ReadDir(c.dir)
 	n := 0

@@ -101,7 +101,7 @@ func run() int {
 		return 1
 	}
 	defer s.Close()
-	log.Printf("checkpoint store %s: %d completed runs", checkpoint, s.Store().Len())
+	log.Printf("checkpoint store %s", checkpoint)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)

@@ -1,7 +1,7 @@
 // Bgpreport regenerates every figure of the paper's evaluation in one run
 // and writes the full report — the data behind EXPERIMENTS.md: every study of
-// the catalog (experiments.Studies) in order, each swept once, then a
-// characterization section per -spec file.
+// the catalog (experiments.Studies) in order, then a characterization section
+// per -spec file.
 //
 //	bgpreport                    # class B / 32 ranks (the paper's per-rank regime)
 //	bgpreport -class C -ranks 128  # the paper's full scale
@@ -15,9 +15,9 @@
 //	                                         # render from the checkpoint alone;
 //	                                         # absent points become dashes
 //
-// Every figure's sweep shares the one checkpoint directory; run keys are
-// derived from each point's configuration, so they never collide and a
-// re-render restores every point it can. With -keep-going the report is
+// One walk of the catalog (experiments.Report) simulates a shared point once;
+// the checkpoint directory is keyed by run identity, so a re-render restores
+// every point any tool stored there. With -keep-going the report is
 // still written when points are missing: their cells render as dashes, each
 // affected table carries a "partial" note, and the missing benchmark ×
 // mode × build × L3 points are listed at the end of the report and on
@@ -95,61 +95,42 @@ func run() int {
 	fmt.Fprintf(w, "Blue Gene/P workload characterization — full evaluation\n")
 	fmt.Fprintf(w, "class %s, %d processes\n\n", s.Class, s.Ranks)
 
-	failed := false
-	step := func(name string, f func() error) {
-		if failed {
-			return
-		}
-		start := time.Now()
-		log.Printf("running %s...", name)
-		if err := f(); err != nil {
-			log.Printf("%s: %v", name, err)
-			failed = true
-			return
-		}
-		log.Printf("%s done in %v", name, time.Since(start).Round(time.Second))
-	}
-
-	for _, st := range experiments.Studies() {
-		step(st.Step, func() error {
-			if err := st.Run(s, w, ""); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			return nil
-		})
-	}
-	if *specs != "" {
-		for _, path := range strings.Split(*specs, ",") {
-			path := strings.TrimSpace(path)
-			step("workload spec "+path, func() error {
-				spec, err := bgp.LoadWorkloadSpec(path)
-				if err != nil {
-					return err
-				}
-				pts, err := experiments.SpecCharacterization(spec, s)
-				if err != nil {
-					return err
-				}
-				experiments.RenderSpec(w, spec, pts)
-				fmt.Fprintln(w)
-				return nil
-			})
+	start := time.Now()
+	err = experiments.Report(s, w, func(step string) { log.Printf("running %s...", step) })
+	for _, path := range strings.Split(*specs, ",") {
+		if path = strings.TrimSpace(path); err == nil && path != "" {
+			log.Printf("running workload spec %s...", path)
+			err = specSection(s, w, path)
 		}
 	}
-	if failed {
+	if err != nil {
+		log.Print(err)
 		return 1
 	}
+	log.Printf("done in %v", time.Since(start).Round(time.Second))
 	if missing.Missing() > 0 {
 		fmt.Fprintf(w, "Missing points (%d of %d):\n", missing.Missing(), missing.Total())
-		for _, label := range missing.Labels() {
-			fmt.Fprintf(w, "  %s\n", label)
-		}
 		log.Printf("partial report: %d of %d points missing", missing.Missing(), missing.Total())
 		for _, label := range missing.Labels() {
+			fmt.Fprintf(w, "  %s\n", label)
 			log.Printf("  missing: %s", label)
 		}
 		return 3
 	}
 	return 0
+}
+
+// specSection appends the characterization section of the spec file at path.
+func specSection(s experiments.Scale, w io.Writer, path string) error {
+	spec, err := bgp.LoadWorkloadSpec(path)
+	if err != nil {
+		return err
+	}
+	pts, err := experiments.SpecCharacterization(spec, s)
+	if err != nil {
+		return fmt.Errorf("workload spec %s: %w", path, err)
+	}
+	experiments.RenderSpec(w, spec, pts)
+	_, err = fmt.Fprintln(w)
+	return err
 }

@@ -3,8 +3,9 @@ package bgp_test
 // The rendered-text half of the golden harness. TestGoldenFigures pins the
 // numbers; this pins what bgpreport prints from them — table layout, cell
 // formats, ratio columns, the order and slicing of the study catalog —
-// against the report the commit before the catalog existed printed. The
-// files are bgpreport's stdout, header included; regenerate with
+// against the report the commit before the catalog existed printed, and
+// what bgpreport's walk of the catalog simulates to print it. The files are
+// bgpreport's stdout, header included; regenerate with
 //
 //	go run ./cmd/bgpreport -class W -ranks 16 > testdata/golden/report_W16.txt
 //	go run ./cmd/bgpreport -class S -ranks 4 > testdata/golden/report_S4.txt
@@ -23,6 +24,7 @@ import (
 
 	bgp "bgpsim"
 	"bgpsim/internal/experiments"
+	"bgpsim/internal/obs"
 )
 
 func TestGoldenReportText(t *testing.T) {
@@ -41,12 +43,23 @@ func TestGoldenReportText(t *testing.T) {
 		t.Fatalf("%s has no header", file)
 	}
 
+	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
+	s.Observer = rec
 	var got bytes.Buffer
-	for _, st := range experiments.Studies() {
-		if err := st.Run(s, &got, ""); err != nil {
-			t.Fatalf("%s: %v", st.Step, err)
+	if err := experiments.Report(s, &got, func(string) {}); err != nil {
+		t.Fatal(err)
+	}
+	// The walk is one pass: a point several studies share is simulated at
+	// its first occurrence and served to the rest, so the catalog's 208
+	// points cost 168 simulations at any scale.
+	simulated := 0
+	for _, st := range rec.runs {
+		if !st.Served {
+			simulated++
 		}
-		fmt.Fprintln(&got)
+	}
+	if len(rec.runs) != 208 || simulated != 168 {
+		t.Errorf("report walk: %d RunDones, %d simulated; want 208 with 168 simulated and 40 served", len(rec.runs), simulated)
 	}
 	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
 	if len(gotLines) != len(wantLines) {

@@ -8,17 +8,17 @@
 // epochs a run of the identity recorded, which later runs replay instead of
 // simulating.
 //
-// An entry is only ever read by a rerun of its identity: a duplicate point
-// across figures, a fault-injected retry, a warm regeneration, a daemon
-// re-running a job its result store no longer holds. Admission is therefore
-// decided once per identity, on second sight. The first run of an identity
-// leaves one mark (Admit, SeenCost bytes) under the same budget and LRU as
-// the records, and the caller runs the whole job with the memo idle — most
-// identities of a cold sweep or a daemon's job mix are never met again, and
-// recording for them is pure cost. A run that finds the mark has observed
-// the redundancy the memo exists for and puts its record in the mark's place
-// (Record); a run that finds a record replays it. An entry evicted under
-// pressure degrades to a first run.
+// An entry is only ever read by a rerun of its identity: a fault-injected
+// retry, a warm regeneration, a daemon re-running a job its result store no
+// longer holds (a catalog walk serves a shared point, it never reruns it).
+// Admission is therefore decided once per identity, on second sight. The
+// first run of an identity leaves one mark (Admit, SeenCost bytes) under the
+// same budget and LRU as the records, and the caller runs the whole job with
+// the memo idle — most identities of a cold sweep or a daemon's job mix are
+// never met again, and recording for them is pure cost. A run that finds the
+// mark has observed the redundancy the memo exists for and puts its record in
+// the mark's place (Record); a run that finds a record replays it. An entry
+// evicted under pressure degrades to a first run.
 //
 // The cache is shared process-wide by default. Records are immutable once
 // stored; concurrent recorders of one identity race benignly (their records

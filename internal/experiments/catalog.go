@@ -1,8 +1,8 @@
 package experiments
 
 // The study catalog: the one list of what the evaluation consists of.
-// bgpsweep looks a selector up in it, bgpreport and GoldenFigures iterate it,
-// and DESIGN.md §3 indexes it (TestStudyCatalog holds the document to it).
+// bgpsweep looks a selector up in it, Report and GoldenFigures walk it, and
+// DESIGN.md §3 indexes it (TestStudyCatalog holds the document to it).
 
 import (
 	"fmt"
@@ -27,6 +27,33 @@ type Study struct {
 	// shared sweep; nil for the extension studies, which are not paper
 	// figures.
 	golden func(s Scale, tables map[string][][]string) error
+}
+
+// Report renders every study to w in catalog order, each followed by a
+// blank line: bgpreport's body, in one walk. step is called with each
+// study's Step before the study runs.
+func Report(s Scale, w io.Writer, step func(name string)) error {
+	return s.walk(func(s Scale, st Study) error {
+		step(st.Step)
+		if err := st.Run(s, w, ""); err != nil {
+			return fmt.Errorf("%s: %w", st.Step, err)
+		}
+		fmt.Fprintln(w)
+		return nil
+	})
+}
+
+// walk calls do on every study in catalog order with one pass table: each
+// run identity is simulated once per walk, and every later point with it is
+// served its result (see runAll).
+func (s Scale) walk(do func(Scale, Study) error) error {
+	s.pass = passTable{}
+	for _, st := range Studies() {
+		if err := do(s, st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Lookup returns the study a bgpsweep selector names.

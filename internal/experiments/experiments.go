@@ -38,7 +38,7 @@ type Scale struct {
 
 	// SweepConfig is how every sweep of the scale is orchestrated: worker
 	// pool, observation, resilience and checkpointing. Every figure's sweep
-	// shares the one CheckpointDir; keys never collide (see bgp.RunKey).
+	// shares the one CheckpointDir, one entry per run identity (bgp.RunKey).
 	// With ContinueOnError a figure degrades gracefully instead of failing:
 	// runs that fail (after retries) or are absent from the checkpoint
 	// under ResumeOnly leave their points marked Missing and every
@@ -66,8 +66,8 @@ type Scale struct {
 	// bgp.RunConfig.NoEpochMemo); figures are identical either way.
 	NoEpochMemo bool
 
-	// pass is set by GoldenFigures for the length of one call (see runAll).
-	pass *passTable
+	// pass is set by walk for the length of one catalog walk (see runAll).
+	pass passTable
 }
 
 // MissingSet accumulates the identity of every figure point that could not
@@ -149,7 +149,7 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 // s.Missing, and the error is nil so the figure renders partially. A dead
 // context (interrupt) still fails the figure.
 //
-// Inside a GoldenFigures call (s.pass set), a point whose identity the pass
+// Inside a catalog walk (s.pass set), a point whose identity the walk
 // already simulated is served that result instead of running again, and
 // only the first occurrence of a new identity runs; a duplicate whose twin
 // failed runs in its place. A served point reports one RunDone with Served
@@ -170,7 +170,7 @@ func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 			switch key := keys[i]; {
 			case key == "":
 				run = append(run, i)
-			case s.pass.byKey[key] != nil:
+			case s.pass[key] != nil:
 				hits = append(hits, i)
 			case sent[key]:
 				wait = append(wait, i)
@@ -197,30 +197,24 @@ func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 			for k, i := range run {
 				results[i] = out[k]
 				if keys[i] != "" && out[k] != nil {
-					s.pass.byKey[keys[i]] = out[k]
+					s.pass[keys[i]] = out[k]
 				}
 			}
 		}
 		for _, i := range hits {
-			results[i] = s.serve(cfgs[i], s.pass.byKey[keys[i]])
+			results[i] = s.serve(cfgs[i], s.pass[keys[i]])
 		}
 		pending = wait
 	}
 	return results, nil
 }
 
-// passTable is one GoldenFigures call's results by run identity
-// (bgp.RunKey at index 0), so a point that several figures share is
-// simulated once per call. It dies with the call: a second call simulates
-// every identity again.
-type passTable struct {
-	byKey map[string]*bgp.Result
-}
+// passTable is one catalog walk's results by run identity (bgp.RunKey at 0).
+type passTable map[string]*bgp.Result
 
 // key is the identity cfg is served under; "" outside a pass, and for a run
-// that leaves what a result does not carry (timeline samples, dump files),
-// which always runs.
-func (t *passTable) key(cfg bgp.RunConfig) string {
+// that leaves what a result does not carry (timeline samples, dump files).
+func (t passTable) key(cfg bgp.RunConfig) string {
 	if t == nil || cfg.TimelineInterval > 0 || cfg.DumpDir != "" {
 		return ""
 	}

@@ -12,8 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	bgp "bgpsim"
 )
 
 // GoldenFigureNames lists the tables GoldenFigures renders, sorted — one
@@ -47,19 +45,19 @@ func goldenName(selector string) string {
 //
 // Figures share points: Figure 6's runs are the -O5 -qarch=440d column of
 // Figures 9-10 and the VNM column of 12-14, and Figure 11's 2 MB points are
-// the SMP/1 column of 12-14. Within one call each run identity is simulated
-// once — 96 identities for the 120 points at any scale — and every later
-// point with that identity is served its result (see runAll).
+// the SMP/1 column of 12-14. One call is one catalog walk (see walk), so
+// each run identity is simulated once — 96 identities for the 120 points at
+// any scale — and every later point with that identity is served its result.
 func GoldenFigures(s Scale) (map[string][][]string, error) {
-	s.pass = &passTable{byKey: map[string]*bgp.Result{}}
 	tables := make(map[string][][]string)
-	for _, st := range Studies() {
+	err := s.walk(func(s Scale, st Study) error {
 		if st.golden == nil {
-			continue
+			return nil
 		}
-		if err := st.golden(s, tables); err != nil {
-			return nil, err
-		}
+		return st.golden(s, tables)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tables, nil
 }

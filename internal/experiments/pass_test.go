@@ -16,7 +16,7 @@ func passScale(sc bgp.SweepConfig) (Scale, *obs.Registry) {
 	reg := obs.NewRegistry()
 	sc.Observer = obs.NewRecorder(reg, nil)
 	s := Scale{Class: nas.ClassS, Ranks: 4, SweepConfig: sc, Missing: &MissingSet{}}
-	s.pass = &passTable{byKey: map[string]*bgp.Result{}}
+	s.pass = passTable{}
 	return s, reg
 }
 

@@ -59,10 +59,11 @@ type SweepConfig struct {
 	ContinueOnError bool
 
 	// CheckpointDir, when non-empty, persists each completed run's CRC'd
-	// dump set under a per-run directory there, committed by the run's own
-	// entry record. Entries are independent, so any number of sweeps —
-	// sequential or concurrent, in one process or several — may share a
-	// directory.
+	// dump set under the directory its identity names (RunKey at index 0,
+	// as bgpd keys it), committed by the run's own entry record. Every
+	// position of one identity, in any sweep or tool, shares one entry, and
+	// any number of sweeps — sequential or concurrent, in one process or
+	// several — may share a directory.
 	CheckpointDir string
 	// Resume restores runs whose entry record validates (configuration
 	// fingerprint, file sizes and CRCs all match) instead of re-executing
@@ -141,7 +142,9 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		key := RunKey(i, cfg)
+		// Checkpoint entries are keyed by identity, shared by every position
+		// that runs it; faults by position, so one fires where it was armed.
+		key, at := RunKey(0, cfg), RunKey(i, cfg)
 		if cfg.Observer == nil {
 			cfg.Observer = sc.Observer
 		}
@@ -159,12 +162,12 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		}
 		// Consult the fault injector once per attempt; pre-run faults
 		// fire before the simulation so retries re-execute from scratch.
-		kind := sc.Faults.Next(key)
+		kind := sc.Faults.Next(at)
 		switch kind {
 		case faults.Transient:
-			return nil, runErr(i, cfg, sc.Faults.Errorf(key))
+			return nil, runErr(i, cfg, sc.Faults.Errorf(at))
 		case faults.Panic:
-			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, key))
+			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, at))
 		case faults.Stall:
 			<-ctx.Done()
 			return nil, runErr(i, cfg, fmt.Errorf("stalled: %w", ctx.Err()))
@@ -177,7 +180,7 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			w := *ckpt
 			if kind == faults.CorruptDump {
 				w.mutate = func(name string, blob []byte) []byte {
-					return sc.Faults.Corrupt(key+"/"+name, blob, bgpctr.FieldBoundaries(blob))
+					return sc.Faults.Corrupt(at+"/"+name, blob, bgpctr.FieldBoundaries(blob))
 				}
 			}
 			if err := w.Persist(key, cfg, res); err != nil {
