@@ -317,6 +317,12 @@ type Result struct {
 	// Timeline holds the periodic counter samples when the run was
 	// configured with a TimelineInterval.
 	Timeline *Sampler
+	// L3EvictionFree records that no L3 bank of the run ever displaced or
+	// invalidated a valid line, so the result answers for every larger L3
+	// whose geometry refines this one (ServesLargerL3). False means
+	// unknown: an evicting run, a run without an L3, and a result restored
+	// from a checkpoint record that does not carry the fact.
+	L3EvictionFree bool
 }
 
 // The bounds Run puts on the machine overrides a configuration may carry;
@@ -486,6 +492,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	observePhase(cfg.Observer, label, obs.PhaseRun, start)
+	// Read before mining the dumps: without an Observer the machine is
+	// garbage from here on, as it was before the fact existed.
+	evictionFree := l3EvictionFree(m)
 
 	start = time.Now()
 	cfg.Ranks, cfg.Nodes = app.Ranks, nodes
@@ -505,7 +514,38 @@ func Run(cfg RunConfig) (*Result, error) {
 		cfg.Observer.RunDone(st)
 	}
 	res.Timeline = sampler
+	res.L3EvictionFree = evictionFree
 	return res, nil
+}
+
+// l3EvictionFree reports whether no L3 bank of m ever displaced or
+// invalidated a valid line. Every miss fills a way, into an invalid one
+// or over a valid line, and only an invalidation empties one, so each
+// bank's Misses equal its resident lines exactly when neither happened,
+// and exceed them otherwise. Both are statehash-walked state, so the fact
+// is read after the job, the same on every execution path, for nothing per
+// access. More misses than the L3 has lines decide it without the scan.
+func l3EvictionFree(m *machine.Machine) bool {
+	var misses, lines uint64
+	for _, nd := range m.Nodes {
+		for _, bank := range nd.L3 {
+			if bank == nil {
+				return false
+			}
+			misses += bank.Misses
+			lines += uint64(bank.SizeBytes() / bank.LineBytes())
+		}
+	}
+	if misses > lines {
+		return false
+	}
+	var resident uint64
+	for _, nd := range m.Nodes {
+		for _, bank := range nd.L3 {
+			resident += uint64(bank.Resident())
+		}
+	}
+	return misses == resident
 }
 
 // newResult mines a run's dumps into its Result; Run and

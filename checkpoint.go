@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 
 	"bgpsim/internal/bgpctr"
+	"bgpsim/internal/node"
 )
 
 // entryName is the per-run commit record's file name inside dir/<RunKey>/.
@@ -49,6 +50,9 @@ type entry struct {
 	Ranks   int         `json:"ranks"`
 	Nodes   int         `json:"nodes"`
 	Files   []fileStamp `json:"files"`
+	// L3EvictionFree is Result.L3EvictionFree, written only when true: a
+	// record without it restores a result that serves no larger L3.
+	L3EvictionFree bool `json:"l3_eviction_free,omitempty"`
 }
 
 // fileStamp validates one dump file byte-for-byte.
@@ -92,6 +96,46 @@ func fingerprint(cfg RunConfig) string {
 		src.Name, id, cfg.Class, cfg.Ranks, cfg.Mode, cfg.Opts.Level, cfg.Opts.Arch440d,
 		cfg.Nodes, cfg.L3Bytes, cfg.L2PrefetchDepth, cfg.L3PrefetchDepth,
 		cfg.Interpreter, cfg.SliceCycles, cfg.TimelineInterval, cfg.TimelineEvents)
+}
+
+// ServesLargerL3 reports whether twin's result is also cfg's, by the
+// inclusion property of LRU set-associative caches: twin's L3 never
+// displaced a valid line, cfg's L3 is larger, every set of its banks
+// receives a subset of the lines of one set of twin's (its set count is a
+// multiple of twin's) and has at least as many ways, and the two runs are
+// otherwise one identity. cfg's L3 then never displaces a line either, so
+// every L3 access has the same outcome and the dumps are byte-identical
+// (DESIGN.md, eviction-free L3 reuse). A twin with an unknown fact, or
+// either side without an L3, answers nothing.
+func ServesLargerL3(twin *Result, cfg RunConfig) bool {
+	if twin == nil || !twin.L3EvictionFree {
+		return false
+	}
+	small, large := PartitionL3Bytes(twin.Config, 1), PartitionL3Bytes(cfg, 1)
+	if small <= 0 || large <= small {
+		return false
+	}
+	ways := node.DefaultParams().L3Ways
+	sSets, sWays := node.L3BankGeometry(int(small), ways)
+	lSets, lWays := node.L3BankGeometry(int(large), ways)
+	if lSets%sSets != 0 || lWays < sWays {
+		return false
+	}
+	a, aok := resolved(twin.Config)
+	b, bok := resolved(cfg)
+	b.L3Bytes = a.L3Bytes
+	return aok && bok && fingerprint(a) == fingerprint(b)
+}
+
+// resolved is cfg with the Ranks and Nodes Run resolves it to, as a
+// Result's Config echo carries them; ok is false when Check refuses cfg.
+func resolved(cfg RunConfig) (RunConfig, bool) {
+	src, nodes, err := admit(cfg)
+	if err != nil {
+		return cfg, false
+	}
+	cfg.Ranks, cfg.Nodes = src.RanksFor(cfg.Ranks), nodes
+	return cfg, true
 }
 
 // CheckpointStore is a handle on one checkpoint directory. It holds no state
@@ -167,6 +211,7 @@ func (c *CheckpointStore) Restore(key string, cfg RunConfig) *Result {
 	if err != nil {
 		return nil
 	}
+	res.L3EvictionFree = e.L3EvictionFree
 	return res
 }
 
@@ -227,6 +272,8 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		Label:   res.Label,
 		Ranks:   res.Config.Ranks,
 		Nodes:   res.Config.Nodes,
+
+		L3EvictionFree: res.L3EvictionFree,
 	}
 	for _, d := range res.Dumps {
 		name, blob, err := encodeDump(d)

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,5 +99,66 @@ func TestDumpFileServesStampedBytes(t *testing.T) {
 				t.Error("Restore accepted the damaged entry")
 			}
 		})
+	}
+}
+
+// TestCheckpointKeepsL3EvictionFree: the entry record carries the
+// eviction-free fact, written only when true, so a restored result serves
+// the larger L3s the live one would; a record without the field restores
+// with the fact false and serves nothing.
+func TestCheckpointKeepsL3EvictionFree(t *testing.T) {
+	store, err := OpenCheckpointStore(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Benchmark: "mg", Class: ClassS, Ranks: 4, Mode: SMP1, Opts: Options{Level: O5, Arch440d: true}}
+	larger := cfg
+	larger.L3Bytes = 4 << 20
+	for _, l3 := range []int{64 << 10, 2 << 20} {
+		cfg.L3Bytes = l3
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.L3EvictionFree != (l3 == 2<<20) {
+			t.Fatalf("%d KB: fact %t; the cases below need 64 KB to evict and 2 MB not to", l3>>10, res.L3EvictionFree)
+		}
+		key := RunKey(0, cfg)
+		if err := store.Persist(key, cfg, res); err != nil {
+			t.Fatal(err)
+		}
+		record := filepath.Join(store.dir, key, entryName)
+		data, err := os.ReadFile(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written := bytes.Contains(data, []byte(`"l3_eviction_free"`)); written != res.L3EvictionFree {
+			t.Errorf("%d KB: field written %t, fact %t", l3>>10, written, res.L3EvictionFree)
+		}
+		got := store.Restore(key, cfg)
+		if got == nil || got.L3EvictionFree != res.L3EvictionFree || ServesLargerL3(got, larger) != res.L3EvictionFree {
+			t.Errorf("%d KB: the restored result (nil: %t) does not keep the fact %t", l3>>10, got == nil, res.L3EvictionFree)
+		}
+		if !res.L3EvictionFree {
+			continue
+		}
+
+		// The record an earlier version wrote: every field but the fact.
+		var fields map[string]any
+		if err := json.Unmarshal(data, &fields); err != nil {
+			t.Fatal(err)
+		}
+		delete(fields, "l3_eviction_free")
+		old, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(record, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got = store.Restore(key, cfg)
+		if got == nil || got.L3EvictionFree || ServesLargerL3(got, larger) {
+			t.Errorf("a record without the field restored (nil: %t) a result that keeps the fact; want it false, serving nothing", got == nil)
+		}
 	}
 }

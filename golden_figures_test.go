@@ -17,9 +17,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	bgp "bgpsim"
 	"bgpsim/internal/experiments"
 	"bgpsim/internal/obs"
 )
@@ -52,9 +54,11 @@ func TestGoldenFigures(t *testing.T) {
 
 // TestGoldenPassSimulatesEachIdentityOnce pins the pass's result table: the
 // 24 points that figures share are served from the run of their first
-// occurrence, so a cold pass simulates each of its 96 identities once and
-// the epoch memo, which records an identity only on its second sight,
-// records nothing. The table lives for one call; the next simulates again.
+// occurrence, and Figure 11's 24 points above 2 MB from the eviction-free
+// 2 MB run of their benchmark (bgp.ServesLargerL3), so a cold pass
+// simulates 72 identities once each and the epoch memo, which records an
+// identity only on its second sight, records nothing. The table lives for
+// one call; the next simulates again.
 func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
 	forgetEpochMemo()
 	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
@@ -70,10 +74,11 @@ func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
 		return tables, rec.runs[from:]
 	}
 	// split checks a pass's RunDones: every served point has a simulated
-	// twin of its label and reports nothing simulated.
-	split := func(which string, runs []obs.RunStats) (simulated int) {
+	// twin of its label and reports nothing simulated. It returns the
+	// served points by label.
+	split := func(which string, runs []obs.RunStats) (simulated int, served map[string]int) {
 		t.Helper()
-		labels := map[string]bool{}
+		labels, served := map[string]bool{}, map[string]int{}
 		for _, st := range runs {
 			if !st.Served {
 				simulated++
@@ -87,12 +92,14 @@ func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
 				t.Errorf("%s pass: served point %q has no simulated twin", which, st.Label)
 			case st != obs.RunStats{Label: st.Label, Served: true}:
 				t.Errorf("%s pass: served point reports simulated work: %+v", which, st)
+			default:
+				served[st.Label]++
 			}
 		}
-		if len(runs) != 120 || simulated != 96 {
-			t.Errorf("%s pass: %d RunDones, %d simulated; want 120 with 96 simulated and 24 served", which, len(runs), simulated)
+		if len(runs) != 120 || simulated != 72 {
+			t.Errorf("%s pass: %d RunDones, %d simulated; want 120 with 72 simulated and 48 served", which, len(runs), simulated)
 		}
-		return simulated
+		return simulated, served
 	}
 
 	// A checkpoint directory names every simulated run by its identity's
@@ -100,7 +107,7 @@ func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
 	cold := s
 	cold.CheckpointDir = t.TempDir()
 	first, runs := pass(cold)
-	simulated := split("cold", runs)
+	simulated, served := split("cold", runs)
 	entries, err := os.ReadDir(cold.CheckpointDir)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +121,44 @@ func TestGoldenPassSimulatesEachIdentityOnce(t *testing.T) {
 	if len(entries) != simulated || len(identities) != simulated {
 		t.Errorf("cold pass: %d simulated runs persisted %d entries over %d identities; want one run per identity",
 			simulated, len(entries), len(identities))
+	}
+
+	// An L3-served point is one of Figure 11's that has no entry. Its twin
+	// does: the same point at a smaller L3, with the point's label and the
+	// eviction-free fact.
+	store, err := bgp.OpenCheckpointStore(cold.CheckpointDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l3Served := 0
+	for _, name := range experiments.SuiteNames() {
+		var twins []*bgp.Result
+		for _, l3 := range experiments.L3Sizes() {
+			cfg := bgp.RunConfig{Benchmark: name, Class: s.Class, Ranks: s.Ranks, Mode: bgp.SMP1, Opts: experiments.BestBuild(), L3Bytes: l3}
+			if l3 == 0 {
+				cfg.L3Bytes = -1
+			}
+			if res := store.Restore(bgp.RunKey(0, cfg), cfg); res != nil {
+				twins = append(twins, res)
+				continue
+			}
+			l3Served++
+			i := slices.IndexFunc(twins, func(twin *bgp.Result) bool {
+				return twin.Config.L3Bytes < l3 && bgp.ServesLargerL3(twin, cfg)
+			})
+			if i < 0 {
+				t.Errorf("cold pass: %s at %d MB was neither simulated nor served by a smaller eviction-free L3", name, l3>>20)
+				continue
+			}
+			if label := twins[i].Label; served[label] == 0 {
+				t.Errorf("cold pass: %s at %d MB: no served point has its twin's label %q", name, l3>>20, label)
+			} else {
+				served[label]--
+			}
+		}
+	}
+	if l3Served != 24 {
+		t.Errorf("cold pass: %d of Figure 11's points served by a smaller L3, want 24 (4, 6 and 8 MB)", l3Served)
 	}
 	var stores, flattens uint64
 	for _, st := range runs {

@@ -318,6 +318,25 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return r
 }
 
+// Resident returns the number of valid lines the cache holds: ways with a
+// non-zero tag. It reads the tag store only, so it is exact on a cache whose
+// state was restored by a statehash walk.
+func (c *Cache) Resident() int {
+	n := 0
+	for b := c.tagOff; b < len(c.slab); b += c.setWords {
+		// Two tags a word; an odd way count leaves the last high half 0.
+		for _, x := range c.slab[b : b+(c.ways+1)/2] {
+			if uint32(x) != 0 {
+				n++
+			}
+			if x>>32 != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Contains reports whether addr's line is resident, without touching
 // replacement state or counters.
 func (c *Cache) Contains(addr uint64) bool {

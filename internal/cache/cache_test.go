@@ -44,6 +44,30 @@ func TestGeometryAccessors(t *testing.T) {
 	}
 }
 
+// TestResidentCountsValidLines: Resident counts the ways holding a line, so
+// it equals Misses until the first eviction or invalidation and falls
+// behind after either, at odd and even associativity.
+func TestResidentCountsValidLines(t *testing.T) {
+	for _, ways := range []int{3, 8, 12} {
+		c := smallCache(ways, true)
+		capacity := 4 * ways
+		for i := 0; i < capacity; i++ {
+			c.Access(uint64(i)*64, i%2 == 0)
+		}
+		if got := c.Resident(); got != capacity || uint64(got) != c.Misses {
+			t.Errorf("%d ways, filled: %d resident, %d misses; want %d of each", ways, got, c.Misses, capacity)
+		}
+		c.Access(uint64(capacity)*64, false) // evicts one line
+		if got := c.Resident(); got != capacity || c.Misses != uint64(capacity)+1 {
+			t.Errorf("%d ways, after an eviction: %d resident, %d misses", ways, got, c.Misses)
+		}
+		c.Invalidate(uint64(capacity) * 64)
+		if got := c.Resident(); got != capacity-1 {
+			t.Errorf("%d ways, after an invalidation: %d resident, want %d", ways, got, capacity-1)
+		}
+	}
+}
+
 func TestHitAfterMiss(t *testing.T) {
 	c := smallCache(2, false)
 	if r := c.Access(0x1000, false); r.Hit {

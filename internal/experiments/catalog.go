@@ -44,10 +44,10 @@ func Report(s Scale, w io.Writer, step func(name string)) error {
 }
 
 // walk calls do on every study in catalog order with one pass table: each
-// run identity is simulated once per walk, and every later point with it is
-// served its result (see runAll).
+// run identity is simulated at most once per walk, and every later point it
+// answers is served its result (see runAll).
 func (s Scale) walk(do func(Scale, Study) error) error {
-	s.pass = passTable{}
+	s.pass = newPass()
 	for _, st := range Studies() {
 		if err := do(s, st); err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -67,7 +68,7 @@ type Scale struct {
 	NoEpochMemo bool
 
 	// pass is set by walk for the length of one catalog walk (see runAll).
-	pass passTable
+	pass *passTable
 }
 
 // MissingSet accumulates the identity of every figure point that could not
@@ -149,35 +150,54 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 // s.Missing, and the error is nil so the figure renders partially. A dead
 // context (interrupt) still fails the figure.
 //
-// Inside a catalog walk (s.pass set), a point whose identity the walk
-// already simulated is served that result instead of running again, and
-// only the first occurrence of a new identity runs; a duplicate whose twin
-// failed runs in its place. A served point reports one RunDone with Served
-// set and nothing simulated, and credits nothing to s.Progress.
+// A point a finished run answers is served that result instead of running:
+// a run of its identity, or one whose L3 never evicted and which differs
+// only in a smaller L3 its own refines (bgp.ServesLargerL3). Inside a
+// catalog walk (s.pass set) the runs of earlier calls answer too. So only
+// the first occurrence of an identity runs, and a point waits a round
+// while a pending point of another identity could refine into it; a point
+// whose twin failed runs in its place. A served point reports one RunDone
+// with Served set and nothing simulated, and credits nothing to
+// s.Progress.
 func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 	s.Stamp(cfgs)
 	s.Missing.addTotal(len(cfgs))
+	if s.pass == nil {
+		s.pass = newPass()
+	}
 	results := make([]*bgp.Result, len(cfgs))
 	keys := make([]string, len(cfgs))
 	pending := make([]int, len(cfgs))
 	for i := range cfgs {
-		keys[i], pending[i] = s.pass.key(cfgs[i]), i
+		keys[i], pending[i] = passKey(cfgs[i]), i
 	}
 	for len(pending) > 0 {
-		var run, hits, wait []int
-		sent := map[string]bool{}
+		// open are the keyed points no finished run answers; each stands in
+		// as the eviction-free twin it may turn out to be.
+		var run, open []int
+		could := map[int]*bgp.Result{}
 		for _, i := range pending {
-			switch key := keys[i]; {
-			case key == "":
+			switch twin := s.pass.twin(keys[i], cfgs[i]); {
+			case keys[i] == "":
 				run = append(run, i)
-			case s.pass[key] != nil:
-				hits = append(hits, i)
-			case sent[key]:
-				wait = append(wait, i)
+			case twin != nil:
+				results[i] = s.serve(cfgs[i], twin)
+				s.pass.add(keys[i], results[i])
 			default:
-				sent[key] = true
-				run = append(run, i)
+				open = append(open, i)
+				could[i] = &bgp.Result{Config: cfgs[i], L3EvictionFree: true}
 			}
+		}
+		var wait []int
+		sent := map[string]bool{}
+		for _, i := range open {
+			refined := slices.ContainsFunc(open, func(j int) bool { return bgp.ServesLargerL3(could[j], cfgs[i]) })
+			if sent[keys[i]] || refined {
+				wait = append(wait, i)
+				continue
+			}
+			sent[keys[i]] = true
+			run = append(run, i)
 		}
 		if len(run) > 0 {
 			sub := make([]bgp.RunConfig, len(run))
@@ -197,28 +217,61 @@ func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 			for k, i := range run {
 				results[i] = out[k]
 				if keys[i] != "" && out[k] != nil {
-					s.pass[keys[i]] = out[k]
+					s.pass.add(keys[i], out[k])
 				}
 			}
-		}
-		for _, i := range hits {
-			results[i] = s.serve(cfgs[i], s.pass[keys[i]])
 		}
 		pending = wait
 	}
 	return results, nil
 }
 
-// passTable is one catalog walk's results by run identity (bgp.RunKey at 0).
-type passTable map[string]*bgp.Result
+// passTable is the finished results that answer later points: one catalog
+// walk's, or one runAll call's outside a walk.
+type passTable struct {
+	// byKey holds every result by run identity (bgp.RunKey at 0).
+	byKey map[string]*bgp.Result
+	// l3Free holds the eviction-free ones, in the order they finished, as
+	// candidate twins of larger L3s.
+	l3Free []*bgp.Result
+}
 
-// key is the identity cfg is served under; "" outside a pass, and for a run
-// that leaves what a result does not carry (timeline samples, dump files).
-func (t passTable) key(cfg bgp.RunConfig) string {
-	if t == nil || cfg.TimelineInterval > 0 || cfg.DumpDir != "" {
+func newPass() *passTable { return &passTable{byKey: map[string]*bgp.Result{}} }
+
+// passKey is the identity cfg is served under; "" for a run that leaves
+// what a result does not carry (timeline samples, dump files), which is
+// never served and never answers another point.
+func passKey(cfg bgp.RunConfig) string {
+	if cfg.TimelineInterval > 0 || cfg.DumpDir != "" {
 		return ""
 	}
 	return bgp.RunKey(0, cfg)
+}
+
+func (t *passTable) add(key string, res *bgp.Result) {
+	if t.byKey[key] != nil {
+		return
+	}
+	t.byKey[key] = res
+	if res.L3EvictionFree {
+		t.l3Free = append(t.l3Free, res)
+	}
+}
+
+// twin is the finished result that answers cfg under key, or nil.
+func (t *passTable) twin(key string, cfg bgp.RunConfig) *bgp.Result {
+	if key == "" {
+		return nil
+	}
+	if res := t.byKey[key]; res != nil {
+		return res
+	}
+	for _, res := range t.l3Free {
+		if bgp.ServesLargerL3(res, cfg) {
+			return res
+		}
+	}
+	return nil
 }
 
 // serve answers cfg with its twin's result: a shallow copy whose Config

@@ -46,8 +46,11 @@ func goldenName(selector string) string {
 // Figures share points: Figure 6's runs are the -O5 -qarch=440d column of
 // Figures 9-10 and the VNM column of 12-14, and Figure 11's 2 MB points are
 // the SMP/1 column of 12-14. One call is one catalog walk (see walk), so
-// each run identity is simulated once — 96 identities for the 120 points at
-// any scale — and every later point with that identity is served its result.
+// each run identity is simulated once — 96 identities for the 120 points —
+// and every later point with that identity is served its result. A point
+// whose eviction-free smaller L3 refines into its own is served too (see
+// runAll): at W/16 and S/4 every 2 MB run of Figure 11 is eviction-free, so
+// its 4, 6 and 8 MB points are, and 72 of the 96 identities are simulated.
 func GoldenFigures(s Scale) (map[string][][]string, error) {
 	tables := make(map[string][][]string)
 	err := s.walk(func(s Scale, st Study) error {

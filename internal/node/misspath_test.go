@@ -19,7 +19,7 @@ import (
 //
 // This pins today's behaviour, not the intended one. ROADMAP item 4 (the
 // fidelity gate) is the change licensed to move every golden; when it deletes
-// the halving line in New, this test flips to "the last N bytes all hit" and
+// the halving line in L3BankGeometry, this test flips to "the last N bytes all hit" and
 // is renamed.
 func TestL3EffectiveCapacityIsHalfConfigured(t *testing.T) {
 	const (

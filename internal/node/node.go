@@ -112,11 +112,7 @@ func New(id int, params Params, tor *torus.Iface, col *collective.Iface) *Node {
 		n.Collective = &collective.Iface{}
 	}
 	if params.L3Bytes > 0 {
-		bankBytes := params.L3Bytes / NumL3Banks
-		sets, ways := l3Geometry(bankBytes, params.L3Ways)
-		if sets > 1 {
-			sets /= 2 // DESIGN.md Known deviation 5: a bank holds only its parity's sets
-		}
+		sets, ways := L3BankGeometry(params.L3Bytes, params.L3Ways)
 		for b := 0; b < NumL3Banks; b++ {
 			n.L3[b] = cache.New(cache.Config{
 				Name:      fmt.Sprintf("L3.%d.%d", id, b),
@@ -144,12 +140,25 @@ func New(id int, params Params, tor *torus.Iface, col *collective.Iface) *Node {
 	return n
 }
 
+// L3BankGeometry is the geometry New boots each L3 bank of an l3Bytes L3
+// requested at the given associativity with: l3Geometry of one bank's
+// share, with the set count halved, since a bank holds only the sets its
+// own addresses reach (DESIGN.md Known deviation 5).
+func L3BankGeometry(l3Bytes, ways int) (sets, bankWays int) {
+	sets, bankWays = l3Geometry(l3Bytes/NumL3Banks, ways)
+	if sets > 1 {
+		sets /= 2
+	}
+	return sets, bankWays
+}
+
 // l3Geometry derives a bank geometry for an arbitrary capacity: the set
 // count must be a power of two (address-bit indexing), so capacities whose
 // line count is not ways×2^k widen the associativity instead — the 3 MB
 // bank of a 6 MB L3 requested at 8 ways becomes 2048 sets × 12 ways,
 // keeping the exact capacity (the paper sweeps the L3 in 2 MB steps,
-// including 6 MB). New then halves the set count (Known deviation 5).
+// including 6 MB). L3BankGeometry then halves the set count (Known
+// deviation 5).
 func l3Geometry(bankBytes, ways int) (int, int) {
 	lines := bankBytes / core.LineBytes
 	sets := 1

@@ -55,9 +55,11 @@ type RunStats struct {
 	Label string
 	// ExecCycles is the instrumented execution time in cycles.
 	ExecCycles uint64
-	// Served marks a point answered with the result of an identical point
-	// simulated earlier in the same pass (see experiments.GoldenFigures):
-	// nothing was simulated, so every counter below and ExecCycles is zero.
+	// Served marks a point answered with the result of an identical or
+	// provably equivalent point (an eviction-free smaller L3,
+	// bgp.ServesLargerL3) simulated earlier in the same pass (see
+	// experiments.GoldenFigures): nothing was simulated, so every counter
+	// below and ExecCycles is zero.
 	Served bool
 
 	// RouteClosedForm..RouteInterp count loop executions dispatched to
@@ -126,7 +128,8 @@ const (
 	// MetricRuns counts completed runs.
 	MetricRuns = "sim.runs"
 	// MetricRunsServed counts the completed runs that were served an
-	// identical point's result instead of simulating (RunStats.Served).
+	// identical or provably equivalent point's result instead of
+	// simulating (RunStats.Served).
 	MetricRunsServed = "sim.runs_served"
 	// MetricExecCycles totals instrumented execution cycles.
 	MetricExecCycles = "sim.exec_cycles"
