@@ -317,11 +317,11 @@ type Result struct {
 	// Timeline holds the periodic counter samples when the run was
 	// configured with a TimelineInterval.
 	Timeline *Sampler
-	// L3EvictionFree records that no L3 bank of the run ever displaced or
-	// invalidated a valid line, so the result answers for every larger L3
-	// whose geometry refines this one (ServesLargerL3). False means
-	// unknown: an evicting run, a run without an L3, and a result restored
-	// from a checkpoint record that does not carry the fact.
+	// L3EvictionFree records that no L3 bank of the run ever displaced a
+	// valid line, so the result answers for every larger L3 whose geometry
+	// refines this one (ServesLargerL3). False means unknown: an evicting
+	// run, a run without an L3, and a result restored from a checkpoint
+	// record that does not carry the fact.
 	L3EvictionFree bool
 }
 
@@ -421,10 +421,16 @@ func admit(cfg RunConfig) (src *nas.Benchmark, nodes int, err error) {
 
 // Run executes one instrumented benchmark run end to end.
 func Run(cfg RunConfig) (*Result, error) {
+	res, _, err := run(cfg)
+	return res, err
+}
+
+// run is Run, also returning the machine the run booted.
+func run(cfg RunConfig) (*Result, *machine.Machine, error) {
 	start := time.Now()
 	src, nodes, err := admit(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cache := cfg.ProgCache
 	if cache == nil && !cfg.NoProgCache {
@@ -445,7 +451,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	label := fmt.Sprintf("%s.%s %s %v x%d", src.Name, cfg.Class, cfg.Opts, cfg.Mode, app.Ranks)
 	observePhase(cfg.Observer, label, obs.PhaseCompile, start)
@@ -468,7 +474,7 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	j, err := mpi.NewJob(m, app.Ranks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.SliceCycles > 0 {
 		j.SetSlice(cfg.SliceCycles)
@@ -489,18 +495,14 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	dumps, err := bgpctr.Instrument(j, cfg.DumpDir, app.Body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	observePhase(cfg.Observer, label, obs.PhaseRun, start)
-	// Read before mining the dumps: without an Observer the machine is
-	// garbage from here on, as it was before the fact existed.
-	evictionFree := l3EvictionFree(m)
-
 	start = time.Now()
 	cfg.Ranks, cfg.Nodes = app.Ranks, nodes
 	res, err := newResult(cfg, label, dumps)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	observePhase(cfg.Observer, label, obs.PhasePostproc, start)
 	if cfg.Observer != nil {
@@ -514,38 +516,22 @@ func Run(cfg RunConfig) (*Result, error) {
 		cfg.Observer.RunDone(st)
 	}
 	res.Timeline = sampler
-	res.L3EvictionFree = evictionFree
-	return res, nil
+	res.L3EvictionFree = l3EvictionFree(m)
+	return res, m, nil
 }
 
-// l3EvictionFree reports whether no L3 bank of m ever displaced or
-// invalidated a valid line. Every miss fills a way, into an invalid one
-// or over a valid line, and only an invalidation empties one, so each
-// bank's Misses equal its resident lines exactly when neither happened,
-// and exceed them otherwise. Both are statehash-walked state, so the fact
-// is read after the job, the same on every execution path, for nothing per
-// access. More misses than the L3 has lines decide it without the scan.
+// l3EvictionFree reports whether every node of m has an L3 and no L3 bank
+// of it ever displaced a valid line. Each node counts the lines its L3
+// fills displace (node.L3Evictions), a statehash-walked word, so the fact
+// is read after the job, the same on every execution path, for one word
+// per node.
 func l3EvictionFree(m *machine.Machine) bool {
-	var misses, lines uint64
 	for _, nd := range m.Nodes {
-		for _, bank := range nd.L3 {
-			if bank == nil {
-				return false
-			}
-			misses += bank.Misses
-			lines += uint64(bank.SizeBytes() / bank.LineBytes())
+		if nd.L3[0] == nil || nd.L3Evictions != 0 {
+			return false
 		}
 	}
-	if misses > lines {
-		return false
-	}
-	var resident uint64
-	for _, nd := range m.Nodes {
-		for _, bank := range nd.L3 {
-			resident += uint64(bank.Resident())
-		}
-	}
-	return misses == resident
+	return true
 }
 
 // newResult mines a run's dumps into its Result; Run and

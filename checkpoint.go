@@ -18,7 +18,6 @@ package bgp
 // validation rather than silently trusted.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -200,7 +199,7 @@ func (c *CheckpointStore) Restore(key string, cfg RunConfig) *Result {
 	}
 	dumps := make([]*Dump, len(blobs))
 	for i, blob := range blobs {
-		d, err := bgpctr.ReadDump(bytes.NewReader(blob))
+		d, err := bgpctr.DecodeDump(blob)
 		if err != nil {
 			return nil
 		}
@@ -276,10 +275,7 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		L3EvictionFree: res.L3EvictionFree,
 	}
 	for _, d := range res.Dumps {
-		name, blob, err := encodeDump(d)
-		if err != nil {
-			return err
-		}
+		name, blob := encodeDump(d)
 		e.Files = append(e.Files, fileStamp{
 			Name:  name,
 			Size:  int64(len(blob)),
@@ -301,12 +297,8 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 
 // encodeDump renders one node's dump as the file a live run writes into its
 // DumpDir (bgpctr.Instrument): the same name, the same bytes.
-func encodeDump(d *Dump) (name string, blob []byte, err error) {
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		return "", nil, err
-	}
-	return fmt.Sprintf("node%04d.bgpc", d.NodeID), buf.Bytes(), nil
+func encodeDump(d *Dump) (name string, blob []byte) {
+	return fmt.Sprintf("node%04d.bgpc", d.NodeID), d.Append(nil)
 }
 
 // writeDumps gives a restored run's DumpDir the files a live run leaves
@@ -316,11 +308,8 @@ func writeDumps(dir string, dumps []*Dump) error {
 		return nil
 	}
 	for _, d := range dumps {
-		name, blob, err := encodeDump(d)
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, name), blob, 0o644)
-		}
-		if err != nil {
+		name, blob := encodeDump(d)
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
 			return fmt.Errorf("writing restored dump: %w", err)
 		}
 	}

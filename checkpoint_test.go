@@ -38,10 +38,7 @@ func TestDumpFileServesStampedBytes(t *testing.T) {
 
 	store, _ := persisted(t)
 	for node, d := range res.Dumps {
-		_, want, err := encodeDump(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, want := encodeDump(d)
 		got, files := store.DumpFile(key, cfg, node)
 		if !bytes.Equal(got, want) {
 			t.Errorf("node %d: DumpFile returned %d bytes, not encodeDump's %d", node, len(got), len(want))
@@ -65,7 +62,7 @@ func TestDumpFileServesStampedBytes(t *testing.T) {
 	}
 
 	// Each case damages node 1's file only; node 0's stays servable.
-	name1, _, _ := encodeDump(res.Dumps[1])
+	name1, _ := encodeDump(res.Dumps[1])
 	for _, tc := range []struct {
 		name   string
 		damage func(path string, blob []byte) error

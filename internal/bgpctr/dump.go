@@ -1,11 +1,12 @@
 package bgpctr
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"bgpsim/internal/core"
 	"bgpsim/internal/upc"
@@ -96,32 +97,17 @@ type DumpSet struct {
 	Counts [upc.NumCounters]uint64
 }
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
-}
-
 func (s *Session) writeDump(w io.Writer) error {
 	d := &Dump{
 		NodeID:  s.nd.ID(),
 		Mode:    s.mode,
 		ClockHz: core.ClockHz,
-		Sets:    make([]DumpSet, 0, len(s.order)),
+		Sets:    make([]DumpSet, len(s.order)),
 	}
-	for _, id := range s.order {
-		set := s.sets[id]
-		d.Sets = append(d.Sets, DumpSet{
-			ID:         set.id,
-			Pairs:      set.pairs,
-			FirstCycle: set.firstCycle,
-			LastCycle:  set.lastCycle,
-			Counts:     set.counts,
-		})
+	for i, id := range s.order {
+		set, out := s.sets[id], &d.Sets[i]
+		out.ID, out.Pairs, out.FirstCycle, out.LastCycle = set.id, set.pairs, set.firstCycle, set.lastCycle
+		out.Counts = set.counts
 	}
 	return d.Encode(w)
 }
@@ -129,75 +115,102 @@ func (s *Session) writeDump(w io.Writer) error {
 // Encode writes the dump in the binary file format, checksummed; it is the
 // exact inverse of ReadDump.
 func (d *Dump) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	write := func(v any) error { return binary.Write(cw, binary.BigEndian, v) }
+	_, err := w.Write(d.Append(nil))
+	return err
+}
 
-	if _, err := cw.Write([]byte(DumpMagic)); err != nil {
-		return err
-	}
-	for _, v := range []any{
-		uint32(DumpVersion),
-		uint32(d.NodeID),
-		uint32(d.Mode),
-		d.ClockHz,
-		uint32(len(d.Sets)),
-	} {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
+// Append appends the dump's file encoding to b and returns the extended
+// slice; it is the exact inverse of DecodeDump.
+func (d *Dump) Append(b []byte) []byte {
+	b = slices.Grow(b, dumpHeaderBytes+len(d.Sets)*dumpSetBytes+dumpCRCBytes)
+	start := len(b)
+	be := binary.BigEndian
+	b = append(b, DumpMagic...)
+	b = be.AppendUint32(b, DumpVersion)
+	b = be.AppendUint32(b, uint32(d.NodeID))
+	b = be.AppendUint32(b, uint32(d.Mode))
+	b = be.AppendUint64(b, d.ClockHz)
+	b = be.AppendUint32(b, uint32(len(d.Sets)))
 	for i := range d.Sets {
 		set := &d.Sets[i]
-		for _, v := range []any{
-			uint32(set.ID), set.Pairs, set.FirstCycle, set.LastCycle,
-		} {
-			if err := write(v); err != nil {
-				return err
-			}
-		}
-		if err := write(&set.Counts); err != nil {
-			return err
+		b = be.AppendUint32(b, uint32(set.ID))
+		b = be.AppendUint64(b, set.Pairs)
+		b = be.AppendUint64(b, set.FirstCycle)
+		b = be.AppendUint64(b, set.LastCycle)
+		for _, v := range &set.Counts {
+			b = be.AppendUint64(b, v)
 		}
 	}
-	if err := binary.Write(bw, binary.BigEndian, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return be.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// ReadDump decodes and validates one node dump. The reader must contain
-// exactly one dump: duplicate set ids, a checksum mismatch, and trailing
-// bytes after the CRC word are all rejected as corruption.
+// ReadDump decodes and validates the one node dump r holds to its end (see
+// DecodeDump). A reader that knows its length (bytes.Reader,
+// strings.Reader) is read into one buffer of that size.
 func ReadDump(r io.Reader) (*Dump, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	read := func(v any) error { return binary.Read(cr, binary.BigEndian, v) }
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("bgpctr: reading dump: %w", err)
+	}
+	return DecodeDump(buf.Bytes())
+}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
+// dumpCursor walks an encoded dump field by field. next fails as a stream
+// read of the field would: io.EOF when no byte of it is left and
+// io.ErrUnexpectedEOF when only part of it is.
+type dumpCursor struct {
+	b   []byte
+	off int
+}
+
+func (c *dumpCursor) next(n int) ([]byte, error) {
+	switch left := len(c.b) - c.off; {
+	case left == 0:
+		return nil, io.EOF
+	case left < n:
+		c.off = len(c.b)
+		return nil, io.ErrUnexpectedEOF
+	}
+	f := c.b[c.off : c.off+n]
+	c.off += n
+	return f, nil
+}
+
+// field reads the next big-endian field of n = 4 or 8 bytes.
+func (c *dumpCursor) field(n int) (uint64, error) {
+	f, err := c.next(n)
+	if err != nil {
+		return 0, err
+	}
+	if n == 4 {
+		return uint64(binary.BigEndian.Uint32(f)), nil
+	}
+	return binary.BigEndian.Uint64(f), nil
+}
+
+// DecodeDump decodes and validates one node dump. The blob must hold
+// exactly one dump: duplicate set ids, a checksum mismatch, and trailing
+// bytes after the CRC word are all rejected as corruption. What it
+// allocates is bounded by len(blob), whatever set count the header claims.
+func DecodeDump(blob []byte) (*Dump, error) {
+	c := &dumpCursor{b: blob}
+	m, err := c.next(len(DumpMagic))
+	if err != nil {
 		return nil, fmt.Errorf("bgpctr: reading magic: %w", err)
 	}
-	if string(magic[:]) != DumpMagic {
-		return nil, fmt.Errorf("bgpctr: bad magic %q", magic)
+	if string(m) != DumpMagic {
+		return nil, fmt.Errorf("bgpctr: bad magic %q", [4]byte(m))
 	}
-	var version, nodeID, mode, numSets uint32
-	var clockHz uint64
-	for _, v := range []any{&version, &nodeID, &mode, &clockHz, &numSets} {
-		if err := read(v); err != nil {
+	var hdr [5]uint64
+	for k, n := range [...]int{4, 4, 4, 8, 4} {
+		if hdr[k], err = c.field(n); err != nil {
 			return nil, fmt.Errorf("bgpctr: truncated header: %w", err)
 		}
 	}
+	version, nodeID, mode, clockHz, numSets := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
 	if version != DumpVersion {
 		return nil, fmt.Errorf("bgpctr: unsupported dump version %d", version)
 	}
@@ -207,40 +220,48 @@ func ReadDump(r io.Reader) (*Dump, error) {
 	if numSets > 1<<16 {
 		return nil, fmt.Errorf("bgpctr: implausible set count %d", numSets)
 	}
+	// A set is stored only once the blob has shown all of it, so only the
+	// sets present are allocated, whatever count the header claims.
+	present := min(int(numSets), (len(blob)-c.off)/dumpSetBytes)
 	d := &Dump{
 		NodeID:  int(nodeID),
 		Mode:    upc.Mode(mode),
 		ClockHz: clockHz,
-		Sets:    make([]DumpSet, numSets),
+		Sets:    make([]DumpSet, 0, present),
 	}
-	seen := make(map[uint32]bool, numSets)
-	for i := range d.Sets {
-		set := &d.Sets[i]
-		var id uint32
-		for _, v := range []any{&id, &set.Pairs, &set.FirstCycle, &set.LastCycle} {
-			if err := read(v); err != nil {
+	seen := make(map[uint32]bool, present)
+	for i := 0; i < int(numSets); i++ {
+		var f [4]uint64
+		for k, n := range [...]int{4, 8, 8, 8} {
+			if f[k], err = c.field(n); err != nil {
 				return nil, fmt.Errorf("bgpctr: truncated set %d: %w", i, err)
 			}
 		}
+		id := uint32(f[0])
 		if seen[id] {
 			return nil, fmt.Errorf("bgpctr: duplicate set id %d", id)
 		}
 		seen[id] = true
-		set.ID = int(id)
-		if err := read(&set.Counts); err != nil {
+		counts, err := c.next(8 * upc.NumCounters)
+		if err != nil {
 			return nil, fmt.Errorf("bgpctr: truncated counters of set %d: %w", i, err)
 		}
+		d.Sets = d.Sets[:i+1] // within capacity: set i is present
+		set := &d.Sets[i]
+		set.ID, set.Pairs, set.FirstCycle, set.LastCycle = int(id), f[1], f[2], f[3]
+		for k := range set.Counts {
+			set.Counts[k] = binary.BigEndian.Uint64(counts[8*k:])
+		}
 	}
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(cr.r, binary.BigEndian, &got); err != nil {
+	want := crc32.ChecksumIEEE(blob[:c.off])
+	got, err := c.field(dumpCRCBytes)
+	if err != nil {
 		return nil, fmt.Errorf("bgpctr: missing checksum: %w", err)
 	}
-	if got != want {
+	if got != uint64(want) {
 		return nil, fmt.Errorf("bgpctr: checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	var trailing [1]byte
-	if _, err := io.ReadFull(cr.r, trailing[:]); err != io.EOF {
+	if c.off != len(blob) {
 		return nil, fmt.Errorf("bgpctr: trailing garbage after checksum")
 	}
 	return d, nil

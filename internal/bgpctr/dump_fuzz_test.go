@@ -46,6 +46,9 @@ func FuzzDecodeDump(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/2] ^= 0xff
 	f.Add(mutated) // payload flip: CRC must catch it
+	claims := append([]byte(nil), valid[:dumpHeaderBytes]...)
+	claims[24], claims[25], claims[26], claims[27] = 0, 1, 0, 0
+	f.Add(claims) // a header claiming 1<<16 sets over no bytes of them
 	for _, m := range faults.Corpus(0xD00D, valid, FieldBoundaries(valid), 16) {
 		f.Add(m)
 	}

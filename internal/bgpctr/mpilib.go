@@ -128,7 +128,7 @@ func InstrumentRegions(j *mpi.Job, dir string, body func(*mpi.Rank, *Session)) (
 				return nil, fmt.Errorf("bgpctr: writing %s: %w", name, err)
 			}
 		}
-		d, err := ReadDump(bytes.NewReader(blob))
+		d, err := DecodeDump(blob)
 		if err != nil {
 			return nil, fmt.Errorf("bgpctr: node %d dump corrupt: %w", id, err)
 		}

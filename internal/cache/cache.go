@@ -320,7 +320,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 
 // Resident returns the number of valid lines the cache holds: ways with a
 // non-zero tag. It reads the tag store only, so it is exact on a cache whose
-// state was restored by a statehash walk.
+// state was restored by a statehash walk. It scans every set, so nothing on
+// a run's path calls it; tests hold the node's L3 eviction counter to it.
 func (c *Cache) Resident() int {
 	n := 0
 	for b := c.tagOff; b < len(c.slab); b += c.setWords {

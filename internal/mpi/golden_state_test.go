@@ -103,7 +103,9 @@ func missPathBody(p *isa.Program) func(*Rank) {
 // stores l+1 where it stored 2l+b+1. historicState rebuilds every bank's
 // window at the full geometry, the dead parity's sets as a freshly booted
 // bank holds them, so the goldens go on pinning the model they recorded.
-// It is the one place that knows the old layout.
+// The goldens also predate the node's L3 eviction counter, the last word of
+// its window, so historicState drops it. It is the one place that knows the
+// old layout.
 func historicState(t *testing.T, j *Job) []uint64 {
 	t.Helper()
 	var out []uint64
@@ -123,9 +125,31 @@ func historicState(t *testing.T, j *Job) []uint64 {
 				off = end
 			}
 		}
-		out = append(out, w[off:]...)
+		out = append(out, w[off:len(w)-1]...)
 	}
 	return out
+}
+
+// checkL3Evictions holds every node's L3 eviction counter to the tag scan:
+// each L3 miss fills a way, into an invalid one or over a valid line, and
+// nothing empties one, so the lines displaced are the misses less the lines
+// still resident.
+func checkL3Evictions(t *testing.T, j *Job, name string) {
+	t.Helper()
+	for _, id := range j.NodeIDs() {
+		n := j.Machine().Nodes[id]
+		var misses, resident uint64
+		for _, bank := range n.L3 {
+			if bank != nil {
+				misses += bank.Misses
+				resident += uint64(bank.Resident())
+			}
+		}
+		if n.L3Evictions != misses-resident {
+			t.Errorf("%s node %d: %d L3 evictions counted, the tag scan finds %d misses and %d resident lines",
+				name, id, n.L3Evictions, misses, resident)
+		}
+	}
 }
 
 // fullBankWindow re-expands bank b's window to the full geometry: the set
@@ -216,6 +240,7 @@ func TestMachineStateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.name, mode, err)
 			}
+			checkL3Evictions(t, j, w.name+" "+mode.String())
 			d := statehash.Sum128(historicState(t, j))
 			fmt.Fprintf(&got, "%s %s %016x%016x\n", w.name, mode, d.Hi, d.Lo)
 		}
@@ -289,6 +314,7 @@ func TestL3GeometryStateGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", l3.name, p.Name, mode, err)
 				}
+				checkL3Evictions(t, j, fmt.Sprintf("%s %s %s", l3.name, p.Name, mode))
 				d := statehash.Sum128(historicState(t, j))
 				fmt.Fprintf(&got, "%s %s %s %016x%016x\n", l3.name, p.Name, mode, d.Hi, d.Lo)
 			}

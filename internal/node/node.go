@@ -92,6 +92,10 @@ type Node struct {
 	l3pfWant []uint64
 	// L3PrefetchIssued counts lines the L3 engine fetched from DRAM.
 	L3PrefetchIssued uint64
+	// L3Evictions counts valid lines an L3 fill displaced, in either bank.
+	// Every L3 miss fills a way, and nothing else empties one, so a run
+	// whose nodes all read zero here never lost a line from its L3.
+	L3Evictions uint64
 
 	active  [NumCores]bool
 	nactive int
@@ -136,7 +140,7 @@ func New(id int, params Params, tor *torus.Iface, col *collective.Iface) *Node {
 		n.Cores[c] = core.New(c, params.Core, n)
 	}
 	n.coreLen = statehash.Len(n.Cores[0])
-	n.UPC = upc.New(n.buildSignals())
+	n.UPC = upc.New(n.signals)
 	return n
 }
 
@@ -200,14 +204,17 @@ func (n *Node) bank(addr uint64) (int, uint64) {
 	return int(addr >> 7 & (NumL3Banks - 1)), addr>>8<<7 | addr&127
 }
 
-// writeBackVictim posts the DDR write of the dirty line an L3 miss in bank
-// b displaced (the victim's address is bank-local; the bank is the
-// controller); a hit, or a miss with a clean or no victim, writes nothing.
-// It is the one copy of this step on every L3 miss path and must stay
-// within the inliner's budget (check with go build -gcflags=-m).
+// writeBackVictim counts the line an L3 miss in bank b displaced and posts
+// its DDR write if it was dirty (the victim's address is bank-local; the
+// bank is the controller); a hit, or a miss into an invalid way, does
+// neither. It is the one copy of this step on every L3 miss path and must
+// stay within the inliner's budget (check with go build -gcflags=-m).
 func (n *Node) writeBackVictim(b int, r cache.Result) {
-	if r.VictimValid && r.VictimDirty {
-		n.DDR[b].DMALines(1, false)
+	if r.VictimValid {
+		n.L3Evictions++
+		if r.VictimDirty {
+			n.DDR[b].DMALines(1, false)
+		}
 	}
 }
 

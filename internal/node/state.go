@@ -44,6 +44,9 @@ func (n *Node) State(w *statehash.Walk) {
 	w.U64(&c.Reduces)
 	w.U64(&c.Barriers)
 	w.U64(&c.Bytes)
+	// Last, so a window recorded before the counter existed is this one
+	// without its final word.
+	w.U64(&n.L3Evictions)
 }
 
 // WriteClocks restores only the core clocks from a window of the node. The

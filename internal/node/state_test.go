@@ -68,6 +68,14 @@ func TestStateWalkClassifiesEveryField(t *testing.T) {
 		statehash.Read(n, w)
 		return w
 	}
+	// The eviction counter is the window's last word: the state goldens'
+	// historicState (internal/mpi) drops it to read the windows they
+	// recorded before it existed.
+	n.L3Evictions = 0x5eed
+	if w := window(); w[len(w)-1] != n.L3Evictions {
+		t.Errorf("the state window ends in %#x, not L3Evictions", w[len(w)-1])
+	}
+	n.L3Evictions = 0
 	base := window()
 	reached := map[reflect.Type]bool{}
 	var visit func(path string, v reflect.Value)

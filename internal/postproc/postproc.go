@@ -82,7 +82,39 @@ func (a *Analysis) EstimatedTotal(set int, name string) float64 {
 	return s.Mean * float64(a.TotalNodes)
 }
 
-// Analyze validates and mines a run's node dumps.
+// eventSlots numbers the catalog's event mnemonics, each once however many
+// modes carry it: slot[m][i] is the slot of counter i's event in mode m, or
+// -1 for a reserved counter. Built once from the upc catalog, it lets
+// Analyze fold a counter by index instead of by name.
+var eventSlots = func() (t struct {
+	slot   [upc.NumModes + 1][upc.NumCounters]int16 // the last row: a mode out of range, all reserved
+	names  []string
+	cycles []bool // the mnemonic ends in _CYCLES
+}) {
+	byName := make(map[string]int16)
+	for m := range t.slot {
+		for i := range t.slot[m] {
+			name := upc.EventName(upc.MakeEventID(upc.Mode(m), i))
+			if m == upc.NumModes || name == "BGP_RESERVED" {
+				t.slot[m][i] = -1
+				continue
+			}
+			k, ok := byName[name]
+			if !ok {
+				k = int16(len(t.names))
+				byName[name] = k
+				t.names = append(t.names, name)
+				t.cycles = append(t.cycles, strings.HasSuffix(name, "_CYCLES"))
+			}
+			t.slot[m][i] = k
+		}
+	}
+	return t
+}()
+
+// Analyze validates and mines a run's node dumps. Each set's events
+// accumulate in per-slot Stats (eventSlots), written to its Events map once
+// every dump is folded.
 func Analyze(dumps []*bgpctr.Dump) (*Analysis, error) {
 	if len(dumps) == 0 {
 		return nil, fmt.Errorf("postproc: no dumps to analyze")
@@ -92,6 +124,7 @@ func Analyze(dumps []*bgpctr.Dump) (*Analysis, error) {
 		ClockHz:    dumps[0].ClockHz,
 		Sets:       make(map[int]*SetAnalysis),
 	}
+	stats := make(map[int][]Stats)
 	seen := make(map[int]bool)
 	want := len(dumps[0].Sets)
 	for _, d := range dumps {
@@ -106,27 +139,40 @@ func Analyze(dumps []*bgpctr.Dump) (*Analysis, error) {
 			return nil, fmt.Errorf("postproc: node %d has %d sets, node %d has %d",
 				d.NodeID, len(d.Sets), dumps[0].NodeID, want)
 		}
-		for _, set := range d.Sets {
-			if err := a.fold(d, &set); err != nil {
+		for i := range d.Sets {
+			set := &d.Sets[i]
+			sa := a.Sets[set.ID]
+			if sa == nil {
+				sa = &SetAnalysis{ID: set.ID}
+				a.Sets[set.ID] = sa
+				stats[set.ID] = make([]Stats, len(eventSlots.names))
+			}
+			if err := fold(sa, stats[set.ID], d, set); err != nil {
 				return nil, err
+			}
+		}
+	}
+	for id, sa := range a.Sets {
+		sa.Events = make(map[string]Stats)
+		for k, s := range stats[id] {
+			if s.Nodes > 0 {
+				s.Mean = float64(s.Sum) / float64(s.Nodes)
+				sa.Events[eventSlots.names[k]] = s
 			}
 		}
 	}
 	return a, nil
 }
 
-func (a *Analysis) fold(d *bgpctr.Dump, set *bgpctr.DumpSet) error {
-	sa := a.Sets[set.ID]
-	if sa == nil {
-		sa = &SetAnalysis{ID: set.ID, Events: make(map[string]Stats)}
-		a.Sets[set.ID] = sa
-	}
+// fold adds one node's counters of one set to the set's per-slot stats.
+func fold(sa *SetAnalysis, stats []Stats, d *bgpctr.Dump, set *bgpctr.DumpSet) error {
 	if set.LastCycle < set.FirstCycle {
 		return fmt.Errorf("postproc: node %d set %d: negative duration", d.NodeID, set.ID)
 	}
-	for i, v := range set.Counts {
-		name := upc.EventName(upc.MakeEventID(d.Mode, i))
-		if name == "BGP_RESERVED" {
+	slots := &eventSlots.slot[min(d.Mode, upc.NumModes)]
+	for i, v := range &set.Counts {
+		k := slots[i]
+		if k < 0 {
 			if v != 0 {
 				return fmt.Errorf("postproc: node %d set %d: reserved counter %d nonzero", d.NodeID, set.ID, i)
 			}
@@ -134,24 +180,18 @@ func (a *Analysis) fold(d *bgpctr.Dump, set *bgpctr.DumpSet) error {
 		}
 		if v > maxPlausibleCount {
 			return fmt.Errorf("postproc: node %d set %d: counter %s = %d out of range",
-				d.NodeID, set.ID, name, v)
+				d.NodeID, set.ID, eventSlots.names[k], v)
 		}
-		s, known := sa.Events[name]
-		if !known {
-			s = Stats{Min: v, Max: v}
-		} else {
-			if v < s.Min {
-				s.Min = v
-			}
-			if v > s.Max {
-				s.Max = v
-			}
+		s := &stats[k]
+		if s.Nodes == 0 || v < s.Min {
+			s.Min = v
+		}
+		if s.Nodes == 0 || v > s.Max {
+			s.Max = v
 		}
 		s.Sum += v
 		s.Nodes++
-		s.Mean = float64(s.Sum) / float64(s.Nodes)
-		sa.Events[name] = s
-		if strings.HasSuffix(name, "_CYCLES") && v > sa.MaxCycles {
+		if eventSlots.cycles[k] && v > sa.MaxCycles {
 			sa.MaxCycles = v
 		}
 	}
@@ -170,12 +210,11 @@ func LoadDir(dir string) ([]*bgpctr.Dump, error) {
 	sort.Strings(names)
 	dumps := make([]*bgpctr.Dump, 0, len(names))
 	for _, name := range names {
-		f, err := os.Open(name)
+		blob, err := os.ReadFile(name)
 		if err != nil {
 			return nil, err
 		}
-		d, err := bgpctr.ReadDump(f)
-		f.Close()
+		d, err := bgpctr.DecodeDump(blob)
 		if err != nil {
 			return nil, fmt.Errorf("postproc: %s: %w", name, err)
 		}

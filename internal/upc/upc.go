@@ -90,7 +90,10 @@ type InterruptHandler func(counter int, value uint64)
 
 // Unit is the Universal Performance Counter unit of one node.
 type Unit struct {
-	signals [NumModes][NumCounters]Signal
+	// build wires a mode's signal table; signals holds the tables built,
+	// each on the mode's first sample.
+	build   func(Mode, *[NumCounters]Signal)
+	signals [NumModes]*[NumCounters]Signal
 
 	mode    Mode
 	running bool
@@ -108,10 +111,13 @@ type Unit struct {
 	handler InterruptHandler
 }
 
-// New creates a UPC unit with the given per-mode signal wiring. Slots left
-// nil are reserved events reading zero.
-func New(signals [NumModes][NumCounters]Signal) *Unit {
-	return &Unit{signals: signals}
+// New creates a UPC unit whose mode m counts the signals build(m, table)
+// wires into an empty table. Slots left nil are reserved events reading
+// zero. A mode's table is built when the unit first samples in that mode,
+// so a node that counts in one mode, as the interface library programs it,
+// builds one table.
+func New(build func(Mode, *[NumCounters]Signal)) *Unit {
+	return &Unit{build: build}
 }
 
 // SetInterruptHandler installs the threshold-interrupt handler.
@@ -228,10 +234,22 @@ func (u *Unit) Poll() {
 }
 
 func (u *Unit) sample(i int) uint64 {
-	if s := u.signals[u.mode][i]; s != nil {
+	sig := u.signals[u.mode]
+	if sig == nil {
+		sig = u.wire()
+	}
+	if s := sig[i]; s != nil {
 		return s()
 	}
 	return 0
+}
+
+// wire builds the current mode's signal table, on its first sample.
+func (u *Unit) wire() *[NumCounters]Signal {
+	sig := new([NumCounters]Signal)
+	u.build(u.mode, sig)
+	u.signals[u.mode] = sig
+	return sig
 }
 
 // HasHandler reports whether a threshold-interrupt handler is installed.

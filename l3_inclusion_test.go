@@ -8,10 +8,12 @@ package bgp_test
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	bgp "bgpsim"
@@ -68,8 +70,22 @@ func TestL3InclusionServesByteIdentical(t *testing.T) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{Workers: 2})
-	if err != nil {
+	// Two workers, each run's eviction counter held to the tag scan: the
+	// fact every accepted pair below rests on.
+	results, errs := make([]*bgp.Result, len(cfgs)), make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(cfgs); k = int(next.Add(1) - 1) {
+				results[k], errs[k] = bgp.RunCheckingL3Evictions(cfgs[k])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 
