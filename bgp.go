@@ -493,9 +493,14 @@ func run(cfg RunConfig) (*Result, *machine.Machine, error) {
 		sampler = bgpctr.NewSampler(cfg.TimelineInterval, cfg.TimelineEvents...)
 		sampler.Attach(j)
 	}
-	dumps, err := bgpctr.Instrument(j, cfg.DumpDir, app.Body)
+	dumps, err := bgpctr.Instrument(j, app.Body)
 	if err != nil {
 		return nil, nil, err
+	}
+	if cfg.DumpDir != "" {
+		if err := bgpctr.WriteDumps(cfg.DumpDir, dumps); err != nil {
+			return nil, nil, err
+		}
 	}
 	observePhase(cfg.Observer, label, obs.PhaseRun, start)
 	start = time.Now()

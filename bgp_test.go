@@ -1,10 +1,15 @@
 package bgp
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bgpsim/internal/bgpctr"
 )
 
 func TestRunEndToEnd(t *testing.T) {
@@ -180,5 +185,54 @@ func TestParseHelpers(t *testing.T) {
 	o, err := ParseOptions("-O5 -qarch=440d")
 	if err != nil || o.Level != O5 || !o.Arch440d {
 		t.Errorf("ParseOptions: %+v %v", o, err)
+	}
+}
+
+// TestRunDumpsMatchTheirFiles holds every kernel's in-process dumps to the
+// files its DumpDir receives: each Result.Dumps[i] is what DecodeDump reads
+// back from its own encoding, and the directory's i-th file (in node order)
+// is that encoding byte for byte.
+func TestRunDumpsMatchTheirFiles(t *testing.T) {
+	for _, bench := range Benchmarks() {
+		for _, mode := range []OpMode{SMP1, VNM} {
+			t.Run(fmt.Sprintf("%s/%v", bench, mode), func(t *testing.T) {
+				dir := t.TempDir()
+				res, err := Run(RunConfig{
+					Benchmark: bench,
+					Class:     ClassS,
+					Ranks:     4,
+					Mode:      mode,
+					Opts:      Options{Level: O5, Arch440d: true},
+					DumpDir:   dir,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				files, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(files) != len(res.Dumps) {
+					t.Fatalf("%d files for %d dumps", len(files), len(res.Dumps))
+				}
+				for i, d := range res.Dumps {
+					blob := d.Append(nil)
+					back, err := bgpctr.DecodeDump(blob)
+					if err != nil {
+						t.Fatalf("node %d: %v", d.NodeID, err)
+					}
+					if !reflect.DeepEqual(d, back) {
+						t.Errorf("node %d: dump differs from its decoded encoding", d.NodeID)
+					}
+					file, err := os.ReadFile(filepath.Join(dir, files[i].Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(file, blob) {
+						t.Errorf("node %d: %s is not the dump's encoding", d.NodeID, files[i].Name())
+					}
+				}
+			})
+		}
 	}
 }

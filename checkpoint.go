@@ -275,7 +275,7 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		L3EvictionFree: res.L3EvictionFree,
 	}
 	for _, d := range res.Dumps {
-		name, blob := encodeDump(d)
+		name, blob := bgpctr.DumpFileName(d.NodeID), d.Append(nil)
 		e.Files = append(e.Files, fileStamp{
 			Name:  name,
 			Size:  int64(len(blob)),
@@ -293,27 +293,6 @@ func (c *CheckpointStore) Persist(key string, cfg RunConfig, res *Result) error 
 		return err
 	}
 	return writeFileAtomic(filepath.Join(runDir, entryName), data)
-}
-
-// encodeDump renders one node's dump as the file a live run writes into its
-// DumpDir (bgpctr.Instrument): the same name, the same bytes.
-func encodeDump(d *Dump) (name string, blob []byte) {
-	return fmt.Sprintf("node%04d.bgpc", d.NodeID), d.Append(nil)
-}
-
-// writeDumps gives a restored run's DumpDir the files a live run leaves
-// there.
-func writeDumps(dir string, dumps []*Dump) error {
-	if dir == "" {
-		return nil
-	}
-	for _, d := range dumps {
-		name, blob := encodeDump(d)
-		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-			return fmt.Errorf("writing restored dump: %w", err)
-		}
-	}
-	return nil
 }
 
 // writeFileAtomic writes data via a uniquely named temporary file and

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bgpsim/internal/bgpctr"
 )
 
 // TestDumpFileServesStampedBytes checks the store's one-file read: for every
-// node it returns exactly encodeDump's bytes, and each kind of damage that
+// node it returns exactly the dump's encoding, and each kind of damage that
 // makes Restore miss makes it miss too, as do a wrong configuration and an
 // out-of-range node.
 func TestDumpFileServesStampedBytes(t *testing.T) {
@@ -38,10 +40,10 @@ func TestDumpFileServesStampedBytes(t *testing.T) {
 
 	store, _ := persisted(t)
 	for node, d := range res.Dumps {
-		_, want := encodeDump(d)
+		want := d.Append(nil)
 		got, files := store.DumpFile(key, cfg, node)
 		if !bytes.Equal(got, want) {
-			t.Errorf("node %d: DumpFile returned %d bytes, not encodeDump's %d", node, len(got), len(want))
+			t.Errorf("node %d: DumpFile returned %d bytes, not the dump's %d", node, len(got), len(want))
 		}
 		if files != n {
 			t.Errorf("node %d: DumpFile reports %d files, want %d", node, files, n)
@@ -62,7 +64,7 @@ func TestDumpFileServesStampedBytes(t *testing.T) {
 	}
 
 	// Each case damages node 1's file only; node 0's stays servable.
-	name1, _ := encodeDump(res.Dumps[1])
+	name1 := bgpctr.DumpFileName(res.Dumps[1].NodeID)
 	for _, tc := range []struct {
 		name   string
 		damage func(path string, blob []byte) error

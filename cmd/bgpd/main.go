@@ -37,7 +37,7 @@
 // when it is fetched. One daemon owns a directory: it holds a lock
 // on the journal while it runs, so a second bgpd on the same -checkpoint
 // exits 1, and a restart after a crash starts at once. The /metrics
-// endpoint exposes the server.* cache, admission, journal and audit
+// endpoint exposes the server.* cache, admission, journal and repair
 // counters alongside the sim.* and sweep.* metrics of the runs.
 package main
 
@@ -74,7 +74,6 @@ func run() int {
 		maxRetries = flag.Int("max-retries", 0, "cap on the per-run retry budget a job may request (0 = default 3)")
 		maxTimeout = flag.Duration("max-run-timeout", 0, "cap on the per-attempt deadline a job may request (0 = default 10m)")
 		maxRecover = flag.Int("max-recoveries", 0, "crash recoveries before a replayed job is failed instead of re-queued (0 = default 3)")
-		auditFrac  = flag.Float64("audit-fraction", 0, "fraction of cache hits shadow-audited by re-simulation (0 = off, 1 = all)")
 	)
 	// The two flags the daemon shares with the batch commands: the checkpoint
 	// directory is its durable result store, and the epoch memo is sized here,
@@ -94,7 +93,6 @@ func run() int {
 		MaxRetries:    *maxRetries,
 		MaxRunTimeout: *maxTimeout,
 		MaxRecoveries: *maxRecover,
-		AuditFraction: *auditFrac,
 	})
 	if err != nil {
 		log.Print(err)

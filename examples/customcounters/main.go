@@ -71,7 +71,7 @@ func main() {
 	// benchmark run is re-bracketed as set 1 by core 0 of each node,
 	// the "single monitoring thread" usage of the paper's §I.
 	const wholeRunSet = 1
-	dumps, err := bgpctr.InstrumentRegions(job, dir, func(r *mpi.Rank, s *bgpctr.Session) {
+	dumps, err := bgpctr.InstrumentRegions(job, func(r *mpi.Rank, s *bgpctr.Session) {
 		if r.CoreID() == 0 {
 			s.Start(wholeRunSet)
 		}
@@ -81,6 +81,10 @@ func main() {
 		}
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	// BGP_Finalize's per-node binary files, as bgpmine reads them.
+	if err := bgpctr.WriteDumps(dir, dumps); err != nil {
 		log.Fatal(err)
 	}
 

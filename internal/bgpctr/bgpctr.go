@@ -5,15 +5,15 @@
 //	BGP_Initialize()  →  Initialize(node, core, mode)
 //	BGP_Start(set)    →  Session.Start(set)
 //	BGP_Stop(set)     →  Session.Stop(set)
-//	BGP_Finalize()    →  Session.Finalize(w)
+//	BGP_Finalize()    →  Session.Finalize()
 //
 // Each Start/Stop pair brackets a code region and constitutes a "set";
-// Finalize dumps the per-set counter deltas of all 256 counters into a
-// binary file at each node. Because the counters are globally accessible on
-// the chip, one session per node serves all ranks running there; the even/
-// odd node-card mode split lets a single job monitor 512 of the 1024
-// events (half the event space on even-numbered nodes, the other half on
-// odd ones).
+// Finalize collects the per-set counter deltas of all 256 counters into the
+// node's dump, which WriteDumps stores as one binary file per node. Because
+// the counters are globally accessible on the chip, one session per node
+// serves all ranks running there; the even/odd node-card mode split lets a
+// single job monitor 512 of the 1024 events (half the event space on
+// even-numbered nodes, the other half on odd ones).
 //
 // The library charges its own measured overhead to the monitoring core:
 // 196 cycles for the initialize+start+stop path, matching the paper's
@@ -23,9 +23,10 @@ package bgpctr
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"sort"
 
+	"bgpsim/internal/core"
 	"bgpsim/internal/node"
 	"bgpsim/internal/upc"
 )
@@ -107,10 +108,14 @@ func (s *Session) Node() *node.Node { return s.nd }
 func (s *Session) Mode() upc.Mode { return s.mode }
 
 // Start begins (or resumes) monitoring region set. Starting an already-open
-// set is an error in the application's bracketing and panics.
+// set, or a set the dump's u32 id field cannot hold, is an error in the
+// application's bracketing and panics.
 func (s *Session) Start(set int) {
 	if s.finalized {
 		panic("bgpctr: Start after Finalize")
+	}
+	if set < 0 || uint64(set) > math.MaxUint32 {
+		panic(fmt.Sprintf("bgpctr: set %d outside [0, 2^32)", set))
 	}
 	if _, isOpen := s.open[set]; isOpen {
 		panic(fmt.Sprintf("bgpctr: set %d started twice without Stop", set))
@@ -167,18 +172,33 @@ func (s *Session) SetCounts(set int) *[upc.NumCounters]uint64 {
 	return &out
 }
 
-// Finalize stops the unit and writes the node's binary dump — the file the
-// post-processing tools mine. Open sets are an instrumentation bug and
-// cause an error. A session cannot be used after Finalize.
-func (s *Session) Finalize(w io.Writer) error {
+// Finalize stops the unit and returns the node's dump — the file the
+// post-processing tools mine, with its sets in first-start order. Open sets
+// are an instrumentation bug and cause an error, as do more sets than a
+// dump file holds. A session cannot be used after Finalize.
+func (s *Session) Finalize() (*Dump, error) {
 	if s.finalized {
-		return fmt.Errorf("bgpctr: node %d finalized twice", s.nd.ID())
+		return nil, fmt.Errorf("bgpctr: node %d finalized twice", s.nd.ID())
 	}
 	if len(s.open) > 0 {
-		return fmt.Errorf("bgpctr: node %d has unterminated sets %v", s.nd.ID(), s.OpenSets())
+		return nil, fmt.Errorf("bgpctr: node %d has unterminated sets %v", s.nd.ID(), s.OpenSets())
+	}
+	if len(s.order) > maxDumpSets {
+		return nil, fmt.Errorf("bgpctr: node %d has %d sets, more than a dump holds (%d)", s.nd.ID(), len(s.order), maxDumpSets)
 	}
 	s.finalized = true
 	s.markExternal()
 	s.nd.UPC.Stop()
-	return s.writeDump(w)
+	d := &Dump{
+		NodeID:  s.nd.ID(),
+		Mode:    s.mode,
+		ClockHz: core.ClockHz,
+		Sets:    make([]DumpSet, len(s.order)),
+	}
+	for i, id := range s.order {
+		set, out := s.sets[id], &d.Sets[i]
+		out.ID, out.Pairs, out.FirstCycle, out.LastCycle = set.id, set.pairs, set.firstCycle, set.lastCycle
+		out.Counts = set.counts
+	}
+	return d, nil
 }

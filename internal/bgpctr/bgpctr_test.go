@@ -2,8 +2,10 @@ package bgpctr
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,12 +117,44 @@ func TestBracketingErrors(t *testing.T) {
 	}()
 }
 
+// TestStartRejectsSetIDsOutsideU32: the dump stores a set id as a u32, so
+// Start refuses an id the file cannot hold rather than letting the
+// in-process dump and the file disagree; the largest u32 id is kept as is.
+func TestStartRejectsSetIDsOutsideU32(t *testing.T) {
+	s := Initialize(testNode(), 0, upc.Mode2)
+	for _, set := range []int{-1, math.MinInt, math.MaxUint32 + 1, math.MaxInt} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside [0, 2^32)") {
+					t.Errorf("Start(%d) panicked with %q, want a set-range panic", set, msg)
+				}
+			}()
+			s.Start(set)
+		}()
+	}
+	if open := s.OpenSets(); len(open) != 0 {
+		t.Errorf("refused sets left open: %v", open)
+	}
+	s.Start(math.MaxUint32)
+	s.Stop(math.MaxUint32)
+	d, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeDump(d.Append(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, d) {
+		t.Errorf("set %d does not survive the file: decoded sets %+v", math.MaxUint32, back.Sets)
+	}
+}
+
 func TestFinalizeRejectsOpenSets(t *testing.T) {
 	n := testNode()
 	s := Initialize(n, 0, upc.Mode2)
 	s.Start(1)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err == nil {
+	if _, err := s.Finalize(); err == nil {
 		t.Error("Finalize with open set succeeded")
 	}
 }
@@ -136,11 +170,11 @@ func TestDumpRoundTrip(t *testing.T) {
 	s.Stop(5)
 
 	want1 := *s.SetCounts(1)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	fin, err := s.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadDump(bytes.NewReader(buf.Bytes()))
+	d, err := ReadDump(bytes.NewReader(fin.Append(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +197,11 @@ func TestDumpDetectsCorruption(t *testing.T) {
 	s := Initialize(n, 0, upc.Mode3)
 	s.Start(1)
 	s.Stop(1)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	d, err := s.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
+	blob := d.Append(nil)
 
 	// Flip a counter byte: the CRC must catch it.
 	bad := append([]byte(nil), blob...)
@@ -189,11 +223,10 @@ func TestDumpDetectsCorruption(t *testing.T) {
 
 func TestFinalizeTwiceFails(t *testing.T) {
 	s := Initialize(testNode(), 0, upc.Mode2)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	if _, err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Finalize(&buf); err == nil {
+	if _, err := s.Finalize(); err == nil {
 		t.Error("second Finalize succeeded")
 	}
 }
@@ -222,11 +255,14 @@ func TestInstrumentMPIJob(t *testing.T) {
 			{Class: isa.Load, Pat: isa.Seq, Region: 0, Stride: 8},
 		}}},
 	}
-	dumps, err := Instrument(j, dir, func(r *mpi.Rank) {
+	dumps, err := Instrument(j, func(r *mpi.Rank) {
 		r.Exec(p)
 		r.Barrier()
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDumps(dir, dumps); err != nil {
 		t.Fatal(err)
 	}
 	if len(dumps) != 4 {
@@ -273,7 +309,7 @@ func TestInstrumentRegions(t *testing.T) {
 		Name:  "w",
 		Loops: []isa.Loop{{Name: "l", Trips: 500, Body: []isa.Op{{Class: isa.FPFMA}}}},
 	}
-	dumps, err := InstrumentRegions(j, "", func(r *mpi.Rank, s *Session) {
+	dumps, err := InstrumentRegions(j, func(r *mpi.Rank, s *Session) {
 		// Only the node's monitoring rank brackets the custom region,
 		// mirroring a "single monitoring thread" usage.
 		if r.CoreID() == 0 {

@@ -8,11 +8,10 @@ import (
 	"io"
 	"slices"
 
-	"bgpsim/internal/core"
 	"bgpsim/internal/upc"
 )
 
-// The binary dump format written at each node by Finalize:
+// The binary dump format, one file per node (Dump.Append, WriteDumps):
 //
 //	magic   "BGPC"          4 bytes
 //	version u32             currently 1
@@ -35,6 +34,10 @@ const DumpMagic = "BGPC"
 
 // DumpVersion is the current format version.
 const DumpVersion = 1
+
+// maxDumpSets bounds a dump's set count; DecodeDump rejects a header that
+// claims more as corrupt, and Finalize refuses to build such a dump.
+const maxDumpSets = 1 << 16
 
 // Fixed sizes of the binary layout above, used to compute field boundaries.
 const (
@@ -95,21 +98,6 @@ type DumpSet struct {
 	FirstCycle, LastCycle uint64
 	// Counts holds the 256 counter deltas.
 	Counts [upc.NumCounters]uint64
-}
-
-func (s *Session) writeDump(w io.Writer) error {
-	d := &Dump{
-		NodeID:  s.nd.ID(),
-		Mode:    s.mode,
-		ClockHz: core.ClockHz,
-		Sets:    make([]DumpSet, len(s.order)),
-	}
-	for i, id := range s.order {
-		set, out := s.sets[id], &d.Sets[i]
-		out.ID, out.Pairs, out.FirstCycle, out.LastCycle = set.id, set.pairs, set.firstCycle, set.lastCycle
-		out.Counts = set.counts
-	}
-	return d.Encode(w)
 }
 
 // Encode writes the dump in the binary file format, checksummed; it is the
@@ -217,7 +205,7 @@ func DecodeDump(blob []byte) (*Dump, error) {
 	if mode >= upc.NumModes {
 		return nil, fmt.Errorf("bgpctr: corrupt mode %d", mode)
 	}
-	if numSets > 1<<16 {
+	if numSets > maxDumpSets {
 		return nil, fmt.Errorf("bgpctr: implausible set count %d", numSets)
 	}
 	// A set is stored only once the blob has shown all of it, so only the

@@ -20,11 +20,11 @@ func validDumpBlob(tb testing.TB) []byte {
 		n.Cores[0].AdvanceCycles(uint64(1000 * (set + 1)))
 		s.Stop(set)
 	}
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	d, err := s.Finalize()
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return d.Append(nil)
 }
 
 // FuzzDecodeDump asserts the decoder's two safety properties on arbitrary

@@ -29,11 +29,11 @@ func TestReadDumpDetectsAnySingleByteFlip(t *testing.T) {
 	s.Start(1)
 	n.Cores[0].AdvanceCycles(1234)
 	s.Stop(1)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	d, err := s.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
+	blob := d.Append(nil)
 
 	// Exhaustive over a stride of positions (the file is a few KB).
 	for pos := 0; pos < len(blob); pos += 7 {
@@ -69,11 +69,11 @@ func TestDumpRoundTripArbitrarySets(t *testing.T) {
 			}
 			s.Stop(set)
 		}
-		var buf bytes.Buffer
-		if err := s.Finalize(&buf); err != nil {
+		fin, err := s.Finalize()
+		if err != nil {
 			return false
 		}
-		d, err := ReadDump(bytes.NewReader(buf.Bytes()))
+		d, err := ReadDump(bytes.NewReader(fin.Append(nil)))
 		if err != nil {
 			return false
 		}

@@ -1,11 +1,9 @@
 package bgpctr
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"bgpsim/internal/mpi"
@@ -34,30 +32,29 @@ func DefaultMode(nodeID int) upc.Mode {
 // Instrument runs the job with the counter library linked in. One session
 // is created per node (by the first rank to reach MPI_Init there, acting
 // as the node's monitoring thread); the whole application is bracketed as
-// set 0; the last rank to leave on each node stops counting and dumps the
-// node's binary file.
-//
-// When dir is non-empty, per-node files named nodeNNNN.bgpc are written
-// there. The decoded dumps are returned either way, sorted by node id.
-func Instrument(j *mpi.Job, dir string, body func(*mpi.Rank)) ([]*Dump, error) {
-	return InstrumentRegions(j, dir, func(r *mpi.Rank, _ *Session) { body(r) })
+// set 0; the last rank to leave on each node stops counting and finalizes
+// the node's dump. The dumps are returned in node order; WriteDumps stores
+// them as files.
+func Instrument(j *mpi.Job, body func(*mpi.Rank)) ([]*Dump, error) {
+	return InstrumentRegions(j, func(r *mpi.Rank, _ *Session) { body(r) })
 }
 
 // InstrumentRegions is Instrument for bodies that bracket their own code
 // regions with additional sets: the body receives its node's session and
 // may call Start/Stop with set numbers other than WholeAppSet.
-func InstrumentRegions(j *mpi.Job, dir string, body func(*mpi.Rank, *Session)) ([]*Dump, error) {
-	// The session/blob maps are host-side bookkeeping shared by all rank
-	// closures, and every rank body runs on its own goroutine. The
-	// scheduler dispatches them one at a time, but the maps are
+func InstrumentRegions(j *mpi.Job, body func(*mpi.Rank, *Session)) ([]*Dump, error) {
+	// The session and dump tables are host-side bookkeeping shared by all
+	// rank closures, and every rank body runs on its own goroutine. The
+	// scheduler dispatches them one at a time, but the tables are
 	// mutex-guarded so their safety is local to this function rather than
 	// a property of how mpi hands control between goroutines. Session
 	// operations themselves touch only the rank's own node, and the mutex
 	// never perturbs simulated state.
 	var mu sync.Mutex
-	sessions := make(map[int]*Session)
-	remaining := make(map[int]int)
-	blobs := make(map[int][]byte)
+	nodes := len(j.Machine().Nodes)
+	sessions := make([]*Session, nodes)
+	remaining := make([]int, nodes)
+	dumps := make([]*Dump, nodes)
 	var failure error
 
 	for _, info := range j.Placement() {
@@ -85,24 +82,19 @@ func InstrumentRegions(j *mpi.Job, dir string, body func(*mpi.Rank, *Session)) (
 			s.Start(WholeAppSet)
 		}
 		body(r, s)
-		// MPI_Finalize: the last rank to leave dumps the node file.
+		// MPI_Finalize: the last rank to leave finalizes the node's dump.
 		mu.Lock()
 		remaining[nodeID]--
 		doneNode := remaining[nodeID] == 0
 		mu.Unlock()
 		if doneNode {
 			s.Stop(WholeAppSet)
-			var buf bytes.Buffer
-			if err := s.Finalize(&buf); err != nil {
-				mu.Lock()
-				if failure == nil {
-					failure = err
-				}
-				mu.Unlock()
-				return
-			}
+			d, err := s.Finalize()
 			mu.Lock()
-			blobs[nodeID] = buf.Bytes()
+			dumps[nodeID] = d
+			if err != nil && failure == nil {
+				failure = err
+			}
 			mu.Unlock()
 		}
 	})
@@ -112,27 +104,27 @@ func InstrumentRegions(j *mpi.Job, dir string, body func(*mpi.Rank, *Session)) (
 	if failure != nil {
 		return nil, failure
 	}
-
-	nodeIDs := make([]int, 0, len(blobs))
-	for id := range blobs {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Ints(nodeIDs)
-
-	dumps := make([]*Dump, 0, len(nodeIDs))
-	for _, id := range nodeIDs {
-		blob := blobs[id]
-		if dir != "" {
-			name := filepath.Join(dir, fmt.Sprintf("node%04d.bgpc", id))
-			if err := os.WriteFile(name, blob, 0o644); err != nil {
-				return nil, fmt.Errorf("bgpctr: writing %s: %w", name, err)
-			}
+	// Nodes no rank was placed on hold no session and write no dump.
+	out := dumps[:0]
+	for _, d := range dumps {
+		if d != nil {
+			out = append(out, d)
 		}
-		d, err := DecodeDump(blob)
-		if err != nil {
-			return nil, fmt.Errorf("bgpctr: node %d dump corrupt: %w", id, err)
-		}
-		dumps = append(dumps, d)
 	}
-	return dumps, nil
+	return out, nil
+}
+
+// DumpFileName is the name of node id's dump file in a dump directory.
+func DumpFileName(id int) string { return fmt.Sprintf("node%04d.bgpc", id) }
+
+// WriteDumps writes each dump into dir as its node's file (DumpFileName),
+// in the binary format of Dump.Append.
+func WriteDumps(dir string, dumps []*Dump) error {
+	for _, d := range dumps {
+		name := filepath.Join(dir, DumpFileName(d.NodeID))
+		if err := os.WriteFile(name, d.Append(nil), 0o644); err != nil {
+			return fmt.Errorf("bgpctr: writing %s: %w", name, err)
+		}
+	}
+	return nil
 }

@@ -62,16 +62,18 @@ func (s *Sampler) Events() []string {
 func (s *Sampler) Attach(j *mpi.Job) {
 	nodes := j.Machine().Nodes
 	j.OnAdvance(func(clock uint64) {
+		var counts [upc.NumCounters]uint64
 		for clock >= s.next {
 			for _, n := range nodes {
 				sample := Sample{Cycle: s.next, NodeID: n.ID(), Values: make([]int64, len(s.events))}
+				n.UPC.ReadAll(&counts)
 				for i, ev := range s.events {
 					idx := upc.EventIndex(n.UPC.Mode(), ev)
 					if idx < 0 {
 						sample.Values[i] = -1
 						continue
 					}
-					sample.Values[i] = int64(n.UPC.Read(idx))
+					sample.Values[i] = int64(counts[idx])
 				}
 				s.samples = append(s.samples, sample)
 			}

@@ -27,7 +27,7 @@ func sampledJob(t *testing.T, interval uint64, events ...string) *Sampler {
 			{Class: isa.Load, Pat: isa.Seq, Region: 0, Stride: 8},
 		}}},
 	}
-	if _, err := Instrument(j, "", func(r *mpi.Rank) {
+	if _, err := Instrument(j, func(r *mpi.Rank) {
 		r.Exec(p)
 		r.Barrier()
 	}); err != nil {

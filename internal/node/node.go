@@ -5,8 +5,8 @@
 // Performance Counter unit wired to all of them.
 //
 // The node implements core.Lower — it is the shared memory system below the
-// private caches — and builds the UPC signal tables that realize the event
-// catalog of the upc package.
+// private caches — and samples the raw totals that realize the event catalog
+// of the upc package, one mode's 256 counters in one call.
 package node
 
 import (
@@ -140,7 +140,7 @@ func New(id int, params Params, tor *torus.Iface, col *collective.Iface) *Node {
 		n.Cores[c] = core.New(c, params.Core, n)
 	}
 	n.coreLen = statehash.Len(n.Cores[0])
-	n.UPC = upc.New(n.signals)
+	n.UPC = upc.New(n.sample)
 	return n
 }
 

@@ -28,7 +28,7 @@ func realAnalysis(t *testing.T) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dumps, err := bgpctr.Instrument(j, "", app.Body)
+	dumps, err := bgpctr.Instrument(j, app.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package postproc
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,11 +197,11 @@ func TestLoadDir(t *testing.T) {
 	s := bgpctr.Initialize(n, 0, upc.Mode2)
 	s.Start(0)
 	s.Stop(0)
-	var buf bytes.Buffer
-	if err := s.Finalize(&buf); err != nil {
+	d, err := s.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "node0000.bgpc"), buf.Bytes(), 0o644); err != nil {
+	if err := bgpctr.WriteDumps(dir, []*bgpctr.Dump{d}); err != nil {
 		t.Fatal(err)
 	}
 	dumps, err := LoadDir(dir)

@@ -63,14 +63,6 @@ const (
 	// MetricJournalErrors counts journal append/compact failures (the job
 	// keeps running; durability degrades until the disk recovers).
 	MetricJournalErrors = "server.journal.errors"
-
-	// MetricAuditOK / MetricAuditMismatch count background shadow audits:
-	// store-served results re-simulated on the slow path and compared byte
-	// for byte. MetricAuditSkipped counts sampled audits dropped because
-	// the audit queue was full or the re-simulation errored.
-	MetricAuditOK       = "server.audit.ok"
-	MetricAuditMismatch = "server.audit.mismatch"
-	MetricAuditSkipped  = "server.audit.skipped"
 )
 
 // JournalFile is the write-ahead job journal's name under CheckpointDir,
@@ -109,10 +101,6 @@ type Config struct {
 	// before the replay fails it with a diagnostic instead — the per-job
 	// circuit breaker against crash-looping specs (default 3).
 	MaxRecoveries int
-	// AuditFraction in (0,1] enables the background shadow audit: that
-	// deterministic fraction of store-served RunKeys is re-simulated on
-	// the slow path and compared byte for byte (default 0 = off).
-	AuditFraction float64
 }
 
 // withDefaults resolves the zero-value fields.
@@ -207,11 +195,10 @@ type Server struct {
 	observer bgp.Observer
 	jnl      *journal.Journal // locked: this server is the directory's only one
 
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	runSem  chan struct{}
-	auditCh chan auditTask
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	runSem chan struct{}
 
 	mu        sync.Mutex
 	queueCond *sync.Cond // signalled on pending appends and close
@@ -237,7 +224,6 @@ type Server struct {
 	journalRecovered, journalRecoveryFailed *obs.Counter
 	journalErrors                           *obs.Counter
 	journalTruncated                        *obs.Gauge
-	auditOK, auditMismatch, auditSkipped    *obs.Counter
 }
 
 // New opens the checkpoint store (its committed entries are the directory's
@@ -276,7 +262,6 @@ func New(cfg Config) (*Server, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		runSem:   make(chan struct{}, cfg.RunWorkers),
-		auditCh:  make(chan auditTask, auditQueueDepth),
 		jobs:     make(map[string]*job),
 		tenants:  make(map[string]int),
 		flights:  cas.New[string, *bgp.Result](0),
@@ -300,9 +285,6 @@ func New(cfg Config) (*Server, error) {
 		journalRecoveryFailed: reg.Counter(MetricJournalRecoveryFailed),
 		journalErrors:         reg.Counter(MetricJournalErrors),
 		journalTruncated:      reg.Gauge(MetricJournalTruncated),
-		auditOK:               reg.Counter(MetricAuditOK),
-		auditMismatch:         reg.Counter(MetricAuditMismatch),
-		auditSkipped:          reg.Counter(MetricAuditSkipped),
 	}
 	s.queueCond = sync.NewCond(&s.mu)
 	s.journalTruncated.Set(jnl.Truncated())
@@ -312,10 +294,6 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.JobWorkers; i++ {
 		s.wg.Add(1)
 		go s.jobWorker()
-	}
-	if cfg.AuditFraction > 0 {
-		s.wg.Add(1)
-		go s.auditWorker()
 	}
 	return s, nil
 }
@@ -556,7 +534,6 @@ func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retri
 	if res := s.store.Restore(key, cfg); res != nil {
 		s.cacheHit.Inc()
 		s.cacheHitStore.Inc()
-		s.maybeAudit(key, cfg, res)
 		return res, true, nil
 	}
 	s.cacheMiss.Inc()

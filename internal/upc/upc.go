@@ -6,12 +6,12 @@
 // selects the count-event signalling mode and enables threshold interrupts,
 // exactly as described in the paper's §III-A.
 //
-// Hardware event wires are modelled as sampling closures (Signal): each
-// source unit (core, FPU, cache, DDR controller, network interface) exposes
-// free-running totals, and the UPC computes counter values as deltas from
-// the moment counting was enabled. This yields the same observable counter
-// values as per-pulse counting and keeps the hot execution path free of
-// per-event indirection.
+// Hardware event wires are modelled as one sampling call: each source unit
+// (core, FPU, cache, DDR controller, network interface) exposes free-running
+// totals, the node reads a mode's 256 of them into an array in one pass, and
+// the UPC computes counter values as deltas from the moment counting was
+// enabled. This yields the same observable counter values as per-pulse
+// counting and keeps the hot execution path free of per-event indirection.
 package upc
 
 import "fmt"
@@ -66,10 +66,6 @@ const (
 	CfgIntEnable = 0x4
 )
 
-// Signal samples a free-running hardware event total. A nil Signal marks a
-// reserved event slot that always reads zero.
-type Signal func() uint64
-
 // EventID identifies one of the 1024 monitorable events as mode*256+index.
 type EventID uint16
 
@@ -90,10 +86,8 @@ type InterruptHandler func(counter int, value uint64)
 
 // Unit is the Universal Performance Counter unit of one node.
 type Unit struct {
-	// build wires a mode's signal table; signals holds the tables built,
-	// each on the mode's first sample.
-	build   func(Mode, *[NumCounters]Signal)
-	signals [NumModes]*[NumCounters]Signal
+	// sample writes a mode's 256 free-running raw totals into v.
+	sample func(Mode, *[NumCounters]uint64)
 
 	mode    Mode
 	running bool
@@ -111,13 +105,11 @@ type Unit struct {
 	handler InterruptHandler
 }
 
-// New creates a UPC unit whose mode m counts the signals build(m, table)
-// wires into an empty table. Slots left nil are reserved events reading
-// zero. A mode's table is built when the unit first samples in that mode,
-// so a node that counts in one mode, as the interface library programs it,
-// builds one table.
-func New(build func(Mode, *[NumCounters]Signal)) *Unit {
-	return &Unit{build: build}
+// New creates a UPC unit whose mode m counts the raw totals sample(m, v)
+// writes into a zeroed v. Slots it leaves zero are reserved events. Every
+// operation that reads the counters samples once.
+func New(sample func(m Mode, v *[NumCounters]uint64)) *Unit {
+	return &Unit{sample: sample}
 }
 
 // SetInterruptHandler installs the threshold-interrupt handler.
@@ -146,9 +138,7 @@ func (u *Unit) Start() {
 	if u.running {
 		return
 	}
-	for i := 0; i < NumCounters; i++ {
-		u.base[i] = u.sample(i)
-	}
+	u.base = u.raw()
 	u.running = true
 }
 
@@ -158,8 +148,9 @@ func (u *Unit) Stop() {
 	if !u.running {
 		return
 	}
-	for i := 0; i < NumCounters; i++ {
-		u.accum[i] += u.sample(i) - u.base[i]
+	raw := u.raw()
+	for i := range u.accum {
+		u.accum[i] += raw[i] - u.base[i]
 	}
 	u.running = false
 }
@@ -169,17 +160,22 @@ func (u *Unit) Read(i int) uint64 {
 	if i < 0 || i >= NumCounters {
 		panic(fmt.Sprintf("upc: counter index %d out of range", i))
 	}
-	v := u.accum[i]
-	if u.running {
-		v += u.sample(i) - u.base[i]
+	if !u.running {
+		return u.accum[i]
 	}
-	return v
+	raw := u.raw()
+	return u.accum[i] + raw[i] - u.base[i]
 }
 
 // ReadAll copies all 256 counter values into dst.
 func (u *Unit) ReadAll(dst *[NumCounters]uint64) {
-	for i := 0; i < NumCounters; i++ {
-		dst[i] = u.Read(i)
+	if !u.running {
+		*dst = u.accum
+		return
+	}
+	raw := u.raw()
+	for i := range dst {
+		dst[i] = u.accum[i] + raw[i] - u.base[i]
 	}
 }
 
@@ -188,14 +184,16 @@ func (u *Unit) Clear(i int) {
 	u.accum[i] = 0
 	u.fired[i] = false
 	if u.running {
-		u.base[i] = u.sample(i)
+		u.base[i] = u.raw()[i]
 	}
 }
 
 // ClearAll zeroes every counter.
 func (u *Unit) ClearAll() {
-	for i := 0; i < NumCounters; i++ {
-		u.Clear(i)
+	u.accum = [NumCounters]uint64{}
+	u.fired = [NumCounters]bool{}
+	if u.running {
+		u.base = u.raw()
 	}
 }
 
@@ -222,34 +220,27 @@ func (u *Unit) Poll() {
 	if u.handler == nil {
 		return
 	}
+	var v [NumCounters]uint64
+	sampled := false
 	for i := 0; i < NumCounters; i++ {
 		if u.config[i]&CfgIntEnable == 0 || u.fired[i] || u.threshold[i] == 0 {
 			continue
 		}
-		if v := u.Read(i); v >= u.threshold[i] {
+		if !sampled {
+			u.ReadAll(&v)
+			sampled = true
+		}
+		if v[i] >= u.threshold[i] {
 			u.fired[i] = true
-			u.handler(i, v)
+			u.handler(i, v[i])
 		}
 	}
 }
 
-func (u *Unit) sample(i int) uint64 {
-	sig := u.signals[u.mode]
-	if sig == nil {
-		sig = u.wire()
-	}
-	if s := sig[i]; s != nil {
-		return s()
-	}
-	return 0
-}
-
-// wire builds the current mode's signal table, on its first sample.
-func (u *Unit) wire() *[NumCounters]Signal {
-	sig := new([NumCounters]Signal)
-	u.build(u.mode, sig)
-	u.signals[u.mode] = sig
-	return sig
+// raw samples the current mode's 256 raw totals.
+func (u *Unit) raw() (v [NumCounters]uint64) {
+	u.sample(u.mode, &v)
+	return v
 }
 
 // HasHandler reports whether a threshold-interrupt handler is installed.

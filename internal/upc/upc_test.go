@@ -9,39 +9,12 @@ import (
 // of Mode0 to a second total.
 func testUnit() (*Unit, *uint64, *uint64) {
 	var rawA, rawB uint64
-	return New(func(m Mode, sig *[NumCounters]Signal) {
-		sig[0] = func() uint64 { return rawA }
+	return New(func(m Mode, v *[NumCounters]uint64) {
+		v[0] = rawA
 		if m == Mode0 {
-			sig[1] = func() uint64 { return rawB }
+			v[1] = rawB
 		}
 	}), &rawA, &rawB
-}
-
-// TestSignalTablesBuiltOnFirstUse: a unit builds a mode's table when it
-// first samples in that mode, once, and never a mode it does not count in.
-func TestSignalTablesBuiltOnFirstUse(t *testing.T) {
-	var built [NumModes]int
-	var raw uint64
-	u := New(func(m Mode, sig *[NumCounters]Signal) {
-		built[m]++
-		sig[0] = func() uint64 { return raw }
-	})
-	u.SetMode(Mode2)
-	if built != [NumModes]int{} {
-		t.Fatalf("tables built before any sample: %v", built)
-	}
-	u.Start()
-	raw = 7
-	u.Stop()
-	u.Start()
-	raw = 9
-	if got := u.Read(0); got != 9 {
-		t.Errorf("counter 0 = %d, want 9", got)
-	}
-	u.Stop()
-	if want := [NumModes]int{Mode2: 1}; built != want {
-		t.Errorf("tables built %v, want %v", built, want)
-	}
 }
 
 func TestCountingWindow(t *testing.T) {

@@ -150,8 +150,10 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		}
 		if ckpt != nil && (sc.Resume || sc.ResumeOnly) {
 			if res := ckpt.Restore(key, cfg); res != nil {
-				if err := writeDumps(cfg.DumpDir, res.Dumps); err != nil {
-					return nil, runErr(i, cfg, err)
+				if cfg.DumpDir != "" {
+					if err := bgpctr.WriteDumps(cfg.DumpDir, res.Dumps); err != nil {
+						return nil, runErr(i, cfg, err)
+					}
 				}
 				sweepEvent(sc.Observer, obs.EventCheckpointRestore)
 				return res, nil
