@@ -1,13 +1,14 @@
 package bgp_test
 
 // The chaos harness of the resilient sweep layer. The exactness contract is
-// that recovery machinery never perturbs simulation results: with a seeded
-// fault schedule injecting transient errors, panics, stalls and dump
-// corruption, a ContinueOnError + retry + resume sweep must converge to
+// that recovery machinery never perturbs simulation results: with a fault
+// schedule injecting panics and dump corruption, a ContinueOnError sweep
+// reports the panicked runs as failed, and resuming it must converge to
 // counter dumps byte-identical to a clean serial run — across all four
-// operating modes (determinismCases covers one benchmark per mode). The
-// fault injector draws from its own RNG streams, so arming it changes when
-// runs fail, never what they compute.
+// operating modes (determinismCases covers one benchmark per mode). Each
+// run gets one attempt, so recovery is resume, never retry. The fault
+// injector draws from its own RNG streams, so arming it changes when runs
+// fail, never what they compute.
 
 import (
 	"bytes"
@@ -118,10 +119,10 @@ func (o onRunDone) RunDone(st obs.RunStats) {
 	o.Recorder.RunDone(st)
 }
 
-// TestChaosDeterminism injects a seeded fault schedule — transient errors,
-// a panic, a stall past the per-run deadline, write-path dump corruption,
-// and one run whose transient faults outlast the retry budget — into a
-// ContinueOnError sweep with checkpointing, then resumes. The recovered
+// TestChaosDeterminism injects a fault schedule — a panic in a run no other
+// position shares, a panic in a run whose twin completes, and write-path
+// dump corruption — into a ContinueOnError sweep with checkpointing, then
+// resumes. The panicked positions are the sweep's failures; the resumed
 // sweep's persisted dumps must be byte-identical to the fault-free serial
 // golden runs. Faults are armed per sweep position; the checkpoint entry is
 // the identity's, which the repeated positions 4 and 5 share with 0 and 3.
@@ -138,12 +139,11 @@ func TestChaosDeterminism(t *testing.T) {
 		keys[i] = bgp.RunKey(i, cfg)
 	}
 	inj := faults.New(0xB1_0E6E)
-	inj.Arm(keys[0], faults.Transient, faults.Transient)                                     // heals within the retry budget
-	inj.Arm(keys[1], faults.Panic)                                                           // panic isolation + retry
-	inj.Arm(keys[2], faults.Stall)                                                           // deadline overrun + retry
-	inj.Arm(keys[3], faults.CorruptDump)                                                     // resume validation must catch it
-	inj.Arm(keys[4], faults.Transient, faults.Transient, faults.Transient, faults.Transient) // outlasts retries
-	// keys[5] unarmed: the fault-free control through the same machinery.
+	inj.Arm(keys[1], faults.Panic)       // panic isolation; resume executes it
+	inj.Arm(keys[3], faults.CorruptDump) // resume validation must catch it
+	inj.Arm(keys[4], faults.Panic)       // its twin, run 0, commits the entry
+	// keys[0], keys[2] and keys[5] unarmed: fault-free controls through
+	// the same machinery.
 
 	// The corrupting writer (3) and the clean control (5) write one entry.
 	// The corrupting one waits, between simulating and persisting, until
@@ -160,14 +160,13 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Error("run 5 never committed the entry run 3 shares")
 		}
 	}}
+	chaosReg := obs.NewRegistry()
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:         len(cfgs),
-		Retries:         2,
-		RunTimeout:      3 * time.Second,
 		ContinueOnError: true,
 		CheckpointDir:   ckptDir,
 		Faults:          inj,
-		Observer: onPersist{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+		Observer: onPersist{obs.NewRecorder(chaosReg, nil), func() {
 			if _, err := os.Stat(twinEntry); err == nil {
 				once.Do(func() { close(twinCommitted) })
 			}
@@ -177,16 +176,26 @@ func TestChaosDeterminism(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("chaos pass error = %v, want *sweep.SweepError", err)
 	}
-	if len(se.Failed) != 1 || se.Failed[0].Index != 4 {
-		t.Fatalf("chaos pass failures = %+v, want exactly run 4", se.Failed)
+	if len(se.Failed) != 2 || se.Failed[0].Index != 1 || se.Failed[1].Index != 4 {
+		t.Fatalf("chaos pass failures = %+v, want exactly runs 1 and 4", se.Failed)
 	}
-	if !errors.Is(err, faults.ErrTransient) {
-		t.Errorf("run 4's exhausted transient fault does not unwrap: %v", err)
+	for _, f := range se.Failed {
+		var pe *sweep.RunPanicError
+		if !errors.As(f.Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "injected panic") {
+			t.Errorf("run %d failed with %v, want its injected panic", f.Index, f.Err)
+		}
+		if chaos[f.Index] != nil {
+			t.Errorf("failed run %d returned a result", f.Index)
+		}
 	}
-	if chaos[4] != nil {
-		t.Error("failed run 4 returned a result")
+	// One attempt per run: each panic is one failed run, never retried.
+	counters := chaosReg.Snapshot().Counters
+	for _, ev := range []obs.SweepEvent{obs.EventPanic, obs.EventRunFailed} {
+		if n := counters[obs.MetricSweepPrefix+string(ev)]; n != 2 {
+			t.Errorf("%s%s = %d, want 2", obs.MetricSweepPrefix, ev, n)
+		}
 	}
-	for _, i := range []int{0, 1, 2, 3, 5} {
+	for _, i := range []int{0, 2, 3, 5} {
 		if chaos[i] == nil {
 			t.Fatalf("run %d produced no result despite recovery", i)
 		}
@@ -196,12 +205,15 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	// Every injected kind actually fired, at the position it was armed on.
 	requireFired(t, inj, map[string]faults.Kind{
-		keys[0]: faults.Transient, keys[1]: faults.Panic, keys[2]: faults.Stall,
-		keys[3]: faults.CorruptDump, keys[4]: faults.Transient,
+		keys[1]: faults.Panic, keys[3]: faults.CorruptDump, keys[4]: faults.Panic,
 	})
+	if n := len(inj.Log()); n != 3 {
+		t.Errorf("injector fired %d faults, want 3 (one attempt per run)", n)
+	}
 
 	// Resume, one position at a time: restores pristine checkpoints,
-	// re-runs the corrupted entry, and converges.
+	// executes the panicked run nobody else completed, re-runs the
+	// corrupted entry, and converges.
 	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       1,
@@ -212,17 +224,18 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
-	// Runs 0, 1 and 2 persisted pristine dumps, and failed run 4 is run 0's
-	// identity. Run 3's entry was corrupted on the write path, so run 3
+	// Runs 0 and 2 persisted pristine dumps, and failed run 4 is run 0's
+	// identity, so those three restore. Failed run 1 has no entry and
+	// executes. Run 3's entry was corrupted on the write path, so run 3
 	// re-executes and rewrites it, and run 5 restores the rewrite.
-	if r := seen(obs.EventCheckpointRestore); r != 5 {
-		t.Errorf("resume restored %d runs, want 5", r)
+	if r := seen(obs.EventCheckpointRestore); r != 4 {
+		t.Errorf("resume restored %d runs, want 4", r)
 	}
-	if e := seen(obs.EventCheckpointPersist); e != 1 {
-		t.Errorf("resume executed %d runs, want 1 (the corrupted one)", e)
+	if e := seen(obs.EventCheckpointPersist); e != 2 {
+		t.Errorf("resume executed %d runs, want 2 (the panicked and the corrupted one)", e)
 	}
 
-	// The exactness contract: after retries and resume, every run's
+	// The exactness contract: after panics, corruption and resume, every run's
 	// persisted dump set is byte-identical to the fault-free serial run.
 	for i, cfg := range cfgs {
 		want := goldenDumps[goldenOf[i]]
@@ -242,16 +255,16 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosMemoizedDeterminism runs the fault-recovery contract with the
-// execution accelerators armed: a shared compile cache (so retries and
-// resumed runs hit memoized programs), fast-forwarding and the epoch memo.
+// execution accelerators armed: a shared compile cache (so resumed runs
+// hit memoized programs), fast-forwarding and the epoch memo.
 // A sweep with injected faults takes the partial-output path
-// (ContinueOnError with one run outlasting its retry budget — the CLI's
-// exit-status-3 case), then resumes from its checkpoints against the warm
-// cache; every recovered run's persisted dumps must stay byte-identical
-// to fault-free serial runs that never saw cache, faults, fast-forwarding
-// or the epoch memo. Two fault-free sweeps walk the memo through its
-// admission policy first (first sight, then recording), so every run of
-// the chaos pass replays memoized epochs — an interrupted, retried,
+// (ContinueOnError with one panicked run — the CLI's exit-status-3 case)
+// and persists one corrupted entry, then resumes from its checkpoints
+// against the warm cache; every recovered run's persisted dumps must stay
+// byte-identical to fault-free serial runs that never saw cache, faults,
+// fast-forwarding or the epoch memo. Two fault-free sweeps walk the memo
+// through its admission policy first (first sight, then recording), so
+// every run of the chaos pass replays memoized epochs — an interrupted,
 // fast-forwarded, epoch-replayed sweep still restores the slow path's
 // bytes exactly.
 func TestChaosMemoizedDeterminism(t *testing.T) {
@@ -286,9 +299,8 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 		keys[i] = bgp.RunKey(i, cfg)
 	}
 	inj := faults.New(0xCAC4E)
-	inj.Arm(keys[0], faults.Transient)                                     // heals; its retry recompiles from cache
-	inj.Arm(keys[2], faults.Panic)                                         // panic isolation
-	inj.Arm(keys[3], faults.Transient, faults.Transient, faults.Transient) // outlasts Retries=1: partial output, no twin
+	inj.Arm(keys[2], faults.CorruptDump) // completes; resume re-executes it
+	inj.Arm(keys[3], faults.Panic)       // partial output, no twin
 	for i := range cfgs {
 		cfgs[i].ProgCache = cache
 	}
@@ -298,7 +310,6 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	warm := cache.Stats()
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:         len(cfgs),
-		Retries:         1,
 		ContinueOnError: true,
 		CheckpointDir:   ckptDir,
 		Faults:          inj,
@@ -314,8 +325,12 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	if chaos[3] != nil {
 		t.Error("failed run 3 returned a result")
 	}
+	var pe *sweep.RunPanicError
+	if !errors.As(se.Failed[0].Err, &pe) {
+		t.Errorf("run 3 failed with %v, want its injected panic", se.Failed[0].Err)
+	}
 	requireFired(t, inj, map[string]faults.Kind{
-		keys[0]: faults.Transient, keys[2]: faults.Panic, keys[3]: faults.Transient,
+		keys[2]: faults.CorruptDump, keys[3]: faults.Panic,
 	})
 	if s := cache.Stats(); s.Hits == warm.Hits {
 		t.Error("shared program cache saw no hits; memoization never engaged")
@@ -333,8 +348,9 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 		}
 	}
 
-	// Resume re-runs only the failed run — now entirely from cache hits.
-	// Runs 4 and 5 restore the entries runs 0 and 1 wrote.
+	// Resume re-runs only the failed run and the corrupted entry — now
+	// entirely from cache hits. Runs 4 and 5 restore the entries runs 0
+	// and 1 wrote.
 	before := cache.Stats()
 	resumeRec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
@@ -346,11 +362,11 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}
-	if r := seen(obs.EventCheckpointRestore); r != 5 {
-		t.Errorf("resume restored %d runs, want 5", r)
+	if r := seen(obs.EventCheckpointRestore); r != 4 {
+		t.Errorf("resume restored %d runs, want 4", r)
 	}
-	if e := seen(obs.EventCheckpointPersist); e != 1 {
-		t.Errorf("resume executed %d runs, want 1 (the failed one)", e)
+	if e := seen(obs.EventCheckpointPersist); e != 2 {
+		t.Errorf("resume executed %d runs, want 2 (the failed and the corrupted one)", e)
 	}
 	if s := cache.Stats(); s.Misses != before.Misses {
 		t.Errorf("resume compiled %d programs fresh; the warm cache should serve them all",

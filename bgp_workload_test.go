@@ -25,6 +25,7 @@ import (
 
 	bgp "bgpsim"
 	"bgpsim/internal/faults"
+	"bgpsim/internal/obs"
 	"bgpsim/internal/server"
 	"bgpsim/internal/sweep"
 )
@@ -241,11 +242,11 @@ func TestSpecBenchmarkMutuallyExclusive(t *testing.T) {
 }
 
 // TestChaosSpecResume runs the fault-recovery contract over spec workloads:
-// a checkpointed ContinueOnError sweep of HPL-proxy runs with injected
-// transient faults and a panic, resumed, must persist dumps byte-identical
-// to fault-free serial slow-path runs. This extends the chaos suite
-// (bgp_chaos_test.go) to the spec path without disturbing its fault-index
-// expectations.
+// a checkpointed ContinueOnError sweep of HPL-proxy runs with two injected
+// panics fails exactly the panicked positions, and the resumed sweep must
+// persist dumps byte-identical to fault-free serial slow-path runs. This
+// extends the chaos suite (bgp_chaos_test.go) to the spec path without
+// disturbing its fault-index expectations.
 func TestChaosSpecResume(t *testing.T) {
 	base := mustHPLConfig()
 	smp := mustHPLConfig()
@@ -260,8 +261,8 @@ func TestChaosSpecResume(t *testing.T) {
 
 	inj := faults.New(0x4A17)
 	armed := map[string]faults.Kind{
-		bgp.RunKey(0, cfgs[0]): faults.Transient, // heals within the budget
-		bgp.RunKey(1, cfgs[1]): faults.Panic,     // panic isolation + retry
+		bgp.RunKey(1, cfgs[1]): faults.Panic, // no twin: resume executes it
+		bgp.RunKey(2, cfgs[2]): faults.Panic, // its twin, run 0, commits the entry
 	}
 	for key, kind := range armed {
 		inj.Arm(key, kind)
@@ -269,33 +270,41 @@ func TestChaosSpecResume(t *testing.T) {
 
 	ckptDir := filepath.Join(root, "ckpt")
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:       len(cfgs),
-		Retries:       1,
-		CheckpointDir: ckptDir,
-		Faults:        inj,
+		Workers:         len(cfgs),
+		ContinueOnError: true,
+		CheckpointDir:   ckptDir,
+		Faults:          inj,
 	})
-	if err != nil {
-		var se *sweep.SweepError
-		if errors.As(err, &se) {
-			t.Fatalf("chaos pass failed runs: %+v", se.Failed)
-		}
-		t.Fatal(err)
+	var se *sweep.SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("chaos pass error = %v, want *sweep.SweepError", err)
 	}
-	for i, res := range chaos {
-		if !reflect.DeepEqual(res.Metrics, golden[goldenOf[i]].Metrics) {
-			t.Errorf("run %d metrics diverge from golden after fault recovery", i)
-		}
+	if len(se.Failed) != 2 || se.Failed[0].Index != 1 || se.Failed[1].Index != 2 {
+		t.Fatalf("chaos pass failures = %+v, want exactly the panicked runs 1 and 2", se.Failed)
+	}
+	var pe *sweep.RunPanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("chaos pass failures do not unwrap to a panic: %v", err)
+	}
+	if !reflect.DeepEqual(chaos[0].Metrics, golden[0].Metrics) {
+		t.Error("run 0 metrics diverge from golden under injected faults")
 	}
 	requireFired(t, inj, armed) // else the recovery comparison is vacuous
 
-	// Resume restores every pristine checkpoint without re-running.
+	// Resume restores run 0's entry at positions 0 and 2 and executes the
+	// panicked run 1, which no position completed.
+	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
 		Resume:        true,
+		Observer:      rec,
 	})
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
+	}
+	if r, e := seen(obs.EventCheckpointRestore), seen(obs.EventCheckpointPersist); r != 2 || e != 1 {
+		t.Errorf("resume restored %d and executed %d runs, want 2 and 1", r, e)
 	}
 	for i, cfg := range cfgs {
 		want := goldenDumps[goldenOf[i]]

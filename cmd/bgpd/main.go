@@ -38,7 +38,8 @@
 // on the journal while it runs, so a second bgpd on the same -checkpoint
 // exits 1, and a restart after a crash starts at once. The /metrics
 // endpoint exposes the server.* cache, admission, journal and repair
-// counters alongside the sim.* and sweep.* metrics of the runs.
+// counters alongside the sim.* and sweep.* metrics of the runs. Each run
+// gets one attempt; a failed job may be resubmitted under the same id.
 package main
 
 import (
@@ -71,8 +72,6 @@ func run() int {
 		jobWorkers = flag.Int("job-workers", 0, "concurrent jobs (0 = default 4)")
 		queueDepth = flag.Int("queue", 0, "bounded job queue depth; submissions past it get 429 (0 = default 64)")
 		tenantJobs = flag.Int("tenant-jobs", 0, "active jobs allowed per tenant; submissions past it get 429 (0 = default 8)")
-		maxRetries = flag.Int("max-retries", 0, "cap on the per-run retry budget a job may request (0 = default 3)")
-		maxTimeout = flag.Duration("max-run-timeout", 0, "cap on the per-attempt deadline a job may request (0 = default 10m)")
 		maxRecover = flag.Int("max-recoveries", 0, "crash recoveries before a replayed job is failed instead of re-queued (0 = default 3)")
 	)
 	// The two flags the daemon shares with the batch commands: the checkpoint
@@ -90,8 +89,6 @@ func run() int {
 		JobWorkers:    *jobWorkers,
 		QueueDepth:    *queueDepth,
 		TenantJobs:    *tenantJobs,
-		MaxRetries:    *maxRetries,
-		MaxRunTimeout: *maxTimeout,
 		MaxRecoveries: *maxRecover,
 	})
 	if err != nil {

@@ -16,10 +16,11 @@
 //
 //	bgprun -spec specs/hpl.yaml -class W -ranks 16
 //
-// Multi-benchmark runs can be made resilient with -retries, -run-timeout,
-// -keep-going (print the completed benchmarks past failed ones) and
-// -checkpoint/-resume (persist completed runs; re-run only the unfinished
-// ones after an interrupt).
+// Multi-benchmark runs can be made resilient with -keep-going (print the
+// completed benchmarks past failed ones) and -checkpoint/-resume (persist
+// completed runs; re-run only the unfinished ones after an interrupt). Each
+// run gets one attempt: a simulation is a pure function of its
+// configuration, so a failed run fails the same way again.
 //
 // Exit status: 0 on success, 1 on error, 3 when -keep-going produced
 // partial output.
@@ -69,7 +70,7 @@ func run() int {
 	)
 	var s experiments.Scale
 	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
-	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// -no-epochmemo, -keep-going, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()

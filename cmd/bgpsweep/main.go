@@ -20,8 +20,6 @@
 //	bgpsweep -fig 11 -checkpoint ./ckpt            # persist each completed run
 //	bgpsweep -fig 11 -checkpoint ./ckpt -resume    # after an interrupt: re-run
 //	                                               # only the unfinished points
-//	bgpsweep -fig 11 -retries 2 -run-timeout 5m    # retry transient failures,
-//	                                               # bound each run attempt
 //	bgpsweep -fig 11 -keep-going                   # render a partial figure
 //	                                               # past failed points
 //
@@ -29,8 +27,8 @@
 // host worker pool they fan out on (0 = one worker per host core). The
 // printed series are byte-identical at any -jobs value: parallelism is
 // strictly cross-run, and each run's rank scheduling stays deterministic.
-// Retry, checkpoint/resume and -keep-going never perturb completed points
-// either — a recovered sweep's output matches a clean run's.
+// Checkpoint/resume and -keep-going never perturb completed points either —
+// a recovered sweep's output matches a clean run's.
 //
 // Exit status: 0 on success, 1 on error, 3 when -keep-going produced
 // partial output (the missing points are listed on stderr).
@@ -68,7 +66,7 @@ func run() int {
 	s := experiments.Scale{Missing: missing}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
 	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
-	// -no-epochmemo, -retries, -checkpoint, -trace, -cpuprofile and the rest of
+	// -no-epochmemo, -keep-going, -checkpoint, -trace, -cpuprofile and the rest of
 	// the flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()

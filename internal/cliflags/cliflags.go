@@ -41,8 +41,6 @@ func Bind(fs *flag.FlagSet, s *experiments.Scale) *Flags {
 	f.memoBudget = MemoBudget(fs)
 
 	// Resilience.
-	fs.IntVar(&s.Retries, "retries", 0, "per-run retry budget for transient failures")
-	fs.DurationVar(&s.RunTimeout, "run-timeout", 0, "deadline per run attempt (0 = none); overruns count as transient")
 	fs.BoolVar(&s.ContinueOnError, "keep-going", false, "produce partial output past failed runs (exit status 3)")
 	CheckpointDir(fs, &s.CheckpointDir, "")
 	fs.BoolVar(&s.Resume, "resume", false, "restore completed runs from -checkpoint instead of re-running them")

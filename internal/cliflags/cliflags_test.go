@@ -13,7 +13,7 @@ import (
 // sharedNames are the four groups, in declaration order.
 var sharedNames = []string{
 	"no-progcache", "no-fastforward", "no-epochmemo", "epochmemo-bytes",
-	"retries", "run-timeout", "keep-going", "checkpoint", "resume",
+	"keep-going", "checkpoint", "resume",
 	"trace", "metrics-addr",
 	"cpuprofile", "memprofile",
 }

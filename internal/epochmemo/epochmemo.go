@@ -8,10 +8,11 @@
 // epochs a run of the identity recorded, which later runs replay instead of
 // simulating.
 //
-// An entry is only ever read by a rerun of its identity: a fault-injected
-// retry, a warm regeneration, a daemon re-running a job its result store no
-// longer holds (a catalog walk serves a shared point, it never reruns it).
-// Admission is therefore decided once per identity, on second sight. The
+// An entry is only ever read by a rerun of its identity: a resumed sweep
+// re-running a failed run, a warm regeneration, a daemon re-running a job
+// its result store no longer holds (a catalog walk serves a shared point,
+// it never reruns it). Admission is therefore decided once per identity, on
+// second sight. The
 // first run of an identity leaves one mark (Admit, SeenCost bytes) under the
 // same budget and LRU as the records, and the caller runs the whole job with
 // the memo idle — most identities of a cold sweep or a daemon's job mix are

@@ -41,9 +41,9 @@ type Scale struct {
 	// pool, observation, resilience and checkpointing. Every figure's sweep
 	// shares the one CheckpointDir, one entry per run identity (bgp.RunKey).
 	// With ContinueOnError a figure degrades gracefully instead of failing:
-	// runs that fail (after retries) or are absent from the checkpoint
-	// under ResumeOnly leave their points marked Missing and every
-	// completed point still renders. None of this perturbs completed runs —
+	// runs that fail or are absent from the checkpoint under ResumeOnly
+	// leave their points marked Missing and every completed point still
+	// renders. None of this perturbs completed runs —
 	// a recovered figure's points are identical to a clean run's (the chaos
 	// harness pins this).
 	bgp.SweepConfig

@@ -7,7 +7,19 @@ package faults
 // and it guarantees the mutated bytes differ from the input, so a CRC'd
 // format must reject every output.
 
-import "bgpsim/internal/rng"
+import (
+	"hash/fnv"
+
+	"bgpsim/internal/rng"
+)
+
+// hashKey folds a key into a stream id, so per-key streams depend only on
+// (seed, key) and never on arming or call order.
+func hashKey(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
+}
 
 // corruptOnce applies one mutation drawn from src: a single bit flip, a
 // truncation at a field boundary (or an arbitrary offset when no boundaries
@@ -45,7 +57,7 @@ func (in *Injector) Corrupt(key string, b []byte, boundaries []int) []byte {
 	if in == nil || len(b) == 0 {
 		return b
 	}
-	src := in.stream("corrupt", key)
+	src := rng.New(in.seed).Derive(hashKey("corrupt/" + key))
 	out := corruptOnce(src, append([]byte(nil), b...), boundaries)
 	if len(out) == len(b) && string(out) == string(b) {
 		// The drawn mutation was a no-op (cannot happen with the ops

@@ -1,33 +1,29 @@
 // Package faults is a deterministic, seeded fault injector for the sweep
-// orchestration layer. Long simulation campaigns must survive transient
-// infrastructure failures — a flaky run, a panicking task, a stalled worker,
-// a corrupted dump on disk — and every one of those recovery paths needs to
-// be exercisable in CI, byte-for-byte reproducibly. The injector provides
-// exactly that: faults are armed per run key on seeded streams that are
-// completely separate from the simulation's own RNGs (package rng streams
-// derived from the injector seed, never from run state), so arming a fault
-// schedule perturbs *when runs fail*, never *what runs compute*.
+// orchestration layer. Long simulation campaigns must survive a panicking
+// task, an interrupted worker and a corrupted dump on disk, and every one
+// of those recovery paths needs to be exercisable in CI, byte-for-byte
+// reproducibly. The injector provides exactly that: faults are armed per run
+// key, and corruption draws from seeded streams that are completely separate
+// from the simulation's own RNGs (package rng streams derived from the
+// injector seed, never from run state), so arming a fault schedule perturbs
+// *when runs fail*, never *what runs compute*.
 //
-// The injector knows four fault kinds, matching the sweep layer's recovery
+// The injector knows three fault kinds, matching the sweep layer's recovery
 // machinery:
 //
-//	Transient   — the task returns a retryable error without running
 //	Panic       — the task panics (exercises per-run panic isolation)
-//	Stall       — the task blocks until its per-run deadline expires
+//	Stall       — the attempt blocks until its context ends (holds a run in
+//	              flight, for interruption and shutdown tests)
 //	CorruptDump — the run completes but its persisted dump bytes are mutated
 //
-// Determinism contract: the fault drawn for (seed, key, attempt) and the
+// Determinism contract: the fault drawn for (key, attempt) and the
 // corruption applied for (seed, key, bytes) depend only on those inputs, not
 // on worker scheduling or call order, so a chaos run replays exactly.
 package faults
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
-
-	"bgpsim/internal/rng"
 )
 
 // Kind enumerates the injectable fault kinds.
@@ -36,12 +32,10 @@ type Kind int
 const (
 	// None means no fault: the attempt proceeds normally.
 	None Kind = iota
-	// Transient makes the attempt return a retryable InjectedError.
-	Transient
 	// Panic makes the attempt panic.
 	Panic
-	// Stall makes the attempt block until its deadline; arming it is only
-	// meaningful when the sweep runs with a per-run timeout.
+	// Stall makes the attempt block until its context ends: the run stays
+	// in flight until the sweep or the server is cancelled.
 	Stall
 	// CorruptDump lets the run complete but mutates its dump bytes on the
 	// persistence write path, so checkpoint validation must catch it.
@@ -53,8 +47,6 @@ func (k Kind) String() string {
 	switch k {
 	case None:
 		return "none"
-	case Transient:
-		return "transient"
 	case Panic:
 		return "panic"
 	case Stall:
@@ -64,31 +56,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// ErrTransient is the sentinel all injected transient errors wrap;
-// errors.Is(err, ErrTransient) identifies them.
-var ErrTransient = errors.New("injected transient fault")
-
-// InjectedError is the error an injected Transient fault surfaces. It
-// self-classifies as retryable through the Transient method (the sweep
-// layer's Transienter interface).
-type InjectedError struct {
-	// Key is the run key the fault was armed on.
-	Key string
-	// Attempt is the zero-based attempt the fault fired on.
-	Attempt int
-}
-
-// Error describes the injected failure.
-func (e *InjectedError) Error() string {
-	return fmt.Sprintf("faults: injected transient error (key %s, attempt %d)", e.Key, e.Attempt)
-}
-
-// Unwrap ties the error to the ErrTransient sentinel.
-func (e *InjectedError) Unwrap() error { return ErrTransient }
-
-// Transient marks the error as retryable.
-func (e *InjectedError) Transient() bool { return true }
 
 // Event records one injected fault, for test assertions and debugging.
 type Event struct {
@@ -111,8 +78,7 @@ type Injector struct {
 	log     []Event
 }
 
-// New returns an empty injector whose corruption and schedule streams derive
-// from seed.
+// New returns an empty injector whose corruption streams derive from seed.
 func New(seed uint64) *Injector {
 	return &Injector{
 		seed:    seed,
@@ -121,23 +87,10 @@ func New(seed uint64) *Injector {
 	}
 }
 
-// hashKey folds a run key into a stream id, so per-key streams depend only
-// on (seed, key) and never on arming or call order.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
-
-// stream returns the derived RNG stream for a key (label separates the
-// schedule and corruption uses of the same key).
-func (in *Injector) stream(label, key string) *rng.Source {
-	return rng.New(in.seed).Derive(hashKey(label + "/" + key))
-}
-
 // Arm appends fault kinds for successive attempts of key: the first attempt
-// draws the first kind, the retry the second, and so on; attempts beyond the
-// armed list proceed fault-free.
+// draws the first kind, the next attempt (a resumed sweep, a resubmitted
+// job) the second, and so on; attempts beyond the armed list proceed
+// fault-free.
 func (in *Injector) Arm(key string, kinds ...Kind) {
 	if in == nil {
 		return
@@ -169,17 +122,6 @@ func (in *Injector) Next(key string) Kind {
 	return k
 }
 
-// Errorf builds the InjectedError for key's most recent attempt.
-func (in *Injector) Errorf(key string) error {
-	attempt := 0
-	if in != nil {
-		in.mu.Lock()
-		attempt = in.attempt[key] - 1
-		in.mu.Unlock()
-	}
-	return &InjectedError{Key: key, Attempt: attempt}
-}
-
 // Log returns a copy of the injected-fault events so far, in injection
 // order.
 func (in *Injector) Log() []Event {
@@ -189,23 +131,4 @@ func (in *Injector) Log() []Event {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([]Event(nil), in.log...)
-}
-
-// RandomSchedule builds an injector that arms zero to maxFaults faults per
-// key, with kinds drawn uniformly from kinds. The schedule for each key
-// depends only on (seed, key), so the same seed replays the same chaos
-// regardless of key order or worker scheduling.
-func RandomSchedule(seed uint64, keys []string, maxFaults int, kinds []Kind) *Injector {
-	in := New(seed)
-	if len(kinds) == 0 || maxFaults <= 0 {
-		return in
-	}
-	for _, key := range keys {
-		src := in.stream("schedule", key)
-		n := src.Intn(maxFaults + 1)
-		for i := 0; i < n; i++ {
-			in.Arm(key, kinds[src.Intn(len(kinds))])
-		}
-	}
-	return in
 }

@@ -165,7 +165,7 @@ func TestHotPathAllocs(t *testing.T) {
 			rec.PhaseDone("label", PhaseRun, 5*time.Millisecond)
 		},
 		"Recorder.RunDone":    func() { rec.RunDone(st) },
-		"Recorder.SweepEvent": func() { rec.SweepEvent(EventRetry) },
+		"Recorder.SweepEvent": func() { rec.SweepEvent(EventPanic) },
 		"Recorder.Span": func() {
 			rec.Span(Span{Run: "r", Cat: "kernel", Name: "k"})
 		},
@@ -215,7 +215,7 @@ func TestRecorderMetrics(t *testing.T) {
 	rec.RunDone(RunStats{ExecCycles: 10, RouteInterp: 4, L1Hits: 7, DDRWriteLines: 2})
 	rec.RunDone(RunStats{ExecCycles: 5, RouteClosedForm: 1, EpochMemoHits: 4, EpochMemoFlattens: 1, EpochMemoMaterializations: 1})
 	rec.RunDone(RunStats{Label: "twin", Served: true})
-	rec.SweepEvent(EventRetry)
+	rec.SweepEvent(EventPanic)
 	rec.SweepEvent(SweepEvent("custom")) // unknown kinds fall back to lookup
 	rec.Span(Span{Run: "r"})
 
@@ -230,7 +230,7 @@ func TestRecorderMetrics(t *testing.T) {
 		MetricRoutePrefix + "closed_form": 1,
 		"cache.l1.hits":                   7,
 		"ddr.write_lines":                 2,
-		MetricSweepPrefix + "retry":       1,
+		MetricSweepPrefix + "panic":       1,
 		MetricSweepPrefix + "custom":      1,
 
 		MetricEpochMemoPrefix + "hits":             4,

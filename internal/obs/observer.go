@@ -22,11 +22,9 @@ type SweepEvent string
 
 // The sweep events bgp.RunAll reports.
 const (
-	// EventRetry is one retry of a transiently failed run attempt.
-	EventRetry SweepEvent = "retry"
-	// EventPanic is a run attempt that panicked (recovered by the pool).
+	// EventPanic is a run that panicked (recovered by the pool).
 	EventPanic SweepEvent = "panic"
-	// EventRunFailed is a run that failed after its retry budget.
+	// EventRunFailed is a run that failed.
 	EventRunFailed SweepEvent = "run_failed"
 	// EventRunSkipped is a run cancelled before it started.
 	EventRunSkipped SweepEvent = "run_skipped"
@@ -41,7 +39,7 @@ const (
 // SweepEvents lists every sweep event kind.
 func SweepEvents() []SweepEvent {
 	return []SweepEvent{
-		EventRetry, EventPanic, EventRunFailed, EventRunSkipped,
+		EventPanic, EventRunFailed, EventRunSkipped,
 		EventCheckpointPersist, EventCheckpointRestore,
 	}
 }
@@ -145,8 +143,8 @@ const (
 	// MetricRoutePrefix prefixes engine-route loop counts:
 	// engine.route.closed_form, .coalesced, .tracked, .interp.
 	MetricRoutePrefix = "engine.route."
-	// MetricSweepPrefix prefixes sweep-event counts: sweep.retry,
-	// sweep.panic, sweep.run_failed, sweep.run_skipped,
+	// MetricSweepPrefix prefixes sweep-event counts: sweep.panic,
+	// sweep.run_failed, sweep.run_skipped,
 	// sweep.checkpoint_persist, sweep.checkpoint_restore.
 	MetricSweepPrefix = "sweep."
 	// MetricFFPrefix prefixes epoch fast-forward counters:

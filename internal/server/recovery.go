@@ -104,7 +104,7 @@ func (s *Server) recoverJob(id string, rj *replayedJob) *job {
 		s.journalRecoveryFailed.Inc()
 		return nil
 	}
-	j := s.newJob(id, spec, cfgs, time.Unix(rj.submit.CreatedUnix, 0))
+	j := newJob(id, spec, cfgs, time.Unix(rj.submit.CreatedUnix, 0))
 	rec := rj.last
 	j.recoveries = rec.Recoveries
 

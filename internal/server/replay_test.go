@@ -43,7 +43,7 @@ func TestReplayRegistersTerminalJobsFromRecords(t *testing.T) {
 	}
 	appendJob := func(spec server.JobSpec, states ...journal.Record) (string, []journal.Record) {
 		t.Helper()
-		id := server.JobID(&spec, cfgs)
+		id := server.JobID(&spec, []bgp.RunConfig{compileSpec(t, spec.Runs[0])})
 		raw, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -63,9 +63,11 @@ func TestReplayRegistersTerminalJobsFromRecords(t *testing.T) {
 	written := make(map[string][]journal.Record, finished)
 	want := make(map[string]server.JobStatus, finished)
 	for i := 0; i < finished; i++ {
-		// One tenant, one run: the per-attempt timeout makes each job its
-		// own content address.
-		spec := server.JobSpec{Tenant: "history", Runs: []server.RunSpec{rs}, RunTimeoutMS: int64(1000 + i)}
+		// One tenant, one run: the run's L3 size makes each job its own
+		// content address.
+		hist := rs
+		hist.L3Bytes = bgp.MinL3Bytes * (i + 1)
+		spec := server.JobSpec{Tenant: "history", Runs: []server.RunSpec{hist}}
 		id, recs := appendJob(spec, journal.Record{
 			State: server.StateDone, Completed: 1, CacheHits: i % 2, Recoveries: i % 3,
 		})
@@ -90,7 +92,7 @@ func TestReplayRegistersTerminalJobsFromRecords(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first /readyz after the replay answered %d, want 200", resp.StatusCode)
 	}
-	body, err := json.Marshal(server.JobSpec{Tenant: "history", Runs: []server.RunSpec{rs}, Retries: 1})
+	body, err := json.Marshal(server.JobSpec{Tenant: "history", Runs: fastSpecs()[1:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +213,43 @@ func TestReplayOfRecordsWithoutCounts(t *testing.T) {
 	}
 	if got := s.Registry().Snapshot().Counters[server.MetricResultRepaired]; got == 0 {
 		t.Error("server.result.repaired = 0: the lost entry was not re-resolved on fetch")
+	}
+}
+
+// TestReplayDropsJobsWithRetryFields replays a log written before jobs lost
+// their retry and deadline fields: one job submitted with "retries":1 and
+// one without. The first no longer decodes, so the replay drops it, counts
+// it in server.journal.recovery_failed and its id answers 404; the second
+// comes back under the id it was journaled with, which JobID still derives.
+func TestReplayDropsJobsWithRetryFields(t *testing.T) {
+	ckptDir := t.TempDir()
+	const (
+		run        = `{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","opts":"-O5 -qarch=440d"}`
+		withRetry  = "job-4f639b6c83830ab0" // {"tenant":"legacy","runs":[run],"retries":1}
+		plain      = "job-57074031f5b2e917" // {"tenant":"legacy","runs":[run]}
+		finalState = `"state":"done","completed":1`
+	)
+	created := time.Now().Unix()
+	writeRawJournal(t, ckptDir,
+		fmt.Sprintf(`{"kind":"submit","job":%q,"tenant":"legacy","spec":{"tenant":"legacy","runs":[%s],"retries":1},"created_unix":%d}`, withRetry, run, created),
+		fmt.Sprintf(`{"kind":"state","job":%q,%s}`, withRetry, finalState),
+		fmt.Sprintf(`{"kind":"submit","job":%q,"tenant":"legacy","spec":{"tenant":"legacy","runs":[%s]},"created_unix":%d}`, plain, run, created),
+		fmt.Sprintf(`{"kind":"state","job":%q,%s}`, plain, finalState))
+
+	s, ts := newTestServer(t, server.Config{CheckpointDir: ckptDir})
+	if n := s.Registry().Snapshot().Counters[server.MetricJournalRecoveryFailed]; n != 1 {
+		t.Errorf("%s = %d, want 1 (the job with retries)", server.MetricJournalRecoveryFailed, n)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + withRetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET of the dropped job = %d, want 404", resp.StatusCode)
+	}
+	want := server.JobStatus{ID: plain, Tenant: "legacy", State: server.StateDone, Runs: 1, Completed: 1, Created: created}
+	if got := getStatus(t, ts.URL, plain); got != want {
+		t.Errorf("job without retry fields replayed as\n %+v\nwant %+v", got, want)
 	}
 }

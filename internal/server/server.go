@@ -85,14 +85,8 @@ type Config struct {
 	// TenantJobs bounds one tenant's active (queued + running) jobs;
 	// submissions past it are refused with 429 (default 8).
 	TenantJobs int
-	// MaxRetries caps the per-run retry budget a spec may request
-	// (default 3).
-	MaxRetries int
-	// MaxRunTimeout caps the per-attempt deadline a spec may request
-	// (default 10m). Specs requesting none run unbounded.
-	MaxRunTimeout time.Duration
 	// Faults, when non-nil, is the deterministic fault injector consulted
-	// by every run attempt — the chaos knob, exactly as in batch sweeps.
+	// by every run — the chaos knob, exactly as in batch sweeps.
 	Faults *faults.Injector
 	// Registry, when non-nil, receives the server's metrics; nil creates
 	// a private registry (retrievable via Registry).
@@ -117,12 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.TenantJobs < 1 {
 		c.TenantJobs = 8
 	}
-	if c.MaxRetries < 1 {
-		c.MaxRetries = 3
-	}
-	if c.MaxRunTimeout <= 0 {
-		c.MaxRunTimeout = 10 * time.Minute
-	}
 	if c.MaxRecoveries < 1 {
 		c.MaxRecoveries = 3
 	}
@@ -141,12 +129,10 @@ const (
 // is in the checkpoint store under bgp.RunKey(0, cfg), and the result route
 // reads it from there.
 type job struct {
-	id         string
-	tenant     string
-	cfgs       []bgp.RunConfig
-	retries    int
-	runTimeout time.Duration
-	created    time.Time
+	id      string
+	tenant  string
+	cfgs    []bgp.RunConfig
+	created time.Time
 
 	mu         sync.Mutex
 	state      string
@@ -158,18 +144,15 @@ type job struct {
 	done       chan struct{} // closed when the job reaches a terminal state
 }
 
-// newJob builds a queued job for a decoded submission, with the spec's
-// resilience knobs clamped to the server's limits.
-func (s *Server) newJob(id string, spec *JobSpec, cfgs []bgp.RunConfig, created time.Time) *job {
+// newJob builds a queued job for a decoded submission.
+func newJob(id string, spec *JobSpec, cfgs []bgp.RunConfig, created time.Time) *job {
 	return &job{
-		id:         id,
-		tenant:     spec.Tenant,
-		cfgs:       cfgs,
-		retries:    min(spec.Retries, s.cfg.MaxRetries),
-		runTimeout: min(spec.RunTimeout(), s.cfg.MaxRunTimeout),
-		created:    created,
-		state:      StateQueued,
-		done:       make(chan struct{}),
+		id:      id,
+		tenant:  spec.Tenant,
+		cfgs:    cfgs,
+		created: created,
+		state:   StateQueued,
+		done:    make(chan struct{}),
 	}
 }
 
@@ -351,7 +334,7 @@ func (s *Server) Submit(spec *JobSpec, cfgs []bgp.RunConfig) (j *job, created bo
 		s.jobsRejected.Inc()
 		return nil, false, admissionErrf("job queue full (%d queued)", len(s.pending))
 	}
-	j = s.newJob(id, spec, cfgs, time.Now())
+	j = newJob(id, spec, cfgs, time.Now())
 	// Write-ahead: the submission reaches the disk before the caller sees
 	// its 202, so an accepted job survives any later crash.
 	raw, err := json.Marshal(spec)
@@ -445,7 +428,7 @@ func (s *Server) runJob(j *job) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, hit, err := s.resolve(s.ctx, j.cfgs[i], j.retries, j.runTimeout)
+			_, hit, err := s.resolve(s.ctx, j.cfgs[i])
 			j.mu.Lock()
 			defer j.mu.Unlock()
 			if err != nil {
@@ -494,11 +477,11 @@ func (s *Server) runJob(j *job) {
 // two-tier cache: coalesce onto an in-flight simulation of the same
 // RunKey, else restore from the checkpoint store, else simulate (and
 // persist). hit reports whether a simulation was avoided.
-func (s *Server) resolve(ctx context.Context, cfg bgp.RunConfig, retries int, runTimeout time.Duration) (res *bgp.Result, hit bool, err error) {
+func (s *Server) resolve(ctx context.Context, cfg bgp.RunConfig) (res *bgp.Result, hit bool, err error) {
 	key := bgp.RunKey(0, cfg)
 	var storeHit bool
 	res, coalesced, err := s.flights.Do(ctx, key, 0, func() (*bgp.Result, error) {
-		res, hit, err := s.build(ctx, key, cfg, retries, runTimeout)
+		res, hit, err := s.build(ctx, key, cfg)
 		storeHit = hit
 		return res, err
 	})
@@ -523,14 +506,14 @@ func (s *Server) resolve(ctx context.Context, cfg bgp.RunConfig, retries int, ru
 // departing client cannot fail a job coalesced onto the same flight.
 func (s *Server) repair(j *job, i int) (*bgp.Result, error) {
 	s.resultRepaired.Inc()
-	res, _, err := s.resolve(s.ctx, j.cfgs[i], j.retries, j.runTimeout)
+	res, _, err := s.resolve(s.ctx, j.cfgs[i])
 	return res, err
 }
 
-// build resolves a flight: store restore first, then a bounded, fully
-// resilient single-run sweep that persists into the store's directory. The
+// build resolves a flight: store restore first, then a single-run sweep,
+// bounded by the run slots, that persists into the store's directory. The
 // returned bool reports a store hit (no simulation executed).
-func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retries int, runTimeout time.Duration) (*bgp.Result, bool, error) {
+func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig) (*bgp.Result, bool, error) {
 	if res := s.store.Restore(key, cfg); res != nil {
 		s.cacheHit.Inc()
 		s.cacheHitStore.Inc()
@@ -546,8 +529,6 @@ func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig, retri
 	results, err := bgp.RunAll(ctx, []bgp.RunConfig{cfg}, bgp.SweepConfig{
 		Workers:       1,
 		CheckpointDir: s.cfg.CheckpointDir,
-		Retries:       retries,
-		RunTimeout:    runTimeout,
 		Faults:        s.cfg.Faults,
 		Observer:      s.observer,
 	})

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	bgp "bgpsim"
+	"bgpsim/internal/faults"
 	"bgpsim/internal/server"
 )
 
@@ -376,5 +377,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Counters["sim.progcache.hit"]+snap.Counters["sim.progcache.miss"] == 0 {
 		t.Error("sim.progcache recorded neither a hit nor a miss after a completed run")
+	}
+}
+
+// TestPanickingRunFailsItsJobOnce pins the one-attempt contract on the
+// daemon: a run that panics fails its job with the panic's message after
+// exactly one attempt, and the run slot it held is released — a second job
+// on another configuration then completes on the same one-slot server.
+func TestPanickingRunFailsItsJobOnce(t *testing.T) {
+	specs := fastSpecs()
+	inj := faults.New(0xBAD)
+	inj.Arm(bgp.RunKey(0, compileSpec(t, specs[0])), faults.Panic)
+	_, ts := newTestServer(t, server.Config{RunWorkers: 1, JobWorkers: 1, Faults: inj})
+
+	st := waitDone(t, ts.URL, submitJob(t, ts.URL, server.JobSpec{Tenant: "p", Runs: specs[:1]}).ID)
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "injected panic") {
+		t.Fatalf("panicking job ended %s with error %q, want failed with the panic", st.State, st.Error)
+	}
+	if lg := inj.Log(); len(lg) != 1 {
+		t.Errorf("injector fired %d times, want 1 (one attempt per run): %+v", len(lg), lg)
+	}
+
+	if st := waitDone(t, ts.URL, submitJob(t, ts.URL, server.JobSpec{Tenant: "p", Runs: specs[1:2]}).ID); st.State != server.StateDone {
+		t.Errorf("job after the panic ended %s (%s), want done: the run slot was not released", st.State, st.Error)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"io"
 	"reflect"
 	"strings"
-	"time"
 
 	bgp "bgpsim"
 )
@@ -76,7 +75,10 @@ type RunSpec struct {
 }
 
 // JobSpec is the wire form of one job: a batch of independent simulation
-// points plus the resilience knobs of the underlying sweep.
+// points. Each run gets one attempt (a run is a pure function of its
+// configuration, so a second attempt would fail the same way); the strict
+// decoder refuses the retry and deadline fields older daemons accepted
+// ("retries", "run_timeout_ms") as unknown.
 type JobSpec struct {
 	// Tenant attributes the job for concurrency accounting; empty means
 	// "anonymous". Results are shared across tenants (they are pure
@@ -84,10 +86,6 @@ type JobSpec struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Runs are the simulation points; a single run is a list of one.
 	Runs []RunSpec `json:"runs"`
-	// Retries is the per-run retry budget for transient failures.
-	Retries int `json:"retries,omitempty"`
-	// RunTimeoutMS bounds each run attempt in milliseconds (0 = none).
-	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
 }
 
 // SpecError is a job-spec validation failure; handlers render it as a 400
@@ -184,12 +182,6 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, []bgp.RunConfig, error) {
 	if len(spec.Runs) > MaxRunsPerJob {
 		return nil, nil, specErrf("job has %d runs, limit is %d", len(spec.Runs), MaxRunsPerJob)
 	}
-	if spec.Retries < 0 {
-		return nil, nil, specErrf("negative retry budget %d", spec.Retries)
-	}
-	if spec.RunTimeoutMS < 0 {
-		return nil, nil, specErrf("negative run timeout %dms", spec.RunTimeoutMS)
-	}
 	cfgs := make([]bgp.RunConfig, len(spec.Runs))
 	for i, rs := range spec.Runs {
 		cfg, err := rs.Compile()
@@ -203,20 +195,17 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, []bgp.RunConfig, error) {
 	return &spec, cfgs, nil
 }
 
-// RunTimeout returns the spec's per-attempt deadline as a duration.
-func (s *JobSpec) RunTimeout() time.Duration {
-	return time.Duration(s.RunTimeoutMS) * time.Millisecond
-}
-
-// JobID is the content address of a submission: a hash of the tenant, the
-// lowered run configurations (via their RunKeys, so exactly the identity
-// the result cache uses) and the resilience knobs. Identical submissions
-// from one tenant map onto one job — POST is idempotent — while the same
-// runs under another tenant form a distinct job whose runs still hit the
-// shared result cache.
+// JobID is the content address of a submission: a hash of the tenant and
+// the lowered run configurations (via their RunKeys, so exactly the
+// identity the result cache uses). Identical submissions from one tenant
+// map onto one job — POST is idempotent — while the same runs under another
+// tenant form a distinct job whose runs still hit the shared result cache.
 func JobID(spec *JobSpec, cfgs []bgp.RunConfig) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "tenant=%s\nretries=%d\ntimeout=%d\n", spec.Tenant, spec.Retries, spec.RunTimeoutMS)
+	// The retries and timeout lines are the zero values of the retry and
+	// deadline fields jobs once carried. Hashing them literally keeps every
+	// journaled job without those fields replaying under its old id.
+	fmt.Fprintf(h, "tenant=%s\nretries=0\ntimeout=0\n", spec.Tenant)
 	for _, cfg := range cfgs {
 		fmt.Fprintf(h, "%s\n", bgp.RunKey(0, cfg))
 	}

@@ -44,9 +44,12 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 		{"bad mode", `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"hexa"}]}`, http.StatusBadRequest},
 		{"bad opts", `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","opts":"-O9"}]}`, http.StatusBadRequest},
 		{"negative nodes", `{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","nodes":-1}]}`, http.StatusBadRequest},
-		{"negative retries", `{"retries":-1,"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`, http.StatusBadRequest},
-		{"negative timeout", `{"run_timeout_ms":-5,"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`, http.StatusBadRequest},
+		{"retries", `{"retries":1,"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`, http.StatusBadRequest},
+		{"run_timeout_ms", `{"run_timeout_ms":100,"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`, http.StatusBadRequest},
 	}
+	// Each run gets one attempt: the retry and deadline fields older
+	// daemons accepted are unknown fields, refused by name.
+	removed := map[string]bool{"retries": true, "run_timeout_ms": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, body := submitRaw(t, ts.URL, tc.body)
@@ -55,6 +58,9 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 			}
 			if code >= 400 && !strings.Contains(string(body), "error") {
 				t.Errorf("error response has no error field: %s", body)
+			}
+			if removed[tc.name] && !strings.Contains(string(body), tc.name) {
+				t.Errorf("refusal does not name the field %s: %s", tc.name, body)
 			}
 		})
 	}
@@ -71,6 +77,26 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 	many.WriteString(`]}`)
 	if code, _ := submitRaw(t, ts.URL, many.String()); code != http.StatusBadRequest {
 		t.Errorf("over-long run list got %d, want 400", code)
+	}
+}
+
+// TestJobIDPinned pins the content address of two submissions to the ids
+// daemons have always given them. Journal replay re-derives every job's id
+// from its spec and drops a job whose spec hashes elsewhere, so a change to
+// JobID's input would orphan every journaled job.
+func TestJobIDPinned(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"tenant":"alice","runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","opts":"-O5 -qarch=440d"}]}`: "job-455cf612cba8950a",
+		`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm","opts":"-O5 -qarch=440d"},` +
+			`{"benchmark":"mg","class":"S","ranks":4,"mode":"smp1"}]}`: "job-64536fc08ad9e81a",
+	} {
+		spec, cfgs, err := server.DecodeJobSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := server.JobID(spec, cfgs); got != want {
+			t.Errorf("JobID(%s) = %s, want %s", body, got, want)
+		}
 	}
 }
 
@@ -314,8 +340,8 @@ func TestAdmissionLimits(t *testing.T) {
 	stallSpec := fastSpecs()[0]
 	stallCfg := compileSpec(t, stallSpec)
 	inj := faults.New(0xFEED)
-	// Stall every attempt so the job occupies its worker until Close.
-	inj.Arm(bgp.RunKey(0, stallCfg), faults.Stall, faults.Stall, faults.Stall)
+	// Stall the run so the job occupies its worker until Close.
+	inj.Arm(bgp.RunKey(0, stallCfg), faults.Stall)
 	_, ts := newTestServer(t, server.Config{
 		JobWorkers: 1,
 		RunWorkers: 1,
@@ -383,7 +409,7 @@ func waitState(t *testing.T, base, id, state string) {
 // job id.
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add([]byte(`{"runs":[{"benchmark":"ep","class":"S","ranks":4,"mode":"vnm"}]}`))
-	f.Add([]byte(`{"tenant":"alice","retries":2,"run_timeout_ms":100,"runs":[` +
+	f.Add([]byte(`{"tenant":"alice","runs":[` +
 		`{"benchmark":"mg","class":"W","ranks":8,"mode":"smp1","opts":"-O5 -qarch=440d","l3_bytes":-1},` +
 		`{"benchmark":"ft","class":"A","ranks":16,"mode":"dual","l2_prefetch_depth":4,"l3_prefetch_depth":2}]}`))
 	f.Add([]byte(`{"runs":[]}`))

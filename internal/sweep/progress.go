@@ -21,7 +21,6 @@ type Progress struct {
 	finished  int
 	failed    int
 	skipped   int
-	retried   int
 	wall      time.Duration
 	simCycles uint64
 }
@@ -57,13 +56,6 @@ func (p *Progress) RunSkipped(int) {
 	p.mu.Unlock()
 }
 
-// RunRetried records a retry of a transiently-failed run being scheduled.
-func (p *Progress) RunRetried(int, int, error) {
-	p.mu.Lock()
-	p.retried++
-	p.mu.Unlock()
-}
-
 // AddSimCycles credits n simulated cycles to the sweep's throughput
 // figure. Task bodies call it with each completed run's cycle count.
 func (p *Progress) AddSimCycles(n uint64) {
@@ -73,14 +65,13 @@ func (p *Progress) AddSimCycles(n uint64) {
 }
 
 // Hooks returns an Options with this tracker's methods installed (including
-// the skip hook and the retry observer); callers overwrite Workers, retry
-// limits and failure semantics (and may wrap the hooks) as needed.
+// the skip hook); callers overwrite Workers and failure semantics (and may
+// wrap the hooks) as needed.
 func (p *Progress) Hooks() Options {
 	return Options{
 		OnStart:  p.RunStarted,
 		OnFinish: p.RunFinished,
 		OnSkip:   p.RunSkipped,
-		Retry:    RetryPolicy{OnRetry: p.RunRetried},
 	}
 }
 
@@ -89,9 +80,8 @@ type Snapshot struct {
 	// Started and Finished count runs picked up and completed; Failed
 	// counts completions with an error.
 	Started, Finished, Failed int
-	// Skipped counts runs never started because the sweep aborted first;
-	// Retried counts retry attempts scheduled after transient failures.
-	Skipped, Retried int
+	// Skipped counts runs never started because the sweep aborted first.
+	Skipped int
 	// Wall is the summed per-run host wall time (it exceeds Elapsed when
 	// runs overlap — the ratio is the achieved parallelism).
 	Wall time.Duration
@@ -110,7 +100,6 @@ func (p *Progress) Snapshot() Snapshot {
 		Finished:  p.finished,
 		Failed:    p.failed,
 		Skipped:   p.skipped,
-		Retried:   p.retried,
 		Wall:      p.wall,
 		SimCycles: p.simCycles,
 	}
@@ -140,6 +129,6 @@ func (s Snapshot) Parallelism() float64 {
 
 // String formats a one-line progress report.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("%d/%d runs done (%d failed, %d skipped, %d retried), %.1fx parallel, %.3g sim-cycles/s",
-		s.Finished, s.Started, s.Failed, s.Skipped, s.Retried, s.Parallelism(), s.CyclesPerSec())
+	return fmt.Sprintf("%d/%d runs done (%d failed, %d skipped), %.1fx parallel, %.3g sim-cycles/s",
+		s.Finished, s.Started, s.Failed, s.Skipped, s.Parallelism(), s.CyclesPerSec())
 }

@@ -1,20 +1,17 @@
 package sweep
 
-// The pool's failure vocabulary and retry machinery. A run can fail four
-// ways — return an error, panic, overrun its deadline, or be skipped because
-// the sweep aborted first — and each gets a distinct, typed representation
-// so callers can react per kind: panics become RunPanicError (isolated to
-// their run instead of killing every worker), deadline overruns surface the
-// attempt context's DeadlineExceeded, errors classified transient are
-// retried with capped exponential backoff, and ContinueOnError sweeps gather
-// everything into one SweepError instead of cancelling the world.
+// The pool's failure vocabulary. A run can fail three ways — return an
+// error, panic, or be skipped because the sweep aborted first — and each
+// gets a distinct, typed representation so callers can react per kind:
+// panics become RunPanicError (isolated to their run instead of killing
+// every worker), and ContinueOnError sweeps gather everything into one
+// SweepError instead of cancelling the world. A run gets one attempt: it is
+// a pure function of its configuration, so an attempt that failed once
+// fails the same way again.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // RunPanicError wraps a panic recovered from a task: the run failed, but the
@@ -37,7 +34,7 @@ func (e *RunPanicError) Error() string {
 type IndexedError struct {
 	// Index is the failed item.
 	Index int
-	// Err is the run's final error (after any retries).
+	// Err is the run's error.
 	Err error
 }
 
@@ -89,79 +86,4 @@ func (e *SweepError) Unwrap() []error {
 		errs = append(errs, e.Cause)
 	}
 	return errs
-}
-
-// ErrAt returns the error of run index (nil if it succeeded or was only
-// skipped).
-func (e *SweepError) ErrAt(index int) error {
-	for _, f := range e.Failed {
-		if f.Index == index {
-			return f.Err
-		}
-	}
-	return nil
-}
-
-// Transienter lets error types self-classify as retryable; the fault
-// injector's errors implement it.
-type Transienter interface{ Transient() bool }
-
-// DefaultClassify is the retry classification: errors worth retrying are
-// those that self-classify through Transienter, panics (a run is
-// deterministic, so a genuine panic simply recurs and exhausts the budget,
-// while an environmental one heals), and per-attempt deadline overruns.
-func DefaultClassify(err error) bool {
-	var tr Transienter
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
-	var pe *RunPanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// RetryPolicy bounds per-run retries of transient failures. The zero value
-// never retries.
-type RetryPolicy struct {
-	// Retries is the number of additional attempts after the first.
-	Retries int
-	// OnRetry, when non-nil, observes retry number attempt (1-based) of
-	// item index being scheduled after err. It may be called concurrently.
-	OnRetry func(index, attempt int, err error)
-	// Sleep waits out a backoff delay; nil means a context-aware timer.
-	// Tests substitute an instant sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// The backoff before the first retry, doubling per retry up to the cap.
-const (
-	baseDelay = 10 * time.Millisecond
-	maxDelay  = time.Second
-)
-
-// delay returns the capped exponential backoff before retry attempt
-// (0-based).
-func delay(attempt int) time.Duration {
-	d := baseDelay
-	for i := 0; i < attempt && d < maxDelay; i++ {
-		d *= 2
-	}
-	return min(d, maxDelay)
-}
-
-// sleepCtx waits d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

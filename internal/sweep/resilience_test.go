@@ -11,16 +11,6 @@ import (
 	"time"
 )
 
-// instantSleep substitutes the backoff timer so retry tests run instantly.
-func instantSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-
-// transientErr self-classifies as retryable through the Transienter
-// interface, like the fault injector's errors.
-type transientErr struct{ msg string }
-
-func (e transientErr) Error() string   { return e.msg }
-func (e transientErr) Transient() bool { return true }
-
 func TestMapIsolatesPanics(t *testing.T) {
 	items := []int{0, 1, 2, 3}
 	_, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
@@ -44,117 +34,6 @@ func TestMapIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestMapRetriesTransientErrors(t *testing.T) {
-	var attempts atomic.Int64
-	var retries atomic.Int64
-	items := []int{0}
-	out, err := Map(context.Background(), items, func(_ context.Context, _, _ int) (int, error) {
-		if attempts.Add(1) <= 2 {
-			return 0, transientErr{"flaky"}
-		}
-		return 42, nil
-	}, Options{Workers: 1, Retry: RetryPolicy{
-		Retries: 3,
-		Sleep:   instantSleep,
-		OnRetry: func(index, attempt int, err error) {
-			retries.Add(1)
-			if index != 0 || err == nil {
-				t.Errorf("OnRetry(%d, %d, %v)", index, attempt, err)
-			}
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 42 {
-		t.Errorf("out[0] = %d, want 42", out[0])
-	}
-	if a := attempts.Load(); a != 3 {
-		t.Errorf("attempts = %d, want 3", a)
-	}
-	if r := retries.Load(); r != 2 {
-		t.Errorf("OnRetry fired %d times, want 2", r)
-	}
-}
-
-func TestMapRetryBudgetExhausts(t *testing.T) {
-	var attempts atomic.Int64
-	_, err := Map(context.Background(), []int{0}, func(_ context.Context, _, _ int) (int, error) {
-		attempts.Add(1)
-		return 0, transientErr{"always"}
-	}, Options{Workers: 1, Retry: RetryPolicy{Retries: 2, Sleep: instantSleep}})
-	if err == nil || err.Error() != "always" {
-		t.Fatalf("err = %v, want the transient error", err)
-	}
-	if a := attempts.Load(); a != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", a)
-	}
-}
-
-func TestMapDoesNotRetryPermanentErrors(t *testing.T) {
-	var attempts atomic.Int64
-	_, err := Map(context.Background(), []int{0}, func(_ context.Context, _, _ int) (int, error) {
-		attempts.Add(1)
-		return 0, errors.New("permanent")
-	}, Options{Workers: 1, Retry: RetryPolicy{Retries: 5, Sleep: instantSleep}})
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if a := attempts.Load(); a != 1 {
-		t.Errorf("attempts = %d, want 1", a)
-	}
-}
-
-func TestMapRetriesPanicsAndDeadlines(t *testing.T) {
-	// A panic on the first attempt and a deadline overrun on the second
-	// are both classified transient by DefaultClassify; the third attempt
-	// succeeds.
-	var attempts atomic.Int64
-	out, err := Map(context.Background(), []int{0}, func(ctx context.Context, _, _ int) (int, error) {
-		switch attempts.Add(1) {
-		case 1:
-			panic("injected")
-		case 2:
-			<-ctx.Done() // stall past the attempt deadline
-			return 0, ctx.Err()
-		}
-		return 7, nil
-	}, Options{Workers: 1, RunTimeout: 20 * time.Millisecond,
-		Retry: RetryPolicy{Retries: 2, Sleep: instantSleep}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 7 {
-		t.Errorf("out[0] = %d, want 7", out[0])
-	}
-}
-
-func TestMapRunTimeoutWithoutRetryFails(t *testing.T) {
-	_, err := Map(context.Background(), []int{0}, func(ctx context.Context, _, _ int) (int, error) {
-		<-ctx.Done()
-		return 0, fmt.Errorf("stalled: %w", ctx.Err())
-	}, Options{Workers: 1, RunTimeout: 10 * time.Millisecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-func TestMapParentCancelIsNotRetried(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts atomic.Int64
-	_, err := Map(ctx, []int{0}, func(ctx context.Context, _, _ int) (int, error) {
-		attempts.Add(1)
-		cancel() // the sweep dies while the run is in flight
-		return 0, transientErr{"would-retry"}
-	}, Options{Workers: 1, Retry: RetryPolicy{Retries: 5, Sleep: instantSleep}})
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if a := attempts.Load(); a != 1 {
-		t.Errorf("attempts = %d, want 1 (no retries after sweep cancel)", a)
-	}
-}
-
 func TestMapContinueOnErrorGathersFailures(t *testing.T) {
 	items := make([]int, 10)
 	out, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
@@ -172,9 +51,6 @@ func TestMapContinueOnErrorGathersFailures(t *testing.T) {
 	}
 	if len(se.Skipped) != 0 || se.Cause != nil {
 		t.Errorf("Skipped = %v, Cause = %v, want none", se.Skipped, se.Cause)
-	}
-	if se.ErrAt(3) == nil || se.ErrAt(0) != nil {
-		t.Error("ErrAt misreports failed indices")
 	}
 	for i, v := range out {
 		want := i + 1
@@ -321,18 +197,12 @@ func TestMapOnFinishOncePerStartedRun(t *testing.T) {
 	}
 }
 
-func TestProgressSkippedAndRetried(t *testing.T) {
+func TestProgressSkipped(t *testing.T) {
 	var p Progress
 	opts := p.Hooks()
 	opts.Workers = 1
-	opts.Retry.Retries = 1
-	opts.Retry.Sleep = instantSleep
-	var attempts atomic.Int64
 	items := make([]int, 6)
 	_, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
-		if idx == 0 && attempts.Add(1) == 1 {
-			return 0, transientErr{"flaky once"}
-		}
 		if idx == 2 {
 			return 0, errors.New("permanent") // aborts the sweep
 		}
@@ -342,45 +212,13 @@ func TestProgressSkippedAndRetried(t *testing.T) {
 		t.Fatal("expected the permanent failure to surface")
 	}
 	s := p.Snapshot()
-	if s.Retried != 1 {
-		t.Errorf("Retried = %d, want 1", s.Retried)
-	}
-	if s.Skipped == 0 {
-		t.Errorf("Skipped = 0, want > 0 (snapshot %+v)", s)
+	if s.Skipped != len(items)-3 {
+		t.Errorf("Skipped = %d, want %d (snapshot %+v)", s.Skipped, len(items)-3, s)
 	}
 	if s.Started != s.Finished {
 		t.Errorf("started %d != finished %d", s.Started, s.Finished)
 	}
-	if !strings.Contains(s.String(), "retried") || !strings.Contains(s.String(), "skipped") {
+	if !strings.Contains(s.String(), "3 skipped") {
 		t.Errorf("String() = %q", s.String())
-	}
-}
-
-func TestDefaultClassify(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{transientErr{"t"}, true},
-		{fmt.Errorf("wrapped: %w", transientErr{"t"}), true},
-		{&RunPanicError{Index: 1, Value: "v"}, true},
-		{context.DeadlineExceeded, true},
-		{fmt.Errorf("stalled: %w", context.DeadlineExceeded), true},
-		{errors.New("permanent"), false},
-		{context.Canceled, false},
-	}
-	for _, c := range cases {
-		if got := DefaultClassify(c.err); got != c.want {
-			t.Errorf("DefaultClassify(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
-func TestRetryPolicyDelayCaps(t *testing.T) {
-	want := []time.Duration{10, 20, 40, 80, 160, 320, 640, 1000, 1000}
-	for i, w := range want {
-		if got := delay(i); got != w*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i, got, w*time.Millisecond)
-		}
 	}
 }

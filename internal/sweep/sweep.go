@@ -5,18 +5,19 @@
 //
 // The pool is deliberately dumb about what it runs: tasks are opaque
 // functions, results come back in input order, and optional hooks observe
-// runs starting, finishing, retrying and being skipped. Failure handling is
+// runs starting, finishing and being skipped. Failure handling is
 // configurable per sweep: by default the first failure cancels everything
 // still pending (context-based), while ContinueOnError gathers per-run
 // failures into one SweepError and returns every successful result. Panics
-// are always isolated to their run (recovered into RunPanicError), errors
-// classified transient are retried with capped exponential backoff, and
-// RunTimeout bounds each attempt with a derived context. Determinism is
-// preserved by construction — each simulation owns its machine, job and RNG
-// streams, a retried attempt re-runs from scratch, and the pool never shares
-// state between tasks — so a parallel sweep produces byte-identical counter
-// dumps to a serial one (the determinism and chaos harnesses in the root
-// package prove it, with and without injected faults).
+// are always isolated to their run (recovered into RunPanicError). Each run
+// gets one attempt: a simulation is a pure function of its configuration,
+// so a failed run fails the same way every time, and recovery is resuming
+// a checkpointed sweep, not re-trying in place. Determinism is preserved by
+// construction — each simulation owns its machine, job and RNG streams, and
+// the pool never shares state between tasks — so a parallel sweep produces
+// byte-identical counter dumps to a serial one (the determinism and chaos
+// harnesses in the root package prove it, with and without injected
+// faults).
 package sweep
 
 import (
@@ -29,8 +30,7 @@ import (
 )
 
 // Options configures a pool invocation. The zero value runs with
-// GOMAXPROCS workers, no hooks, no retries and first-error-cancels
-// semantics.
+// GOMAXPROCS workers, no hooks and first-error-cancels semantics.
 type Options struct {
 	// Workers bounds the number of tasks in flight; values below 1 mean
 	// runtime.GOMAXPROCS(0).
@@ -55,11 +55,6 @@ type Options struct {
 	// run's error and returns the successful results alongside one
 	// *SweepError. Context cancellation still stops the sweep.
 	ContinueOnError bool
-	// RunTimeout, when positive, bounds each attempt of each run with a
-	// context deadline derived from the sweep context.
-	RunTimeout time.Duration
-	// Retry bounds per-run retries of transient failures.
-	Retry RetryPolicy
 }
 
 // workers resolves the effective worker count for n items.
@@ -75,9 +70,8 @@ func (o Options) workers(n int) int {
 }
 
 // Map runs fn over every item with a bounded worker pool and returns the
-// results in input order. Panics in fn are recovered into *RunPanicError;
-// errors the retry policy classifies transient are retried with backoff;
-// each attempt runs under a RunTimeout-derived context when configured.
+// results in input order. Each item runs once; a panic in fn is recovered
+// into *RunPanicError.
 //
 // Under the default semantics the first (lowest-index) failure cancels the
 // context passed to still-running tasks, prevents pending tasks from
@@ -148,7 +142,7 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 					opts.OnStart(i)
 				}
 				began := time.Now()
-				out, err := runWithRetry(poolCtx, i, items[i], fn, opts)
+				out, err := runOnce(poolCtx, i, items[i], fn)
 				if opts.OnFinish != nil {
 					opts.OnFinish(i, time.Since(began), err)
 				}
@@ -191,41 +185,9 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 	return results, nil
 }
 
-// runWithRetry executes item i until it succeeds, its error is classified
-// permanent, the retry budget is exhausted, or the sweep context dies.
-func runWithRetry[I, O any](ctx context.Context, i int, item I, fn func(context.Context, int, I) (O, error), opts Options) (O, error) {
-	sleep := opts.Retry.Sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
-	var zero O
-	for attempt := 0; ; attempt++ {
-		out, err := runOnce(ctx, i, item, fn, opts.RunTimeout)
-		if err == nil {
-			return out, nil
-		}
-		// A dead sweep context is never retryable: the deadline that
-		// expired was the sweep's, not this attempt's.
-		if ctx.Err() != nil || attempt >= opts.Retry.Retries || !DefaultClassify(err) {
-			return zero, err
-		}
-		if opts.Retry.OnRetry != nil {
-			opts.Retry.OnRetry(i, attempt+1, err)
-		}
-		if serr := sleep(ctx, delay(attempt)); serr != nil {
-			return zero, err
-		}
-	}
-}
-
-// runOnce executes one attempt under its own deadline, converting a panic
-// into a *RunPanicError so one bad run cannot kill the pool.
-func runOnce[I, O any](ctx context.Context, i int, item I, fn func(context.Context, int, I) (O, error), timeout time.Duration) (out O, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// runOnce executes item i, converting a panic into a *RunPanicError so one
+// bad run cannot kill the pool.
+func runOnce[I, O any](ctx context.Context, i int, item I, fn func(context.Context, int, I) (O, error)) (out O, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &RunPanicError{Index: i, Value: v, Stack: debug.Stack()}

@@ -22,7 +22,7 @@ func TestNilObserverHooksDoNotAllocate(t *testing.T) {
 		t.Errorf("observePhase(nil, ...) allocates %.1f times per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		sweepEvent(nil, obs.EventRetry)
+		sweepEvent(nil, obs.EventPanic)
 	}); allocs != 0 {
 		t.Errorf("sweepEvent(nil, ...) allocates %.1f times per call, want 0", allocs)
 	}

@@ -27,32 +27,25 @@ var ErrNotCheckpointed = errors.New("bgp: run not in checkpoint")
 // chain, so every run produces exactly the counter values it would produce
 // serially — RunAll at any worker count yields byte-identical dumps and
 // metrics to a loop over Run (the determinism harness in bgp_parallel_test
-// asserts this per operating mode). The same holds across failures: a
-// retried, resumed or previously-panicked run re-executes from scratch with
-// its own fresh machine and RNG streams, so recovery never perturbs counter
-// values (the chaos harness in bgp_chaos_test pins this byte-for-byte).
+// asserts this per operating mode). The same holds across failures: each
+// run gets one attempt, and a resumed or previously-panicked run
+// re-executes from scratch with its own fresh machine and RNG streams, so
+// recovery never perturbs counter values (the chaos harness in
+// bgp_chaos_test pins this byte-for-byte).
 type SweepConfig struct {
 	// Workers bounds the number of simulations in flight; values below 1
 	// mean runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, observes runs starting, finishing, being
-	// retried and being skipped, and accumulates aggregate
-	// simulated-cycle throughput.
+	// Progress, when non-nil, observes runs starting, finishing and being
+	// skipped, and accumulates aggregate simulated-cycle throughput.
 	Progress *sweep.Progress
 	// Observer, when non-nil, receives the sweep's orchestration events
-	// (retries, panics, failures, skips, checkpoint persists/restores)
+	// (panics, failures, skips, checkpoint persists/restores)
 	// and is attached to every run whose own RunConfig.Observer is nil,
 	// so one recorder sees the whole sweep. It is called from every
 	// worker and must be safe for concurrent use.
 	Observer Observer
 
-	// Retries is the per-run retry budget for failures classified
-	// transient (injected transient faults, panics, and per-run deadline
-	// overruns), with capped exponential backoff between attempts.
-	Retries int
-	// RunTimeout, when positive, bounds each attempt of each run with a
-	// derived context deadline; an overrun attempt counts as transient.
-	RunTimeout time.Duration
 	// ContinueOnError keeps the sweep going past failed runs: RunAll then
 	// returns every successful result, with nils at failed positions, and
 	// one *sweep.SweepError listing the per-run failures.
@@ -78,7 +71,7 @@ type SweepConfig struct {
 	ResumeOnly bool
 
 	// Faults, when non-nil, is the deterministic fault injector consulted
-	// once per attempt; it exists so every recovery path above is
+	// once per run; it exists so every recovery path above is
 	// exercisable in CI, byte-for-byte reproducibly. Injected faults
 	// never touch simulation RNG streams.
 	Faults *faults.Injector
@@ -98,10 +91,8 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 	}
 	opts.Workers = sc.Workers
 	opts.ContinueOnError = sc.ContinueOnError
-	opts.RunTimeout = sc.RunTimeout
-	opts.Retry.Retries = sc.Retries
 	if ob := sc.Observer; ob != nil {
-		prevFinish, prevSkip, prevRetry := opts.OnFinish, opts.OnSkip, opts.Retry.OnRetry
+		prevFinish, prevSkip := opts.OnFinish, opts.OnSkip
 		opts.OnFinish = func(i int, wall time.Duration, err error) {
 			if err != nil {
 				sweepEvent(ob, obs.EventRunFailed)
@@ -118,16 +109,6 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			sweepEvent(ob, obs.EventRunSkipped)
 			if prevSkip != nil {
 				prevSkip(i)
-			}
-		}
-		opts.Retry.OnRetry = func(i, attempt int, err error) {
-			sweepEvent(ob, obs.EventRetry)
-			var pe *sweep.RunPanicError
-			if errors.As(err, &pe) {
-				sweepEvent(ob, obs.EventPanic)
-			}
-			if prevRetry != nil {
-				prevRetry(i, attempt, err)
 			}
 		}
 	}
@@ -162,12 +143,10 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 				return nil, runErr(i, cfg, ErrNotCheckpointed)
 			}
 		}
-		// Consult the fault injector once per attempt; pre-run faults
-		// fire before the simulation so retries re-execute from scratch.
+		// Consult the fault injector once per run; pre-run faults fire
+		// before the simulation.
 		kind := sc.Faults.Next(at)
 		switch kind {
-		case faults.Transient:
-			return nil, runErr(i, cfg, sc.Faults.Errorf(at))
 		case faults.Panic:
 			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, at))
 		case faults.Stall:
