@@ -226,12 +226,9 @@ type RunConfig struct {
 	// NoProgCache disables compile memoization for this run (every run
 	// lowers its kernel from scratch).
 	NoProgCache bool
-	// NoFastForward disables epoch fast-forwarding (on by default): when
-	// a rank is the only runnable rank of the job, its compute phases run
-	// to completion in one dispatch instead of bounded time slices. The
-	// accelerated path is bit-identical in every counter and dump (the
-	// batched engine's exactness contract at a different limit); the flag
-	// exists for equivalence testing and benchmarking.
+	// NoFastForward has no effect; kept because benchmark/ compiles against
+	// it; ROADMAP item 11 deletes it. Every rank is dispatched by one rule:
+	// run SliceCycles, then yield.
 	NoFastForward bool
 	// NoEpochMemo disables the epoch memo (on by default): the second run
 	// of a run identity in a process records its collective-to-collective
@@ -479,7 +476,6 @@ func run(cfg RunConfig) (*Result, *machine.Machine, error) {
 	if cfg.SliceCycles > 0 {
 		j.SetSlice(cfg.SliceCycles)
 	}
-	j.SetFastForward(!cfg.NoFastForward)
 	if !cfg.NoEpochMemo {
 		j.EnableEpochMemo(epochmemo.Default(), memoConfigKey(cfg))
 	}
@@ -513,7 +509,6 @@ func run(cfg RunConfig) (*Result, *machine.Machine, error) {
 	if cfg.Observer != nil {
 		st := collectRunStats(m, label, res.Metrics.ExecCycles)
 		perf := j.Perf()
-		st.FFDispatches, st.FFCycles = perf.FFDispatches, perf.FFCycles
 		st.EpochMemoHits, st.EpochMemoMisses, st.EpochMemoFirstSights, st.EpochMemoStores, st.EpochMemoCorrupt =
 			perf.EpochMemoHits, perf.EpochMemoMisses, perf.EpochMemoFirstSights, perf.EpochMemoStores, perf.EpochMemoCorrupt
 		st.EpochMemoFlattens, st.EpochMemoMaterializations = perf.EpochMemoFlattens, perf.EpochMemoMaterializations
@@ -587,7 +582,7 @@ func observerTraces(o Observer) bool {
 // shapes a run's execution but lives outside the simulated machine state.
 // The run fingerprint renders RunConfig's identity fields and none of its
 // execution fields (observers, cache handles, worker counts, the
-// fast-forward/memo opt-outs themselves) — exactly the split the memo
+// memo opt-out itself) — exactly the split the memo
 // needs — and the ISA version is folded in
 // because compiled program shapes may change across generations while the
 // rest of the configuration spells the same.

@@ -31,7 +31,7 @@ import (
 )
 
 // goldenRuns executes each configuration serially on the pure slow path —
-// epoch fast-forwarding and the epoch memo disabled — and returns the
+// the epoch memo disabled — and returns the
 // per-config results and raw dump bytes: the reference every recovered
 // sweep must reproduce byte-for-byte. The sweeps under test keep the
 // accelerations at their defaults, so every chaos comparison in this file
@@ -41,7 +41,6 @@ func goldenRuns(t *testing.T, root string, cfgs []bgp.RunConfig) ([]*bgp.Result,
 	results := make([]*bgp.Result, len(cfgs))
 	dumps := make([]map[string][]byte, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg.NoFastForward = true
 		cfg.NoEpochMemo = true
 		cfg.DumpDir = filepath.Join(root, fmt.Sprintf("golden%d", i))
 		if err := os.MkdirAll(cfg.DumpDir, 0o755); err != nil {
@@ -256,17 +255,16 @@ func TestChaosDeterminism(t *testing.T) {
 
 // TestChaosMemoizedDeterminism runs the fault-recovery contract with the
 // execution accelerators armed: a shared compile cache (so resumed runs
-// hit memoized programs), fast-forwarding and the epoch memo.
+// hit memoized programs) and the epoch memo.
 // A sweep with injected faults takes the partial-output path
 // (ContinueOnError with one panicked run — the CLI's exit-status-3 case)
 // and persists one corrupted entry, then resumes from its checkpoints
 // against the warm cache; every recovered run's persisted dumps must stay
-// byte-identical to fault-free serial runs that never saw cache, faults,
-// fast-forwarding or the epoch memo. Two fault-free sweeps walk the memo
-// through its admission policy first (first sight, then recording), so
-// every run of the chaos pass replays memoized epochs — an interrupted,
-// fast-forwarded, epoch-replayed sweep still restores the slow path's
-// bytes exactly.
+// byte-identical to fault-free serial runs that never saw cache, faults or
+// the epoch memo. Two fault-free sweeps walk the memo through its admission
+// policy first (first sight, then recording), so every run of the chaos
+// pass replays memoized epochs — an interrupted, epoch-replayed sweep still
+// restores the slow path's bytes exactly.
 func TestChaosMemoizedDeterminism(t *testing.T) {
 	cases := collectivesOnlyCases()
 	cfgs := append(cases, cases[0], cases[1])

@@ -1,20 +1,19 @@
 package bgp_test
 
-// The exactness contract of epoch fast-forwarding and the epoch memo,
-// pinned at the public API: for any configuration, running with the
-// accelerations at their defaults (both on) and with NoFastForward /
+// The exactness contract of the epoch memo, pinned at the public API: for
+// any configuration, running with the memo at its default (on) and with
 // NoEpochMemo set must produce byte-identical binary counter dumps and
-// identical derived metrics. Like the batched engine (bgp_engine_test),
-// fast-forward and the memo are execution accelerators, never an
-// approximation — the slow path is the reference.
+// identical derived metrics. Like the batched engine (bgp_engine_test), the
+// memo is an execution accelerator, never an approximation — the slow path
+// is the reference.
 //
-// Each configuration runs four ways: the slow path (both accelerations
-// off) and three accelerated runs that walk the process-wide memo through
-// its admission policy — a first-sight run (which only marks the epochs it
-// meets), a recording run, and a replaying run. The last is the interesting
-// one — its dumps come from restored machine state rather than executed
-// instructions — so the comparison covers the unrecorded, the recording and
-// the replay sides of the memo.
+// Each configuration runs four ways: the slow path (memo off) and three
+// runs that walk the process-wide memo through its admission policy — a
+// first-sight run (which only marks the epochs it meets), a recording run,
+// and a replaying run. The last is the interesting one — its dumps come from
+// restored machine state rather than executed instructions — so the
+// comparison covers the unrecorded, the recording and the replay sides of
+// the memo.
 
 import (
 	"bytes"
@@ -44,11 +43,11 @@ func collectivesOnlyCases() []bgp.RunConfig {
 	}
 }
 
-// fastForwardCases is the determinism-suite matrix — every operating mode
+// exactnessCases is the determinism-suite matrix — every operating mode
 // via determinismCases, plus the whole NAS kernel set in VNM, a pair of
 // class-W points so the comparison crosses problem classes, and the
 // multi-node collectives-only points.
-func fastForwardCases() []bgp.RunConfig {
+func exactnessCases() []bgp.RunConfig {
 	cases := determinismCases()
 	for _, name := range []string{"mg", "ft", "ep", "cg", "is", "lu", "sp", "bt"} {
 		cases = append(cases, bgp.RunConfig{
@@ -61,17 +60,16 @@ func fastForwardCases() []bgp.RunConfig {
 			Opts: bgp.Options{Level: bgp.O5, Arch440d: true}},
 		bgp.RunConfig{Benchmark: "is", Class: bgp.ClassW, Ranks: 4, Mode: bgp.Dual,
 			Opts: bgp.Options{Level: bgp.O3}},
-		// A YAML workload spec rides the same accelerators as the NAS set.
+		// A YAML workload spec rides the same memo as the NAS set.
 		mustHPLConfig(),
 	)
 	return append(cases, collectivesOnlyCases()...)
 }
 
-// ffRun executes cfg with the given acceleration opt-outs and returns the
-// dump bytes and result.
-func ffRun(t *testing.T, cfg bgp.RunConfig, noFF, noMemo bool, dir string, ob bgp.Observer) (map[string][]byte, *bgp.Result) {
+// memoRun executes cfg with the given memo opt-out and returns the dump
+// bytes and result.
+func memoRun(t *testing.T, cfg bgp.RunConfig, noMemo bool, dir string, ob bgp.Observer) (map[string][]byte, *bgp.Result) {
 	t.Helper()
-	cfg.NoFastForward = noFF
 	cfg.NoEpochMemo = noMemo
 	cfg.Observer = ob
 	cfg.DumpDir = dir
@@ -118,28 +116,29 @@ func requireReplayed(t *testing.T, st obs.RunStats) {
 	}
 }
 
-// TestFastForwardMemoExactness is the acceptance gate for the fast-forward
-// and epoch-memo layers: byte-identical dumps and identical metrics across
-// the slow path, a first-sight run, a recording run and a replaying run,
-// for every kernel, mode and class in the determinism matrix. Each case's
-// replaying run must then prove, from its own counters, that it replayed —
-// the equality above would be vacuous if the fast path had silently
-// disabled itself, or if "run it again" had merely recorded again.
+// TestFastForwardMemoExactness is the acceptance gate for the epoch-memo
+// layer: byte-identical dumps and identical metrics across the slow path, a
+// first-sight run, a recording run and a replaying run, for every kernel,
+// mode and class in the determinism matrix. Each case's replaying run must
+// then prove, from its own counters, that it replayed — the equality above
+// would be vacuous if the memo had silently disabled itself, or if "run it
+// again" had merely recorded again. (The name is kept from when the gate
+// also covered epoch fast-forwarding.)
 func TestFastForwardMemoExactness(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := &runLog{Recorder: obs.NewRecorder(reg, nil)}
 
-	for _, cfg := range fastForwardCases() {
+	for _, cfg := range exactnessCases() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s-%s-%v", cfg.Benchmark, cfg.Class, cfg.Mode), func(t *testing.T) {
 			root := t.TempDir()
-			want, wantRes := ffRun(t, cfg, true, true, filepath.Join(root, "slow"), nil)
+			want, wantRes := memoRun(t, cfg, true, filepath.Join(root, "slow"), nil)
 
 			// Other tests share the process-wide memo, so an earlier leg may
 			// already find marks or entries; only the last leg's state is
 			// certain, and only it is asserted on.
 			for _, leg := range []string{"first-sight", "recording", "replaying"} {
-				dumps, res := ffRun(t, cfg, false, false, filepath.Join(root, leg), rec)
+				dumps, res := memoRun(t, cfg, false, filepath.Join(root, leg), rec)
 				if len(dumps) != len(want) {
 					t.Fatalf("%s run wrote %d dumps, slow path wrote %d", leg, len(dumps), len(want))
 				}
@@ -160,12 +159,5 @@ func TestFastForwardMemoExactness(t *testing.T) {
 
 	if hits := reg.Snapshot().Counters[obs.MetricEpochMemoPrefix+"hits"]; hits == 0 {
 		t.Errorf("epoch memo never replayed an epoch (%shits = 0)", obs.MetricEpochMemoPrefix)
-	}
-	// Fast-forward only dispatches in epochs that run live, and in a process
-	// whose memo is already warm (go test -count=2) every leg above replays;
-	// so its engagement is shown on a run with the memo off.
-	ffRun(t, fastForwardCases()[0], false, true, filepath.Join(t.TempDir(), "ff-only"), rec)
-	if st := rec.runs[len(rec.runs)-1]; st.FFDispatches == 0 {
-		t.Errorf("fast-forward never engaged on %s (%sdispatches = 0)", st.Label, obs.MetricFFPrefix)
 	}
 }

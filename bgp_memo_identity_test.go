@@ -139,21 +139,22 @@ func TestEpochMemoKeysEmbedRunIdentity(t *testing.T) {
 
 // TestEpochMemoKnobsShareChains pins the other side of the identity split:
 // the chain key is the run identity, which leaves the execution knobs out,
-// so a chain recorded with fast-forward off is replayed by a run with it on,
-// and the reverse — every leg byte-identical to the slow path, and the
-// replaying leg hitting every epoch the recording leg closed.
+// so a chain recorded with the compile cache off is replayed by a run with
+// it on, and the reverse — every leg byte-identical to the slow path, and
+// the replaying leg hitting every epoch the recording leg closed.
 func TestEpochMemoKnobsShareChains(t *testing.T) {
 	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
-	for _, cfg := range []bgp.RunConfig{determinismCases()[0], determinismCases()[3]} { // mg S/4 SMP/1, ep S/8 VNM: fast-forward engages in both
+	for _, cfg := range []bgp.RunConfig{determinismCases()[0], determinismCases()[3]} { // mg S/4 SMP/1, ep S/8 VNM
 		root := t.TempDir()
-		want, _ := ffRun(t, cfg, true, true, filepath.Join(root, "slow"), nil)
-		for _, recordNoFF := range []bool{true, false} {
+		want, _ := memoRun(t, cfg, true, filepath.Join(root, "slow"), nil)
+		for _, recordNoPC := range []bool{true, false} {
 			forgetEpochMemo()
-			name := fmt.Sprintf("%s %v, recorded with NoFastForward=%t", cfg.Benchmark, cfg.Mode, recordNoFF)
+			name := fmt.Sprintf("%s %v, recorded with NoProgCache=%t", cfg.Benchmark, cfg.Mode, recordNoPC)
 			var legs [3]obs.RunStats // first sight, recording, replaying
 			for i := range legs {
-				noFF := recordNoFF != (i == 2) // the replaying leg flips the knob
-				dumps, _ := ffRun(t, cfg, noFF, false, filepath.Join(root, fmt.Sprintf("%t-%d", recordNoFF, i)), rec)
+				c := cfg
+				c.NoProgCache = recordNoPC != (i == 2) // the replaying leg flips the knob
+				dumps, _ := memoRun(t, c, false, filepath.Join(root, fmt.Sprintf("%t-%d", recordNoPC, i)), rec)
 				for file, blob := range want {
 					if !bytes.Equal(blob, dumps[file]) {
 						t.Errorf("%s: dump %s of leg %d differs from the slow path", name, file, i+1)
@@ -162,9 +163,9 @@ func TestEpochMemoKnobsShareChains(t *testing.T) {
 				legs[i] = rec.runs[len(rec.runs)-1]
 			}
 			recording, replaying := legs[1], legs[2]
-			if recording.EpochMemoStores == 0 || (recording.FFDispatches == 0) != recordNoFF {
-				t.Errorf("%s: recording leg stored %d epochs with %d fast-forward dispatches",
-					name, recording.EpochMemoStores, recording.FFDispatches)
+			if recording.EpochMemoStores == 0 || (recording.ProgCacheHits == 0) != recordNoPC {
+				t.Errorf("%s: recording leg stored %d epochs with %d compile-cache hits",
+					name, recording.EpochMemoStores, recording.ProgCacheHits)
 			}
 			requireReplayed(t, replaying)
 			if replaying.EpochMemoHits != recording.EpochMemoStores {

@@ -3,9 +3,9 @@ package bgp_test
 // Determinism harness for YAML workload specs. A spec-driven run flows
 // through the same engine, caches and recovery layers as a NAS benchmark,
 // so it inherits the same exactness contract: byte-identical binary counter
-// dumps across the serial path, the cross-run pool, fast-forward + epoch
-// memo (fastForwardCases gains a spec point), and a faulted, checkpointed,
-// resumed sweep.
+// dumps across the serial path, the cross-run pool, the epoch memo
+// (exactnessCases gains a spec point), and a faulted, checkpointed, resumed
+// sweep.
 
 import (
 	"bytes"
@@ -31,7 +31,7 @@ import (
 )
 
 // mustHPLConfig returns a RunConfig for specs/hpl.yaml at test scale. It
-// panics on a load failure because fastForwardCases has no *testing.T; the
+// panics on a load failure because exactnessCases has no *testing.T; the
 // spec is committed, so a failure is a broken tree, not a test condition.
 func mustHPLConfig() bgp.RunConfig {
 	spec, err := bgp.LoadWorkloadSpec("specs/hpl.yaml")

@@ -10,8 +10,8 @@ package bgp_test
 //
 // and review the CSV diff like any other code change. The golden runs at
 // quick scale through the default (fully accelerated) path, so it also
-// pins that spec workloads survive fast-forward and the epoch memo with
-// their figures intact.
+// pins that spec workloads survive the epoch memo with their figures
+// intact.
 
 import (
 	"path/filepath"

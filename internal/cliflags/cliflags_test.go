@@ -12,20 +12,21 @@ import (
 
 // sharedNames are the four groups, in declaration order.
 var sharedNames = []string{
-	"no-progcache", "no-fastforward", "no-epochmemo", "epochmemo-bytes",
+	"no-progcache", "no-epochmemo", "epochmemo-bytes",
 	"keep-going", "checkpoint", "resume",
 	"trace", "metrics-addr",
 	"cpuprofile", "memprofile",
 }
 
-// retired is the flag that selected the second rank scheduler, spelled in
-// two pieces so a grep for the name over the Go sources comes back empty.
-const retired = "-epoch" + "-jobs"
+// retired are the flags that selected the second rank scheduler and turned
+// epoch fast-forwarding off, each spelled in two pieces so a grep for the
+// name over the Go sources comes back empty.
+var retired = []string{"-epoch" + "-jobs", "-no-fast" + "forward"}
 
 // TestSharedFlagsExistOnce pins that Bind registers exactly the four shared
 // groups, that every batch command exposes each of them with the helper's
 // name, default and help text (so none re-declares one), that the retired
-// per-simulation host-core flag is unknown to all three, and that -resume
+// flags are unknown to all three, and that -resume
 // without -checkpoint is rejected here rather than in each main.
 func TestSharedFlagsExistOnce(t *testing.T) {
 	var s experiments.Scale
@@ -63,9 +64,11 @@ func TestSharedFlagsExistOnce(t *testing.T) {
 				t.Errorf("%s -h does not show -%s as the helper declares it:\n%s", cmd, name, usage[name])
 			}
 		}
-		out, err = exec.Command("go", "run", "bgpsim/cmd/"+cmd, retired, "2").CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+retired) {
-			t.Errorf("%s %s 2: err = %v, want an undefined-flag rejection\n%s", cmd, retired, err, out)
+		for _, name := range retired {
+			out, err = exec.Command("go", "run", "bgpsim/cmd/"+cmd, name, "2").CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+name) {
+				t.Errorf("%s %s 2: err = %v, want an undefined-flag rejection\n%s", cmd, name, err, out)
+			}
 		}
 	}
 

@@ -60,8 +60,8 @@ type Scale struct {
 	// NoProgCache disables cross-run compile memoization (see
 	// bgp.RunConfig.NoProgCache); figures are identical either way.
 	NoProgCache bool
-	// NoFastForward disables epoch fast-forwarding (see
-	// bgp.RunConfig.NoFastForward); figures are identical either way.
+	// NoFastForward has no effect; kept because benchmark/ compiles against
+	// it; ROADMAP item 11 deletes it.
 	NoFastForward bool
 	// NoEpochMemo disables the epoch memo (see
 	// bgp.RunConfig.NoEpochMemo); figures are identical either way.
@@ -139,7 +139,6 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 	for i := range cfgs {
 		cfgs[i].Interpreter = s.Interpreter
 		cfgs[i].NoProgCache = s.NoProgCache
-		cfgs[i].NoFastForward = s.NoFastForward
 		cfgs[i].NoEpochMemo = s.NoEpochMemo
 	}
 }
@@ -464,16 +463,6 @@ func compilerPoint(opts compiler.Options, m *postproc.Metrics) CompilerPoint {
 		ExecCycles:       m.ExecCycles,
 		MFLOPS:           m.MFLOPS,
 	}
-}
-
-// CompilerSweep runs one benchmark across the compiler study's builds
-// (Figures 7-10 are slices of its output).
-func CompilerSweep(benchmark string, s Scale) ([]CompilerPoint, error) {
-	rows, err := Fig910ExecTimes([]string{benchmark}, s)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0].Points, nil
 }
 
 // ExecTimeRow is one benchmark's execution-time series across builds

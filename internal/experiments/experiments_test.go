@@ -60,13 +60,14 @@ func TestFig6ProfileShapes(t *testing.T) {
 }
 
 func TestFig78SIMDShapes(t *testing.T) {
-	for _, bench := range []string{"ft", "mg"} {
-		pts, err := CompilerSweep(bench, QuickScale())
-		if err != nil {
-			t.Fatal(err)
-		}
+	rows, err := Fig910ExecTimes([]string{"ft", "mg"}, QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		bench := row.Benchmark
 		byOpts := map[compiler.Options]CompilerPoint{}
-		for _, p := range pts {
+		for _, p := range row.Points {
 			byOpts[p.Opts] = p
 		}
 		// No SIMD instructions at all without -qarch=440d.

@@ -314,15 +314,6 @@ func (j *Job) EnableEpochMemo(c *epochmemo.Cache, cfgKey string) {
 	j.memoCfgKey = cfgKey
 }
 
-// SetFastForward enables or disables epoch fast-forwarding (default on):
-// when a rank is the only runnable rank of the job, its compute ops run to
-// completion in one dispatch instead of bounded time slices — exact by the
-// batched-execution contract (core.Exec is bit-identical at any limit) and
-// by sole-runnability (the scheduler could only have redispatched the same
-// rank). Jobs with an OnAdvance observer keep slicing regardless,
-// preserving sample cadence, as does any node with a UPC threshold handler.
-func (j *Job) SetFastForward(on bool) { j.noFF = !on }
-
 // MarkExternal tells the memo that state outside the simulated machine
 // vector (UPC counter registers, host-side observers) was mutated mid-run.
 // Before the first cut this is a no-op — epochs only open at cuts. Later it
@@ -344,11 +335,8 @@ func (j *Job) MarkExternal() {
 	}
 }
 
-// PerfStats reports what the fast-forward and memo layers did during Run.
+// PerfStats reports what the epoch memo did during Run.
 type PerfStats struct {
-	// FFDispatches counts compute ops that ran to completion in one
-	// dispatch; FFCycles is the simulated cycles they covered.
-	FFDispatches, FFCycles uint64
 	// Epoch memo cut and epoch counts for this job only. A hit is a cut that
 	// replayed its epoch; every miss ran its epoch live. FirstSights counts
 	// the misses of a run whose identity had never been seen (one mark left,
@@ -364,13 +352,9 @@ type PerfStats struct {
 	EpochMemoFlattens, EpochMemoMaterializations uint64
 }
 
-// Perf returns this job's fast-forward and memo counters.
+// Perf returns this job's memo counters.
 func (j *Job) Perf() PerfStats {
 	var s PerfStats
-	for _, r := range j.ranks {
-		s.FFDispatches += r.ffDispatches
-		s.FFCycles += r.ffCycles
-	}
 	if m := j.memo; m != nil {
 		s.EpochMemoHits, s.EpochMemoMisses, s.EpochMemoFirstSights = m.hits, m.misses, m.firstSights
 		s.EpochMemoStores, s.EpochMemoCorrupt = m.stores, m.corrupt
@@ -379,10 +363,9 @@ func (j *Job) Perf() PerfStats {
 	return s
 }
 
-// initRunModes resolves the fast-forward and memo gates once per Run,
-// after all observers are installed.
-func (j *Job) initRunModes() {
-	j.ffOn = !j.noFF && j.onAdvance == nil
+// initMemo resolves the memo gate once per Run, after all observers are
+// installed.
+func (j *Job) initMemo() {
 	if j.memoCache == nil || j.onAdvance != nil || j.onSpan != nil {
 		return
 	}
@@ -741,21 +724,4 @@ func (r *Rank) recordExec(p *isa.Program) {
 	for _, st := range r.states(p) {
 		rs.recRng = append(rs.recRng, st.RngState())
 	}
-}
-
-// fastForwardable reports whether the rank may run a compute op to
-// completion in one dispatch: fast-forward is on, nothing samples dispatch
-// cadence, and the rank is the only runnable rank of the job, so the
-// scheduler could only redispatch it anyway.
-func (r *Rank) fastForwardable() bool {
-	j := r.job
-	if !j.ffOn || r.nd.UPC.HasHandler() {
-		return false
-	}
-	for _, o := range j.ranks {
-		if o != r && o.status == statusReady {
-			return false
-		}
-	}
-	return true
 }

@@ -389,71 +389,69 @@ func TestEpochMemoLazyChain(t *testing.T) {
 		{name: "upc-handler-armed", mid: armHandler, perf: memoPerf{hits: 2, flattens: 1, materializations: 1}},
 	}
 	for _, mode := range []machine.OpMode{machine.VNM, machine.SMP4, machine.Dual} {
-		for _, ff := range []string{"ff-on", "ff-off"} {
-			t.Run(strings.ReplaceAll(mode.String(), "/", "")+"/"+ff, func(t *testing.T) {
-				run := func(cache *epochmemo.Cache, mid func(*Rank)) (*Job, [][]int) {
-					j, results, run, err := mixedJobHooked(mode, cache, mid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					j.SetFastForward(ff == "ff-on")
-					if err := run(); err != nil {
-						t.Fatal(err)
-					}
-					return j, results
+		// "ff-off" is the subtests' established name: every dispatch slices.
+		t.Run(strings.ReplaceAll(mode.String(), "/", "")+"/ff-off", func(t *testing.T) {
+			run := func(cache *epochmemo.Cache, mid func(*Rank)) (*Job, [][]int) {
+				j, results, run, err := mixedJobHooked(mode, cache, mid)
+				if err != nil {
+					t.Fatal(err)
 				}
-				plain, plainResults := run(nil, nil)
-				armed, armedResults := run(nil, armHandler)
-				// One undisturbed recording serves every break that damages
-				// the chain afterwards: each works on its own copy.
-				warm := epochmemo.New(0)
-				run(warm, nil) // the identity's first run
-				run(warm, nil) // records epochs 1 to 4
-				pristine, key := storedChain(t, warm), warm.Keys()[0]
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+				return j, results
+			}
+			plain, plainResults := run(nil, nil)
+			armed, armedResults := run(nil, armHandler)
+			// One undisturbed recording serves every break that damages
+			// the chain afterwards: each works on its own copy.
+			warm := epochmemo.New(0)
+			run(warm, nil) // the identity's first run
+			run(warm, nil) // records epochs 1 to 4
+			pristine, key := storedChain(t, warm), warm.Keys()[0]
 
-				for _, br := range breaks {
-					t.Run(br.name, func(t *testing.T) {
-						want, wantResults := machineState(plain), plainResults
-						if br.mid != nil {
-							want, wantResults = machineState(armed), armedResults
+			for _, br := range breaks {
+				t.Run(br.name, func(t *testing.T) {
+					want, wantResults := machineState(plain), plainResults
+					if br.mid != nil {
+						want, wantResults = machineState(armed), armedResults
+					}
+					cache := epochmemo.New(0)
+					if br.recMid != nil {
+						run(cache, nil)
+						run(cache, br.recMid) // records as far as recMid lets it
+					} else {
+						ch := &epochChain{start: pristine.start, entries: append([]epochEntry(nil), pristine.entries...)}
+						for i := range ch.entries {
+							ch.entries[i].diffVal = append([]uint64(nil), ch.entries[i].diffVal...)
 						}
-						cache := epochmemo.New(0)
-						if br.recMid != nil {
-							run(cache, nil)
-							run(cache, br.recMid) // records as far as recMid lets it
-						} else {
-							ch := &epochChain{start: pristine.start, entries: append([]epochEntry(nil), pristine.entries...)}
-							for i := range ch.entries {
-								ch.entries[i].diffVal = append([]uint64(nil), ch.entries[i].diffVal...)
-							}
-							cache.Record(key, ch, ch.footprint())
-						}
-						if br.sabotage != nil {
-							br.sabotage(storedChain(t, cache))
-						}
-						j, results := run(cache, br.mid)
-						diffStates(t, "run over the broken chain vs plain", want, machineState(j))
-						if got := memoPerfOf(j); got != br.perf {
-							t.Fatalf("run over the broken chain perf = %+v, want %+v", got, br.perf)
-						}
-						for r := range wantResults {
-							for i := range wantResults[r] {
-								if results[r][i] != wantResults[r][i] {
-									t.Fatalf("rank %d op result %d = %d, plain %d", r, i, results[r][i], wantResults[r][i])
-								}
-							}
-						}
-						if br.next != (memoPerf{}) {
-							j, _ := run(cache, br.mid)
-							diffStates(t, "run after the broken chain vs plain", want, machineState(j))
-							if got := memoPerfOf(j); got != br.next {
-								t.Fatalf("run after the broken chain perf = %+v, want %+v", got, br.next)
+						cache.Record(key, ch, ch.footprint())
+					}
+					if br.sabotage != nil {
+						br.sabotage(storedChain(t, cache))
+					}
+					j, results := run(cache, br.mid)
+					diffStates(t, "run over the broken chain vs plain", want, machineState(j))
+					if got := memoPerfOf(j); got != br.perf {
+						t.Fatalf("run over the broken chain perf = %+v, want %+v", got, br.perf)
+					}
+					for r := range wantResults {
+						for i := range wantResults[r] {
+							if results[r][i] != wantResults[r][i] {
+								t.Fatalf("rank %d op result %d = %d, plain %d", r, i, results[r][i], wantResults[r][i])
 							}
 						}
-					})
-				}
-			})
-		}
+					}
+					if br.next != (memoPerf{}) {
+						j, _ := run(cache, br.mid)
+						diffStates(t, "run after the broken chain vs plain", want, machineState(j))
+						if got := memoPerfOf(j); got != br.next {
+							t.Fatalf("run after the broken chain perf = %+v, want %+v", got, br.next)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -861,32 +859,5 @@ func TestEpochMemoThreadedMode(t *testing.T) {
 		if got := memoPerfOf(j); got != pass.perf {
 			t.Fatalf("smp %s pass perf = %+v, want %+v", pass.name, got, pass.perf)
 		}
-	}
-}
-
-// TestFastForwardOptOut pins that disabling fast-forward changes nothing
-// but the dispatch count.
-func TestFastForwardOptOut(t *testing.T) {
-	run := func(ff bool) *Job {
-		m := machine.New(2, machine.VNM, machine.DefaultParams())
-		j, err := NewJob(m, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.SetFastForward(ff)
-		results := make([][]int, 8)
-		if err := j.Run(mixedBody(computeProgram(120_000), randomProgram(60_000), results)); err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	on := run(true)
-	off := run(false)
-	diffStates(t, "fast-forward on vs off", machineState(off), machineState(on))
-	if p := on.Perf(); p.FFDispatches == 0 || p.FFCycles == 0 {
-		t.Fatalf("fast-forward on but never engaged: %+v", p)
-	}
-	if p := off.Perf(); p.FFDispatches != 0 {
-		t.Fatalf("fast-forward off but engaged: %+v", p)
 	}
 }

@@ -77,12 +77,9 @@ type Job struct {
 	err     error
 	aborted bool
 
-	// Fast-forward and epoch-memo state (see memo.go). noFF is the
-	// SetFastForward opt-out; ffOn is the resolved gate, fixed at Run.
-	// memo is non-nil only when the memo engaged (EnableEpochMemo called
-	// and no observer hooks installed); its mode changes at cuts only.
-	noFF       bool
-	ffOn       bool
+	// Epoch-memo state (see memo.go). memo is non-nil only when the memo
+	// engaged (EnableEpochMemo called and no observer hooks installed); its
+	// mode changes at cuts only.
 	memoCache  *epochmemo.Cache
 	memoCfgKey string
 	memo       *epochMemo
@@ -121,10 +118,6 @@ type Rank struct {
 	// records or replays (see memo.go): every other run's per-op hook is one
 	// nil check.
 	memo *memoRank
-
-	// Fast-forward counters, summed by Job.Perf.
-	ffDispatches uint64
-	ffCycles     uint64
 }
 
 // NewJob prepares a launch of nranks processes on the partition. The rank
@@ -229,7 +222,7 @@ func (j *Job) Run(body func(*Rank)) error {
 	if j.aborted {
 		return fmt.Errorf("mpi: job already run")
 	}
-	j.initRunModes()
+	j.initMemo()
 	if j.memo != nil {
 		// Every return below follows each rank goroutine's final yield.
 		defer j.memo.finish()

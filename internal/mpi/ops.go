@@ -51,21 +51,6 @@ func (r *Rank) exec(p *isa.Program) {
 	}
 	st := states[0]
 	for {
-		if r.fastForwardable() {
-			// Sole runnable rank of the job — the usual straggler tail of
-			// an epoch, with every peer blocked at the next
-			// synchronization point. No other rank can touch shared
-			// state or become runnable until this one blocks, so slicing
-			// could only redispatch the same rank; one unbounded Exec lets
-			// the closed-form and coalesced kernels take the remaining
-			// trip space in single analytic steps instead of slice-sized
-			// bites — bit-identical by the batched-execution contract.
-			before := r.cr.Cycles
-			r.cr.Exec(st, 0)
-			r.ffDispatches++
-			r.ffCycles += r.cr.Cycles - before
-			return
-		}
 		if r.cr.Exec(st, r.cr.Cycles+r.job.slice) {
 			return
 		}
@@ -164,13 +149,6 @@ func (r *Rank) Compute(cycles uint64) {
 		return
 	}
 	for cycles > 0 {
-		if r.fastForwardable() {
-			r.ffDispatches++
-			r.ffCycles += cycles
-			r.cr.AdvanceCycles(cycles)
-			r.yield()
-			return
-		}
 		step := cycles
 		if step > r.job.slice {
 			step = r.job.slice

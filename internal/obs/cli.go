@@ -60,10 +60,10 @@ func SetupCLI(tracePath, metricsAddr string, logf func(format string, args ...an
 // whole-machine passes are counted, since they are the only memo costs not
 // proportional to a diff.
 func perfSummary(c map[string]uint64) string {
-	return fmt.Sprintf("perf: %d runs (%d served); fast-forward %d dispatches (%d cycles); "+
+	return fmt.Sprintf("perf: %d runs (%d served); "+
 		"epoch memo %d hits, %d misses (%d first sight), %d stores, %d corrupt, %d flattens, %d materializations; "+
 		"progcache %d hits, %d misses",
-		c[MetricRuns], c[MetricRunsServed], c[MetricFFPrefix+"dispatches"], c[MetricFFPrefix+"cycles"],
+		c[MetricRuns], c[MetricRunsServed],
 		c[MetricEpochMemoPrefix+"hits"], c[MetricEpochMemoPrefix+"misses"], c[MetricEpochMemoPrefix+"first_sight"],
 		c[MetricEpochMemoPrefix+"stores"], c[MetricEpochMemoPrefix+"corrupt"],
 		c[MetricEpochMemoPrefix+"flattens"], c[MetricEpochMemoPrefix+"materializations"],

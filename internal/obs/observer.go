@@ -78,9 +78,8 @@ type RunStats struct {
 	// DDR line totals across every node's controllers.
 	DDRReadLines, DDRWriteLines uint64
 
-	// FFDispatches counts compute operations the run's fast-forward layer
-	// ran to completion in one dispatch; FFCycles is the simulated cycles
-	// those dispatches covered (see internal/mpi).
+	// FFDispatches and FFCycles have no effect and read zero; kept because
+	// benchmark/ compiles against them; ROADMAP item 11 deletes them.
 	FFDispatches, FFCycles uint64
 	// Epoch-memo cut and epoch counts for the run: cuts that replayed a
 	// recorded epoch, cuts that simulated live, and the epochs of the replay
@@ -97,8 +96,8 @@ type RunStats struct {
 	// proportional to the redundancy it removes.
 	EpochMemoFlattens, EpochMemoMaterializations uint64
 	// ProgCacheHits/ProgCacheMisses record the run's single compile-cache
-	// lookup (1/0 on a hit, 0/1 on a compile; both zero when the cache is
-	// disabled).
+	// lookup (1/0 on a hit, 0/1 on a compile; a run with the cache disabled
+	// compiles, so it reads 0/1).
 	ProgCacheHits, ProgCacheMisses uint64
 }
 
@@ -147,9 +146,9 @@ const (
 	// sweep.run_failed, sweep.run_skipped,
 	// sweep.checkpoint_persist, sweep.checkpoint_restore.
 	MetricSweepPrefix = "sweep."
-	// MetricFFPrefix prefixes epoch fast-forward counters:
-	// sim.ff.dispatches (compute ops run to completion in one dispatch)
-	// and sim.ff.cycles (simulated cycles those dispatches covered).
+	// MetricFFPrefix has no effect: no counter is registered under it. It is
+	// kept because benchmark/ compiles against it; ROADMAP item 11 deletes
+	// it.
 	MetricFFPrefix = "sim.ff."
 	// MetricEpochMemoPrefix prefixes epoch-memo counters:
 	// sim.epochmemo.hits, sim.epochmemo.misses, sim.epochmemo.first_sight
@@ -196,8 +195,6 @@ var runCounters = []struct {
 	{"cache.l3pf.issued", func(s RunStats) uint64 { return s.L3PrefetchIssued }},
 	{"ddr.read_lines", func(s RunStats) uint64 { return s.DDRReadLines }},
 	{"ddr.write_lines", func(s RunStats) uint64 { return s.DDRWriteLines }},
-	{MetricFFPrefix + "dispatches", func(s RunStats) uint64 { return s.FFDispatches }},
-	{MetricFFPrefix + "cycles", func(s RunStats) uint64 { return s.FFCycles }},
 	{MetricEpochMemoPrefix + "hits", func(s RunStats) uint64 { return s.EpochMemoHits }},
 	{MetricEpochMemoPrefix + "misses", func(s RunStats) uint64 { return s.EpochMemoMisses }},
 	{MetricEpochMemoPrefix + "first_sight", func(s RunStats) uint64 { return s.EpochMemoFirstSights }},

@@ -322,8 +322,9 @@ func (s *Server) Submit(spec *JobSpec, cfgs []bgp.RunConfig) (j *job, created bo
 			return j, false, nil
 		}
 		// A failed job may be resubmitted; it re-queues as a fresh job
-		// below (completed runs will restore from the store).
-		delete(s.jobs, id)
+		// below (completed runs will restore from the store), which
+		// admitLocked puts in its place. A refused resubmission leaves the
+		// failed job where it is.
 	}
 	if s.tenants[spec.Tenant] >= s.cfg.TenantJobs {
 		s.jobsRejected.Inc()

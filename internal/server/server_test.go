@@ -360,7 +360,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The execution-accelerator counters are registered on the daemon's
 	// recorder, so they surface here alongside the server.cache.* family.
 	for _, name := range []string{
-		"sim.ff.dispatches", "sim.ff.cycles",
 		"sim.epochmemo.hits", "sim.epochmemo.misses", "sim.epochmemo.first_sight",
 		"sim.epochmemo.stores", "sim.epochmemo.corrupt",
 		"sim.epochmemo.flattens", "sim.epochmemo.materializations",
@@ -400,5 +399,32 @@ func TestPanickingRunFailsItsJobOnce(t *testing.T) {
 
 	if st := waitDone(t, ts.URL, submitJob(t, ts.URL, server.JobSpec{Tenant: "p", Runs: specs[1:2]}).ID); st.State != server.StateDone {
 		t.Errorf("job after the panic ended %s (%s), want done: the run slot was not released", st.State, st.Error)
+	}
+}
+
+// TestRefusedResubmissionKeepsFailedJob pins that resubmitting a failed job
+// replaces it only when the resubmission is admitted: one the tenant limit
+// refuses with a 429 leaves the failed job answering its status.
+func TestRefusedResubmissionKeepsFailedJob(t *testing.T) {
+	specs := fastSpecs()
+	inj := faults.New(0xFA11)
+	inj.Arm(bgp.RunKey(0, compileSpec(t, specs[0])), faults.Panic)
+	inj.Arm(bgp.RunKey(0, compileSpec(t, specs[1])), faults.Stall)
+	_, ts := newTestServer(t, server.Config{RunWorkers: 1, JobWorkers: 1, TenantJobs: 1, Faults: inj})
+
+	failedSpec := server.JobSpec{Tenant: "r", Runs: specs[:1]}
+	failed := waitDone(t, ts.URL, submitJob(t, ts.URL, failedSpec).ID)
+	if failed.State != server.StateFailed {
+		t.Fatalf("panicking job ended %s, want failed", failed.State)
+	}
+	// A stalled job holds the tenant's one slot.
+	waitState(t, ts.URL, submitJob(t, ts.URL, server.JobSpec{Tenant: "r", Runs: specs[1:2]}).ID, server.StateRunning)
+
+	body, _ := specBody(t, failedSpec)
+	if code, data := submitRaw(t, ts.URL, body); code != http.StatusTooManyRequests {
+		t.Fatalf("resubmission over the tenant limit = %d, want 429 (body %s)", code, data)
+	}
+	if st := getStatus(t, ts.URL, failed.ID); st.State != server.StateFailed {
+		t.Errorf("failed job after a refused resubmission is %s, want failed", st.State)
 	}
 }

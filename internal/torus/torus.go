@@ -58,9 +58,6 @@ func New(x, y, z int, cfg Config) *Network {
 	return n
 }
 
-// Dims returns the torus dimensions.
-func (n *Network) Dims() (x, y, z int) { return n.dims[0], n.dims[1], n.dims[2] }
-
 // NumNodes returns the number of nodes in the torus.
 func (n *Network) NumNodes() int { return len(n.ifaces) }
 

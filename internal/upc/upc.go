@@ -244,7 +244,7 @@ func (u *Unit) raw() (v [NumCounters]uint64) {
 }
 
 // HasHandler reports whether a threshold-interrupt handler is installed.
-// The epoch memo and fast-forward paths disable themselves on nodes with a
-// live handler: both change how often Poll runs, which is observable only
-// through handler invocations.
+// The epoch memo disables itself on nodes with a live handler: replay
+// changes how often Poll runs, which is observable only through handler
+// invocations.
 func (u *Unit) HasHandler() bool { return u.handler != nil }

@@ -5,8 +5,8 @@ package workload
 // applied exactly the way the NAS builders do, and the result is an
 // authored compiler.Kernel plus an SPMD body — indistinguishable, to the
 // rest of the system, from a hand-written benchmark. The compile cache,
-// batched engine, fast-forwarding and epoch memoization therefore apply
-// without modification.
+// batched engine and epoch memoization therefore apply without
+// modification.
 
 import (
 	"fmt"

@@ -4,8 +4,8 @@
 // drawn from seeded distributions, collective and point-to-point
 // communication phases with bursty (gamma/weibull) repeat counts — and
 // compiles them down to the same compiler/isa representation the NAS
-// benchmarks use, so the compile cache, batched engine, fast-forwarding
-// and epoch memoization all apply unchanged.
+// benchmarks use, so the compile cache, batched engine and epoch
+// memoization all apply unchanged.
 //
 // The determinism contract: a (spec, seed, class, ranks, opts) tuple
 // resolves to exactly one compiled kernel and one SPMD body, every time, on
@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -84,7 +83,7 @@ const (
 )
 
 // Spec is one decoded workload specification. The decoder (DecodeSpecBytes,
-// and LoadSpec and DecodeSpec through it) is its only constructor: it
+// and LoadSpec through it) is its only constructor: it
 // validates the fields and takes their fingerprint, which a Spec built any
 // other way lacks.
 type Spec struct {
@@ -179,15 +178,6 @@ func LoadSpec(path string) (*Spec, error) {
 		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
 	return s, nil
-}
-
-// DecodeSpec decodes a spec from a reader.
-func DecodeSpec(r io.Reader) (*Spec, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	return DecodeSpecBytes(b)
 }
 
 // DecodeSpecBytes strictly decodes a YAML workload spec.

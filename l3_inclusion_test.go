@@ -199,7 +199,7 @@ func TestServesLargerL3RefusesOtherIdentities(t *testing.T) {
 // identity all derive the same value, for an evicting L3 and a free one.
 func TestL3EvictionFreeSameOnEveryPath(t *testing.T) {
 	for _, l3 := range []int{64 << 10, 2 << 20} {
-		cfg := determinismCases()[0] // mg S/4 SMP/1: fast-forward and the memo engage
+		cfg := determinismCases()[0] // mg S/4 SMP/1: the memo engages
 		cfg.L3Bytes = l3
 		want, err := bgp.Run(cfg)
 		if err != nil {
@@ -209,8 +209,8 @@ func TestL3EvictionFreeSameOnEveryPath(t *testing.T) {
 			t.Errorf("%d KB: fact %t on the default path", l3>>10, want.L3EvictionFree)
 		}
 		for name, edit := range map[string]func(*bgp.RunConfig){
-			"interpreter":     func(c *bgp.RunConfig) { c.Interpreter = true },
-			"no fast-forward": func(c *bgp.RunConfig) { c.NoFastForward = true; c.NoEpochMemo = true },
+			"interpreter": func(c *bgp.RunConfig) { c.Interpreter = true },
+			"no memo":     func(c *bgp.RunConfig) { c.NoEpochMemo = true },
 		} {
 			c := cfg
 			edit(&c)
