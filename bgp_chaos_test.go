@@ -2,11 +2,12 @@ package bgp_test
 
 // The chaos harness of the resilient sweep layer. The exactness contract is
 // that recovery machinery never perturbs simulation results: with a fault
-// schedule injecting panics and dump corruption, a ContinueOnError sweep
-// reports the panicked runs as failed, and resuming it must converge to
-// counter dumps byte-identical to a clean serial run — across all four
-// operating modes (determinismCases covers one benchmark per mode). Each
-// run gets one attempt, so recovery is resume, never retry. The fault
+// schedule injecting panics and dump corruption, a checkpointed sweep
+// reports the panicked runs as failed, and running it again on the same
+// directory must converge to counter dumps byte-identical to a clean serial
+// run — across all four operating modes (determinismCases covers one
+// benchmark per mode). Each run gets one attempt, so recovery is a second
+// sweep that restores what the first committed, never a retry. The fault
 // injector draws from its own RNG streams, so arming it changes when runs
 // fail, never what they compute.
 
@@ -64,7 +65,7 @@ func checkpointDumpBytes(t *testing.T, ckptDir string, cfg bgp.RunConfig) map[st
 }
 
 // sweepEvents returns an observer and a reader of the sweep events it has
-// seen: checkpoint_restore counts the runs a Resume pass restored,
+// seen: checkpoint_restore counts the runs a pass restored,
 // checkpoint_persist the ones it executed.
 func sweepEvents() (*obs.Recorder, func(obs.SweepEvent) int) {
 	reg := obs.NewRegistry()
@@ -120,11 +121,13 @@ func (o onRunDone) RunDone(st obs.RunStats) {
 
 // TestChaosDeterminism injects a fault schedule — a panic in a run no other
 // position shares, a panic in a run whose twin completes, and write-path
-// dump corruption — into a ContinueOnError sweep with checkpointing, then
-// resumes. The panicked positions are the sweep's failures; the resumed
-// sweep's persisted dumps must be byte-identical to the fault-free serial
-// golden runs. Faults are armed per sweep position; the checkpoint entry is
-// the identity's, which the repeated positions 4 and 5 share with 0 and 3.
+// dump corruption — into a checkpointed sweep, then runs it again on the
+// same directory. The panicked positions are the sweep's failures; the
+// second sweep's persisted dumps must be byte-identical to the fault-free
+// serial golden runs. Faults are armed per sweep position and consulted
+// before the restore, so each fires where it was armed; the checkpoint
+// entry is the identity's, which the repeated positions 4 and 5 share with
+// 0 and 3.
 func TestChaosDeterminism(t *testing.T) {
 	cases := determinismCases() // one benchmark per operating mode
 	cfgs := append(cases, cases[0], cases[3])
@@ -138,33 +141,41 @@ func TestChaosDeterminism(t *testing.T) {
 		keys[i] = bgp.RunKey(i, cfg)
 	}
 	inj := faults.New(0xB1_0E6E)
-	inj.Arm(keys[1], faults.Panic)       // panic isolation; resume executes it
-	inj.Arm(keys[3], faults.CorruptDump) // resume validation must catch it
+	inj.Arm(keys[1], faults.Panic)       // panic isolation; the second pass executes it
+	inj.Arm(keys[3], faults.CorruptDump) // restore validation must catch it
 	inj.Arm(keys[4], faults.Panic)       // its twin, run 0, commits the entry
 	// keys[0], keys[2] and keys[5] unarmed: fault-free controls through
 	// the same machinery.
 
-	// The corrupting writer (3) and the clean control (5) write one entry.
-	// The corrupting one waits, between simulating and persisting, until
-	// its clean twin has committed, so the entry left behind is always the
-	// corrupt one and resume validation must catch it.
+	// The corrupting writer (3) and the clean control (5) write one entry,
+	// and each probes it for a restore first. The clean twin waits, between
+	// simulating and persisting, until the writer has passed its probe, so
+	// both miss; the writer then waits until its twin has committed, so the
+	// entry left behind is always the corrupt one and restore validation
+	// must catch it.
 	ckptDir := filepath.Join(root, "ckpt")
 	twinEntry := filepath.Join(ckptDir, bgp.RunKey(0, cfgs[5]), "ENTRY.json")
-	twinCommitted := make(chan struct{})
+	writerProbed, twinCommitted := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	cfgs[3].Observer = onRunDone{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+	await := func(ch chan struct{}, what string) {
 		select {
-		case <-twinCommitted:
+		case <-ch:
 		case <-time.After(time.Minute):
-			t.Error("run 5 never committed the entry run 3 shares")
+			t.Error(what)
 		}
+	}
+	cfgs[3].Observer = onRunDone{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+		close(writerProbed)
+		await(twinCommitted, "run 5 never committed the entry run 3 shares")
+	}}
+	cfgs[5].Observer = onRunDone{obs.NewRecorder(obs.NewRegistry(), nil), func() {
+		await(writerProbed, "run 3 never passed its restore probe")
 	}}
 	chaosReg := obs.NewRegistry()
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:         len(cfgs),
-		ContinueOnError: true,
-		CheckpointDir:   ckptDir,
-		Faults:          inj,
+		Workers:       len(cfgs),
+		CheckpointDir: ckptDir,
+		Faults:        inj,
 		Observer: onPersist{obs.NewRecorder(chaosReg, nil), func() {
 			if _, err := os.Stat(twinEntry); err == nil {
 				once.Do(func() { close(twinCommitted) })
@@ -210,18 +221,24 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Errorf("injector fired %d faults, want 3 (one attempt per run)", n)
 	}
 
-	// Resume, one position at a time: restores pristine checkpoints,
-	// executes the panicked run nobody else completed, re-runs the
-	// corrupted entry, and converges.
+	// The chaos pass restored nothing: every entry it could have restored
+	// was uncommitted at its probe, or its position panicked first.
+	if n := counters[obs.MetricSweepPrefix+string(obs.EventCheckpointRestore)]; n != 0 {
+		t.Errorf("chaos pass restored %d runs, want 0", n)
+	}
+
+	// Run the sweep again, one position at a time and with the hooks
+	// removed: it restores pristine checkpoints, executes the panicked run
+	// nobody else completed, re-runs the corrupted entry, and converges.
+	cfgs[3].Observer, cfgs[5].Observer = nil, nil
 	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       1,
 		CheckpointDir: ckptDir,
-		Resume:        true,
 		Observer:      rec,
 	})
 	if err != nil {
-		t.Fatalf("resume pass: %v", err)
+		t.Fatalf("second pass: %v", err)
 	}
 	// Runs 0 and 2 persisted pristine dumps, and failed run 4 is run 0's
 	// identity, so those three restore. Failed run 1 has no entry and
@@ -234,7 +251,7 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Errorf("resume executed %d runs, want 2 (the panicked and the corrupted one)", e)
 	}
 
-	// The exactness contract: after panics, corruption and resume, every run's
+	// The exactness contract: after panics, corruption and a second pass, every run's
 	// persisted dump set is byte-identical to the fault-free serial run.
 	for i, cfg := range cfgs {
 		want := goldenDumps[goldenOf[i]]
@@ -256,10 +273,9 @@ func TestChaosDeterminism(t *testing.T) {
 // TestChaosMemoizedDeterminism runs the fault-recovery contract with the
 // execution accelerators armed: a shared compile cache (so resumed runs
 // hit memoized programs) and the epoch memo.
-// A sweep with injected faults takes the partial-output path
-// (ContinueOnError with one panicked run — the CLI's exit-status-3 case)
-// and persists one corrupted entry, then resumes from its checkpoints
-// against the warm cache; every recovered run's persisted dumps must stay
+// A sweep with injected faults takes the partial-output path (one
+// panicked run — the CLI's exit-status-3 case) and persists one corrupted
+// entry, then runs again on its checkpoints against the warm cache; every recovered run's persisted dumps must stay
 // byte-identical to fault-free serial runs that never saw cache, faults or
 // the epoch memo. Two fault-free sweeps walk the memo through its admission
 // policy first (first sight, then recording), so every run of the chaos
@@ -302,16 +318,16 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].ProgCache = cache
 	}
-	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
+	chaosReg := obs.NewRegistry()
+	rec := &runLog{Recorder: obs.NewRecorder(chaosReg, nil)}
 
 	ckptDir := filepath.Join(root, "ckpt")
 	warm := cache.Stats()
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:         len(cfgs),
-		ContinueOnError: true,
-		CheckpointDir:   ckptDir,
-		Faults:          inj,
-		Observer:        rec,
+		Workers:       len(cfgs),
+		CheckpointDir: ckptDir,
+		Faults:        inj,
+		Observer:      rec,
 	})
 	var se *sweep.SweepError
 	if !errors.As(err, &se) {
@@ -333,11 +349,15 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 	if s := cache.Stats(); s.Hits == warm.Hits {
 		t.Error("shared program cache saw no hits; memoization never engaged")
 	}
-	// Every run that completed must have replayed memoized epochs, by its
-	// own counters — the byte comparison below would be vacuous against a
-	// fast path that never ran.
-	if len(rec.runs) != len(cfgs)-1 {
-		t.Errorf("chaos pass completed %d runs, want %d", len(rec.runs), len(cfgs)-1)
+	// Every run that completed simulated or restored: twins 4 and 5
+	// restore when runs 0 and 1 commit before their probe, and simulate
+	// otherwise. Every simulated run must have replayed memoized epochs,
+	// by its own counters — the byte comparison below would be vacuous
+	// against a fast path that never ran.
+	restored := int(chaosReg.Snapshot().Counters[obs.MetricSweepPrefix+string(obs.EventCheckpointRestore)])
+	if len(rec.runs)+restored != len(cfgs)-1 || restored > 2 {
+		t.Errorf("chaos pass simulated %d runs and restored %d, want %d in all, at most the 2 twins restored",
+			len(rec.runs), restored, len(cfgs)-1)
 	}
 	for _, st := range rec.runs {
 		requireReplayed(t, st)
@@ -346,19 +366,18 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 		}
 	}
 
-	// Resume re-runs only the failed run and the corrupted entry — now
-	// entirely from cache hits. Runs 4 and 5 restore the entries runs 0
-	// and 1 wrote.
+	// The second pass re-runs only the failed run and the corrupted entry
+	// — now entirely from cache hits. Runs 0, 1, 4 and 5 restore the
+	// entries runs 0 and 1 (or their twins) wrote.
 	before := cache.Stats()
 	resumeRec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
-		Resume:        true,
 		Observer:      resumeRec,
 	})
 	if err != nil {
-		t.Fatalf("resume pass: %v", err)
+		t.Fatalf("second pass: %v", err)
 	}
 	if r := seen(obs.EventCheckpointRestore); r != 4 {
 		t.Errorf("resume restored %d runs, want 4", r)
@@ -390,8 +409,8 @@ func TestChaosMemoizedDeterminism(t *testing.T) {
 
 // TestSweepResumeAfterCancel interrupts a checkpointed sweep mid-flight
 // (context cancel once half the identities are committed) and relaunches it
-// with Resume: only the unfinished identities re-execute, and the final
-// results equal the clean serial ones.
+// on the same directory: only the unfinished identities re-execute, and the
+// final results equal the clean serial ones.
 func TestSweepResumeAfterCancel(t *testing.T) {
 	cases := determinismCases()
 	cfgs := append(cases, cases...) // 8 runs, two per operating mode
@@ -412,8 +431,9 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 			}
 		}},
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
+	var se *sweep.SweepError
+	if !errors.As(err, &se) || !errors.Is(err, context.Canceled) || len(se.Skipped) == 0 {
+		t.Fatalf("interrupted sweep returned %v, want a *sweep.SweepError skipping runs for context.Canceled", err)
 	}
 	completed := done.Load()
 	if completed >= int64(len(cases)) {
@@ -435,7 +455,6 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       1,
 		CheckpointDir: ckptDir,
-		Resume:        true,
 		Observer:      rec,
 	})
 	if err != nil {
@@ -468,8 +487,8 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 }
 
 // TestResumeOnlyRendersPartialCheckpoints pins the graceful-degradation
-// path bgpreport builds on: with ResumeOnly + ContinueOnError, runs present
-// in the checkpoint are restored, absent ones fail with ErrNotCheckpointed
+// path bgpreport builds on: with ResumeOnly, runs present in the
+// checkpoint are restored, absent ones fail with ErrNotCheckpointed
 // naming the run — by benchmark, or by spec name for a spec run — and
 // nothing executes.
 func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
@@ -486,10 +505,9 @@ func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
 	}
 
 	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:         2,
-		CheckpointDir:   ckptDir,
-		ResumeOnly:      true,
-		ContinueOnError: true,
+		Workers:       2,
+		CheckpointDir: ckptDir,
+		ResumeOnly:    true,
 	})
 	var se *sweep.SweepError
 	if !errors.As(err, &se) {
@@ -516,8 +534,8 @@ func TestResumeOnlyRendersPartialCheckpoints(t *testing.T) {
 }
 
 // TestResumeRestoresIntoDumpDir pins that a restored run leaves its DumpDir
-// as a live run does: the same files, the same bytes (bgprun -dump d
-// -checkpoint ck -resume reports the dumps it wrote).
+// as a live run does: the same files, the same bytes (a second bgprun -dump
+// d -checkpoint ck reports the dumps it wrote).
 func TestResumeRestoresIntoDumpDir(t *testing.T) {
 	cfg := determinismCases()[3]
 	root := t.TempDir()
@@ -533,7 +551,7 @@ func TestResumeRestoresIntoDumpDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, seen := sweepEvents()
-	sc.Resume, sc.Observer = true, rec
+	sc.Observer = rec
 	cfg.DumpDir = restoredDir
 	if _, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc); err != nil {
 		t.Fatal(err)
@@ -555,8 +573,8 @@ func TestResumeRestoresIntoDumpDir(t *testing.T) {
 
 // TestResumeReexecutesTimelineRuns pins that a run sampling a timeline is
 // never served from the checkpoint, whose entries hold dumps and no samples:
-// the Resume pass executes it again and its Result carries the timeline
-// (bgprun -timeline t.csv -checkpoint ck -resume writes t.csv).
+// the second pass executes it again and its Result carries the timeline
+// (a second bgprun -timeline t.csv -checkpoint ck writes t.csv).
 func TestResumeReexecutesTimelineRuns(t *testing.T) {
 	cfg := determinismCases()[3]
 	cfg.TimelineInterval = 100_000
@@ -567,7 +585,7 @@ func TestResumeReexecutesTimelineRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, seen := sweepEvents()
-	sc.Resume, sc.Observer = true, rec
+	sc.Observer = rec
 	resumed, err := bgp.RunAll(context.Background(), []bgp.RunConfig{cfg}, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -613,13 +631,13 @@ func TestRunKeyDistinguishesConfigs(t *testing.T) {
 }
 
 // TestSequentialSweepsShareCheckpointDir is bgpreport's shape: one sweep per
-// figure, each its own RunAll on the one CheckpointDir, none of them with
-// Resume. Every sweep's runs must stay committed — the directory indexes
-// itself entry by entry, so a later sweep cannot drop an earlier one's — and
-// a following Resume pass of any of them restores every run. Entries are
-// keyed by identity, not position: the second sweep repeats the first's
-// point at another index and adds no entry, and a Resume pass with every
-// identity at an index no sweep gave it restores them all. A manifest left
+// figure, each its own RunAll on the one CheckpointDir. Every sweep's runs
+// must stay committed — the directory indexes itself entry by entry, so a
+// later sweep cannot drop an earlier one's — and a following pass of any of
+// them restores every run. Entries are keyed by identity, not position: the
+// second sweep repeats the first's point at another index and restores it,
+// adding no entry, and a pass with every identity at an index no sweep gave
+// it restores them all. A manifest left
 // behind by an older layout is neither read nor rewritten.
 func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 	cases := determinismCases()
@@ -646,7 +664,7 @@ func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 	for _, cfgs := range [][]bgp.RunConfig{first, second, moved} {
 		rec, seen := sweepEvents()
 		if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-			Workers: 2, CheckpointDir: ckptDir, Resume: true, Observer: rec,
+			Workers: 2, CheckpointDir: ckptDir, Observer: rec,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -656,6 +674,56 @@ func TestSequentialSweepsShareCheckpointDir(t *testing.T) {
 	}
 	if got, err := os.ReadFile(stale); err != nil || !bytes.Equal(got, staleBytes) {
 		t.Errorf("stale MANIFEST.json was touched: %q, %v", got, err)
+	}
+}
+
+// TestSecondSweepRestoresEveryRun pins that a checkpoint directory serves
+// what it holds with no other setting: a second RunAll of the same runs on
+// the same CheckpointDir restores every one — nothing simulates — and
+// persists none, leaving every committed file the first sweep wrote in
+// place, with the first sweep's metrics.
+func TestSecondSweepRestoresEveryRun(t *testing.T) {
+	cfgs := determinismCases()
+	sc := bgp.SweepConfig{CheckpointDir: t.TempDir()}
+	first, err := bgp.RunAll(context.Background(), cfgs, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := filepath.Glob(filepath.Join(sc.CheckpointDir, "*", "*"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("first sweep committed no files (%v)", err)
+	}
+	before := make([]os.FileInfo, len(committed))
+	for k, name := range committed {
+		if before[k], err = os.Stat(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Each run's own observer sees its simulation, if any.
+	rec := &runLog{Recorder: obs.NewRecorder(obs.NewRegistry(), nil)}
+	for i := range cfgs {
+		cfgs[i].Observer = rec
+	}
+	second, err := bgp.RunAll(context.Background(), cfgs, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.runs) != 0 {
+		t.Errorf("second sweep simulated %d of %d runs, want none", len(rec.runs), len(cfgs))
+	}
+	for i := range cfgs {
+		if second[i] == nil || !reflect.DeepEqual(second[i].Metrics, first[i].Metrics) {
+			t.Errorf("run %d: second sweep's result differs from the first's", i)
+		}
+	}
+	// A persist replaces each file by rename, so a rewritten file is
+	// another file even when its bytes are the same.
+	for k, name := range committed {
+		after, err := os.Stat(name)
+		if err != nil || !os.SameFile(before[k], after) {
+			t.Errorf("second sweep rewrote %s (%v)", name, err)
+		}
 	}
 }
 

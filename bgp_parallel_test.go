@@ -16,10 +16,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	bgp "bgpsim"
 	"bgpsim/internal/obs"
+	"bgpsim/internal/sweep"
 )
 
 // determinismCases covers at least one benchmark in every node operating
@@ -156,20 +158,31 @@ func TestConcurrentJobsRace(t *testing.T) {
 }
 
 // TestRunAllPropagatesErrors pins the pool's failure contract at the public
-// API: an invalid configuration cancels the sweep and surfaces one wrapped
-// error identifying the failed run.
+// API: an invalid configuration fails its own run only — the other run
+// finishes — and the sweep returns one *sweep.SweepError that unwraps to
+// the failed run's error, identifying its position; a cancelled context
+// skips the runs not yet started and unwraps to context.Canceled.
 func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs := []bgp.RunConfig{
 		{Benchmark: "mg", Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM},
 		{Benchmark: "no-such-benchmark", Class: bgp.ClassS, Ranks: 4, Mode: bgp.VNM},
 	}
-	if _, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{Workers: 2}); err == nil {
-		t.Fatal("invalid benchmark did not fail the sweep")
+	results, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{Workers: 2})
+	var se *sweep.SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("invalid benchmark: err = %v, want *sweep.SweepError", err)
+	}
+	if len(se.Failed) != 1 || se.Failed[0].Index != 1 || !strings.Contains(se.Failed[0].Err.Error(), "run 1 (no-such-benchmark.S VNM)") {
+		t.Errorf("Failed = %v, want run 1 alone, named", se.Failed)
+	}
+	if results[0] == nil || results[1] != nil {
+		t.Errorf("results = %v, want run 0's result and nil for the failed run 1", results)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := bgp.RunAll(ctx, cfgs[:1], bgp.SweepConfig{Workers: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context returned %v, want context.Canceled", err)
+	_, err = bgp.RunAll(ctx, cfgs[:1], bgp.SweepConfig{Workers: 1})
+	if !errors.As(err, &se) || !errors.Is(err, context.Canceled) || len(se.Skipped) != 1 {
+		t.Fatalf("cancelled context returned %v, want a *sweep.SweepError skipping run 0 for context.Canceled", err)
 	}
 }

@@ -242,8 +242,8 @@ func TestSpecBenchmarkMutuallyExclusive(t *testing.T) {
 }
 
 // TestChaosSpecResume runs the fault-recovery contract over spec workloads:
-// a checkpointed ContinueOnError sweep of HPL-proxy runs with two injected
-// panics fails exactly the panicked positions, and the resumed sweep must
+// a checkpointed sweep of HPL-proxy runs with two injected panics fails
+// exactly the panicked positions, and a second sweep on the directory must
 // persist dumps byte-identical to fault-free serial slow-path runs. This
 // extends the chaos suite (bgp_chaos_test.go) to the spec path without
 // disturbing its fault-index expectations.
@@ -261,7 +261,7 @@ func TestChaosSpecResume(t *testing.T) {
 
 	inj := faults.New(0x4A17)
 	armed := map[string]faults.Kind{
-		bgp.RunKey(1, cfgs[1]): faults.Panic, // no twin: resume executes it
+		bgp.RunKey(1, cfgs[1]): faults.Panic, // no twin: the second pass executes it
 		bgp.RunKey(2, cfgs[2]): faults.Panic, // its twin, run 0, commits the entry
 	}
 	for key, kind := range armed {
@@ -270,10 +270,9 @@ func TestChaosSpecResume(t *testing.T) {
 
 	ckptDir := filepath.Join(root, "ckpt")
 	chaos, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
-		Workers:         len(cfgs),
-		ContinueOnError: true,
-		CheckpointDir:   ckptDir,
-		Faults:          inj,
+		Workers:       len(cfgs),
+		CheckpointDir: ckptDir,
+		Faults:        inj,
 	})
 	var se *sweep.SweepError
 	if !errors.As(err, &se) {
@@ -291,13 +290,12 @@ func TestChaosSpecResume(t *testing.T) {
 	}
 	requireFired(t, inj, armed) // else the recovery comparison is vacuous
 
-	// Resume restores run 0's entry at positions 0 and 2 and executes the
-	// panicked run 1, which no position completed.
+	// The second pass restores run 0's entry at positions 0 and 2 and
+	// executes the panicked run 1, which no position completed.
 	rec, seen := sweepEvents()
 	resumed, err := bgp.RunAll(context.Background(), cfgs, bgp.SweepConfig{
 		Workers:       len(cfgs),
 		CheckpointDir: ckptDir,
-		Resume:        true,
 		Observer:      rec,
 	})
 	if err != nil {

@@ -2,8 +2,8 @@ package bgp
 
 // Sweep checkpointing: each completed run's CRC'd dump set is persisted in
 // its own directory, dir/<RunKey>/, together with one small entry record, so
-// an interrupted or partially-failed sweep can be resumed — runs whose entry
-// validates are restored from their dumps (the derived analysis and metrics
+// running an interrupted or partially-failed sweep again on the directory
+// resumes it — runs whose entry validates are restored from their dumps (the derived analysis and metrics
 // are recomputed, which is exact because they are pure functions of the
 // dumps), and runs with missing, mismatched or corrupt artifacts re-execute.
 //
@@ -14,8 +14,8 @@ package bgp
 // shared between entries, so any number of stores, sweeps and processes may
 // write one directory at once. File stamps (size + CRC32) are computed from
 // the pristine encoded bytes *before* the bytes reach the disk write path, so
-// corruption injected on (or occurring during) the write is caught by resume
-// validation rather than silently trusted.
+// corruption injected on (or occurring during) the write is caught by
+// restore validation rather than silently trusted.
 
 import (
 	"crypto/sha256"
@@ -146,15 +146,15 @@ type CheckpointStore struct {
 	dir string
 	// mutate, when non-nil, transforms each dump file's bytes after the
 	// stamps are computed — the fault injector's write-path corruption hook
-	// (RunAll sets it on a per-attempt copy of the handle); resume
+	// (RunAll sets it on a per-attempt copy of the handle); restore
 	// validation is what must catch the damage.
 	mutate func(name string, blob []byte) []byte
 }
 
 // OpenCheckpointStore creates the checkpoint directory if need be and returns
-// a handle on it. resume is ignored — whether valid entries are restored or
-// re-executed is the caller's choice per run (SweepConfig.Resume), not a
-// property of the handle.
+// a handle on it. resume is ignored: a handle always restores what
+// validates (RunAll restores every valid entry of its CheckpointDir), and
+// the parameter stays because benchmark/ calls it.
 func OpenCheckpointStore(dir string, resume bool) (*CheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bgp: creating checkpoint dir: %w", err)

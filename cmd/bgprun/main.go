@@ -16,14 +16,15 @@
 //
 //	bgprun -spec specs/hpl.yaml -class W -ranks 16
 //
-// Multi-benchmark runs can be made resilient with -keep-going (print the
-// completed benchmarks past failed ones) and -checkpoint/-resume (persist
-// completed runs; re-run only the unfinished ones after an interrupt). Each
-// run gets one attempt: a simulation is a pure function of its
-// configuration, so a failed run fails the same way again.
+// A failed benchmark never discards the others: the completed ones print,
+// and the failures are logged on stderr. -checkpoint persists each executed
+// run and restores every run whose entry validates, so after an interrupt
+// the same command re-runs only the unfinished ones. Each run gets one
+// attempt: a simulation is a pure function of its configuration, so a
+// failed run fails the same way again.
 //
-// Exit status: 0 on success, 1 on error, 3 when -keep-going produced
-// partial output.
+// Exit status: 0 on success, 1 on error, 3 when some benchmarks failed and
+// the output is partial.
 package main
 
 import (
@@ -70,8 +71,8 @@ func run() int {
 	)
 	var s experiments.Scale
 	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations for multi-benchmark runs (0 = one per host core)")
-	// -no-epochmemo, -keep-going, -checkpoint, -trace, -cpuprofile and the rest of
-	// the flags every batch command shares are declared in cliflags.
+	// -no-epochmemo, -checkpoint, -trace, -cpuprofile and the rest of the
+	// flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()
 
@@ -164,19 +165,16 @@ func run() int {
 
 	s.Stamp(cfgs)
 	results, err := bgp.RunAll(context.Background(), cfgs, s.SweepConfig)
-	partial := false
-	if err != nil {
-		var se *sweep.SweepError
-		if s.ContinueOnError && errors.As(err, &se) && se.Cause == nil {
-			// Completed benchmarks still print; the failures go to stderr
-			// and the exit status says partial.
-			partial = true
-			for _, f := range se.Failed {
-				log.Printf("failed: %v", f.Err)
-			}
-		} else {
-			log.Print(err)
-			return 1
+	// Completed benchmarks still print; the failures go to stderr and the
+	// exit status says partial.
+	var se *sweep.SweepError
+	if err != nil && !errors.As(err, &se) {
+		log.Print(err)
+		return 1
+	}
+	if se != nil {
+		for _, f := range se.Failed {
+			log.Printf("failed: %v", f.Err)
 		}
 	}
 
@@ -223,7 +221,7 @@ func run() int {
 		}
 		fmt.Printf("metrics CSV:      %s\n", *csvOut)
 	}
-	if partial {
+	if se != nil {
 		log.Printf("partial output: %d of %d benchmarks missing", len(cfgs)-len(metrics), len(cfgs))
 		return 3
 	}

@@ -17,21 +17,22 @@
 //
 // Long sweeps can run resiliently:
 //
-//	bgpsweep -fig 11 -checkpoint ./ckpt            # persist each completed run
-//	bgpsweep -fig 11 -checkpoint ./ckpt -resume    # after an interrupt: re-run
-//	                                               # only the unfinished points
-//	bgpsweep -fig 11 -keep-going                   # render a partial figure
-//	                                               # past failed points
+//	bgpsweep -fig 11 -checkpoint ./ckpt   # persist each executed run; run
+//	                                      # again after an interrupt and only
+//	                                      # the unfinished points re-execute
+//
+// A failed point never discards the others: the figure renders with the
+// point's cells as dashes, and the missing points are listed on stderr.
 //
 // Every point of a figure is an independent simulation; -jobs bounds the
 // host worker pool they fan out on (0 = one worker per host core). The
 // printed series are byte-identical at any -jobs value: parallelism is
 // strictly cross-run, and each run's rank scheduling stays deterministic.
-// Checkpoint/resume and -keep-going never perturb completed points either —
-// a recovered sweep's output matches a clean run's.
+// Checkpoint restores and partial figures never perturb completed points
+// either — a recovered sweep's output matches a clean run's.
 //
-// Exit status: 0 on success, 1 on error, 3 when -keep-going produced
-// partial output (the missing points are listed on stderr).
+// Exit status: 0 on success, 1 on error, 3 when some points are missing
+// and the output is partial (the missing points are listed on stderr).
 package main
 
 import (
@@ -66,8 +67,8 @@ func run() int {
 	s := experiments.Scale{Missing: missing}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
 	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
-	// -no-epochmemo, -keep-going, -checkpoint, -trace, -cpuprofile and the rest of
-	// the flags every batch command shares are declared in cliflags.
+	// -no-epochmemo, -checkpoint, -trace, -cpuprofile and the rest of the
+	// flags every batch command shares are declared in cliflags.
 	shared := cliflags.Bind(flag.CommandLine, &s)
 	flag.Parse()
 
@@ -126,7 +127,7 @@ func run() int {
 	return partialStatus(missing)
 }
 
-// partialStatus reports the missing points of a -keep-going sweep on stderr
+// partialStatus reports the missing points of a sweep on stderr
 // and selects the exit status: 0 when complete, 3 when partial.
 func partialStatus(ms *experiments.MissingSet) int {
 	if ms.Missing() == 0 {

@@ -168,9 +168,9 @@ func (s *Store[K, V]) SetBudget(budget int64) {
 	s.evictLocked()
 }
 
-// Keys returns the stored keys in no particular order. It exists for
-// integrity audits and tests that need to reach entries without knowing how
-// their keys were derived.
+// Keys returns the stored keys in no particular order. Its callers are
+// tests that need to reach entries without knowing how their keys were
+// derived; ROADMAP item 1(c) deletes it with the last of them.
 func (s *Store[K, V]) Keys() []K {
 	s.mu.Lock()
 	defer s.mu.Unlock()

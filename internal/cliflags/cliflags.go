@@ -1,6 +1,6 @@
 // Package cliflags declares, once, the flags the batch commands (bgprun,
 // bgpsweep, bgpreport) share — a flag's name, default and help string exist
-// here and nowhere else — and acts on them: the execution and resilience
+// here and nowhere else — and acts on them: the execution and checkpoint
 // groups land directly in an experiments.Scale, the observability and
 // profiling groups are started and stopped around the command's work. bgpd
 // takes the two shared flags a daemon has a use for from the same
@@ -8,7 +8,6 @@
 package cliflags
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"os"
@@ -29,7 +28,7 @@ type Flags struct {
 }
 
 // Bind registers the four shared flag groups on fs. Parsing fs fills s's
-// execution and resilience fields; Start acts on the rest.
+// execution and checkpoint fields; Start acts on the rest.
 func Bind(fs *flag.FlagSet, s *experiments.Scale) *Flags {
 	f := &Flags{scale: s}
 
@@ -39,10 +38,8 @@ func Bind(fs *flag.FlagSet, s *experiments.Scale) *Flags {
 	fs.BoolVar(&s.NoEpochMemo, "no-epochmemo", false, "disable the epoch memo (reruns of a run identity replaying its recorded epochs); results do not depend on it")
 	f.memoBudget = MemoBudget(fs)
 
-	// Resilience.
-	fs.BoolVar(&s.ContinueOnError, "keep-going", false, "produce partial output past failed runs (exit status 3)")
+	// Checkpointing.
 	CheckpointDir(fs, &s.CheckpointDir, "")
-	fs.BoolVar(&s.Resume, "resume", false, "restore completed runs from -checkpoint instead of re-running them")
 
 	// Observability.
 	fs.StringVar(&f.trace, "trace", "", "write a Chrome-trace JSONL of sim-cycle spans (ranks, kernels, collectives) to this file")
@@ -73,19 +70,16 @@ func MemoBudget(fs *flag.FlagSet) (apply func()) {
 // CheckpointDir registers -checkpoint on fs, storing into p with the given
 // default.
 func CheckpointDir(fs *flag.FlagSet, p *string, def string) {
-	fs.StringVar(p, "checkpoint", def, "persist each completed run in this directory")
+	fs.StringVar(p, "checkpoint", def, "restore valid runs from this directory and persist each executed one there")
 }
 
-// Start acts on the parsed flags: it rejects -resume without -checkpoint,
-// sizes the epoch memo, attaches the tracer and metrics endpoint as the
-// scale's Observer, and starts the CPU profile. The returned stop function
-// writes the heap profile, stops the CPU profile and flushes the trace; the
-// command calls it (typically deferred) before exiting.
+// Start acts on the parsed flags: it sizes the epoch memo, attaches the
+// tracer and metrics endpoint as the scale's Observer, and starts the CPU
+// profile. The returned stop function writes the heap profile, stops the
+// CPU profile and flushes the trace; the command calls it (typically
+// deferred) before exiting.
 func (f *Flags) Start() (stop func(), err error) {
 	s := f.scale
-	if s.Resume && s.CheckpointDir == "" {
-		return nil, errors.New("-resume requires -checkpoint")
-	}
 	f.memoBudget()
 	observer, obsClose, err := obs.SetupCLI(f.trace, f.metricsAddr, log.Printf)
 	if err != nil {

@@ -1,6 +1,6 @@
 package experiments
 
-// Graceful degradation: with ContinueOnError, a figure whose runs fail (or are
+// Graceful degradation: with a MissingSet, a figure whose runs fail (or are
 // absent from the checkpoint under ResumeOnly) still renders, with every
 // missing point marked explicitly — in the row data, in the table cells,
 // and in the trailing partial note.
@@ -19,18 +19,18 @@ import (
 )
 
 // TestFigureDegradesWithEmptyCheckpoint renders the compiler study from an
-// empty checkpoint under ResumeOnly + ContinueOnError: no simulation executes,
+// empty checkpoint under ResumeOnly with a MissingSet: no simulation executes,
 // every point is Missing, and the report says exactly what is absent.
 func TestFigureDegradesWithEmptyCheckpoint(t *testing.T) {
 	ms := &MissingSet{}
 	s := Scale{
 		Class: nas.ClassS, Ranks: 4,
-		SweepConfig: bgp.SweepConfig{ContinueOnError: true, CheckpointDir: t.TempDir(), ResumeOnly: true},
+		SweepConfig: bgp.SweepConfig{CheckpointDir: t.TempDir(), ResumeOnly: true},
 		Missing:     ms,
 	}
 	rows, err := Fig910ExecTimes([]string{"mg"}, s)
 	if err != nil {
-		t.Fatalf("ContinueOnError figure failed outright: %v", err)
+		t.Fatalf("figure with a MissingSet failed outright: %v", err)
 	}
 	if len(rows) != 1 || len(rows[0].Points) != len(CompilerConfigs()) {
 		t.Fatalf("degraded figure lost its shape: %+v", rows)
@@ -102,7 +102,7 @@ func TestFigureRendersPartialCheckpoint(t *testing.T) {
 	ms := &MissingSet{}
 	partial := Scale{
 		Class: nas.ClassS, Ranks: 4,
-		SweepConfig: bgp.SweepConfig{ContinueOnError: true, CheckpointDir: ckpt, ResumeOnly: true},
+		SweepConfig: bgp.SweepConfig{CheckpointDir: ckpt, ResumeOnly: true},
 		Missing:     ms,
 	}
 	rows, err := Fig910ExecTimes([]string{"mg"}, partial)

@@ -38,18 +38,17 @@ type Scale struct {
 	Ranks int
 
 	// SweepConfig is how every sweep of the scale is orchestrated: worker
-	// pool, observation, resilience and checkpointing. Every figure's sweep
-	// shares the one CheckpointDir, one entry per run identity (bgp.RunKey).
-	// With ContinueOnError a figure degrades gracefully instead of failing:
-	// runs that fail or are absent from the checkpoint under ResumeOnly
-	// leave their points marked Missing and every completed point still
-	// renders. None of this perturbs completed runs —
-	// a recovered figure's points are identical to a clean run's (the chaos
-	// harness pins this).
+	// pool, observation and checkpointing. Every figure's sweep shares the
+	// one CheckpointDir, one entry per run identity (bgp.RunKey), which
+	// serves every entry it holds.
 	bgp.SweepConfig
-	// Missing, when non-nil, collects the labels of points that failed or
-	// were absent from the checkpoint, for the report's partial-output
-	// diagnostics.
+	// Missing, when non-nil, makes a figure degrade gracefully instead of
+	// failing: runs that fail or are absent from the checkpoint under
+	// ResumeOnly leave their points marked Missing, their labels land in
+	// the set for the report's partial-output diagnostics, and every
+	// completed point still renders. When nil, the first such run fails
+	// the figure. Neither perturbs completed runs — a recovered figure's
+	// points are identical to a clean run's (the chaos harness pins this).
 	Missing *MissingSet
 
 	// Interpreter forces every run onto the reference per-trip
@@ -73,8 +72,9 @@ type Scale struct {
 
 // MissingSet accumulates the identity of every figure point that could not
 // be computed, plus the total attempted, so reports can state exactly what a
-// partial rendering is missing. A nil *MissingSet is inert; methods are safe
-// for concurrent use.
+// partial rendering is missing. Setting one on a Scale is what lets a
+// figure render partially; a nil set means a failed point fails the figure,
+// and its methods report nothing. Methods are safe for concurrent use.
 type MissingSet struct {
 	mu     sync.Mutex
 	total  int
@@ -144,10 +144,10 @@ func (s Scale) Stamp(cfgs []bgp.RunConfig) {
 }
 
 // runAll fans the configurations out over the scale's worker pool and
-// returns the results in cfgs order. With ContinueOnError, per-run failures
+// returns the results in cfgs order. With s.Missing set, per-run failures
 // are absorbed: the failed positions come back nil, their labels land in
-// s.Missing, and the error is nil so the figure renders partially. A dead
-// context (interrupt) still fails the figure.
+// s.Missing, and the error is nil so the figure renders partially. Without
+// it, the sweep's error is returned.
 //
 // A point a finished run answers is served that result instead of running:
 // a run of its identity, or one whose L3 never evicted and which differs
@@ -206,7 +206,7 @@ func runAll(s Scale, cfgs []bgp.RunConfig) ([]*bgp.Result, error) {
 			out, err := bgp.RunAll(context.Background(), sub, s.SweepConfig)
 			if err != nil {
 				var se *sweep.SweepError
-				if !s.ContinueOnError || !errors.As(err, &se) || se.Cause != nil {
+				if s.Missing == nil || !errors.As(err, &se) {
 					return nil, err
 				}
 				for _, f := range se.Failed {
@@ -311,7 +311,7 @@ func variantsOf[T any](vals []T, set func(*bgp.RunConfig, T)) []variant {
 // the workload's base point — the scale's class and ranks in virtual-node
 // mode under the best build. The points run as one sweep, workload-major,
 // and come back as results[workload][variant], nil where a run went missing
-// under ContinueOnError. what names the study in the error.
+// (see Scale.Missing). what names the study in the error.
 func grid(s Scale, what string, names []string, spec *bgp.WorkloadSpec, variants ...variant) ([][]*bgp.Result, error) {
 	if spec != nil {
 		names = []string{""}
@@ -376,7 +376,7 @@ type ProfileRow struct {
 	Fractions map[string]float64
 	// Metrics is the run the row was computed from.
 	Metrics *postproc.Metrics
-	// Missing marks a row whose run failed under ContinueOnError; Fractions and
+	// Missing marks a row whose run failed (see Scale.Missing); Fractions and
 	// Metrics are then empty/nil and the row renders as dashes.
 	Missing bool
 }
@@ -430,7 +430,7 @@ type CompilerPoint struct {
 	ExecCycles uint64
 	// MFLOPS is the achieved rate.
 	MFLOPS float64
-	// Missing marks a point whose run failed under ContinueOnError; every other
+	// Missing marks a point whose run failed (see Scale.Missing); every other
 	// field except Opts is then zero.
 	Missing bool
 }
@@ -512,7 +512,7 @@ type L3Point struct {
 	// MissFraction is the fraction of L3 references that missed
 	// (0 when the L3 is disabled).
 	MissFraction float64
-	// Missing marks a point whose run failed under ContinueOnError.
+	// Missing marks a point whose run failed (see Scale.Missing).
 	Missing bool
 }
 
@@ -578,7 +578,7 @@ type ModeRow struct {
 	// MFLOPSPerChipGain is delivered MFLOPS per chip of VNM over SMP/1
 	// (Figure 14; ≈2.5× on average).
 	MFLOPSPerChipGain float64
-	// Missing marks a row where either run failed under ContinueOnError; the
+	// Missing marks a row where either run failed (see Scale.Missing); the
 	// ratios are then zero and the row is excluded from the means.
 	Missing bool
 }

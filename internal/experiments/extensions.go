@@ -30,7 +30,7 @@ type PrefetchPoint struct {
 	// L2HitFraction is the share of below-L1 demand accesses served by
 	// the prefetch buffer.
 	L2HitFraction float64
-	// Missing marks a point whose run failed under ContinueOnError.
+	// Missing marks a point whose run failed (see Scale.Missing).
 	Missing bool
 }
 
@@ -133,7 +133,7 @@ type HybridRow struct {
 	TimeRatio float64
 	// TrafficRatio is SMP/4 DDR traffic over VNM.
 	TrafficRatio float64
-	// Missing marks a row where either run failed under ContinueOnError.
+	// Missing marks a row where either run failed (see Scale.Missing).
 	Missing bool
 }
 

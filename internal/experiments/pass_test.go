@@ -59,7 +59,7 @@ func TestPassServesDuplicates(t *testing.T) {
 // TestPassRunsDuplicateOfFailedTwin: a failed run leaves nothing to serve,
 // so its duplicate is attempted in its own right.
 func TestPassRunsDuplicateOfFailedTwin(t *testing.T) {
-	s, reg := passScale(bgp.SweepConfig{ContinueOnError: true, CheckpointDir: t.TempDir(), ResumeOnly: true})
+	s, reg := passScale(bgp.SweepConfig{CheckpointDir: t.TempDir(), ResumeOnly: true})
 	results, err := runAll(s, passPoints())
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestPassRunsDuplicateOfFailedTwin(t *testing.T) {
 }
 
 // TestPassRunsLargerL3OfFailedTwin is Figure 11 for one benchmark with the
-// 2 MB run failing under ContinueOnError: the 4 MB point waits a round for
+// 2 MB run failing: the 4 MB point waits a round for
 // its would-be twin, finds none, and runs in its place, and its own
 // eviction-free result then serves 6 and 8 MB. Every point but 2 MB renders.
 func TestPassRunsLargerL3OfFailedTwin(t *testing.T) {
@@ -93,7 +93,7 @@ func TestPassRunsLargerL3OfFailedTwin(t *testing.T) {
 	}
 
 	// The checkpoint holds 0 and 4 MB, so a ResumeOnly sweep fails 2 MB.
-	s, reg := passScale(bgp.SweepConfig{ContinueOnError: true, CheckpointDir: dir, ResumeOnly: true})
+	s, reg := passScale(bgp.SweepConfig{CheckpointDir: dir, ResumeOnly: true})
 	rows, err := Fig11L3Sweep([]string{"mg"}, s)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ var fpClassOrder = []string{
 }
 
 // missingCell renders a point whose run failed or was absent from the
-// checkpoint (ContinueOnError / ResumeOnly graceful degradation).
+// checkpoint (Scale.Missing graceful degradation).
 const missingCell = "—"
 
 // partialNote flags a partially-rendered figure; complete figures print

@@ -32,7 +32,7 @@ type SpecPoint struct {
 	// Fractions is the dynamic FP instruction profile (shares of FP
 	// instructions per class, as in Figure 6).
 	Fractions map[string]float64
-	// Missing marks a point whose run failed under ContinueOnError.
+	// Missing marks a point whose run failed (see Scale.Missing).
 	Missing bool
 }
 

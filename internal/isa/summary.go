@@ -2,7 +2,6 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -67,30 +66,4 @@ func foldBody(body []Op) string {
 		i = j
 	}
 	return strings.Join(parts, "; ")
-}
-
-// MixTable renders a dynamic mix as aligned "class: count" lines, omitting
-// zero classes, largest first.
-func (m Mix) MixTable() string {
-	type row struct {
-		c Class
-		n uint64
-	}
-	var rows []row
-	for c := Class(0); c < NumClasses; c++ {
-		if m[c] > 0 {
-			rows = append(rows, row{c, m[c]})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].c < rows[j].c
-	})
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %12d\n", r.c.String(), r.n)
-	}
-	return b.String()
 }

@@ -65,25 +65,3 @@ func TestFoldBodyRunLength(t *testing.T) {
 		t.Errorf("foldBody = %q", got)
 	}
 }
-
-func TestMixTable(t *testing.T) {
-	var m Mix
-	m.Add(FPFMA, 10)
-	m.Add(Load, 500)
-	m.Add(Branch, 10)
-	s := m.MixTable()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("MixTable lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "Load") {
-		t.Errorf("largest class not first: %q", lines[0])
-	}
-	// Equal counts break ties by class order: Branch before FPFMA.
-	if !strings.HasPrefix(lines[1], "Branch") || !strings.HasPrefix(lines[2], "FPFMA") {
-		t.Errorf("tie-break order wrong: %v", lines)
-	}
-	if strings.Contains(s, "QuadLoad") {
-		t.Error("zero class printed")
-	}
-}

@@ -104,8 +104,3 @@ func (c *Controller) latency(activeCores int) uint64 {
 	}
 	return lat
 }
-
-// TrafficBytes returns the total bytes moved between L3 and DRAM.
-func (c *Controller) TrafficBytes() uint64 {
-	return (c.ReadLines + c.WriteLines) * LineBytes
-}

@@ -49,9 +49,6 @@ func TestDMALines(t *testing.T) {
 	if c.ReadLines != 10 || c.WriteLines != 4 {
 		t.Errorf("DMA counters = %d/%d, want 10/4", c.ReadLines, c.WriteLines)
 	}
-	if got, want := c.TrafficBytes(), uint64(14*LineBytes); got != want {
-		t.Errorf("TrafficBytes = %d, want %d", got, want)
-	}
 }
 
 func TestZeroLatencyPanics(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"bgpsim/internal/faults"
 	"bgpsim/internal/journal"
 	"bgpsim/internal/obs"
+	"bgpsim/internal/sweep"
 )
 
 // Server metric names, exported through the obs registry at /metrics.
@@ -511,9 +512,10 @@ func (s *Server) repair(j *job, i int) (*bgp.Result, error) {
 	return res, err
 }
 
-// build resolves a flight: store restore first, then a single-run sweep,
-// bounded by the run slots, that persists into the store's directory. The
-// returned bool reports a store hit (no simulation executed).
+// build resolves a flight: store restore first, counted here as a store
+// hit, then a single-run sweep, bounded by the run slots, that persists
+// into the store's directory (its own restore probe misses, as this one
+// just did). The returned bool reports a store hit (no simulation executed).
 func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig) (*bgp.Result, bool, error) {
 	if res := s.store.Restore(key, cfg); res != nil {
 		s.cacheHit.Inc()
@@ -533,6 +535,12 @@ func (s *Server) build(ctx context.Context, key string, cfg bgp.RunConfig) (*bgp
 		Faults:        s.cfg.Faults,
 		Observer:      s.observer,
 	})
+	// A one-run sweep's failure is the run's own (or the cancellation that
+	// skipped it), not the aggregate.
+	var se *sweep.SweepError
+	if errors.As(err, &se) {
+		err = se.Unwrap()[0]
+	}
 	if err != nil {
 		return nil, false, err
 	}

@@ -47,7 +47,7 @@ func (p *Progress) RunFinished(_ int, wall time.Duration, err error) {
 	}
 }
 
-// RunSkipped records a run that never started because the sweep aborted
+// RunSkipped records a run that never started because the sweep was cancelled
 // first — skipped runs are distinct from failed ones (which started and
 // errored).
 func (p *Progress) RunSkipped(int) {
@@ -80,7 +80,7 @@ type Snapshot struct {
 	// Started and Finished count runs picked up and completed; Failed
 	// counts completions with an error.
 	Started, Finished, Failed int
-	// Skipped counts runs never started because the sweep aborted first.
+	// Skipped counts runs never started because the sweep was cancelled first.
 	Skipped int
 	// Wall is the summed per-run host wall time (it exceeds Elapsed when
 	// runs overlap — the ratio is the achieved parallelism).

@@ -4,8 +4,8 @@ package sweep
 // error, panic, or be skipped because the sweep aborted first — and each
 // gets a distinct, typed representation so callers can react per kind:
 // panics become RunPanicError (isolated to their run instead of killing
-// every worker), and ContinueOnError sweeps gather everything into one
-// SweepError instead of cancelling the world. A run gets one attempt: it is
+// every worker), and a sweep gathers everything into one SweepError
+// instead of cancelling the world. A run gets one attempt: it is
 // a pure function of its configuration, so an attempt that failed once
 // fails the same way again.
 
@@ -44,7 +44,7 @@ func (e IndexedError) Error() string { return fmt.Sprintf("run %d: %v", e.Index,
 // Unwrap exposes the underlying run error.
 func (e IndexedError) Unwrap() error { return e.Err }
 
-// SweepError aggregates the per-run failures of a ContinueOnError sweep in
+// SweepError aggregates the per-run failures of a sweep in
 // errors.Join style: the sweep still returned every successful result, and
 // the error records exactly which runs did not contribute and why.
 type SweepError struct {

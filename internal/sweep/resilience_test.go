@@ -34,14 +34,16 @@ func TestMapIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestMapContinueOnErrorGathersFailures(t *testing.T) {
+// TestMapGathersFailures pins that a failure cancels nothing: every other
+// run finishes, and the failures come back in index order.
+func TestMapGathersFailures(t *testing.T) {
 	items := make([]int, 10)
 	out, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
 		if idx == 3 || idx == 7 {
 			return 0, fmt.Errorf("fail %d", idx)
 		}
 		return idx + 1, nil
-	}, Options{Workers: 4, ContinueOnError: true})
+	}, Options{Workers: 4})
 	var se *SweepError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *SweepError", err)
@@ -66,10 +68,10 @@ func TestMapContinueOnErrorGathersFailures(t *testing.T) {
 	}
 }
 
-func TestMapContinueOnErrorAllSucceed(t *testing.T) {
+func TestMapAllSucceed(t *testing.T) {
 	out, err := Map(context.Background(), []int{1, 2, 3}, func(_ context.Context, _, v int) (int, error) {
 		return v * 10, nil
-	}, Options{Workers: 2, ContinueOnError: true})
+	}, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("err = %v, want nil when every run succeeds", err)
 	}
@@ -78,122 +80,71 @@ func TestMapContinueOnErrorAllSucceed(t *testing.T) {
 	}
 }
 
-func TestMapContinueOnErrorCancellation(t *testing.T) {
+// TestMapOnFinishOncePerStartedRun pins the hook contract: OnFinish fires
+// exactly once for every item OnStart fired for — even when the run's error
+// is the sweep's own cancellation — and never for skipped items.
+func TestMapOnFinishOncePerStartedRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	startCount := make(map[int]int)
+	finishCount := make(map[int]int)
+	skipCount := make(map[int]int)
 	release := make(chan struct{})
 	var started atomic.Int64
-	var skippedMu sync.Mutex
-	var skipped []int
-	items := make([]int, 16)
+	items := make([]int, 24)
 	done := make(chan struct{})
-	var err error
 	go func() {
 		defer close(done)
-		_, err = Map(ctx, items, func(_ context.Context, _, _ int) (int, error) {
+		Map(ctx, items, func(ctx context.Context, _, _ int) (int, error) {
 			started.Add(1)
 			<-release
-			return 1, nil
-		}, Options{Workers: 2, ContinueOnError: true, OnSkip: func(i int) {
-			skippedMu.Lock()
-			skipped = append(skipped, i)
-			skippedMu.Unlock()
-		}})
+			return 0, ctx.Err() // cancelled runs error with ctx.Err()
+		}, Options{
+			Workers: 3,
+			OnStart: func(i int) {
+				mu.Lock()
+				startCount[i]++
+				mu.Unlock()
+			},
+			OnFinish: func(i int, _ time.Duration, _ error) {
+				mu.Lock()
+				finishCount[i]++
+				mu.Unlock()
+			},
+			OnSkip: func(i int) {
+				mu.Lock()
+				skipCount[i]++
+				mu.Unlock()
+			},
+		})
 	}()
-	for started.Load() < 2 {
+	for started.Load() < 3 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	close(release)
 	<-done
 
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *SweepError", err)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(startCount) == len(items) {
+		t.Fatal("every item started; cancellation came too late to test skips")
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Error("SweepError does not unwrap to context.Canceled")
-	}
-	if se.Cause == nil {
-		t.Error("Cause not set on cancellation")
-	}
-	if len(se.Skipped) == 0 {
-		t.Error("no skipped indices recorded")
-	}
-	if len(se.Skipped) != len(skipped) {
-		t.Errorf("OnSkip fired %d times, SweepError lists %d", len(skipped), len(se.Skipped))
-	}
-}
-
-// TestMapOnFinishOncePerStartedRun pins the hook contract: OnFinish fires
-// exactly once for every item OnStart fired for — even when the run's error
-// is the sweep's own cancellation — and never for skipped items.
-func TestMapOnFinishOncePerStartedRun(t *testing.T) {
-	for _, continueOnError := range []bool{false, true} {
-		t.Run(fmt.Sprintf("continueOnError=%v", continueOnError), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var mu sync.Mutex
-			startCount := make(map[int]int)
-			finishCount := make(map[int]int)
-			skipCount := make(map[int]int)
-			release := make(chan struct{})
-			var started atomic.Int64
-			items := make([]int, 24)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				Map(ctx, items, func(ctx context.Context, _, _ int) (int, error) {
-					started.Add(1)
-					<-release
-					return 0, ctx.Err() // cancelled runs error with ctx.Err()
-				}, Options{
-					Workers: 3,
-					OnStart: func(i int) {
-						mu.Lock()
-						startCount[i]++
-						mu.Unlock()
-					},
-					OnFinish: func(i int, _ time.Duration, _ error) {
-						mu.Lock()
-						finishCount[i]++
-						mu.Unlock()
-					},
-					OnSkip: func(i int) {
-						mu.Lock()
-						skipCount[i]++
-						mu.Unlock()
-					},
-					ContinueOnError: continueOnError,
-				})
-			}()
-			for started.Load() < 3 {
-				time.Sleep(time.Millisecond)
-			}
-			cancel()
-			close(release)
-			<-done
-
-			mu.Lock()
-			defer mu.Unlock()
-			if len(startCount) == len(items) {
-				t.Fatal("every item started; cancellation came too late to test skips")
-			}
-			for i := range items {
-				s, f, k := startCount[i], finishCount[i], skipCount[i]
-				if s != f {
-					t.Errorf("item %d: %d starts but %d finishes", i, s, f)
-				}
-				if s > 0 && k > 0 {
-					t.Errorf("item %d both started and skipped", i)
-				}
-				if s == 0 && k != 1 {
-					t.Errorf("item %d never started but OnSkip fired %d times", i, k)
-				}
-				if f > 1 {
-					t.Errorf("item %d finished %d times", i, f)
-				}
-			}
-		})
+	for i := range items {
+		s, f, k := startCount[i], finishCount[i], skipCount[i]
+		if s != f {
+			t.Errorf("item %d: %d starts but %d finishes", i, s, f)
+		}
+		if s > 0 && k > 0 {
+			t.Errorf("item %d both started and skipped", i)
+		}
+		if s == 0 && k != 1 {
+			t.Errorf("item %d never started but OnSkip fired %d times", i, k)
+		}
+		if f > 1 {
+			t.Errorf("item %d finished %d times", i, f)
+		}
 	}
 }
 
@@ -201,15 +152,17 @@ func TestProgressSkipped(t *testing.T) {
 	var p Progress
 	opts := p.Hooks()
 	opts.Workers = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	items := make([]int, 6)
-	_, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
+	_, err := Map(ctx, items, func(_ context.Context, idx, _ int) (int, error) {
 		if idx == 2 {
-			return 0, errors.New("permanent") // aborts the sweep
+			cancel() // interrupts the sweep after this run
 		}
 		return 0, nil
 	}, opts)
-	if err == nil {
-		t.Fatal("expected the permanent failure to surface")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation to surface", err)
 	}
 	s := p.Snapshot()
 	if s.Skipped != len(items)-3 {

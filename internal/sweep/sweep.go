@@ -5,19 +5,18 @@
 //
 // The pool is deliberately dumb about what it runs: tasks are opaque
 // functions, results come back in input order, and optional hooks observe
-// runs starting, finishing and being skipped. Failure handling is
-// configurable per sweep: by default the first failure cancels everything
-// still pending (context-based), while ContinueOnError gathers per-run
-// failures into one SweepError and returns every successful result. Panics
-// are always isolated to their run (recovered into RunPanicError). Each run
-// gets one attempt: a simulation is a pure function of its configuration,
-// so a failed run fails the same way every time, and recovery is resuming
-// a checkpointed sweep, not re-trying in place. Determinism is preserved by
-// construction — each simulation owns its machine, job and RNG streams, and
-// the pool never shares state between tasks — so a parallel sweep produces
-// byte-identical counter dumps to a serial one (the determinism and chaos
-// harnesses in the root package prove it, with and without injected
-// faults).
+// runs starting, finishing and being skipped. Every started run runs to
+// an outcome: Map hands back every successful result and gathers the
+// failures into one SweepError, so one bad run never discards another's
+// work. Panics are isolated to their run (recovered into RunPanicError).
+// Each run gets one attempt: a simulation is a pure function of its
+// configuration, so a failed run fails the same way every time, and
+// recovery is re-running a checkpointed sweep, not re-trying in place.
+// Determinism is preserved by construction — each simulation owns its
+// machine, job and RNG streams, and the pool never shares state between
+// tasks — so a parallel sweep produces byte-identical counter dumps to a
+// serial one (the determinism and chaos harnesses in the root package
+// prove it, with and without injected faults).
 package sweep
 
 import (
@@ -30,7 +29,7 @@ import (
 )
 
 // Options configures a pool invocation. The zero value runs with
-// GOMAXPROCS workers, no hooks and first-error-cancels semantics.
+// GOMAXPROCS workers and no hooks.
 type Options struct {
 	// Workers bounds the number of tasks in flight; values below 1 mean
 	// runtime.GOMAXPROCS(0).
@@ -45,16 +44,10 @@ type Options struct {
 	// called concurrently from several workers.
 	OnFinish func(index int, wall time.Duration, err error)
 	// OnSkip, when non-nil, is called once per item that was never
-	// started because the sweep aborted first (task failure under the
-	// default semantics, or context cancellation under either). It is
+	// started because the sweep's context was cancelled first. It is
 	// called sequentially, in index order, after all workers have
 	// drained.
 	OnSkip func(index int)
-	// ContinueOnError keeps the sweep going past failed runs: instead of
-	// cancelling pending work on the first failure, Map collects every
-	// run's error and returns the successful results alongside one
-	// *SweepError. Context cancellation still stops the sweep.
-	ContinueOnError bool
 }
 
 // workers resolves the effective worker count for n items.
@@ -71,49 +64,24 @@ func (o Options) workers(n int) int {
 
 // Map runs fn over every item with a bounded worker pool and returns the
 // results in input order. Each item runs once; a panic in fn is recovered
-// into *RunPanicError.
-//
-// Under the default semantics the first (lowest-index) failure cancels the
-// context passed to still-running tasks, prevents pending tasks from
-// starting, and is returned after in-flight tasks drain — so the reported
-// failure does not depend on scheduling. With ContinueOnError, failures
-// don't cancel anything: Map returns the results of every successful run
-// plus a *SweepError listing per-index failures (and indices skipped due to
-// context cancellation); the error is nil only when every item succeeded.
+// into *RunPanicError. A failure cancels nothing: Map returns the results
+// of every successful run, zero values at the other positions, plus a
+// *SweepError listing per-index failures and the indices skipped because
+// ctx was cancelled before they started. The error is nil only when every
+// item succeeded.
 //
 // A nil ctx panics, as with the standard library. If ctx is cancelled
-// before or during the sweep, tasks not yet started are skipped and
-// ctx.Err() is returned unless a task error takes precedence.
+// after every item has started and none failed, ctx.Err() is returned.
 func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, index int, item I) (O, error), opts Options) ([]O, error) {
 	results := make([]O, len(items))
 	if len(items) == 0 {
 		return results, ctx.Err()
 	}
-	poolCtx := ctx
-	cancel := context.CancelFunc(func() {})
-	if !opts.ContinueOnError {
-		poolCtx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
 	var (
-		mu      sync.Mutex
-		failed  []IndexedError
-		errIdx  = -1
-		firstEr error
-		next    int
+		mu     sync.Mutex
+		failed []IndexedError
+		next   int
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		failed = append(failed, IndexedError{Index: i, Err: err})
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstEr = i, err
-		}
-		mu.Unlock()
-		if !opts.ContinueOnError {
-			cancel()
-		}
-	}
 	claim := func() int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -130,10 +98,7 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if poolCtx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := claim()
 				if i < 0 {
 					return
@@ -142,15 +107,14 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 					opts.OnStart(i)
 				}
 				began := time.Now()
-				out, err := runOnce(poolCtx, i, items[i], fn)
+				out, err := runOnce(ctx, i, items[i], fn)
 				if opts.OnFinish != nil {
 					opts.OnFinish(i, time.Since(began), err)
 				}
 				if err != nil {
-					fail(i, err)
-					if !opts.ContinueOnError {
-						return
-					}
+					mu.Lock()
+					failed = append(failed, IndexedError{Index: i, Err: err})
+					mu.Unlock()
 					continue
 				}
 				results[i] = out
@@ -168,21 +132,11 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 			opts.OnSkip(i)
 		}
 	}
-
-	if opts.ContinueOnError {
-		if len(failed) == 0 && len(skipped) == 0 {
-			return results, ctx.Err()
-		}
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-		return results, &SweepError{Failed: failed, Skipped: skipped, Cause: ctx.Err()}
+	if len(failed) == 0 && len(skipped) == 0 {
+		return results, ctx.Err()
 	}
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+	return results, &SweepError{Failed: failed, Skipped: skipped, Cause: ctx.Err()}
 }
 
 // runOnce executes item i, converting a panic into a *RunPanicError so one

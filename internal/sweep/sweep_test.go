@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,77 +62,63 @@ func TestMapBoundsWorkers(t *testing.T) {
 	}
 }
 
-func TestMapFirstErrorCancelsPending(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	items := make([]int, 50)
-	_, err := Map(context.Background(), items, func(ctx context.Context, idx, _ int) (int, error) {
-		ran.Add(1)
-		if idx == 3 {
-			return 0, fmt.Errorf("item 3: %w", boom)
-		}
-		// Give the failure time to land so cancellation is observable.
-		select {
-		case <-ctx.Done():
-		case <-time.After(20 * time.Millisecond):
-		}
-		return 0, nil
-	}, Options{Workers: 4})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if n := ran.Load(); n == int64(len(items)) {
-		t.Errorf("all %d tasks ran despite early failure", n)
-	}
-}
-
-func TestMapReportsLowestIndexError(t *testing.T) {
-	items := make([]int, 8)
-	_, err := Map(context.Background(), items, func(_ context.Context, idx, _ int) (int, error) {
-		return 0, fmt.Errorf("fail %d", idx)
-	}, Options{Workers: 4})
-	if err == nil {
-		t.Fatal("no error")
-	}
-	// Among the tasks that started, the reported failure must be the
-	// lowest-indexed one; with every task failing instantly, index 0
-	// always starts.
-	if got := err.Error(); got != "fail 0" {
-		t.Errorf("err = %q, want \"fail 0\"", got)
-	}
-}
-
+// TestMapContextCancellation pins what a cancelled caller context does:
+// the runs in flight finish and keep their results, the ones not yet
+// started are skipped (OnSkip fires once each), and the SweepError lists
+// them with the context's error as its Cause.
 func TestMapContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
 	release := make(chan struct{})
+	var skippedMu sync.Mutex
+	var skipped []int
 	items := make([]int, 32)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	var out []int
 	var err error
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		out, err = Map(ctx, items, func(ctx context.Context, _ int, _ int) (int, error) {
 			started.Add(1)
 			<-release
 			return 1, nil
-		}, Options{Workers: 2})
+		}, Options{Workers: 2, OnSkip: func(i int) {
+			skippedMu.Lock()
+			skipped = append(skipped, i)
+			skippedMu.Unlock()
+		}})
 	}()
 	for started.Load() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	close(release)
-	wg.Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	<-done
+
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *SweepError", err)
 	}
-	if out != nil {
-		t.Errorf("results returned despite cancellation")
+	if !errors.Is(err, context.Canceled) || se.Cause == nil {
+		t.Errorf("err = %v, want it to carry context.Canceled as its Cause", err)
 	}
-	if n := started.Load(); n >= int64(len(items)) {
-		t.Errorf("started %d tasks despite cancellation", n)
+	n := started.Load()
+	if n >= int64(len(items)) {
+		t.Fatalf("started %d tasks despite cancellation", n)
+	}
+	if len(se.Failed) != 0 || len(se.Skipped) != len(items)-int(n) || len(skipped) != len(se.Skipped) {
+		t.Errorf("%d started, Failed = %v, Skipped = %v, OnSkip fired %d times; want every unstarted item skipped once",
+			n, se.Failed, se.Skipped, len(skipped))
+	}
+	// Claims are sequential, so the started items are the first n.
+	for i, v := range out {
+		want := 0
+		if i < int(n) {
+			want = 1
+		}
+		if v != want {
+			t.Errorf("out[%d] = %d, want %d", i, v, want)
+		}
 	}
 }
 

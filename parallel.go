@@ -28,10 +28,10 @@ var ErrNotCheckpointed = errors.New("bgp: run not in checkpoint")
 // serially — RunAll at any worker count yields byte-identical dumps and
 // metrics to a loop over Run (the determinism harness in bgp_parallel_test
 // asserts this per operating mode). The same holds across failures: each
-// run gets one attempt, and a resumed or previously-panicked run
-// re-executes from scratch with its own fresh machine and RNG streams, so
-// recovery never perturbs counter values (the chaos harness in
-// bgp_chaos_test pins this byte-for-byte).
+// run gets one attempt, and a run that failed or was never committed
+// re-executes in a later sweep on the same CheckpointDir, from scratch with
+// its own fresh machine and RNG streams, so recovery never perturbs counter
+// values (the chaos harness in bgp_chaos_test pins this byte-for-byte).
 type SweepConfig struct {
 	// Workers bounds the number of simulations in flight; values below 1
 	// mean runtime.GOMAXPROCS(0).
@@ -46,28 +46,21 @@ type SweepConfig struct {
 	// worker and must be safe for concurrent use.
 	Observer Observer
 
-	// ContinueOnError keeps the sweep going past failed runs: RunAll then
-	// returns every successful result, with nils at failed positions, and
-	// one *sweep.SweepError listing the per-run failures.
-	ContinueOnError bool
-
-	// CheckpointDir, when non-empty, persists each completed run's CRC'd
-	// dump set under the directory its identity names (RunKey at index 0,
-	// as bgpd keys it), committed by the run's own entry record. Every
-	// position of one identity, in any sweep or tool, shares one entry, and
-	// any number of sweeps — sequential or concurrent, in one process or
-	// several — may share a directory.
+	// CheckpointDir, when non-empty, is read and written: a run whose
+	// entry validates (configuration fingerprint, file sizes and CRCs all
+	// match) is restored instead of executed, and every executed run's
+	// CRC'd dump set is persisted under the directory its identity names
+	// (RunKey at index 0, as bgpd keys it), committed by the run's own
+	// entry record. Runs with missing or corrupt artifacts re-run, and so
+	// do runs that sample a timeline (the samples are not persisted); a
+	// restored run's dumps are written to its DumpDir as a live run's
+	// would be. Every position of one identity, in any sweep or tool,
+	// shares one entry, and any number of sweeps — sequential or
+	// concurrent, in one process or several — may share a directory.
 	CheckpointDir string
-	// Resume restores runs whose entry record validates (configuration
-	// fingerprint, file sizes and CRCs all match) instead of re-executing
-	// them; runs with missing or corrupt artifacts re-run, and so do runs
-	// that sample a timeline (the samples are not persisted). A restored
-	// run's dumps are written to its DumpDir as a live run's would be.
-	Resume bool
 	// ResumeOnly renders from the checkpoint alone: runs without a valid
-	// entry fail with ErrNotCheckpointed instead of executing. Combine
-	// with ContinueOnError to get partial results from an incomplete
-	// checkpoint.
+	// entry fail with ErrNotCheckpointed instead of executing, and the
+	// sweep returns what restored.
 	ResumeOnly bool
 
 	// Faults, when non-nil, is the deterministic fault injector consulted
@@ -78,19 +71,18 @@ type SweepConfig struct {
 }
 
 // RunAll executes independent runs concurrently on a bounded worker pool
-// and returns the results in cfgs order. Under the default semantics the
-// first failure cancels runs not yet started and is returned wrapped with
-// the run's position and configuration; a cancelled ctx stops the sweep the
-// same way. With ContinueOnError, failures are gathered instead (see
-// SweepConfig); with CheckpointDir and Resume, completed runs persist and
-// valid checkpoint entries are restored instead of re-executed.
+// and returns the results in cfgs order. Every run runs to an outcome: a
+// failed run leaves nil at its position and the others finish, and the
+// failures come back as one *sweep.SweepError, each wrapped with the run's
+// position and configuration. A cancelled ctx skips the runs not yet
+// started, which the SweepError lists too. With CheckpointDir, valid
+// entries are restored and executed runs persist.
 func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, error) {
 	var opts sweep.Options
 	if sc.Progress != nil {
 		opts = sc.Progress.Hooks()
 	}
 	opts.Workers = sc.Workers
-	opts.ContinueOnError = sc.ContinueOnError
 	if ob := sc.Observer; ob != nil {
 		prevFinish, prevSkip := opts.OnFinish, opts.OnSkip
 		opts.OnFinish = func(i int, wall time.Duration, err error) {
@@ -129,7 +121,18 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 		if cfg.Observer == nil {
 			cfg.Observer = sc.Observer
 		}
-		if ckpt != nil && (sc.Resume || sc.ResumeOnly) {
+		// Consult the fault injector once per run, before the restore, so
+		// a fault fires at the position it was armed on whatever the
+		// directory holds; pre-run faults fire before the simulation.
+		kind := sc.Faults.Next(at)
+		switch kind {
+		case faults.Panic:
+			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, at))
+		case faults.Stall:
+			<-ctx.Done()
+			return nil, runErr(i, cfg, fmt.Errorf("stalled: %w", ctx.Err()))
+		}
+		if ckpt != nil {
 			if res := ckpt.Restore(key, cfg); res != nil {
 				if cfg.DumpDir != "" {
 					if err := bgpctr.WriteDumps(cfg.DumpDir, res.Dumps); err != nil {
@@ -142,16 +145,6 @@ func RunAll(ctx context.Context, cfgs []RunConfig, sc SweepConfig) ([]*Result, e
 			if sc.ResumeOnly {
 				return nil, runErr(i, cfg, ErrNotCheckpointed)
 			}
-		}
-		// Consult the fault injector once per run; pre-run faults fire
-		// before the simulation.
-		kind := sc.Faults.Next(at)
-		switch kind {
-		case faults.Panic:
-			panic(fmt.Sprintf("faults: injected panic in run %d (%s)", i, at))
-		case faults.Stall:
-			<-ctx.Done()
-			return nil, runErr(i, cfg, fmt.Errorf("stalled: %w", ctx.Err()))
 		}
 		res, err := Run(cfg)
 		if err != nil {
