@@ -448,6 +448,9 @@ func (s *Server) runJob(j *job) {
 	}
 	wg.Wait()
 
+	// The terminal state and the tenant slot's release are one step under
+	// s.mu, so no caller sees a finished job still counted as active.
+	s.mu.Lock()
 	j.mu.Lock()
 	if j.failed > 0 {
 		j.state = StateFailed
@@ -459,20 +462,18 @@ func (s *Server) runJob(j *job) {
 	state := j.state
 	close(j.done)
 	j.mu.Unlock()
-	// A job torn down by server shutdown did not fail — it was interrupted.
-	// Leaving its journal record at running/queued is what lets a restarted
-	// instance re-queue and finish it.
-	if !(state == StateFailed && s.ctx.Err() != nil) {
-		s.appendJournal(j.record())
-	}
-
-	s.mu.Lock()
 	s.tenants[j.tenant]--
 	if s.tenants[j.tenant] == 0 {
 		delete(s.tenants, j.tenant)
 	}
 	s.jobsActive.Add(-1)
 	s.mu.Unlock()
+	// A job torn down by server shutdown did not fail — it was interrupted.
+	// Leaving its journal record at running/queued is what lets a restarted
+	// instance re-queue and finish it.
+	if !(state == StateFailed && s.ctx.Err() != nil) {
+		s.appendJournal(j.record())
+	}
 }
 
 // resolve produces the result of one run configuration through the

@@ -80,71 +80,133 @@ func TestMapAllSucceed(t *testing.T) {
 	}
 }
 
-// TestMapOnFinishOncePerStartedRun pins the hook contract: OnFinish fires
-// exactly once for every item OnStart fired for — even when the run's error
-// is the sweep's own cancellation — and never for skipped items.
-func TestMapOnFinishOncePerStartedRun(t *testing.T) {
+// TestMapContinueOnErrorCancellation pins a cancellation whose in-flight
+// runs stop with the context's error: those runs are Failed, not Skipped,
+// every unstarted item is Skipped with OnSkip fired once each, and the
+// SweepError carries the cancellation as its Cause.
+func TestMapContinueOnErrorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	startCount := make(map[int]int)
-	finishCount := make(map[int]int)
-	skipCount := make(map[int]int)
 	release := make(chan struct{})
 	var started atomic.Int64
-	items := make([]int, 24)
+	var skippedMu sync.Mutex
+	var skipped []int
+	items := make([]int, 16)
 	done := make(chan struct{})
+	var err error
 	go func() {
 		defer close(done)
-		Map(ctx, items, func(ctx context.Context, _, _ int) (int, error) {
+		_, err = Map(ctx, items, func(ctx context.Context, _, _ int) (int, error) {
 			started.Add(1)
 			<-release
-			return 0, ctx.Err() // cancelled runs error with ctx.Err()
-		}, Options{
-			Workers: 3,
-			OnStart: func(i int) {
-				mu.Lock()
-				startCount[i]++
-				mu.Unlock()
-			},
-			OnFinish: func(i int, _ time.Duration, _ error) {
-				mu.Lock()
-				finishCount[i]++
-				mu.Unlock()
-			},
-			OnSkip: func(i int) {
-				mu.Lock()
-				skipCount[i]++
-				mu.Unlock()
-			},
-		})
+			return 0, ctx.Err()
+		}, Options{Workers: 2, OnSkip: func(i int) {
+			skippedMu.Lock()
+			skipped = append(skipped, i)
+			skippedMu.Unlock()
+		}})
 	}()
-	for started.Load() < 3 {
+	for started.Load() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	close(release)
 	<-done
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(startCount) == len(items) {
-		t.Fatal("every item started; cancellation came too late to test skips")
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *SweepError", err)
 	}
-	for i := range items {
-		s, f, k := startCount[i], finishCount[i], skipCount[i]
-		if s != f {
-			t.Errorf("item %d: %d starts but %d finishes", i, s, f)
-		}
-		if s > 0 && k > 0 {
-			t.Errorf("item %d both started and skipped", i)
-		}
-		if s == 0 && k != 1 {
-			t.Errorf("item %d never started but OnSkip fired %d times", i, k)
-		}
-		if f > 1 {
-			t.Errorf("item %d finished %d times", i, f)
-		}
+	if !errors.Is(err, context.Canceled) {
+		t.Error("SweepError does not unwrap to context.Canceled")
+	}
+	if se.Cause == nil {
+		t.Error("Cause not set on cancellation")
+	}
+	n := int(started.Load())
+	if len(se.Failed) != n {
+		t.Errorf("Failed = %v, want the %d started runs", se.Failed, n)
+	}
+	if len(se.Skipped) == 0 {
+		t.Error("no skipped indices recorded")
+	}
+	if len(se.Skipped) != len(skipped) {
+		t.Errorf("OnSkip fired %d times, SweepError lists %d", len(skipped), len(se.Skipped))
+	}
+}
+
+// TestMapOnFinishOncePerStartedRun pins the hook contract: OnFinish fires
+// exactly once for every item OnStart fired for — whether the run carries on
+// past the sweep's cancellation and succeeds (continueOnError=true) or stops
+// with its error (false) — and never for skipped items.
+func TestMapOnFinishOncePerStartedRun(t *testing.T) {
+	for _, continueOnError := range []bool{false, true} {
+		t.Run(fmt.Sprintf("continueOnError=%v", continueOnError), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var mu sync.Mutex
+			startCount := make(map[int]int)
+			finishCount := make(map[int]int)
+			skipCount := make(map[int]int)
+			release := make(chan struct{})
+			var started atomic.Int64
+			items := make([]int, 24)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				Map(ctx, items, func(ctx context.Context, _, _ int) (int, error) {
+					started.Add(1)
+					<-release
+					if continueOnError {
+						return 1, nil
+					}
+					return 0, ctx.Err() // cancelled runs error with ctx.Err()
+				}, Options{
+					Workers: 3,
+					OnStart: func(i int) {
+						mu.Lock()
+						startCount[i]++
+						mu.Unlock()
+					},
+					OnFinish: func(i int, _ time.Duration, _ error) {
+						mu.Lock()
+						finishCount[i]++
+						mu.Unlock()
+					},
+					OnSkip: func(i int) {
+						mu.Lock()
+						skipCount[i]++
+						mu.Unlock()
+					},
+				})
+			}()
+			for started.Load() < 3 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			close(release)
+			<-done
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(startCount) == len(items) {
+				t.Fatal("every item started; cancellation came too late to test skips")
+			}
+			for i := range items {
+				s, f, k := startCount[i], finishCount[i], skipCount[i]
+				if s != f {
+					t.Errorf("item %d: %d starts but %d finishes", i, s, f)
+				}
+				if s > 0 && k > 0 {
+					t.Errorf("item %d both started and skipped", i)
+				}
+				if s == 0 && k != 1 {
+					t.Errorf("item %d never started but OnSkip fired %d times", i, k)
+				}
+				if f > 1 {
+					t.Errorf("item %d finished %d times", i, f)
+				}
+			}
+		})
 	}
 }
 
