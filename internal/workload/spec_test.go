@@ -216,17 +216,38 @@ func TestDecodeCostBound(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned pins the canonical encoding: if this fails, every
-// committed RunKey, epoch-memo entry and bgpd job id derived from a spec
-// changes meaning, and the goldens must be regenerated deliberately.
+// TestFingerprintPinned pins the canonical encoding of every in-tree spec:
+// if this fails, every committed RunKey, epoch-memo entry and bgpd job id
+// derived from a spec changes meaning, and the goldens must be regenerated
+// deliberately. The numeric row is an accepted spec outside the common
+// shape: a plain scalar is a string until its field types it, so an array
+// may be named 1.
 func TestFingerprintPinned(t *testing.T) {
-	s, err := DecodeSpecBytes([]byte(goodSpec))
-	if err != nil {
-		t.Fatal(err)
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	const want = "79d6e3b5f76bcb8d542fd927a4d90582013db4ad86aa9f7d373898c52147696c"
-	if got := s.Fingerprint(); got != want {
-		t.Fatalf("fingerprint = %s, want %s\ncanonical:\n%s", got, want, s.canonical())
+	for _, tc := range []struct{ name, src, want string }{
+		{"goodSpec", goodSpec, "79d6e3b5f76bcb8d542fd927a4d90582013db4ad86aa9f7d373898c52147696c"},
+		{"specs/hpl.yaml", read("../../specs/hpl.yaml"), "f11437c93a388e82a98f81024c275463e0886c6550979a8e7a2fed25146196d4"},
+		{"benchmark/specs/halo.yaml", read("../../benchmark/specs/halo.yaml"), "356ee91456a97b07bd5a55929e09fdb49abe904fe0bf566bff7bba5f0a4c4823"},
+		{"testdata/minimal.yaml", read("testdata/minimal.yaml"), "5f165e8c3f5c78c2b35e35b6328aaed3a86b12d8e6545fb327003246a92e2709"},
+		{"testdata/comm-mix.yaml", read("testdata/comm-mix.yaml"), "d9e2338b483338a4d0230a2197d5bbeb5e73d31d482b8868201de22ce09ce140"},
+		{"numeric array name", "version: 1\nname: x\narrays:\n  - {name: 1, bytes: 4096}\nphases:\n  - name: p\n    compute:\n      trips: 10\n      refs: [{array: 1}]\n",
+			"eb04e3d2b46e3a5e4d75c7d440464a808d9c7737b3f658cf21c71252a0ee04ce"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := DecodeSpecBytes([]byte(tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Fingerprint(); got != tc.want {
+				t.Fatalf("fingerprint = %s, want %s\ncanonical:\n%s", got, tc.want, s.canonical())
+			}
+		})
 	}
 }
 
