@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 
 	"bgpsim/internal/rng"
@@ -207,52 +208,44 @@ func (d Dist) canonical() string {
 	return s + ")"
 }
 
-// decodeDist decodes the YAML forms of a Dist.
-func decodeDist(v any, ctx string) (Dist, error) {
+// decode decodes the YAML forms of a Dist: a bare number is a constant, and
+// a mapping decodes through the walker, mean overwriting value and min/max
+// recording their presence.
+func (d *Dist) decode(v any, ctx string) error {
 	switch val := v.(type) {
 	case string:
 		f, err := parseFloat(val)
 		if err != nil {
-			return Dist{}, fmt.Errorf("workload: %s: %v", ctx, err)
+			return fmt.Errorf("workload: %s: %v", ctx, err)
 		}
-		return constDist(f), nil
+		*d = constDist(f)
+		return nil
 	case *yamlMap:
-		if err := checkKeys(val, ctx, "dist", "value", "mean", "shape", "scale", "min", "max"); err != nil {
-			return Dist{}, err
+		var f struct {
+			Kind  DistKind `yaml:"dist" default:"const"`
+			Value float64  `yaml:"value"`
+			Mean  *float64 `yaml:"mean"`
+			Shape float64  `yaml:"shape"`
+			Scale float64  `yaml:"scale"`
+			Min   *float64 `yaml:"min"`
+			Max   *float64 `yaml:"max"`
 		}
-		d := Dist{Kind: DistConst}
-		if kind, ok := val.get("dist"); ok {
-			s, err := scalarString(kind, ctx+".dist")
-			if err != nil {
-				return Dist{}, err
-			}
-			d.Kind = DistKind(s)
+		if err := decodeMap(val, reflect.ValueOf(&f).Elem(), ctx); err != nil {
+			return err
 		}
-		var err error
-		if d.Value, _, err = optFloat(val, "value", ctx); err != nil {
-			return Dist{}, err
+		*d = Dist{Kind: f.Kind, Value: f.Value, Shape: f.Shape, Scale: f.Scale}
+		if f.Mean != nil {
+			d.Value = *f.Mean
 		}
-		if mean, ok, err2 := optFloat(val, "mean", ctx); err2 != nil {
-			return Dist{}, err2
-		} else if ok {
-			d.Value = mean
+		if f.Min != nil {
+			d.Min, d.MinSet = *f.Min, true
 		}
-		if d.Shape, _, err = optFloat(val, "shape", ctx); err != nil {
-			return Dist{}, err
+		if f.Max != nil {
+			d.Max, d.MaxSet = *f.Max, true
 		}
-		if d.Scale, _, err = optFloat(val, "scale", ctx); err != nil {
-			return Dist{}, err
-		}
-		if d.Min, d.MinSet, err = optFloat(val, "min", ctx); err != nil {
-			return Dist{}, err
-		}
-		if d.Max, d.MaxSet, err = optFloat(val, "max", ctx); err != nil {
-			return Dist{}, err
-		}
-		return d, d.validate(ctx)
-	default:
-		return Dist{}, fmt.Errorf("workload: %s: expected a number or a {dist: ...} mapping", ctx)
+		return d.validate(ctx)
 	}
+	return fmt.Errorf("workload: %s: expected a number or a {dist: ...} mapping", ctx)
 }
 
 // parseFloat parses a finite float.
@@ -265,21 +258,4 @@ func parseFloat(s string) (float64, error) {
 		return 0, fmt.Errorf("non-finite number %q", s)
 	}
 	return f, nil
-}
-
-// optFloat fetches an optional float field from a mapping.
-func optFloat(m *yamlMap, key, ctx string) (float64, bool, error) {
-	v, ok := m.get(key)
-	if !ok {
-		return 0, false, nil
-	}
-	s, err := scalarString(v, ctx+"."+key)
-	if err != nil {
-		return 0, false, err
-	}
-	f, err := parseFloat(s)
-	if err != nil {
-		return 0, false, fmt.Errorf("workload: %s.%s: %v", ctx, key, err)
-	}
-	return f, true, nil
 }

@@ -15,13 +15,20 @@
 // JSON job decoder); and Fingerprint() canonically hashes every semantic
 // field so checkpoint RunKeys, bgpd job ids and progcache keys can never
 // collide across distinct specs.
+//
+// The schema is declared once, as struct tags on the Spec types; one walker
+// (decode) reads the parsed YAML tree against them, and each type's check
+// method holds the rules a tag cannot state.
 package workload
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,17 +36,11 @@ import (
 )
 
 // Limits enforced at decode time. They bound what a hostile spec submitted
-// to bgpd by value can cost before Build even runs.
+// to bgpd by value can cost before Build even runs. Each field's own bounds
+// (rounds, array count and size, stride, root) sit in its range tag.
 const (
 	// SpecVersion is the schema version this decoder accepts.
 	SpecVersion = 1
-	// MaxRounds bounds the outer iteration count.
-	MaxRounds = 1024
-	// MaxArrays and MaxPhases bound the spec's breadth.
-	MaxArrays = 64
-	MaxPhases = 256
-	// MaxArrayBytes bounds one array's class-C footprint (1 GiB).
-	MaxArrayBytes = int64(1) << 30
 	// MaxRepeat bounds one phase's sampled burst length.
 	MaxRepeat = 256
 	// maxTrips bounds one sampled loop trip count.
@@ -49,7 +50,7 @@ const (
 	// maxCommBytes bounds one sampled message size (256 MiB).
 	maxCommBytes = int64(1) << 28
 	// MaxSpecTrips bounds a spec's cost, its worst-case machine-total loop
-	// trips (see cost); the per-field limits above allow about 2^58.
+	// trips (see cost); the per-field limits allow about 2^58.
 	// specs/hpl.yaml costs 352 321 536 and benchmark/specs/halo.yaml
 	// 67 108 864.
 	MaxSpecTrips = int64(1) << 30
@@ -66,6 +67,9 @@ const (
 	WalkRandom  Walk = "random"
 	WalkStencil Walk = "stencil"
 )
+
+// walkStride is each walk's default stride; its keys are the known walks.
+var walkStride = map[Walk]int64{WalkSeq: 8, WalkStrided: 64, WalkRandom: 0, WalkStencil: 1024}
 
 // CommOp names a communication phase's operation.
 type CommOp string
@@ -86,23 +90,28 @@ const (
 // and LoadSpec through it) is its only constructor: it
 // validates the fields and takes their fingerprint, which a Spec built any
 // other way lacks.
+//
+// The struct tags are the schema the decoder walks: yaml names a field's
+// key (",required" when it must be present), range bounds an integer's
+// value or a sequence's length (an empty upper bound is none), and default
+// is the YAML an absent key decodes as.
 type Spec struct {
 	// Version is the schema version (always SpecVersion once decoded).
-	Version int
+	Version int `yaml:"version,required" range:"0,1073741824"`
 	// Name labels the workload; it becomes the kernel/app name.
-	Name string
+	Name string `yaml:"name,required"`
 	// Description is a one-line summary (not part of the fingerprint's
 	// semantic payload, but hashed anyway for simplicity and honesty).
-	Description string
+	Description string `yaml:"description"`
 	// Seed roots every random stream of the workload.
-	Seed uint64
+	Seed uint64 `yaml:"seed"`
 	// Rounds is the outer iteration count (default 1). Each round
 	// re-samples every phase from its own derived stream.
-	Rounds int
+	Rounds int `yaml:"rounds" range:"1,1024" default:"1"`
 	// Arrays is the data footprint at class C; classes scale it.
-	Arrays []ArraySpec
+	Arrays []ArraySpec `yaml:"arrays,required" range:"1,64"`
 	// Phases is the per-round phase list, executed in order.
-	Phases []PhaseSpec
+	Phases []PhaseSpec `yaml:"phases,required" range:"1,256"`
 
 	// fingerprint is hash() of the decoded fields, taken once by the
 	// decoder. A decoded spec is never mutated, so it stays current.
@@ -111,60 +120,122 @@ type Spec struct {
 
 // ArraySpec declares one data array.
 type ArraySpec struct {
-	Name string
-	// Bytes is the class-C footprint; Build scales it per class/ranks.
-	Bytes int64
+	Name string `yaml:"name,required"`
+	// Bytes is the class-C footprint (at most 1 GiB); Build scales it per
+	// class/ranks.
+	Bytes int64 `yaml:"bytes,required" range:"1,1073741824"`
 }
 
 // PhaseSpec is one phase: exactly one of Compute or Comm is set.
 type PhaseSpec struct {
-	Name string
+	Name string `yaml:"name,required"`
 	// Repeat is the burst length: how many times the phase runs back to
 	// back each round (default const 1, sampled per round; gamma/weibull
 	// here model bursty inter-phase arrivals).
-	Repeat Dist
+	Repeat Dist `yaml:"repeat" default:"1"`
 	// Decay geometrically shrinks compute trip counts per round
 	// (default 1 = no decay) — HPL's shrinking trailing matrix.
-	Decay   float64
-	Compute *ComputeSpec
-	Comm    *CommSpec
+	Decay   float64      `yaml:"decay" default:"1"`
+	Compute *ComputeSpec `yaml:"compute"`
+	Comm    *CommSpec    `yaml:"comm"`
 }
 
-// ComputeSpec is an FP-mix block over memory walks.
+// ComputeSpec is an FP-mix block over memory walks. Its op counts AddSub,
+// Mul, Div, FMA and Int are the fields of the embedded fp block.
 type ComputeSpec struct {
 	// Trips is the loop trip count distribution (sampled per round).
-	Trips Dist
-	// AddSub, Mul, Div, FMA and Int are per-trip operation counts
-	// (each sampled per round; default const 0).
-	AddSub, Mul, Div, FMA, Int Dist
+	Trips Dist `yaml:"trips,required"`
+	fpMix `yaml:"fp" default:"{}"`
 	// Vectorizable marks the block data-parallel (SIMD-eligible).
-	Vectorizable bool
+	Vectorizable bool `yaml:"vectorizable"`
 	// Refs are the memory references per trip.
-	Refs []RefSpec
+	Refs []RefSpec `yaml:"refs,required" range:"1,"`
+}
+
+// fpMix is a compute block's fp section: per-trip operation counts, each
+// sampled per round (default const 0).
+type fpMix struct {
+	AddSub Dist `yaml:"addsub" default:"0"`
+	Mul    Dist `yaml:"mul" default:"0"`
+	Div    Dist `yaml:"div" default:"0"`
+	FMA    Dist `yaml:"fma" default:"0"`
+	Int    Dist `yaml:"int" default:"0"`
 }
 
 // RefSpec is one memory reference of a compute block.
 type RefSpec struct {
 	// Array names the referenced array.
-	Array string
+	Array string `yaml:"array,required"`
 	// Walk is the access pattern.
-	Walk Walk
+	Walk Walk `yaml:"walk" default:"seq"`
 	// Stride is the per-trip advance in bytes (defaults: seq 8,
 	// strided 64, stencil 1024 = the plane stride).
-	Stride int64
+	Stride int64 `yaml:"stride" range:"1,1073741824"`
 	// Store marks a write.
-	Store bool
+	Store bool `yaml:"store"`
 }
 
 // CommSpec is a communication phase.
 type CommSpec struct {
 	// Op is the operation.
-	Op CommOp
+	Op CommOp `yaml:"op,required"`
 	// Bytes is the class-C message size distribution (sampled per
 	// round); ignored by barrier.
-	Bytes Dist
+	Bytes Dist `yaml:"bytes" default:"8"`
 	// Root is the root rank of rooted collectives (reduce, bcast).
-	Root int
+	Root int `yaml:"root" range:"0,1048576"`
+}
+
+// The rules the tags cannot state: each runs once its struct is decoded,
+// given the mapping it came from for the rules that ask whether a key was
+// present.
+
+func (s *Spec) check(_ *yamlMap, ctx string) error {
+	if s.Version != SpecVersion {
+		return fmt.Errorf("workload: %s.version: unsupported version %d (decoder speaks %d)",
+			ctx, s.Version, SpecVersion)
+	}
+	if !plainKey(s.Name) {
+		return fmt.Errorf("workload: %s.name: %q must be a plain identifier", ctx, s.Name)
+	}
+	return nil
+}
+
+func (p *PhaseSpec) check(_ *yamlMap, ctx string) error {
+	switch {
+	case p.Decay <= 0 || p.Decay > 1:
+		return fmt.Errorf("workload: %s.decay: %g outside (0, 1]", ctx, p.Decay)
+	case p.Compute != nil && p.Comm != nil:
+		return fmt.Errorf("workload: %s: compute and comm are mutually exclusive", ctx)
+	case p.Compute == nil && p.Comm == nil:
+		return fmt.Errorf("workload: %s: needs a compute or comm section", ctx)
+	}
+	return nil
+}
+
+func (r *RefSpec) check(_ *yamlMap, ctx string) error {
+	stride, ok := walkStride[r.Walk]
+	if !ok {
+		return fmt.Errorf("workload: %s.walk: unknown walk %q (have seq, strided, random, stencil)",
+			ctx, r.Walk)
+	}
+	if r.Stride == 0 { // absent: a present stride is at least 1
+		r.Stride = stride
+	}
+	return nil
+}
+
+func (c *CommSpec) check(m *yamlMap, ctx string) error {
+	switch c.Op {
+	case OpBarrier, OpAllreduce, OpReduce, OpBcast, OpAlltoall, OpRing, OpHalo3D:
+	default:
+		return fmt.Errorf("workload: %s.op: unknown op %q (have barrier, allreduce, reduce, bcast, alltoall, ring, halo3d)",
+			ctx, c.Op)
+	}
+	if _, ok := m.get("root"); ok && c.Op != OpReduce && c.Op != OpBcast {
+		return fmt.Errorf("workload: %s.root: only reduce and bcast take a root", ctx)
+	}
+	return nil
 }
 
 // LoadSpec reads and decodes a spec file.
@@ -186,62 +257,11 @@ func DecodeSpecBytes(src []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ok := root.(*yamlMap)
-	if !ok {
+	if _, ok := root.(*yamlMap); !ok {
 		return nil, fmt.Errorf("workload: spec document must be a mapping")
 	}
-	if err := checkKeys(m, "spec", "version", "name", "description", "seed",
-		"rounds", "arrays", "phases"); err != nil {
-		return nil, err
-	}
-	s := &Spec{Rounds: 1}
-
-	ver, err := reqInt(m, "version", "spec", 0, 1<<30)
-	if err != nil {
-		return nil, err
-	}
-	if ver != SpecVersion {
-		return nil, fmt.Errorf("workload: spec.version: unsupported version %d (decoder speaks %d)",
-			ver, SpecVersion)
-	}
-	s.Version = int(ver)
-
-	if s.Name, err = reqString(m, "name", "spec"); err != nil {
-		return nil, err
-	}
-	if !plainKey(s.Name) {
-		return nil, fmt.Errorf("workload: spec.name: %q must be a plain identifier", s.Name)
-	}
-	if v, ok := m.get("description"); ok {
-		if s.Description, err = scalarString(v, "spec.description"); err != nil {
-			return nil, err
-		}
-	}
-
-	if v, ok := m.get("seed"); ok {
-		str, err := scalarString(v, "spec.seed")
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseUint(str, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: spec.seed: %q is not a uint64 (overflow or bad digits)", str)
-		}
-		s.Seed = seed
-	}
-
-	if _, ok := m.get("rounds"); ok {
-		r, err := reqInt(m, "rounds", "spec", 1, MaxRounds)
-		if err != nil {
-			return nil, err
-		}
-		s.Rounds = int(r)
-	}
-
-	if s.Arrays, err = decodeArrays(m); err != nil {
-		return nil, err
-	}
-	if s.Phases, err = decodePhases(m); err != nil {
+	s := &Spec{}
+	if err := decode(root, reflect.ValueOf(s).Elem(), "", "spec"); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
@@ -252,6 +272,143 @@ func DecodeSpecBytes(src []byte) (*Spec, error) {
 	}
 	s.fingerprint = s.hash()
 	return s, nil
+}
+
+// decode stores the YAML node v (a *yamlMap, []any or string) in dst, typed
+// by dst's Go type: this one walker decodes every section of a spec, and a
+// Dist through its own decode. tag is the struct tag of the field dst is
+// (empty for a sequence item) and ctx the path naming dst in errors.
+func decode(v any, dst reflect.Value, tag reflect.StructTag, ctx string) error {
+	if dst.Type() == distType {
+		return dst.Addr().Interface().(*Dist).decode(v, ctx)
+	}
+	switch dst.Kind() {
+	case reflect.Pointer:
+		dst.Set(reflect.New(dst.Type().Elem()))
+		return decode(v, dst.Elem(), tag, ctx)
+	case reflect.Struct:
+		m, ok := v.(*yamlMap)
+		if !ok {
+			return fmt.Errorf("workload: %s: expected a mapping", ctx)
+		}
+		return decodeMap(m, dst, ctx)
+	case reflect.Slice:
+		seq, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("workload: %s: expected a sequence", ctx)
+		}
+		if lo, hi := bounds(tag); int64(len(seq)) < lo {
+			return fmt.Errorf("workload: %s: empty", ctx)
+		} else if int64(len(seq)) > hi {
+			key, _, _ := strings.Cut(tag.Get("yaml"), ",")
+			return fmt.Errorf("workload: %s: %d %s exceeds %d", ctx, len(seq), key, hi)
+		}
+		dst.Set(reflect.MakeSlice(dst.Type(), len(seq), len(seq)))
+		for i, item := range seq {
+			if err := decode(item, dst.Index(i), "", fmt.Sprintf("%s[%d]", ctx, i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	s, ok := v.(string)
+	if !ok {
+		return fmt.Errorf("workload: %s: expected a scalar", ctx)
+	}
+	switch dst.Kind() {
+	case reflect.String:
+		dst.SetString(s)
+	case reflect.Bool:
+		b, err := strconv.ParseBool(s)
+		if err != nil {
+			return fmt.Errorf("workload: %s: %q is not a bool", ctx, s)
+		}
+		dst.SetBool(b)
+	case reflect.Int, reflect.Int64:
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return fmt.Errorf("workload: %s: %q is not an integer", ctx, s)
+		}
+		if lo, hi := bounds(tag); n < lo || n > hi {
+			return fmt.Errorf("workload: %s: %d outside [%d, %d]", ctx, n, lo, hi)
+		}
+		dst.SetInt(n)
+	case reflect.Uint64:
+		n, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return fmt.Errorf("workload: %s: %q is not a uint64 (overflow or bad digits)", ctx, s)
+		}
+		dst.SetUint(n)
+	case reflect.Float64:
+		f, err := parseFloat(s)
+		if err != nil {
+			return fmt.Errorf("workload: %s: %v", ctx, err)
+		}
+		dst.SetFloat(f)
+	default:
+		panic("workload: no decoding for " + dst.Type().String())
+	}
+	return nil
+}
+
+// decodeMap decodes the mapping m into the struct dst: a key no field names
+// is refused (the YAML analogue of json.Decoder.DisallowUnknownFields), a
+// missing required key is refused, an absent optional key decodes its
+// default tag as YAML (or leaves the zero value), and the struct's check,
+// when it has one, runs last.
+func decodeMap(m *yamlMap, dst reflect.Value, ctx string) error {
+	t := dst.Type()
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		keys[i], _, _ = strings.Cut(t.Field(i).Tag.Get("yaml"), ",")
+	}
+	for _, k := range m.keys {
+		if !slices.Contains(keys, k) {
+			return fmt.Errorf("workload: %s: unknown field %q", ctx, k)
+		}
+	}
+	for i, key := range keys {
+		if key == "" {
+			continue
+		}
+		tag := t.Field(i).Tag
+		v, ok := m.get(key)
+		if !ok {
+			if strings.HasSuffix(tag.Get("yaml"), ",required") {
+				return fmt.Errorf("workload: %s: missing required key %q", ctx, key)
+			}
+			def, ok := tag.Lookup("default")
+			if !ok {
+				continue
+			}
+			v, _ = parseScalar(def, 0) // a malformed default fails every decode
+		}
+		if err := decode(v, dst.Field(i), tag, ctx+"."+key); err != nil {
+			return err
+		}
+	}
+	// The embedded fp block is reached through an unexported field, so it
+	// cannot be handed out as an interface; it has no check.
+	if p := dst.Addr(); p.CanInterface() {
+		if c, ok := p.Interface().(interface{ check(*yamlMap, string) error }); ok {
+			return c.check(m, ctx)
+		}
+	}
+	return nil
+}
+
+var distType = reflect.TypeOf(Dist{})
+
+// bounds reads a range tag "lo,hi"; an absent bound is the int64 limit.
+func bounds(tag reflect.StructTag) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if l, h, ok := strings.Cut(tag.Get("range"), ","); ok {
+		lo, _ = strconv.ParseInt(l, 10, 64)
+		if h != "" {
+			hi, _ = strconv.ParseInt(h, 10, 64)
+		}
+	}
+	return lo, hi
 }
 
 // cost is the spec's worst-case machine-total loop trips. Build divides a
@@ -266,299 +423,6 @@ func (s *Spec) cost() float64 {
 		}
 	}
 	return float64(s.Rounds) * perRound * nas.ClassC.Scale() * 128
-}
-
-// decodeArrays decodes the arrays section.
-func decodeArrays(m *yamlMap) ([]ArraySpec, error) {
-	v, ok := m.get("arrays")
-	if !ok {
-		return nil, fmt.Errorf("workload: spec: missing required key \"arrays\"")
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("workload: spec.arrays: expected a sequence")
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("workload: spec.arrays: empty")
-	}
-	if len(seq) > MaxArrays {
-		return nil, fmt.Errorf("workload: spec.arrays: %d arrays exceeds %d", len(seq), MaxArrays)
-	}
-	out := make([]ArraySpec, 0, len(seq))
-	for i, item := range seq {
-		ctx := fmt.Sprintf("spec.arrays[%d]", i)
-		am, ok := item.(*yamlMap)
-		if !ok {
-			return nil, fmt.Errorf("workload: %s: expected a mapping", ctx)
-		}
-		if err := checkKeys(am, ctx, "name", "bytes"); err != nil {
-			return nil, err
-		}
-		var a ArraySpec
-		var err error
-		if a.Name, err = reqString(am, "name", ctx); err != nil {
-			return nil, err
-		}
-		b, err := reqInt(am, "bytes", ctx, 1, MaxArrayBytes)
-		if err != nil {
-			return nil, err
-		}
-		a.Bytes = b
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// decodePhases decodes the phases section.
-func decodePhases(m *yamlMap) ([]PhaseSpec, error) {
-	v, ok := m.get("phases")
-	if !ok {
-		return nil, fmt.Errorf("workload: spec: missing required key \"phases\"")
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("workload: spec.phases: expected a sequence")
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("workload: spec.phases: empty")
-	}
-	if len(seq) > MaxPhases {
-		return nil, fmt.Errorf("workload: spec.phases: %d phases exceeds %d", len(seq), MaxPhases)
-	}
-	out := make([]PhaseSpec, 0, len(seq))
-	for i, item := range seq {
-		ctx := fmt.Sprintf("spec.phases[%d]", i)
-		pm, ok := item.(*yamlMap)
-		if !ok {
-			return nil, fmt.Errorf("workload: %s: expected a mapping", ctx)
-		}
-		p, err := decodePhase(pm, ctx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// decodePhase decodes one phase mapping.
-func decodePhase(pm *yamlMap, ctx string) (PhaseSpec, error) {
-	if err := checkKeys(pm, ctx, "name", "repeat", "decay", "compute", "comm"); err != nil {
-		return PhaseSpec{}, err
-	}
-	p := PhaseSpec{Repeat: constDist(1), Decay: 1}
-	var err error
-	if p.Name, err = reqString(pm, "name", ctx); err != nil {
-		return PhaseSpec{}, err
-	}
-	if v, ok := pm.get("repeat"); ok {
-		if p.Repeat, err = decodeDist(v, ctx+".repeat"); err != nil {
-			return PhaseSpec{}, err
-		}
-	}
-	if d, ok, err2 := optFloat(pm, "decay", ctx); err2 != nil {
-		return PhaseSpec{}, err2
-	} else if ok {
-		if d <= 0 || d > 1 {
-			return PhaseSpec{}, fmt.Errorf("workload: %s.decay: %g outside (0, 1]", ctx, d)
-		}
-		p.Decay = d
-	}
-	cv, hasCompute := pm.get("compute")
-	mv, hasComm := pm.get("comm")
-	switch {
-	case hasCompute && hasComm:
-		return PhaseSpec{}, fmt.Errorf("workload: %s: compute and comm are mutually exclusive", ctx)
-	case hasCompute:
-		cm, ok := cv.(*yamlMap)
-		if !ok {
-			return PhaseSpec{}, fmt.Errorf("workload: %s.compute: expected a mapping", ctx)
-		}
-		c, err := decodeCompute(cm, ctx+".compute")
-		if err != nil {
-			return PhaseSpec{}, err
-		}
-		p.Compute = &c
-	case hasComm:
-		cm, ok := mv.(*yamlMap)
-		if !ok {
-			return PhaseSpec{}, fmt.Errorf("workload: %s.comm: expected a mapping", ctx)
-		}
-		c, err := decodeComm(cm, ctx+".comm")
-		if err != nil {
-			return PhaseSpec{}, err
-		}
-		p.Comm = &c
-	default:
-		return PhaseSpec{}, fmt.Errorf("workload: %s: needs a compute or comm section", ctx)
-	}
-	return p, nil
-}
-
-// decodeCompute decodes a compute section.
-func decodeCompute(cm *yamlMap, ctx string) (ComputeSpec, error) {
-	if err := checkKeys(cm, ctx, "trips", "fp", "vectorizable", "refs"); err != nil {
-		return ComputeSpec{}, err
-	}
-	c := ComputeSpec{}
-	v, ok := cm.get("trips")
-	if !ok {
-		return ComputeSpec{}, fmt.Errorf("workload: %s: missing required key \"trips\"", ctx)
-	}
-	var err error
-	if c.Trips, err = decodeDist(v, ctx+".trips"); err != nil {
-		return ComputeSpec{}, err
-	}
-	if fv, ok := cm.get("fp"); ok {
-		fm, ok := fv.(*yamlMap)
-		if !ok {
-			return ComputeSpec{}, fmt.Errorf("workload: %s.fp: expected a mapping", ctx)
-		}
-		if err := checkKeys(fm, ctx+".fp", "addsub", "mul", "div", "fma", "int"); err != nil {
-			return ComputeSpec{}, err
-		}
-		for _, f := range []struct {
-			key string
-			dst *Dist
-		}{
-			{"addsub", &c.AddSub}, {"mul", &c.Mul}, {"div", &c.Div},
-			{"fma", &c.FMA}, {"int", &c.Int},
-		} {
-			if dv, ok := fm.get(f.key); ok {
-				if *f.dst, err = decodeDist(dv, ctx+".fp."+f.key); err != nil {
-					return ComputeSpec{}, err
-				}
-			} else {
-				*f.dst = constDist(0)
-			}
-		}
-	} else {
-		c.AddSub, c.Mul, c.Div, c.FMA, c.Int =
-			constDist(0), constDist(0), constDist(0), constDist(0), constDist(0)
-	}
-	if bv, ok := cm.get("vectorizable"); ok {
-		s, err := scalarString(bv, ctx+".vectorizable")
-		if err != nil {
-			return ComputeSpec{}, err
-		}
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return ComputeSpec{}, fmt.Errorf("workload: %s.vectorizable: %q is not a bool", ctx, s)
-		}
-		c.Vectorizable = b
-	}
-	rv, ok := cm.get("refs")
-	if !ok {
-		return ComputeSpec{}, fmt.Errorf("workload: %s: missing required key \"refs\"", ctx)
-	}
-	rseq, ok := rv.([]any)
-	if !ok {
-		return ComputeSpec{}, fmt.Errorf("workload: %s.refs: expected a sequence", ctx)
-	}
-	if len(rseq) == 0 {
-		return ComputeSpec{}, fmt.Errorf("workload: %s.refs: empty", ctx)
-	}
-	for i, item := range rseq {
-		rctx := fmt.Sprintf("%s.refs[%d]", ctx, i)
-		rm, ok := item.(*yamlMap)
-		if !ok {
-			return ComputeSpec{}, fmt.Errorf("workload: %s: expected a mapping", rctx)
-		}
-		r, err := decodeRef(rm, rctx)
-		if err != nil {
-			return ComputeSpec{}, err
-		}
-		c.Refs = append(c.Refs, r)
-	}
-	return c, nil
-}
-
-// decodeRef decodes one memory reference.
-func decodeRef(rm *yamlMap, ctx string) (RefSpec, error) {
-	if err := checkKeys(rm, ctx, "array", "walk", "stride", "store"); err != nil {
-		return RefSpec{}, err
-	}
-	r := RefSpec{Walk: WalkSeq}
-	var err error
-	if r.Array, err = reqString(rm, "array", ctx); err != nil {
-		return RefSpec{}, err
-	}
-	if wv, ok := rm.get("walk"); ok {
-		s, err := scalarString(wv, ctx+".walk")
-		if err != nil {
-			return RefSpec{}, err
-		}
-		r.Walk = Walk(s)
-	}
-	switch r.Walk {
-	case WalkSeq, WalkStrided, WalkRandom, WalkStencil:
-	default:
-		return RefSpec{}, fmt.Errorf("workload: %s.walk: unknown walk %q (have seq, strided, random, stencil)",
-			ctx, r.Walk)
-	}
-	if _, ok := rm.get("stride"); ok {
-		st, err := reqInt(rm, "stride", ctx, 1, 1<<30)
-		if err != nil {
-			return RefSpec{}, err
-		}
-		r.Stride = st
-	} else {
-		switch r.Walk {
-		case WalkSeq:
-			r.Stride = 8
-		case WalkStrided:
-			r.Stride = 64
-		case WalkStencil:
-			r.Stride = 1024
-		}
-	}
-	if sv, ok := rm.get("store"); ok {
-		s, err := scalarString(sv, ctx+".store")
-		if err != nil {
-			return RefSpec{}, err
-		}
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return RefSpec{}, fmt.Errorf("workload: %s.store: %q is not a bool", ctx, s)
-		}
-		r.Store = b
-	}
-	return r, nil
-}
-
-// decodeComm decodes a communication section.
-func decodeComm(cm *yamlMap, ctx string) (CommSpec, error) {
-	if err := checkKeys(cm, ctx, "op", "bytes", "root"); err != nil {
-		return CommSpec{}, err
-	}
-	c := CommSpec{Bytes: constDist(8)}
-	opStr, err := reqString(cm, "op", ctx)
-	if err != nil {
-		return CommSpec{}, err
-	}
-	c.Op = CommOp(opStr)
-	switch c.Op {
-	case OpBarrier, OpAllreduce, OpReduce, OpBcast, OpAlltoall, OpRing, OpHalo3D:
-	default:
-		return CommSpec{}, fmt.Errorf("workload: %s.op: unknown op %q (have barrier, allreduce, reduce, bcast, alltoall, ring, halo3d)",
-			ctx, c.Op)
-	}
-	if bv, ok := cm.get("bytes"); ok {
-		if c.Bytes, err = decodeDist(bv, ctx+".bytes"); err != nil {
-			return CommSpec{}, err
-		}
-	}
-	if _, ok := cm.get("root"); ok {
-		if c.Op != OpReduce && c.Op != OpBcast {
-			return CommSpec{}, fmt.Errorf("workload: %s.root: only reduce and bcast take a root", ctx)
-		}
-		root, err := reqInt(cm, "root", ctx, 0, 1<<20)
-		if err != nil {
-			return CommSpec{}, err
-		}
-		c.Root = int(root)
-	}
-	return c, nil
 }
 
 // Validate cross-checks the decoded spec: unique names, resolvable array
@@ -632,56 +496,4 @@ func (s *Spec) canonical() string {
 		}
 	}
 	return b.String()
-}
-
-// scalarString requires v to be a string scalar.
-func scalarString(v any, ctx string) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("workload: %s: expected a scalar", ctx)
-	}
-	return s, nil
-}
-
-// reqString fetches a required string field.
-func reqString(m *yamlMap, key, ctx string) (string, error) {
-	v, ok := m.get(key)
-	if !ok {
-		return "", fmt.Errorf("workload: %s: missing required key %q", ctx, key)
-	}
-	return scalarString(v, ctx+"."+key)
-}
-
-// reqInt fetches a required integer field in [lo, hi].
-func reqInt(m *yamlMap, key, ctx string, lo, hi int64) (int64, error) {
-	s, err := reqString(m, key, ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("workload: %s.%s: %q is not an integer", ctx, key, s)
-	}
-	if n < lo || n > hi {
-		return 0, fmt.Errorf("workload: %s.%s: %d outside [%d, %d]", ctx, key, n, lo, hi)
-	}
-	return n, nil
-}
-
-// checkKeys rejects keys outside the allowed set — the YAML analogue of
-// json.Decoder.DisallowUnknownFields.
-func checkKeys(m *yamlMap, ctx string, allowed ...string) error {
-	for _, k := range m.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("workload: %s: unknown field %q", ctx, k)
-		}
-	}
-	return nil
 }

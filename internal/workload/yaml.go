@@ -9,8 +9,9 @@ package workload
 // line number, in keeping with the suite's strict-decode policy (the JSON
 // job decoder rejects unknown fields the same way).
 //
-// Scalars are kept as strings; the schema layer (spec.go) does the typing,
-// so "08" or "1e3" mean whatever the field they land in says they mean.
+// Scalars are kept as strings; the schema walker (decode in spec.go) types
+// each one by the Go type of the field it lands in, so "08" or "1e3" mean
+// whatever that field says they mean.
 
 import (
 	"fmt"
