@@ -9,7 +9,8 @@ import (
 // FuzzDecodeWorkloadSpec pins the decoder's failure mode: malformed input of
 // any shape must come back as an error, never a panic, and anything that
 // does decode must re-validate, cost no more than MaxSpecTrips, and
-// fingerprint cleanly. It mirrors the
+// fingerprint cleanly. Every source of the malformed-spec table seeds it, so
+// the walker's error paths are where the mutations start. It mirrors the
 // server's FuzzDecodeJobSpec for the JSON job spec.
 func FuzzDecodeWorkloadSpec(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/*.yaml")
@@ -29,6 +30,9 @@ func FuzzDecodeWorkloadSpec(f *testing.F) {
 	}
 	f.Add(hpl)
 	f.Add([]byte(goodSpec))
+	for _, tc := range malformedSpecs {
+		f.Add([]byte(tc.src))
+	}
 	f.Add([]byte("version: 1\nname: x\n"))
 	f.Add([]byte("a: {b: [1, 2], c: \"d\"}\n"))
 	f.Add([]byte("\t\n- \n:\n"))

@@ -114,50 +114,54 @@ func TestLoadHPLSpec(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMalformedSpecs is the malformed-spec table: every entry
-// must fail with an error mentioning the expected fragment, mirroring the
-// server's TestSubmitRejects table for the JSON job spec.
+// The malformed-spec table: every entry must fail to decode with an error
+// mentioning want, mirroring the server's TestSubmitRejects table for the
+// JSON job spec. TestDecodeRejectsMalformedSpecs runs it, and
+// FuzzDecodeWorkloadSpec seeds its corpus from it.
+const (
+	malformedHeader   = "version: 1\nname: x\narrays:\n  - {name: a, bytes: 4096}\n"
+	malformedOnePhase = "phases:\n  - name: p\n    compute:\n      trips: 10\n      refs:\n        - {array: a}\n"
+)
+
+var malformedSpecs = []struct{ name, src, want string }{
+	{"empty", "", "empty spec"},
+	{"tab indentation", "version: 1\n\tname: x\n", "tab in indentation"},
+	{"not a mapping", "- a\n- b\n", "must be a mapping"},
+	{"unknown top-level field", malformedHeader + malformedOnePhase + "frobnicate: 1\n", `unknown field "frobnicate"`},
+	{"duplicate key", "version: 1\nversion: 1\n", `duplicate key "version"`},
+	{"missing version", "name: x\narrays:\n  - {name: a, bytes: 4096}\n" + malformedOnePhase, "missing required key \"version\""},
+	{"wrong version", strings.Replace(malformedHeader, "version: 1", "version: 2", 1) + malformedOnePhase, "unsupported version 2"},
+	{"bad name", strings.Replace(malformedHeader, "name: x", "name: \"a b\"", 1) + malformedOnePhase, "plain identifier"},
+	{"seed overflow", malformedHeader + "seed: 99999999999999999999\n" + malformedOnePhase, "not a uint64"},
+	{"negative seed", malformedHeader + "seed: -1\n" + malformedOnePhase, "not a uint64"},
+	{"rounds zero", malformedHeader + "rounds: 0\n" + malformedOnePhase, "outside [1, 1024]"},
+	{"rounds too big", malformedHeader + "rounds: 1000000\n" + malformedOnePhase, "outside [1, 1024]"},
+	{"no arrays", "version: 1\nname: x\narrays: []\n" + malformedOnePhase, "spec.arrays: empty"},
+	{"negative array bytes", "version: 1\nname: x\narrays:\n  - {name: a, bytes: -5}\n" + malformedOnePhase, "outside [1,"},
+	{"duplicate array", "version: 1\nname: x\narrays:\n  - {name: a, bytes: 4096}\n  - {name: a, bytes: 4096}\n" + malformedOnePhase, "duplicate array"},
+	{"no phases", malformedHeader + "phases: []\n", "spec.phases: empty"},
+	{"phase without body", malformedHeader + "phases:\n  - name: p\n", "needs a compute or comm"},
+	{"phase with both bodies", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a}\n    comm:\n      op: barrier\n", "mutually exclusive"},
+	{"duplicate phase", malformedHeader + malformedOnePhase + "  - name: p\n    comm:\n      op: barrier\n", "duplicate phase"},
+	{"unknown array ref", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: zz}\n", `unknown array "zz"`},
+	{"unknown walk", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a, walk: spiral}\n", `unknown walk "spiral"`},
+	{"negative stride", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a, walk: strided, stride: -8}\n", "outside [1,"},
+	{"no refs", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs: []\n", "refs: empty"},
+	{"unknown dist", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: {dist: zipf, mean: 3}\n      refs:\n        - {array: a}\n", `unknown distribution "zipf"`},
+	{"uniform without bounds", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: {dist: uniform}\n      refs:\n        - {array: a}\n", "uniform needs min and max"},
+	{"gamma bad shape", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: {dist: gamma, shape: 0, scale: 2}\n      refs:\n        - {array: a}\n", "positive shape and scale"},
+	{"poisson huge mean", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: {dist: poisson, mean: 1e9}\n      refs:\n        - {array: a}\n", "exceeds"},
+	{"max below min", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: {dist: uniform, min: 10, max: 1}\n      refs:\n        - {array: a}\n", "below min"},
+	{"unknown comm op", malformedHeader + "phases:\n  - name: p\n    comm:\n      op: gossip\n", `unknown op "gossip"`},
+	{"root on unrooted op", malformedHeader + "phases:\n  - name: p\n    comm:\n      op: allreduce\n      root: 1\n", "only reduce and bcast"},
+	{"decay out of range", malformedHeader + "phases:\n  - name: p\n    decay: 1.5\n    compute:\n      trips: 1\n      refs:\n        - {array: a}\n", "outside (0, 1]"},
+	{"bad bool", malformedHeader + "phases:\n  - name: p\n    compute:\n      trips: 1\n      vectorizable: maybe\n      refs:\n        - {array: a}\n", "not a bool"},
+	{"trailing garbage", malformedHeader + malformedOnePhase + "      junk\n", `expected "key: value"`},
+}
+
+// TestDecodeRejectsMalformedSpecs runs the malformed-spec table.
 func TestDecodeRejectsMalformedSpecs(t *testing.T) {
-	const header = "version: 1\nname: x\narrays:\n  - {name: a, bytes: 4096}\n"
-	const onePhase = "phases:\n  - name: p\n    compute:\n      trips: 10\n      refs:\n        - {array: a}\n"
-	cases := []struct {
-		name, src, want string
-	}{
-		{"empty", "", "empty spec"},
-		{"tab indentation", "version: 1\n\tname: x\n", "tab in indentation"},
-		{"not a mapping", "- a\n- b\n", "must be a mapping"},
-		{"unknown top-level field", header + onePhase + "frobnicate: 1\n", `unknown field "frobnicate"`},
-		{"duplicate key", "version: 1\nversion: 1\n", `duplicate key "version"`},
-		{"missing version", "name: x\narrays:\n  - {name: a, bytes: 4096}\n" + onePhase, "missing required key \"version\""},
-		{"wrong version", strings.Replace(header, "version: 1", "version: 2", 1) + onePhase, "unsupported version 2"},
-		{"bad name", strings.Replace(header, "name: x", "name: \"a b\"", 1) + onePhase, "plain identifier"},
-		{"seed overflow", header + "seed: 99999999999999999999\n" + onePhase, "not a uint64"},
-		{"negative seed", header + "seed: -1\n" + onePhase, "not a uint64"},
-		{"rounds zero", header + "rounds: 0\n" + onePhase, "outside [1, 1024]"},
-		{"rounds too big", header + "rounds: 1000000\n" + onePhase, "outside [1, 1024]"},
-		{"no arrays", "version: 1\nname: x\narrays: []\n" + onePhase, "spec.arrays: empty"},
-		{"negative array bytes", "version: 1\nname: x\narrays:\n  - {name: a, bytes: -5}\n" + onePhase, "outside [1,"},
-		{"duplicate array", "version: 1\nname: x\narrays:\n  - {name: a, bytes: 4096}\n  - {name: a, bytes: 4096}\n" + onePhase, "duplicate array"},
-		{"no phases", header + "phases: []\n", "spec.phases: empty"},
-		{"phase without body", header + "phases:\n  - name: p\n", "needs a compute or comm"},
-		{"phase with both bodies", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a}\n    comm:\n      op: barrier\n", "mutually exclusive"},
-		{"duplicate phase", header + onePhase + "  - name: p\n    comm:\n      op: barrier\n", "duplicate phase"},
-		{"unknown array ref", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: zz}\n", `unknown array "zz"`},
-		{"unknown walk", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a, walk: spiral}\n", `unknown walk "spiral"`},
-		{"negative stride", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs:\n        - {array: a, walk: strided, stride: -8}\n", "outside [1,"},
-		{"no refs", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      refs: []\n", "refs: empty"},
-		{"unknown dist", header + "phases:\n  - name: p\n    compute:\n      trips: {dist: zipf, mean: 3}\n      refs:\n        - {array: a}\n", `unknown distribution "zipf"`},
-		{"uniform without bounds", header + "phases:\n  - name: p\n    compute:\n      trips: {dist: uniform}\n      refs:\n        - {array: a}\n", "uniform needs min and max"},
-		{"gamma bad shape", header + "phases:\n  - name: p\n    compute:\n      trips: {dist: gamma, shape: 0, scale: 2}\n      refs:\n        - {array: a}\n", "positive shape and scale"},
-		{"poisson huge mean", header + "phases:\n  - name: p\n    compute:\n      trips: {dist: poisson, mean: 1e9}\n      refs:\n        - {array: a}\n", "exceeds"},
-		{"max below min", header + "phases:\n  - name: p\n    compute:\n      trips: {dist: uniform, min: 10, max: 1}\n      refs:\n        - {array: a}\n", "below min"},
-		{"unknown comm op", header + "phases:\n  - name: p\n    comm:\n      op: gossip\n", `unknown op "gossip"`},
-		{"root on unrooted op", header + "phases:\n  - name: p\n    comm:\n      op: allreduce\n      root: 1\n", "only reduce and bcast"},
-		{"decay out of range", header + "phases:\n  - name: p\n    decay: 1.5\n    compute:\n      trips: 1\n      refs:\n        - {array: a}\n", "outside (0, 1]"},
-		{"bad bool", header + "phases:\n  - name: p\n    compute:\n      trips: 1\n      vectorizable: maybe\n      refs:\n        - {array: a}\n", "not a bool"},
-		{"trailing garbage", header + onePhase + "      junk\n", `expected "key: value"`},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedSpecs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeSpecBytes([]byte(tc.src))
 			if err == nil {
