@@ -28,10 +28,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -178,75 +180,87 @@ func run() int {
 		}
 	}
 
-	metrics := make([]*postproc.Metrics, 0, len(results))
-	first := true
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		if !first {
-			fmt.Println()
-		}
-		first = false
-		printRun(res, cfgs[i].DumpDir)
-		metrics = append(metrics, res.Metrics)
+	w := bufio.NewWriter(os.Stdout)
+	n, err := printResults(w, results, cfgs, *timeline, *csvOut)
+	// Output that did not reach stdout is an error, whatever it holds.
+	if ferr := w.Flush(); err == nil {
+		err = ferr
 	}
-
-	if *timeline != "" {
-		if res := results[0]; res != nil {
-			f, err := os.Create(*timeline)
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			if err := res.Timeline.WriteCSV(f); err != nil {
-				log.Print(err)
-				return 1
-			}
-			f.Close()
-			fmt.Printf("timeline CSV:     %s (%d samples)\n", *timeline, len(res.Timeline.Samples()))
-		}
-	}
-
-	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer f.Close()
-		if err := postproc.WriteMetricsCSV(f, metrics); err != nil {
-			log.Print(err)
-			return 1
-		}
-		fmt.Printf("metrics CSV:      %s\n", *csvOut)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
 	if se != nil {
-		log.Printf("partial output: %d of %d benchmarks missing", len(cfgs)-len(metrics), len(cfgs))
+		log.Printf("partial output: %d of %d benchmarks missing", len(cfgs)-n, len(cfgs))
 		return 3
 	}
 	return 0
 }
 
-func printRun(res *bgp.Result, dumpDir string) {
+// printResults prints each completed run to w, writes the -timeline and
+// -csv files, and returns how many runs completed.
+func printResults(w io.Writer, results []*bgp.Result, cfgs []bgp.RunConfig, timeline, csvOut string) (int, error) {
+	metrics := make([]*postproc.Metrics, 0, len(results))
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		if len(metrics) > 0 {
+			fmt.Fprintln(w)
+		}
+		printRun(w, res, cfgs[i].DumpDir)
+		metrics = append(metrics, res.Metrics)
+	}
+	if timeline != "" && results[0] != nil {
+		tl := results[0].Timeline
+		if err := writeFile(timeline, tl.WriteCSV); err != nil {
+			return len(metrics), err
+		}
+		fmt.Fprintf(w, "timeline CSV:     %s (%d samples)\n", timeline, len(tl.Samples()))
+	}
+	if csvOut != "" {
+		err := writeFile(csvOut, func(f io.Writer) error { return postproc.WriteMetricsCSV(f, metrics) })
+		if err != nil {
+			return len(metrics), err
+		}
+		fmt.Fprintf(w, "metrics CSV:      %s\n", csvOut)
+	}
+	return len(metrics), nil
+}
+
+// writeFile creates path and fills it through write; a failed Close is an
+// error like a failed write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func printRun(w io.Writer, res *bgp.Result, dumpDir string) {
 	m := res.Metrics
-	fmt.Printf("run:              %s\n", res.Label)
-	fmt.Printf("nodes:            %d (%d ranks)\n", res.Config.Nodes, res.Config.Ranks)
-	fmt.Printf("execution:        %d cycles (%.4f s at 850 MHz)\n", m.ExecCycles, m.ExecSeconds)
-	fmt.Printf("MFLOPS:           %.1f total, %.1f per chip\n", m.MFLOPS, m.MFLOPSPerChip)
-	fmt.Printf("SIMD share:       %.1f%% of FP instructions\n", 100*m.SIMDShare)
-	fmt.Printf("L3-DDR traffic:   %.1f MB (%.1f MB/s)\n", float64(m.DDRTrafficBytes)/1e6, m.DDRBandwidthMBs)
-	fmt.Printf("L1 hit rate:      %.2f%%\n", 100*m.L1HitRate)
-	fmt.Printf("L3 miss rate:     %.2f%%\n", 100*m.L3MissRate)
-	fmt.Printf("FP profile:\n")
+	fmt.Fprintf(w, "run:              %s\n", res.Label)
+	fmt.Fprintf(w, "nodes:            %d (%d ranks)\n", res.Config.Nodes, res.Config.Ranks)
+	fmt.Fprintf(w, "execution:        %d cycles (%.4f s at 850 MHz)\n", m.ExecCycles, m.ExecSeconds)
+	fmt.Fprintf(w, "MFLOPS:           %.1f total, %.1f per chip\n", m.MFLOPS, m.MFLOPSPerChip)
+	fmt.Fprintf(w, "SIMD share:       %.1f%% of FP instructions\n", 100*m.SIMDShare)
+	fmt.Fprintf(w, "L3-DDR traffic:   %.1f MB (%.1f MB/s)\n", float64(m.DDRTrafficBytes)/1e6, m.DDRBandwidthMBs)
+	fmt.Fprintf(w, "L1 hit rate:      %.2f%%\n", 100*m.L1HitRate)
+	fmt.Fprintf(w, "L3 miss rate:     %.2f%%\n", 100*m.L3MissRate)
+	fmt.Fprintf(w, "FP profile:\n")
 	fractions := experiments.FPFractions(m)
 	for _, ev := range postproc.FPClassEvents {
 		if m.FPMix[ev] == 0 {
 			continue
 		}
-		fmt.Printf("  %-28s %12.0f (%5.1f%%)\n", ev, m.FPMix[ev], 100*fractions[ev])
+		fmt.Fprintf(w, "  %-28s %12.0f (%5.1f%%)\n", ev, m.FPMix[ev], 100*fractions[ev])
 	}
 	if dumpDir != "" {
-		fmt.Printf("dumps:            %d files in %s\n", len(res.Dumps), dumpDir)
+		fmt.Fprintf(w, "dumps:            %d files in %s\n", len(res.Dumps), dumpDir)
 	}
 }

@@ -36,8 +36,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -63,8 +65,7 @@ func run() int {
 		class    = flag.String("class", "B", "problem class: S, W, A, B or C")
 		progress = flag.Bool("progress", false, "print sweep progress and throughput to stderr when done")
 	)
-	missing := &experiments.MissingSet{}
-	s := experiments.Scale{Missing: missing}
+	s := experiments.Scale{Missing: &experiments.MissingSet{}}
 	flag.IntVar(&s.Ranks, "ranks", 32, "process count (class B / 32 ranks reproduces the paper's per-rank regime)")
 	flag.IntVar(&s.Workers, "jobs", 0, "concurrent simulations (0 = one per host core); results do not depend on it")
 	// -no-epochmemo, -checkpoint, -trace, -cpuprofile and the rest of the
@@ -89,10 +90,21 @@ func run() int {
 		s.Progress = &tracker
 		defer func() { log.Print(tracker.Snapshot()) }()
 	}
-	w := os.Stdout
+	w := bufio.NewWriter(os.Stdout)
+	status := sweepTo(w, s, *specFile, *fig, *ext)
+	// Output that did not reach stdout is an error, whatever it holds.
+	if err := w.Flush(); err != nil {
+		log.Print(err)
+		return 1
+	}
+	return status
+}
 
-	if *specFile != "" {
-		spec, err := bgp.LoadWorkloadSpec(*specFile)
+// sweepTo runs the selected study (or the spec characterization) at scale
+// s, writes its table to w and returns the exit status.
+func sweepTo(w io.Writer, s experiments.Scale, specFile string, fig int, ext string) int {
+	if specFile != "" {
+		spec, err := bgp.LoadWorkloadSpec(specFile)
 		if err != nil {
 			log.Print(err)
 			return 1
@@ -103,20 +115,20 @@ func run() int {
 			return 1
 		}
 		experiments.RenderSpec(w, spec, pts)
-		return partialStatus(missing)
+		return partialStatus(s.Missing)
 	}
 
 	// Everything else is an entry of the study catalog.
-	selector := fmt.Sprintf("-fig %d", *fig)
-	if *ext != "" {
-		selector = "-ext " + *ext
+	selector := fmt.Sprintf("-fig %d", fig)
+	if ext != "" {
+		selector = "-ext " + ext
 	}
 	st, ok := experiments.Lookup(selector)
 	if !ok {
-		if *ext != "" {
-			log.Printf("unknown extension %q (have prefetch, l3prefetch, hybrid)", *ext)
+		if ext != "" {
+			log.Printf("unknown extension %q (have prefetch, l3prefetch, hybrid)", ext)
 		} else {
-			log.Printf("unknown figure %d (the paper has figures 6-14)", *fig)
+			log.Printf("unknown figure %d (the paper has figures 6-14)", fig)
 		}
 		return 1
 	}
@@ -124,7 +136,7 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	return partialStatus(missing)
+	return partialStatus(s.Missing)
 }
 
 // partialStatus reports the missing points of a sweep on stderr

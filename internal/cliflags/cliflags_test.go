@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,23 +89,38 @@ func TestSharedFlagsExistOnce(t *testing.T) {
 	}
 }
 
-// runCommand builds a batch command, runs it with args and returns its exit
-// status, stdout and stderr.
-func runCommand(t *testing.T, cmd string, args ...string) (int, string, string) {
+// buildCommand builds a batch command and returns the binary's path.
+func buildCommand(t *testing.T, cmd string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), cmd)
 	if out, err := exec.Command("go", "build", "-o", bin, "bgpsim/cmd/"+cmd).CombinedOutput(); err != nil {
 		t.Fatalf("building %s: %v\n%s", cmd, err, out)
 	}
-	c := exec.Command(bin, args...)
-	var stdout, stderr bytes.Buffer
-	c.Stdout, c.Stderr = &stdout, &stderr
+	return bin
+}
+
+// runCommand builds a batch command, runs it with args and returns its exit
+// status, stdout and stderr.
+func runCommand(t *testing.T, cmd string, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout bytes.Buffer
+	code, stderr := runTo(t, &stdout, cmd, args...)
+	return code, stdout.String(), stderr
+}
+
+// runTo builds a batch command, runs it with args and its stdout on stdout,
+// and returns its exit status and stderr.
+func runTo(t *testing.T, stdout io.Writer, cmd string, args ...string) (int, string) {
+	t.Helper()
+	c := exec.Command(buildCommand(t, cmd), args...)
+	var stderr bytes.Buffer
+	c.Stdout, c.Stderr = stdout, &stderr
 	err := c.Run()
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatalf("%s: %v", cmd, err)
 	}
-	return c.ProcessState.ExitCode(), stdout.String(), stderr.String()
+	return c.ProcessState.ExitCode(), stderr.String()
 }
 
 // TestPartialOutputWithoutAFlag pins that a failed run never discards the
@@ -123,15 +139,29 @@ func TestPartialOutputWithoutAFlag(t *testing.T) {
 	}
 }
 
-// TestReportWriteErrorFails pins that a report that cannot be written is an
-// error: bgpreport -o on a full device exits 1 and names the write error.
+// TestReportWriteErrorFails pins that output that cannot be written is an
+// error: bgpreport -o on a full device, and bgpsweep and bgprun with stdout
+// on one, exit 1 and name the write error.
 func TestReportWriteErrorFails(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	code, _, stderr := runCommand(t, "bgpreport", "-class", "S", "-ranks", "4",
-		"-checkpoint", t.TempDir(), "-from-checkpoint", "-o", "/dev/full")
-	if code != 1 || !strings.Contains(stderr, "no space left on device") {
-		t.Errorf("exit status %d, want 1 with the write error logged:\n%s", code, stderr)
+	defer full.Close()
+	for _, tc := range []struct {
+		cmd    string
+		args   []string
+		stdout io.Writer
+	}{
+		{"bgpreport", []string{"-class", "S", "-ranks", "4", "-checkpoint", t.TempDir(), "-from-checkpoint", "-o", "/dev/full"}, io.Discard},
+		{"bgpsweep", []string{"-fig", "6", "-class", "S", "-ranks", "4"}, full},
+		{"bgprun", []string{"-bench", "mg", "-class", "S", "-ranks", "4"}, full},
+	} {
+		t.Run(tc.cmd, func(t *testing.T) {
+			code, stderr := runTo(t, tc.stdout, tc.cmd, tc.args...)
+			if code != 1 || !strings.Contains(stderr, "no space left on device") {
+				t.Errorf("exit status %d, want 1 with the write error logged:\n%s", code, stderr)
+			}
+		})
 	}
 }
