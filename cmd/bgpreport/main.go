@@ -20,7 +20,8 @@
 // every point any tool stored there. The report is still written when
 // points are missing: their cells render as dashes, each affected table
 // carries a "partial" note, and the missing benchmark × mode × build × L3
-// points are listed at the end of the report and on stderr.
+// runs are listed at the end of the report and on stderr, one line per run
+// with the number of points it leaves missing.
 //
 // Exit status: 0 on a complete report, 1 on error, 3 on a partial report.
 package main
@@ -125,11 +126,12 @@ func report(s experiments.Scale, w io.Writer, specs string) int {
 		return 1
 	}
 	if n := s.Missing.Missing(); n > 0 {
-		fmt.Fprintf(w, "Missing points (%d of %d):\n", n, s.Missing.Total())
-		log.Printf("partial report: %d of %d points missing", n, s.Missing.Total())
-		for _, label := range s.Missing.Labels() {
-			fmt.Fprintf(w, "  %s\n", label)
-			log.Printf("  missing: %s", label)
+		lines := s.Missing.Lines()
+		fmt.Fprintf(w, "Missing points (%d of %d, %d runs):\n", n, s.Missing.Total(), len(lines))
+		log.Printf("partial report: %d of %d points missing (%d runs)", n, s.Missing.Total(), len(lines))
+		for _, line := range lines {
+			fmt.Fprintf(w, "  %s\n", line)
+			log.Printf("  missing: %s", line)
 		}
 		return 3
 	}

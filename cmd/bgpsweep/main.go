@@ -145,9 +145,10 @@ func partialStatus(ms *experiments.MissingSet) int {
 	if ms.Missing() == 0 {
 		return 0
 	}
-	log.Printf("partial output: %d of %d points missing", ms.Missing(), ms.Total())
-	for _, label := range ms.Labels() {
-		log.Printf("  missing: %s", label)
+	lines := ms.Lines()
+	log.Printf("partial output: %d of %d points missing (%d runs)", ms.Missing(), ms.Total(), len(lines))
+	for _, line := range lines {
+		log.Printf("  missing: %s", line)
 	}
 	return 3
 }

@@ -166,3 +166,27 @@ func TestPointLabel(t *testing.T) {
 		t.Errorf("PointLabel = %q, want l3=off for a disabled L3", got)
 	}
 }
+
+// TestMissingRunListedOnce pins that points sharing one failed identity are
+// one missing run: both count as missing points, and the run is listed once
+// with its point count.
+func TestMissingRunListedOnce(t *testing.T) {
+	cfg := bgp.RunConfig{Benchmark: "mg", Class: nas.ClassS, Ranks: 4, Mode: machine.VNM, Opts: BestBuild()}
+	s := Scale{
+		Class: nas.ClassS, Ranks: 4,
+		SweepConfig: bgp.SweepConfig{CheckpointDir: t.TempDir(), ResumeOnly: true},
+		Missing:     &MissingSet{},
+	}
+	if _, err := runAll(s, []bgp.RunConfig{cfg, cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if n, total := s.Missing.Missing(), s.Missing.Total(); n != 2 || total != 2 {
+		t.Errorf("missing set = %d/%d points, want 2/2", n, total)
+	}
+	if got := s.Missing.Labels(); len(got) != 1 || got[0] != bgp.PointLabel(cfg) {
+		t.Errorf("labels %q, want the one run %q", got, bgp.PointLabel(cfg))
+	}
+	if got := s.Missing.Lines(); len(got) != 1 || got[0] != bgp.PointLabel(cfg)+" (2 points)" {
+		t.Errorf("lines %q, want the run with its 2 points", got)
+	}
+}

@@ -72,13 +72,16 @@ type Scale struct {
 
 // MissingSet accumulates the identity of every figure point that could not
 // be computed, plus the total attempted, so reports can state exactly what a
-// partial rendering is missing. Setting one on a Scale is what lets a
-// figure render partially; a nil set means a failed point fails the figure,
-// and its methods report nothing. Methods are safe for concurrent use.
+// partial rendering is missing. Points that share one run identity (one
+// label) are one missing run, kept once with its point count. Setting one
+// on a Scale is what lets a figure render partially; a nil set means a
+// failed point fails the figure, and its methods report nothing. Methods
+// are safe for concurrent use.
 type MissingSet struct {
-	mu     sync.Mutex
-	total  int
-	labels []string
+	mu      sync.Mutex
+	total   int
+	missing int
+	points  map[string]int // label -> missing points under it
 }
 
 func (ms *MissingSet) add(label string) {
@@ -86,7 +89,11 @@ func (ms *MissingSet) add(label string) {
 		return
 	}
 	ms.mu.Lock()
-	ms.labels = append(ms.labels, label)
+	if ms.points == nil {
+		ms.points = map[string]int{}
+	}
+	ms.points[label]++
+	ms.missing++
 	ms.mu.Unlock()
 }
 
@@ -106,7 +113,7 @@ func (ms *MissingSet) Missing() int {
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return len(ms.labels)
+	return ms.missing
 }
 
 // Total returns the number of points attempted across every sweep run with
@@ -120,15 +127,35 @@ func (ms *MissingSet) Total() int {
 	return ms.total
 }
 
-// Labels returns the missing points' labels, sorted.
+// Labels returns each missing run's label once, sorted.
 func (ms *MissingSet) Labels() []string {
 	if ms == nil {
 		return nil
 	}
 	ms.mu.Lock()
-	out := append([]string(nil), ms.labels...)
-	ms.mu.Unlock()
+	defer ms.mu.Unlock()
+	out := make([]string, 0, len(ms.points))
+	for label := range ms.points {
+		out = append(out, label)
+	}
 	sort.Strings(out)
+	return out
+}
+
+// Lines returns one line per missing run, sorted by label: the label,
+// suffixed "(n points)" when n > 1 points share it.
+func (ms *MissingSet) Lines() []string {
+	out := ms.Labels()
+	if len(out) == 0 {
+		return out
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for i, label := range out {
+		if n := ms.points[label]; n > 1 {
+			out[i] += fmt.Sprintf(" (%d points)", n)
+		}
+	}
 	return out
 }
 
