@@ -89,16 +89,6 @@ func TestSharedFlagsExistOnce(t *testing.T) {
 	}
 }
 
-// buildCommand builds a batch command and returns the binary's path.
-func buildCommand(t *testing.T, cmd string) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), cmd)
-	if out, err := exec.Command("go", "build", "-o", bin, "bgpsim/cmd/"+cmd).CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", cmd, err, out)
-	}
-	return bin
-}
-
 // runCommand builds a batch command, runs it with args and returns its exit
 // status, stdout and stderr.
 func runCommand(t *testing.T, cmd string, args ...string) (int, string, string) {
@@ -112,7 +102,11 @@ func runCommand(t *testing.T, cmd string, args ...string) (int, string, string) 
 // and returns its exit status and stderr.
 func runTo(t *testing.T, stdout io.Writer, cmd string, args ...string) (int, string) {
 	t.Helper()
-	c := exec.Command(buildCommand(t, cmd), args...)
+	bin := filepath.Join(t.TempDir(), cmd)
+	if out, err := exec.Command("go", "build", "-o", bin, "bgpsim/cmd/"+cmd).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", cmd, err, out)
+	}
+	c := exec.Command(bin, args...)
 	var stderr bytes.Buffer
 	c.Stdout, c.Stderr = stdout, &stderr
 	err := c.Run()
